@@ -4,13 +4,20 @@ Same contract as the compiled extension `_core`; selected at import time by
 `ekrlab._kernels` when the extension is unavailable (or forced via
 EKRLAB_KERNELS=pure).  Everything here works on arbitrary-size Python ints,
 so there is no 64-set universe limit.
+
+The search and the predicate-family walk share index-mask tables (bit j
+stands for set j): a relation mask per set for the include test, the
+successors of each set under shifting, and a ready mask of the sets whose
+shift images are all included.  Both walks jump over sets outside the ready
+mask and count them as forced exclusions in bulk; every counter matches a
+walk that visits one set per node, which is how the compiled kernel walks.
 """
 
 from __future__ import annotations
 
 from array import array
 
-from ..bitops import coord_zero_mask, popcount, size_class_masks
+from ..bitops import coord_zero_mask, iter_bit_indices, popcount, size_class_masks
 
 BACKEND_NAME = "pure"
 
@@ -67,32 +74,66 @@ def weight_counts(fam: int, n: int) -> list[int]:
     return w
 
 
-def _has_s_disjoint(cands: list[int], s: int) -> bool:
-    """True iff `cands` contains s pairwise disjoint masks."""
-    if s == 0:
-        return True
-    if len(cands) < s:
-        return False
+def _walk_tables(masks, preds_masks, mode: str, param: int, shifted: bool,
+                 included: int):
+    """Index-mask tables shared by both walks (bit j of a mask is set j).
 
-    def rec(start: int, used: int, need: int) -> bool:
-        if need == 0:
+    rel[i]: in t mode, the earlier sets meeting set i in fewer than `param`
+    elements, so set i may join iff `not included & rel[i]`; in match mode,
+    every set disjoint from set i.  succ[c]: (j, 1 << j, preds_masks[j]) for
+    each set j that has set c among its shift images, and succ_mask[c] those
+    sets as one mask.  Also returns the ready mask: bit j set iff every
+    shift image of set j is in `included` (every set, outside shifted mode).
+    """
+    n_sets = len(masks)
+    rel = []
+    for i, m in enumerate(masks):
+        r = 0
+        if mode == "t":
+            for j in range(i):
+                if popcount(m & masks[j]) < param:
+                    r |= 1 << j
+        elif mode == "match":
+            for j, mj in enumerate(masks):
+                if not m & mj:
+                    r |= 1 << j
+        else:
+            raise ValueError(f"unknown predicate mode {mode!r}")
+        rel.append(r)
+    succ: list[list[tuple[int, int, int]]] = [[] for _ in range(n_sets)]
+    succ_mask = [0] * n_sets
+    if not shifted:
+        return rel, succ, succ_mask, (1 << n_sets) - 1
+    ready = 0
+    for j, pm in enumerate(preds_masks):
+        for c in iter_bit_indices(pm):
+            succ[c].append((j, 1 << j, pm))
+            succ_mask[c] |= 1 << j
+        if not pm & ~included:
+            ready |= 1 << j
+    return rel, succ, succ_mask, ready
+
+
+def _has_disjoint(free: int, need: int, disjoint) -> bool:
+    """True iff the sets in index mask `free` include `need` pairwise
+    disjoint ones (disjoint[j]: the sets disjoint from set j)."""
+    if need <= 1:
+        return need <= 0 or free != 0
+    while popcount(free) >= need:
+        low = free & -free
+        free ^= low
+        if _has_disjoint(free & disjoint[low.bit_length() - 1], need - 1,
+                         disjoint):
             return True
-        for idx in range(start, len(cands) - need + 1):
-            m = cands[idx]
-            if not m & used and rec(idx + 1, used | m, need - 1):
-                return True
-        return False
-
-    return rec(0, 0, s)
+    return False
 
 
-def _include_ok(mode: str, param: int, masks, chosen: list[int], m: int) -> bool:
-    if mode == "t":
-        return all(popcount(m & masks[j]) >= param for j in chosen)
-    if mode == "match":
-        free = [masks[j] for j in chosen if not masks[j] & m]
-        return not _has_s_disjoint(free, param)
-    raise ValueError(f"unknown predicate mode {mode!r}")
+def _path(i: int, chosen: list[int]) -> list[int]:
+    """Decision vector of the first i sets: 1 for the chosen ones."""
+    path = [0] * i
+    for c in chosen:
+        path[c] = 1
+    return path
 
 
 def search_uniform(masks, preds_masks, mode: str, param: int, shifted: bool,
@@ -109,6 +150,14 @@ def search_uniform(masks, preds_masks, mode: str, param: int, shifted: bool,
     compression images (preds_masks) are already included, restricting the
     search to compression-closed families.
 
+    The walk keeps its position and the chosen sets, not a decision list.
+    From a set whose shift images are not all in (bit clear in the ready
+    mask), it jumps to the next ready set and counts every set passed as one
+    node and one forced exclusion.  A jump stops at the first set the bound
+    prunes, at the node budget and at the next multiple of checkpoint_every,
+    so stats, the budget stop, the checkpoint calls, the returned path and
+    the witness match a walk that decides one set per node.
+
     Returns (best_size, witness_index_tuple, stats_dict, complete, path)
     where path is the decision vector at exit (for checkpointing).
     """
@@ -121,65 +170,63 @@ def search_uniform(masks, preds_masks, mode: str, param: int, shifted: bool,
     predicate_rejections = 0
     complete = True
 
-    path: list[int] = []
-    chosen: list[int] = []
-    included = 0
-
-    def can_include(i: int) -> tuple[bool, str]:
-        if shifted and preds_masks[i] & ~included:
-            return False, "forced"
-        if not _include_ok(mode, param, masks, chosen, masks[i]):
-            return False, "predicate"
-        return True, ""
-
-    if resume_path:
-        for i, d in enumerate(resume_path):
-            path.append(d)
-            if d:
-                chosen.append(i)
-                included |= 1 << i
+    resume_path = resume_path or []
+    chosen = [i for i, d in enumerate(resume_path) if d]
+    included = sum(1 << i for i in chosen)
+    rel, succ, succ_mask, ready = _walk_tables(masks, preds_masks, mode, param,
+                                               shifted, included)
+    t_mode = mode == "t"
+    every = checkpoint_every if checkpoint_cb is not None else 0
+    i = len(resume_path)
 
     while True:
-        i = len(path)
-        at_leaf = i == n_sets
-        subtree_dead = False
-        if not at_leaf:
-            if len(chosen) + (n_sets - i) <= best:
-                bound_prunes += 1
-                subtree_dead = True
-        if at_leaf or subtree_dead:
-            if at_leaf:
-                nodes += 1
-                if len(chosen) > best:
-                    best = len(chosen)
-                    witness = tuple(chosen)
-            # backtrack to the deepest include decision and flip it
-            while path and path[-1] == 0:
-                path.pop()
-            if not path:
-                break
-            j = len(path) - 1
-            path[j] = 0
-            chosen.pop()
-            included &= ~(1 << j)
-            continue
-        nodes += 1
-        if node_budget is not None and nodes > node_budget:
-            complete = False
-            break
-        ok, why = can_include(i)
-        if ok:
-            path.append(1)
-            chosen.append(i)
-            included |= 1 << i
+        if i == n_sets:
+            nodes += 1
+            if len(chosen) > best:
+                best = len(chosen)
+                witness = tuple(chosen)
+        elif len(chosen) + (n_sets - i) <= best:
+            bound_prunes += 1
         else:
-            if why == "forced":
-                forced_exclusions += 1
+            r = ready >> i
+            stop = i + (r & -r).bit_length() - 1 if r else n_sets
+            if stop > i:
+                # sets i..stop-1 are shift-forced exclusions
+                stop = min(stop, n_sets - best + len(chosen))
+                if node_budget is not None:
+                    stop = min(stop, i + node_budget - nodes)
+                if every:
+                    stop = min(stop, i + every - nodes % every)
+            if stop > i:
+                nodes += stop - i
+                forced_exclusions += stop - i
+                i = stop
             else:
-                predicate_rejections += 1
-            path.append(0)
-        if checkpoint_cb is not None and checkpoint_every and nodes % checkpoint_every == 0:
-            checkpoint_cb(list(path), best, list(witness), nodes)
+                nodes += 1
+                if node_budget is not None and nodes > node_budget:
+                    complete = False
+                    break
+                if (not included & rel[i] if t_mode
+                        else not _has_disjoint(included & rel[i], param, rel)):
+                    chosen.append(i)
+                    included |= 1 << i
+                    for j, bit, pm in succ[i]:
+                        if not pm & ~included:
+                            ready |= bit
+                else:
+                    predicate_rejections += 1
+                i += 1
+            if every and nodes % every == 0:
+                checkpoint_cb(_path(i, chosen), best, list(witness), nodes)
+            continue
+        # backtrack: flip the deepest include decision to exclude
+        if not chosen:
+            i = 0
+            break
+        c = chosen.pop()
+        included ^= 1 << c
+        ready &= ~succ_mask[c]
+        i = c + 1
 
     stats = {
         "nodes": nodes,
@@ -187,7 +234,7 @@ def search_uniform(masks, preds_masks, mode: str, param: int, shifted: bool,
         "forced_exclusions": forced_exclusions,
         "predicate_rejections": predicate_rejections,
     }
-    return best, witness, stats, complete, path
+    return best, witness, stats, complete, _path(i, chosen)
 
 
 def iter_predicate_families(masks, preds_masks, mode: str, param: int,
@@ -196,30 +243,44 @@ def iter_predicate_families(masks, preds_masks, mode: str, param: int,
 
     Shifted mode restricts to compression-closed families.  Used by the
     conjecture scanners; exhaustive, depth-first, include branch first.
+    The same iterative walk as `search_uniform` without the bound: runs of
+    shift-forced sets are skipped through the ready mask and counted in
+    bulk, so node counts (and the `nodes` of BudgetExceeded) match a walk
+    that visits one set per node.
     """
     n_sets = len(masks)
+    rel, succ, succ_mask, ready = _walk_tables(masks, preds_masks, mode, param,
+                                               shifted, 0)
+    t_mode = mode == "t"
     chosen: list[int] = []
     included = 0
     nodes = 0
-
-    def rec(i: int):
-        nonlocal included, nodes
-        nodes += 1
+    i = 0
+    while True:
+        # sets i..stop-1 are shift-forced exclusions, then a node at stop
+        r = ready >> i
+        stop = i + (r & -r).bit_length() - 1 if r else n_sets
+        nodes += stop - i + 1
         if node_budget is not None and nodes > node_budget:
-            raise BudgetExceeded(nodes)
+            raise BudgetExceeded(node_budget + 1)
+        i = stop
         if i == n_sets:
             yield tuple(chosen)
-            return
-        ok = not (shifted and preds_masks[i] & ~included)
-        if ok and _include_ok(mode, param, masks, chosen, masks[i]):
-            chosen.append(i)
-            included |= 1 << i
-            yield from rec(i + 1)
-            chosen.pop()
-            included &= ~(1 << i)
-        yield from rec(i + 1)
-
-    yield from rec(0)
+            if not chosen:
+                return
+            c = chosen.pop()
+            included ^= 1 << c
+            ready &= ~succ_mask[c]
+            i = c + 1
+        else:
+            if (not included & rel[i] if t_mode
+                    else not _has_disjoint(included & rel[i], param, rel)):
+                chosen.append(i)
+                included |= 1 << i
+                for j, bit, pm in succ[i]:
+                    if not pm & ~included:
+                        ready |= bit
+            i += 1
 
 
 class BudgetExceeded(RuntimeError):

@@ -256,16 +256,14 @@ def _cmd_tightness(args):
 
 
 def _cmd_search(args):
-    predicate = {"intersecting": "intersecting",
-                 "t-intersecting": "t-intersecting",
-                 "matching": "matching_at_most"}[args.predicate]
-    t = args.t if predicate != "matching_at_most" else args.s
-    if predicate == "t-intersecting" and t is None:
-        raise ValueError("t-intersecting search needs --t")
-    if predicate == "matching_at_most" and t is None:
-        raise ValueError("matching search needs --s")
+    predicate, t, flag = {
+        "intersecting": ("intersecting", 1, None),
+        "t-intersecting": ("t-intersecting", args.t, "--t"),
+        "matching": ("matching_at_most", args.s, "--s")}[args.predicate]
+    if t is None:
+        raise ValueError(f"{args.predicate} search needs {flag}")
     problem = SearchProblem(n=args.n, k=args.k, predicate=predicate,
-                            t=t or 1, budget=args.budget,
+                            t=t, budget=args.budget,
                             shifted=not args.plain)
     cert = max_uniform(problem, checkpoint_path=args.checkpoint,
                        resume=args.resume)

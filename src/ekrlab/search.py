@@ -7,7 +7,10 @@ Shifted mode explores only compression-closed families: a set may enter only
 when every image under an (i,j)-shift with i<j is already in.  The
 predicates used here (t-intersecting, matching bounded) are preserved by
 shifts, so the shifted optimum equals the global one; certificates are
-re-verified independently on emission.
+re-verified independently on emission.  The pure kernels skip runs of sets
+whose shift images are not all in through a ready mask and count them as
+forced exclusions in bulk (see `ekrlab._kernels._pure`); the counters are
+those of the node-at-a-time walk.
 """
 
 from __future__ import annotations
@@ -95,6 +98,9 @@ class SearchProblem:
             raise ValueError(f"unknown predicate {self.predicate!r}")
         if self.predicate in PREDICATES and not PREDICATES[self.predicate][1]:
             raise AssertionError("branch-and-bound needs a hereditary predicate")
+        if self.t < 1:
+            raise ValueError(f"need t >= 1 (t for intersecting, s for "
+                             f"matching), got t={self.t}")
 
 
 @dataclass
@@ -198,8 +204,15 @@ def max_uniform(problem: SearchProblem, checkpoint_path=None,
             resume_witness = tuple(state["witness"])
 
         def cb(path, best, witness, nodes):
-            cp.write_text(json.dumps({"path": path, "best": best,
-                                      "witness": witness, "nodes": nodes}))
+            # write beside the checkpoint, then rename over it, so a crash
+            # mid-write leaves the previous checkpoint intact
+            tmp = cp.with_name(cp.name + ".tmp")
+            try:
+                tmp.write_text(json.dumps({"path": path, "best": best,
+                                           "witness": witness, "nodes": nodes}))
+                tmp.replace(cp)
+            finally:
+                tmp.unlink(missing_ok=True)
 
     best, wit_idx, stats, complete, _ = _kernels.search_uniform(
         universe, preds, mode, param, problem.shifted,

@@ -54,6 +54,17 @@ def test_cli_verify_tightness_example(capsys):
     assert payload["header"]["tau"] == "1/1000000000000"
 
 
+@pytest.mark.parametrize("argv", [
+    ("--predicate", "t-intersecting", "--t", "0"),
+    ("--predicate", "matching", "--s", "0"),
+])
+def test_cli_search_rejects_parameter_below_one(capsys, argv):
+    code = main(["search", *argv, "--n", "5", "--k", "2"])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert "t >= 1" in json.loads(captured.err)["error"]
+
+
 def test_cli_search(capsys):
     code, out = run_cli(capsys, "search", "--predicate", "t-intersecting",
                         "--t", "2", "--n", "6", "--k", "3")

@@ -1,6 +1,7 @@
 import json
 import math
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -99,6 +100,35 @@ def test_checkpoint_resume(tmp_path):
     direct = max_uniform(prob_full)
     assert resumed.optimum == direct.optimum == 5
     assert resumed.witness == direct.witness
+
+
+def test_checkpoint_write_failure_keeps_previous(tmp_path, monkeypatch):
+    cp = tmp_path / "ckpt.json"
+    max_uniform(SearchProblem(n=6, k=2, predicate="intersecting", budget=40),
+                checkpoint_path=cp, checkpoint_every=10)
+    before = cp.read_text()
+    real_write = Path.write_text
+
+    def torn_write(self, data, *args, **kwargs):
+        real_write(self, data[:len(data) // 2], *args, **kwargs)
+        raise OSError("disk full")
+
+    monkeypatch.setattr(Path, "write_text", torn_write)
+    prob_full = SearchProblem(n=6, k=2, predicate="intersecting")
+    with pytest.raises(OSError):
+        max_uniform(prob_full, checkpoint_path=cp, checkpoint_every=1)
+    monkeypatch.undo()
+    assert cp.read_text() == before
+    assert [p.name for p in tmp_path.iterdir()] == ["ckpt.json"]
+    resumed = max_uniform(prob_full, checkpoint_path=cp, resume=True)
+    assert resumed.complete and resumed.optimum == 5
+
+
+@pytest.mark.parametrize("predicate", ["t-intersecting", "matching_at_most"])
+def test_search_problem_rejects_t_below_one(predicate):
+    for t in (0, -1):
+        with pytest.raises(ValueError):
+            SearchProblem(n=5, k=2, predicate=predicate, t=t)
 
 
 def test_iter_uniform_families_counts():
