@@ -2,7 +2,7 @@
 
 The compiled extension is used when present; set EKRLAB_KERNELS=pure to force
 the pure-Python fallback (EKRLAB_KERNELS=compiled insists on the extension
-and raises if it is missing).  `benchmarks/bench_kernels.py` compares the two.
+and raises if it is missing).
 """
 
 from __future__ import annotations

@@ -8,6 +8,7 @@ externally and 0-indexed in masks.
 
 from __future__ import annotations
 
+import itertools
 from functools import lru_cache
 
 
@@ -51,22 +52,42 @@ def full_family_mask(n: int) -> int:
 
 @lru_cache(maxsize=None)
 def size_class_masks(n: int) -> tuple[int, ...]:
-    """class[j] has bit x set iff popcount(x) == j."""
-    classes = [0] * (n + 1)
-    for x in range(1 << n):
-        classes[x.bit_count()] |= 1 << x
+    """class[j] has bit x set iff popcount(x) == j.  Built by doubling: on
+    [m+1], class j is class j on [m] plus class j-1 shifted up by 2**m."""
+    classes = [1]
+    for m in range(n):
+        upper = [0] + [c << (1 << m) for c in classes]
+        classes = [lo | hi for lo, hi in zip(classes + [0], upper)]
     return tuple(classes)
 
 
 @lru_cache(maxsize=None)
 def coord_zero_mask(n: int, i: int) -> int:
-    """Bit x set iff coordinate i (0-indexed) is absent from x."""
-    m = 0
-    d = 1 << i
-    for x in range(1 << n):
-        if not x & d:
-            m |= 1 << x
+    """Bit x set iff coordinate i (0-indexed) is absent from x.  Built by
+    doubling the block of 2**i ones that opens each period of 2**(i+1)."""
+    if i >= n:
+        return full_family_mask(n)
+    m = (1 << (1 << i)) - 1
+    for level in range(i + 1, n):
+        m |= m << (1 << level)
     return m
+
+
+def cube_mask(n: int, contains: int = 0, misses: int = 0) -> int:
+    """Bit x set iff subset x contains the mask `contains` and misses the
+    mask `misses`."""
+    m = full_family_mask(n)
+    for i in iter_bit_indices(contains):
+        m &= ~coord_zero_mask(n, i)
+    for i in iter_bit_indices(misses):
+        m &= coord_zero_mask(n, i)
+    return m
+
+
+def subset_masks(n: int, t: int):
+    """(B, mask of B) for every t-subset B of [n], lexicographically."""
+    for combo in itertools.combinations(range(1, n + 1), t):
+        yield combo, mask_of(combo)
 
 
 def reverse_bits(x: int, width: int) -> int:

@@ -22,7 +22,7 @@ from fractions import Fraction
 from . import _kernels, numerics
 from .families import SetFamily
 from .io import family_to_dict, load_family
-from .measures import influence, mu, mu_polynomial
+from .measures import influence, iso_table, mu, mu_polynomial, russo_identity
 from .numerics import fmt_rational, fmt_real, parse_rational
 from .search import (SearchProblem, enumerate_monotone_masks, max_uniform,
                      monotone_count_oracle)
@@ -67,26 +67,14 @@ def _emit(payload: dict) -> None:
 
 
 def _iso_rows_for(task) -> list[tuple]:
-    n, fid, bits, ps = task
-    fam = SetFamily(n, bits)
+    n, first_fid, masks, ps = task
     rows = []
-    m_poly = mu_polynomial(fam)
-    inf = influence(fam)
-    with mpmath.workdps(numerics.default_dps()):
-        for num, den in ps:
-            p = Fraction(num, den)
-            m = m_poly(p)
-            ip = inf.total(p)
-            if m == 0 or m == 1:
-                rows.append((fid, num, den, fmt_rational(m), fmt_rational(ip),
-                             "vacuous", ""))
-                continue
-            log_mu = (mpmath.log(numerics.to_mpf(m))
-                      / mpmath.log(numerics.to_mpf(p)))
-            slack = numerics.to_mpf(p) * numerics.to_mpf(ip) \
-                - numerics.to_mpf(m) * log_mu
-            rows.append((fid, num, den, fmt_rational(m), fmt_rational(ip),
-                         fmt_real(slack), fmt_real(log_mu)))
+    for fid, values in enumerate(iso_table(n, masks, ps), first_fid):
+        for p, (m, ip, slack, log_mu) in zip(ps, values):
+            row = (fid, p.numerator, p.denominator, fmt_rational(m),
+                   fmt_rational(ip))
+            rows.append(row + (("vacuous", "") if slack is None else
+                               (fmt_real(slack), fmt_real(log_mu))))
     return rows
 
 
@@ -96,12 +84,12 @@ ISO_COLUMNS = ("family_id", "p_num", "p_den", "mu", "total_influence",
 
 def iso_sweep(n: int, ps: list[Fraction], threads: int = 1) -> list[tuple]:
     """Slack rows for every increasing family on [n], canonical order."""
-    masks = enumerate_monotone_masks(n)
-    tasks = [(n, fid, int(bits), [(p.numerator, p.denominator) for p in ps])
-             for fid, bits in enumerate(masks)]
+    masks = [int(bits) for bits in enumerate_monotone_masks(n)]
+    step = 64 if threads > 1 else len(masks)
+    tasks = [(n, i, masks[i:i + step], ps) for i in range(0, len(masks), step)]
     if threads > 1:
         with multiprocessing.Pool(threads) as pool:
-            chunks = pool.map(_iso_rows_for, tasks, chunksize=64)
+            chunks = pool.map(_iso_rows_for, tasks)
     else:
         chunks = map(_iso_rows_for, tasks)
     rows = []
@@ -110,21 +98,15 @@ def iso_sweep(n: int, ps: list[Fraction], threads: int = 1) -> list[tuple]:
     return rows
 
 
-def _russo_check(task) -> tuple:
-    n, fid, bits = task
-    fam = SetFamily(n, bits)
-    holds = mu_polynomial(fam).derivative() == influence(fam).total
-    return (fid, n, holds)
-
-
 def russo_sweep(n: int | None, random_count: int, seed: int, max_n: int,
                 threads: int = 1) -> list[tuple]:
     """Exact polynomial Russo checks over all monotone families on [n]
     and/or random monotone families on grounds up to max_n."""
-    tasks = []
+    fids, fams = [], []
     if n is not None:
         for fid, bits in enumerate(enumerate_monotone_masks(n)):
-            tasks.append((n, fid, int(bits)))
+            fids.append(fid)
+            fams.append(SetFamily(n, int(bits)))
     if random_count:
         rng = random.Random(seed)
         for i in range(random_count):
@@ -132,12 +114,14 @@ def russo_sweep(n: int | None, random_count: int, seed: int, max_n: int,
             bits = 0
             for _ in range(rng.randint(0, 2 * rn)):
                 bits |= 1 << rng.randrange(1 << rn)
-            fam = SetFamily(rn, bits).up_closure()
-            tasks.append((rn, -(i + 1), fam.bits))
+            fids.append(-(i + 1))
+            fams.append(SetFamily(rn, bits).up_closure())
     if threads > 1:
         with multiprocessing.Pool(threads) as pool:
-            return pool.map(_russo_check, tasks, chunksize=16)
-    return [_russo_check(t) for t in tasks]
+            holds = pool.map(russo_identity, fams, chunksize=16)
+    else:
+        holds = map(russo_identity, fams)
+    return [(fid, fam.n, h) for fid, fam, h in zip(fids, fams, holds)]
 
 
 # -- subcommand handlers -----------------------------------------------------------
@@ -159,7 +143,7 @@ def _cmd_influence(args):
     out = {
         "header": _header(args, "influence"),
         "influences": [fmt_rational(x) for x in vec.at(p)],
-        "total": fmt_rational(vec.total(p)),
+        "total": fmt_rational(vec.total_at(p)),
         "total_polynomial": [fmt_rational(c) for c in vec.total.coeffs],
     }
     return 0, out

@@ -95,6 +95,9 @@ class SetFamily:
     def __setattr__(self, *a):
         raise AttributeError("SetFamily is immutable")
 
+    def __reduce__(self):
+        return (type(self), (self.n, self.bits, self.edges))
+
     # -- construction ------------------------------------------------------
 
     @classmethod

@@ -49,12 +49,15 @@ def uniform_family_from_dict(d: dict) -> UniformFamily:
 
 
 def load_family(source, uniform: bool = False):
-    """Read a family from a path, JSON string, or dict."""
+    """Read a family from a path, JSON object text, or dict."""
     if isinstance(source, dict):
         d = source
+    elif Path(str(source)).exists():
+        d = json.loads(Path(source).read_text())
+    elif str(source).lstrip().startswith("{"):
+        d = json.loads(str(source))
     else:
-        text = Path(source).read_text() if Path(str(source)).exists() else str(source)
-        d = json.loads(text)
+        raise ValueError(f"family file not found: {source}")
     return uniform_family_from_dict(d) if uniform else set_family_from_dict(d)
 
 

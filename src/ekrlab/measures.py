@@ -2,38 +2,46 @@
 tool checks built on them.
 
 mu_p gives each element probability p independently; for a family F the
-measure is the sum of p**|S| (1-p)**(n-|S|) over members S.  Everything
-algebraic is computed in exact rationals; only log-ratio and irrational-power
+measure is the sum of p**|S| (1-p)**(n-|S|) over members S.  With w[j] the
+number of size-j members and p = a/b, that is one integer dot product,
+sum_j w[j] a**j (b-a)**(n-j), over b**n, and one `Fraction` is built at the
+end.  Influences are measures of integer pivot-count vectors, and measure
+polynomials have integer coefficients.  Only log-ratio and irrational-power
 expressions go through the high-precision real layer in `numerics`.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 import mpmath
 
 from . import _kernels
-from .bitops import (coord_zero_mask, elements_of, iter_bit_indices,
-                     mask_of, popcount)
+from .bitops import (coord_zero_mask, cube_mask, elements_of,
+                     iter_bit_indices, popcount, subset_masks)
 from .families import SetFamily, are_cross_intersecting
-from .numerics import Checked, check_le, log_base, to_mpf
+from .numerics import Checked, check_le, default_dps, log_base, to_mpf
 from .report import VerdictReport
 
 #: ground size above which influence counting switches to member scans
 _SCAN_THRESHOLD = 22
 
+#: largest ground size whose cube queries use 2**n-bit masks (the pure
+#: count kernel still counts through class masks there)
+_CUBE_DENSE_N = 18
+
 
 class MeasurePolynomial:
-    """Polynomial in p with rational coefficients, p -> mu_p(F)."""
+    """Polynomial in p, p -> mu_p(F), as monomial coefficients: integers
+    when built from a weight vector (other rationals stay `Fraction`s)."""
 
     __slots__ = ("coeffs",)
 
     def __init__(self, coeffs):
-        cs = [Fraction(c) for c in coeffs]
+        cs = [c if isinstance(c, int) else Fraction(c) for c in coeffs]
         while cs and cs[-1] == 0:
             cs.pop()
         object.__setattr__(self, "coeffs", tuple(cs))
@@ -47,8 +55,9 @@ class MeasurePolynomial:
 
     @classmethod
     def from_weights(cls, n: int, weights) -> "MeasurePolynomial":
-        """Expand sum_j w_j p**j (1-p)**(n-j) into monomial coefficients."""
-        coeffs = [Fraction(0)] * (n + 1)
+        """Expand sum_j w_j p**j (1-p)**(n-j) into integer monomial
+        coefficients."""
+        coeffs = [0] * (n + 1)
         for j, w in enumerate(weights):
             if not w:
                 continue
@@ -71,15 +80,6 @@ class MeasurePolynomial:
         return MeasurePolynomial(
             (m * c for m, c in enumerate(self.coeffs) if m >= 1))
 
-    def __add__(self, other: "MeasurePolynomial") -> "MeasurePolynomial":
-        a, b = self.coeffs, other.coeffs
-        if len(a) < len(b):
-            a, b = b, a
-        out = list(a)
-        for i, c in enumerate(b):
-            out[i] += c
-        return MeasurePolynomial(out)
-
     def __eq__(self, other) -> bool:
         return isinstance(other, MeasurePolynomial) and self.coeffs == other.coeffs
 
@@ -96,18 +96,94 @@ class MeasurePolynomial:
         return "MeasurePolynomial(" + " + ".join(terms) + ")"
 
 
+def _powers(n: int, p: Fraction) -> tuple[list[int], int]:
+    """(pw, den) with pw[j] = a**j (b-a)**(n-j) and den = b**n at p = a/b:
+    a size-j point has measure pw[j] / den."""
+    a, b = p.numerator, p.denominator
+    c = b - a
+    return [a**j * c ** (n - j) for j in range(n + 1)], b**n
+
+
+def _dot(weights, pw: list[int]) -> int:
+    return sum(w * x for w, x in zip(weights, pw) if w)
+
+
+def _cube_counter(fam, pw: list[int]):
+    """num(contains, misses): the sum of pw[|S|] over the members S that
+    contain every coordinate of `contains` and none of `misses`.  For a
+    SetFamily with n <= _CUBE_DENSE_N that is per-size counts of
+    fam.bits & cube_mask; otherwise (larger grounds, a UniformFamily) one
+    pass over (member, weight) pairs, so a query costs |F| steps rather
+    than 2**n bits."""
+    n = fam.n
+    if isinstance(fam, SetFamily) and n <= _CUBE_DENSE_N:
+        def num(contains=0, misses=0):
+            inside = fam.bits & cube_mask(n, contains, misses)
+            return _dot(_kernels.weight_counts(inside, n), pw)
+    else:
+        pairs = [(m, pw[popcount(m)]) for m in fam]
+
+        def num(contains=0, misses=0):
+            return sum(x for m, x in pairs
+                       if m & contains == contains and not m & misses)
+    return num
+
+
+def cube_measure(fam: SetFamily, p, contains: int = 0, misses: int = 0
+                 ) -> Fraction:
+    """mu_p of the members containing every coordinate of the mask
+    `contains` and none of the mask `misses`."""
+    pw, den = _powers(fam.n, Fraction(p))
+    return Fraction(_cube_counter(fam, pw)(contains, misses), den)
+
+
+def nearest_cube(fam, candidates, p=None, misses: bool = False):
+    """(key, mask, residual) of the first (key, mask) candidate B with the
+    least residual: the members not containing B (F minus S_B) or, with
+    `misses`, the members disjoint from B (F minus OR_B), measured by mu_p,
+    or counted when p is None.  Candidates come in lexicographic order of
+    key, so ties go to the least key.  `fam` is a SetFamily or a
+    UniformFamily."""
+    pw, den = ([1] * (fam.n + 1), 1) if p is None else _powers(fam.n, Fraction(p))
+    num = _cube_counter(fam, pw)
+    total = 0 if misses else num()
+    best = None
+    for key, mask in candidates:
+        r = num(misses=mask) if misses else total - num(contains=mask)
+        if best is None or r < best[2]:
+            best = (key, mask, r)
+    if best is None:
+        raise ValueError("the structure size exceeds the ground size")
+    key, mask, r = best
+    return key, mask, r if p is None else Fraction(r, den)
+
+
 @dataclass(frozen=True)
 class InfluenceVector:
-    """Per-coordinate influence polynomials plus their sum."""
+    """Per-coordinate pivot counts plus their sum: pivots[i][j] counts the
+    size-j cube points whose membership flips with coordinate i, and Inf_i
+    is the measure of that integer vector."""
 
-    per_coordinate: tuple[MeasurePolynomial, ...]
-    total: MeasurePolynomial
+    n: int
+    pivots: tuple[tuple[int, ...], ...]
+    total_weights: tuple[int, ...]
+
+    @cached_property
+    def per_coordinate(self) -> tuple[MeasurePolynomial, ...]:
+        return tuple(MeasurePolynomial.from_weights(self.n, w)
+                     for w in self.pivots)
+
+    @cached_property
+    def total(self) -> MeasurePolynomial:
+        return MeasurePolynomial.from_weights(self.n, self.total_weights)
 
     def at(self, p) -> list[Fraction]:
-        return [poly(p) for poly in self.per_coordinate]
+        pw, den = _powers(self.n, Fraction(p))
+        return [Fraction(_dot(w, pw), den) for w in self.pivots]
 
     def total_at(self, p) -> Fraction:
-        return self.total(p)
+        pw, den = _powers(self.n, Fraction(p))
+        return Fraction(_dot(self.total_weights, pw), den)
 
 
 def _check_p_open(p: Fraction):
@@ -117,9 +193,8 @@ def _check_p_open(p: Fraction):
 
 def point_measures(n: int, p: Fraction) -> list[Fraction]:
     """mu_p of a single subset, by size: [p**j (1-p)**(n-j) for j in 0..n]."""
-    p = Fraction(p)
-    q = 1 - p
-    return [p**j * q ** (n - j) for j in range(n + 1)]
+    pw, den = _powers(n, Fraction(p))
+    return [Fraction(x, den) for x in pw]
 
 
 def mu(fam: SetFamily, p) -> Fraction:
@@ -127,21 +202,20 @@ def mu(fam: SetFamily, p) -> Fraction:
     p = Fraction(p)
     if not 0 <= p <= 1:
         raise ValueError(f"p must lie in [0, 1], got {p}")
-    w = fam.weight_vector()
-    pm = point_measures(fam.n, p)
-    return sum((w[j] * pm[j] for j in range(fam.n + 1)), Fraction(0))
+    pw, den = _powers(fam.n, p)
+    return Fraction(_dot(fam.weight_vector(), pw), den)
 
 
 def mu_polynomial(fam: SetFamily) -> MeasurePolynomial:
     return MeasurePolynomial.from_weights(fam.n, fam.weight_vector())
 
 
-def _pivot_weights(fam: SetFamily) -> list[list[int]]:
-    """piv[i][j] = number of size-j cube points pivotal for coordinate i."""
+def _counts(fam: SetFamily) -> tuple[list[int], list[list[int]]]:
+    """(w, piv): per-size member counts, and piv[i][j] = number of size-j
+    cube points pivotal for coordinate i."""
     n = fam.n
     if n <= _SCAN_THRESHOLD:
-        _, piv = _kernels.weight_pivot_counts(fam.bits, n)
-        return piv
+        return _kernels.weight_pivot_counts(fam.bits, n)
     piv = [[0] * (n + 1) for _ in range(n)]
     for m in fam:
         for i in range(n):
@@ -149,27 +223,25 @@ def _pivot_weights(fam: SetFamily) -> list[list[int]]:
                 lo = m & ~(1 << i)
                 piv[i][popcount(lo)] += 1
                 piv[i][popcount(lo) + 1] += 1
-    return piv
+    return fam.weight_vector(), piv
 
 
 def influence(fam: SetFamily, p=None) -> InfluenceVector:
-    """Influence polynomials; evaluate with .at(p) / .total_at(p).
+    """Influences; evaluate with .at(p) / .total_at(p).
 
     Inf_i is the mu_p-measure of the points whose membership flips when
-    coordinate i flips; the total influence is the sum over coordinates.
+    coordinate i flips; the total influence is the measure of the pivot
+    counts summed over coordinates.
     """
     if p is not None:
         _check_p_open(Fraction(p))
-    piv = _pivot_weights(fam)
-    polys = tuple(MeasurePolynomial.from_weights(fam.n, w) for w in piv)
-    total = MeasurePolynomial.zero()
-    for poly in polys:
-        total = total + poly
-    return InfluenceVector(polys, total)
+    _, piv = _counts(fam)
+    return InfluenceVector(fam.n, tuple(map(tuple, piv)),
+                           tuple(map(sum, zip(*piv))))
 
 
 def total_influence(fam: SetFamily, p) -> Fraction:
-    return influence(fam).total(Fraction(p))
+    return influence(fam).total_at(p)
 
 
 @dataclass(frozen=True)
@@ -218,7 +290,36 @@ def russo_identity(fam: SetFamily) -> bool:
     """
     if not fam.is_increasing():
         raise ValueError("the derivative identity is asserted for increasing families only")
-    return mu_polynomial(fam).derivative() == influence(fam).total
+    w, piv = _counts(fam)
+    return (MeasurePolynomial.from_weights(fam.n, w).derivative()
+            == MeasurePolynomial.from_weights(fam.n, map(sum, zip(*piv))))
+
+
+def iso_table(n: int, masks, ps) -> list[list[tuple]]:
+    """Per family (2**n-bit mask on [n]), one row per bias in ps: (mu_p,
+    I_p, slack, log_p mu) with slack = p*I_p - mu*log_p(mu) in mpmath at the
+    working precision, or both None when mu is 0 or 1.  ln p is taken once
+    per bias."""
+    ps = [Fraction(p) for p in ps]
+    tables = [_powers(n, p) for p in ps]
+    out = []
+    with mpmath.workdps(default_dps()):
+        reals = [(to_mpf(p), mpmath.log(to_mpf(p))) for p in ps]
+        for bits in masks:
+            w, piv = _kernels.weight_pivot_counts(bits, n)
+            tot = [sum(col) for col in zip(*piv)]
+            rows = []
+            for (pw, den), (p_real, log_p) in zip(tables, reals):
+                m = Fraction(_dot(w, pw), den)
+                ip = Fraction(_dot(tot, pw), den)
+                if m == 0 or m == 1:
+                    rows.append((m, ip, None, None))
+                    continue
+                log_mu = mpmath.log(to_mpf(m)) / log_p
+                slack = p_real * to_mpf(ip) - to_mpf(m) * log_mu
+                rows.append((m, ip, slack, log_mu))
+            out.append(rows)
+    return out
 
 
 @dataclass(frozen=True)
@@ -431,26 +532,19 @@ def subcube_distance(fam: SetFamily, p, t_max: int | None = None
     p = Fraction(p)
     _check_p_open(p)
     n = fam.n
+    if t_max is None and n > 20:
+        raise ValueError("exhaustive subcube scan capped at n=20; pass t_max")
+    pw, den = _powers(n, p)
     a, b = p.numerator, p.denominator
-    c = b - a
-    mu_f_num = sum(a ** popcount(m) * c ** (n - popcount(m)) for m in fam)
+    num = _cube_counter(fam, pw)
+    mu_f_num = num()
 
-    def candidates():
-        if t_max is None:
-            if n > 20:
-                raise ValueError("exhaustive subcube scan capped at n=20; pass t_max")
-            for mask in range(1 << n):
-                yield mask
-        else:
-            for size in range(0, min(t_max, n) + 1):
-                for combo in itertools.combinations(range(1, n + 1), size):
-                    yield mask_of(combo)
-
-    if t_max is None and n <= 20:
+    if t_max is None:
+        candidates = range(1 << n)
         # superset-sum transform of the member weights, integer arithmetic
         v = [0] * (1 << n)
         for m in fam:
-            v[m] = a ** popcount(m) * c ** (n - popcount(m))
+            v[m] = pw[popcount(m)]
         for i in range(n):
             d = 1 << i
             for x in range(1 << n):
@@ -458,19 +552,19 @@ def subcube_distance(fam: SetFamily, p, t_max: int | None = None
                     v[x] += v[x | d]
         inter = v.__getitem__
     else:
-        members = list(fam)
+        candidates = (mask for size in range(min(t_max, n) + 1)
+                      for _, mask in subset_masks(n, size))
 
         def inter(mask):
-            return sum(a ** popcount(m) * c ** (n - popcount(m))
-                       for m in members if m & mask == mask)
+            return num(contains=mask)
 
     best = None
     best_mask = 0
-    for mask in candidates():
+    for mask in candidates:
         size = popcount(mask)
         dist_num = mu_f_num + a ** size * b ** (n - size) - 2 * inter(mask)
         key = (dist_num, elements_of(mask))
         if best is None or key < best:
             best = key
             best_mask = mask
-    return best_mask, Fraction(best[0], b ** n)
+    return best_mask, Fraction(best[0], den)

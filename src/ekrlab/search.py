@@ -15,16 +15,15 @@ those of the node-at-a-time walk.
 
 from __future__ import annotations
 
-import itertools
 import json
 from dataclasses import dataclass, field
 from fractions import Fraction
 from pathlib import Path
 
 from . import _kernels
-from .bitops import elements_of, mask_of, popcount
+from .bitops import elements_of, subset_masks
 from .families import SetFamily, UniformFamily, is_t_intersecting, matching_number
-from .measures import mu
+from .measures import mu, nearest_cube
 
 # -- monotone enumeration ------------------------------------------------------
 
@@ -130,7 +129,7 @@ class SearchCertificate:
 
 def lex_universe(n: int, k: int) -> list[int]:
     """k-subsets of [n] as masks, in lex order on element tuples."""
-    return [mask_of(c) for c in itertools.combinations(range(1, n + 1), k)]
+    return [m for _, m in subset_masks(n, k)]
 
 
 def shift_predecessor_masks(n: int, k: int, universe: list[int]) -> list[int]:
@@ -170,6 +169,43 @@ def _reverify(witness: UniformFamily, predicate: str, t: int) -> bool:
     raise ValueError(predicate)
 
 
+def _problem_key(problem: SearchProblem) -> dict:
+    """What a checkpoint must match to be resumed: the search tree."""
+    return {"n": problem.n, "k": problem.k, "predicate": problem.predicate,
+            "t": problem.t, "shifted": problem.shifted}
+
+
+def _read_checkpoint(cp: Path, problem: SearchProblem, universe) -> dict:
+    """The state saved at `cp`; ValueError unless it is a well-formed
+    checkpoint of this problem whose prefix and incumbent pass the predicate."""
+    try:
+        state = json.loads(cp.read_text())
+    except json.JSONDecodeError as exc:
+        raise ValueError(f"checkpoint {cp} is not valid JSON: {exc}") from None
+    got = state.get("problem") if isinstance(state, dict) else None
+    if got != _problem_key(problem):
+        raise ValueError(f"checkpoint {cp} was written for the problem {got}, "
+                         f"not for {_problem_key(problem)}")
+    path, witness = state.get("path"), state.get("witness")
+    best, nodes = state.get("best"), state.get("nodes")
+
+    def ints(xs):
+        return isinstance(xs, list) and all(type(x) is int for x in xs)
+
+    ok = (ints(path) and set(path) <= {0, 1} and len(path) <= len(universe)
+          and ints(witness) and witness == sorted(set(witness))
+          and set(witness) <= set(range(len(universe)))
+          and ints([best, nodes]) and nodes >= 0
+          and (best == len(witness) or best == -1 and not witness))
+    if not ok or not all(
+            _reverify(UniformFamily(problem.n, problem.k,
+                                    (universe[i] for i in idx)),
+                      problem.predicate, problem.t)
+            for idx in (witness, [i for i, d in enumerate(path) if d])):
+        raise ValueError(f"checkpoint {cp} is malformed")
+    return state
+
+
 def max_uniform(problem: SearchProblem, checkpoint_path=None,
                 checkpoint_every: int = 100_000,
                 resume: bool = False) -> SearchCertificate:
@@ -177,8 +213,15 @@ def max_uniform(problem: SearchProblem, checkpoint_path=None,
 
     Shifted mode restricts to compression-closed families (same optimum,
     vastly fewer nodes); on budget exhaustion the best-so-far comes back
-    with complete=False.  Checkpoints (decision prefix + incumbent) go to
-    checkpoint_path as JSON when requested; resume continues from one.
+    with complete=False.  The budget limits the nodes of this run.
+
+    Checkpoints go to checkpoint_path as JSON when requested: the problem,
+    the decision prefix, the incumbent and the nodes so far, every
+    checkpoint_every nodes and when the budget stops the run.  With resume,
+    the search continues from a checkpoint of the same problem (a
+    checkpoint of another problem, or a malformed one, raises ValueError);
+    node counts then include the nodes before the resume, the other
+    counters cover this run.
     """
     if problem.k is None:
         raise ValueError("max_uniform needs a k-uniform ground")
@@ -195,30 +238,39 @@ def max_uniform(problem: SearchProblem, checkpoint_path=None,
     cb = None
     resume_path = None
     resume_best, resume_witness = -1, ()
+    prior_nodes = 0
     if checkpoint_path is not None:
         cp = Path(checkpoint_path)
         if resume and cp.exists():
-            state = json.loads(cp.read_text())
+            state = _read_checkpoint(cp, problem, universe)
             resume_path = state["path"]
             resume_best = state["best"]
             resume_witness = tuple(state["witness"])
+            prior_nodes = state["nodes"]
 
         def cb(path, best, witness, nodes):
             # write beside the checkpoint, then rename over it, so a crash
             # mid-write leaves the previous checkpoint intact
             tmp = cp.with_name(cp.name + ".tmp")
             try:
-                tmp.write_text(json.dumps({"path": path, "best": best,
-                                           "witness": witness, "nodes": nodes}))
+                tmp.write_text(json.dumps({
+                    "problem": _problem_key(problem), "path": path,
+                    "best": best, "witness": witness,
+                    "nodes": prior_nodes + nodes}))
                 tmp.replace(cp)
             finally:
                 tmp.unlink(missing_ok=True)
 
-    best, wit_idx, stats, complete, _ = _kernels.search_uniform(
+    best, wit_idx, stats, complete, path = _kernels.search_uniform(
         universe, preds, mode, param, problem.shifted,
         node_budget=problem.budget, resume_path=resume_path,
         resume_best=resume_best, resume_witness=resume_witness,
         checkpoint_cb=cb, checkpoint_every=checkpoint_every if cb else 0)
+    if cb is not None and not complete:
+        # the node that crossed the budget is counted but not decided; the
+        # resumed walk counts it again
+        cb(path, best, list(wit_idx), stats["nodes"] - 1)
+    stats["nodes"] += prior_nodes
 
     witness = UniformFamily(n, k, (universe[i] for i in wit_idx))
     ok = _reverify(witness, problem.predicate, problem.t)
@@ -262,17 +314,10 @@ def extremal_under_measure_cap(n: int, p0, t: int, p,
     cap = p0**t
 
     def umvirate_distance(fam: SetFamily) -> Fraction:
-        # min over t-element B of mu_p(F symmetric-difference S_B)
-        mu_f = mu(fam, p)
-        best_d = None
-        for combo in itertools.combinations(range(1, n + 1), t):
-            bm = mask_of(combo)
-            inter = sum((p ** popcount(m) * (1 - p) ** (n - popcount(m))
-                         for m in fam if m & bm == bm), Fraction(0))
-            d = mu_f + p**t - 2 * inter
-            if best_d is None or d < best_d:
-                best_d = d
-        return best_d
+        # min over t-element B of mu_p(F symmetric-difference S_B), which
+        # is 2 mu_p(F - S_B) + p**t - mu_p(F): least at the nearest umvirate
+        residual = nearest_cube(fam, subset_masks(n, t), p)[2]
+        return 2 * residual + p**t - mu(fam, p)
 
     best: Fraction | None = None
     best_fam: SetFamily | None = None

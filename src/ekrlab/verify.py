@@ -18,11 +18,11 @@ from fractions import Fraction
 import mpmath
 
 from . import _kernels
-from .bitops import elements_of, mask_of, popcount
+from .bitops import elements_of, mask_of, subset_masks
 from .families import (EdgeGround, SetFamily, UniformFamily,
                        is_t_intersecting, is_triangle_intersecting,
                        matching_number)
-from .measures import mu, point_measures
+from .measures import cube_measure, mu, nearest_cube
 from .numerics import check_eq, check_le, log_base, to_mpf
 from .report import HOLDS, UNRESOLVED, VerdictReport, fmt
 from .search import (enumerate_monotone, enumerate_monotone_masks,
@@ -61,6 +61,10 @@ class DerivedConstants:
         """log_p(1-p)"""
         return log_base(1 - self.p, self.p)
 
+    def region_scale(self):
+        """p * u**(1/(1-u)), the scale of the bootstrap contraction region"""
+        return to_mpf(self.p) * mpmath.power(self.u, 1 / (1 - self.u))
+
     @property
     def c_prime(self):
         """(2**t - 1) ** (-log_p(1-p))"""
@@ -92,96 +96,46 @@ class TheoremCase:
 # -- nearest extremal structures ----------------------------------------------
 
 
-def _mu_on(members, n: int, p: Fraction) -> Fraction:
-    pm = point_measures(n, p)
-    return sum((pm[popcount(m)] for m in members), Fraction(0))
+def _triangles(eg: EdgeGround):
+    """(vertices, edge mask) for every triangle on [v], lexicographically."""
+    return zip(itertools.combinations(range(1, eg.v + 1), 3), eg.triangle_masks())
 
 
 def nearest_umvirate(fam: SetFamily, t: int, p) -> tuple[int, Fraction]:
     """The t-set B minimizing mu_p(F - S_B); ties to lexicographically
     least B.  Exhaustive over all C(n,t) choices."""
-    p = Fraction(p)
-    mu_f = mu(fam, p)
-    members = list(fam)
-    best = None
-    for combo in itertools.combinations(range(1, fam.n + 1), t):
-        bm = mask_of(combo)
-        inter = _mu_on((m for m in members if m & bm == bm), fam.n, p)
-        key = (mu_f - inter, combo)
-        if best is None or key < best:
-            best, best_mask = key, bm
-    if best is None:
-        raise ValueError("t exceeds the ground size")
-    return best_mask, best[0]
+    _, bm, residual = nearest_cube(fam, subset_masks(fam.n, t), p)
+    return bm, residual
 
 
 def nearest_or(fam: SetFamily, s: int, p) -> tuple[int, Fraction]:
     """The s-set B minimizing mu_p(F - OR_B) (members disjoint from B)."""
-    p = Fraction(p)
-    members = list(fam)
-    best = None
-    for combo in itertools.combinations(range(1, fam.n + 1), s):
-        bm = mask_of(combo)
-        resid = _mu_on((m for m in members if not m & bm), fam.n, p)
-        key = (resid, combo)
-        if best is None or key < best:
-            best, best_mask = key, bm
-    if best is None:
-        raise ValueError("s exceeds the ground size")
-    return best_mask, best[0]
+    _, bm, residual = nearest_cube(fam, subset_masks(fam.n, s), p, misses=True)
+    return bm, residual
 
 
 def nearest_umvirate_uniform(fam: UniformFamily, t: int) -> tuple[int, int]:
-    best = None
-    for combo in itertools.combinations(range(1, fam.n + 1), t):
-        bm = mask_of(combo)
-        outside = sum(1 for m in fam.members if m & bm != bm)
-        key = (outside, combo)
-        if best is None or key < best:
-            best, best_mask = key, bm
-    return best_mask, best[0]
+    _, bm, outside = nearest_cube(fam, subset_masks(fam.n, t))
+    return bm, outside
 
 
 def nearest_or_uniform(fam: UniformFamily, s: int) -> tuple[int, int]:
-    best = None
-    for combo in itertools.combinations(range(1, fam.n + 1), s):
-        bm = mask_of(combo)
-        outside = sum(1 for m in fam.members if not m & bm)
-        key = (outside, combo)
-        if best is None or key < best:
-            best, best_mask = key, bm
-    return best_mask, best[0]
+    _, bm, outside = nearest_cube(fam, subset_masks(fam.n, s), misses=True)
+    return bm, outside
 
 
 def nearest_triangle(fam: SetFamily, p) -> tuple[tuple[int, int, int], Fraction]:
     """The triangle T minimizing mu_p(F - S_T) over an edge ground."""
     if fam.edges is None:
         raise ValueError("family has no edge ground")
-    p = Fraction(p)
-    eg = fam.edges
-    members = list(fam)
-    best = None
-    for verts in itertools.combinations(range(1, eg.v + 1), 3):
-        x, y, z = verts
-        tm = eg.edge_mask([(x, y), (x, z), (y, z)])
-        resid = _mu_on((m for m in members if m & tm != tm), fam.n, p)
-        key = (resid, verts)
-        if best is None or key < best:
-            best, best_tri = key, verts
-    return best_tri, best[0]
+    tri, _, residual = nearest_cube(fam, _triangles(fam.edges), p)
+    return tri, residual
 
 
 def nearest_triangle_uniform(fam: UniformFamily, eg: EdgeGround
                              ) -> tuple[tuple[int, int, int], int]:
-    best = None
-    for verts in itertools.combinations(range(1, eg.v + 1), 3):
-        x, y, z = verts
-        tm = eg.edge_mask([(x, y), (x, z), (y, z)])
-        outside = sum(1 for m in fam.members if m & tm != tm)
-        key = (outside, verts)
-        if best is None or key < best:
-            best, best_tri = key, verts
-    return best_tri, best[0]
+    tri, _, outside = nearest_cube(fam, _triangles(eg))
+    return tri, outside
 
 
 # -- theorem checks -------------------------------------------------------------
@@ -294,9 +248,8 @@ def _check_main_biased(case: TheoremCase, fam: SetFamily) -> VerdictReport:
     rep.add_hypothesis("mu_p(F) >= p^t(1 - ctilde eps^u) + (1-p)p^{t-1} eps",
                        check_le(condition_rhs, mu_p))
     bmask, residual = nearest_umvirate(fam, t, p)
-    region = _bootstrap_region_flag(
-        rep, residual, p, t,
-        lambda: to_mpf(p) * mpmath.power(dc.u, 1 / (1 - dc.u)), constants_ok)
+    region = _bootstrap_region_flag(rep, residual, p, t, dc.region_scale,
+                                    constants_ok)
     _conclusion(rep, residual, (1 - p) * p ** (t - 1) * eps,
                 {"umvirate": list(elements_of(bmask))},
                 proved=constants_ok or region)
@@ -325,9 +278,8 @@ def _check_biased1(case: TheoremCase, fam: SetFamily) -> VerdictReport:
                        check_le(condition_rhs, mu_p))
     bmask, residual = nearest_umvirate(fam, 1, p)
     dc = DerivedConstants(Fraction(1, 2), p, 1)
-    region = _bootstrap_region_flag(
-        rep, residual, p, 1,
-        lambda: to_mpf(p) * mpmath.power(dc.u, 1 / (1 - dc.u)), constants_ok)
+    region = _bootstrap_region_flag(rep, residual, p, 1, dc.region_scale,
+                                    constants_ok)
     _conclusion(rep, residual, (1 - p) * eps,
                 {"dictatorship": list(elements_of(bmask))},
                 proved=constants_ok or region)
@@ -492,9 +444,8 @@ def _check_triangle_biased(case: TheoremCase, fam: SetFamily) -> VerdictReport:
                        check_le(condition_rhs, mu_p))
     tri, residual = nearest_triangle(fam, p)
     dc = DerivedConstants(Fraction(1, 2), p, 3)
-    region = _bootstrap_region_flag(
-        rep, residual, p, 3,
-        lambda: to_mpf(p) * mpmath.power(dc.u, 1 / (1 - dc.u)), constants_ok)
+    region = _bootstrap_region_flag(rep, residual, p, 3, dc.region_scale,
+                                    constants_ok)
     _conclusion(rep, residual, (1 - p) * p**2 * eps, {"triangle": list(tri)},
                 proved=constants_ok or region)
     return rep
@@ -623,9 +574,7 @@ def bootstrap_diagnostics(fam: SetFamily, p0, p, t: int,
     p = Fraction(p)
     _require(fam.is_increasing(), "family must be increasing")
     _require(t >= 1, "t must be >= 1")
-    tmask = mask_of(range(1, t + 1))
-    members = list(fam)
-    outside_p = _mu_on((m for m in members if m & tmask != tmask), fam.n, p)
+    outside_p = _canonical_residual(fam, t, p)
     inside_p = mu(fam, p) - outside_p
     delta = outside_p / ((1 - p) * p ** (t - 1))
     rep = VerdictReport(f"bootstrap/{variant}")
@@ -635,7 +584,7 @@ def bootstrap_diagnostics(fam: SetFamily, p0, p, t: int,
         p0 = Fraction(p0)
         _require(0 < p < p0 < 1, "need 0 < p < p0 < 1")
         dc = DerivedConstants(p0, p, t)
-        outside_p0 = _mu_on((m for m in members if m & tmask != tmask), fam.n, p0)
+        outside_p0 = _canonical_residual(fam, t, p0)
 
         def rhs_a():
             return (to_mpf((1 - p0) * p0 ** (t - 1))
@@ -814,13 +763,11 @@ def tightness_report(spec: FamilySpec, p) -> VerdictReport:
 
 def _canonical_residual(fam: SetFamily, t: int, p: Fraction) -> Fraction:
     """mu_p of the part outside the canonical umvirate S_[t]."""
-    tmask = mask_of(range(1, t + 1))
-    return _mu_on((m for m in fam if m & tmask != tmask), fam.n, p)
+    return mu(fam, p) - cube_measure(fam, p, contains=mask_of(range(1, t + 1)))
 
 
 def _canonical_or_residual(fam: SetFamily, s: int, p: Fraction) -> Fraction:
-    smask = mask_of(range(1, s + 1))
-    return _mu_on((m for m in fam if not m & smask), fam.n, p)
+    return cube_measure(fam, p, misses=mask_of(range(1, s + 1)))
 
 
 def mu_at_real(fam: SetFamily, x):
@@ -918,7 +865,8 @@ def _scan_t_intersecting_sharp(ranges: dict, budget, threads: int = 1) -> ScanRe
     suffice).  For each family and bias the conjectured implication is
     violated iff the condition holds at some eps strictly below the point
     where the conclusion starts to hold; the convex condition curve is
-    minimized numerically and any near-violation is re-verified exactly.
+    minimized numerically, and a violation is reported when it clears the
+    float margin of `_condition_beats_mu`.
     """
     t = ranges["t"]
     n = ranges["n"]
@@ -968,8 +916,10 @@ def _condition_beats_mu(mu_p: Fraction, p: Fraction, t: int,
     """Return an eps < eps_r where the sharp condition holds, if any.
 
     g(eps) = p^t (1 - (eps/t)^{log_p(1-p)}) + (1-p) p^{t-1} eps is convex;
-    its minimum over (0, eps_r) is located numerically, and a winning eps is
-    confirmed by an exact-margin recheck before being reported.
+    its minimum over (0, eps_r) is located by a ternary search in mpmath,
+    and an eps is reported only when mu_p exceeds g there by more than a
+    fixed float margin of 1e-11 and it lies below eps_r by a relative
+    1e-9.  No exact recheck follows.
     """
     v = log_base(1 - p, p)  # in (0,1) for p < 1/2
 

@@ -35,8 +35,14 @@ class FamilySpec:
     params: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        if self.name not in FAMILY_NAMES:
+        if not isinstance(self.name, str) or self.name not in FAMILY_NAMES:
             raise ValueError(f"unknown family {self.name!r}; known: {FAMILY_NAMES}")
+        if not isinstance(self.params, dict):
+            raise ValueError(f"params must be an object, got {self.params!r}")
+        for key, val in self.params.items():
+            if not isinstance(val, int) or isinstance(val, bool):
+                raise ValueError(f"parameter {key!r} must be an integer, "
+                                 f"got {val!r}")
         _VALIDATORS[self.name](dict(self.params))
 
     def to_dict(self) -> dict:
@@ -44,7 +50,10 @@ class FamilySpec:
 
     @classmethod
     def from_dict(cls, d: dict) -> "FamilySpec":
-        return cls(d["name"], dict(d.get("params", {})))
+        if not isinstance(d, dict) or "name" not in d:
+            raise ValueError(f'a family spec is an object with a "name", got {d!r}')
+        params = d.get("params", {})
+        return cls(d["name"], dict(params) if isinstance(params, dict) else params)
 
 
 def _need(params: dict, *keys):

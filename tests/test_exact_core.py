@@ -1,0 +1,214 @@
+"""The integer exact core: bit masks, integer coefficients, the nearest
+structure primitive against a member-scan oracle, and pinned sweep outputs."""
+
+import hashlib
+import itertools
+import json
+from fractions import Fraction as F
+
+import pytest
+
+from ekrlab import SetFamily, influence, mu_polynomial, subcube_distance
+from ekrlab.bitops import coord_zero_mask, cube_mask, mask_of, size_class_masks
+from ekrlab.cli import main
+from ekrlab.families import EdgeGround
+from ekrlab.verify import (_canonical_or_residual, _canonical_residual,
+                           nearest_or, nearest_or_uniform, nearest_triangle,
+                           nearest_triangle_uniform, nearest_umvirate,
+                           nearest_umvirate_uniform)
+from ekrlab.zoo import or_family, t_umvirate
+
+from conftest import random_increasing_family
+
+
+# -- bit masks -----------------------------------------------------------------
+
+
+def test_masks_match_loop_definitions():
+    for n in range(13):
+        classes = [0] * (n + 1)
+        for x in range(1 << n):
+            classes[bin(x).count("1")] |= 1 << x
+        assert size_class_masks(n) == tuple(classes), n
+        for i in range(n + 1):
+            zero = sum(1 << x for x in range(1 << n) if not (x >> i) & 1)
+            assert coord_zero_mask(n, i) == zero, (n, i)
+
+
+def test_cube_mask_matches_definition():
+    for n in range(6):
+        for contains in range(1 << n):
+            for misses in range(1 << n):
+                want = sum(1 << x for x in range(1 << n)
+                           if x & contains == contains and not x & misses)
+                assert cube_mask(n, contains, misses) == want
+
+
+# -- integer coefficients ----------------------------------------------------------
+
+
+def test_polynomial_coefficients_are_int(rng):
+    fams = [SetFamily.empty(0), SetFamily.full(0), SetFamily.full(3)]
+    fams += [random_increasing_family(rng, n) for n in range(1, 7)
+             for _ in range(5)]
+    for fam in fams:
+        vec = influence(fam)
+        polys = [mu_polynomial(fam), mu_polynomial(fam).derivative(),
+                 vec.total, *vec.per_coordinate]
+        for poly in polys:
+            assert all(type(c) is int for c in poly.coeffs), (fam, poly)
+
+
+# -- the nearest-structure primitive against a member scan --------------------------
+
+
+def _mu_on(members, n, p):
+    """Member-by-member measure in Fractions (the pre-integer query)."""
+    return sum((p ** bin(m).count("1") * (1 - p) ** (n - bin(m).count("1"))
+                for m in members), F(0))
+
+
+def _scan_nearest(candidates, residual):
+    """Least (residual, key) over the candidates, and how many tie there."""
+    keyed = sorted((residual(mask), key, mask) for key, mask in candidates)
+    ties = sum(1 for r, _, _ in keyed if r == keyed[0][0])
+    return keyed[0], ties
+
+
+def _subsets(n, t):
+    return [(c, mask_of(c)) for c in itertools.combinations(range(1, n + 1), t)]
+
+
+def _families(rng):
+    fams = [SetFamily.empty(4), SetFamily.full(5), t_umvirate(5, 2),
+            or_family(6, 2)]
+    fams += [random_increasing_family(rng, n) for n in range(1, 8)
+             for _ in range(8)]
+    return fams
+
+
+def _sparse_families(rng):
+    """Sparse families at and past the largest ground size whose cube
+    queries use 2**n-bit masks."""
+    fams = [SetFamily.from_sets(21, [[1], [1, 2]])]
+    for n in (18, 19, 21):
+        members = {rng.randrange(1 << n) for _ in range(25)}
+        members |= {m | 0b11 for m in list(members)[:8]}
+        fams.append(SetFamily(n, sum(1 << m for m in members)))
+    return fams
+
+
+def test_nearest_matches_member_scan(rng):
+    ties_seen = 0
+    for fam in _families(rng) + _sparse_families(rng):
+        n, members = fam.n, list(fam)
+        p = F(rng.randint(1, 9), 10)
+        for t in range(1, min(n, 3 if n <= 7 else 2) + 1):
+            (r, _, bm), ties = _scan_nearest(_subsets(n, t), lambda b: _mu_on(
+                (m for m in members if m & b != b), n, p))
+            ties_seen += ties > 1
+            assert nearest_umvirate(fam, t, p) == (bm, r)
+            (r, _, bm), ties = _scan_nearest(_subsets(n, t), lambda b: _mu_on(
+                (m for m in members if not m & b), n, p))
+            ties_seen += ties > 1
+            assert nearest_or(fam, t, p) == (bm, r)
+            b = mask_of(range(1, t + 1))
+            assert _canonical_residual(fam, t, p) == _mu_on(
+                (m for m in members if m & b != b), n, p)
+            assert _canonical_or_residual(fam, t, p) == _mu_on(
+                (m for m in members if not m & b), n, p)
+    assert ties_seen > 10
+
+
+def test_nearest_uniform_matches_member_scan(rng):
+    for fam in _families(rng):
+        for k in range(fam.n + 1):
+            sl = fam.uniform_slice(k)
+            for t in range(1, min(fam.n, 3) + 1):
+                (r, _, bm), _ = _scan_nearest(_subsets(fam.n, t), lambda b: sum(
+                    1 for m in sl.members if m & b != b))
+                assert nearest_umvirate_uniform(sl, t) == (bm, r)
+                (r, _, bm), _ = _scan_nearest(_subsets(fam.n, t), lambda b: sum(
+                    1 for m in sl.members if not m & b))
+                assert nearest_or_uniform(sl, t) == (bm, r)
+
+
+def test_nearest_triangle_matches_member_scan(rng):
+    eg = EdgeGround(4)
+    tris = [((x, y, z), eg.edge_mask([(x, y), (x, z), (y, z)]))
+            for x, y, z in itertools.combinations(range(1, 5), 3)]
+    for _ in range(30):
+        fam = SetFamily(6, random_increasing_family(rng, 6).bits, eg)
+        members = list(fam)
+        p = F(rng.randint(1, 9), 10)
+        (r, tri, _), _ = _scan_nearest(tris, lambda tm: _mu_on(
+            (m for m in members if m & tm != tm), 6, p))
+        assert nearest_triangle(fam, p) == (tri, r)
+        sl = fam.uniform_slice(3)
+        (r, tri, _), _ = _scan_nearest(tris, lambda tm: sum(
+            1 for m in sl.members if m & tm != tm))
+        assert nearest_triangle_uniform(sl, eg) == (tri, r)
+
+
+def test_subcube_distance_matches_member_scan(rng):
+    for fam in _families(rng) + _sparse_families(rng):
+        n, members = fam.n, list(fam)
+        p = F(rng.randint(1, 9), 10)
+        mu_f = _mu_on(members, n, p)
+        cands = [(c, mask_of(c)) for size in range(3)
+                 for c in itertools.combinations(range(1, n + 1), size)]
+        (d, _, bm), _ = _scan_nearest(cands, lambda b: mu_f + p ** bin(b).count(
+            "1") - 2 * _mu_on((m for m in members if m & b == b), n, p))
+        assert subcube_distance(fam, p, t_max=2) == (bm, d)
+
+
+def test_sparse_large_ground_queries_build_no_cube_masks():
+    # past the dense limit a query scans the members; a 2**21-bit cube mask
+    # per candidate would cost a pass over the whole cube each time
+    fam = SetFamily.from_sets(21, [[1], [1, 2]])
+    coord_zero_mask.cache_clear()
+    assert nearest_umvirate(fam, 2, F(1, 3)) == (0b11, F(2**20, 3**21))
+    assert subcube_distance(fam, F(1, 3), t_max=2)[0] == 0b11
+    assert coord_zero_mask.cache_info().currsize == 0
+
+
+def test_nearest_rejects_oversized_structures():
+    fam = t_umvirate(3, 1)
+    with pytest.raises(ValueError):
+        nearest_umvirate(fam, 4, F(1, 3))
+    with pytest.raises(ValueError):
+        nearest_or_uniform(fam.uniform_slice(2), 4)
+
+
+# -- pinned sweep outputs (recorded before the integer core) -------------------------
+
+
+def _cli(capsys, *argv):
+    code = main(list(argv))
+    return code, capsys.readouterr().out
+
+
+@pytest.mark.parametrize("args,digest,lines", [
+    (("--n", "3", "--p", "1/4", "--p", "2/3", "--p", "3/7", "--p", "5/8"),
+     "f7b2933c528aa181462e1a728ee14f6e23a9920595da9e1a626c392fffe111a2", 81),
+    (("--n", "4", "--p", "1/3", "--p", "3/5", "--p", "7/101", "--p", "89/97"),
+     "d52feb22cf4470394d546681ac62a4182bb1998a5b07de294ee7e5e889828772", 673),
+])
+def test_iso_sweep_csv_pinned(capsys, args, digest, lines):
+    code, out = _cli(capsys, "--threads", "1", "iso-sweep", "--all-monotone",
+                     "--csv", *args)
+    assert code == 0
+    assert len(out.splitlines()) == lines
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+def test_russo_sweep_pinned_and_thread_independent(capsys):
+    args = ("russo-sweep", "--n", "4", "--random", "200")
+    code, seq = _cli(capsys, "--threads", "1", *args)
+    assert code == 0
+    _, par = _cli(capsys, "--threads", "2", *args)
+    # byte-identical apart from the echoed --threads input
+    assert seq.replace('"threads": "1"', '"threads": "2"') == par
+    result = json.loads(seq)
+    del result["header"]
+    assert result == {"checked": 368, "failing": [], "violations": 0}

@@ -257,3 +257,48 @@ def test_cli_precision_env(capsys, monkeypatch):
     monkeypatch.setenv("EKRLAB_PRECISION", "45")
     code, out = run_cli(capsys, "kk", "--m", "3", "--k", "2")
     assert json.loads(out)["header"]["precision_dps"] == 45
+
+
+def _usage_error(capsys, *argv) -> str:
+    code = main(list(argv))
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    return json.loads(captured.err)["error"]
+
+
+def test_cli_spec_param_types_exit_two(capsys):
+    for params, name in (('{"n":"3","t":1}', "'n'"), ('{"n":3,"t":1.0}', "'t'"),
+                         ('{"n":3,"t":true}', "'t'"), ("[3, 1]", "params")):
+        err = _usage_error(capsys, "measure", "--p", "1/2", "--spec",
+                           '{"name":"t_umvirate","params":%s}' % params)
+        assert name in err
+    err = _usage_error(capsys, "construct", "--spec", '["t_umvirate"]')
+    assert "name" in err
+
+
+def test_cli_missing_family_file_named(capsys, tmp_path):
+    missing = tmp_path / "missing.json"
+    err = _usage_error(capsys, "measure", "--family", str(missing), "--p", "1/2")
+    assert str(missing) in err and "not found" in err
+
+
+def test_cli_kk_names_k(capsys):
+    err = _usage_error(capsys, "kk", "--m", "5", "--k", "0")
+    assert "k >= 1" in err and "k=0" in err
+
+
+def test_cli_resume_other_problem_exit_two(capsys, tmp_path):
+    cp = str(tmp_path / "ckpt.json")
+    code = main(["search", "--predicate", "intersecting", "--plain", "--n", "7",
+                 "--k", "3", "--budget", "500", "--checkpoint", cp])
+    capsys.readouterr()
+    assert code == 1
+    err = _usage_error(capsys, "search", "--predicate", "intersecting",
+                       "--plain", "--n", "5", "--k", "2", "--checkpoint", cp,
+                       "--resume")
+    assert "written for the problem" in err
+    (tmp_path / "ckpt.json").write_text("{")
+    err = _usage_error(capsys, "search", "--predicate", "intersecting",
+                       "--plain", "--n", "7", "--k", "3", "--checkpoint", cp,
+                       "--resume")
+    assert "not valid JSON" in err

@@ -124,6 +124,52 @@ def test_checkpoint_write_failure_keeps_previous(tmp_path, monkeypatch):
     assert resumed.complete and resumed.optimum == 5
 
 
+def test_budget_stop_checkpoint_and_accumulated_nodes(tmp_path):
+    cp = tmp_path / "ckpt.json"
+    plain = SearchProblem(n=6, k=3, predicate="intersecting")
+    direct = max_uniform(plain)
+    budget = direct.nodes // 3
+    partial = max_uniform(SearchProblem(n=6, k=3, predicate="intersecting",
+                                        budget=budget), checkpoint_path=cp)
+    assert not partial.complete and partial.nodes == budget + 1
+    state = json.loads(cp.read_text())
+    # written at the budget stop, not at the last multiple of 100,000
+    assert state["nodes"] == budget
+    assert state["problem"] == {"n": 6, "k": 3, "predicate": "intersecting",
+                                "t": 1, "shifted": False}
+    resumed = max_uniform(plain, checkpoint_path=cp, resume=True)
+    assert resumed.complete and resumed.witness == direct.witness
+    assert resumed.nodes == resumed.stats["nodes"] == direct.nodes
+
+
+def test_resume_rejects_other_problem_and_malformed_checkpoints(tmp_path):
+    cp = tmp_path / "ckpt.json"
+    max_uniform(SearchProblem(n=7, k=3, predicate="intersecting", budget=500),
+                checkpoint_path=cp)
+    good = json.loads(cp.read_text())
+    for other in (SearchProblem(n=5, k=2, predicate="intersecting"),
+                  SearchProblem(n=7, k=3, predicate="intersecting",
+                                shifted=True),
+                  SearchProblem(n=7, k=3, predicate="t-intersecting", t=2)):
+        with pytest.raises(ValueError, match="written for the problem"):
+            max_uniform(other, checkpoint_path=cp, resume=True)
+    problem = SearchProblem(n=7, k=3, predicate="intersecting")
+    bad = [dict(good, path=[2]), dict(good, path="01"),
+           dict(good, witness=[40]), dict(good, witness=[1, 0]),
+           dict(good, best=len(good["witness"]) + 1),
+           dict(good, nodes=-1), dict(good, nodes=True),
+           # members {1,2,3} and {4,5,6} are disjoint
+           dict(good, witness=[0, 31], best=2)]
+    for state in bad:
+        cp.write_text(json.dumps(state))
+        with pytest.raises(ValueError, match="malformed"):
+            max_uniform(problem, checkpoint_path=cp, resume=True)
+    for text in ("[1, 2", "[1, 2]", "{}"):
+        cp.write_text(text)
+        with pytest.raises(ValueError, match="checkpoint"):
+            max_uniform(problem, checkpoint_path=cp, resume=True)
+
+
 @pytest.mark.parametrize("predicate", ["t-intersecting", "matching_at_most"])
 def test_search_problem_rejects_t_below_one(predicate):
     for t in (0, -1):
