@@ -13,7 +13,6 @@ import argparse
 import csv
 import io as _io
 import json
-import multiprocessing
 import os
 import random
 import sys
@@ -23,7 +22,7 @@ from . import _kernels, numerics
 from .families import SetFamily
 from .io import family_to_dict, load_family
 from .measures import influence, iso_table, mu, mu_polynomial, russo_identity
-from .numerics import fmt_rational, fmt_real, parse_rational
+from .numerics import fmt_rational, fmt_real, mpmath, parse_rational
 from .search import (SearchProblem, enumerate_monotone_masks, max_uniform,
                      monotone_count_oracle)
 from .shadows import (increasing_shadow, kk_min_shadow, cascade_decomposition,
@@ -31,8 +30,6 @@ from .shadows import (increasing_shadow, kk_min_shadow, cascade_decomposition,
 from .verify import (TheoremCase, THEOREM_IDS, check_theorem, conjecture_scan,
                      tightness_report)
 from .zoo import FamilySpec, construct
-
-import mpmath
 
 
 def _rat(s: str) -> Fraction:
@@ -88,6 +85,9 @@ def iso_sweep(n: int, ps: list[Fraction], threads: int = 1) -> list[tuple]:
     step = 64 if threads > 1 else len(masks)
     tasks = [(n, i, masks[i:i + step], ps) for i in range(0, len(masks), step)]
     if threads > 1:
+        import multiprocessing
+
+        numerics.load_real_layer()  # once here, not once per worker
         with multiprocessing.Pool(threads) as pool:
             chunks = pool.map(_iso_rows_for, tasks)
     else:
@@ -117,6 +117,8 @@ def russo_sweep(n: int | None, random_count: int, seed: int, max_n: int,
             fids.append(-(i + 1))
             fams.append(SetFamily(rn, bits).up_closure())
     if threads > 1:
+        import multiprocessing
+
         with multiprocessing.Pool(threads) as pool:
             holds = pool.map(russo_identity, fams, chunksize=16)
     else:

@@ -20,18 +20,39 @@ def family_to_dict(fam, compact: bool = False) -> dict:
     return {"n": fam.n, "sets": [list(s) for s in fam.member_sets()]}
 
 
+def _is_int(x) -> bool:
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
 def _masks_from_dict(d: dict) -> tuple[int, list[int]]:
-    n = int(d["n"])
+    """(n, member masks) of family JSON; a ValueError naming the field
+    when the JSON has the wrong shape."""
+    if not isinstance(d, dict):
+        raise ValueError("family JSON must be an object")
     if ("sets" in d) == ("masks_hex" in d):
         raise ValueError('family JSON needs exactly one of "sets" / "masks_hex"')
-    if "sets" in d:
-        masks = []
-        for s in d["sets"]:
-            if list(s) != sorted(set(int(e) for e in s)):
-                raise ValueError(f"set {s} is not strictly increasing")
-            masks.append(mask_of(int(e) for e in s))
-        return n, masks
-    return n, [int(h, 16) for h in d["masks_hex"]]
+    n = d.get("n")
+    if not _is_int(n):
+        raise ValueError('family JSON field "n" must be an integer')
+    if "masks_hex" in d:
+        hexes = d["masks_hex"]
+        if not (isinstance(hexes, (list, tuple))
+                and all(isinstance(h, str) for h in hexes)):
+            raise ValueError('family JSON field "masks_hex" must be a list '
+                             'of hex strings')
+        return n, [int(h, 16) for h in hexes]
+    sets = d["sets"]
+    if not (isinstance(sets, (list, tuple))
+            and all(isinstance(s, (list, tuple)) and all(map(_is_int, s))
+                    for s in sets)):
+        raise ValueError('family JSON field "sets" must be a list of lists '
+                         'of integers')
+    masks = []
+    for s in sets:
+        if list(s) != sorted(set(s)):
+            raise ValueError(f"set {list(s)} is not strictly increasing")
+        masks.append(mask_of(s))
+    return n, masks
 
 
 def set_family_from_dict(d: dict, edges=None) -> SetFamily:
@@ -44,7 +65,9 @@ def uniform_family_from_dict(d: dict) -> UniformFamily:
     sizes = {m.bit_count() for m in masks}
     if len(sizes) > 1:
         raise ValueError(f"not k-uniform: member sizes {sorted(sizes)}")
-    k = sizes.pop() if sizes else int(d.get("k", 0))
+    k = sizes.pop() if sizes else d.get("k", 0)
+    if not _is_int(k):
+        raise ValueError('family JSON field "k" must be an integer')
     return UniformFamily(n, k, masks)
 
 

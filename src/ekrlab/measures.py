@@ -17,13 +17,11 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 
-import mpmath
-
 from . import _kernels
 from .bitops import (coord_zero_mask, cube_mask, elements_of,
                      iter_bit_indices, popcount, subset_masks)
 from .families import SetFamily, are_cross_intersecting
-from .numerics import Checked, check_le, default_dps, log_base, to_mpf
+from .numerics import Checked, check_le, default_dps, log_base, mpmath, to_mpf
 from .report import VerdictReport
 
 #: ground size above which influence counting switches to member scans

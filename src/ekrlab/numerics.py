@@ -6,16 +6,44 @@ evaluated as mpmath floats.  Comparisons against such quantities use an
 explicit tolerance tau; when a comparison lands within 10*tau of the boundary
 the working precision is doubled and the computation retried, so a verdict is
 never an artifact of rounding.
+
+Importing mpmath is most of the package's import time, and most commands
+never reach the real layer, so it loads on first attribute access: the
+other modules take `mpmath` from here, and `load_real_layer()` forces the
+load (before a process pool forks, so that the workers inherit it).
 """
 
 from __future__ import annotations
 
+import importlib.util
 import os
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Union
 
-import mpmath
+
+def _lazy_import(name: str):
+    """`name` imported on first attribute access (the standard library's
+    `importlib.util.LazyLoader` recipe); an already imported module as is."""
+    if name in sys.modules:
+        return sys.modules[name]
+    spec = importlib.util.find_spec(name)
+    loader = importlib.util.LazyLoader(spec.loader)
+    spec.loader = loader
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[name] = module
+    loader.exec_module(module)
+    return module
+
+
+mpmath = _lazy_import("mpmath")
+
+
+def load_real_layer() -> None:
+    """Finish loading mpmath now (a no-op once it is loaded)."""
+    mpmath.mpf
+
 
 #: decimal digits of working precision (relative error well below 1e-18)
 DEFAULT_DPS = 30
@@ -24,7 +52,7 @@ DEFAULT_DPS = 30
 DEFAULT_TOL = Fraction(1, 10**12)
 
 Exactish = Union[int, Fraction]
-ValueLike = Union[int, Fraction, mpmath.mpf, Callable[[], "ValueLike"]]
+ValueLike = Union[int, Fraction, "mpmath.mpf", Callable[[], "ValueLike"]]
 
 
 _active = {"dps": None, "tol": None}

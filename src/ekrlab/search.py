@@ -289,13 +289,22 @@ def iter_uniform_families(n: int, k: int, predicate: str, t: int = 1,
                           shifted: bool = True, budget: int | None = None):
     """Yield every family of [n]^(k) satisfying the predicate, as
     UniformFamily (compression-closed ones only, in shifted mode)."""
+    universe, families = _index_families(n, k, predicate, t, shifted, budget)
+    for idx in families:
+        yield UniformFamily(n, k, (universe[i] for i in idx))
+
+
+def _index_families(n: int, k: int, predicate: str, t: int, shifted: bool,
+                    budget: int | None):
+    """(universe, iterator of index tuples into it) for the families
+    `iter_uniform_families` yields, so a caller can skip a family by its
+    size before building it."""
     universe = lex_universe(n, k)
     preds = (shift_predecessor_masks(n, k, universe)
              if shifted else [0] * len(universe))
     mode, param = _predicate_mode(predicate, t)
-    for idx in _kernels.iter_predicate_families(universe, preds, mode, param,
-                                                shifted, node_budget=budget):
-        yield UniformFamily(n, k, (universe[i] for i in idx))
+    return universe, _kernels.iter_predicate_families(
+        universe, preds, mode, param, shifted, node_budget=budget)
 
 
 def extremal_under_measure_cap(n: int, p0, t: int, p,

@@ -15,18 +15,17 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 
-import mpmath
-
 from . import _kernels
 from .bitops import elements_of, mask_of, subset_masks
 from .families import (EdgeGround, SetFamily, UniformFamily,
                        is_t_intersecting, is_triangle_intersecting,
                        matching_number)
 from .measures import cube_measure, mu, nearest_cube
-from .numerics import check_eq, check_le, log_base, to_mpf
+from .numerics import (check_eq, check_le, load_real_layer, log_base, mpmath,
+                       to_mpf)
 from .report import HOLDS, UNRESOLVED, VerdictReport, fmt
-from .search import (enumerate_monotone, enumerate_monotone_masks,
-                     iter_uniform_families)
+from .search import (_index_families, enumerate_monotone,
+                     enumerate_monotone_masks, iter_uniform_families)
 from .zoo import (FamilySpec, closed_form_mu, comb0, construct,
                   defining_root)
 
@@ -89,8 +88,14 @@ class TheoremCase:
     def get(self, key, default=None):
         return self.params.get(key, default)
 
+    def need(self, key):
+        """A required parameter; a ValueError naming it when it is missing."""
+        if key not in self.params:
+            raise ValueError(f"{self.theorem_id} needs parameter {key!r}")
+        return self.params[key]
+
     def frac(self, key) -> Fraction:
-        return Fraction(self.params[key])
+        return Fraction(self.need(key))
 
 
 # -- nearest extremal structures ----------------------------------------------
@@ -227,7 +232,7 @@ def check_theorem(case: TheoremCase, fam) -> VerdictReport:
 
 
 def _check_main_biased(case: TheoremCase, fam: SetFamily) -> VerdictReport:
-    p0, p, t, eps = case.frac("p0"), case.frac("p"), case.params["t"], case.frac("eps")
+    p0, p, t, eps = case.frac("p0"), case.frac("p"), case.need("t"), case.frac("eps")
     _require(0 < p < p0 < 1, "need 0 < p < p0 < 1")
     _require(t >= 1 and eps > 0, "need t >= 1 and eps > 0")
     _require(fam.is_increasing(), "family must be increasing")
@@ -287,7 +292,7 @@ def _check_biased1(case: TheoremCase, fam: SetFamily) -> VerdictReport:
 
 
 def _check_t_intersecting_biased(case: TheoremCase, fam: SetFamily) -> VerdictReport:
-    t, p, eps = case.params["t"], case.frac("p"), case.frac("eps")
+    t, p, eps = case.need("t"), case.frac("p"), case.frac("eps")
     _require(t >= 1 and eps > 0, "need t >= 1 and eps > 0")
     _require(0 < p < Fraction(1, t + 1), "need 0 < p < 1/(t+1)")
     _require(is_t_intersecting(fam, t), f"family must be {t}-intersecting")
@@ -325,7 +330,7 @@ def _check_t_intersecting_biased(case: TheoremCase, fam: SetFamily) -> VerdictRe
 
 
 def _check_dual_biased(case: TheoremCase, fam: SetFamily) -> VerdictReport:
-    p0, p, s, eps = case.frac("p0"), case.frac("p"), case.params["s"], case.frac("eps")
+    p0, p, s, eps = case.frac("p0"), case.frac("p"), case.need("s"), case.frac("eps")
     _require(0 < p < p0 < 1, "need 0 < p < p0 < 1")
     _require(s >= 1 and eps > 0, "need s >= 1 and eps > 0")
     _require(fam.is_increasing(), "family must be increasing")
@@ -356,7 +361,7 @@ def _check_dual_biased(case: TheoremCase, fam: SetFamily) -> VerdictReport:
 
 
 def _check_matching_biased(case: TheoremCase, fam: SetFamily) -> VerdictReport:
-    s, p, eps = case.params["s"], case.frac("p"), case.frac("eps")
+    s, p, eps = case.need("s"), case.frac("p"), case.frac("eps")
     _require(s >= 1 and eps > 0, "need s >= 1 and eps > 0")
     _require(0 < p < Fraction(1, 2 * s + 1), "need 0 < p < 1/(2s+1)")
     m_f = matching_number(fam)
@@ -389,7 +394,7 @@ def _check_matching_biased(case: TheoremCase, fam: SetFamily) -> VerdictReport:
 
 
 def _check_wilson_uniform(case: TheoremCase, fam: UniformFamily) -> VerdictReport:
-    t, d = case.params["t"], case.params["d"]
+    t, d = case.need("t"), case.need("d")
     _require(t >= 1 and d >= 1, "need t >= 1 and d >= 1")
     _require(isinstance(fam, UniformFamily), "need a k-uniform family")
     _require(is_t_intersecting(fam, t), f"family must be {t}-intersecting")
@@ -452,7 +457,7 @@ def _check_triangle_biased(case: TheoremCase, fam: SetFamily) -> VerdictReport:
 
 
 def _check_triangle_uniform(case: TheoremCase, fam: UniformFamily) -> VerdictReport:
-    d, v = case.params["d"], case.params["v"]
+    d, v = case.need("d"), case.need("v")
     eg = EdgeGround(v)
     _require(fam.n == eg.n, "family ground must be the edge set of [v]")
     tris = eg.triangle_masks()
@@ -488,7 +493,7 @@ def _check_triangle_uniform(case: TheoremCase, fam: UniformFamily) -> VerdictRep
 
 
 def _check_matching_uniform(case: TheoremCase, fam: UniformFamily) -> VerdictReport:
-    s, eps = case.params["s"], case.frac("eps")
+    s, eps = case.need("s"), case.frac("eps")
     _require(s >= 1 and eps > 0, "need s >= 1 and eps > 0")
     m_f = matching_number(fam)
     _require(m_f <= s, f"family must have matching number <= {s}, got {m_f}")
@@ -523,7 +528,7 @@ def _check_matching_uniform(case: TheoremCase, fam: UniformFamily) -> VerdictRep
 
 
 def _check_frankl_gi(case: TheoremCase, fam: SetFamily) -> VerdictReport:
-    p, i = case.frac("p"), case.params["i"]
+    p, i = case.frac("p"), case.need("i")
     _require(0 < p < Fraction(1, 2), "need 0 < p < 1/2")
     _require(3 <= i <= fam.n, "need 3 <= i <= n")
     _require(is_t_intersecting(fam, 1), "family must be intersecting")
@@ -824,6 +829,21 @@ def conjecture_scan(conj_id: str, ranges: dict, budget: int | None = None,
     raise ValueError(f"unknown conjecture {conj_id!r}; known: {CONJECTURES}")
 
 
+def _range_values(conj_id: str, ranges, *keys) -> list:
+    """The values of the required range keys, in order; a ValueError naming
+    the conjecture and the first key that is missing or, other than the
+    bias list "ps", not an integer."""
+    if not isinstance(ranges, dict):
+        raise ValueError(f"{conj_id} ranges must be a JSON object")
+    for key in keys:
+        if key not in ranges:
+            raise ValueError(f"{conj_id} needs range key {key!r}")
+        val = ranges[key]
+        if key != "ps" and (not isinstance(val, int) or isinstance(val, bool)):
+            raise ValueError(f"{conj_id} range key {key!r} must be an integer")
+    return [ranges[key] for key in keys]
+
+
 def _scan_chunk_t_intersecting(args) -> tuple:
     n, t, ps_raw, masks = args
     ps = [Fraction(x) for x in ps_raw]
@@ -868,9 +888,8 @@ def _scan_t_intersecting_sharp(ranges: dict, budget, threads: int = 1) -> ScanRe
     minimized numerically, and a violation is reported when it clears the
     float margin of `_condition_beats_mu`.
     """
-    t = ranges["t"]
-    n = ranges["n"]
-    ps = [Fraction(x) for x in ranges["ps"]]
+    t, n, ps = _range_values("TIntersectingSharp", ranges, "t", "n", "ps")
+    ps = [Fraction(x) for x in ps]
     for p in ps:
         if not 0 < p < Fraction(1, t + 1):
             raise ValueError("each p must satisfy 0 < p < 1/(t+1)")
@@ -889,6 +908,7 @@ def _scan_t_intersecting_sharp(ranges: dict, budget, threads: int = 1) -> ScanRe
         step = max(64, len(masks) // (threads * 8) + 1)
         chunks = [(n, t, [str(p) for p in ps], masks[i:i + step])
                   for i in range(0, len(masks), step)]
+        load_real_layer()  # once here, not once per worker
         with multiprocessing.Pool(threads) as pool:
             for exd, cands in pool.map(_scan_chunk_t_intersecting, chunks):
                 examined += exd
@@ -945,7 +965,7 @@ def _condition_beats_mu(mu_p: Fraction, p: Fraction, t: int,
 def _scan_wilson_sharp(ranges: dict, budget) -> ScanReport:
     """Sharp-factor (t instead of 2^t - 1) form of the uniform stability
     claim, scanned over compression-closed t-intersecting families."""
-    n, k, t, d_max = ranges["n"], ranges["k"], ranges["t"], ranges["d_max"]
+    n, k, t, d_max = _range_values("WilsonSharp", ranges, "n", "k", "t", "d_max")
     if n < (t + 1) * (k - t + 1):
         raise ValueError("conjecture needs n >= (t+1)(k-t+1)")
     notes = ["range: compression-closed (shifted) t-intersecting families",
@@ -983,7 +1003,7 @@ def _scan_wilson_sharp(ranges: dict, budget) -> ScanReport:
 def _scan_emc_stability(ranges: dict, budget) -> ScanReport:
     """Matching-stability conjecture, scanned over compression-closed
     families with matching number exactly s and size above the threshold."""
-    n, k, s, d = ranges["n"], ranges["k"], ranges["s"], ranges["d"]
+    n, k, s, d = _range_values("EMCStability", ranges, "n", "k", "s", "d")
     if n < (s + 1) * k:
         raise ValueError("conjecture needs n >= (s+1)k")
     thr = max(comb0(k * (s + 1) - 1, k) + 1,
@@ -995,10 +1015,14 @@ def _scan_emc_stability(ranges: dict, budget) -> ScanReport:
     candidates = []
     examined = 0
     complete = True
+    universe, families = _index_families(n, k, "matching_at_most", s,
+                                         True, budget)
     try:
-        for fam in iter_uniform_families(n, k, "matching_at_most", s,
-                                         shifted=True, budget=budget):
-            if len(fam) < thr or matching_number(fam) != s:
+        for idx in families:
+            if len(idx) < thr:  # most families: skip before building one
+                continue
+            fam = UniformFamily(n, k, (universe[i] for i in idx))
+            if matching_number(fam) != s:
                 continue
             examined += 1
             _, outside = nearest_or_uniform(fam, s)

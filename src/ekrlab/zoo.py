@@ -14,11 +14,9 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-import mpmath
-
 from .bitops import elements_of, mask_of, popcount
 from .families import EdgeGround, SetFamily, UniformFamily
-from .numerics import default_dps
+from .numerics import default_dps, mpmath
 
 FAMILY_NAMES = (
     "dictatorship", "t_umvirate", "or_family", "ak_family", "frankl_Gi",

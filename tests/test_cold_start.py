@@ -1,0 +1,97 @@
+"""Start-up contract: what `import ekrlab.cli` loads, what a command leaves
+unloaded, and that pool workers forked from a cold start agree with one
+process.  Each check runs in a fresh interpreter, because this one imported
+mpmath long ago."""
+
+import json
+import os
+import runpy
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import ekrlab
+
+ROOT = Path(__file__).resolve().parents[1]
+SRC = str(Path(ekrlab.__file__).resolve().parents[1])
+
+#: runs `cli.main` on the JSON argv in sys.argv[1] (none: import only), then
+#: prints the sorted names of the loaded modules as the last stdout line
+PROBE = """
+import json, sys
+from ekrlab import cli
+argv = json.loads(sys.argv[1])
+code = cli.main(argv) if argv else 0
+print(json.dumps({"code": code, "modules": sorted(sys.modules)}))
+"""
+
+
+def _run(*argv) -> subprocess.CompletedProcess:
+    env = {k: v for k, v in os.environ.items() if not k.startswith("EKRLAB_")}
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (SRC, os.environ.get("PYTHONPATH")) if p)
+    proc = subprocess.run([sys.executable, *argv], cwd=ROOT, env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert "Traceback" not in proc.stderr, proc.stderr
+    return proc
+
+
+def _loaded_after(*cli_argv) -> set:
+    proc = _run("-c", PROBE, json.dumps(list(cli_argv)))
+    result = json.loads(proc.stdout.splitlines()[-1])
+    assert result["code"] == 0, proc.stdout
+    return set(result["modules"])
+
+
+def test_import_loads_every_traced_layer():
+    # perfbench/tracing.py reads these from sys.modules when it installs
+    layers = runpy.run_path(str(ROOT / "perfbench" / "tracing.py"))["MODULE_LAYERS"]
+    assert len(layers) == 8
+    assert set(layers) <= _loaded_after()
+
+
+def test_import_defers_real_layer_and_pool():
+    loaded = _loaded_after()
+    assert "mpmath.ctx_mp" not in loaded
+    assert "multiprocessing" not in loaded
+
+
+def test_mpmath_imported_first_is_reused():
+    # a second, lazy copy would make mpf values of two distinct types
+    proc = _run("-c", "import mpmath; from ekrlab import numerics; "
+                      "assert numerics.mpmath is mpmath; "
+                      "assert numerics.to_mpf(1) == mpmath.mpf(1)")
+    assert proc.returncode == 0, proc.stderr
+
+
+@pytest.mark.parametrize("argv", [
+    ("--threads", "1", "search", "--predicate", "intersecting",
+     "--n", "6", "--k", "3"),
+    ("--threads", "1", "kk", "--m", "10", "--k", "3"),
+])
+def test_commands_without_reals_leave_mpmath_unloaded(argv):
+    assert "mpmath.ctx_mp" not in _loaded_after(*argv)
+
+
+def test_real_layer_loads_on_first_use():
+    loaded = _loaded_after("--threads", "1", "tightness", "--spec",
+                           '{"name":"tilde_H_tsr","params":'
+                           '{"n":6,"t":1,"s":2,"r":3}}',
+                           "--p", "1/4")
+    assert "mpmath.ctx_mp" in loaded
+
+
+@pytest.mark.parametrize("argv", [
+    ("iso-sweep", "--n", "3", "--all-monotone", "--p", "1/3", "--p", "2/5"),
+    ("conjecture-scan", "--conjecture", "TIntersectingSharp",
+     "--ranges", '{"t": 1, "n": 4, "ps": ["1/4", "1/3"]}'),
+])
+def test_pool_from_cold_start_matches_one_process(argv):
+    seq = _run("-m", "ekrlab.cli", "--threads", "1", *argv)
+    par = _run("-m", "ekrlab.cli", "--threads", "2", *argv)
+    assert seq.returncode == par.returncode == 0
+    assert json.loads(seq.stdout)["header"]["inputs"]["threads"] == "1"
+    # byte-identical apart from the echoed --threads input
+    assert seq.stdout.replace('"threads": "1"', '"threads": "2"') == par.stdout

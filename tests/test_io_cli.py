@@ -302,3 +302,50 @@ def test_cli_resume_other_problem_exit_two(capsys, tmp_path):
                        "--plain", "--n", "7", "--k", "3", "--checkpoint", cp,
                        "--resume")
     assert "not valid JSON" in err
+
+
+@pytest.mark.parametrize("fam, field", [
+    ('{"n":3,"sets":5}', '"sets"'),
+    ('{"n":3,"sets":[[1],2]}', '"sets"'),
+    ('{"n":3,"sets":["12"]}', '"sets"'),
+    ('{"n":3,"masks_hex":[5]}', '"masks_hex"'),
+    ('{"n":3,"masks_hex":"0x5"}', '"masks_hex"'),
+    ('{"n":[3],"sets":[[1]]}', '"n"'),
+    ('{"sets":[[1]]}', '"n"'),
+])
+def test_cli_family_json_shape_exit_two(capsys, fam, field):
+    err = _usage_error(capsys, "measure", "--family", fam, "--p", "1/2")
+    assert field in err
+    err = _usage_error(capsys, "shadow", "--family", fam)
+    assert field in err
+
+
+def test_cli_uniform_family_json_k_exit_two(capsys):
+    err = _usage_error(capsys, "shadow", "--family",
+                       '{"n":3,"sets":[],"k":[1]}')
+    assert '"k"' in err
+
+
+def test_cli_missing_theorem_parameter_named(capsys):
+    err = _usage_error(capsys, "verify", "--theorem", "MainBiased", "--spec",
+                       '{"name":"t_umvirate","params":{"n":4,"t":2}}',
+                       "--p0", "1/2", "--p", "1/4", "--eps", "1/10")
+    assert "MainBiased" in err and "'t'" in err
+    err = _usage_error(capsys, "verify", "--theorem", "Biased1", "--spec",
+                       '{"name":"tilde_Gi","params":{"n":3,"i":3}}',
+                       "--p", "1/4")
+    assert "Biased1" in err and "'eps'" in err
+
+
+@pytest.mark.parametrize("conj, ranges, key", [
+    ("TIntersectingSharp", '{"t":1}', "'n'"),
+    ("WilsonSharp", '{"n":9,"k":3,"t":1}', "'d_max'"),
+    ("EMCStability", '{"n":10,"k":3,"d":1}', "'s'"),
+    ("WilsonSharp", "[9, 3, 1, 3]", "JSON object"),
+    ("TIntersectingSharp", '{"t":1,"n":"4","ps":["1/4"]}', "'n'"),
+    ("EMCStability", '{"n":10,"k":3,"s":2,"d":true}', "'d'"),
+])
+def test_cli_bad_range_key_named(capsys, conj, ranges, key):
+    err = _usage_error(capsys, "conjecture-scan", "--conjecture", conj,
+                       "--ranges", ranges)
+    assert conj in err and key in err
