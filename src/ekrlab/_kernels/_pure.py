@@ -17,7 +17,8 @@ from __future__ import annotations
 
 from array import array
 
-from ..bitops import coord_zero_mask, iter_bit_indices, popcount, size_class_masks
+from ..bitops import (coord_zero_mask, iter_bit_indices, iter_members, popcount,
+                      size_class_masks)
 
 BACKEND_NAME = "pure"
 
@@ -61,16 +62,11 @@ def weight_counts(fam: int, n: int) -> list[int]:
     if n <= 18:
         classes = size_class_masks(n)
         return [popcount(fam & c) for c in classes]
-    # large ground sets: scan member positions instead of materializing
-    # 2**n-bit class masks
+    # large ground sets: walk the members instead of materializing 2**n-bit
+    # class masks
     w = [0] * (n + 1)
-    buf = fam.to_bytes(((1 << n) + 7) // 8, "little")
-    for byte_idx, byte in enumerate(buf):
-        while byte:
-            low = byte & -byte
-            x = byte_idx * 8 + low.bit_length() - 1
-            w[popcount(x)] += 1
-            byte ^= low
+    for x in iter_members(fam, n):
+        w[popcount(x)] += 1
     return w
 
 

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 from . import _kernels
 from .bitops import (coord_zero_mask, elements_of, full_family_mask,
-                     iter_bit_indices, mask_of, popcount, reverse_bits)
+                     iter_members, mask_of, popcount, reverse_bits)
 
 MAX_DENSE_N = 30
 
@@ -151,7 +151,7 @@ class SetFamily:
 
     def __iter__(self):
         """Member masks in ascending numeric order."""
-        return iter_bit_indices(self.bits)
+        return iter_members(self.bits, self.n)
 
     def member_sets(self):
         """Members as sorted tuples of 1-indexed elements."""

@@ -18,8 +18,8 @@ from fractions import Fraction
 from functools import cached_property
 
 from . import _kernels
-from .bitops import (coord_zero_mask, cube_mask, elements_of,
-                     iter_bit_indices, popcount, subset_masks)
+from .bitops import (coord_zero_mask, cube_mask, elements_of, iter_members,
+                     popcount, subset_masks)
 from .families import SetFamily, are_cross_intersecting
 from .numerics import Checked, check_le, default_dps, log_base, mpmath, to_mpf
 from .report import VerdictReport
@@ -104,6 +104,13 @@ def _powers(n: int, p: Fraction) -> tuple[list[int], int]:
 
 def _dot(weights, pw: list[int]) -> int:
     return sum(w * x for w, x in zip(weights, pw) if w)
+
+
+def power_table(n: int, p) -> tuple[list[int], int]:
+    """(pw, den) at p = a/b, built once for callers that weigh many families
+    at one bias: a family with weight vector w has mu_p = sum_j w[j] pw[j]
+    over den."""
+    return _powers(n, Fraction(p))
 
 
 def _cube_counter(fam, pw: list[int]):
@@ -268,7 +275,7 @@ def edge_boundary(fam: SetFamily, include_edges: bool = True) -> EdgeBoundaryRep
         p0 = (bits ^ (bits >> (1 << i))) & coord_zero_mask(n, i)
         count += popcount(p0)
         if include_edges:
-            edges.extend((x, x | d) for x in iter_bit_indices(p0))
+            edges.extend((x, x | d) for x in iter_members(p0, n))
     size = len(fam)
     subcube = fam.is_subcube()
     if size == 0:

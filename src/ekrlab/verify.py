@@ -16,16 +16,17 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import _kernels
-from .bitops import elements_of, mask_of, subset_masks
+from .bitops import (coord_zero_mask, elements_of, iter_bit_indices, mask_of,
+                     popcount, subset_masks)
 from .families import (EdgeGround, SetFamily, UniformFamily,
                        is_t_intersecting, is_triangle_intersecting,
                        matching_number)
-from .measures import cube_measure, mu, nearest_cube
-from .numerics import (check_eq, check_le, load_real_layer, log_base, mpmath,
-                       to_mpf)
+from .measures import cube_measure, mu, nearest_cube, power_table
+from .numerics import (check_eq, check_le, default_dps, load_real_layer,
+                       log_base, mpmath, parse_rational, to_mpf)
 from .report import HOLDS, UNRESOLVED, VerdictReport, fmt
-from .search import (_index_families, enumerate_monotone,
-                     enumerate_monotone_masks, iter_uniform_families)
+from .search import (_index_families, enumerate_monotone_masks,
+                     iter_uniform_families)
 from .zoo import (FamilySpec, closed_form_mu, comb0, construct,
                   defining_root)
 
@@ -844,27 +845,80 @@ def _range_values(conj_id: str, ranges, *keys) -> list:
     return [ranges[key] for key in keys]
 
 
-def _scan_chunk_t_intersecting(args) -> tuple:
-    n, t, ps_raw, masks = args
-    ps = [Fraction(x) for x in ps_raw]
+def _bias_list(conj_id: str, ps) -> list[Fraction]:
+    """The bias list "ps": a JSON list of exact "num/den" strings."""
+    if not isinstance(ps, list) or not all(isinstance(x, str) for x in ps):
+        raise ValueError(f"{conj_id} range key 'ps' must be a list of "
+                         '"num/den" strings')
+    try:
+        return [parse_rational(x) for x in ps]
+    except (ValueError, ZeroDivisionError) as exc:
+        raise ValueError(f"{conj_id} range key 'ps': {exc}") from None
+
+
+def _t_intersecting_test(n: int, t: int):
+    """A test of an increasing family on [n] (a 2**n-bit mask) for being
+    t-intersecting, equal to `is_t_intersecting` there.
+
+    It is enough that each minimal member a meets every member in at least
+    t elements, i.e. bits & far[a] == 0, where far[a] is the 2**n-bit mask
+    of the subsets that meet a in fewer than t elements.
+    """
+    far = [sum(1 << x for x in range(1 << n) if popcount(a & x) < t)
+           for a in range(1 << n)]
+    zero = [(1 << i, coord_zero_mask(n, i)) for i in range(n)]
+
+    def test(bits: int) -> bool:
+        non_minimal = 0
+        for d, zm in zero:
+            non_minimal |= (bits & zm) << d
+        return not any(bits & far[a]
+                       for a in iter_bit_indices(bits & ~non_minimal))
+
+    return test
+
+
+def _scan_t_intersecting_masks(n: int, t: int, ps, masks,
+                               budget: int | None = None) -> tuple:
+    """(examined, candidates, complete) over the increasing families
+    `masks` (2**n-bit), in order; the scan stops incomplete when a family
+    comes up with `budget` t-intersecting families already examined.
+
+    The t-intersection test runs on the mask (`_t_intersecting_test`).
+    Each t-intersecting family's weight vector w is counted once; at p = a/b
+    its measure is dot(w, pw) / b**n, so mu_p > thr is one integer
+    comparison, and a SetFamily is built only for the families that pass it.
+    """
+    t_intersecting = _t_intersecting_test(n, t)
+    biases = []
+    for p in ps:
+        thr = (t + 2) * p ** (t + 1) - (t + 1) * p ** (t + 2)
+        pw, den = power_table(n, p)
+        biases.append((p, pw, den, thr.numerator * den, thr.denominator))
     examined = 0
     candidates = []
     for bits in masks:
-        fam = SetFamily(n, bits)
-        if not is_t_intersecting(fam, t):
+        if budget is not None and examined >= budget:
+            return examined, candidates, False
+        if not t_intersecting(bits):
             continue
         examined += 1
-        for p in ps:
-            cand = _examine_t_intersecting(fam, t, p)
+        w = _kernels.weight_counts(bits, n)
+        fam = None
+        for p, pw, den, thr_num, thr_den in biases:
+            num = sum(c * x for c, x in zip(w, pw))
+            if num * thr_den <= thr_num:
+                continue
+            if fam is None:
+                fam = SetFamily(n, bits)
+            cand = _examine_t_intersecting(fam, t, p, Fraction(num, den))
             if cand is not None:
                 candidates.append(cand)
-    return examined, candidates
+    return examined, candidates, True
 
 
-def _examine_t_intersecting(fam: SetFamily, t: int, p: Fraction):
-    mu_p = mu(fam, p)
-    if mu_p <= (t + 2) * p ** (t + 1) - (t + 1) * p ** (t + 2):
-        return None
+def _examine_t_intersecting(fam: SetFamily, t: int, p: Fraction,
+                            mu_p: Fraction):
     _, residual = nearest_umvirate(fam, t, p)
     if residual == 0:
         return None
@@ -884,51 +938,84 @@ def _scan_t_intersecting_sharp(ranges: dict, budget, threads: int = 1) -> ScanRe
     preserves both the condition and the failure, so increasing families
     suffice).  For each family and bias the conjectured implication is
     violated iff the condition holds at some eps strictly below the point
-    where the conclusion starts to hold; the convex condition curve is
-    minimized numerically, and a violation is reported when it clears the
-    float margin of `_condition_beats_mu`.
+    where the conclusion starts to hold.  The scan runs on the 2**n-bit
+    masks and on integers: a mask test for t-intersection, then one exact
+    integer comparison of mu_p with the threshold measure (see
+    `_scan_t_intersecting_masks`).  Only the families above the threshold
+    reach the real layer, where `_condition_beats_mu` minimizes the convex
+    condition curve at the working precision and a violation is reported
+    when it clears that function's float margin.  The biases "ps" are exact
+    "num/den" strings.
     """
     t, n, ps = _range_values("TIntersectingSharp", ranges, "t", "n", "ps")
-    ps = [Fraction(x) for x in ps]
+    if t < 1:
+        raise ValueError("TIntersectingSharp range key 't' must be >= 1")
+    ps = _bias_list("TIntersectingSharp", ps)
     for p in ps:
         if not 0 < p < Fraction(1, t + 1):
-            raise ValueError("each p must satisfy 0 < p < 1/(t+1)")
+            raise ValueError("TIntersectingSharp range key 'ps': each p "
+                             "must satisfy 0 < p < 1/(t+1)")
     notes = ["range: all increasing t-intersecting families on [n]",
              "up-closure preserves counterexamples, so this covers all families",
              "hypothesis taken strictly (> the threshold measure): the "
              "threshold family itself achieves equality and is the sharpness "
              "example, exactly as in the proven t=1 form"]
-    candidates = []
-    examined = 0
-    complete = True
+    masks = enumerate_monotone_masks(n)
     if threads > 1 and budget is None:
         import multiprocessing
 
-        masks = [int(b) for b in enumerate_monotone_masks(n)]
+        masks = [int(b) for b in masks]
         step = max(64, len(masks) // (threads * 8) + 1)
-        chunks = [(n, t, [str(p) for p in ps], masks[i:i + step])
+        chunks = [(n, t, ps, masks[i:i + step])
                   for i in range(0, len(masks), step)]
         load_real_layer()  # once here, not once per worker
         with multiprocessing.Pool(threads) as pool:
-            for exd, cands in pool.map(_scan_chunk_t_intersecting, chunks):
-                examined += exd
-                candidates.extend(cands)
-        return ScanReport("TIntersectingSharp", ranges, examined, candidates,
-                          True, notes)
-    for fam in enumerate_monotone(n):
-        if budget is not None and examined >= budget:
-            complete = False
-            notes.append("budget exhausted; scan incomplete")
-            break
-        if not is_t_intersecting(fam, t):
-            continue
-        examined += 1
-        for p in ps:
-            cand = _examine_t_intersecting(fam, t, p)
-            if cand is not None:
-                candidates.append(cand)
+            results = pool.starmap(_scan_t_intersecting_masks, chunks)
+        examined = sum(exd for exd, _, _ in results)
+        candidates = [c for _, cands, _ in results for c in cands]
+        complete = True
+    else:
+        examined, candidates, complete = _scan_t_intersecting_masks(
+            n, t, ps, (int(b) for b in masks), budget)
+    if not complete:
+        notes.append("budget exhausted; scan incomplete")
     return ScanReport("TIntersectingSharp", ranges, examined, candidates,
                       complete, notes)
+
+
+#: how far mu_p must clear the condition curve for a violation
+_CONDITION_MARGIN = "1e-11"
+
+
+def _condition_curve(p: Fraction, t: int):
+    """(g, pt, c, v) for the condition curve g(eps) = pt (1 - (eps/t)^v)
+    + c eps, with pt = p^t, c = (1-p) p^{t-1} and v = log_p(1-p), in mpmath
+    at the current precision."""
+    v = log_base(1 - p, p)  # in (0,1) for p < 1/2
+    pt, c = to_mpf(p) ** t, to_mpf((1 - p) * p ** (t - 1))
+
+    def g(eps):
+        return pt * (1 - mpmath.power(eps / t, v)) + c * eps
+
+    return g, pt, c, v
+
+
+def _condition_ternary(mu_p: Fraction, eps_r: Fraction, g):
+    """The ternary search of `_condition_beats_mu`, unscreened."""
+    lo, hi = to_mpf(eps_r) * mpmath.mpf("1e-9"), to_mpf(eps_r)
+    for _ in range(200):
+        m1 = lo + (hi - lo) / 3
+        m2 = hi - (hi - lo) / 3
+        if g(m1) < g(m2):
+            hi = m2
+        else:
+            lo = m1
+    eps_star = (lo + hi) / 2
+    margin = to_mpf(mu_p) - g(eps_star)
+    if (margin > mpmath.mpf(_CONDITION_MARGIN)
+            and eps_star < to_mpf(eps_r) * (1 - mpmath.mpf("1e-9"))):
+        return mpmath.nstr(eps_star, 18)
+    return None
 
 
 def _condition_beats_mu(mu_p: Fraction, p: Fraction, t: int,
@@ -940,26 +1027,28 @@ def _condition_beats_mu(mu_p: Fraction, p: Fraction, t: int,
     and an eps is reported only when mu_p exceeds g there by more than a
     fixed float margin of 1e-11 and it lies below eps_r by a relative
     1e-9.  No exact recheck follows.
+
+    Everything runs at the working precision `default_dps()`.  A closed-form
+    screen comes first: g is stationary at eps* = t (c t / (p^t v))^{1/(v-1)}
+    (c = (1-p) p^{t-1}, v = log_p(1-p)), and no point of the search interval
+    [eps_r 1e-9, eps_r] has g below g at the clamped eps*.  So when
+    mu_p - g(eps*) is below the margin minus a slack, the search cannot
+    clear the margin and is skipped.  Every term of mu_p and g is at most 2
+    in absolute value for eps <= eps_r (c eps_r is the residual), so the
+    rounding error of either side is far below the slack 10^(4 - dps).
+    When the screen passes, the unchanged search runs, so a reported eps
+    string does not depend on the screen.
     """
-    v = log_base(1 - p, p)  # in (0,1) for p < 1/2
-
-    def g(eps):
-        return (to_mpf(p) ** t * (1 - mpmath.power(eps / t, v))
-                + to_mpf((1 - p) * p ** (t - 1)) * eps)
-
-    lo, hi = to_mpf(eps_r) * mpmath.mpf("1e-9"), to_mpf(eps_r)
-    for _ in range(200):
-        m1 = lo + (hi - lo) / 3
-        m2 = hi - (hi - lo) / 3
-        if g(m1) < g(m2):
-            hi = m2
-        else:
-            lo = m1
-    eps_star = (lo + hi) / 2
-    margin = to_mpf(mu_p) - g(eps_star)
-    if margin > mpmath.mpf("1e-11") and eps_star < to_mpf(eps_r) * (1 - mpmath.mpf("1e-9")):
-        return mpmath.nstr(eps_star, 18)
-    return None
+    dps = default_dps()
+    with mpmath.workdps(dps):
+        g, pt, c, v = _condition_curve(p, t)
+        lo, hi = to_mpf(eps_r) * mpmath.mpf("1e-9"), to_mpf(eps_r)
+        eps_min = t * mpmath.power(c * t / (pt * v), 1 / (v - 1))
+        eps_min = min(max(eps_min, lo), hi)
+        slack = mpmath.mpf(10) ** (4 - dps)
+        if to_mpf(mu_p) - g(eps_min) <= mpmath.mpf(_CONDITION_MARGIN) - slack:
+            return None
+        return _condition_ternary(mu_p, eps_r, g)
 
 
 def _scan_wilson_sharp(ranges: dict, budget) -> ScanReport:

@@ -4,12 +4,15 @@ structure primitive against a member-scan oracle, and pinned sweep outputs."""
 import hashlib
 import itertools
 import json
+import random
 from fractions import Fraction as F
 
 import pytest
 
 from ekrlab import SetFamily, influence, mu_polynomial, subcube_distance
-from ekrlab.bitops import coord_zero_mask, cube_mask, mask_of, size_class_masks
+from ekrlab._kernels import _pure
+from ekrlab.bitops import (coord_zero_mask, cube_mask, iter_bit_indices,
+                           iter_members, mask_of, size_class_masks)
 from ekrlab.cli import main
 from ekrlab.families import EdgeGround
 from ekrlab.verify import (_canonical_or_residual, _canonical_residual,
@@ -42,6 +45,25 @@ def test_cube_mask_matches_definition():
                 want = sum(1 << x for x in range(1 << n)
                            if x & contains == contains and not x & misses)
                 assert cube_mask(n, contains, misses) == want
+
+
+def test_member_walk_matches_bit_iterator():
+    # the nonzero-byte walk against the one-member-at-a-time iterator, on
+    # seeded sparse families where the latter's cost shows
+    rng = random.Random(1824)
+    for n, size in ((18, 400), (20, 200), (22, 120), (24, 60)):
+        members = rng.sample(range(1 << n), size)
+        bits = sum(1 << x for x in members)
+        walked = list(iter_members(bits, n))
+        assert walked == list(iter_bit_indices(bits)) == sorted(members)
+        assert list(SetFamily(n, bits)) == walked
+        w = [0] * (n + 1)
+        for x in members:
+            w[bin(x).count("1")] += 1
+        assert _pure.weight_counts(bits, n) == w
+    for n in range(4):
+        for bits in (0, (1 << (1 << n)) - 1, 1 << ((1 << n) - 1)):
+            assert list(iter_members(bits, n)) == list(iter_bit_indices(bits))
 
 
 # -- integer coefficients ----------------------------------------------------------

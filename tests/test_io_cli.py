@@ -344,8 +344,29 @@ def test_cli_missing_theorem_parameter_named(capsys):
     ("WilsonSharp", "[9, 3, 1, 3]", "JSON object"),
     ("TIntersectingSharp", '{"t":1,"n":"4","ps":["1/4"]}', "'n'"),
     ("EMCStability", '{"n":10,"k":3,"s":2,"d":true}', "'d'"),
+    ("TIntersectingSharp", '{"t":0,"n":3,"ps":["1/4"]}', "'t'"),
+    ("TIntersectingSharp", '{"t":-1,"n":3,"ps":["1/4"]}', "'t'"),
 ])
 def test_cli_bad_range_key_named(capsys, conj, ranges, key):
     err = _usage_error(capsys, "conjecture-scan", "--conjecture", conj,
                        "--ranges", ranges)
     assert conj in err and key in err
+
+
+@pytest.mark.parametrize("ps", [
+    '[0.25]', '["0.25"]', '"1/4"', '["1/0"]', '[1]', '["1/x"]', '["1/2"]',
+    '{"p":"1/4"}',
+])
+def test_cli_scan_biases_are_exact_rationals(capsys, ps):
+    err = _usage_error(capsys, "conjecture-scan", "--conjecture",
+                       "TIntersectingSharp", "--ranges",
+                       '{"t":1,"n":3,"ps":' + ps + "}")
+    assert "TIntersectingSharp" in err and "'ps'" in err
+
+
+def test_cli_scan_reads_exact_biases(capsys):
+    code, out = run_cli(capsys, "conjecture-scan", "--conjecture",
+                        "TIntersectingSharp", "--ranges",
+                        '{"t":1,"n":3,"ps":["1/4"," 2/7"]}')
+    assert code == 0
+    assert json.loads(out)["report"]["families_examined"] == 12
