@@ -100,6 +100,20 @@ def coord_zero_mask(n: int, i: int) -> int:
     return m
 
 
+@lru_cache(maxsize=None)
+def _coord_shifts(n: int) -> tuple:
+    return tuple((1 << i, coord_zero_mask(n, i)) for i in range(n))
+
+
+def minimal_bits(bits: int, n: int) -> int:
+    """The members of a 2**n-bit family that are no member plus one
+    element; for an increasing family these are its minimal members."""
+    non_minimal = 0
+    for d, zero in _coord_shifts(n):
+        non_minimal |= (bits & zero) << d
+    return bits & ~non_minimal
+
+
 def cube_mask(n: int, contains: int = 0, misses: int = 0) -> int:
     """Bit x set iff subset x contains the mask `contains` and misses the
     mask `misses`."""

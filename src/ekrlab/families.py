@@ -13,7 +13,8 @@ from dataclasses import dataclass
 
 from . import _kernels
 from .bitops import (coord_zero_mask, elements_of, full_family_mask,
-                     iter_members, mask_of, popcount, reverse_bits)
+                     iter_members, mask_of, minimal_bits, popcount,
+                     reverse_bits)
 
 MAX_DENSE_N = 30
 
@@ -256,11 +257,7 @@ class SetFamily:
 
     def minimal_members(self) -> "SetFamily":
         """Members none of whose proper subsets are members."""
-        n, bits = self.n, self.bits
-        non_minimal = 0
-        for i in range(n):
-            non_minimal |= (bits & coord_zero_mask(n, i)) << (1 << i)
-        return self._replace(bits & ~non_minimal)
+        return self._replace(minimal_bits(self.bits, self.n))
 
     def is_subcube(self) -> bool:
         """True iff the members are exactly a subcube {x : x_i = c_i for i in T}."""

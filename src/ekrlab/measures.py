@@ -94,7 +94,7 @@ class MeasurePolynomial:
         return "MeasurePolynomial(" + " + ".join(terms) + ")"
 
 
-def _powers(n: int, p: Fraction) -> tuple[list[int], int]:
+def power_table(n: int, p: Fraction) -> tuple[list[int], int]:
     """(pw, den) with pw[j] = a**j (b-a)**(n-j) and den = b**n at p = a/b:
     a size-j point has measure pw[j] / den."""
     a, b = p.numerator, p.denominator
@@ -102,15 +102,10 @@ def _powers(n: int, p: Fraction) -> tuple[list[int], int]:
     return [a**j * c ** (n - j) for j in range(n + 1)], b**n
 
 
-def _dot(weights, pw: list[int]) -> int:
+def dot(weights, pw: list[int]) -> int:
+    """sum_j weights[j] pw[j]: with (pw, den) from `power_table`, a family
+    with weight vector w has mu_p = dot(w, pw) / den."""
     return sum(w * x for w, x in zip(weights, pw) if w)
-
-
-def power_table(n: int, p) -> tuple[list[int], int]:
-    """(pw, den) at p = a/b, built once for callers that weigh many families
-    at one bias: a family with weight vector w has mu_p = sum_j w[j] pw[j]
-    over den."""
-    return _powers(n, Fraction(p))
 
 
 def _cube_counter(fam, pw: list[int]):
@@ -124,7 +119,7 @@ def _cube_counter(fam, pw: list[int]):
     if isinstance(fam, SetFamily) and n <= _CUBE_DENSE_N:
         def num(contains=0, misses=0):
             inside = fam.bits & cube_mask(n, contains, misses)
-            return _dot(_kernels.weight_counts(inside, n), pw)
+            return dot(_kernels.weight_counts(inside, n), pw)
     else:
         pairs = [(m, pw[popcount(m)]) for m in fam]
 
@@ -138,7 +133,7 @@ def cube_measure(fam: SetFamily, p, contains: int = 0, misses: int = 0
                  ) -> Fraction:
     """mu_p of the members containing every coordinate of the mask
     `contains` and none of the mask `misses`."""
-    pw, den = _powers(fam.n, Fraction(p))
+    pw, den = power_table(fam.n, Fraction(p))
     return Fraction(_cube_counter(fam, pw)(contains, misses), den)
 
 
@@ -149,7 +144,8 @@ def nearest_cube(fam, candidates, p=None, misses: bool = False):
     or counted when p is None.  Candidates come in lexicographic order of
     key, so ties go to the least key.  `fam` is a SetFamily or a
     UniformFamily."""
-    pw, den = ([1] * (fam.n + 1), 1) if p is None else _powers(fam.n, Fraction(p))
+    pw, den = (([1] * (fam.n + 1), 1) if p is None
+               else power_table(fam.n, Fraction(p)))
     num = _cube_counter(fam, pw)
     total = 0 if misses else num()
     best = None
@@ -183,12 +179,12 @@ class InfluenceVector:
         return MeasurePolynomial.from_weights(self.n, self.total_weights)
 
     def at(self, p) -> list[Fraction]:
-        pw, den = _powers(self.n, Fraction(p))
-        return [Fraction(_dot(w, pw), den) for w in self.pivots]
+        pw, den = power_table(self.n, Fraction(p))
+        return [Fraction(dot(w, pw), den) for w in self.pivots]
 
     def total_at(self, p) -> Fraction:
-        pw, den = _powers(self.n, Fraction(p))
-        return Fraction(_dot(self.total_weights, pw), den)
+        pw, den = power_table(self.n, Fraction(p))
+        return Fraction(dot(self.total_weights, pw), den)
 
 
 def _check_p_open(p: Fraction):
@@ -198,7 +194,7 @@ def _check_p_open(p: Fraction):
 
 def point_measures(n: int, p: Fraction) -> list[Fraction]:
     """mu_p of a single subset, by size: [p**j (1-p)**(n-j) for j in 0..n]."""
-    pw, den = _powers(n, Fraction(p))
+    pw, den = power_table(n, Fraction(p))
     return [Fraction(x, den) for x in pw]
 
 
@@ -207,8 +203,8 @@ def mu(fam: SetFamily, p) -> Fraction:
     p = Fraction(p)
     if not 0 <= p <= 1:
         raise ValueError(f"p must lie in [0, 1], got {p}")
-    pw, den = _powers(fam.n, p)
-    return Fraction(_dot(fam.weight_vector(), pw), den)
+    pw, den = power_table(fam.n, p)
+    return Fraction(dot(fam.weight_vector(), pw), den)
 
 
 def mu_polynomial(fam: SetFamily) -> MeasurePolynomial:
@@ -306,7 +302,7 @@ def iso_table(n: int, masks, ps) -> list[list[tuple]]:
     working precision, or both None when mu is 0 or 1.  ln p is taken once
     per bias."""
     ps = [Fraction(p) for p in ps]
-    tables = [_powers(n, p) for p in ps]
+    tables = [power_table(n, p) for p in ps]
     out = []
     with mpmath.workdps(default_dps()):
         reals = [(to_mpf(p), mpmath.log(to_mpf(p))) for p in ps]
@@ -315,8 +311,8 @@ def iso_table(n: int, masks, ps) -> list[list[tuple]]:
             tot = [sum(col) for col in zip(*piv)]
             rows = []
             for (pw, den), (p_real, log_p) in zip(tables, reals):
-                m = Fraction(_dot(w, pw), den)
-                ip = Fraction(_dot(tot, pw), den)
+                m = Fraction(dot(w, pw), den)
+                ip = Fraction(dot(tot, pw), den)
                 if m == 0 or m == 1:
                     rows.append((m, ip, None, None))
                     continue
@@ -539,7 +535,7 @@ def subcube_distance(fam: SetFamily, p, t_max: int | None = None
     n = fam.n
     if t_max is None and n > 20:
         raise ValueError("exhaustive subcube scan capped at n=20; pass t_max")
-    pw, den = _powers(n, p)
+    pw, den = power_table(n, p)
     a, b = p.numerator, p.denominator
     num = _cube_counter(fam, pw)
     mu_f_num = num()

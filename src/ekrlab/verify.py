@@ -16,12 +16,12 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import _kernels
-from .bitops import (coord_zero_mask, elements_of, iter_bit_indices, mask_of,
+from .bitops import (elements_of, iter_bit_indices, mask_of, minimal_bits,
                      popcount, subset_masks)
 from .families import (EdgeGround, SetFamily, UniformFamily,
                        is_t_intersecting, is_triangle_intersecting,
                        matching_number)
-from .measures import cube_measure, mu, nearest_cube, power_table
+from .measures import cube_measure, dot, mu, nearest_cube, power_table
 from .numerics import (check_eq, check_le, default_dps, load_real_layer,
                        log_base, mpmath, parse_rational, to_mpf)
 from .report import HOLDS, UNRESOLVED, VerdictReport, fmt
@@ -866,23 +866,21 @@ def _t_intersecting_test(n: int, t: int):
     """
     far = [sum(1 << x for x in range(1 << n) if popcount(a & x) < t)
            for a in range(1 << n)]
-    zero = [(1 << i, coord_zero_mask(n, i)) for i in range(n)]
 
     def test(bits: int) -> bool:
-        non_minimal = 0
-        for d, zm in zero:
-            non_minimal |= (bits & zm) << d
         return not any(bits & far[a]
-                       for a in iter_bit_indices(bits & ~non_minimal))
+                       for a in iter_bit_indices(minimal_bits(bits, n)))
 
     return test
 
 
-def _scan_t_intersecting_masks(n: int, t: int, ps, masks,
+def _scan_t_intersecting_masks(n: int, t: int, ps, dps: int, masks,
                                budget: int | None = None) -> tuple:
     """(examined, candidates, complete) over the increasing families
     `masks` (2**n-bit), in order; the scan stops incomplete when a family
-    comes up with `budget` t-intersecting families already examined.
+    comes up with `budget` t-intersecting families already examined.  The
+    real layer runs at `dps` digits, passed in because a pool worker that
+    was not forked does not inherit the session precision.
 
     The t-intersection test runs on the mask (`_t_intersecting_test`).
     Each t-intersecting family's weight vector w is counted once; at p = a/b
@@ -906,24 +904,25 @@ def _scan_t_intersecting_masks(n: int, t: int, ps, masks,
         w = _kernels.weight_counts(bits, n)
         fam = None
         for p, pw, den, thr_num, thr_den in biases:
-            num = sum(c * x for c, x in zip(w, pw))
+            num = dot(w, pw)
             if num * thr_den <= thr_num:
                 continue
             if fam is None:
                 fam = SetFamily(n, bits)
-            cand = _examine_t_intersecting(fam, t, p, Fraction(num, den))
+            cand = _examine_t_intersecting(fam, t, p, Fraction(num, den),
+                                           dps)
             if cand is not None:
                 candidates.append(cand)
     return examined, candidates, True
 
 
 def _examine_t_intersecting(fam: SetFamily, t: int, p: Fraction,
-                            mu_p: Fraction):
+                            mu_p: Fraction, dps: int):
     _, residual = nearest_umvirate(fam, t, p)
     if residual == 0:
         return None
     eps_r = residual / ((1 - p) * p ** (t - 1))
-    viol = _condition_beats_mu(mu_p, p, t, eps_r)
+    viol = _condition_beats_mu(mu_p, p, t, eps_r, dps)
     if viol is None:
         return None
     return {"family": [list(s) for s in fam.member_sets()],
@@ -942,10 +941,10 @@ def _scan_t_intersecting_sharp(ranges: dict, budget, threads: int = 1) -> ScanRe
     masks and on integers: a mask test for t-intersection, then one exact
     integer comparison of mu_p with the threshold measure (see
     `_scan_t_intersecting_masks`).  Only the families above the threshold
-    reach the real layer, where `_condition_beats_mu` minimizes the convex
-    condition curve at the working precision and a violation is reported
-    when it clears that function's float margin.  The biases "ps" are exact
-    "num/den" strings.
+    reach the real layer, where `_condition_beats_mu` takes the minimum of
+    the convex condition curve in closed form at the working precision and
+    reports a violation when it clears that function's float margin.  The
+    biases "ps" are exact "num/den" strings.
     """
     t, n, ps = _range_values("TIntersectingSharp", ranges, "t", "n", "ps")
     if t < 1:
@@ -966,9 +965,9 @@ def _scan_t_intersecting_sharp(ranges: dict, budget, threads: int = 1) -> ScanRe
 
         masks = [int(b) for b in masks]
         step = max(64, len(masks) // (threads * 8) + 1)
-        chunks = [(n, t, ps, masks[i:i + step])
+        chunks = [(n, t, ps, default_dps(), masks[i:i + step])
                   for i in range(0, len(masks), step)]
-        load_real_layer()  # once here, not once per worker
+        load_real_layer()  # once here; forked workers inherit it
         with multiprocessing.Pool(threads) as pool:
             results = pool.starmap(_scan_t_intersecting_masks, chunks)
         examined = sum(exd for exd, _, _ in results)
@@ -976,79 +975,36 @@ def _scan_t_intersecting_sharp(ranges: dict, budget, threads: int = 1) -> ScanRe
         complete = True
     else:
         examined, candidates, complete = _scan_t_intersecting_masks(
-            n, t, ps, (int(b) for b in masks), budget)
+            n, t, ps, default_dps(), (int(b) for b in masks), budget)
     if not complete:
         notes.append("budget exhausted; scan incomplete")
     return ScanReport("TIntersectingSharp", ranges, examined, candidates,
                       complete, notes)
 
 
-#: how far mu_p must clear the condition curve for a violation
-_CONDITION_MARGIN = "1e-11"
-
-
-def _condition_curve(p: Fraction, t: int):
-    """(g, pt, c, v) for the condition curve g(eps) = pt (1 - (eps/t)^v)
-    + c eps, with pt = p^t, c = (1-p) p^{t-1} and v = log_p(1-p), in mpmath
-    at the current precision."""
-    v = log_base(1 - p, p)  # in (0,1) for p < 1/2
-    pt, c = to_mpf(p) ** t, to_mpf((1 - p) * p ** (t - 1))
-
-    def g(eps):
-        return pt * (1 - mpmath.power(eps / t, v)) + c * eps
-
-    return g, pt, c, v
-
-
-def _condition_ternary(mu_p: Fraction, eps_r: Fraction, g):
-    """The ternary search of `_condition_beats_mu`, unscreened."""
-    lo, hi = to_mpf(eps_r) * mpmath.mpf("1e-9"), to_mpf(eps_r)
-    for _ in range(200):
-        m1 = lo + (hi - lo) / 3
-        m2 = hi - (hi - lo) / 3
-        if g(m1) < g(m2):
-            hi = m2
-        else:
-            lo = m1
-    eps_star = (lo + hi) / 2
-    margin = to_mpf(mu_p) - g(eps_star)
-    if (margin > mpmath.mpf(_CONDITION_MARGIN)
-            and eps_star < to_mpf(eps_r) * (1 - mpmath.mpf("1e-9"))):
-        return mpmath.nstr(eps_star, 18)
-    return None
-
-
 def _condition_beats_mu(mu_p: Fraction, p: Fraction, t: int,
-                        eps_r: Fraction):
+                        eps_r: Fraction, dps: int):
     """Return an eps < eps_r where the sharp condition holds, if any.
 
-    g(eps) = p^t (1 - (eps/t)^{log_p(1-p)}) + (1-p) p^{t-1} eps is convex;
-    its minimum over (0, eps_r) is located by a ternary search in mpmath,
-    and an eps is reported only when mu_p exceeds g there by more than a
-    fixed float margin of 1e-11 and it lies below eps_r by a relative
-    1e-9.  No exact recheck follows.
-
-    Everything runs at the working precision `default_dps()`.  A closed-form
-    screen comes first: g is stationary at eps* = t (c t / (p^t v))^{1/(v-1)}
-    (c = (1-p) p^{t-1}, v = log_p(1-p)), and no point of the search interval
-    [eps_r 1e-9, eps_r] has g below g at the clamped eps*.  So when
-    mu_p - g(eps*) is below the margin minus a slack, the search cannot
-    clear the margin and is skipped.  Every term of mu_p and g is at most 2
-    in absolute value for eps <= eps_r (c eps_r is the residual), so the
-    rounding error of either side is far below the slack 10^(4 - dps).
-    When the screen passes, the unchanged search runs, so a reported eps
-    string does not depend on the screen.
+    g(eps) = p^t (1 - (eps/t)^v) + c eps, with c = (1-p) p^{t-1} and
+    v = log_p(1-p) in (0,1), is convex, and g' vanishes at
+    eps* = t (c t / (p^t v))^{1/(v-1)}; clamped to [eps_r 1e-9, eps_r],
+    eps* minimizes g there.  It is reported when mu_p exceeds g(eps*) by
+    more than a fixed float margin of 1e-11 and it lies below eps_r by a
+    relative 1e-9.  Everything runs in mpmath at `dps` digits.  No exact
+    recheck follows.
     """
-    dps = default_dps()
     with mpmath.workdps(dps):
-        g, pt, c, v = _condition_curve(p, t)
-        lo, hi = to_mpf(eps_r) * mpmath.mpf("1e-9"), to_mpf(eps_r)
-        eps_min = t * mpmath.power(c * t / (pt * v), 1 / (v - 1))
-        eps_min = min(max(eps_min, lo), hi)
-        slack = mpmath.mpf(10) ** (4 - dps)
-        if to_mpf(mu_p) - g(eps_min) <= mpmath.mpf(_CONDITION_MARGIN) - slack:
-            return None
-        return _condition_ternary(mu_p, eps_r, g)
+        v = log_base(1 - p, p)
+        pt, c = to_mpf(p) ** t, to_mpf((1 - p) * p ** (t - 1))
+        hi = to_mpf(eps_r)
+        eps = t * mpmath.power(c * t / (pt * v), 1 / (v - 1))
+        eps = min(max(eps, hi * mpmath.mpf("1e-9")), hi)
+        margin = to_mpf(mu_p) - pt * (1 - mpmath.power(eps / t, v)) - c * eps
+        if (margin > mpmath.mpf("1e-11")
+                and eps < hi * (1 - mpmath.mpf("1e-9"))):
+            return mpmath.nstr(eps, 18)
+    return None
 
 
 def _scan_wilson_sharp(ranges: dict, budget) -> ScanReport:

@@ -28,6 +28,17 @@ print(json.dumps({"code": code, "modules": sorted(sys.modules)}))
 """
 
 
+#: runs `cli.main` on the JSON argv in sys.argv[2] with pool workers started
+#: by the method in sys.argv[1]; printed as `cli.main` prints
+START_METHOD = """
+import json, multiprocessing, sys
+from ekrlab import cli
+if __name__ == "__main__":
+    multiprocessing.set_start_method(sys.argv[1])
+    sys.exit(cli.main(json.loads(sys.argv[2])))
+"""
+
+
 def _run(*argv) -> subprocess.CompletedProcess:
     env = {k: v for k, v in os.environ.items() if not k.startswith("EKRLAB_")}
     env["PYTHONPATH"] = os.pathsep.join(
@@ -95,3 +106,20 @@ def test_pool_from_cold_start_matches_one_process(argv):
     assert json.loads(seq.stdout)["header"]["inputs"]["threads"] == "1"
     # byte-identical apart from the echoed --threads input
     assert seq.stdout.replace('"threads": "1"', '"threads": "2"') == par.stdout
+
+
+def test_spawned_workers_keep_the_precision():
+    # spawned workers inherit neither mpmath nor --precision from the
+    # parent; the report must not depend on that
+    argv = ["conjecture-scan", "--conjecture", "TIntersectingSharp",
+            "--ranges", '{"t": 1, "n": 4, "ps": ["1/4", "1/3"]}']
+    out = {}
+    for threads in ("1", "2"):
+        proc = _run("-c", START_METHOD, "spawn",
+                    json.dumps(["--precision", "50", "--threads", threads,
+                                *argv]))
+        assert proc.returncode == 0
+        out[threads] = json.loads(proc.stdout)
+        assert out[threads]["header"]["precision_dps"] == 50
+        out[threads]["header"]["inputs"].pop("threads")
+    assert out["1"] == out["2"]

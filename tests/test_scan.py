@@ -1,6 +1,6 @@
 """The TIntersectingSharp scan on masks and integers: the mask test for
-t-intersection, the closed-form screen before the ternary search, the
-working precision, and pinned reports."""
+t-intersection, the minimum of the condition curve in closed form against a
+ternary search, the working precision, and pinned reports."""
 
 import hashlib
 import json
@@ -10,8 +10,8 @@ from fractions import Fraction as F
 import pytest
 
 from ekrlab import (SetFamily, conjecture_scan, enumerate_monotone_masks,
-                    is_t_intersecting, numerics, verify)
-from ekrlab.numerics import default_dps, mpmath, to_mpf
+                    is_t_intersecting, verify)
+from ekrlab.numerics import default_dps, log_base, mpmath, to_mpf
 
 
 # -- t-intersection on the mask ------------------------------------------------
@@ -45,21 +45,28 @@ def test_mask_test_matches_is_t_intersecting_sampled_n6():
         assert 0 < hits < len(sample)
 
 
-# -- the closed-form screen ----------------------------------------------------
+# -- the condition curve in closed form ----------------------------------------
 
 
-def _g_min(p, t, eps_r):
-    """mu_p at g's minimum over the search interval, from the ternary search
-    itself (an mpf at the working precision)."""
-    g = verify._condition_curve(p, t)[0]
+def _ternary(p, t, eps_r, steps=200):
+    """(eps, g(eps)) at the end of a ternary search for the minimum of the
+    condition curve over [eps_r 1e-9, eps_r], at the current precision: the
+    reference the closed form is checked against."""
+    v = log_base(1 - p, p)
+    pt, c = to_mpf(p) ** t, to_mpf((1 - p) * p ** (t - 1))
+
+    def g(eps):
+        return pt * (1 - mpmath.power(eps / t, v)) + c * eps
+
     lo, hi = to_mpf(eps_r) * mpmath.mpf("1e-9"), to_mpf(eps_r)
-    for _ in range(200):
+    for _ in range(steps):
         m1, m2 = lo + (hi - lo) / 3, hi - (hi - lo) / 3
         if g(m1) < g(m2):
             hi = m2
         else:
             lo = m1
-    return g((lo + hi) / 2)
+    eps = (lo + hi) / 2
+    return eps, g(eps)
 
 
 def _as_fraction(x) -> F:
@@ -67,40 +74,41 @@ def _as_fraction(x) -> F:
     return F(man) * F(2) ** exp
 
 
+EPS_RS = (F(1, 1000), F(1, 10), F(1, 2), F(3, 1), F(40, 1))
+
+
 @pytest.mark.parametrize("p", [F(1, 97), F(2, 101), F(1, 10), F(1, 5), F(19, 113)])
 @pytest.mark.parametrize("t", [1, 2, 3])
-def test_screen_returns_what_the_ternary_search_returns(p, t):
-    if not p < F(1, t + 1):
-        pytest.skip("outside the scan's bias range")
+def test_closed_form_decides_as_the_ternary_search(p, t):
+    dps = default_dps()
     reported = 0
-    with mpmath.workdps(default_dps()):
-        g = verify._condition_curve(p, t)[0]
-        for eps_r in (F(1, 1000), F(1, 10), F(1, 2), F(3, 1), F(40, 1)):
-            base = _g_min(p, t, eps_r)
+    with mpmath.workdps(dps):
+        for eps_r in EPS_RS:
+            eps_t, g_t = _ternary(p, t, eps_r)
+            beats = eps_t < to_mpf(eps_r) * (1 - mpmath.mpf("1e-9"))
             for lift in (0, F(1, 10**6)):
-                mu_p = _as_fraction(base) + lift
-                screened = verify._condition_beats_mu(mu_p, p, t, eps_r)
-                plain = verify._condition_ternary(mu_p, eps_r, g)
-                assert screened == plain
-                if lift == 0:
-                    assert screened is None
-                reported += screened is not None
+                mu_p = _as_fraction(g_t) + lift
+                got = verify._condition_beats_mu(mu_p, p, t, eps_r, dps)
+                assert (got is not None) == (beats and lift > 0)
+                if got is not None:
+                    # the search pins eps down to about the square root of
+                    # the working precision, where g is flat
+                    assert abs(mpmath.mpf(got) - eps_t) <= 1e-13 * eps_r
+                    reported += 1
     assert reported > 0  # the reporting path ran
 
 
-def test_condition_runs_at_the_working_precision(monkeypatch):
-    seen = []
-
-    def ternary(mu_p, eps_r, g):
-        seen.append(mpmath.mp.dps)
-
-    monkeypatch.setattr(verify, "_condition_ternary", ternary)
-    try:
-        numerics.set_defaults(dps=50)
-        verify._condition_beats_mu(F(1), F(1, 5), 1, F(1, 2))
-    finally:
-        numerics.set_defaults()
-    assert seen == [50]
+@pytest.mark.parametrize("t", [1, 2])
+def test_condition_runs_at_the_given_precision(t):
+    # a search at 80 digits fixes the minimizer to far more than the 18
+    # reported digits; the session precision stays at its default
+    p, eps_r = F(1, 7), F(1, 2)
+    with mpmath.workdps(80):
+        eps_ref, g_ref = _ternary(p, t, eps_r, steps=300)
+        expect = mpmath.nstr(eps_ref, 18)
+    mu_p = _as_fraction(g_ref) + F(1, 10**6)
+    assert verify._condition_beats_mu(mu_p, p, t, eps_r, 50) == expect
+    assert verify._condition_beats_mu(mu_p, p, t, eps_r, 15) != expect
 
 
 # -- pinned reports ------------------------------------------------------------
@@ -128,23 +136,3 @@ def test_scan_report_pinned(threads, t, n, ps, examined, digest):
     assert d["families_examined"] == examined and d["candidates"] == []
     text = json.dumps(d, sort_keys=True, indent=2)
     assert hashlib.sha256(text.encode()).hexdigest() == digest
-
-
-def test_scan_budget_report_pinned():
-    rep = conjecture_scan("TIntersectingSharp",
-                          {"t": 1, "n": 4, "ps": ["1/4"]}, budget=5)
-    assert rep.to_dict() == {
-        "conjecture": "TIntersectingSharp",
-        "ranges": {"n": "4", "ps": "['1/4']", "t": "1"},
-        "families_examined": 5,
-        "candidates": [],
-        "complete": False,
-        "notes": [
-            "range: all increasing t-intersecting families on [n]",
-            "up-closure preserves counterexamples, so this covers all families",
-            "hypothesis taken strictly (> the threshold measure): the "
-            "threshold family itself achieves equality and is the sharpness "
-            "example, exactly as in the proven t=1 form",
-            "budget exhausted; scan incomplete",
-        ],
-    }

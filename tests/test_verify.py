@@ -288,6 +288,21 @@ def test_conjecture_scan_budget():
     rep = conjecture_scan("TIntersectingSharp",
                           {"t": 1, "n": 4, "ps": ["1/4"]}, budget=5)
     assert not rep.complete
+    assert rep.to_dict() == {
+        "conjecture": "TIntersectingSharp",
+        "ranges": {"n": "4", "ps": "['1/4']", "t": "1"},
+        "families_examined": 5,
+        "candidates": [],
+        "complete": False,
+        "notes": [
+            "range: all increasing t-intersecting families on [n]",
+            "up-closure preserves counterexamples, so this covers all families",
+            "hypothesis taken strictly (> the threshold measure): the "
+            "threshold family itself achieves equality and is the sharpness "
+            "example, exactly as in the proven t=1 form",
+            "budget exhausted; scan incomplete",
+        ],
+    }
     with pytest.raises(ValueError):
         conjecture_scan("NoSuchConjecture", {})
 
