@@ -11,6 +11,13 @@ successors of each set under shifting, and a ready mask of the sets whose
 shift images are all included.  Both walks jump over sets outside the ready
 mask and count them as forced exclusions in bulk; every counter matches a
 walk that visits one set per node, which is how the compiled kernel walks.
+
+In match mode (matching number at most s) both walks also keep a blocked
+mask: a set is blocked when the included sets disjoint from it already hold
+s pairwise disjoint ones, so the include test is one bit.  An include adds
+to it (`_block`) and a backtrack restores it from a stack.  Blocked sets
+stay blocked below their node, which gives the predicate-family walk the
+bound behind its size floor.
 """
 
 from __future__ import annotations
@@ -110,18 +117,43 @@ def _walk_tables(masks, preds_masks, mode: str, param: int, shifted: bool,
     return rel, succ, succ_mask, ready
 
 
-def _has_disjoint(free: int, need: int, disjoint) -> bool:
-    """True iff the sets in index mask `free` include `need` pairwise
-    disjoint ones (disjoint[j]: the sets disjoint from set j)."""
-    if need <= 1:
-        return need <= 0 or free != 0
-    while popcount(free) >= need:
+def _cover(free: int, m: int, disjoint, target: int) -> int:
+    """The sets in index mask `target` that are disjoint from every member
+    of some m pairwise disjoint sets in `free` (all of `target` when m is
+    0); disjoint[j] is the mask of the sets disjoint from set j.  Each
+    matching is reached once, lowest index first, and the walk stops once
+    every target set is covered."""
+    if m <= 0:
+        return target
+    out = 0
+    while free and target & ~out:
         low = free & -free
         free ^= low
-        if _has_disjoint(free & disjoint[low.bit_length() - 1], need - 1,
-                         disjoint):
-            return True
-    return False
+        j = low.bit_length() - 1
+        new = target & disjoint[j] & ~out
+        if new:
+            out |= _cover(free & disjoint[j], m - 1, disjoint, new)
+    return out
+
+
+def _no_blocked(mode: str, param: int) -> int:
+    """The blocked mask of the empty family: no set, except that in match
+    mode with s < 1 every set is (the empty matching is already there)."""
+    return -1 if mode == "match" and param < 1 else 0
+
+
+def _block(blocked: int, c: int, included: int, s: int, disjoint) -> int:
+    """The blocked mask after set c joins the sets in `included`.
+
+    A set x is blocked when the included sets disjoint from it hold s
+    pairwise disjoint ones, so that x would complete an (s+1)-matching.
+    Including c blocks the x disjoint from c that are also disjoint from
+    every member of an (s-1)-matching among the included sets disjoint
+    from c.  Only sets after c are updated: the walks never ask about an
+    earlier one below this include.
+    """
+    target = disjoint[c] & ~blocked & -(2 << c)
+    return blocked | _cover(included & disjoint[c], s - 1, disjoint, target)
 
 
 def _path(i: int, chosen: list[int]) -> list[int]:
@@ -172,6 +204,14 @@ def search_uniform(masks, preds_masks, mode: str, param: int, shifted: bool,
     rel, succ, succ_mask, ready = _walk_tables(masks, preds_masks, mode, param,
                                                shifted, included)
     t_mode = mode == "t"
+    blocked = _no_blocked(mode, param)
+    saved = []  # the blocked mask before each include in `chosen`
+    prefix = 0
+    for c in chosen:
+        saved.append(blocked)
+        if not t_mode:
+            blocked = _block(blocked, c, prefix, param, rel)
+        prefix |= 1 << c
     every = checkpoint_every if checkpoint_cb is not None else 0
     i = len(resume_path)
 
@@ -202,9 +242,11 @@ def search_uniform(masks, preds_masks, mode: str, param: int, shifted: bool,
                 if node_budget is not None and nodes > node_budget:
                     complete = False
                     break
-                if (not included & rel[i] if t_mode
-                        else not _has_disjoint(included & rel[i], param, rel)):
+                if not (included & rel[i] if t_mode else blocked >> i & 1):
                     chosen.append(i)
+                    saved.append(blocked)
+                    if not t_mode:
+                        blocked = _block(blocked, i, included, param, rel)
                     included |= 1 << i
                     for j, bit, pm in succ[i]:
                         if not pm & ~included:
@@ -221,6 +263,7 @@ def search_uniform(masks, preds_masks, mode: str, param: int, shifted: bool,
             break
         c = chosen.pop()
         included ^= 1 << c
+        blocked = saved.pop()
         ready &= ~succ_mask[c]
         i = c + 1
 
@@ -234,49 +277,66 @@ def search_uniform(masks, preds_masks, mode: str, param: int, shifted: bool,
 
 
 def iter_predicate_families(masks, preds_masks, mode: str, param: int,
-                            shifted: bool, node_budget: int | None = None):
-    """Yield every family (tuple of set indices) satisfying the predicate.
+                            shifted: bool, node_budget: int | None = None,
+                            min_size: int = 0):
+    """Yield every family (tuple of set indices) satisfying the predicate
+    with at least `min_size` sets.
 
     Shifted mode restricts to compression-closed families.  Used by the
     conjecture scanners; exhaustive, depth-first, include branch first.
-    The same iterative walk as `search_uniform` without the bound: runs of
+    The same iterative walk as `search_uniform` without its bound: runs of
     shift-forced sets are skipped through the ready mask and counted in
     bulk, so node counts (and the `nodes` of BudgetExceeded) match a walk
     that visits one set per node.
+
+    With a `min_size` floor the walk leaves out every subtree in which the
+    chosen sets and the sets still to come that are not blocked number
+    fewer than `min_size`.  The predicate is hereditary, so a blocked set
+    stays blocked below its node and the bound holds.  The families come
+    in the same order, but nodes count only the subtrees walked.
     """
     n_sets = len(masks)
     rel, succ, succ_mask, ready = _walk_tables(masks, preds_masks, mode, param,
                                                shifted, 0)
     t_mode = mode == "t"
+    open_sets = (1 << n_sets) - 1
     chosen: list[int] = []
+    saved: list[int] = []  # the blocked mask before each include in `chosen`
     included = 0
+    blocked = _no_blocked(mode, param)
     nodes = 0
     i = 0
     while True:
         # sets i..stop-1 are shift-forced exclusions, then a node at stop
         r = ready >> i
         stop = i + (r & -r).bit_length() - 1 if r else n_sets
-        nodes += stop - i + 1
-        if node_budget is not None and nodes > node_budget:
-            raise BudgetExceeded(node_budget + 1)
-        i = stop
-        if i == n_sets:
+        if (not min_size or len(chosen)
+                + popcount((open_sets & ~blocked) >> stop) >= min_size):
+            nodes += stop - i + 1
+            if node_budget is not None and nodes > node_budget:
+                raise BudgetExceeded(node_budget + 1)
+            i = stop
+            if i < n_sets:
+                if not (included & rel[i] if t_mode else blocked >> i & 1):
+                    chosen.append(i)
+                    saved.append(blocked)
+                    if not t_mode:
+                        blocked = _block(blocked, i, included, param, rel)
+                    included |= 1 << i
+                    for j, bit, pm in succ[i]:
+                        if not pm & ~included:
+                            ready |= bit
+                i += 1
+                continue
             yield tuple(chosen)
-            if not chosen:
-                return
-            c = chosen.pop()
-            included ^= 1 << c
-            ready &= ~succ_mask[c]
-            i = c + 1
-        else:
-            if (not included & rel[i] if t_mode
-                    else not _has_disjoint(included & rel[i], param, rel)):
-                chosen.append(i)
-                included |= 1 << i
-                for j, bit, pm in succ[i]:
-                    if not pm & ~included:
-                        ready |= bit
-            i += 1
+        # backtrack: flip the deepest include decision to exclude
+        if not chosen:
+            return
+        c = chosen.pop()
+        included ^= 1 << c
+        blocked = saved.pop()
+        ready &= ~succ_mask[c]
+        i = c + 1
 
 
 class BudgetExceeded(RuntimeError):

@@ -3,8 +3,10 @@
 Every run prints a header echoing the full inputs plus the working precision
 and comparison tolerance, then the result, as sorted-key JSON (or CSV for
 sweeps with --csv).  Exit codes: 0 all checks passed, 1 a verification
-failed, 2 usage error.  Rationals are written "num/den" and only that form
-is accepted for p, eps, tau, delta.
+failed, 2 usage error; the verdict is reached before any output, so a reader
+that closes stdout early (`| head`) changes neither the code nor stderr.
+Rationals are written "num/den" and only that form is accepted for p, eps,
+tau, delta.
 """
 
 from __future__ import annotations
@@ -64,9 +66,9 @@ def _emit(payload: dict) -> None:
 
 
 def _iso_rows_for(task) -> list[tuple]:
-    n, first_fid, masks, ps = task
+    n, first_fid, masks, ps, dps = task
     rows = []
-    for fid, values in enumerate(iso_table(n, masks, ps), first_fid):
+    for fid, values in enumerate(iso_table(n, masks, ps, dps), first_fid):
         for p, (m, ip, slack, log_mu) in zip(ps, values):
             row = (fid, p.numerator, p.denominator, fmt_rational(m),
                    fmt_rational(ip))
@@ -80,10 +82,15 @@ ISO_COLUMNS = ("family_id", "p_num", "p_den", "mu", "total_influence",
 
 
 def iso_sweep(n: int, ps: list[Fraction], threads: int = 1) -> list[tuple]:
-    """Slack rows for every increasing family on [n], canonical order."""
+    """Slack rows for every increasing family on [n], canonical order.
+
+    Each task carries the working precision, because a pool worker that was
+    not forked does not inherit the session's."""
     masks = [int(bits) for bits in enumerate_monotone_masks(n)]
     step = 64 if threads > 1 else len(masks)
-    tasks = [(n, i, masks[i:i + step], ps) for i in range(0, len(masks), step)]
+    dps = numerics.default_dps()
+    tasks = [(n, i, masks[i:i + step], ps, dps)
+             for i in range(0, len(masks), step)]
     if threads > 1:
         import multiprocessing
 
@@ -180,8 +187,7 @@ def _cmd_iso_sweep(args):
     failed = [r for r in rows
               if r[5] != "vacuous" and mpmath.mpf(r[5]) < -tol]
     if args.csv:
-        _print_csv(ISO_COLUMNS, rows)
-        return (1 if failed else 0), None
+        return (1 if failed else 0), (ISO_COLUMNS, rows)
     out = {"header": _header(args, "iso-sweep"),
            "rows": [dict(zip(ISO_COLUMNS, r)) for r in rows],
            "violations": len(failed),
@@ -411,13 +417,21 @@ def main(argv=None) -> int:
     except (ValueError, KeyError, json.JSONDecodeError) as exc:
         print(json.dumps({"error": str(exc)}), file=sys.stderr)
         return 2
-    if payload is not None:
-        _emit(payload)
-        if getattr(args, "out", None) and "family" in payload:
-            from pathlib import Path
+    if getattr(args, "out", None) and "family" in payload:
+        from pathlib import Path
 
-            Path(args.out).write_text(
-                json.dumps(payload["family"], sort_keys=True) + "\n")
+        Path(args.out).write_text(
+            json.dumps(payload["family"], sort_keys=True) + "\n")
+    try:
+        if isinstance(payload, dict):
+            _emit(payload)
+        else:
+            _print_csv(*payload)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader left early (`| head`); the code above is the verdict,
+        # and stdout goes to the null device so the flush at exit is quiet
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
     return code
 
 

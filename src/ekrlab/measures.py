@@ -21,7 +21,7 @@ from . import _kernels
 from .bitops import (coord_zero_mask, cube_mask, elements_of, iter_members,
                      popcount, subset_masks)
 from .families import SetFamily, are_cross_intersecting
-from .numerics import Checked, check_le, default_dps, log_base, mpmath, to_mpf
+from .numerics import Checked, check_le, log_base, mpmath, to_mpf
 from .report import VerdictReport
 
 #: ground size above which influence counting switches to member scans
@@ -296,15 +296,15 @@ def russo_identity(fam: SetFamily) -> bool:
             == MeasurePolynomial.from_weights(fam.n, map(sum, zip(*piv))))
 
 
-def iso_table(n: int, masks, ps) -> list[list[tuple]]:
+def iso_table(n: int, masks, ps, dps: int) -> list[list[tuple]]:
     """Per family (2**n-bit mask on [n]), one row per bias in ps: (mu_p,
-    I_p, slack, log_p mu) with slack = p*I_p - mu*log_p(mu) in mpmath at the
-    working precision, or both None when mu is 0 or 1.  ln p is taken once
-    per bias."""
+    I_p, slack, log_p mu) with slack = p*I_p - mu*log_p(mu) in mpmath at
+    `dps` digits, or both None when mu is 0 or 1.  ln p is taken once per
+    bias."""
     ps = [Fraction(p) for p in ps]
     tables = [power_table(n, p) for p in ps]
     out = []
-    with mpmath.workdps(default_dps()):
+    with mpmath.workdps(dps):
         reals = [(to_mpf(p), mpmath.log(to_mpf(p))) for p in ps]
         for bits in masks:
             w, piv = _kernels.weight_pivot_counts(bits, n)

@@ -295,16 +295,19 @@ def iter_uniform_families(n: int, k: int, predicate: str, t: int = 1,
 
 
 def _index_families(n: int, k: int, predicate: str, t: int, shifted: bool,
-                    budget: int | None):
+                    budget: int | None, min_size: int = 0):
     """(universe, iterator of index tuples into it) for the families
     `iter_uniform_families` yields, so a caller can skip a family by its
-    size before building it."""
+    size before building it; with `min_size`, only the families of at
+    least that many sets, found by a walk that skips the subtrees holding
+    none (its nodes, which the budget counts, are fewer)."""
     universe = lex_universe(n, k)
     preds = (shift_predecessor_masks(n, k, universe)
              if shifted else [0] * len(universe))
     mode, param = _predicate_mode(predicate, t)
     return universe, _kernels.iter_predicate_families(
-        universe, preds, mode, param, shifted, node_budget=budget)
+        universe, preds, mode, param, shifted, node_budget=budget,
+        min_size=min_size)
 
 
 def extremal_under_measure_cap(n: int, p0, t: int, p,

@@ -1,7 +1,7 @@
 """Start-up contract: what `import ekrlab.cli` loads, what a command leaves
-unloaded, and that pool workers forked from a cold start agree with one
-process.  Each check runs in a fresh interpreter, because this one imported
-mpmath long ago."""
+unloaded, and that pool workers, forked from a cold start or spawned, agree
+with one process.  Each check runs in a fresh interpreter, because this one
+imported mpmath long ago."""
 
 import json
 import os
@@ -29,12 +29,16 @@ print(json.dumps({"code": code, "modules": sorted(sys.modules)}))
 
 
 #: runs `cli.main` on the JSON argv in sys.argv[2] with pool workers started
-#: by the method in sys.argv[1]; printed as `cli.main` prints
-START_METHOD = """
+#: by the method in sys.argv[1] (empty: the platform's default), printed as
+#: `cli.main` prints; the TIntersectingSharp scan starts its pool at any
+#: family count, so that the small ranges here run it
+POOLED = """
 import json, multiprocessing, sys
-from ekrlab import cli
+from ekrlab import cli, verify
 if __name__ == "__main__":
-    multiprocessing.set_start_method(sys.argv[1])
+    if sys.argv[1]:
+        multiprocessing.set_start_method(sys.argv[1])
+    verify.POOL_MIN_FAMILIES = 0
     sys.exit(cli.main(json.loads(sys.argv[2])))
 """
 
@@ -101,7 +105,7 @@ def test_real_layer_loads_on_first_use():
 ])
 def test_pool_from_cold_start_matches_one_process(argv):
     seq = _run("-m", "ekrlab.cli", "--threads", "1", *argv)
-    par = _run("-m", "ekrlab.cli", "--threads", "2", *argv)
+    par = _run("-c", POOLED, "", json.dumps(["--threads", "2", *argv]))
     assert seq.returncode == par.returncode == 0
     assert json.loads(seq.stdout)["header"]["inputs"]["threads"] == "1"
     # byte-identical apart from the echoed --threads input
@@ -115,11 +119,26 @@ def test_spawned_workers_keep_the_precision():
             "--ranges", '{"t": 1, "n": 4, "ps": ["1/4", "1/3"]}']
     out = {}
     for threads in ("1", "2"):
-        proc = _run("-c", START_METHOD, "spawn",
+        proc = _run("-c", POOLED, "spawn",
                     json.dumps(["--precision", "50", "--threads", threads,
                                 *argv]))
         assert proc.returncode == 0
         out[threads] = json.loads(proc.stdout)
         assert out[threads]["header"]["precision_dps"] == 50
         out[threads]["header"]["inputs"].pop("threads")
+    assert out["1"] == out["2"]
+
+
+def test_spawned_iso_sweep_workers_keep_the_precision():
+    # at 15 digits the slack of an equality case rounds differently from
+    # the default 30, so a worker at the wrong precision shows in the CSV
+    argv = ["iso-sweep", "--n", "3", "--all-monotone", "--p", "1/3", "--csv"]
+    out = {}
+    for threads in ("1", "2"):
+        proc = _run("-c", POOLED, "spawn",
+                    json.dumps(["--precision", "15", "--threads", threads,
+                                *argv]))
+        assert proc.returncode == 0
+        out[threads] = proc.stdout
+    assert len(out["1"].splitlines()) == 1 + 20
     assert out["1"] == out["2"]

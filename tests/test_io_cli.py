@@ -1,7 +1,12 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import ekrlab
 from ekrlab import UniformFamily, load_family
 from ekrlab.cli import main
 from ekrlab.io import (dump_family, family_to_dict, set_family_from_dict,
@@ -196,6 +201,31 @@ def test_cli_iso_sweep_threads_match(capsys):
     _, par = run_cli(capsys, "--threads", "2", *base)
     assert seq == par
     assert len(seq.splitlines()) == 1 + 168
+
+
+@pytest.mark.parametrize("argv, code", [
+    (("iso-sweep", "--n", "4", "--all-monotone", "--p", "1/4"), 0),
+    (("iso-sweep", "--n", "4", "--all-monotone", "--p", "1/4", "--csv"), 0),
+    (("search", "--predicate", "intersecting", "--n", "6", "--k", "3",
+      "--budget", "10"), 1),
+])
+def test_cli_closed_stdout_keeps_the_exit_code(argv, code):
+    # `ekrlab ... | head -1`: the reader goes before the output is written
+    src = str(Path(ekrlab.__file__).resolve().parents[1])
+    env = {k: v for k, v in os.environ.items() if not k.startswith("EKRLAB_")}
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "ekrlab.cli", "--threads", "1", *argv],
+            stdout=write_end, stderr=subprocess.PIPE, env=env, text=True,
+            timeout=120)
+    finally:
+        os.close(write_end)
+    assert proc.returncode == code
+    assert proc.stderr == ""
 
 
 def test_cli_verify_byte_identical(capsys):

@@ -1,5 +1,6 @@
 """Parity between the pure-Python kernels and the compiled extension, and
-between the pure walks and a node-at-a-time reference walker."""
+between the pure walks (with and without a size floor) and a node-at-a-time
+reference walker."""
 
 import itertools
 import random
@@ -168,11 +169,13 @@ def _ref_families(masks, preds, mode, param, shifted, node_budget=None):
     return out, None
 
 
-def _pure_families(masks, preds, mode, param, shifted, node_budget=None):
+def _pure_families(masks, preds, mode, param, shifted, node_budget=None,
+                   min_size=0):
     out = []
     try:
         for fam in _pure.iter_predicate_families(masks, preds, mode, param,
-                                                 shifted, node_budget):
+                                                 shifted, node_budget,
+                                                 min_size=min_size):
             out.append(fam)
     except _pure.BudgetExceeded as exc:
         return out, exc.nodes
@@ -185,7 +188,8 @@ def _instances(max_n=8):
         for k in range(n + 1):
             universe = lex_universe(n, k)
             preds = shift_predecessor_masks(n, k, universe)
-            for mode, param in (("t", 1), ("t", 2), ("match", 1), ("match", 2)):
+            for mode, param in (("t", 1), ("t", 2), ("match", 1), ("match", 2),
+                                ("match", 3)):
                 for shifted in (False, True):
                     yield universe, preds, mode, param, shifted
 
@@ -235,6 +239,27 @@ def test_predicate_families_match_reference_walker():
                 inst[2:], len(inst[0]), budget)
         if ref[1] is None:
             assert _pure_families(*inst) == ref
+
+
+def test_floored_families_match_reference_walker():
+    # the floored walk skips subtrees, so within the same node budget it
+    # reaches at least as far as the full reference walk: it yields the
+    # reference's families of at least the floor, then only families the
+    # reference did not reach
+    for inst in _instances():
+        if inst[2] != "match":
+            continue
+        ref, stopped = _ref_families(*inst, node_budget=20_000)
+        top = max(map(len, ref))
+        for floor in sorted({0, 1, top // 2, top - 1, top, top + 1}):
+            want = [fam for fam in ref if len(fam) >= floor]
+            got, _ = _pure_families(*inst, node_budget=20_000, min_size=floor)
+            where = (inst[3], inst[4], len(inst[0]), floor)
+            if stopped is None:
+                assert got == want, where
+            else:
+                assert got[:len(want)] == want, where
+                assert not set(got[len(want):]) & set(ref), where
 
 
 def test_shifted_matching_counters_pinned():

@@ -1,6 +1,7 @@
 """The TIntersectingSharp scan on masks and integers: the mask test for
 t-intersection, the minimum of the condition curve in closed form against a
-ternary search, the working precision, and pinned reports."""
+ternary search, the working precision, and pinned reports; and pinned
+EMCStability reports, with the size-floored walk and with a budget."""
 
 import hashlib
 import json
@@ -129,10 +130,55 @@ PINS = [
 
 @pytest.mark.parametrize("threads", [1, 2])
 @pytest.mark.parametrize("t, n, ps, examined, digest", PINS)
-def test_scan_report_pinned(threads, t, n, ps, examined, digest):
+def test_scan_report_pinned(monkeypatch, threads, t, n, ps, examined, digest):
+    # these ranges are below the pool's family count; lowered, so that
+    # threads=2 runs the pool
+    monkeypatch.setattr(verify, "POOL_MIN_FAMILIES", 0)
     rep = conjecture_scan("TIntersectingSharp", {"t": t, "n": n, "ps": ps},
                           threads=threads)
     d = rep.to_dict()
     assert d["families_examined"] == examined and d["candidates"] == []
+    text = json.dumps(d, sort_keys=True, indent=2)
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+
+#: (ranges, budget, families_examined, complete, sha256 as above), recorded
+#: with the walk over every family, before the scan took a size floor
+EMC_PINS = [
+    ({"n": 9, "k": 2, "s": 1, "d": 1}, None, 1, True,
+     "36cf3f6039f4eb99bbed7fc4fe8fc7496f8168f842b53028870afba90bef2263"),
+    ({"n": 9, "k": 2, "s": 2, "d": 1}, None, 1, True,
+     "d42df1cf4f9e6788a4ec1e93cfb2f9fe9e4d400c4ce8ec5f0b36bb6cf46009bc"),
+    ({"n": 9, "k": 2, "s": 2, "d": 1}, 100_000, 1, True,
+     "d42df1cf4f9e6788a4ec1e93cfb2f9fe9e4d400c4ce8ec5f0b36bb6cf46009bc"),
+    ({"n": 9, "k": 2, "s": 3, "d": 1}, None, 0, True,
+     "ad5bf62982cd0d134748e27340a0f24f9eea88636f2c29a02a8cbe8630c8e5b4"),
+    ({"n": 9, "k": 2, "s": 3, "d": 1}, 5_000, 0, True,
+     "ad5bf62982cd0d134748e27340a0f24f9eea88636f2c29a02a8cbe8630c8e5b4"),
+    ({"n": 9, "k": 2, "s": 3, "d": 1}, 50, 0, False,
+     "2ebe60f59df7c4a662022d8ce63548e5c67eb4ce800f15e80866bfc3b4a75982"),
+    ({"n": 9, "k": 2, "s": 3, "d": 2}, None, 0, True,
+     "8e70c5e168eb63aec06f08555ad417aec027e09ffc601ccf692f0e35593aa20e"),
+    ({"n": 10, "k": 3, "s": 1, "d": 1}, None, 1, True,
+     "0d379496521308ba6df323b66f80104d8f3b6012d1b4ccefa64b7eae6789a266"),
+    ({"n": 10, "k": 3, "s": 2, "d": 1}, None, 1, True,
+     "df30ce4071e9a02f9b39000abf3a21ba004a28bb4bb69cea601319a48bc0beb5"),
+    ({"n": 10, "k": 3, "s": 2, "d": 1}, 2_000, 1, False,
+     "94be12500330c552b0e154519d068cade43e1fea3593db7bc5bbb84b92d949de"),
+    ({"n": 10, "k": 3, "s": 2, "d": 2}, None, 53, True,
+     "7b42d05f89abaa9d0ff91b37ec89cb14361493d5dab3c22bcca40eb364ab1ec5"),
+    ({"n": 10, "k": 3, "s": 2, "d": 2}, 3_000_000, 53, True,
+     "7b42d05f89abaa9d0ff91b37ec89cb14361493d5dab3c22bcca40eb364ab1ec5"),
+    ({"n": 10, "k": 3, "s": 2, "d": 2}, 1_500_000, 53, False,
+     "1905085b3288677814bac5b566742de615d7d7c4998a7dc27e1c7a3cd0ac72b6"),
+]
+
+
+@pytest.mark.parametrize("ranges, budget, examined, complete, digest",
+                         EMC_PINS)
+def test_emc_stability_report_pinned(ranges, budget, examined, complete,
+                                     digest):
+    d = conjecture_scan("EMCStability", ranges, budget=budget).to_dict()
+    assert (d["families_examined"], d["complete"]) == (examined, complete)
     text = json.dumps(d, sort_keys=True, indent=2)
     assert hashlib.sha256(text.encode()).hexdigest() == digest

@@ -7,7 +7,7 @@ from ekrlab import (DerivedConstants, FamilySpec, SetFamily, TheoremCase,
                     conjecture_scan, construct, enumerate_monotone,
                     is_t_intersecting, mu, nearest_or, nearest_or_uniform,
                     nearest_triangle, nearest_umvirate,
-                    nearest_umvirate_uniform, tightness_report)
+                    nearest_umvirate_uniform, tightness_report, verify)
 from ekrlab.zoo import (dictatorship, or_family, t_umvirate, tilde_d_sdl,
                         tilde_f_ts, tilde_gi, tilde_h_tsr, triangle_umvirate)
 
@@ -378,7 +378,8 @@ def test_master_regression_main_biased_corpus():
     assert proved_hits >= 30
 
 
-def test_conjecture_scan_threads_match():
+def test_conjecture_scan_threads_match(monkeypatch):
+    monkeypatch.setattr(verify, "POOL_MIN_FAMILIES", 0)  # pool at n = 4
     seq = conjecture_scan("TIntersectingSharp",
                           {"t": 1, "n": 4, "ps": ["1/4"]})
     par = conjecture_scan("TIntersectingSharp",
