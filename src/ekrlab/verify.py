@@ -811,9 +811,10 @@ class ScanReport:
 CONJECTURES = ("TIntersectingSharp", "WilsonSharp", "EMCStability")
 
 #: the fewest increasing families for which the TIntersectingSharp scan
-#: starts a process pool: [6] has 7,828,354 and is worth one, while [5]
-#: (7,581) scans in less time than a pool takes to start
-POOL_MIN_FAMILIES = 100_000
+#: starts a process pool: [6] has 7,828,354 and scans in 12 s with two
+#: workers against 18 s in one process (two vCPUs), while [5] (7,581) scans
+#: in less time than a pool takes to start
+_POOL_MIN_FAMILIES = 100_000
 
 
 def conjecture_scan(conj_id: str, ranges: dict, budget: int | None = None,
@@ -824,11 +825,10 @@ def conjecture_scan(conj_id: str, ranges: dict, budget: int | None = None,
     range (not that the conjecture is proved).  Candidates are re-verified
     exactly before emission.  Budget exhaustion yields complete=False.
     TIntersectingSharp scans its families in a process pool when threads > 1,
-    no budget is set and there are at least POOL_MIN_FAMILIES of them
+    no budget is set and there are at least _POOL_MIN_FAMILIES of them
     (n = 6); chunks merge in canonical order, so the report does not depend
-    on the thread count.  EMCStability without a budget walks only the
-    subtrees that can reach its size threshold; a budget counts the nodes
-    of the full walk, which a budgeted scan therefore takes.
+    on the thread count.  EMCStability walks only the subtrees that can
+    reach its size threshold, and its budget counts the nodes of that walk.
     """
     if conj_id == "TIntersectingSharp":
         return _scan_t_intersecting_sharp(ranges, budget, threads)
@@ -969,7 +969,7 @@ def _scan_t_intersecting_sharp(ranges: dict, budget, threads: int = 1) -> ScanRe
              "threshold family itself achieves equality and is the sharpness "
              "example, exactly as in the proven t=1 form"]
     masks = enumerate_monotone_masks(n)
-    if threads > 1 and budget is None and len(masks) >= POOL_MIN_FAMILIES:
+    if threads > 1 and budget is None and len(masks) >= _POOL_MIN_FAMILIES:
         import multiprocessing
 
         masks = [int(b) for b in masks]
@@ -1069,15 +1069,10 @@ def _scan_emc_stability(ranges: dict, budget) -> ScanReport:
     candidates = []
     examined = 0
     complete = True
-    # the budget counts the nodes of the full walk, so only an unbudgeted
-    # scan takes the walk that skips the subtrees below the threshold
     universe, families = _index_families(n, k, "matching_at_most", s, True,
-                                         budget,
-                                         min_size=thr if budget is None else 0)
+                                         budget, min_size=thr)
     try:
         for idx in families:
-            if len(idx) < thr:  # budgeted scans: skip before building one
-                continue
             fam = UniformFamily(n, k, (universe[i] for i in idx))
             if matching_number(fam) != s:
                 continue

@@ -38,7 +38,7 @@ from ekrlab import cli, verify
 if __name__ == "__main__":
     if sys.argv[1]:
         multiprocessing.set_start_method(sys.argv[1])
-    verify.POOL_MIN_FAMILIES = 0
+    verify._POOL_MIN_FAMILIES = 0
     sys.exit(cli.main(json.loads(sys.argv[2])))
 """
 

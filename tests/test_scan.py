@@ -133,7 +133,7 @@ PINS = [
 def test_scan_report_pinned(monkeypatch, threads, t, n, ps, examined, digest):
     # these ranges are below the pool's family count; lowered, so that
     # threads=2 runs the pool
-    monkeypatch.setattr(verify, "POOL_MIN_FAMILIES", 0)
+    monkeypatch.setattr(verify, "_POOL_MIN_FAMILIES", 0)
     rep = conjecture_scan("TIntersectingSharp", {"t": t, "n": n, "ps": ps},
                           threads=threads)
     d = rep.to_dict()
@@ -142,8 +142,12 @@ def test_scan_report_pinned(monkeypatch, threads, t, n, ps, examined, digest):
     assert hashlib.sha256(text.encode()).hexdigest() == digest
 
 
-#: (ranges, budget, families_examined, complete, sha256 as above), recorded
-#: with the walk over every family, before the scan took a size floor
+#: (ranges, budget, families_examined, complete, sha256 as above).  The
+#: rows without a budget were recorded with the walk over every family,
+#: before the scan took a size floor.  A budget counts the nodes of the
+#: floored walk, which takes 171, 21,447 and 45,608 nodes on the three
+#: budgeted ranges, so the budgeted rows are recorded with that walk, one
+#: on each side of those counts.
 EMC_PINS = [
     ({"n": 9, "k": 2, "s": 1, "d": 1}, None, 1, True,
      "36cf3f6039f4eb99bbed7fc4fe8fc7496f8168f842b53028870afba90bef2263"),
@@ -153,9 +157,9 @@ EMC_PINS = [
      "d42df1cf4f9e6788a4ec1e93cfb2f9fe9e4d400c4ce8ec5f0b36bb6cf46009bc"),
     ({"n": 9, "k": 2, "s": 3, "d": 1}, None, 0, True,
      "ad5bf62982cd0d134748e27340a0f24f9eea88636f2c29a02a8cbe8630c8e5b4"),
-    ({"n": 9, "k": 2, "s": 3, "d": 1}, 5_000, 0, True,
+    ({"n": 9, "k": 2, "s": 3, "d": 1}, 171, 0, True,
      "ad5bf62982cd0d134748e27340a0f24f9eea88636f2c29a02a8cbe8630c8e5b4"),
-    ({"n": 9, "k": 2, "s": 3, "d": 1}, 50, 0, False,
+    ({"n": 9, "k": 2, "s": 3, "d": 1}, 170, 0, False,
      "2ebe60f59df7c4a662022d8ce63548e5c67eb4ce800f15e80866bfc3b4a75982"),
     ({"n": 9, "k": 2, "s": 3, "d": 2}, None, 0, True,
      "8e70c5e168eb63aec06f08555ad417aec027e09ffc601ccf692f0e35593aa20e"),
@@ -163,14 +167,18 @@ EMC_PINS = [
      "0d379496521308ba6df323b66f80104d8f3b6012d1b4ccefa64b7eae6789a266"),
     ({"n": 10, "k": 3, "s": 2, "d": 1}, None, 1, True,
      "df30ce4071e9a02f9b39000abf3a21ba004a28bb4bb69cea601319a48bc0beb5"),
-    ({"n": 10, "k": 3, "s": 2, "d": 1}, 2_000, 1, False,
+    ({"n": 10, "k": 3, "s": 2, "d": 1}, 21_447, 1, True,
+     "df30ce4071e9a02f9b39000abf3a21ba004a28bb4bb69cea601319a48bc0beb5"),
+    ({"n": 10, "k": 3, "s": 2, "d": 1}, 21_446, 1, False,
      "94be12500330c552b0e154519d068cade43e1fea3593db7bc5bbb84b92d949de"),
     ({"n": 10, "k": 3, "s": 2, "d": 2}, None, 53, True,
      "7b42d05f89abaa9d0ff91b37ec89cb14361493d5dab3c22bcca40eb364ab1ec5"),
-    ({"n": 10, "k": 3, "s": 2, "d": 2}, 3_000_000, 53, True,
+    ({"n": 10, "k": 3, "s": 2, "d": 2}, 45_608, 53, True,
      "7b42d05f89abaa9d0ff91b37ec89cb14361493d5dab3c22bcca40eb364ab1ec5"),
-    ({"n": 10, "k": 3, "s": 2, "d": 2}, 1_500_000, 53, False,
+    ({"n": 10, "k": 3, "s": 2, "d": 2}, 45_607, 53, False,
      "1905085b3288677814bac5b566742de615d7d7c4998a7dc27e1c7a3cd0ac72b6"),
+    ({"n": 10, "k": 3, "s": 2, "d": 2}, 2_000, 28, False,
+     "f65c7f95f69f664284a0da1a98c61dd1c8d36c6a8af1541fc7bcebd72fb0c0c3"),
 ]
 
 

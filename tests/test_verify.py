@@ -379,7 +379,7 @@ def test_master_regression_main_biased_corpus():
 
 
 def test_conjecture_scan_threads_match(monkeypatch):
-    monkeypatch.setattr(verify, "POOL_MIN_FAMILIES", 0)  # pool at n = 4
+    monkeypatch.setattr(verify, "_POOL_MIN_FAMILIES", 0)  # pool at n = 4
     seq = conjecture_scan("TIntersectingSharp",
                           {"t": 1, "n": 4, "ps": ["1/4"]})
     par = conjecture_scan("TIntersectingSharp",
