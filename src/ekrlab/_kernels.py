@@ -1,16 +1,13 @@
-"""Pure-Python reference kernels.
+"""Counting, enumeration and search kernels.
 
-Same contract as the compiled extension `_core`; selected at import time by
-`ekrlab._kernels` when the extension is unavailable (or forced via
-EKRLAB_KERNELS=pure).  Everything here works on arbitrary-size Python ints,
-so there is no 64-set universe limit.
+Everything here works on arbitrary-size Python ints.
 
 The search and the predicate-family walk share index-mask tables (bit j
 stands for set j): a relation mask per set for the include test, the
 successors of each set under shifting, and a ready mask of the sets whose
 shift images are all included.  Both walks jump over sets outside the ready
 mask and count them as forced exclusions in bulk; every counter matches a
-walk that visits one set per node, which is how the compiled kernel walks.
+walk that visits one set per node.
 
 In match mode (matching number at most s) both walks also keep a blocked
 mask: a set is blocked when the included sets disjoint from it already hold
@@ -24,10 +21,11 @@ from __future__ import annotations
 
 from array import array
 
-from ..bitops import (coord_zero_mask, iter_bit_indices, iter_members, popcount,
-                      size_class_masks)
+from .bitops import (coord_zero_mask, iter_bit_indices, iter_members, popcount,
+                     size_class_masks)
 
-BACKEND_NAME = "pure"
+#: reported as `kernel_backend` in every CLI header
+BACKEND = "pure"
 
 
 def monotone_masks(n: int) -> array:

@@ -1,4 +1,4 @@
-"""Bit-level helpers shared by the family types and the pure kernels.
+"""Bit-level helpers shared by the family types and the kernels.
 
 A family over the n-cube is one Python integer with bit x set iff the subset
 with characteristic mask x belongs to the family (so the integer has 2**n bit

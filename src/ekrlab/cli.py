@@ -408,11 +408,25 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
+def _set_global_flags(args) -> None:
+    """Check and install --precision, --threads and --tau; a bad value is a
+    usage error that names its flag."""
+    if args.threads < 1:
+        raise ValueError(f"--threads must be at least 1, got {args.threads}")
+    try:
+        tol = None if args.tau is None else parse_rational(args.tau)
+    except ValueError as exc:
+        raise ValueError(f"--tau: {exc}") from None
+    if tol is not None and tol < 0:
+        raise ValueError(f"--tau must be at least 0, got {args.tau}")
+    numerics.set_defaults(tol=tol, dps=None if args.precision is None else
+                          numerics.check_dps(args.precision, "--precision"))
+
+
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    numerics.set_defaults(dps=args.precision,
-                          tol=parse_rational(args.tau) if args.tau else None)
     try:
+        _set_global_flags(args)
         code, payload = args.handler(args)
     except (ValueError, KeyError, json.JSONDecodeError) as exc:
         print(json.dumps({"error": str(exc)}), file=sys.stderr)

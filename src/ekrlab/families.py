@@ -484,10 +484,6 @@ def fully_compressed(fam: UniformFamily) -> UniformFamily:
 # -- triangle machinery ------------------------------------------------------
 
 
-def graph_has_triangle(edge_mask: int, ground: EdgeGround) -> bool:
-    return any(tri & ~edge_mask == 0 for tri in ground.triangle_masks())
-
-
 def is_triangle_intersecting(fam: SetFamily) -> bool:
     """Every two member graphs (a member with itself included) share a triangle."""
     if fam.edges is None:

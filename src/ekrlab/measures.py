@@ -27,8 +27,8 @@ from .report import VerdictReport
 #: ground size above which influence counting switches to member scans
 _SCAN_THRESHOLD = 22
 
-#: largest ground size whose cube queries use 2**n-bit masks (the pure
-#: count kernel still counts through class masks there)
+#: largest ground size whose cube queries use 2**n-bit masks (the count
+#: kernel still counts through class masks there)
 _CUBE_DENSE_N = 18
 
 

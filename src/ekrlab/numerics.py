@@ -48,6 +48,9 @@ def load_real_layer() -> None:
 #: decimal digits of working precision (relative error well below 1e-18)
 DEFAULT_DPS = 30
 
+#: least working precision accepted (that of a double)
+MIN_DPS = 15
+
 #: comparison tolerance tau
 DEFAULT_TOL = Fraction(1, 10**12)
 
@@ -62,9 +65,16 @@ def default_dps() -> int:
     if _active["dps"] is not None:
         return _active["dps"]
     env = os.environ.get("EKRLAB_PRECISION")
-    if env:
-        return max(int(env), 15)
-    return DEFAULT_DPS
+    return check_dps(env, "EKRLAB_PRECISION") if env else DEFAULT_DPS
+
+
+def check_dps(dps, name: str) -> int:
+    """`dps` (an int or a decimal string) as an int of at least MIN_DPS
+    digits; anything else is a ValueError that names `name`."""
+    if not str(dps).strip().isdecimal() or int(dps) < MIN_DPS:
+        raise ValueError(f"{name} must be a whole number of at least "
+                         f"{MIN_DPS} digits, got {dps!r}")
+    return int(dps)
 
 
 def default_tol() -> Fraction:
@@ -74,7 +84,7 @@ def default_tol() -> Fraction:
 def set_defaults(dps: int | None = None, tol=None) -> None:
     """Session-wide overrides (the CLI wires --precision / --tau here).
     Passing None resets a value to its built-in/env default."""
-    _active["dps"] = max(int(dps), 15) if dps is not None else None
+    _active["dps"] = check_dps(dps, "dps") if dps is not None else None
     _active["tol"] = Fraction(tol) if tol is not None else None
 
 
@@ -172,7 +182,10 @@ def parse_rational(s: str) -> Fraction:
     s = s.strip()
     if "." in s or "e" in s.lower():
         raise ValueError(f"not an exact rational: {s!r} (use num/den form)")
-    return Fraction(s)
+    try:
+        return Fraction(s)
+    except ZeroDivisionError:
+        raise ValueError(f"zero denominator: {s!r}") from None
 
 
 def fmt_real(x, digits: int = 18) -> str:

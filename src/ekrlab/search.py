@@ -7,10 +7,10 @@ Shifted mode explores only compression-closed families: a set may enter only
 when every image under an (i,j)-shift with i<j is already in.  The
 predicates used here (t-intersecting, matching bounded) are preserved by
 shifts, so the shifted optimum equals the global one; certificates are
-re-verified independently on emission.  The pure kernels skip runs of sets
+re-verified independently on emission.  The kernels skip runs of sets
 whose shift images are not all in through a ready mask and count them as
-forced exclusions in bulk (see `ekrlab._kernels._pure`); the counters are
-those of the node-at-a-time walk.
+forced exclusions in bulk (see `ekrlab._kernels`); the counters are those of
+the node-at-a-time walk.
 """
 
 from __future__ import annotations

@@ -861,7 +861,7 @@ def _bias_list(conj_id: str, ps) -> list[Fraction]:
                          '"num/den" strings')
     try:
         return [parse_rational(x) for x in ps]
-    except (ValueError, ZeroDivisionError) as exc:
+    except ValueError as exc:
         raise ValueError(f"{conj_id} range key 'ps': {exc}") from None
 
 

@@ -9,8 +9,8 @@ from fractions import Fraction as F
 
 import pytest
 
-from ekrlab import SetFamily, influence, mu_polynomial, subcube_distance
-from ekrlab._kernels import _pure
+from ekrlab import (SetFamily, _kernels, influence, mu_polynomial,
+                    subcube_distance)
 from ekrlab.bitops import (coord_zero_mask, cube_mask, iter_bit_indices,
                            iter_members, mask_of, size_class_masks)
 from ekrlab.cli import main
@@ -60,7 +60,7 @@ def test_member_walk_matches_bit_iterator():
         w = [0] * (n + 1)
         for x in members:
             w[bin(x).count("1")] += 1
-        assert _pure.weight_counts(bits, n) == w
+        assert _kernels.weight_counts(bits, n) == w
     for n in range(4):
         for bits in (0, (1 << (1 << n)) - 1, 1 << ((1 << n) - 1)):
             assert list(iter_members(bits, n)) == list(iter_bit_indices(bits))

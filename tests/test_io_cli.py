@@ -296,6 +296,31 @@ def _usage_error(capsys, *argv) -> str:
     return json.loads(captured.err)["error"]
 
 
+KK = ("kk", "--m", "3", "--k", "2")
+
+
+@pytest.mark.parametrize("flags, name", [
+    (("--tau", "abc"), "--tau"), (("--tau", "0.5"), "--tau"),
+    (("--tau", "1/0"), "--tau"), (("--tau=-1/2",), "--tau"),
+    (("--precision", "5"), "--precision"),
+    (("--threads", "0"), "--threads"), (("--threads", "-3"), "--threads"),
+])
+def test_cli_bad_global_flag_named(capsys, flags, name):
+    assert name in _usage_error(capsys, *flags, *KK)
+
+
+@pytest.mark.parametrize("value", ["abc", "5"])
+def test_cli_bad_precision_env_named(capsys, monkeypatch, value):
+    monkeypatch.setenv("EKRLAB_PRECISION", value)
+    assert "EKRLAB_PRECISION" in _usage_error(capsys, *KK)
+
+
+def test_cli_header_kernel_backend(capsys):
+    code, out = run_cli(capsys, *KK)
+    assert code == 0
+    assert json.loads(out)["header"]["kernel_backend"] == "pure"
+
+
 def test_cli_spec_param_types_exit_two(capsys):
     for params, name in (('{"n":"3","t":1}', "'n'"), ('{"n":3,"t":1.0}', "'t'"),
                          ('{"n":3,"t":true}', "'t'"), ("[3, 1]", "params")):

@@ -13,7 +13,7 @@ def test_parse_rational():
     assert parse_rational("3/4") == F(3, 4)
     assert parse_rational("7") == F(7)
     assert parse_rational(" 1/3 ") == F(1, 3)
-    for bad in ("0.25", "1e-3", "2.5/4"):
+    for bad in ("0.25", "1e-3", "2.5/4", "1/0"):
         with pytest.raises(ValueError):
             parse_rational(bad)
 
