@@ -21,9 +21,10 @@ import sys
 from fractions import Fraction
 
 from . import _kernels, numerics
-from .families import SetFamily
+from .families import EdgeGround, SetFamily
 from .io import family_to_dict, load_family
-from .measures import influence, iso_table, mu, mu_polynomial, russo_identity
+from .measures import (check_p_open, influence, iso_table, mu, mu_polynomial,
+                       russo_identity)
 from .numerics import fmt_rational, fmt_real, mpmath, parse_rational
 from .search import (SearchProblem, enumerate_monotone_masks, max_uniform,
                      monotone_count_oracle)
@@ -32,10 +33,6 @@ from .shadows import (increasing_shadow, kk_min_shadow, cascade_decomposition,
 from .verify import (TheoremCase, THEOREM_IDS, check_theorem, conjecture_scan,
                      tightness_report)
 from .zoo import FamilySpec, construct
-
-
-def _rat(s: str) -> Fraction:
-    return parse_rational(s)
 
 
 def _load_args_family(args, uniform=False):
@@ -85,7 +82,10 @@ def iso_sweep(n: int, ps: list[Fraction], threads: int = 1) -> list[tuple]:
     """Slack rows for every increasing family on [n], canonical order.
 
     Each task carries the working precision, because a pool worker that was
-    not forked does not inherit the session's."""
+    not forked does not inherit the session's.  A bias outside 0 < p < 1 is
+    a ValueError, raised before any worker starts."""
+    for p in ps:
+        check_p_open(p)
     masks = [int(bits) for bits in enumerate_monotone_masks(n)]
     step = 64 if threads > 1 else len(masks)
     dps = numerics.default_dps()
@@ -138,7 +138,7 @@ def russo_sweep(n: int | None, random_count: int, seed: int, max_n: int,
 
 def _cmd_measure(args):
     fam = _load_args_family(args)
-    p = _rat(args.p)
+    p = parse_rational(args.p)
     out = {"header": _header(args, "measure"), "mu": fmt_rational(mu(fam, p))}
     if args.polynomial:
         out["polynomial"] = [fmt_rational(c) for c in mu_polynomial(fam).coeffs]
@@ -147,7 +147,7 @@ def _cmd_measure(args):
 
 def _cmd_influence(args):
     fam = _load_args_family(args)
-    p = _rat(args.p)
+    p = parse_rational(args.p)
     vec = influence(fam, p)
     out = {
         "header": _header(args, "influence"),
@@ -181,7 +181,7 @@ def _cmd_construct(args):
 def _cmd_iso_sweep(args):
     if not args.all_monotone:
         raise ValueError("iso-sweep currently drives --all-monotone grounds")
-    ps = [_rat(x) for x in args.p]
+    ps = [parse_rational(x) for x in args.p]
     rows = iso_sweep(args.n, ps, threads=args.threads)
     tol = numerics.to_mpf(numerics.default_tol())
     failed = [r for r in rows
@@ -213,15 +213,13 @@ def _cmd_verify(args):
         if args.v is None:
             raise ValueError("TriangleBiased needs --v (vertex count) when the "
                              "family comes from a file")
-        from .families import EdgeGround, SetFamily as _SF
-
-        fam = _SF(fam.n, fam.bits, EdgeGround(args.v))
+        fam = SetFamily(fam.n, fam.bits, EdgeGround(args.v))
     params = {}
     for key in ("p", "p0", "eps", "delta0", "delta", "C", "c"):
         val = getattr(args, key if key not in ("C", "c") else
                       {"C": "big_c", "c": "small_c"}[key], None)
         if val is not None:
-            params[key] = _rat(val)
+            params[key] = parse_rational(val)
     for key in ("t", "s", "d", "i", "v"):
         val = getattr(args, key, None)
         if val is not None:
@@ -242,7 +240,7 @@ def _canonical_theorem(name: str) -> str:
 
 def _cmd_tightness(args):
     spec = FamilySpec.from_dict(json.loads(args.spec))
-    rep = tightness_report(spec, _rat(args.p))
+    rep = tightness_report(spec, parse_rational(args.p))
     out = {"header": _header(args, "tightness"), "report": rep.to_dict()}
     return (0 if rep.conclusion_holds else 1), out
 
@@ -275,7 +273,8 @@ def _cmd_conjecture_scan(args):
 def _cmd_katona(args):
     uniform = args.p is None
     fam = _load_args_family(args, uniform=uniform)
-    rep = katona_check(fam, args.t, _rat(args.p) if args.p else None)
+    rep = katona_check(fam, args.t,
+                       parse_rational(args.p) if args.p else None)
     out = {"header": _header(args, "katona"), "report": rep.to_dict()}
     return (0 if rep.conclusion_holds else 1), out
 

@@ -484,11 +484,12 @@ def fully_compressed(fam: UniformFamily) -> UniformFamily:
 # -- triangle machinery ------------------------------------------------------
 
 
-def is_triangle_intersecting(fam: SetFamily) -> bool:
-    """Every two member graphs (a member with itself included) share a triangle."""
-    if fam.edges is None:
+def is_triangle_intersecting(fam, edges: EdgeGround | None = None) -> bool:
+    """Every two member graphs (a member with itself included) share a
+    triangle of `edges`, by default the family's own edge ground."""
+    ground = edges or getattr(fam, "edges", None)
+    if ground is None:
         raise ValueError("family has no edge ground; build it over an EdgeGround")
-    ground = fam.edges
     tris = ground.triangle_masks()
     members = _member_masks(fam)
     for i, g in enumerate(members):

@@ -187,7 +187,8 @@ class InfluenceVector:
         return Fraction(dot(self.total_weights, pw), den)
 
 
-def _check_p_open(p: Fraction):
+def check_p_open(p: Fraction):
+    """A ValueError unless 0 < p < 1, the domain of the isoperimetric check."""
     if not 0 < p < 1:
         raise ValueError(f"p must lie strictly between 0 and 1, got {p}")
 
@@ -235,7 +236,7 @@ def influence(fam: SetFamily, p=None) -> InfluenceVector:
     counts summed over coordinates.
     """
     if p is not None:
-        _check_p_open(Fraction(p))
+        check_p_open(Fraction(p))
     _, piv = _counts(fam)
     return InfluenceVector(fam.n, tuple(map(tuple, piv)),
                            tuple(map(sum, zip(*piv))))
@@ -359,7 +360,7 @@ def iso_slack(fam: SetFamily, p) -> IsoSlackReport:
     reported alongside.
     """
     p = Fraction(p)
-    _check_p_open(p)
+    check_p_open(p)
     increasing = fam.is_increasing()
     if not increasing and p > Fraction(1, 2):
         return IsoSlackReport("skipped", p, mu(fam, p), None, None, False, None)
@@ -531,7 +532,7 @@ def subcube_distance(fam: SetFamily, p, t_max: int | None = None
     lexicographically least B.  Purely diagnostic: no pass/fail judgement.
     """
     p = Fraction(p)
-    _check_p_open(p)
+    check_p_open(p)
     n = fam.n
     if t_max is None and n > 20:
         raise ValueError("exhaustive subcube scan capped at n=20; pass t_max")

@@ -54,7 +54,6 @@ MIN_DPS = 15
 #: comparison tolerance tau
 DEFAULT_TOL = Fraction(1, 10**12)
 
-Exactish = Union[int, Fraction]
 ValueLike = Union[int, Fraction, "mpmath.mpf", Callable[[], "ValueLike"]]
 
 
@@ -107,10 +106,6 @@ def _eval(x, dps: int):
 def log_base(x, base) -> mpmath.mpf:
     """log_base(x) = ln(x)/ln(base)."""
     return mpmath.log(to_mpf(x)) / mpmath.log(to_mpf(base))
-
-
-def power(x, e) -> mpmath.mpf:
-    return mpmath.power(to_mpf(x), to_mpf(e))
 
 
 @dataclass(frozen=True)

@@ -71,35 +71,35 @@ def monotone_count_oracle(n: int) -> int:
 
 # -- uniform search -------------------------------------------------------------
 
+#: predicate name -> kernel mode; every predicate is hereditary (closed
+#: under taking subfamilies), as branch-and-bound needs
 PREDICATES = {
-    # name -> (kernel mode, hereditary)
-    "intersecting": ("t", True),
-    "t-intersecting": ("t", True),
-    "matching_at_most": ("match", True),
+    "intersecting": "t",
+    "t-intersecting": "t",
+    "matching_at_most": "match",
 }
 
 
 @dataclass(frozen=True)
 class SearchProblem:
-    """A search instance: ground, hereditary predicate, objective, budget."""
+    """A search instance: the ground [n]^(k), a hereditary predicate and a
+    node budget."""
 
     n: int
-    k: int | None = None                  # None = full cube ground
+    k: int
     predicate: str = "intersecting"
     t: int = 1                            # t for intersecting, s for matching
-    objective: str = "cardinality"        # or "mu" (cube ground only)
-    p: Fraction | None = None
     budget: int | None = None
     shifted: bool = False
 
     def __post_init__(self):
-        if self.predicate not in PREDICATES and self.predicate != "measure_cap":
+        if self.predicate not in PREDICATES:
             raise ValueError(f"unknown predicate {self.predicate!r}")
-        if self.predicate in PREDICATES and not PREDICATES[self.predicate][1]:
-            raise AssertionError("branch-and-bound needs a hereditary predicate")
         if self.t < 1:
             raise ValueError(f"need t >= 1 (t for intersecting, s for "
                              f"matching), got t={self.t}")
+        if self.budget is not None and self.budget < 1:
+            raise ValueError(f"need budget >= 1, got budget={self.budget}")
 
 
 @dataclass
@@ -150,13 +150,10 @@ def shift_predecessor_masks(n: int, k: int, universe: list[int]) -> list[int]:
 
 
 def _predicate_mode(predicate: str, t: int) -> tuple[str, int]:
-    mode, _ = PREDICATES[predicate]
-    if predicate == "intersecting":
-        return mode, 1
-    if predicate == "matching_at_most":
-        # adding a set must not create t+1 pairwise disjoint members
-        return mode, t
-    return mode, t
+    """The kernel mode and its parameter: 1 for intersecting, t for
+    t-intersecting, and s = t for matching (adding a set must not create
+    s+1 pairwise disjoint members)."""
+    return PREDICATES[predicate], 1 if predicate == "intersecting" else t
 
 
 def _reverify(witness: UniformFamily, predicate: str, t: int) -> bool:
@@ -223,12 +220,8 @@ def max_uniform(problem: SearchProblem, checkpoint_path=None,
     node counts then include the nodes before the resume, the other
     counters cover this run.
     """
-    if problem.k is None:
-        raise ValueError("max_uniform needs a k-uniform ground")
     if not 0 <= problem.k <= problem.n:
         raise ValueError(f"need 0 <= k <= n, got k={problem.k}, n={problem.n}")
-    if problem.objective not in ("cardinality", "mu"):
-        raise ValueError("objective must be cardinality or mu")
     n, k = problem.n, problem.k
     universe = lex_universe(n, k)
     preds = (shift_predecessor_masks(n, k, universe)
@@ -276,12 +269,7 @@ def max_uniform(problem: SearchProblem, checkpoint_path=None,
     ok = _reverify(witness, problem.predicate, problem.t)
     if not ok:
         raise AssertionError("witness failed independent predicate re-verification")
-    optimum = best
-    if problem.objective == "mu":
-        # all members share size k, so mu is proportional to cardinality
-        p = Fraction(problem.p)
-        optimum = best * p**k * (1 - p) ** (n - k)
-    return SearchCertificate(optimum, witness, stats["nodes"], stats,
+    return SearchCertificate(best, witness, stats["nodes"], stats,
                              complete, problem.shifted, ok)
 
 

@@ -7,6 +7,18 @@ irrational) right-hand sides through the tolerance layer.  Theorems whose
 statements involve nonconstructive constants evaluate those hypotheses only
 when the caller supplies constants; otherwise the flag reads "unresolved"
 and the epsilon-condition / conclusion pair is still reported.
+
+The six biased theorems share one shape: a constant-gated measure bound at
+a critical bias (p0, 1/2, 1/(t+1) or 1/(2s+1)), an epsilon-condition, the
+nearest extremal structure (t-umvirate, triangle or s-OR family) and a
+bound on its residual.  A handler checks its own requirements and
+pre-hypotheses and builds its condition; `_biased_verdict` does the rest.
+Conditions add `_linear`, (1-p) p^{t-1} eps, to three formulas that
+`bootstrap_diagnostics` and `tightness_report` use too: `_ctilde_cap`,
+p^t(1 - ctilde x^u); `_log_cap`, p^t(1 - x^{log_p(1-p)}); and `_or_lift`,
+1 - (1-p)^{s-1} + (1-p)^{s-1} X.  They run inside the closures that
+`check_le` re-invokes, so every value is recomputed at each retry's
+precision.
 """
 
 from __future__ import annotations
@@ -29,13 +41,6 @@ from .search import (_index_families, enumerate_monotone_masks,
                      iter_uniform_families)
 from .zoo import (FamilySpec, closed_form_mu, comb0, construct,
                   defining_root)
-
-THEOREM_IDS = (
-    "MainBiased", "Biased1", "TIntersectingBiased", "DualBiased",
-    "MatchingBiased", "WilsonUniform", "TriangleBiased", "TriangleUniform",
-    "MatchingUniform", "FranklG_i",
-)
-
 
 @dataclass(frozen=True)
 class DerivedConstants:
@@ -69,6 +74,12 @@ class DerivedConstants:
     def c_prime(self):
         """(2**t - 1) ** (-log_p(1-p))"""
         return mpmath.power(2**self.t - 1, -self.v)
+
+    def intersecting_region_scale(self):
+        """p * (c' v)**(1/(1-v)), the region scale of the t-intersecting
+        bootstrap (p <= 1/(t+1), no critical bias p0)"""
+        return to_mpf(self.p) * mpmath.power(self.c_prime * self.v,
+                                             1 / (1 - self.v))
 
 
 @dataclass(frozen=True)
@@ -152,6 +163,28 @@ def _require(cond: bool, msg: str):
         raise ValueError(msg)
 
 
+def _linear(p, t: int, eps):
+    """(1-p) p^{t-1} eps, the linear term of the epsilon-conditions."""
+    return to_mpf((1 - p) * p ** (t - 1) * eps)
+
+
+def _ctilde_cap(p, t: int, c_tilde, u, x):
+    """p^t (1 - ctilde x^u), for a real x."""
+    return to_mpf(p) ** t * (1 - c_tilde * mpmath.power(x, u))
+
+
+def _log_cap(p, t: int, x):
+    """p^t (1 - x^{log_p(1-p)}), for a real x."""
+    return to_mpf(p) ** t * (1 - mpmath.power(x, log_base(1 - p, p)))
+
+
+def _or_lift(p, s: int, x):
+    """1 - (1-p)^{s-1} + (1-p)^{s-1} x: the measure of a family that holds
+    every set meeting [s-1] and whose section at the sets missing [s-1]
+    has measure x."""
+    return to_mpf(1 - (1 - p) ** (s - 1)) + to_mpf((1 - p) ** (s - 1)) * x
+
+
 def _constants_flag(rep: VerdictReport, case: TheoremCase, mu_p: Fraction,
                     rhs_fn, description: str) -> bool:
     """Constant-gated hypothesis: evaluated only with user constants.
@@ -221,6 +254,67 @@ def _conclusion(rep: VerdictReport, residual: Fraction, bound,
                          "theorem asserts nothing for this family")
 
 
+def _biased_verdict(rep: VerdictReport, case: TheoremCase, fam: SetFamily,
+                    structure: str, t: int, crit: Fraction, labels, condition,
+                    region_scale=None) -> VerdictReport:
+    """The rest of a biased stability check once the handler has checked
+    its requirements and added its pre-hypotheses to `rep`.
+
+    `structure` is the nearest extremal structure and the witness key:
+    "umvirate" or "dictatorship" (S_B with |B| = t), "triangle" (S_T, with
+    t = 3) or "or_set" (OR_B with |B| = t = s).  With the critical bias
+    `crit` it fixes the constant-gated bound, min{C p^{t+1}, p^t(1 -
+    c(crit-p))} or for OR_B min{(s-1)p + C p^2, (1 - c(crit-p))(1-(1-p)^s)},
+    and the conclusion bound on the residual, (1-p) p^{t-1} eps or for OR_B
+    (1-p)^s eps.  `labels` name the constant-gated hypothesis and the
+    epsilon-condition mu_p(F) >= condition().  With a `region_scale` the
+    bootstrap region is reported too, and the verdict is proved inside it.
+    """
+    p, eps = case.frac("p"), case.frac("eps")
+    orform = structure == "or_set"
+
+    def constants_rhs(big_c, small_c):
+        if orform:
+            return min((t - 1) * to_mpf(p) + big_c * to_mpf(p) ** 2,
+                       (1 - small_c * to_mpf(crit - p))
+                       * to_mpf(1 - (1 - p) ** t))
+        return min(big_c * to_mpf(p) ** (t + 1),
+                   to_mpf(p) ** t * (1 - small_c * to_mpf(crit - p)))
+
+    mu_p = mu(fam, p)
+    constants_ok = _constants_flag(rep, case, mu_p, constants_rhs, labels[0])
+    rep.add_hypothesis(labels[1], check_le(condition, mu_p))
+    if structure == "triangle":
+        tri, residual = nearest_triangle(fam, p)
+        witness = list(tri)
+    else:
+        bmask, residual = (nearest_or if orform else nearest_umvirate)(fam, t, p)
+        witness = list(elements_of(bmask))
+    region = region_scale is not None and _bootstrap_region_flag(
+        rep, residual, p, t, region_scale, constants_ok)
+    bound = ((1 - p) ** t if orform else (1 - p) * p ** (t - 1)) * eps
+    _conclusion(rep, residual, bound, {structure: witness},
+                proved=constants_ok or region)
+    return rep
+
+
+def _size_flag(rep: VerdictReport, case: TheoremCase, key: str, label: str,
+               size: int, threshold, strict: bool = True,
+               note: str | None = None) -> bool:
+    """The constant-gated size hypothesis of a uniform theorem: |A| against
+    threshold(value of `key`), > or, unless `strict`, >=, evaluated only
+    when the caller supplies `key`.  Returns whether it was supplied, which
+    is when a failed conclusion is asserted."""
+    if case.get(key) is None:
+        rep.add_flag(label, UNRESOLVED, note=note or
+                     f"unresolved ({key} unknown); supply {key} to check")
+        return False
+    thr = threshold(Fraction(case.get(key)))
+    rep.add_flag(label, "holds" if (size > thr if strict else size >= thr)
+                 else "fails", lhs=str(size), rhs=fmt(thr))
+    return True
+
+
 def check_theorem(case: TheoremCase, fam) -> VerdictReport:
     """Evaluate one stability theorem against a concrete family.
 
@@ -238,28 +332,15 @@ def _check_main_biased(case: TheoremCase, fam: SetFamily) -> VerdictReport:
     _require(t >= 1 and eps > 0, "need t >= 1 and eps > 0")
     _require(fam.is_increasing(), "family must be increasing")
     rep = VerdictReport("MainBiased")
-    mu0, mu_p = mu(fam, p0), mu(fam, p)
     dc = DerivedConstants(p0, p, t)
-    rep.add_hypothesis("mu_{p0}(F) <= p0^t", check_le(mu0, p0**t))
-    constants_ok = _constants_flag(
-        rep, case, mu_p,
-        lambda C, c: min(C * to_mpf(p) ** (t + 1),
-                         to_mpf(p) ** t * (1 - c * to_mpf(p0 - p))),
-        "mu_p(F) >= min{C p^{t+1}, p^t(1 - c(p0-p))}")
-
-    def condition_rhs():
-        return (to_mpf(p) ** t * (1 - dc.c_tilde * mpmath.power(to_mpf(eps), dc.u))
-                + to_mpf((1 - p) * p ** (t - 1) * eps))
-
-    rep.add_hypothesis("mu_p(F) >= p^t(1 - ctilde eps^u) + (1-p)p^{t-1} eps",
-                       check_le(condition_rhs, mu_p))
-    bmask, residual = nearest_umvirate(fam, t, p)
-    region = _bootstrap_region_flag(rep, residual, p, t, dc.region_scale,
-                                    constants_ok)
-    _conclusion(rep, residual, (1 - p) * p ** (t - 1) * eps,
-                {"umvirate": list(elements_of(bmask))},
-                proved=constants_ok or region)
-    return rep
+    rep.add_hypothesis("mu_{p0}(F) <= p0^t", check_le(mu(fam, p0), p0**t))
+    return _biased_verdict(
+        rep, case, fam, "umvirate", t, p0,
+        ("mu_p(F) >= min{C p^{t+1}, p^t(1 - c(p0-p))}",
+         "mu_p(F) >= p^t(1 - ctilde eps^u) + (1-p)p^{t-1} eps"),
+        lambda: (_ctilde_cap(p, t, dc.c_tilde, dc.u, to_mpf(eps))
+                 + _linear(p, t, eps)),
+        dc.region_scale)
 
 
 def _check_biased1(case: TheoremCase, fam: SetFamily) -> VerdictReport:
@@ -268,28 +349,14 @@ def _check_biased1(case: TheoremCase, fam: SetFamily) -> VerdictReport:
     _require(eps > 0, "need eps > 0")
     _require(fam.is_increasing(), "family must be increasing")
     rep = VerdictReport("Biased1")
-    mu_half, mu_p = mu(fam, Fraction(1, 2)), mu(fam, p)
-    rep.add_hypothesis("mu_{1/2}(F) <= 1/2", check_le(mu_half, Fraction(1, 2)))
-    constants_ok = _constants_flag(
-        rep, case, mu_p,
-        lambda C, c: min(C * to_mpf(p) ** 2,
-                         to_mpf(p) * (1 - c * to_mpf(Fraction(1, 2) - p))),
-        "mu_p(F) >= min{C p^2, p(1 - c(1/2 - p))}")
-
-    def condition_rhs():
-        return (to_mpf(p) * (1 - mpmath.power(to_mpf(eps), log_base(1 - p, p)))
-                + to_mpf((1 - p) * eps))
-
-    rep.add_hypothesis("mu_p(F) >= p(1 - eps^{log_p(1-p)}) + (1-p) eps",
-                       check_le(condition_rhs, mu_p))
-    bmask, residual = nearest_umvirate(fam, 1, p)
-    dc = DerivedConstants(Fraction(1, 2), p, 1)
-    region = _bootstrap_region_flag(rep, residual, p, 1, dc.region_scale,
-                                    constants_ok)
-    _conclusion(rep, residual, (1 - p) * eps,
-                {"dictatorship": list(elements_of(bmask))},
-                proved=constants_ok or region)
-    return rep
+    rep.add_hypothesis("mu_{1/2}(F) <= 1/2",
+                       check_le(mu(fam, Fraction(1, 2)), Fraction(1, 2)))
+    return _biased_verdict(
+        rep, case, fam, "dictatorship", 1, Fraction(1, 2),
+        ("mu_p(F) >= min{C p^2, p(1 - c(1/2 - p))}",
+         "mu_p(F) >= p(1 - eps^{log_p(1-p)}) + (1-p) eps"),
+        lambda: _log_cap(p, 1, to_mpf(eps)) + _linear(p, 1, eps),
+        DerivedConstants(Fraction(1, 2), p, 1).region_scale)
 
 
 def _check_t_intersecting_biased(case: TheoremCase, fam: SetFamily) -> VerdictReport:
@@ -298,36 +365,14 @@ def _check_t_intersecting_biased(case: TheoremCase, fam: SetFamily) -> VerdictRe
     _require(0 < p < Fraction(1, t + 1), "need 0 < p < 1/(t+1)")
     _require(is_t_intersecting(fam, t), f"family must be {t}-intersecting")
     rep = VerdictReport("TIntersectingBiased")
-    mu_p = mu(fam, p)
-    constants_ok = _constants_flag(
-        rep, case, mu_p,
-        lambda C, c: min(C * to_mpf(p) ** (t + 1),
-                         to_mpf(p) ** t
-                         * (1 - c * to_mpf(Fraction(1, t + 1) - p))),
-        "mu_p(F) >= min{C p^{t+1}, p^t(1 - c(1/(t+1) - p))}")
     factor = case.get("factor", 2**t - 1)  # conjectured sharp form uses t
-
-    def condition_rhs():
-        pw = mpmath.power(to_mpf(eps) / factor, log_base(1 - p, p))
-        return to_mpf(p) ** t * (1 - pw) + to_mpf((1 - p) * p ** (t - 1) * eps)
-
-    rep.add_hypothesis(
-        f"mu_p(F) >= p^t(1 - (eps/{factor})^{{log_p(1-p)}}) + (1-p)p^{{t-1}} eps",
-        check_le(condition_rhs, mu_p))
-    bmask, residual = nearest_umvirate(fam, t, p)
-    proved = constants_ok
-    if factor == 2**t - 1:
-        dc = DerivedConstants(None, p, t)
-
-        def region_scale():
-            cv = dc.c_prime * dc.v
-            return to_mpf(p) * mpmath.power(cv, 1 / (1 - dc.v))
-
-        proved = proved or _bootstrap_region_flag(rep, residual, p, t,
-                                                  region_scale, constants_ok)
-    _conclusion(rep, residual, (1 - p) * p ** (t - 1) * eps,
-                {"umvirate": list(elements_of(bmask))}, proved=proved)
-    return rep
+    return _biased_verdict(
+        rep, case, fam, "umvirate", t, Fraction(1, t + 1),
+        ("mu_p(F) >= min{C p^{t+1}, p^t(1 - c(1/(t+1) - p))}",
+         f"mu_p(F) >= p^t(1 - (eps/{factor})^{{log_p(1-p)}}) + (1-p)p^{{t-1}} eps"),
+        lambda: _log_cap(p, t, to_mpf(eps) / factor) + _linear(p, t, eps),
+        DerivedConstants(None, p, t).intersecting_region_scale
+        if factor == 2**t - 1 else None)
 
 
 def _check_dual_biased(case: TheoremCase, fam: SetFamily) -> VerdictReport:
@@ -336,29 +381,15 @@ def _check_dual_biased(case: TheoremCase, fam: SetFamily) -> VerdictReport:
     _require(s >= 1 and eps > 0, "need s >= 1 and eps > 0")
     _require(fam.is_increasing(), "family must be increasing")
     rep = VerdictReport("DualBiased")
-    mu0, mu_p = mu(fam, p0), mu(fam, p)
     dc = DerivedConstants(p0, p)
     rep.add_hypothesis("mu_{p0}(F) <= 1 - (1-p0)^s",
-                       check_le(mu0, 1 - (1 - p0) ** s))
-    constants_ok = _constants_flag(
-        rep, case, mu_p,
-        lambda C, c: min((s - 1) * to_mpf(p) + C * to_mpf(p) ** 2,
-                         (1 - c * to_mpf(p0 - p))
-                         * to_mpf(1 - (1 - p) ** s)),
-        "mu_p(F) >= min{(s-1)p + C p^2, (1 - c(p0-p))(1-(1-p)^s)}")
-
-    def condition_rhs():
-        inner = (to_mpf(p) * (1 - dc.c_tilde * mpmath.power(to_mpf(eps), dc.u))
-                 + to_mpf((1 - p) * eps))
-        return to_mpf(1 - (1 - p) ** (s - 1)) + to_mpf((1 - p) ** (s - 1)) * inner
-
-    rep.add_hypothesis(
-        "mu_p(F) >= 1-(1-p)^{s-1} + (1-p)^{s-1}(p(1 - ctilde eps^u) + (1-p) eps)",
-        check_le(condition_rhs, mu_p))
-    bmask, residual = nearest_or(fam, s, p)
-    _conclusion(rep, residual, (1 - p) ** s * eps,
-                {"or_set": list(elements_of(bmask))}, proved=constants_ok)
-    return rep
+                       check_le(mu(fam, p0), 1 - (1 - p0) ** s))
+    return _biased_verdict(
+        rep, case, fam, "or_set", s, p0,
+        ("mu_p(F) >= min{(s-1)p + C p^2, (1 - c(p0-p))(1-(1-p)^s)}",
+         "mu_p(F) >= 1-(1-p)^{s-1} + (1-p)^{s-1}(p(1 - ctilde eps^u) + (1-p) eps)"),
+        lambda: _or_lift(p, s, _ctilde_cap(p, 1, dc.c_tilde, dc.u, to_mpf(eps))
+                         + _linear(p, 1, eps)))
 
 
 def _check_matching_biased(case: TheoremCase, fam: SetFamily) -> VerdictReport:
@@ -368,16 +399,11 @@ def _check_matching_biased(case: TheoremCase, fam: SetFamily) -> VerdictReport:
     m_f = matching_number(fam)
     _require(m_f <= s, f"family must have matching number <= {s}, got {m_f}")
     rep = VerdictReport("MatchingBiased")
-    mu_p = mu(fam, p)
-    constants_ok = _constants_flag(
-        rep, case, mu_p,
-        lambda C, c: min((s - 1) * to_mpf(p) + C * to_mpf(p) ** 2,
-                         (1 - c * to_mpf(Fraction(1, 2 * s + 1) - p))
-                         * to_mpf(1 - (1 - p) ** s)),
-        "mu_p(F) >= min{(s-1)p + C p^2, (1 - c(1/(2s+1)-p))(1-(1-p)^s)}")
     base = Fraction(2 * s, 2 * s + 1)
 
     def condition_rhs():
+        # the OR lift of p(1 - ctilde eps^u) + (1-p) eps, regrouped: _or_lift
+        # gives the same value but rounds differently
         c_tilde = mpmath.power(2 * s, log_base(1 - p, base))
         expo = log_base(Fraction(1, 2 * s + 1), p) * log_base(1 - p, base)
         return (to_mpf(1 - (1 - p) ** s)
@@ -385,13 +411,11 @@ def _check_matching_biased(case: TheoremCase, fam: SetFamily) -> VerdictReport:
                 * mpmath.power(to_mpf(eps), expo)
                 + to_mpf((1 - p) ** s * eps))
 
-    rep.add_hypothesis(
-        "mu_p(F) >= 1-(1-p)^s - (1-p)^{s-1} p ctilde eps^{log_p(1/(2s+1)) log_{2s/(2s+1)}(1-p)} + (1-p)^s eps",
-        check_le(condition_rhs, mu_p))
-    bmask, residual = nearest_or(fam, s, p)
-    _conclusion(rep, residual, (1 - p) ** s * eps,
-                {"or_set": list(elements_of(bmask))}, proved=constants_ok)
-    return rep
+    return _biased_verdict(
+        rep, case, fam, "or_set", s, Fraction(1, 2 * s + 1),
+        ("mu_p(F) >= min{(s-1)p + C p^2, (1 - c(1/(2s+1)-p))(1-(1-p)^s)}",
+         "mu_p(F) >= 1-(1-p)^s - (1-p)^{s-1} p ctilde eps^{log_p(1/(2s+1)) log_{2s/(2s+1)}(1-p)} + (1-p)^s eps"),
+        condition_rhs)
 
 
 def _check_wilson_uniform(case: TheoremCase, fam: UniformFamily) -> VerdictReport:
@@ -405,15 +429,8 @@ def _check_wilson_uniform(case: TheoremCase, fam: UniformFamily) -> VerdictRepor
                  lhs=f"{k}/{n}", rhs=f"1/{t + 1}",
                  note="the theorem needs k/n <= 1/(t+1) - eta")
     size = len(fam)
-    if case.get("delta0") is not None:
-        delta0 = Fraction(case.get("delta0"))
-        thr = (1 - delta0) * comb0(n - t, k - t)
-        rep.add_flag("|A| > (1-delta0) C(n-t,k-t)",
-                     "holds" if size > thr else "fails", lhs=str(size),
-                     rhs=fmt(thr))
-    else:
-        rep.add_flag("|A| > (1-delta0) C(n-t,k-t)", UNRESOLVED,
-                     note="unresolved (delta0 unknown); supply delta0 to check")
+    proved = _size_flag(rep, case, "delta0", "|A| > (1-delta0) C(n-t,k-t)",
+                        size, lambda delta0: (1 - delta0) * comb0(n - t, k - t))
     d_threshold = (comb0(n - t, k - t) - comb0(n - t - d, k - t)
                    + (2**t - 1) * comb0(n - t - d, k - t - d + 1))
     rep.add_flag("|A| > C(n-t,k-t) - C(n-t-d,k-t) + (2^t-1)C(n-t-d,k-t-d+1)",
@@ -422,8 +439,7 @@ def _check_wilson_uniform(case: TheoremCase, fam: UniformFamily) -> VerdictRepor
     bmask, outside = nearest_umvirate_uniform(fam, t)
     _conclusion(rep, Fraction(outside),
                 Fraction((2**t - 1) * comb0(n - t - d, k - t - d + 1)),
-                {"umvirate": list(elements_of(bmask))},
-                proved=case.get("delta0") is not None)
+                {"umvirate": list(elements_of(bmask))}, proved=proved)
     return rep
 
 
@@ -434,52 +450,26 @@ def _check_triangle_biased(case: TheoremCase, fam: SetFamily) -> VerdictReport:
     _require(fam.edges is not None, "family must live on an edge ground")
     _require(is_triangle_intersecting(fam), "family must be triangle-intersecting")
     rep = VerdictReport("TriangleBiased")
-    mu_p = mu(fam, p)
-    constants_ok = _constants_flag(
-        rep, case, mu_p,
-        lambda C, c: min(C * to_mpf(p) ** 4,
-                         to_mpf(p) ** 3
-                         * (1 - c * to_mpf(Fraction(1, 2) - p))),
-        "mu_p(F) >= min{C p^4, p^3(1 - c(1/2 - p))}")
-
-    def condition_rhs():
-        pw = mpmath.power(to_mpf(eps), log_base(1 - p, p))
-        return to_mpf(p) ** 3 * (1 - pw) + to_mpf(p**2 * (1 - p) * eps)
-
-    rep.add_hypothesis("mu_p(F) >= p^3(1 - eps^{log_p(1-p)}) + p^2(1-p) eps",
-                       check_le(condition_rhs, mu_p))
-    tri, residual = nearest_triangle(fam, p)
-    dc = DerivedConstants(Fraction(1, 2), p, 3)
-    region = _bootstrap_region_flag(rep, residual, p, 3, dc.region_scale,
-                                    constants_ok)
-    _conclusion(rep, residual, (1 - p) * p**2 * eps, {"triangle": list(tri)},
-                proved=constants_ok or region)
-    return rep
+    return _biased_verdict(
+        rep, case, fam, "triangle", 3, Fraction(1, 2),
+        ("mu_p(F) >= min{C p^4, p^3(1 - c(1/2 - p))}",
+         "mu_p(F) >= p^3(1 - eps^{log_p(1-p)}) + p^2(1-p) eps"),
+        lambda: _log_cap(p, 3, to_mpf(eps)) + _linear(p, 3, eps),
+        DerivedConstants(Fraction(1, 2), p, 3).region_scale)
 
 
 def _check_triangle_uniform(case: TheoremCase, fam: UniformFamily) -> VerdictReport:
     d, v = case.need("d"), case.need("v")
     eg = EdgeGround(v)
     _require(fam.n == eg.n, "family ground must be the edge set of [v]")
-    tris = eg.triangle_masks()
-    members = sorted(fam.members)
-    for i, g in enumerate(members):
-        for h in members[i:]:
-            gh = g & h
-            _require(any(tri & ~gh == 0 for tri in tris),
-                     "family must be triangle-intersecting")
+    _require(is_triangle_intersecting(fam, eg),
+             "family must be triangle-intersecting")
     big_m, k = eg.n, fam.k
     rep = VerdictReport("TriangleUniform")
     size = len(fam)
-    if case.get("delta0") is not None:
-        delta0 = Fraction(case.get("delta0"))
-        thr = (1 - delta0) * comb0(big_m - 3, k - 3)
-        rep.add_flag("|A| > (1-delta0) C(M-3,k-3)",
-                     "holds" if size > thr else "fails",
-                     lhs=str(size), rhs=fmt(thr))
-    else:
-        rep.add_flag("|A| > (1-delta0) C(M-3,k-3)", UNRESOLVED,
-                     note="unresolved (delta0 unknown)")
+    proved = _size_flag(rep, case, "delta0", "|A| > (1-delta0) C(M-3,k-3)",
+                        size, lambda delta0: (1 - delta0) * comb0(big_m - 3, k - 3),
+                        note="unresolved (delta0 unknown)")
     d_threshold = (comb0(big_m - 3, k - 3) - comb0(big_m - d - 3, k - 3)
                    + 7 * comb0(big_m - d - 3, k - d - 2))
     rep.add_flag("|A| > C(M-3,k-3) - C(M-d-3,k-3) + 7 C(M-d-3,k-d-2)",
@@ -488,8 +478,7 @@ def _check_triangle_uniform(case: TheoremCase, fam: UniformFamily) -> VerdictRep
     tri, outside = nearest_triangle_uniform(fam, eg)
     _conclusion(rep, Fraction(outside),
                 Fraction(7 * comb0(big_m - d - 3, k - d - 2)),
-                {"triangle": list(tri)},
-                proved=case.get("delta0") is not None)
+                {"triangle": list(tri)}, proved=proved)
     return rep
 
 
@@ -503,21 +492,14 @@ def _check_matching_uniform(case: TheoremCase, fam: UniformFamily) -> VerdictRep
     rep.add_flag("k/n below 1/(2s+1)", "holds" if k * (2 * s + 1) < n else "fails",
                  lhs=f"{k}/{n}", rhs=f"1/{2 * s + 1}",
                  note="the theorem needs k/n <= 1/(2s+1) - eta")
-    size = len(fam)
-    if case.get("delta") is not None:
-        delta = Fraction(case.get("delta"))
-        thr = (comb0(n, k) - comb0(n - s, k)
-               - delta * comb0(n - s, k - 1))
-        rep.add_flag("|A| >= C(n,k) - C(n-s,k) - delta C(n-s,k-1)",
-                     "holds" if size >= thr else "fails",
-                     lhs=str(size), rhs=fmt(thr))
-    else:
-        rep.add_flag("|A| >= C(n,k) - C(n-s,k) - delta C(n-s,k-1)", UNRESOLVED,
-                     note="unresolved (delta unknown); supply delta to check")
+    proved = _size_flag(rep, case, "delta",
+                        "|A| >= C(n,k) - C(n-s,k) - delta C(n-s,k-1)", len(fam),
+                        lambda delta: (comb0(n, k) - comb0(n - s, k)
+                                       - delta * comb0(n - s, k - 1)),
+                        strict=False)
     bmask, outside = nearest_or_uniform(fam, s)
     _conclusion(rep, Fraction(outside), eps * comb0(n - s, k),
-                {"or_set": list(elements_of(bmask))},
-                proved=case.get("delta") is not None)
+                {"or_set": list(elements_of(bmask))}, proved=proved)
     if case.get("c") is not None and case.get("delta") is not None:
         p1 = Fraction(k, n)
         eps_remark = mpmath.power(to_mpf(Fraction(case.get("c"))
@@ -562,6 +544,8 @@ _HANDLERS = {
     "FranklG_i": _check_frankl_gi,
 }
 
+THEOREM_IDS = tuple(_HANDLERS)
+
 
 # -- bootstrap diagnostics ------------------------------------------------------
 
@@ -591,36 +575,28 @@ def bootstrap_diagnostics(fam: SetFamily, p0, p, t: int,
         _require(0 < p < p0 < 1, "need 0 < p < p0 < 1")
         dc = DerivedConstants(p0, p, t)
         outside_p0 = _canonical_residual(fam, t, p0)
-
-        def rhs_a():
-            return (to_mpf((1 - p0) * p0 ** (t - 1))
-                    * mpmath.power(to_mpf(delta), log_base(p0, p)))
-
-        rep.add_hypothesis("(a) mu_{p0}(F - S_[t]) >= (1-p0)p0^{t-1} delta^{log_p p0}",
-                           check_le(rhs_a, outside_p0))
+        rep.add_hypothesis(
+            "(a) mu_{p0}(F - S_[t]) >= (1-p0)p0^{t-1} delta^{log_p p0}",
+            check_le(lambda: to_mpf((1 - p0) * p0 ** (t - 1))
+                     * mpmath.power(to_mpf(delta), log_base(p0, p)),
+                     outside_p0))
         cap_ok = check_le(mu(fam, p0), p0**t)
         rep.add_hypothesis("(b-pre) mu_{p0}(F) <= p0^t", cap_ok)
         if cap_ok.holds:
-            def rhs_b():
-                return to_mpf(p) ** t * (1 - dc.c_tilde
-                                         * mpmath.power(to_mpf(delta), dc.u))
-
-            rep.add_hypothesis("(b) mu_p(F cap S_[t]) <= p^t(1 - ctilde delta^u)",
-                               check_le(inside_p, rhs_b))
+            rep.add_hypothesis(
+                "(b) mu_p(F cap S_[t]) <= p^t(1 - ctilde delta^u)",
+                check_le(inside_p, lambda: _ctilde_cap(p, t, dc.c_tilde, dc.u,
+                                                       to_mpf(delta))))
         rep.conclusion_holds = rep.hypotheses_met
         return rep
 
     if variant == "intersecting":
         _require(0 < p <= Fraction(1, 2), "need 0 < p <= 1/2")
         _require(is_t_intersecting(fam, t), f"family must be {t}-intersecting")
-
-        def rhs_int():
-            pw = mpmath.power(to_mpf(delta) / (2**t - 1), log_base(1 - p, p))
-            return to_mpf(p) ** t * (1 - pw)
-
         rep.add_hypothesis(
             "mu_p(F cap S_[t]) <= p^t(1 - (delta/(2^t-1))^{log_p(1-p)})",
-            check_le(inside_p, rhs_int))
+            check_le(inside_p,
+                     lambda: _log_cap(p, t, to_mpf(delta) / (2**t - 1))))
         rep.conclusion_holds = rep.hypotheses_met
         return rep
 
@@ -651,44 +627,22 @@ def tightness_report(spec: FamilySpec, p) -> VerdictReport:
         rep.add_slack(name_ + "_residual", chk.slack)
         return chk.equal
 
+    concl_name = "conclusion equality at S_[t]: residual == (1-p)p^(t-1) eps"
     if name == "tilde_Gi":
-        i = pr["i"]
-        eps = p ** (i - 1)
+        t, eps = 1, p ** (pr["i"] - 1)
         # eps^{log_p(1-p)} collapses to the rational (1-p)^(i-1) here
-        condition_rhs = p * (1 - (1 - p) ** (i - 1)) + (1 - p) * eps
-        cond = equality("condition equality at eps = p^(i-1)", condition_rhs, mu_p)
-        residual = _canonical_residual(fam, 1, p)
-        concl = residual == (1 - p) * eps
-        rep.add_flag("conclusion equality at the dictatorship on 1: "
-                     "residual == (1-p) eps",
-                     "holds" if concl else "fails",
-                     lhs=residual, rhs=(1 - p) * eps)
-        rep.add_slack("nearest_umvirate_residual", nearest_umvirate(fam, 1, p)[1])
-        rep.conclusion_holds = cond and concl and rep.hypotheses_met
-        return rep
-
-    if name == "tilde_F_ts":
+        condition_rhs = p * (1 - (1 - p) ** (pr["i"] - 1)) + (1 - p) * eps
+        cond_name = "condition equality at eps = p^(i-1)"
+        concl_name = ("conclusion equality at the dictatorship on 1: "
+                      "residual == (1-p) eps")
+    elif name == "tilde_F_ts":
         t = pr["t"]
         eps = t * p ** pr["s"]
         # (eps/t)^{log_p(1-p)} collapses to the rational (1-p)^s here
         condition_rhs = (p ** t * (1 - (1 - p) ** pr["s"])
                          + (1 - p) * p ** (t - 1) * eps)
-        cond = equality("condition equality (t-replaced constant) at eps = t p^s",
-                        condition_rhs, mu_p)
-        residual = _canonical_residual(fam, t, p)
-        bound = (1 - p) * p ** (t - 1) * eps
-        concl = residual == bound
-        rep.add_flag("conclusion equality at S_[t]: residual == (1-p)p^(t-1) eps",
-                     "holds" if concl else "fails", lhs=residual, rhs=bound)
-        nearest = nearest_umvirate(fam, t, p)[1]
-        rep.add_slack("nearest_umvirate_residual", nearest)
-        if nearest < residual:
-            rep.notes.append("a different umvirate is strictly closer than "
-                             "S_[t] (degenerate small-s case)")
-        rep.conclusion_holds = cond and concl and rep.hypotheses_met
-        return rep
-
-    if name == "tilde_H_tsr":
+        cond_name = "condition equality (t-replaced constant) at eps = t p^s"
+    elif name == "tilde_H_tsr":
         t = pr["t"]
         root = defining_root(spec)
         p0 = root.value
@@ -696,36 +650,19 @@ def tightness_report(spec: FamilySpec, p) -> VerdictReport:
         _require(to_mpf(p) < to_mpf(p0), "tightness needs p < p0")
         if root.exact:
             equality("mu_{p0}(F) == p0^t", mu(fam, p0), p0**t)
+            # p0 = 1/2 (r = s): ctilde = 1 and eps^u = (1-p)^r, all rational
+            condition_rhs = (p ** t * (1 - (1 - p) ** pr["r"])
+                             + (1 - p) * p ** (t - 1) * eps)
         else:
             equality("mu_{p0}(F) == p0^t",
                      lambda: mu_at_real(fam, p0),
                      lambda: mpmath.power(to_mpf(p0), t))
 
-        if root.exact:
-            # p0 = 1/2 (r = s): ctilde = 1 and eps^u = (1-p)^r, all rational
-            condition_rhs = (p ** t * (1 - (1 - p) ** pr["r"])
-                             + (1 - p) * p ** (t - 1) * eps)
-        else:
             def condition_rhs():
-                q0 = 1 - to_mpf(p0)
-                ct = mpmath.power(q0 / to_mpf(p0),
-                                  mpmath.log(1 - to_mpf(p)) / mpmath.log(q0))
-                u = (mpmath.log(to_mpf(p0)) / mpmath.log(to_mpf(p))
-                     * mpmath.log(1 - to_mpf(p)) / mpmath.log(q0))
-                return (to_mpf(p) ** t * (1 - ct * mpmath.power(to_mpf(eps), u))
-                        + to_mpf((1 - p) * p ** (t - 1) * eps))
-
-        cond = equality("condition equality at eps = p^s", condition_rhs, mu_p)
-        residual = _canonical_residual(fam, t, p)
-        bound = (1 - p) * p ** (t - 1) * eps
-        concl = residual == bound
-        rep.add_flag("conclusion equality at S_[t]: residual == (1-p)p^(t-1) eps",
-                     "holds" if concl else "fails", lhs=residual, rhs=bound)
-        rep.add_slack("nearest_umvirate_residual", nearest_umvirate(fam, t, p)[1])
-        rep.conclusion_holds = cond and concl and rep.hypotheses_met
-        return rep
-
-    if name == "tilde_D_sdl":
+                return (_ctilde_cap(p, t, *_root_constants(p0, p), to_mpf(eps))
+                        + _linear(p, t, eps))
+        cond_name = "condition equality at eps = p^s"
+    elif name == "tilde_D_sdl":
         s = pr["s"]
         root = defining_root(spec)
         p0 = root.value
@@ -734,37 +671,52 @@ def tightness_report(spec: FamilySpec, p) -> VerdictReport:
         if root.exact:
             equality("mu_{p0}(F) == 1 - (1-p0)^s", mu(fam, p0),
                      1 - (1 - p0) ** s)
+            # p0 = 1/2 (d = l): ctilde = 1 and eps^u = (1-p)^d, all rational
+            inner = p * (1 - (1 - p) ** pr["d"]) + (1 - p) * eps
+            condition_rhs = 1 - (1 - p) ** (s - 1) + (1 - p) ** (s - 1) * inner
         else:
             equality("mu_{p0}(F) == 1 - (1-p0)^s",
                      lambda: mu_at_real(fam, p0),
                      lambda: 1 - mpmath.power(1 - to_mpf(p0), s))
 
-        if root.exact:
-            # p0 = 1/2 (d = l): ctilde = 1 and eps^u = (1-p)^d, all rational
-            inner = p * (1 - (1 - p) ** pr["d"]) + (1 - p) * eps
-            condition_rhs = 1 - (1 - p) ** (s - 1) + (1 - p) ** (s - 1) * inner
-        else:
             def condition_rhs():
-                q0 = 1 - to_mpf(p0)
-                ct = mpmath.power(q0 / to_mpf(p0),
-                                  mpmath.log(1 - to_mpf(p)) / mpmath.log(q0))
-                u = (mpmath.log(to_mpf(p0)) / mpmath.log(to_mpf(p))
-                     * mpmath.log(1 - to_mpf(p)) / mpmath.log(q0))
-                inner = (to_mpf(p) * (1 - ct * mpmath.power(to_mpf(eps), u))
-                         + to_mpf((1 - p) * eps))
-                return (to_mpf(1 - (1 - p) ** (s - 1))
-                        + to_mpf((1 - p) ** (s - 1)) * inner)
+                return _or_lift(p, s, _ctilde_cap(p, 1, *_root_constants(p0, p),
+                                                  to_mpf(eps))
+                                + _linear(p, 1, eps))
+        cond_name = "condition equality at eps = p^l"
+        concl_name = "conclusion equality at OR_[s]: residual == (1-p)^s eps"
+    else:
+        raise ValueError(f"no tightness claim handled for {name!r}")
 
-        cond = equality("condition equality at eps = p^l", condition_rhs, mu_p)
-        residual = _canonical_or_residual(fam, s, p)
-        bound = (1 - p) ** s * eps
-        concl = residual == bound
-        rep.add_flag("conclusion equality at OR_[s]: residual == (1-p)^s eps",
-                     "holds" if concl else "fails", lhs=residual, rhs=bound)
-        rep.add_slack("nearest_or_residual", nearest_or(fam, s, p)[1])
-        rep.conclusion_holds = cond and concl and rep.hypotheses_met
-        return rep
-    raise ValueError(f"no tightness claim handled for {name!r}")
+    cond = equality(cond_name, condition_rhs, mu_p)
+    if name == "tilde_D_sdl":
+        residual, bound = _canonical_or_residual(fam, s, p), (1 - p) ** s * eps
+        nearest_name, nearest = "nearest_or_residual", nearest_or(fam, s, p)[1]
+    else:
+        residual = _canonical_residual(fam, t, p)
+        bound = (1 - p) * p ** (t - 1) * eps
+        nearest_name = "nearest_umvirate_residual"
+        nearest = nearest_umvirate(fam, t, p)[1]
+    concl = residual == bound
+    rep.add_flag(concl_name, "holds" if concl else "fails",
+                 lhs=residual, rhs=bound)
+    rep.add_slack(nearest_name, nearest)
+    if name == "tilde_F_ts" and nearest < residual:
+        rep.notes.append("a different umvirate is strictly closer than "
+                         "S_[t] (degenerate small-s case)")
+    rep.conclusion_holds = cond and concl and rep.hypotheses_met
+    return rep
+
+
+def _root_constants(p0, p) -> tuple:
+    """(ctilde, u) at a defining root p0 given as a real, from the reals
+    (DerivedConstants takes a rational p0 and rounds differently)."""
+    q0 = 1 - to_mpf(p0)
+    ct = mpmath.power(q0 / to_mpf(p0),
+                      mpmath.log(1 - to_mpf(p)) / mpmath.log(q0))
+    u = (mpmath.log(to_mpf(p0)) / mpmath.log(to_mpf(p))
+         * mpmath.log(1 - to_mpf(p)) / mpmath.log(q0))
+    return ct, u
 
 
 def _canonical_residual(fam: SetFamily, t: int, p: Fraction) -> Fraction:
@@ -829,7 +781,10 @@ def conjecture_scan(conj_id: str, ranges: dict, budget: int | None = None,
     (n = 6); chunks merge in canonical order, so the report does not depend
     on the thread count.  EMCStability walks only the subtrees that can
     reach its size threshold, and its budget counts the nodes of that walk.
+    A budget below 1 is a ValueError.
     """
+    if budget is not None and budget < 1:
+        raise ValueError(f"need budget >= 1, got budget={budget}")
     if conj_id == "TIntersectingSharp":
         return _scan_t_intersecting_sharp(ranges, budget, threads)
     if conj_id == "WilsonSharp":
@@ -1009,7 +964,7 @@ def _condition_beats_mu(mu_p: Fraction, p: Fraction, t: int,
         hi = to_mpf(eps_r)
         eps = t * mpmath.power(c * t / (pt * v), 1 / (v - 1))
         eps = min(max(eps, hi * mpmath.mpf("1e-9")), hi)
-        margin = to_mpf(mu_p) - pt * (1 - mpmath.power(eps / t, v)) - c * eps
+        margin = to_mpf(mu_p) - _log_cap(p, t, eps / t) - c * eps
         if (margin > mpmath.mpf("1e-11")
                 and eps < hi * (1 - mpmath.mpf("1e-9"))):
             return mpmath.nstr(eps, 18)

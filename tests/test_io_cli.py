@@ -105,6 +105,30 @@ def test_cli_iso_sweep_deterministic(capsys):
     assert len(out1.splitlines()) == 1 + 20  # 20 monotone families on [3]
 
 
+@pytest.mark.parametrize("threads", ["1", "2"])
+@pytest.mark.parametrize("ps", [["2/1"], ["0"], ["1"], ["-1/2"], ["1/2", "1"]])
+def test_cli_iso_sweep_bias_outside_unit_interval(capsys, threads, ps):
+    argv = ["--threads", threads, "iso-sweep", "--n", "2", "--all-monotone",
+            "--csv"]
+    argv += [f"--p={p}" for p in ps]
+    err = _usage_error(capsys, *argv)
+    assert err.startswith("p must lie strictly between 0 and 1")
+
+
+@pytest.mark.parametrize("argv", [
+    ("search", "--predicate", "intersecting", "--n", "5", "--k", "2",
+     "--budget", "-5"),
+    ("search", "--predicate", "intersecting", "--n", "5", "--k", "2",
+     "--budget", "0"),
+    ("conjecture-scan", "--conjecture", "WilsonSharp", "--ranges",
+     '{"n":6,"k":3,"t":1,"d_max":2}', "--budget", "-1"),
+    ("conjecture-scan", "--conjecture", "TIntersectingSharp", "--ranges",
+     '{"t":1,"n":4,"ps":["1/4"]}', "--budget", "0"),
+])
+def test_cli_budget_below_one_exit_two(capsys, argv):
+    assert "budget" in _usage_error(capsys, *argv)
+
+
 def test_cli_russo_sweep(capsys):
     code, out = run_cli(capsys, "russo-sweep", "--n", "3", "--random", "50",
                         "--seed", "5", "--max-n", "8")

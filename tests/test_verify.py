@@ -1,11 +1,15 @@
+import hashlib
+import itertools
+import random
 from fractions import Fraction
 
 import pytest
 
-from ekrlab import (DerivedConstants, FamilySpec, SetFamily, TheoremCase,
-                    UniformFamily, bootstrap_diagnostics, check_theorem,
-                    conjecture_scan, construct, enumerate_monotone,
-                    is_t_intersecting, mu, nearest_or, nearest_or_uniform,
+from ekrlab import (DerivedConstants, EdgeGround, FamilySpec, SetFamily,
+                    TheoremCase, UniformFamily, bootstrap_diagnostics,
+                    check_theorem, conjecture_scan, construct,
+                    enumerate_monotone, is_t_intersecting,
+                    iter_uniform_families, mu, nearest_or, nearest_or_uniform,
                     nearest_triangle, nearest_umvirate,
                     nearest_umvirate_uniform, tightness_report, verify)
 from ekrlab.zoo import (dictatorship, or_family, t_umvirate, tilde_d_sdl,
@@ -117,6 +121,26 @@ def test_t_intersecting_biased():
     rep = check_theorem(TheoremCase("TIntersectingBiased",
                                     {"t": 2, "p": F(1, 5), "eps": eps}), f22)
     assert rep.conclusion_holds in (True, None)
+
+
+@pytest.mark.parametrize("theorem, params, fam", [
+    ("MainBiased", {"p0": F(1, 2), "p": F(1, 4), "t": 1, "eps": F(1, 16)},
+     tilde_gi(4, 3)),
+    ("Biased1", {"p": F(1, 4), "eps": F(1, 16)}, tilde_gi(4, 3)),
+    ("TIntersectingBiased", {"t": 1, "p": F(1, 4), "eps": F(1, 10)},
+     tilde_f_ts(5, 1, 2)),
+    ("TriangleBiased", {"p": F(1, 4), "eps": F(1, 20)}, triangle_umvirate(4)),
+])
+def test_bootstrap_region_noted_with_user_constants(theorem, params, fam):
+    # with C and c supplied and holding, every check with a bootstrap region
+    # still reports it, as a note instead of a flag
+    rep = check_theorem(TheoremCase(theorem, {**params, "C": F(1, 10**6),
+                                              "c": F(50)}), fam)
+    assert [f.status for f in rep.hypotheses if "min{" in f.name] == ["holds"]
+    assert len(rep.notes) == 1
+    assert rep.notes[0].startswith("bootstrap region ")
+    assert rep.notes[0].endswith(" (informational; user constants decide)")
+    assert not any(f.name.startswith("residual within") for f in rep.hypotheses)
 
 
 def test_dual_and_matching_biased():
@@ -425,3 +449,183 @@ def test_dual_and_matching_corpus_never_false():
             rep = check_theorem(TheoremCase(
                 "DualBiased", {"p0": p0, "p": p, "s": s, "eps": F(1, 16)}), fam)
             assert rep.conclusion_holds is not False
+
+
+# -- pinned reports ---------------------------------------------------------------
+
+#: sha256 of each group's outcomes in `_pinned_corpus(19)`, one report JSON or
+#: error message per line, at the default precision and tolerance
+PINNED_DIGESTS = {
+    "MainBiased":
+        "c1ddd7120e4a3098c3384c1c2544648acf828a0cfa0898ea3bc15ba9b0e422d2",
+    "MainBiased+constants":
+        "eb87112684d10a4413e0cb90b892c974b4b4a911d8914e4a2e2af2842c953964",
+    "Biased1+constants":
+        "b599507f7ae250f066b2f14dd4d76df3b2ed764c923fa576630564059be10888",
+    "Biased1":
+        "879479d18d75cd3625acea49f86464c7767f1782a6fadaf8a017c5259493eaeb",
+    "TIntersectingBiased+constants":
+        "e1f6110b48a964f9590e2b11fa3e30facf89c7d2c6a648a6a95da77a690f73ae",
+    "TIntersectingBiased":
+        "c869f6541112b300fd34656222a26edc95ec3704b5025a574b29ca75ba5b290d",
+    "DualBiased+constants":
+        "356a3cd06d7c3fdcd798c110adefb1d2a3ca752f8ffea1b5dd95eaffe75cc7ec",
+    "DualBiased":
+        "519f2d974c9855059f0fa8372a1337e76c0dc1a8decc1389fb6b889007147220",
+    "MatchingBiased+constants":
+        "7c81bd94fa09ec108b892390348cfa12c2423cddc7f22299018d7cc2cefd583c",
+    "MatchingBiased":
+        "b146ca8d71d945848924c08c3d3193de5685d7799a2f299f1a8d2dbe4d0640f8",
+    "TriangleBiased+constants":
+        "f197c4573f1515d2e6a6403483650dde3a2c98283adfa4d9e641eec980596456",
+    "TriangleBiased":
+        "9986b807cdaff101db5c11ad45a8d719d9498cb69a3fad937f6070b420023c66",
+    "FranklG_i":
+        "7413532e3add3ca631e7a16a6cd359b88f46c32b106ee34479a971a4a9b5452e",
+    "WilsonUniform":
+        "e7a0b68870c3c00871d687f64d9bddae8ef08a8e24e1caa6496116de2d1809e7",
+    "MatchingUniform":
+        "0d87b82ebc01945dee8a3bd341e7841a58712e3317f80cb5bf6c8052c334c09e",
+    "TriangleUniform":
+        "92223b10303b27e3247064aaedd0e7600f30cc3ece3bb8c41edd50b8f5da9008",
+    "bootstrap/general":
+        "66e8893ee48f67c4cd95feffc09e929ed4c1fbe4458ceb7c8716b5913d9d6001",
+    "bootstrap/intersecting":
+        "b86b3fd72e8fcdd70a14a78830b8f339a97e36c509ec46a19b7863ecb480a0e7",
+    "tightness/tilde_Gi":
+        "ed7bd136631fe3c8b4b7bf5f69997f66acef7619f90d283a9981abba5909aa82",
+    "tightness/tilde_F_ts":
+        "4bb61248525309d49d7268f16c2ac827f41062a2459a23a6e2fc56b448aaa344",
+    "tightness/tilde_H_tsr":
+        "005215a00650f1a2794cca0a6902eb05169e866b7a6d3a8223c6e775efe5a1b9",
+    "tightness/tilde_D_sdl":
+        "da7cd920ab748c6049fb14899657ef9684555d167045af54411ae60c3a944e2e",
+}
+
+#: the constant sets: none, two that split the min{...} bound, and c = 0,
+#: which makes the bound of an umvirate an exact tie
+_CONSTANTS = ({}, {"C": F(2), "c": F(1, 100)}, {"C": F(1, 10**6), "c": F(50)},
+              {"C": F(1), "c": F(0)})
+
+
+def _grid(constants=(), **axes):
+    """Every combination of the axes as a parameter dict, each with every
+    constant set in `constants` (or none)."""
+    combos = [dict(zip(axes, vals)) for vals in itertools.product(*axes.values())]
+    return [{**c, **k} for c in combos for k in (constants or ({},))]
+
+
+def _pinned_corpus(step: int):
+    """(group, outcome thunk) for every `step`-th theorem and bootstrap case
+    and every tightness case, in a fixed order.  Groups are the theorems
+    (the biased ones split by whether C and c are supplied), the two
+    bootstrap variants and the four tightness families; cases include
+    parameters the checks reject."""
+    rng = random.Random(20261018)
+    biased = list(enumerate_monotone(4)) + [
+        tilde_gi(4, 3), tilde_gi(5, 4), t_umvirate(5, 2), tilde_f_ts(5, 1, 2),
+        tilde_f_ts(6, 2, 2), tilde_h_tsr(6, 1, 2, 3), tilde_d_sdl(6, 2, 2, 2),
+        or_family(5, 2), dictatorship(5)]
+    eg4 = EdgeGround(4)
+    tu = triangle_umvirate(4)
+    tris = eg4.triangle_masks()
+
+    def graph():  # two triangles of K_4 and a random edge set
+        return rng.choice(tris) | rng.choice(tris) | rng.getrandbits(6)
+
+    graphs = [tu, triangle_umvirate(5), SetFamily(6, tu.bits)] + [
+        SetFamily(6, sum(1 << g for g in {graph() for _ in range(3)}),
+                  eg4).up_closure() for _ in range(12)]
+    triples = [m for m in range(64) if bin(m).count("1") == 3]
+    uniform = {
+        "WilsonUniform": [fam for t in (1, 2) for fam in itertools.islice(
+            iter_uniform_families(7, 3, "t-intersecting", t), 60)]
+        + [t_umvirate(8, 2).uniform_slice(4), UniformFamily.full(5, 2)],
+        "MatchingUniform": list(itertools.islice(
+            iter_uniform_families(7, 2, "matching_at_most", 2), 80))
+        + [or_family(11, 2).uniform_slice(2), UniformFamily.full(6, 2)],
+        "TriangleUniform": [triangle_umvirate(v).uniform_slice(k)
+                            for v in (4, 5) for k in (3, 4, 5, 6)]
+        + [UniformFamily(6, 3, rng.sample(triples, 4)) for _ in range(6)],
+    }
+    p0p = [(F(1, 2), F(1, 4)), (F(1, 2), F(1, 3)), (F(2, 5), F(1, 5)),
+           (F(3, 4), F(1, 3)), (F(1, 3), F(1, 2))]
+    eps = [F(1, 32), F(1, 10), F(1, 2), F(0)]
+    grids = {
+        "MainBiased": [{"p0": a, "p": b, **g} for a, b in p0p
+                       for g in _grid(_CONSTANTS, t=[1, 2], eps=eps)],
+        "Biased1": _grid(_CONSTANTS, p=[F(1, 4), F(1, 3), F(2, 5), F(1, 2)],
+                         eps=[F(1, 16), F(1, 12), F(1, 4), F(0)]),
+        "TIntersectingBiased": _grid(
+            _CONSTANTS, t=[1, 2], p=[F(1, 8), F(1, 5), F(1, 4)],
+            eps=[F(1, 25), F(1, 5), F(2, 25)], factor=[1, 2, 3]),
+        "DualBiased": [{"p0": a, "p": b, **g} for a, b in p0p
+                       for g in _grid(_CONSTANTS, s=[1, 2, 3], eps=eps)],
+        "MatchingBiased": _grid(_CONSTANTS, s=[1, 2], p=[F(1, 10), F(1, 6),
+                                                         F(1, 4)],
+                                eps=[F(1, 36), F(1, 4), F(0)]),
+        "TriangleBiased": _grid(_CONSTANTS, p=[F(1, 4), F(1, 3), F(2, 5),
+                                               F(1, 2)],
+                                eps=[F(1, 20), F(1, 8), F(1, 2)]),
+        "FranklG_i": _grid(p=[F(1, 4), F(1, 3), F(1, 2)], i=[3, 4, 5]),
+        "WilsonUniform": _grid(t=[1, 2], d=[1, 2, 3],
+                               delta0=[None, F(1, 10), F(1, 2)]),
+        "MatchingUniform": _grid(s=[1, 2], eps=[F(1, 10), F(1, 2)],
+                                 delta=[None, F(1, 10), F(1)],
+                                 c=[None, F(1, 2)]),
+        "TriangleUniform": _grid(v=[4, 5], d=[1, 2, 4],
+                                 delta0=[None, F(1, 2)]),
+    }
+    grids["TIntersectingBiased"] = [g if g["factor"] != 3 else
+                                    {k: v for k, v in g.items() if k != "factor"}
+                                    for g in grids["TIntersectingBiased"]]
+    families = {"TriangleBiased": graphs, **uniform}
+    cases = []
+    for theorem, grid in grids.items():
+        for fam, params in itertools.product(families.get(theorem, biased), grid):
+            params = {k: v for k, v in params.items() if v is not None}
+            group = theorem + ("+constants" if "C" in params else "")
+            cases.append((group, lambda th=theorem, pr=params, f=fam:
+                          check_theorem(TheoremCase(th, pr), f)))
+    for fam, (p0, p), t in itertools.product(biased, p0p, (1, 2)):
+        cases.append(("bootstrap/general", lambda f=fam, a=p0, b=p, t=t:
+                      bootstrap_diagnostics(f, a, b, t)))
+    for fam, p, t in itertools.product(biased, (F(1, 5), F(1, 3), F(1, 2)),
+                                       (1, 2)):
+        cases.append(("bootstrap/intersecting", lambda f=fam, b=p, t=t:
+                      bootstrap_diagnostics(f, None, b, t, "intersecting")))
+    specs = (
+        [FamilySpec("tilde_Gi", {"n": n, "i": i})
+         for n in (5, 6, 7) for i in range(3, n + 1)]
+        + [FamilySpec("tilde_F_ts", {"n": n, "t": t, "s": s})
+           for n in (5, 7) for t in (1, 2) for s in (2, 3)]
+        + [FamilySpec("tilde_H_tsr", {"n": 7, "t": t, "s": s, "r": r})
+           for t in (1, 2) for s in (2, 3) for r in (2, 3, 4)]
+        + [FamilySpec("tilde_D_sdl", {"n": 7, "s": s, "d": d, "l": el})
+           for s in (1, 2) for d in (2, 3) for el in (2, 3, 4)])
+    return cases[::step] + [
+        ("tightness/" + spec.name, lambda s=spec, b=p: tightness_report(s, b))
+        for spec, p in itertools.product(specs, (F(1, 5), F(1, 4), F(1, 3),
+                                                 F(2, 5)))]
+
+
+def _pinned_outcomes(step: int) -> dict:
+    """Each group's outcomes in `_pinned_corpus(step)`: a report as sorted
+    JSON, or the type and message of the error it raised."""
+    out = {}
+    for group, run in _pinned_corpus(step):
+        try:
+            line = run().to_json()
+        except (ValueError, ArithmeticError) as exc:
+            line = f"{type(exc).__name__}: {exc}"
+        out.setdefault(group, []).append(line)
+    return out
+
+
+def test_reports_pinned(monkeypatch):
+    # every report the checks emit over the corpus, byte for byte; a change
+    # in any label, note, digit or rounding of a verdict shows up here
+    monkeypatch.delenv("EKRLAB_PRECISION", raising=False)
+    got = {group: hashlib.sha256("\n".join(lines).encode()).hexdigest()
+           for group, lines in _pinned_outcomes(19).items()}
+    assert got == PINNED_DIGESTS
