@@ -12,6 +12,7 @@ from ekrlab import (DerivedConstants, EdgeGround, FamilySpec, SetFamily,
                     iter_uniform_families, mu, nearest_or, nearest_or_uniform,
                     nearest_triangle, nearest_umvirate,
                     nearest_umvirate_uniform, tightness_report, verify)
+from ekrlab import numerics
 from ekrlab.zoo import (dictatorship, or_family, t_umvirate, tilde_d_sdl,
                         tilde_f_ts, tilde_gi, tilde_h_tsr, triangle_umvirate)
 
@@ -510,8 +511,9 @@ _CONSTANTS = ({}, {"C": F(2), "c": F(1, 100)}, {"C": F(1, 10**6), "c": F(50)},
 
 def _grid(constants=(), **axes):
     """Every combination of the axes as a parameter dict, each with every
-    constant set in `constants` (or none)."""
-    combos = [dict(zip(axes, vals)) for vals in itertools.product(*axes.values())]
+    constant set in `constants` (or none); a None value leaves its key out."""
+    combos = [{k: v for k, v in zip(axes, vals) if v is not None}
+              for vals in itertools.product(*axes.values())]
     return [{**c, **k} for c in combos for k in (constants or ({},))]
 
 
@@ -558,7 +560,7 @@ def _pinned_corpus(step: int):
                          eps=[F(1, 16), F(1, 12), F(1, 4), F(0)]),
         "TIntersectingBiased": _grid(
             _CONSTANTS, t=[1, 2], p=[F(1, 8), F(1, 5), F(1, 4)],
-            eps=[F(1, 25), F(1, 5), F(2, 25)], factor=[1, 2, 3]),
+            eps=[F(1, 25), F(1, 5), F(2, 25)], factor=[1, 2, None]),
         "DualBiased": [{"p0": a, "p": b, **g} for a, b in p0p
                        for g in _grid(_CONSTANTS, s=[1, 2, 3], eps=eps)],
         "MatchingBiased": _grid(_CONSTANTS, s=[1, 2], p=[F(1, 10), F(1, 6),
@@ -576,14 +578,10 @@ def _pinned_corpus(step: int):
         "TriangleUniform": _grid(v=[4, 5], d=[1, 2, 4],
                                  delta0=[None, F(1, 2)]),
     }
-    grids["TIntersectingBiased"] = [g if g["factor"] != 3 else
-                                    {k: v for k, v in g.items() if k != "factor"}
-                                    for g in grids["TIntersectingBiased"]]
     families = {"TriangleBiased": graphs, **uniform}
     cases = []
     for theorem, grid in grids.items():
         for fam, params in itertools.product(families.get(theorem, biased), grid):
-            params = {k: v for k, v in params.items() if v is not None}
             group = theorem + ("+constants" if "C" in params else "")
             cases.append((group, lambda th=theorem, pr=params, f=fam:
                           check_theorem(TheoremCase(th, pr), f)))
@@ -626,6 +624,7 @@ def test_reports_pinned(monkeypatch):
     # every report the checks emit over the corpus, byte for byte; a change
     # in any label, note, digit or rounding of a verdict shows up here
     monkeypatch.delenv("EKRLAB_PRECISION", raising=False)
+    monkeypatch.setattr(numerics, "_active", {"dps": None, "tol": None})
     got = {group: hashlib.sha256("\n".join(lines).encode()).hexdigest()
            for group, lines in _pinned_outcomes(19).items()}
     assert got == PINNED_DIGESTS
