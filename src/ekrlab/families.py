@@ -9,7 +9,6 @@ externally and 0-indexed inside masks.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 
 from . import _kernels
 from .bitops import (coord_zero_mask, elements_of, full_family_mask,
@@ -19,18 +18,27 @@ from .bitops import (coord_zero_mask, elements_of, full_family_mask,
 MAX_DENSE_N = 30
 
 
-@dataclass(frozen=True)
+def _check_ground(n: int) -> None:
+    if not 0 <= n <= MAX_DENSE_N:
+        raise ValueError(f"ground size must be in [0, {MAX_DENSE_N}], got {n}")
+
+
 class GroundSet:
     """The ground set [n]; all subset masks use exactly n bit positions."""
 
-    n: int
+    __slots__ = ("n",)
 
-    def __post_init__(self):
-        if not 0 <= self.n <= MAX_DENSE_N:
-            raise ValueError(f"ground size must be in [0, {MAX_DENSE_N}], got {self.n}")
+    def __init__(self, n: int):
+        _check_ground(n)
+        object.__setattr__(self, "n", n)
+
+    def __setattr__(self, *a):
+        raise AttributeError("GroundSet is immutable")
+
+    def __reduce__(self):
+        return (type(self), (self.n,))
 
 
-@dataclass(frozen=True)
 class EdgeGround:
     """Ground set of unordered vertex pairs of [v], indexed 1..C(v,2) in
     colex order on pairs: (1,2),(1,3),(2,3),(1,4),(2,4),(3,4),...
@@ -38,13 +46,20 @@ class EdgeGround:
     Lets plain set families act as families of graphs on v vertices.
     """
 
-    v: int
+    __slots__ = ("v",)
 
-    def __post_init__(self):
-        if self.v < 2:
+    def __init__(self, v: int):
+        if v < 2:
             raise ValueError("edge ground needs at least 2 vertices")
-        if self.n > MAX_DENSE_N:
-            raise ValueError(f"C({self.v},2) exceeds the dense family cap")
+        if v * (v - 1) // 2 > MAX_DENSE_N:
+            raise ValueError(f"C({v},2) exceeds the dense family cap")
+        object.__setattr__(self, "v", v)
+
+    def __setattr__(self, *a):
+        raise AttributeError("EdgeGround is immutable")
+
+    def __reduce__(self):
+        return (type(self), (self.v,))
 
     @property
     def n(self) -> int:
@@ -83,7 +98,7 @@ class SetFamily:
     __slots__ = ("n", "bits", "edges", "_buf")
 
     def __init__(self, n: int, bits: int, edges: EdgeGround | None = None):
-        GroundSet(n)
+        _check_ground(n)
         if bits < 0 or bits.bit_length() > (1 << n):
             raise ValueError("family bits exceed the 2**n cube positions")
         if edges is not None and edges.n != n:

@@ -13,9 +13,7 @@ expressions go through the high-precision real layer in `numerics`.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
 
 from . import _kernels
 from .bitops import (coord_zero_mask, cube_mask, elements_of, iter_members,
@@ -159,22 +157,31 @@ def nearest_cube(fam, candidates, p=None, misses: bool = False):
     return key, mask, r if p is None else Fraction(r, den)
 
 
-@dataclass(frozen=True)
 class InfluenceVector:
     """Per-coordinate pivot counts plus their sum: pivots[i][j] counts the
     size-j cube points whose membership flips with coordinate i, and Inf_i
     is the measure of that integer vector."""
 
-    n: int
-    pivots: tuple[tuple[int, ...], ...]
-    total_weights: tuple[int, ...]
+    __slots__ = ("n", "pivots", "total_weights")
 
-    @cached_property
+    def __init__(self, n: int, pivots: tuple[tuple[int, ...], ...],
+                 total_weights: tuple[int, ...]):
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "pivots", pivots)
+        object.__setattr__(self, "total_weights", total_weights)
+
+    def __setattr__(self, *a):
+        raise AttributeError("InfluenceVector is immutable")
+
+    def __reduce__(self):
+        return (type(self), (self.n, self.pivots, self.total_weights))
+
+    @property
     def per_coordinate(self) -> tuple[MeasurePolynomial, ...]:
         return tuple(MeasurePolynomial.from_weights(self.n, w)
                      for w in self.pivots)
 
-    @cached_property
+    @property
     def total(self) -> MeasurePolynomial:
         return MeasurePolynomial.from_weights(self.n, self.total_weights)
 
@@ -246,13 +253,24 @@ def total_influence(fam: SetFamily, p) -> Fraction:
     return influence(fam).total_at(p)
 
 
-@dataclass(frozen=True)
 class EdgeBoundaryReport:
-    count: int
-    edges: tuple[tuple[int, int], ...] | None
-    harper: Checked | None           # |bd A| >= |A| log2(2^n / |A|)
-    is_subcube: bool
-    equality: bool | None
+    __slots__ = ("count", "edges", "harper", "is_subcube", "equality")
+
+    def __init__(self, count: int, edges: tuple[tuple[int, int], ...] | None,
+                 harper: Checked | None, is_subcube: bool,
+                 equality: bool | None):
+        object.__setattr__(self, "count", count)
+        object.__setattr__(self, "edges", edges)
+        object.__setattr__(self, "harper", harper)  # |bd A| >= |A| log2(2^n / |A|)
+        object.__setattr__(self, "is_subcube", is_subcube)
+        object.__setattr__(self, "equality", equality)
+
+    def __setattr__(self, *a):
+        raise AttributeError("EdgeBoundaryReport is immutable")
+
+    def __reduce__(self):
+        return (type(self), (self.count, self.edges, self.harper,
+                             self.is_subcube, self.equality))
 
     def __int__(self):
         return self.count
@@ -324,7 +342,6 @@ def iso_table(n: int, masks, ps, dps: int) -> list[list[tuple]]:
     return out
 
 
-@dataclass(frozen=True)
 class IsoSlackReport:
     """p*I_p - mu log_p(mu) for the skewed isoperimetric inequality.
 
@@ -332,13 +349,28 @@ class IsoSlackReport:
     inequality's domain: non-increasing family with p > 1/2).
     """
 
-    status: str
-    p: Fraction
-    mu_value: Fraction
-    slack: object | None
-    equal: bool | None
-    is_increasing_subcube: bool
-    structure_consistent: bool | None
+    __slots__ = ("status", "p", "mu_value", "slack", "equal",
+                 "is_increasing_subcube", "structure_consistent")
+
+    def __init__(self, status: str, p: Fraction, mu_value: Fraction,
+                 slack: object | None, equal: bool | None,
+                 is_increasing_subcube: bool,
+                 structure_consistent: bool | None):
+        object.__setattr__(self, "status", status)
+        object.__setattr__(self, "p", p)
+        object.__setattr__(self, "mu_value", mu_value)
+        object.__setattr__(self, "slack", slack)
+        object.__setattr__(self, "equal", equal)
+        object.__setattr__(self, "is_increasing_subcube", is_increasing_subcube)
+        object.__setattr__(self, "structure_consistent", structure_consistent)
+
+    def __setattr__(self, *a):
+        raise AttributeError("IsoSlackReport is immutable")
+
+    def __reduce__(self):
+        return (type(self), (self.status, self.p, self.mu_value, self.slack,
+                             self.equal, self.is_increasing_subcube,
+                             self.structure_consistent))
 
     @property
     def holds(self) -> bool:
@@ -380,12 +412,26 @@ def iso_slack(fam: SetFamily, p) -> IsoSlackReport:
     return IsoSlackReport("ok", p, m, chk.rhs, chk.equal, is_sub, consistent)
 
 
-@dataclass(frozen=True)
 class LogMeasureProfile:
-    points: tuple[tuple[Fraction, object], ...]   # (p, log_p mu_p)
-    non_increasing: bool
-    strictly_decreasing_somewhere: bool
-    is_increasing_subcube: bool
+    __slots__ = ("points", "non_increasing", "strictly_decreasing_somewhere",
+                 "is_increasing_subcube")
+
+    def __init__(self, points: tuple[tuple[Fraction, object], ...],
+                 non_increasing: bool, strictly_decreasing_somewhere: bool,
+                 is_increasing_subcube: bool):
+        object.__setattr__(self, "points", points)  # (p, log_p mu_p)
+        object.__setattr__(self, "non_increasing", non_increasing)
+        object.__setattr__(self, "strictly_decreasing_somewhere",
+                           strictly_decreasing_somewhere)
+        object.__setattr__(self, "is_increasing_subcube", is_increasing_subcube)
+
+    def __setattr__(self, *a):
+        raise AttributeError("LogMeasureProfile is immutable")
+
+    def __reduce__(self):
+        return (type(self), (self.points, self.non_increasing,
+                             self.strictly_decreasing_somewhere,
+                             self.is_increasing_subcube))
 
 
 def log_measure_profile(fam: SetFamily, grid) -> LogMeasureProfile:

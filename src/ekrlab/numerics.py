@@ -18,9 +18,7 @@ from __future__ import annotations
 import importlib.util
 import os
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Union
 
 
 def _lazy_import(name: str):
@@ -54,7 +52,9 @@ MIN_DPS = 15
 #: comparison tolerance tau
 DEFAULT_TOL = Fraction(1, 10**12)
 
-ValueLike = Union[int, Fraction, "mpmath.mpf", Callable[[], "ValueLike"]]
+#: what `check_le` accepts on either side; an annotation only, so that
+#: `typing` stays off the import path
+ValueLike = "int | Fraction | mpmath.mpf | Callable[[], ValueLike]"
 
 
 _active = {"dps": None, "tol": None}
@@ -108,7 +108,6 @@ def log_base(x, base) -> mpmath.mpf:
     return mpmath.log(to_mpf(x)) / mpmath.log(to_mpf(base))
 
 
-@dataclass(frozen=True)
 class Checked:
     """Outcome of a single `lhs <= rhs` comparison.
 
@@ -117,13 +116,24 @@ class Checked:
     rational and no tolerance was involved.
     """
 
-    lhs: object
-    rhs: object
-    slack: object
-    holds: bool
-    equal: bool
-    exact: bool
-    dps: int
+    __slots__ = ("lhs", "rhs", "slack", "holds", "equal", "exact", "dps")
+
+    def __init__(self, lhs: object, rhs: object, slack: object, holds: bool,
+                 equal: bool, exact: bool, dps: int):
+        object.__setattr__(self, "lhs", lhs)
+        object.__setattr__(self, "rhs", rhs)
+        object.__setattr__(self, "slack", slack)
+        object.__setattr__(self, "holds", holds)
+        object.__setattr__(self, "equal", equal)
+        object.__setattr__(self, "exact", exact)
+        object.__setattr__(self, "dps", dps)
+
+    def __setattr__(self, *a):
+        raise AttributeError("Checked is immutable")
+
+    def __reduce__(self):
+        return (type(self), (self.lhs, self.rhs, self.slack, self.holds,
+                             self.equal, self.exact, self.dps))
 
     def __bool__(self) -> bool:
         return self.holds

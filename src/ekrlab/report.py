@@ -9,7 +9,6 @@ the check from its inputs.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .numerics import Checked, fmt_rational, fmt_real
@@ -30,13 +29,16 @@ def fmt(x) -> str:
     return fmt_real(x)
 
 
-@dataclass
 class HypothesisFlag:
-    name: str
-    status: str  # holds / fails / unresolved / vacuous
-    lhs: str = ""
-    rhs: str = ""
-    note: str = ""
+    __slots__ = ("name", "status", "lhs", "rhs", "note")
+
+    def __init__(self, name: str, status: str, lhs: str = "", rhs: str = "",
+                 note: str = ""):
+        self.name = name
+        self.status = status  # holds / fails / unresolved / vacuous
+        self.lhs = lhs
+        self.rhs = rhs
+        self.note = note
 
     @classmethod
     def from_checked(cls, name: str, c: Checked, note: str = "") -> "HypothesisFlag":
@@ -47,14 +49,19 @@ class HypothesisFlag:
         return self.status == HOLDS
 
 
-@dataclass
 class VerdictReport:
-    check: str
-    hypotheses: list[HypothesisFlag] = field(default_factory=list)
-    witness: dict | None = None
-    conclusion_holds: bool | None = None
-    slacks: dict = field(default_factory=dict)
-    notes: list[str] = field(default_factory=list)
+    __slots__ = ("check", "hypotheses", "witness", "conclusion_holds",
+                 "slacks", "notes")
+
+    def __init__(self, check: str, hypotheses: list[HypothesisFlag] | None = None,
+                 witness: dict | None = None, conclusion_holds: bool | None = None,
+                 slacks: dict | None = None, notes: list[str] | None = None):
+        self.check = check
+        self.hypotheses = [] if hypotheses is None else hypotheses
+        self.witness = witness
+        self.conclusion_holds = conclusion_holds
+        self.slacks = {} if slacks is None else slacks
+        self.notes = [] if notes is None else notes
 
     def add_hypothesis(self, name: str, checked: Checked, note: str = "") -> HypothesisFlag:
         flag = HypothesisFlag.from_checked(name, checked, note)

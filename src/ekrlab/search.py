@@ -16,7 +16,6 @@ the node-at-a-time walk.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
 from fractions import Fraction
 from pathlib import Path
 
@@ -80,37 +79,50 @@ PREDICATES = {
 }
 
 
-@dataclass(frozen=True)
 class SearchProblem:
     """A search instance: the ground [n]^(k), a hereditary predicate and a
-    node budget."""
+    node budget (t is t for intersecting, s for matching)."""
 
-    n: int
-    k: int
-    predicate: str = "intersecting"
-    t: int = 1                            # t for intersecting, s for matching
-    budget: int | None = None
-    shifted: bool = False
+    __slots__ = ("n", "k", "predicate", "t", "budget", "shifted")
 
-    def __post_init__(self):
-        if self.predicate not in PREDICATES:
-            raise ValueError(f"unknown predicate {self.predicate!r}")
-        if self.t < 1:
+    def __init__(self, n: int, k: int, predicate: str = "intersecting",
+                 t: int = 1, budget: int | None = None, shifted: bool = False):
+        if predicate not in PREDICATES:
+            raise ValueError(f"unknown predicate {predicate!r}")
+        if t < 1:
             raise ValueError(f"need t >= 1 (t for intersecting, s for "
-                             f"matching), got t={self.t}")
-        if self.budget is not None and self.budget < 1:
-            raise ValueError(f"need budget >= 1, got budget={self.budget}")
+                             f"matching), got t={t}")
+        if budget is not None and budget < 1:
+            raise ValueError(f"need budget >= 1, got budget={budget}")
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "k", k)
+        object.__setattr__(self, "predicate", predicate)
+        object.__setattr__(self, "t", t)
+        object.__setattr__(self, "budget", budget)
+        object.__setattr__(self, "shifted", shifted)
+
+    def __setattr__(self, *a):
+        raise AttributeError("SearchProblem is immutable")
+
+    def __reduce__(self):
+        return (type(self), (self.n, self.k, self.predicate, self.t,
+                             self.budget, self.shifted))
 
 
-@dataclass
 class SearchCertificate:
-    optimum: object
-    witness: object                      # UniformFamily or SetFamily
-    nodes: int
-    stats: dict = field(default_factory=dict)
-    complete: bool = True
-    shifted: bool = False
-    reverified: bool = False
+    __slots__ = ("optimum", "witness", "nodes", "stats", "complete",
+                 "shifted", "reverified")
+
+    def __init__(self, optimum: object, witness: object, nodes: int,
+                 stats: dict | None = None, complete: bool = True,
+                 shifted: bool = False, reverified: bool = False):
+        self.optimum = optimum
+        self.witness = witness           # UniformFamily or SetFamily
+        self.nodes = nodes
+        self.stats = {} if stats is None else stats
+        self.complete = complete
+        self.shifted = shifted
+        self.reverified = reverified
 
     def to_dict(self) -> dict:
         wit = self.witness

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .bitops import coord_zero_mask, elements_of, mask_of, popcount
@@ -121,17 +120,27 @@ def lex_unrank(n: int, k: int, r: int) -> int:
     return mask
 
 
-@dataclass(frozen=True)
+def _check_segment(n: int, k: int, m: int) -> None:
+    if not 0 <= m <= math.comb(n, k):
+        raise ValueError("segment size out of range")
+
+
 class LexSegment:
     """Initial segment of the lex order on [n]^(k), given by its size."""
 
-    n: int
-    k: int
-    m: int
+    __slots__ = ("n", "k", "m")
 
-    def __post_init__(self):
-        if not 0 <= self.m <= math.comb(self.n, self.k):
-            raise ValueError("segment size out of range")
+    def __init__(self, n: int, k: int, m: int):
+        _check_segment(n, k, m)
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "k", k)
+        object.__setattr__(self, "m", m)
+
+    def __setattr__(self, *a):
+        raise AttributeError("LexSegment is immutable")
+
+    def __reduce__(self):
+        return (type(self), (self.n, self.k, self.m))
 
     def __contains__(self, subset) -> bool:
         mask = subset if isinstance(subset, int) else mask_of(subset)
@@ -145,17 +154,22 @@ class LexSegment:
                              (lex_unrank(self.n, self.k, r) for r in range(self.m)))
 
 
-@dataclass(frozen=True)
 class ColexSegment:
     """Initial segment of the colex order on [n]^(k); shadow-minimal."""
 
-    n: int
-    k: int
-    m: int
+    __slots__ = ("n", "k", "m")
 
-    def __post_init__(self):
-        if not 0 <= self.m <= math.comb(self.n, self.k):
-            raise ValueError("segment size out of range")
+    def __init__(self, n: int, k: int, m: int):
+        _check_segment(n, k, m)
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "k", k)
+        object.__setattr__(self, "m", m)
+
+    def __setattr__(self, *a):
+        raise AttributeError("ColexSegment is immutable")
+
+    def __reduce__(self):
+        return (type(self), (self.n, self.k, self.m))
 
     def __contains__(self, subset) -> bool:
         mask = subset if isinstance(subset, int) else mask_of(subset)

@@ -24,7 +24,6 @@ precision.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from fractions import Fraction
 
 from . import _kernels
@@ -42,13 +41,21 @@ from .search import (_index_families, enumerate_monotone_masks,
 from .zoo import (FamilySpec, closed_form_mu, comb0, construct,
                   defining_root)
 
-@dataclass(frozen=True)
 class DerivedConstants:
     """The transfer exponents and prefactors shared by the biased theorems."""
 
-    p0: Fraction | None
-    p: Fraction
-    t: int = 1
+    __slots__ = ("p0", "p", "t")
+
+    def __init__(self, p0: Fraction | None, p: Fraction, t: int = 1):
+        object.__setattr__(self, "p0", p0)
+        object.__setattr__(self, "p", p)
+        object.__setattr__(self, "t", t)
+
+    def __setattr__(self, *a):
+        raise AttributeError("DerivedConstants is immutable")
+
+    def __reduce__(self):
+        return (type(self), (self.p0, self.p, self.t))
 
     @property
     def c_tilde(self):
@@ -82,7 +89,6 @@ class DerivedConstants:
                                              1 / (1 - self.v))
 
 
-@dataclass(frozen=True)
 class TheoremCase:
     """A theorem id plus its parameters (p0, p, t/s, eps, d, i, delta...).
 
@@ -90,12 +96,19 @@ class TheoremCase:
     the nonconstructive hypotheses checkable; they are never guessed.
     """
 
-    theorem_id: str
-    params: dict
+    __slots__ = ("theorem_id", "params")
 
-    def __post_init__(self):
-        if self.theorem_id not in THEOREM_IDS:
-            raise ValueError(f"unknown theorem {self.theorem_id!r}")
+    def __init__(self, theorem_id: str, params: dict):
+        if theorem_id not in THEOREM_IDS:
+            raise ValueError(f"unknown theorem {theorem_id!r}")
+        object.__setattr__(self, "theorem_id", theorem_id)
+        object.__setattr__(self, "params", params)
+
+    def __setattr__(self, *a):
+        raise AttributeError("TheoremCase is immutable")
+
+    def __reduce__(self):
+        return (type(self), (self.theorem_id, self.params))
 
     def get(self, key, default=None):
         return self.params.get(key, default)
@@ -196,9 +209,9 @@ def _constants_flag(rep: VerdictReport, case: TheoremCase, mu_p: Fraction,
         rep.add_flag(description, UNRESOLVED,
                      note="unresolved (constant unknown); supply C and c to check")
         return False
-    big_c = to_mpf(Fraction(case.get("C")))
-    small_c = to_mpf(Fraction(case.get("c")))
-    chk = check_le(lambda: rhs_fn(big_c, small_c), mu_p)
+    big_c, small_c = Fraction(case.get("C")), Fraction(case.get("c"))
+    # converted inside the closure, so that a precision retry refines them
+    chk = check_le(lambda: rhs_fn(to_mpf(big_c), to_mpf(small_c)), mu_p)
     rep.add_hypothesis(description, chk)
     return chk.holds
 
@@ -740,14 +753,18 @@ def mu_at_real(fam: SetFamily, x):
 # -- conjecture scanners --------------------------------------------------------
 
 
-@dataclass
 class ScanReport:
-    conjecture: str
-    ranges: dict
-    families_examined: int
-    candidates: list
-    complete: bool
-    notes: list
+    __slots__ = ("conjecture", "ranges", "families_examined", "candidates",
+                 "complete", "notes")
+
+    def __init__(self, conjecture: str, ranges: dict, families_examined: int,
+                 candidates: list, complete: bool, notes: list):
+        self.conjecture = conjecture
+        self.ranges = ranges
+        self.families_examined = families_examined
+        self.candidates = candidates
+        self.complete = complete
+        self.notes = notes
 
     def to_dict(self) -> dict:
         return {

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .bitops import elements_of, mask_of, popcount
@@ -25,23 +24,34 @@ FAMILY_NAMES = (
 )
 
 
-@dataclass(frozen=True)
 class FamilySpec:
     """Serializable description of a zoo family: a name plus parameters."""
 
-    name: str
-    params: dict = field(default_factory=dict)
+    __slots__ = ("name", "params")
 
-    def __post_init__(self):
-        if not isinstance(self.name, str) or self.name not in FAMILY_NAMES:
-            raise ValueError(f"unknown family {self.name!r}; known: {FAMILY_NAMES}")
-        if not isinstance(self.params, dict):
-            raise ValueError(f"params must be an object, got {self.params!r}")
-        for key, val in self.params.items():
+    def __init__(self, name: str, params: dict | None = None):
+        params = {} if params is None else params
+        if not isinstance(name, str) or name not in FAMILY_NAMES:
+            raise ValueError(f"unknown family {name!r}; known: {FAMILY_NAMES}")
+        if not isinstance(params, dict):
+            raise ValueError(f"params must be an object, got {params!r}")
+        for key, val in params.items():
             if not isinstance(val, int) or isinstance(val, bool):
                 raise ValueError(f"parameter {key!r} must be an integer, "
                                  f"got {val!r}")
-        _VALIDATORS[self.name](dict(self.params))
+        _VALIDATORS[name](dict(params))
+        object.__setattr__(self, "name", name)
+        object.__setattr__(self, "params", params)
+
+    def __setattr__(self, *a):
+        raise AttributeError("FamilySpec is immutable")
+
+    def __reduce__(self):
+        return (type(self), (self.name, self.params))
+
+    def __eq__(self, other) -> bool:
+        return (isinstance(other, FamilySpec) and self.name == other.name
+                and self.params == other.params)
 
     def to_dict(self) -> dict:
         return {"name": self.name, "params": dict(self.params)}
@@ -51,7 +61,10 @@ class FamilySpec:
         if not isinstance(d, dict) or "name" not in d:
             raise ValueError(f'a family spec is an object with a "name", got {d!r}')
         params = d.get("params", {})
-        return cls(d["name"], dict(params) if isinstance(params, dict) else params)
+        if not isinstance(params, dict):
+            # checked here too, since the constructor reads None as no params
+            raise ValueError(f"params must be an object, got {params!r}")
+        return cls(d["name"], dict(params))
 
 
 def _need(params: dict, *keys):
@@ -512,14 +525,24 @@ def ak_max(n: int, k: int, t: int) -> tuple[int, list[int]]:
     return best, argmax
 
 
-@dataclass(frozen=True)
 class RootInfo:
     """The bias p0 where a tightness family meets its defining equation."""
 
-    value: object            # Fraction when exact, else mpf
-    exact: bool
-    bracket: tuple[Fraction, Fraction]
-    equation: str
+    __slots__ = ("value", "exact", "bracket", "equation")
+
+    def __init__(self, value: object, exact: bool,
+                 bracket: tuple[Fraction, Fraction], equation: str):
+        object.__setattr__(self, "value", value)  # Fraction when exact, else mpf
+        object.__setattr__(self, "exact", exact)
+        object.__setattr__(self, "bracket", bracket)
+        object.__setattr__(self, "equation", equation)
+
+    def __setattr__(self, *a):
+        raise AttributeError("RootInfo is immutable")
+
+    def __reduce__(self):
+        return (type(self), (self.value, self.exact, self.bracket,
+                             self.equation))
 
 
 def defining_root(spec: FamilySpec) -> RootInfo:

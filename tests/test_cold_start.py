@@ -3,6 +3,7 @@ unloaded, and that pool workers, forked from a cold start or spawned, agree
 with one process.  Each check runs in a fresh interpreter, because this one
 imported mpmath long ago."""
 
+import ast
 import json
 import os
 import runpy
@@ -71,6 +72,31 @@ def test_import_defers_real_layer_and_pool():
     loaded = _loaded_after()
     assert "mpmath.ctx_mp" not in loaded
     assert "multiprocessing" not in loaded
+
+
+def test_import_skips_dataclasses_and_inspect():
+    # together about half of the CLI import time when they were used
+    loaded = _loaded_after()
+    assert "dataclasses" not in loaded
+    assert "inspect" not in loaded
+
+
+def test_package_imports_no_heavy_stdlib_at_module_level():
+    # `site` may load typing before ekrlab runs, so the sys.modules check
+    # above cannot see a module-level typing import; this reads the source
+    banned = {"dataclasses", "inspect", "typing"}
+    found = []
+    for path in sorted(Path(SRC, "ekrlab").glob("*.py")):
+        for node in ast.parse(path.read_text()).body:
+            if isinstance(node, ast.Import):
+                names = [a.name for a in node.names]
+            elif isinstance(node, ast.ImportFrom) and not node.level:
+                names = [node.module]
+            else:
+                continue
+            found += [f"{path.name}: {name}" for name in names
+                      if name.split(".")[0] in banned]
+    assert not found
 
 
 def test_mpmath_imported_first_is_reused():

@@ -290,6 +290,19 @@ def test_cli_verify_with_constants(capsys):
     assert all(h["status"] != "unresolved" for h in rep["hypotheses"])
 
 
+def test_cli_verify_constants_refined_with_precision(capsys):
+    # C p^2 = 11/48 exactly; C and c must gain digits with the working
+    # precision, not enter the closure already rounded to a double
+    code, out = run_cli(capsys, "verify", "--theorem", "Biased1",
+                        "--spec", '{"name":"dictatorship","params":{"n":3}}',
+                        "--p", "1/4", "--eps", "1/10", "--C", "16/3",
+                        "--c", "1/3")
+    assert code == 0
+    flag = json.loads(out)["report"]["hypotheses"][1]
+    assert flag["name"].startswith("mu_p(F) >= min{C p^2")
+    assert flag["lhs"] == "0.229166666666666667"
+
+
 def test_cli_triangle_biased_from_file(capsys, tmp_path):
     from ekrlab.zoo import triangle_umvirate
     from ekrlab.io import dump_family
