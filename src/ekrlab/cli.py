@@ -26,8 +26,8 @@ from .io import family_to_dict, load_family
 from .measures import (check_p_open, influence, iso_table, mu, mu_polynomial,
                        russo_identity)
 from .numerics import fmt_rational, fmt_real, mpmath, parse_rational
-from .search import (SearchProblem, enumerate_monotone_masks, max_uniform,
-                     monotone_count_oracle)
+from .search import (MONOTONE_COUNTS, SearchProblem, enumerate_monotone_masks,
+                     max_uniform)
 from .shadows import (increasing_shadow, kk_min_shadow, cascade_decomposition,
                       katona_check, lower_shadow, upper_shadow)
 from .verify import (TheoremCase, THEOREM_IDS, check_theorem, conjecture_scan,
@@ -62,47 +62,26 @@ def _emit(payload: dict) -> None:
 # -- sweep drivers ---------------------------------------------------------------
 
 
-def _iso_rows_for(task) -> list[tuple]:
-    n, first_fid, masks, ps, dps = task
-    rows = []
-    for fid, values in enumerate(iso_table(n, masks, ps, dps), first_fid):
-        for p, (m, ip, slack, log_mu) in zip(ps, values):
-            row = (fid, p.numerator, p.denominator, fmt_rational(m),
-                   fmt_rational(ip))
-            rows.append(row + (("vacuous", "") if slack is None else
-                               (fmt_real(slack), fmt_real(log_mu))))
-    return rows
-
-
 ISO_COLUMNS = ("family_id", "p_num", "p_den", "mu", "total_influence",
                "iso_slack", "log_p_mu")
 
 
-def iso_sweep(n: int, ps: list[Fraction], threads: int = 1) -> list[tuple]:
+def iso_sweep(n: int, ps: list[Fraction]) -> list[tuple]:
     """Slack rows for every increasing family on [n], canonical order.
 
-    Each task carries the working precision, because a pool worker that was
-    not forked does not inherit the session's.  A bias outside 0 < p < 1 is
-    a ValueError, raised before any worker starts."""
+    Families with the same count profile share their rows, so each profile's
+    rows are formatted once.  A bias outside 0 < p < 1 is a ValueError."""
     for p in ps:
         check_p_open(p)
-    masks = [int(bits) for bits in enumerate_monotone_masks(n)]
-    step = 64 if threads > 1 else len(masks)
-    dps = numerics.default_dps()
-    tasks = [(n, i, masks[i:i + step], ps, dps)
-             for i in range(0, len(masks), step)]
-    if threads > 1:
-        import multiprocessing
-
-        numerics.load_real_layer()  # once here, not once per worker
-        with multiprocessing.Pool(threads) as pool:
-            chunks = pool.map(_iso_rows_for, tasks)
-    else:
-        chunks = map(_iso_rows_for, tasks)
-    rows = []
-    for chunk in chunks:
-        rows.extend(chunk)
-    return rows
+    profile_of, profiles = iso_table(n, enumerate_monotone_masks(n), ps)
+    formatted = [
+        [(p.numerator, p.denominator, fmt_rational(m), fmt_rational(ip))
+         + (("vacuous", "") if slack is None else
+            (fmt_real(slack), fmt_real(log_mu)))
+         for p, (m, ip, slack, log_mu) in zip(ps, values)]
+        for values in profiles]
+    return [(fid,) + row for fid, k in enumerate(profile_of)
+            for row in formatted[k]]
 
 
 def russo_sweep(n: int | None, random_count: int, seed: int, max_n: int,
@@ -182,16 +161,17 @@ def _cmd_iso_sweep(args):
     if not args.all_monotone:
         raise ValueError("iso-sweep currently drives --all-monotone grounds")
     ps = [parse_rational(x) for x in args.p]
-    rows = iso_sweep(args.n, ps, threads=args.threads)
+    rows = iso_sweep(args.n, ps)
     tol = numerics.to_mpf(numerics.default_tol())
-    failed = [r for r in rows
-              if r[5] != "vacuous" and mpmath.mpf(r[5]) < -tol]
+    negative = {s for s in {r[5] for r in rows} - {"vacuous"}
+                if mpmath.mpf(s) < -tol}
+    failed = sum(r[5] in negative for r in rows)
     if args.csv:
         return (1 if failed else 0), (ISO_COLUMNS, rows)
     out = {"header": _header(args, "iso-sweep"),
            "rows": [dict(zip(ISO_COLUMNS, r)) for r in rows],
-           "violations": len(failed),
-           "count": monotone_count_oracle(args.n) if args.n <= 6 else None}
+           "violations": failed,
+           "count": MONOTONE_COUNTS[args.n]}
     return (1 if failed else 0), out
 
 
@@ -306,7 +286,7 @@ def build_parser() -> argparse.ArgumentParser:
                     help="working precision in decimal digits "
                          "(default 30; env EKRLAB_PRECISION)")
     ap.add_argument("--threads", type=int, default=os.cpu_count() or 1,
-                    help="worker processes for sweep drivers")
+                    help="worker processes for russo-sweep and conjecture-scan")
     sub = ap.add_subparsers(dest="subcommand", required=True)
 
     def add(name, handler, **kw):

@@ -19,7 +19,7 @@ from . import _kernels
 from .bitops import (coord_zero_mask, cube_mask, elements_of, iter_members,
                      popcount, subset_masks)
 from .families import SetFamily, are_cross_intersecting
-from .numerics import Checked, check_le, log_base, mpmath, to_mpf
+from .numerics import Checked, check_le, default_dps, log_base, mpmath, to_mpf
 from .report import VerdictReport
 
 #: ground size above which influence counting switches to member scans
@@ -315,19 +315,29 @@ def russo_identity(fam: SetFamily) -> bool:
             == MeasurePolynomial.from_weights(fam.n, map(sum, zip(*piv))))
 
 
-def iso_table(n: int, masks, ps, dps: int) -> list[list[tuple]]:
-    """Per family (2**n-bit mask on [n]), one row per bias in ps: (mu_p,
-    I_p, slack, log_p mu) with slack = p*I_p - mu*log_p(mu) in mpmath at
-    `dps` digits, or both None when mu is 0 or 1.  ln p is taken once per
-    bias."""
+def iso_table(n: int, masks, ps) -> tuple[list[int], list[list[tuple]]]:
+    """(profile_of, profiles) for families given as 2**n-bit masks on [n].
+
+    Both sides of the isoperimetric inequality depend on a family only
+    through its weight counts w and summed pivot counts, and few such
+    profiles exist (26 among the 168 families on [4]), so each is evaluated
+    once: profiles[k] holds one row per bias in ps, (mu_p, I_p, slack,
+    log_p mu) with slack = p*I_p - mu*log_p(mu) in mpmath at the working
+    precision, or both None when mu is 0 or 1; profile_of[i] is the index
+    of mask i's profile, in order of first appearance.  ln p is taken once
+    per bias."""
     ps = [Fraction(p) for p in ps]
+    index: dict[tuple, int] = {}
+    profile_of = []
+    for bits in masks:
+        w, piv = _kernels.weight_pivot_counts(bits, n)
+        key = (tuple(w), tuple(map(sum, zip(*piv))))
+        profile_of.append(index.setdefault(key, len(index)))
     tables = [power_table(n, p) for p in ps]
-    out = []
-    with mpmath.workdps(dps):
+    profiles = []
+    with mpmath.workdps(default_dps()):
         reals = [(to_mpf(p), mpmath.log(to_mpf(p))) for p in ps]
-        for bits in masks:
-            w, piv = _kernels.weight_pivot_counts(bits, n)
-            tot = [sum(col) for col in zip(*piv)]
+        for w, tot in index:
             rows = []
             for (pw, den), (p_real, log_p) in zip(tables, reals):
                 m = Fraction(dot(w, pw), den)
@@ -338,8 +348,8 @@ def iso_table(n: int, masks, ps, dps: int) -> list[list[tuple]]:
                 log_mu = mpmath.log(to_mpf(m)) / log_p
                 slack = p_real * to_mpf(ip) - to_mpf(m) * log_mu
                 rows.append((m, ip, slack, log_mu))
-            out.append(rows)
-    return out
+            profiles.append(rows)
+    return profile_of, profiles
 
 
 class IsoSlackReport:

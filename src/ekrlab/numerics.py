@@ -95,6 +95,8 @@ def to_mpf(x) -> mpmath.mpf:
 
 
 def _eval(x, dps: int):
+    if isinstance(x, (int, Fraction)):
+        return x  # a rational operand needs no real layer
     with mpmath.workdps(dps):
         while callable(x):
             x = x()

@@ -111,6 +111,14 @@ def test_mpmath_imported_first_is_reused():
     ("--threads", "1", "search", "--predicate", "intersecting",
      "--n", "6", "--k", "3"),
     ("--threads", "1", "kk", "--m", "10", "--k", "3"),
+    # every value these compare is rational
+    ("--threads", "1", "katona", "--spec",
+     '{"name":"ak_family","params":{"n":9,"k":4,"t":2,"r":1}}', "--t", "2"),
+    ("--threads", "1", "katona", "--spec",
+     '{"name":"t_umvirate","params":{"n":7,"t":2}}', "--t", "2",
+     "--p", "1/3"),
+    ("--threads", "1", "tightness", "--spec",
+     '{"name":"tilde_Gi","params":{"n":6,"i":5}}', "--p", "1/4"),
 ])
 def test_commands_without_reals_leave_mpmath_unloaded(argv):
     assert "mpmath.ctx_mp" not in _loaded_after(*argv)
@@ -124,10 +132,19 @@ def test_real_layer_loads_on_first_use():
     assert "mpmath.ctx_mp" in loaded
 
 
+def test_iso_sweep_starts_no_pool():
+    loaded = _loaded_after("--threads", "2", "iso-sweep", "--n", "3",
+                           "--all-monotone", "--p", "1/3")
+    assert "multiprocessing" not in loaded
+
+
 @pytest.mark.parametrize("argv", [
+    # iso-sweep runs in one process at any --threads, and still matches
     ("iso-sweep", "--n", "3", "--all-monotone", "--p", "1/3", "--p", "2/5"),
     ("conjecture-scan", "--conjecture", "TIntersectingSharp",
      "--ranges", '{"t": 1, "n": 4, "ps": ["1/4", "1/3"]}'),
+    ("russo-sweep", "--n", "3", "--random", "20", "--seed", "1",
+     "--max-n", "6"),
 ])
 def test_pool_from_cold_start_matches_one_process(argv):
     seq = _run("-m", "ekrlab.cli", "--threads", "1", *argv)

@@ -13,8 +13,11 @@ from ekrlab import (SetFamily, _kernels, influence, mu_polynomial,
                     subcube_distance)
 from ekrlab.bitops import (coord_zero_mask, cube_mask, iter_bit_indices,
                            iter_members, mask_of, size_class_masks)
-from ekrlab.cli import main
+from ekrlab.cli import iso_sweep, main
 from ekrlab.families import EdgeGround
+from ekrlab.measures import iso_table
+from ekrlab.numerics import mpmath
+from ekrlab.search import enumerate_monotone_masks
 from ekrlab.verify import (_canonical_or_residual, _canonical_residual,
                            nearest_or, nearest_or_uniform, nearest_triangle,
                            nearest_triangle_uniform, nearest_umvirate,
@@ -215,6 +218,9 @@ def _cli(capsys, *argv):
      "f7b2933c528aa181462e1a728ee14f6e23a9920595da9e1a626c392fffe111a2", 81),
     (("--n", "4", "--p", "1/3", "--p", "3/5", "--p", "7/101", "--p", "89/97"),
      "d52feb22cf4470394d546681ac62a4182bb1998a5b07de294ee7e5e889828772", 673),
+    # recorded before families with one count profile shared their rows
+    (("--n", "5", "--p", "1/3", "--p", "2/3"),
+     "739cad12a8086ad6ad1842c8eb5e2a13acc6a2a0b5c5bb24e55df7aee6322f0f", 15163),
 ])
 def test_iso_sweep_csv_pinned(capsys, args, digest, lines):
     code, out = _cli(capsys, "--threads", "1", "iso-sweep", "--all-monotone",
@@ -222,6 +228,27 @@ def test_iso_sweep_csv_pinned(capsys, args, digest, lines):
     assert code == 0
     assert len(out.splitlines()) == lines
     assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+def test_iso_sweep_evaluates_each_count_profile_once(monkeypatch):
+    # 26 (w, tot) profiles among the 168 families on [4]: ln p once per
+    # bias, then at most one ln mu per profile and bias; twelve biases, as
+    # many as the benchmark's n = 4 sweep draws
+    ps = [F(a, b) for a, b in ((1, 8), (1, 5), (2, 7), (1, 3), (3, 8), (4, 9),
+                               (1, 2), (5, 9), (3, 5), (2, 3), (7, 9), (7, 8))]
+    calls = []
+    log = mpmath.log
+
+    def counted_log(x):
+        calls.append(x)
+        return log(x)
+
+    monkeypatch.setattr(mpmath, "log", counted_log)
+    rows = iso_sweep(4, ps)
+    assert len(rows) == 168 * 12
+    assert 0 < len(calls) <= 12 + 26 * 12
+    profile_of, profiles = iso_table(4, enumerate_monotone_masks(4), [])
+    assert len(profile_of) == 168 and len(profiles) == 26
 
 
 def test_russo_sweep_pinned_and_thread_independent(capsys):
