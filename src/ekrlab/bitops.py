@@ -105,13 +105,18 @@ def _coord_shifts(n: int) -> tuple:
     return tuple((1 << i, coord_zero_mask(n, i)) for i in range(n))
 
 
+def plus_one(bits: int, n: int) -> int:
+    """The sets that are a member of a 2**n-bit family plus one element."""
+    shadow = 0
+    for d, zero in _coord_shifts(n):
+        shadow |= (bits & zero) << d
+    return shadow
+
+
 def minimal_bits(bits: int, n: int) -> int:
     """The members of a 2**n-bit family that are no member plus one
     element; for an increasing family these are its minimal members."""
-    non_minimal = 0
-    for d, zero in _coord_shifts(n):
-        non_minimal |= (bits & zero) << d
-    return bits & ~non_minimal
+    return bits & ~plus_one(bits, n)
 
 
 def cube_mask(n: int, contains: int = 0, misses: int = 0) -> int:
@@ -131,7 +136,19 @@ def subset_masks(n: int, t: int):
         yield combo, mask_of(combo)
 
 
+@lru_cache(maxsize=None)
+def _byte_reversal() -> bytes:
+    """The `bytes.translate` table that reverses the bits of each byte
+    (built on first use, so that import stays cheap)."""
+    return bytes(int(f"{b:08b}"[::-1], 2) for b in range(256))
+
+
 def reverse_bits(x: int, width: int) -> int:
-    """Reverse an integer's low `width` bits (position b -> width-1-b)."""
-    s = format(x, f"0{width}b")
-    return int(s[::-1], 2)
+    """Reverse the low `width` bits of x < 2**width (position b ->
+    width-1-b).  One pass in C: the big-endian image, bit-reversed byte by
+    byte and read back little-endian, reverses all 8*ceil(width/8) bits;
+    the shift drops the padding.  For a 2**n-bit family this is the family
+    of complements."""
+    size = (width + 7) // 8
+    image = x.to_bytes(size, "big").translate(_byte_reversal())
+    return int.from_bytes(image, "little") >> (8 * size - width)

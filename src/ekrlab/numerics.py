@@ -9,8 +9,7 @@ never an artifact of rounding.
 
 Importing mpmath is most of the package's import time, and most commands
 never reach the real layer, so it loads on first attribute access: the
-other modules take `mpmath` from here, and `load_real_layer()` forces the
-load (before a process pool forks, so that the workers inherit it).
+other modules take `mpmath` from here.
 """
 
 from __future__ import annotations
@@ -36,11 +35,6 @@ def _lazy_import(name: str):
 
 
 mpmath = _lazy_import("mpmath")
-
-
-def load_real_layer() -> None:
-    """Finish loading mpmath now (a no-op once it is loaded)."""
-    mpmath.mpf
 
 
 #: decimal digits of working precision (relative error well below 1e-18)

@@ -24,17 +24,18 @@ precision.
 from __future__ import annotations
 
 import itertools
+import math
 from fractions import Fraction
 
 from . import _kernels
-from .bitops import (elements_of, iter_bit_indices, mask_of, minimal_bits,
-                     popcount, subset_masks)
+from .bitops import (elements_of, mask_of, plus_one, reverse_bits,
+                     subset_masks)
 from .families import (EdgeGround, SetFamily, UniformFamily,
                        is_t_intersecting, is_triangle_intersecting,
                        matching_number)
 from .measures import cube_measure, dot, mu, nearest_cube, power_table
-from .numerics import (check_eq, check_le, default_dps, load_real_layer,
-                       log_base, mpmath, parse_rational, to_mpf)
+from .numerics import (check_eq, check_le, default_dps, log_base, mpmath,
+                       parse_rational, to_mpf)
 from .report import HOLDS, UNRESOLVED, VerdictReport, fmt
 from .search import (_index_families, enumerate_monotone_masks,
                      iter_uniform_families)
@@ -780,9 +781,10 @@ class ScanReport:
 CONJECTURES = ("TIntersectingSharp", "WilsonSharp", "EMCStability")
 
 #: the fewest increasing families for which the TIntersectingSharp scan
-#: starts a process pool: [6] has 7,828,354 and scans in 12 s with two
-#: workers against 18 s in one process (two vCPUs), while [5] (7,581) scans
-#: in less time than a pool takes to start
+#: starts a process pool: [6] has 7,828,354 and scans (t = 1, p = 1/4) in
+#: 16-19 s with two workers against 22-27 s in one process (two shared
+#: vCPUs, two runs each), while [5] (7,581) scans in less time than a pool
+#: takes to start
 _POOL_MIN_FAMILIES = 100_000
 
 
@@ -841,16 +843,22 @@ def _t_intersecting_test(n: int, t: int):
     """A test of an increasing family on [n] (a 2**n-bit mask) for being
     t-intersecting, equal to `is_t_intersecting` there.
 
-    It is enough that each minimal member a meets every member in at least
-    t elements, i.e. bits & far[a] == 0, where far[a] is the 2**n-bit mask
-    of the subsets that meet a in fewer than t elements.
+    F fails iff it holds the complement ~A of a member A plus fewer than t
+    elements: if A, B in F meet in fewer than t elements, then B | ~A is a
+    member (F is increasing) and is ~A plus the elements of A & B;
+    conversely ~A plus X, with X a set of fewer than t elements of A,
+    meets A in X.  So the test reverses the mask (the family of
+    complements, `reverse_bits`), adds up to t-1 elements (`plus_one`)
+    and meets the result with the family; at t = 1 it is
+    bits & reversed bits == 0.  No per-member loop runs.
     """
-    far = [sum(1 << x for x in range(1 << n) if popcount(a & x) < t)
-           for a in range(1 << n)]
+    width = 1 << n
 
     def test(bits: int) -> bool:
-        return not any(bits & far[a]
-                       for a in iter_bit_indices(minimal_bits(bits, n)))
+        near = reverse_bits(bits, width)
+        for _ in range(t - 1):
+            near |= plus_one(near, n)
+        return not bits & near
 
     return test
 
@@ -860,13 +868,15 @@ def _scan_t_intersecting_masks(n: int, t: int, ps, dps: int, masks,
     """(examined, candidates, complete) over the increasing families
     `masks` (2**n-bit), in order; the scan stops incomplete when a family
     comes up with `budget` t-intersecting families already examined.  The
-    real layer runs at `dps` digits, passed in because a pool worker that
-    was not forked does not inherit the session precision.
+    real layer, if a family reaches it, runs at `dps` digits, passed in
+    because a pool worker that was not forked does not inherit the session
+    precision.
 
-    The t-intersection test runs on the mask (`_t_intersecting_test`).
-    Each t-intersecting family's weight vector w is counted once; at p = a/b
-    its measure is dot(w, pw) / b**n, so mu_p > thr is one integer
-    comparison, and a SetFamily is built only for the families that pass it.
+    The t-intersection test is a few whole-mask operations
+    (`_t_intersecting_test`).  Each t-intersecting family's weight vector w
+    is counted once; at p = a/b its measure is dot(w, pw) / b**n, so
+    mu_p > thr is one integer comparison, and a SetFamily is built only for
+    the families that pass it.
     """
     t_intersecting = _t_intersecting_test(n, t)
     biases = []
@@ -922,10 +932,13 @@ def _scan_t_intersecting_sharp(ranges: dict, budget, threads: int = 1) -> ScanRe
     masks and on integers: a mask test for t-intersection, then one exact
     integer comparison of mu_p with the threshold measure (see
     `_scan_t_intersecting_masks`).  Only the families above the threshold
-    reach the real layer, where `_condition_beats_mu` takes the minimum of
-    the convex condition curve in closed form at the working precision and
-    reports a violation when it clears that function's float margin.  The
-    biases "ps" are exact "num/den" strings.
+    reach `_condition_beats_mu`, which takes the minimum of the convex
+    condition curve.  Where eps_r/t is an exact power of p it first tries
+    to prove in integers that the minimum sits at eps_r, which decides
+    "no violation" without mpmath.  Otherwise it takes the minimum in
+    closed form at the working precision and reports a violation when it
+    clears that function's float margin.  The biases "ps" are exact
+    "num/den" strings.
     """
     t, n, ps = _range_values("TIntersectingSharp", ranges, "t", "n", "ps")
     if t < 1:
@@ -948,7 +961,6 @@ def _scan_t_intersecting_sharp(ranges: dict, budget, threads: int = 1) -> ScanRe
         step = max(64, len(masks) // (threads * 8) + 1)
         chunks = [(n, t, ps, default_dps(), masks[i:i + step])
                   for i in range(0, len(masks), step)]
-        load_real_layer()  # once here; forked workers inherit it
         with multiprocessing.Pool(threads) as pool:
             results = pool.starmap(_scan_t_intersecting_masks, chunks)
         examined = sum(exd for exd, _, _ in results)
@@ -963,6 +975,36 @@ def _scan_t_intersecting_sharp(ranges: dict, budget, threads: int = 1) -> ScanRe
                       complete, notes)
 
 
+#: relative guard of `_minimum_at_eps_r`, far above the error of its
+#: double logs (a few units in 1e-16)
+_POWER_GUARD = Fraction(1, 10**9)
+
+
+def _minimum_at_eps_r(p: Fraction, t: int, eps_r: Fraction) -> bool:
+    """True when eps_r/t = p^m for an integer m >= 1 and the condition
+    curve g of `_condition_beats_mu` provably still falls at eps_r, so the
+    minimizer is clamped to eps_r; False when this is not proved.
+
+    At x = p^m, p^v = 1-p gives x^(v-1) = ((1-p)/p)^m, so g'(eps_r) <= 0
+    iff v >= q = t (p/(1-p))^(m-1), a rational.  v = log1p(-p)/log(p) is
+    taken in doubles: for 1e-300 < p < 1/2 its relative error is below
+    1e-15, so v >= q (1 + 1e-9) in doubles proves v > q.  The test is exact
+    in integers up to that one comparison and never touches mpmath.
+    """
+    x = eps_r / t
+    a, b = p.numerator, p.denominator
+    m, num, den = 0, 1, 1
+    while den < x.denominator:
+        m, num, den = m + 1, num * a, den * b
+    if m == 0 or (num, den) != (x.numerator, x.denominator):
+        return False
+    pf = float(p)
+    if pf < 1e-300:
+        return False
+    v = math.log1p(-pf) / math.log(pf)
+    return Fraction(v) >= t * (p / (1 - p)) ** (m - 1) * (1 + _POWER_GUARD)
+
+
 def _condition_beats_mu(mu_p: Fraction, p: Fraction, t: int,
                         eps_r: Fraction, dps: int):
     """Return an eps < eps_r where the sharp condition holds, if any.
@@ -972,9 +1014,15 @@ def _condition_beats_mu(mu_p: Fraction, p: Fraction, t: int,
     eps* = t (c t / (p^t v))^{1/(v-1)}; clamped to [eps_r 1e-9, eps_r],
     eps* minimizes g there.  It is reported when mu_p exceeds g(eps*) by
     more than a fixed float margin of 1e-11 and it lies below eps_r by a
-    relative 1e-9.  Everything runs in mpmath at `dps` digits.  No exact
-    recheck follows.
+    relative 1e-9.  First, when eps_r/t is an exact power of p,
+    `_minimum_at_eps_r` may prove in integers and doubles that eps* is
+    clamped to eps_r, and the answer is None without mpmath (the closed
+    form below gives eps = eps_r to its working precision there, which
+    fails the 1e-9 test).  Otherwise everything runs in mpmath at `dps`
+    digits, and no exact recheck follows.
     """
+    if _minimum_at_eps_r(p, t, eps_r):
+        return None
     with mpmath.workdps(dps):
         v = log_base(1 - p, p)
         pt, c = to_mpf(p) ** t, to_mpf((1 - p) * p ** (t - 1))

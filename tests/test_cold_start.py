@@ -119,6 +119,9 @@ def test_mpmath_imported_first_is_reused():
      "--p", "1/3"),
     ("--threads", "1", "tightness", "--spec",
      '{"name":"tilde_Gi","params":{"n":6,"i":5}}', "--p", "1/4"),
+    # every survivor of the threshold has eps_r = p^4, decided without reals
+    ("--threads", "1", "conjecture-scan", "--conjecture", "TIntersectingSharp",
+     "--ranges", '{"t":1,"n":5,"ps":["1/4","2/7"]}'),
 ])
 def test_commands_without_reals_leave_mpmath_unloaded(argv):
     assert "mpmath.ctx_mp" not in _loaded_after(*argv)
@@ -172,16 +175,16 @@ def test_spawned_workers_keep_the_precision():
     assert out["1"] == out["2"]
 
 
-def test_spawned_iso_sweep_workers_keep_the_precision():
+def test_iso_sweep_keeps_the_precision_at_any_threads():
     # at 15 digits the slack of an equality case rounds differently from
-    # the default 30, so a worker at the wrong precision shows in the CSV
+    # the default 30, so a run at the wrong precision shows in the CSV
     argv = ["iso-sweep", "--n", "3", "--all-monotone", "--p", "1/3", "--csv"]
     out = {}
     for threads in ("1", "2"):
-        proc = _run("-c", POOLED, "spawn",
-                    json.dumps(["--precision", "15", "--threads", threads,
-                                *argv]))
+        proc = _run("-m", "ekrlab.cli", "--precision", "15",
+                    "--threads", threads, *argv)
         assert proc.returncode == 0
         out[threads] = proc.stdout
     assert len(out["1"].splitlines()) == 1 + 20
     assert out["1"] == out["2"]
+    assert out["1"] != _run("-m", "ekrlab.cli", *argv).stdout

@@ -12,7 +12,8 @@ import pytest
 from ekrlab import (SetFamily, _kernels, influence, mu_polynomial,
                     subcube_distance)
 from ekrlab.bitops import (coord_zero_mask, cube_mask, iter_bit_indices,
-                           iter_members, mask_of, size_class_masks)
+                           iter_members, mask_of, plus_one, reverse_bits,
+                           size_class_masks)
 from ekrlab.cli import iso_sweep, main
 from ekrlab.families import EdgeGround
 from ekrlab.measures import iso_table
@@ -39,6 +40,25 @@ def test_masks_match_loop_definitions():
         for i in range(n + 1):
             zero = sum(1 << x for x in range(1 << n) if not (x >> i) & 1)
             assert coord_zero_mask(n, i) == zero, (n, i)
+
+
+def test_reverse_and_plus_one_match_definitions():
+    # the byte-table reversal against reversing the binary string, at
+    # widths on and off a byte boundary (2**n-bit families have n < 3 below
+    # one byte)
+    rng = random.Random(5)
+    for width in range(1, 70):
+        for x in [0, (1 << width) - 1] + [rng.getrandbits(width)
+                                          for _ in range(20)]:
+            want = int(format(x, f"0{width}b")[::-1], 2)
+            assert reverse_bits(x, width) == want, (x, width)
+    for n in range(5):
+        for bits in range(1 << (1 << n)) if n < 4 else (
+                rng.getrandbits(16) for _ in range(200)):
+            grown = {x | 1 << i for x in range(1 << n) if (bits >> x) & 1
+                     for i in range(n) if not (x >> i) & 1}
+            want = sum(1 << y for y in grown)
+            assert plus_one(bits, n) == want, (bits, n)
 
 
 def test_cube_mask_matches_definition():

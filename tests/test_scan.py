@@ -1,7 +1,9 @@
-"""The TIntersectingSharp scan on masks and integers: the mask test for
-t-intersection, the minimum of the condition curve in closed form against a
-ternary search, the working precision, and pinned reports; and pinned
-EMCStability reports, with the size-floored walk and with a budget."""
+"""The TIntersectingSharp scan on masks and integers: the complement-mask
+test for t-intersection, the condition verdict against a ternary search
+(the exact-power test where eps_r/t = p^m, on both sides of its bound, and
+the closed-form minimum), the working precision, and pinned reports; and
+pinned EMCStability reports, with the size-floored walk and with a
+budget."""
 
 import hashlib
 import json
@@ -77,14 +79,19 @@ def _as_fraction(x) -> F:
 
 EPS_RS = (F(1, 1000), F(1, 10), F(1, 2), F(3, 1), F(40, 1))
 
+#: the exact powers eps_r = t p^m checked besides EPS_RS
+POWERS = range(1, 7)
+
 
 @pytest.mark.parametrize("p", [F(1, 97), F(2, 101), F(1, 10), F(1, 5), F(19, 113)])
 @pytest.mark.parametrize("t", [1, 2, 3])
 def test_closed_form_decides_as_the_ternary_search(p, t):
+    # at eps_r = t p^m the exact-power test runs first; the search checks
+    # its verdicts on both sides of v = q as well as the closed form's
     dps = default_dps()
     reported = 0
     with mpmath.workdps(dps):
-        for eps_r in EPS_RS:
+        for eps_r in EPS_RS + tuple(t * p**m for m in POWERS):
             eps_t, g_t = _ternary(p, t, eps_r)
             beats = eps_t < to_mpf(eps_r) * (1 - mpmath.mpf("1e-9"))
             for lift in (0, F(1, 10**6)):
@@ -97,6 +104,10 @@ def test_closed_form_decides_as_the_ternary_search(p, t):
                     assert abs(mpmath.mpf(got) - eps_t) <= 1e-13 * eps_r
                     reported += 1
     assert reported > 0  # the reporting path ran
+    # both sides of v = q ran: m <= 2 falls back to mpmath, m = 4 does not
+    decided = {m for m in POWERS
+               if verify._minimum_at_eps_r(p, t, t * p**m)}
+    assert 4 in decided and not decided & {1, 2}
 
 
 @pytest.mark.parametrize("t", [1, 2])
