@@ -21,29 +21,58 @@ from __future__ import annotations
 
 from array import array
 
-from .bitops import (coord_zero_mask, iter_bit_indices, iter_members, popcount,
-                     size_class_masks)
+from .bitops import (coord_zero_mask, iter_bit_indices, iter_members, plus_one,
+                     popcount, reverse_bits, size_class_masks)
 
 #: reported as `kernel_backend` in every CLI header
 BACKEND = "pure"
 
 
-def monotone_masks(n: int) -> array:
-    """All increasing families on [n], each as a 2**n-bit mask, ascending.
+def monotone_masks(n: int, t: int = 0) -> array:
+    """All t-intersecting increasing families on [n], each as a 2**n-bit
+    mask, ascending (t = 0: every increasing family).
 
     Built by splitting on the last element: an increasing family on [n] is a
     pair (f0, f1) of increasing families on [n-1] with f0 a subfamily of f1,
-    packed as f0 | f1 << 2**(n-1).
+    packed as f0 | f1 << 2**(n-1).  The packing orders pairs by f1, then
+    f0, and f0 <= f1, so f0 runs over the families up to f1 and the result
+    comes out ascending.
+
+    An increasing G meets the sets ~A plus at most t-1 elements, for A in
+    an increasing H, iff some A in H and B in G meet in fewer than t
+    elements: then B | ~A is in G and is ~A plus the elements of A & B;
+    conversely ~A plus X, with X a set of fewer than t elements of A, meets
+    A in X.  The sets ~A, A in H, are H's mask reversed (`reverse_bits`),
+    and `plus_one` adds an element.  With G = H = F this tests F for being
+    t-intersecting.  Across the split, F is t-intersecting iff f1 is
+    (t-1)-intersecting and f0 avoids near(f1), f1 reversed and grown t-1
+    times by `plus_one` (the other cross pairs are the same pairs, since
+    f0 lies in f1).  So each f1 is tested once, and f0 is kept iff
+    f0 & (~f1 | near(f1)) == 0.
     """
     if not 0 <= n <= 6:
         raise ValueError("monotone enumeration supported for 0 <= n <= 6")
+    if n == 0:
+        # {empty set} meets itself in no element
+        return array("Q", [0] if t else [0, 1])
     fams = [0, 1]
-    for level in range(1, n + 1):
+    for level in range(1, n):
         shift = 1 << (level - 1)
-        fams = [f0 | (f1 << shift) for f1 in fams for f0 in fams
-                if f0 & ~f1 == 0]
-    fams.sort()
-    return array("Q", fams)
+        fams = [f0 | (f1 << shift) for i, f1 in enumerate(fams)
+                for f0 in fams[:i + 1] if f0 & ~f1 == 0]
+    half = 1 << (n - 1)
+    out = array("Q")
+    for i, f1 in enumerate(fams):
+        near = reverse_bits(f1, half) if t else 0
+        for _ in range(t - 1):
+            if f1 & near:
+                break  # f1 is not (t-1)-intersecting
+            near |= plus_one(near, n - 1)
+        else:
+            keep = ~f1 | near
+            high = f1 << half
+            out.extend(f0 | high for f0 in fams[:i + 1] if not f0 & keep)
+    return out
 
 
 def weight_pivot_counts(fam: int, n: int) -> tuple[list[int], list[list[int]]]:

@@ -84,15 +84,15 @@ def iso_sweep(n: int, ps: list[Fraction]) -> list[tuple]:
             for row in formatted[k]]
 
 
-def russo_sweep(n: int | None, random_count: int, seed: int, max_n: int,
-                threads: int = 1) -> list[tuple]:
+def russo_sweep(n: int | None, random_count: int, seed: int,
+                max_n: int) -> list[tuple]:
     """Exact polynomial Russo checks over all monotone families on [n]
     and/or random monotone families on grounds up to max_n."""
     fids, fams = [], []
     if n is not None:
         for fid, bits in enumerate(enumerate_monotone_masks(n)):
             fids.append(fid)
-            fams.append(SetFamily(n, int(bits)))
+            fams.append(SetFamily(n, bits))
     if random_count:
         rng = random.Random(seed)
         for i in range(random_count):
@@ -102,14 +102,8 @@ def russo_sweep(n: int | None, random_count: int, seed: int, max_n: int,
                 bits |= 1 << rng.randrange(1 << rn)
             fids.append(-(i + 1))
             fams.append(SetFamily(rn, bits).up_closure())
-    if threads > 1:
-        import multiprocessing
-
-        with multiprocessing.Pool(threads) as pool:
-            holds = pool.map(russo_identity, fams, chunksize=16)
-    else:
-        holds = map(russo_identity, fams)
-    return [(fid, fam.n, h) for fid, fam, h in zip(fids, fams, holds)]
+    return [(fid, fam.n, russo_identity(fam))
+            for fid, fam in zip(fids, fams)]
 
 
 # -- subcommand handlers -----------------------------------------------------------
@@ -176,8 +170,7 @@ def _cmd_iso_sweep(args):
 
 
 def _cmd_russo_sweep(args):
-    rows = russo_sweep(args.n, args.random, args.seed, args.max_n,
-                       threads=args.threads)
+    rows = russo_sweep(args.n, args.random, args.seed, args.max_n)
     bad = [r for r in rows if not r[2]]
     out = {"header": _header(args, "russo-sweep"),
            "checked": len(rows), "violations": len(bad),
@@ -243,8 +236,7 @@ def _cmd_search(args):
 
 def _cmd_conjecture_scan(args):
     ranges = json.loads(args.ranges)
-    rep = conjecture_scan(args.conjecture, ranges, budget=args.budget,
-                          threads=args.threads)
+    rep = conjecture_scan(args.conjecture, ranges, budget=args.budget)
     out = {"header": _header(args, "conjecture-scan"), "report": rep.to_dict()}
     ok = rep.complete and not rep.candidates
     return (0 if ok else 1), out
@@ -286,7 +278,7 @@ def build_parser() -> argparse.ArgumentParser:
                     help="working precision in decimal digits "
                          "(default 30; env EKRLAB_PRECISION)")
     ap.add_argument("--threads", type=int, default=os.cpu_count() or 1,
-                    help="worker processes for russo-sweep and conjecture-scan")
+                    help="accepted; every command runs in one process")
     sub = ap.add_subparsers(dest="subcommand", required=True)
 
     def add(name, handler, **kw):

@@ -28,8 +28,7 @@ import math
 from fractions import Fraction
 
 from . import _kernels
-from .bitops import (elements_of, mask_of, plus_one, reverse_bits,
-                     subset_masks)
+from .bitops import elements_of, mask_of, subset_masks
 from .families import (EdgeGround, SetFamily, UniformFamily,
                        is_t_intersecting, is_triangle_intersecting,
                        matching_number)
@@ -37,8 +36,7 @@ from .measures import cube_measure, dot, mu, nearest_cube, power_table
 from .numerics import (check_eq, check_le, default_dps, log_base, mpmath,
                        parse_rational, to_mpf)
 from .report import HOLDS, UNRESOLVED, VerdictReport, fmt
-from .search import (_index_families, enumerate_monotone_masks,
-                     iter_uniform_families)
+from .search import _index_families, iter_uniform_families
 from .zoo import (FamilySpec, closed_form_mu, comb0, construct,
                   defining_root)
 
@@ -780,32 +778,24 @@ class ScanReport:
 
 CONJECTURES = ("TIntersectingSharp", "WilsonSharp", "EMCStability")
 
-#: the fewest increasing families for which the TIntersectingSharp scan
-#: starts a process pool: [6] has 7,828,354 and scans (t = 1, p = 1/4) in
-#: 16-19 s with two workers against 22-27 s in one process (two shared
-#: vCPUs, two runs each), while [5] (7,581) scans in less time than a pool
-#: takes to start
-_POOL_MIN_FAMILIES = 100_000
-
-
-def conjecture_scan(conj_id: str, ranges: dict, budget: int | None = None,
-                    threads: int = 1) -> ScanReport:
+def conjecture_scan(conj_id: str, ranges: dict,
+                    budget: int | None = None) -> ScanReport:
     """Scan a declared desk-scale range for counterexamples to a conjecture.
 
     An empty candidate list means the scan completed with no violation in
     range (not that the conjecture is proved).  Candidates are re-verified
     exactly before emission.  Budget exhaustion yields complete=False.
-    TIntersectingSharp scans its families in a process pool when threads > 1,
-    no budget is set and there are at least _POOL_MIN_FAMILIES of them
-    (n = 6); chunks merge in canonical order, so the report does not depend
-    on the thread count.  EMCStability walks only the subtrees that can
-    reach its size threshold, and its budget counts the nodes of that walk.
-    A budget below 1 is a ValueError.
+    Every scan runs in one process.  TIntersectingSharp walks only the
+    t-intersecting increasing families (`_kernels.monotone_masks`), and its
+    budget counts them, so a budget that covers them all completes.
+    EMCStability walks only the subtrees that can reach its size threshold,
+    and its budget counts the nodes of that walk.  A budget below 1 is a
+    ValueError.
     """
     if budget is not None and budget < 1:
         raise ValueError(f"need budget >= 1, got budget={budget}")
     if conj_id == "TIntersectingSharp":
-        return _scan_t_intersecting_sharp(ranges, budget, threads)
+        return _scan_t_intersecting_sharp(ranges, budget)
     if conj_id == "WilsonSharp":
         return _scan_wilson_sharp(ranges, budget)
     if conj_id == "EMCStability":
@@ -839,81 +829,13 @@ def _bias_list(conj_id: str, ps) -> list[Fraction]:
         raise ValueError(f"{conj_id} range key 'ps': {exc}") from None
 
 
-def _t_intersecting_test(n: int, t: int):
-    """A test of an increasing family on [n] (a 2**n-bit mask) for being
-    t-intersecting, equal to `is_t_intersecting` there.
-
-    F fails iff it holds the complement ~A of a member A plus fewer than t
-    elements: if A, B in F meet in fewer than t elements, then B | ~A is a
-    member (F is increasing) and is ~A plus the elements of A & B;
-    conversely ~A plus X, with X a set of fewer than t elements of A,
-    meets A in X.  So the test reverses the mask (the family of
-    complements, `reverse_bits`), adds up to t-1 elements (`plus_one`)
-    and meets the result with the family; at t = 1 it is
-    bits & reversed bits == 0.  No per-member loop runs.
-    """
-    width = 1 << n
-
-    def test(bits: int) -> bool:
-        near = reverse_bits(bits, width)
-        for _ in range(t - 1):
-            near |= plus_one(near, n)
-        return not bits & near
-
-    return test
-
-
-def _scan_t_intersecting_masks(n: int, t: int, ps, dps: int, masks,
-                               budget: int | None = None) -> tuple:
-    """(examined, candidates, complete) over the increasing families
-    `masks` (2**n-bit), in order; the scan stops incomplete when a family
-    comes up with `budget` t-intersecting families already examined.  The
-    real layer, if a family reaches it, runs at `dps` digits, passed in
-    because a pool worker that was not forked does not inherit the session
-    precision.
-
-    The t-intersection test is a few whole-mask operations
-    (`_t_intersecting_test`).  Each t-intersecting family's weight vector w
-    is counted once; at p = a/b its measure is dot(w, pw) / b**n, so
-    mu_p > thr is one integer comparison, and a SetFamily is built only for
-    the families that pass it.
-    """
-    t_intersecting = _t_intersecting_test(n, t)
-    biases = []
-    for p in ps:
-        thr = (t + 2) * p ** (t + 1) - (t + 1) * p ** (t + 2)
-        pw, den = power_table(n, p)
-        biases.append((p, pw, den, thr.numerator * den, thr.denominator))
-    examined = 0
-    candidates = []
-    for bits in masks:
-        if budget is not None and examined >= budget:
-            return examined, candidates, False
-        if not t_intersecting(bits):
-            continue
-        examined += 1
-        w = _kernels.weight_counts(bits, n)
-        fam = None
-        for p, pw, den, thr_num, thr_den in biases:
-            num = dot(w, pw)
-            if num * thr_den <= thr_num:
-                continue
-            if fam is None:
-                fam = SetFamily(n, bits)
-            cand = _examine_t_intersecting(fam, t, p, Fraction(num, den),
-                                           dps)
-            if cand is not None:
-                candidates.append(cand)
-    return examined, candidates, True
-
-
 def _examine_t_intersecting(fam: SetFamily, t: int, p: Fraction,
-                            mu_p: Fraction, dps: int):
+                            mu_p: Fraction):
     _, residual = nearest_umvirate(fam, t, p)
     if residual == 0:
         return None
     eps_r = residual / ((1 - p) * p ** (t - 1))
-    viol = _condition_beats_mu(mu_p, p, t, eps_r, dps)
+    viol = _condition_beats_mu(mu_p, p, t, eps_r, default_dps())
     if viol is None:
         return None
     return {"family": [list(s) for s in fam.member_sets()],
@@ -921,7 +843,7 @@ def _examine_t_intersecting(fam: SetFamily, t: int, p: Fraction,
             "note": "condition holds while conclusion fails"}
 
 
-def _scan_t_intersecting_sharp(ranges: dict, budget, threads: int = 1) -> ScanReport:
+def _scan_t_intersecting_sharp(ranges: dict, budget) -> ScanReport:
     """Sharp-constant form of the t-intersecting stability claim.
 
     Scans increasing t-intersecting families (up-closing any counterexample
@@ -929,9 +851,12 @@ def _scan_t_intersecting_sharp(ranges: dict, budget, threads: int = 1) -> ScanRe
     suffice).  For each family and bias the conjectured implication is
     violated iff the condition holds at some eps strictly below the point
     where the conclusion starts to hold.  The scan runs on the 2**n-bit
-    masks and on integers: a mask test for t-intersection, then one exact
-    integer comparison of mu_p with the threshold measure (see
-    `_scan_t_intersecting_masks`).  Only the families above the threshold
+    masks and on integers.  `_kernels.monotone_masks` enumerates only the
+    t-intersecting families, in ascending order, and the scan stops
+    incomplete when a family comes up with `budget` of them examined.  Each
+    family's weight vector w is counted once; at p = a/b its measure is
+    dot(w, pw) / b**n, so mu_p > thr is one integer comparison, and a
+    SetFamily is built only for the families that pass it.  Only those
     reach `_condition_beats_mu`, which takes the minimum of the convex
     condition curve.  Where eps_r/t is an exact power of p it first tries
     to prove in integers that the minimum sits at eps_r, which decides
@@ -953,24 +878,31 @@ def _scan_t_intersecting_sharp(ranges: dict, budget, threads: int = 1) -> ScanRe
              "hypothesis taken strictly (> the threshold measure): the "
              "threshold family itself achieves equality and is the sharpness "
              "example, exactly as in the proven t=1 form"]
-    masks = enumerate_monotone_masks(n)
-    if threads > 1 and budget is None and len(masks) >= _POOL_MIN_FAMILIES:
-        import multiprocessing
-
-        masks = [int(b) for b in masks]
-        step = max(64, len(masks) // (threads * 8) + 1)
-        chunks = [(n, t, ps, default_dps(), masks[i:i + step])
-                  for i in range(0, len(masks), step)]
-        with multiprocessing.Pool(threads) as pool:
-            results = pool.starmap(_scan_t_intersecting_masks, chunks)
-        examined = sum(exd for exd, _, _ in results)
-        candidates = [c for _, cands, _ in results for c in cands]
-        complete = True
-    else:
-        examined, candidates, complete = _scan_t_intersecting_masks(
-            n, t, ps, default_dps(), (int(b) for b in masks), budget)
-    if not complete:
-        notes.append("budget exhausted; scan incomplete")
+    biases = []
+    for p in ps:
+        thr = (t + 2) * p ** (t + 1) - (t + 1) * p ** (t + 2)
+        pw, den = power_table(n, p)
+        biases.append((p, pw, den, thr.numerator * den, thr.denominator))
+    examined = 0
+    candidates = []
+    complete = True
+    for bits in _kernels.monotone_masks(n, t):
+        if budget is not None and examined >= budget:
+            complete = False
+            notes.append("budget exhausted; scan incomplete")
+            break
+        examined += 1
+        w = _kernels.weight_counts(bits, n)
+        fam = None
+        for p, pw, den, thr_num, thr_den in biases:
+            num = dot(w, pw)
+            if num * thr_den <= thr_num:
+                continue
+            if fam is None:
+                fam = SetFamily(n, bits)
+            cand = _examine_t_intersecting(fam, t, p, Fraction(num, den))
+            if cand is not None:
+                candidates.append(cand)
     return ScanReport("TIntersectingSharp", ranges, examined, candidates,
                       complete, notes)
 

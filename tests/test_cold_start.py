@@ -1,7 +1,8 @@
 """Start-up contract: what `import ekrlab.cli` loads, what a command leaves
-unloaded, and that pool workers, forked from a cold start or spawned, agree
-with one process.  Each check runs in a fresh interpreter, because this one
-imported mpmath long ago."""
+unloaded (the real layer until it is needed, `multiprocessing` always), and
+that `--threads` changes no byte of a cold-started command, since every
+command runs in one process.  Each check runs in a fresh interpreter,
+because this one imported mpmath long ago."""
 
 import ast
 import json
@@ -26,21 +27,6 @@ from ekrlab import cli
 argv = json.loads(sys.argv[1])
 code = cli.main(argv) if argv else 0
 print(json.dumps({"code": code, "modules": sorted(sys.modules)}))
-"""
-
-
-#: runs `cli.main` on the JSON argv in sys.argv[2] with pool workers started
-#: by the method in sys.argv[1] (empty: the platform's default), printed as
-#: `cli.main` prints; the TIntersectingSharp scan starts its pool at any
-#: family count, so that the small ranges here run it
-POOLED = """
-import json, multiprocessing, sys
-from ekrlab import cli, verify
-if __name__ == "__main__":
-    if sys.argv[1]:
-        multiprocessing.set_start_method(sys.argv[1])
-    verify._POOL_MIN_FAMILIES = 0
-    sys.exit(cli.main(json.loads(sys.argv[2])))
 """
 
 
@@ -81,22 +67,36 @@ def test_import_skips_dataclasses_and_inspect():
     assert "inspect" not in loaded
 
 
-def test_package_imports_no_heavy_stdlib_at_module_level():
-    # `site` may load typing before ekrlab runs, so the sys.modules check
-    # above cannot see a module-level typing import; this reads the source
-    banned = {"dataclasses", "inspect", "typing"}
+def _package_imports(at_any_depth: bool) -> list[tuple[str, str]]:
+    """(file name, top-level module) for every absolute import in the
+    package source, at module level only or at any depth."""
     found = []
     for path in sorted(Path(SRC, "ekrlab").glob("*.py")):
-        for node in ast.parse(path.read_text()).body:
+        tree = ast.parse(path.read_text())
+        for node in ast.walk(tree) if at_any_depth else tree.body:
             if isinstance(node, ast.Import):
                 names = [a.name for a in node.names]
             elif isinstance(node, ast.ImportFrom) and not node.level:
                 names = [node.module]
             else:
                 continue
-            found += [f"{path.name}: {name}" for name in names
-                      if name.split(".")[0] in banned]
-    assert not found
+            found += [(path.name, name.split(".")[0]) for name in names]
+    return found
+
+
+def test_package_imports_no_heavy_stdlib_at_module_level():
+    # `site` may load typing before ekrlab runs, so the sys.modules check
+    # above cannot see a module-level typing import; this reads the source
+    banned = {"dataclasses", "inspect", "typing"}
+    assert not [hit for hit in _package_imports(at_any_depth=False)
+                if hit[1] in banned]
+
+
+def test_package_never_imports_a_process_pool():
+    # every command runs in one process, at any --threads
+    banned = {"multiprocessing", "concurrent"}
+    assert not [hit for hit in _package_imports(at_any_depth=True)
+                if hit[1] in banned]
 
 
 def test_mpmath_imported_first_is_reused():
@@ -135,44 +135,30 @@ def test_real_layer_loads_on_first_use():
     assert "mpmath.ctx_mp" in loaded
 
 
-def test_iso_sweep_starts_no_pool():
-    loaded = _loaded_after("--threads", "2", "iso-sweep", "--n", "3",
-                           "--all-monotone", "--p", "1/3")
-    assert "multiprocessing" not in loaded
-
-
-@pytest.mark.parametrize("argv", [
-    # iso-sweep runs in one process at any --threads, and still matches
+#: the commands that ran a process pool at --threads > 1 in earlier versions
+ONCE_POOLED = [
     ("iso-sweep", "--n", "3", "--all-monotone", "--p", "1/3", "--p", "2/5"),
     ("conjecture-scan", "--conjecture", "TIntersectingSharp",
      "--ranges", '{"t": 1, "n": 4, "ps": ["1/4", "1/3"]}'),
     ("russo-sweep", "--n", "3", "--random", "20", "--seed", "1",
      "--max-n", "6"),
-])
-def test_pool_from_cold_start_matches_one_process(argv):
+]
+
+
+def test_iso_sweep_starts_no_pool():
+    # nor do the other commands that once ran a pool
+    for argv in ONCE_POOLED:
+        assert "multiprocessing" not in _loaded_after("--threads", "2", *argv)
+
+
+@pytest.mark.parametrize("argv", ONCE_POOLED)
+def test_threads_change_no_byte_from_cold_start(argv):
     seq = _run("-m", "ekrlab.cli", "--threads", "1", *argv)
-    par = _run("-c", POOLED, "", json.dumps(["--threads", "2", *argv]))
+    par = _run("-m", "ekrlab.cli", "--threads", "2", *argv)
     assert seq.returncode == par.returncode == 0
     assert json.loads(seq.stdout)["header"]["inputs"]["threads"] == "1"
     # byte-identical apart from the echoed --threads input
     assert seq.stdout.replace('"threads": "1"', '"threads": "2"') == par.stdout
-
-
-def test_spawned_workers_keep_the_precision():
-    # spawned workers inherit neither mpmath nor --precision from the
-    # parent; the report must not depend on that
-    argv = ["conjecture-scan", "--conjecture", "TIntersectingSharp",
-            "--ranges", '{"t": 1, "n": 4, "ps": ["1/4", "1/3"]}']
-    out = {}
-    for threads in ("1", "2"):
-        proc = _run("-c", POOLED, "spawn",
-                    json.dumps(["--precision", "50", "--threads", threads,
-                                *argv]))
-        assert proc.returncode == 0
-        out[threads] = json.loads(proc.stdout)
-        assert out[threads]["header"]["precision_dps"] == 50
-        out[threads]["header"]["inputs"].pop("threads")
-    assert out["1"] == out["2"]
 
 
 def test_iso_sweep_keeps_the_precision_at_any_threads():

@@ -1,37 +1,46 @@
-"""The TIntersectingSharp scan on masks and integers: the complement-mask
-test for t-intersection, the condition verdict against a ternary search
-(the exact-power test where eps_r/t = p^m, on both sides of its bound, and
-the closed-form minimum), the working precision, and pinned reports; and
-pinned EMCStability reports, with the size-floored walk and with a
-budget."""
+"""The TIntersectingSharp scan on masks and integers: the enumeration of
+the t-intersecting increasing families, the condition verdict against a
+ternary search (the exact-power test where eps_r/t = p^m, on both sides of
+its bound, and the closed-form minimum), the working precision, and pinned
+reports; and pinned EMCStability reports, with the size-floored walk and
+with a budget."""
 
+import bisect
 import hashlib
+import itertools
 import json
 import random
 from fractions import Fraction as F
 
 import pytest
 
-from ekrlab import (SetFamily, conjecture_scan, enumerate_monotone_masks,
-                    is_t_intersecting, verify)
+from ekrlab import (SetFamily, _kernels, conjecture_scan,
+                    enumerate_monotone_masks, is_t_intersecting, verify)
 from ekrlab.numerics import default_dps, log_base, mpmath, to_mpf
 
 
-# -- t-intersection on the mask ------------------------------------------------
+# -- t-intersection in the enumeration -----------------------------------------
 
 
 @pytest.mark.parametrize("t", [1, 2, 3])
 def test_mask_test_matches_is_t_intersecting(t):
+    # the enumeration's mask test keeps exactly the t-intersecting families,
+    # in the order of the full enumeration
     for n in range(6):
-        test = verify._t_intersecting_test(n, t)
-        for bits in enumerate_monotone_masks(n):
-            assert test(int(bits)) == is_t_intersecting(SetFamily(n, int(bits)), t)
+        expect = [bits for bits in enumerate_monotone_masks(n)
+                  if is_t_intersecting(SetFamily(n, bits), t)]
+        assert list(_kernels.monotone_masks(n, t)) == expect
 
 
-def test_mask_test_matches_is_t_intersecting_sampled_n6():
-    # up-closures of a few random generators; enumerating all 7.8M
-    # increasing families on [6] takes seconds, and few of them are
-    # 2- or 3-intersecting
+@pytest.fixture(scope="module")
+def masks_n6():
+    """t -> the t-intersecting increasing families on [6] (ascending)."""
+    return {t: _kernels.monotone_masks(6, t) for t in (1, 2, 3)}
+
+
+def test_mask_test_matches_is_t_intersecting_sampled_n6(masks_n6):
+    # up-closures of a few random generators, checked against membership in
+    # the [6] enumeration; few of them are 2- or 3-intersecting
     rng = random.Random(6)
     sample = []
     for _ in range(600):
@@ -39,13 +48,22 @@ def test_mask_test_matches_is_t_intersecting_sampled_n6():
                 for _ in range(rng.randint(1, 4))]
         sample.append(SetFamily.from_masks(6, gens).up_closure().bits)
     for t in (1, 2, 3):
-        test = verify._t_intersecting_test(6, t)
+        kept = masks_n6[t]
         hits = 0
         for bits in sample:
             expect = is_t_intersecting(SetFamily(6, bits), t)
-            assert test(bits) == expect
+            i = bisect.bisect_left(kept, bits)
+            assert (i < len(kept) and kept[i] == bits) == expect
             hits += expect
         assert 0 < hits < len(sample)
+
+
+def test_t_intersecting_count_n6(masks_n6):
+    # t = 1 is the families_examined of the whole [6] scan, as the
+    # enumeration of every family and a per-family test counted it
+    assert [len(masks_n6[t]) for t in (1, 2, 3)] == [1_422_564, 60_080, 1_271]
+    for masks in masks_n6.values():
+        assert all(a < b for a, b in itertools.pairwise(masks))
 
 
 # -- the condition curve in closed form ----------------------------------------
@@ -136,17 +154,18 @@ PINS = [
      "cd004092eddb01a666da70c853a28bee4cd6e8536d53d0e413ad9bca81ac289e"),
     (1, 4, ["1/4", "1/3"], 81,
      "0062a7c2b4543afed8e75cbb88c2f7ca7458a569db98f82331d1bb5c8e2f95e0"),
+    # recorded with the scan that enumerated every increasing family on [6]
+    # and tested each one for being t-intersecting
+    (2, 6, ["1/5", "3/11"], 60080,
+     "bcc513d9d8f064eeeaedc6a5aa99c494214c43e6b6554b7a005e41fb687728fc"),
+    (3, 6, ["1/5"], 1271,
+     "9476a955036ba3babc8db05a207bfe29fd7be71754c5800281bdeceab2ee9947"),
 ]
 
 
-@pytest.mark.parametrize("threads", [1, 2])
 @pytest.mark.parametrize("t, n, ps, examined, digest", PINS)
-def test_scan_report_pinned(monkeypatch, threads, t, n, ps, examined, digest):
-    # these ranges are below the pool's family count; lowered, so that
-    # threads=2 runs the pool
-    monkeypatch.setattr(verify, "_POOL_MIN_FAMILIES", 0)
-    rep = conjecture_scan("TIntersectingSharp", {"t": t, "n": n, "ps": ps},
-                          threads=threads)
+def test_scan_report_pinned(t, n, ps, examined, digest):
+    rep = conjecture_scan("TIntersectingSharp", {"t": t, "n": n, "ps": ps})
     d = rep.to_dict()
     assert d["families_examined"] == examined and d["candidates"] == []
     text = json.dumps(d, sort_keys=True, indent=2)

@@ -1,3 +1,4 @@
+import itertools
 import json
 import math
 from fractions import Fraction
@@ -224,6 +225,7 @@ def test_monotone_count_n6():
     # the practical ceiling; count frozen against the classical value
     masks = enumerate_monotone_masks(6)
     assert len(masks) == MONOTONE_COUNTS[6] == 7828354
+    assert all(a < b for a, b in itertools.pairwise(masks))
 
 
 def test_max_uniform_rejects_bad_k():
