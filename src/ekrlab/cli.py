@@ -277,7 +277,7 @@ def build_parser() -> argparse.ArgumentParser:
     ap.add_argument("--precision", type=int,
                     help="working precision in decimal digits "
                          "(default 30; env EKRLAB_PRECISION)")
-    ap.add_argument("--threads", type=int, default=os.cpu_count() or 1,
+    ap.add_argument("--threads", type=int, default=1,
                     help="accepted; every command runs in one process")
     sub = ap.add_subparsers(dest="subcommand", required=True)
 

@@ -14,6 +14,7 @@ from . import _kernels
 from .bitops import (coord_zero_mask, elements_of, full_family_mask,
                      iter_members, mask_of, minimal_bits, popcount,
                      reverse_bits)
+from .numerics import _Frozen
 
 MAX_DENSE_N = 30
 
@@ -23,23 +24,7 @@ def _check_ground(n: int) -> None:
         raise ValueError(f"ground size must be in [0, {MAX_DENSE_N}], got {n}")
 
 
-class GroundSet:
-    """The ground set [n]; all subset masks use exactly n bit positions."""
-
-    __slots__ = ("n",)
-
-    def __init__(self, n: int):
-        _check_ground(n)
-        object.__setattr__(self, "n", n)
-
-    def __setattr__(self, *a):
-        raise AttributeError("GroundSet is immutable")
-
-    def __reduce__(self):
-        return (type(self), (self.n,))
-
-
-class EdgeGround:
+class EdgeGround(_Frozen):
     """Ground set of unordered vertex pairs of [v], indexed 1..C(v,2) in
     colex order on pairs: (1,2),(1,3),(2,3),(1,4),(2,4),(3,4),...
 
@@ -55,12 +40,6 @@ class EdgeGround:
             raise ValueError(f"C({v},2) exceeds the dense family cap")
         object.__setattr__(self, "v", v)
 
-    def __setattr__(self, *a):
-        raise AttributeError("EdgeGround is immutable")
-
-    def __reduce__(self):
-        return (type(self), (self.v,))
-
     @property
     def n(self) -> int:
         return self.v * (self.v - 1) // 2
@@ -71,15 +50,6 @@ class EdgeGround:
             raise ValueError(f"not an edge of [{self.v}]: {{{a},{b}}}")
         a, b = min(a, b), max(a, b)
         return (b - 1) * (b - 2) // 2 + a
-
-    def index_pair(self, i: int) -> tuple[int, int]:
-        if not 1 <= i <= self.n:
-            raise ValueError(f"edge index out of range: {i}")
-        b = 2
-        while b * (b - 1) // 2 < i:
-            b += 1
-        a = i - (b - 1) * (b - 2) // 2
-        return (a, b)
 
     def edge_mask(self, pairs) -> int:
         return mask_of(self.pair_index(a, b) for a, b in pairs)
@@ -92,7 +62,7 @@ class EdgeGround:
         return tuple(tris)
 
 
-class SetFamily:
+class SetFamily(_Frozen):
     """An arbitrary family of subsets of [n], bit-indexed over all 2**n masks."""
 
     __slots__ = ("n", "bits", "edges", "_buf")
@@ -107,12 +77,6 @@ class SetFamily:
         object.__setattr__(self, "bits", bits)
         object.__setattr__(self, "edges", edges)
         object.__setattr__(self, "_buf", None)
-
-    def __setattr__(self, *a):
-        raise AttributeError("SetFamily is immutable")
-
-    def __reduce__(self):
-        return (type(self), (self.n, self.bits, self.edges))
 
     # -- construction ------------------------------------------------------
 
@@ -238,29 +202,6 @@ class SetFamily:
                     changed = True
         return self._replace(bits)
 
-    def restrict(self, b_mask: int, c_mask: int) -> "SetFamily":
-        """Sections: all S in P([n]-B) with S | C a member (C must lie in B).
-
-        The result is relabeled onto [n-|B|], keeping the relative order of
-        the surviving coordinates.
-        """
-        if c_mask & ~b_mask:
-            raise ValueError("C must be a subset of B")
-        n = self.n
-        keep = [i for i in range(n) if not (b_mask >> i) & 1]
-        m = len(keep)
-        bits = 0
-        for rel in range(1 << m):
-            full = c_mask
-            r = rel
-            while r:
-                low = r & -r
-                full |= 1 << keep[low.bit_length() - 1]
-                r ^= low
-            if full in self:
-                bits |= 1 << rel
-        return SetFamily(m, bits)
-
     # -- structure predicates ----------------------------------------------
 
     def is_increasing(self) -> bool:
@@ -312,7 +253,7 @@ class SetFamily:
         return is_t_intersecting(self, t)
 
 
-class UniformFamily:
+class UniformFamily(_Frozen):
     """A family of k-element subsets of [n] (no dense 2**n representation)."""
 
     __slots__ = ("n", "k", "members")
@@ -329,9 +270,6 @@ class UniformFamily:
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "k", k)
         object.__setattr__(self, "members", ms)
-
-    def __setattr__(self, *a):
-        raise AttributeError("UniformFamily is immutable")
 
     @classmethod
     def from_sets(cls, n: int, k: int, sets) -> "UniformFamily":
@@ -365,11 +303,6 @@ class UniformFamily:
 
     def __repr__(self) -> str:
         return f"UniformFamily(n={self.n}, k={self.k}, members={len(self)})"
-
-    def union(self, other: "UniformFamily") -> "UniformFamily":
-        if (self.n, self.k) != (other.n, other.k):
-            raise ValueError("uniform families differ in ground or uniformity")
-        return UniformFamily(self.n, self.k, self.members | other.members)
 
     def to_set_family(self) -> SetFamily:
         if self.n > MAX_DENSE_N:
@@ -452,18 +385,6 @@ def matching_number(fam) -> int:
     return best + bonus
 
 
-def degree(fam) -> tuple[int, tuple[int, ...]]:
-    """Maximum coordinate degree and the per-coordinate degree vector."""
-    n = fam.n
-    counts = [0] * n
-    for m in _member_masks(fam):
-        while m:
-            low = m & -m
-            counts[low.bit_length() - 1] += 1
-            m ^= low
-    return (max(counts, default=0) if n else 0, tuple(counts))
-
-
 def compress(fam: UniformFamily, i: int, j: int) -> UniformFamily:
     """The (i,j)-shift: replace j by i in each member containing j but not i,
     unless the shifted set is already present.  Preserves cardinality."""
@@ -479,21 +400,6 @@ def compress(fam: UniformFamily, i: int, j: int) -> UniformFamily:
         else:
             out.add(m)
     return UniformFamily(fam.n, fam.k, out)
-
-
-def fully_compressed(fam: UniformFamily) -> UniformFamily:
-    """Apply (i,j)-shifts with i < j until no shift changes the family."""
-    cur = fam
-    changed = True
-    while changed:
-        changed = False
-        for j in range(2, fam.n + 1):
-            for i in range(1, j):
-                nxt = compress(cur, i, j)
-                if nxt != cur:
-                    cur = nxt
-                    changed = True
-    return cur
 
 
 # -- triangle machinery ------------------------------------------------------

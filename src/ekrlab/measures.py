@@ -17,9 +17,10 @@ from fractions import Fraction
 
 from . import _kernels
 from .bitops import (coord_zero_mask, cube_mask, elements_of, iter_members,
-                     popcount, subset_masks)
+                     popcount)
 from .families import SetFamily, are_cross_intersecting
-from .numerics import Checked, check_le, default_dps, log_base, mpmath, to_mpf
+from .numerics import (Checked, _Frozen, check_le, default_dps, log_base,
+                       mpmath, to_mpf)
 from .report import VerdictReport
 
 #: ground size above which influence counting switches to member scans
@@ -30,7 +31,7 @@ _SCAN_THRESHOLD = 22
 _CUBE_DENSE_N = 18
 
 
-class MeasurePolynomial:
+class MeasurePolynomial(_Frozen):
     """Polynomial in p, p -> mu_p(F), as monomial coefficients: integers
     when built from a weight vector (other rationals stay `Fraction`s)."""
 
@@ -41,9 +42,6 @@ class MeasurePolynomial:
         while cs and cs[-1] == 0:
             cs.pop()
         object.__setattr__(self, "coeffs", tuple(cs))
-
-    def __setattr__(self, *a):
-        raise AttributeError("MeasurePolynomial is immutable")
 
     @classmethod
     def zero(cls) -> "MeasurePolynomial":
@@ -157,7 +155,7 @@ def nearest_cube(fam, candidates, p=None, misses: bool = False):
     return key, mask, r if p is None else Fraction(r, den)
 
 
-class InfluenceVector:
+class InfluenceVector(_Frozen):
     """Per-coordinate pivot counts plus their sum: pivots[i][j] counts the
     size-j cube points whose membership flips with coordinate i, and Inf_i
     is the measure of that integer vector."""
@@ -169,12 +167,6 @@ class InfluenceVector:
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "pivots", pivots)
         object.__setattr__(self, "total_weights", total_weights)
-
-    def __setattr__(self, *a):
-        raise AttributeError("InfluenceVector is immutable")
-
-    def __reduce__(self):
-        return (type(self), (self.n, self.pivots, self.total_weights))
 
     @property
     def per_coordinate(self) -> tuple[MeasurePolynomial, ...]:
@@ -253,7 +245,7 @@ def total_influence(fam: SetFamily, p) -> Fraction:
     return influence(fam).total_at(p)
 
 
-class EdgeBoundaryReport:
+class EdgeBoundaryReport(_Frozen):
     __slots__ = ("count", "edges", "harper", "is_subcube", "equality")
 
     def __init__(self, count: int, edges: tuple[tuple[int, int], ...] | None,
@@ -264,13 +256,6 @@ class EdgeBoundaryReport:
         object.__setattr__(self, "harper", harper)  # |bd A| >= |A| log2(2^n / |A|)
         object.__setattr__(self, "is_subcube", is_subcube)
         object.__setattr__(self, "equality", equality)
-
-    def __setattr__(self, *a):
-        raise AttributeError("EdgeBoundaryReport is immutable")
-
-    def __reduce__(self):
-        return (type(self), (self.count, self.edges, self.harper,
-                             self.is_subcube, self.equality))
 
     def __int__(self):
         return self.count
@@ -352,7 +337,7 @@ def iso_table(n: int, masks, ps) -> tuple[list[int], list[list[tuple]]]:
     return profile_of, profiles
 
 
-class IsoSlackReport:
+class IsoSlackReport(_Frozen):
     """p*I_p - mu log_p(mu) for the skewed isoperimetric inequality.
 
     status: "ok", "vacuous" (mu in {0,1}), or "skipped" (outside the
@@ -373,14 +358,6 @@ class IsoSlackReport:
         object.__setattr__(self, "equal", equal)
         object.__setattr__(self, "is_increasing_subcube", is_increasing_subcube)
         object.__setattr__(self, "structure_consistent", structure_consistent)
-
-    def __setattr__(self, *a):
-        raise AttributeError("IsoSlackReport is immutable")
-
-    def __reduce__(self):
-        return (type(self), (self.status, self.p, self.mu_value, self.slack,
-                             self.equal, self.is_increasing_subcube,
-                             self.structure_consistent))
 
     @property
     def holds(self) -> bool:
@@ -422,7 +399,7 @@ def iso_slack(fam: SetFamily, p) -> IsoSlackReport:
     return IsoSlackReport("ok", p, m, chk.rhs, chk.equal, is_sub, consistent)
 
 
-class LogMeasureProfile:
+class LogMeasureProfile(_Frozen):
     __slots__ = ("points", "non_increasing", "strictly_decreasing_somewhere",
                  "is_increasing_subcube")
 
@@ -434,14 +411,6 @@ class LogMeasureProfile:
         object.__setattr__(self, "strictly_decreasing_somewhere",
                            strictly_decreasing_somewhere)
         object.__setattr__(self, "is_increasing_subcube", is_increasing_subcube)
-
-    def __setattr__(self, *a):
-        raise AttributeError("LogMeasureProfile is immutable")
-
-    def __reduce__(self):
-        return (type(self), (self.points, self.non_increasing,
-                             self.strictly_decreasing_somewhere,
-                             self.is_increasing_subcube))
 
 
 def log_measure_profile(fam: SetFamily, grid) -> LogMeasureProfile:
@@ -578,51 +547,3 @@ def cross_measure_bound(f: SetFamily, g: SetFamily, p) -> VerdictReport:
     rep.add_slack("slack", chk.slack)
     return rep
 
-
-def subcube_distance(fam: SetFamily, p, t_max: int | None = None
-                     ) -> tuple[int, Fraction]:
-    """The increasing subcube S_B minimizing mu_p(F symmetric-difference S_B).
-
-    Exhaustive over all 2**n choices of B when t_max is None (ground sizes
-    up to 20); otherwise restricted to |B| <= t_max.  Ties break to the
-    lexicographically least B.  Purely diagnostic: no pass/fail judgement.
-    """
-    p = Fraction(p)
-    check_p_open(p)
-    n = fam.n
-    if t_max is None and n > 20:
-        raise ValueError("exhaustive subcube scan capped at n=20; pass t_max")
-    pw, den = power_table(n, p)
-    a, b = p.numerator, p.denominator
-    num = _cube_counter(fam, pw)
-    mu_f_num = num()
-
-    if t_max is None:
-        candidates = range(1 << n)
-        # superset-sum transform of the member weights, integer arithmetic
-        v = [0] * (1 << n)
-        for m in fam:
-            v[m] = pw[popcount(m)]
-        for i in range(n):
-            d = 1 << i
-            for x in range(1 << n):
-                if not x & d:
-                    v[x] += v[x | d]
-        inter = v.__getitem__
-    else:
-        candidates = (mask for size in range(min(t_max, n) + 1)
-                      for _, mask in subset_masks(n, size))
-
-        def inter(mask):
-            return num(contains=mask)
-
-    best = None
-    best_mask = 0
-    for mask in candidates:
-        size = popcount(mask)
-        dist_num = mu_f_num + a ** size * b ** (n - size) - 2 * inter(mask)
-        key = (dist_num, elements_of(mask))
-        if best is None or key < best:
-            best = key
-            best_mask = mask
-    return best_mask, Fraction(best[0], den)

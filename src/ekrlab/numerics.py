@@ -51,6 +51,22 @@ DEFAULT_TOL = Fraction(1, 10**12)
 ValueLike = "int | Fraction | mpmath.mpf | Callable[[], ValueLike]"
 
 
+class _Frozen:
+    """Base of the immutable records: assignment raises, and a record
+    pickles and copies through its constructor, whose arguments are its
+    public slots in order (a slot starting with "_" is a private cache).
+    Constructors set their slots with `object.__setattr__`."""
+
+    __slots__ = ()
+
+    def __setattr__(self, *a):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def __reduce__(self):
+        return (type(self), tuple(getattr(self, s) for s in self.__slots__
+                                  if not s.startswith("_")))
+
+
 _active = {"dps": None, "tol": None}
 
 
@@ -104,7 +120,7 @@ def log_base(x, base) -> mpmath.mpf:
     return mpmath.log(to_mpf(x)) / mpmath.log(to_mpf(base))
 
 
-class Checked:
+class Checked(_Frozen):
     """Outcome of a single `lhs <= rhs` comparison.
 
     slack = rhs - lhs; `holds` allows a -tau undershoot, `equal` means the two
@@ -123,13 +139,6 @@ class Checked:
         object.__setattr__(self, "equal", equal)
         object.__setattr__(self, "exact", exact)
         object.__setattr__(self, "dps", dps)
-
-    def __setattr__(self, *a):
-        raise AttributeError("Checked is immutable")
-
-    def __reduce__(self):
-        return (type(self), (self.lhs, self.rhs, self.slack, self.holds,
-                             self.equal, self.exact, self.dps))
 
     def __bool__(self) -> bool:
         return self.holds

@@ -82,10 +82,6 @@ class VerdictReport:
         """True when no resolved hypothesis fails (unresolved flags pass through)."""
         return all(f.status != FAILS for f in self.hypotheses)
 
-    @property
-    def passed(self) -> bool:
-        return self.hypotheses_met and self.conclusion_holds is not False
-
     def to_dict(self) -> dict:
         return {
             "check": self.check,

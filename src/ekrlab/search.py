@@ -23,6 +23,7 @@ from . import _kernels
 from .bitops import elements_of, subset_masks
 from .families import SetFamily, UniformFamily, is_t_intersecting, matching_number
 from .measures import mu, nearest_cube
+from .numerics import _Frozen
 
 # -- monotone enumeration ------------------------------------------------------
 
@@ -79,7 +80,7 @@ PREDICATES = {
 }
 
 
-class SearchProblem:
+class SearchProblem(_Frozen):
     """A search instance: the ground [n]^(k), a hereditary predicate and a
     node budget (t is t for intersecting, s for matching)."""
 
@@ -100,13 +101,6 @@ class SearchProblem:
         object.__setattr__(self, "t", t)
         object.__setattr__(self, "budget", budget)
         object.__setattr__(self, "shifted", shifted)
-
-    def __setattr__(self, *a):
-        raise AttributeError("SearchProblem is immutable")
-
-    def __reduce__(self):
-        return (type(self), (self.n, self.k, self.predicate, self.t,
-                             self.budget, self.shifted))
 
 
 class SearchCertificate:

@@ -15,7 +15,7 @@ from fractions import Fraction
 from .bitops import coord_zero_mask, elements_of, mask_of, popcount
 from .families import SetFamily, UniformFamily, is_t_intersecting
 from .measures import mu
-from .numerics import check_le
+from .numerics import _Frozen, check_le
 from .report import VerdictReport
 
 
@@ -125,7 +125,7 @@ def _check_segment(n: int, k: int, m: int) -> None:
         raise ValueError("segment size out of range")
 
 
-class LexSegment:
+class LexSegment(_Frozen):
     """Initial segment of the lex order on [n]^(k), given by its size."""
 
     __slots__ = ("n", "k", "m")
@@ -135,12 +135,6 @@ class LexSegment:
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "k", k)
         object.__setattr__(self, "m", m)
-
-    def __setattr__(self, *a):
-        raise AttributeError("LexSegment is immutable")
-
-    def __reduce__(self):
-        return (type(self), (self.n, self.k, self.m))
 
     def __contains__(self, subset) -> bool:
         mask = subset if isinstance(subset, int) else mask_of(subset)
@@ -154,7 +148,7 @@ class LexSegment:
                              (lex_unrank(self.n, self.k, r) for r in range(self.m)))
 
 
-class ColexSegment:
+class ColexSegment(_Frozen):
     """Initial segment of the colex order on [n]^(k); shadow-minimal."""
 
     __slots__ = ("n", "k", "m")
@@ -164,12 +158,6 @@ class ColexSegment:
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "k", k)
         object.__setattr__(self, "m", m)
-
-    def __setattr__(self, *a):
-        raise AttributeError("ColexSegment is immutable")
-
-    def __reduce__(self):
-        return (type(self), (self.n, self.k, self.m))
 
     def __contains__(self, subset) -> bool:
         mask = subset if isinstance(subset, int) else mask_of(subset)
@@ -305,55 +293,3 @@ def lift(fam: SetFamily, big_n: int, k: int,
             out.append(m | mask_of(extra))
     return UniformFamily(big_n, k, out)
 
-
-def lift_ratio_table(fam: SetFamily, p, big_ns) -> list[tuple[int, int, Fraction]]:
-    """(N, floor(pN), |F_{N,floor(pN)}| / C(N,floor(pN))) for each N.
-
-    The ratio converges to mu_p(F) as N grows; reported as data, never
-    asserted at finite N.
-    """
-    p = Fraction(p)
-    rows = []
-    for big_n in big_ns:
-        k = math.floor(p * big_n)
-        rows.append((big_n, k,
-                     Fraction(lift_size(fam, big_n, k), math.comb(big_n, k))))
-    return rows
-
-
-# -- Hilton's cross-intersecting lemma ----------------------------------------
-
-
-def hilton_check(a: UniformFamily, b: UniformFamily,
-                 r: int | None = None) -> VerdictReport:
-    """Replace cross-intersecting families by lex segments of the same sizes
-    and confirm they stay cross-intersecting; optionally confirm the size
-    bound |B| <= C(n-r, l-r) when |A| >= C(n,k) - C(n-r,k)."""
-    from .families import are_cross_intersecting
-
-    if a.n != b.n:
-        raise ValueError("families must share the ground set")
-    if not are_cross_intersecting(a, b):
-        raise ValueError("families are not cross-intersecting")
-    n, k, el = a.n, a.k, b.k
-    rep = VerdictReport("hilton/lex-replacement")
-    la = lex_segment(n, k, len(a)).family()
-    lb = lex_segment(n, el, len(b)).family()
-    lex_ok = are_cross_intersecting(la, lb)
-    rep.add_flag("lex segments cross-intersecting", "holds" if lex_ok else "fails",
-                 lhs=f"|L(A)|={len(la)}", rhs=f"|L(B)|={len(lb)}")
-    rep.conclusion_holds = lex_ok
-    if r is not None:
-        if n < k + el:
-            raise ValueError("size-bound variant needs n >= k + l")
-        threshold = math.comb(n, k) - math.comb(n - r, k)
-        if len(a) >= threshold:
-            chk = check_le(len(b), math.comb(n - r, el - r))
-            rep.add_hypothesis(f"|B| <= C(n-{r}, l-{r})", chk)
-            rep.conclusion_holds = lex_ok and chk.holds
-            rep.add_slack("size_bound_slack", chk.slack)
-        else:
-            rep.add_flag("size threshold |A| >= C(n,k)-C(n-r,k)", "fails",
-                         lhs=str(len(a)), rhs=str(threshold),
-                         note="size bound not applicable")
-    return rep

@@ -33,14 +33,14 @@ from .families import (EdgeGround, SetFamily, UniformFamily,
                        is_t_intersecting, is_triangle_intersecting,
                        matching_number)
 from .measures import cube_measure, dot, mu, nearest_cube, power_table
-from .numerics import (check_eq, check_le, default_dps, log_base, mpmath,
-                       parse_rational, to_mpf)
+from .numerics import (_Frozen, check_eq, check_le, default_dps, log_base,
+                       mpmath, parse_rational, to_mpf)
 from .report import HOLDS, UNRESOLVED, VerdictReport, fmt
 from .search import _index_families, iter_uniform_families
 from .zoo import (FamilySpec, closed_form_mu, comb0, construct,
                   defining_root)
 
-class DerivedConstants:
+class DerivedConstants(_Frozen):
     """The transfer exponents and prefactors shared by the biased theorems."""
 
     __slots__ = ("p0", "p", "t")
@@ -49,12 +49,6 @@ class DerivedConstants:
         object.__setattr__(self, "p0", p0)
         object.__setattr__(self, "p", p)
         object.__setattr__(self, "t", t)
-
-    def __setattr__(self, *a):
-        raise AttributeError("DerivedConstants is immutable")
-
-    def __reduce__(self):
-        return (type(self), (self.p0, self.p, self.t))
 
     @property
     def c_tilde(self):
@@ -88,7 +82,7 @@ class DerivedConstants:
                                              1 / (1 - self.v))
 
 
-class TheoremCase:
+class TheoremCase(_Frozen):
     """A theorem id plus its parameters (p0, p, t/s, eps, d, i, delta...).
 
     Optional user-supplied constants (keys "C", "c", "delta0", "delta") make
@@ -102,12 +96,6 @@ class TheoremCase:
             raise ValueError(f"unknown theorem {theorem_id!r}")
         object.__setattr__(self, "theorem_id", theorem_id)
         object.__setattr__(self, "params", params)
-
-    def __setattr__(self, *a):
-        raise AttributeError("TheoremCase is immutable")
-
-    def __reduce__(self):
-        return (type(self), (self.theorem_id, self.params))
 
     def get(self, key, default=None):
         return self.params.get(key, default)

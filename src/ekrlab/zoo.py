@@ -15,7 +15,7 @@ from fractions import Fraction
 
 from .bitops import elements_of, mask_of, popcount
 from .families import EdgeGround, SetFamily, UniformFamily
-from .numerics import default_dps, mpmath
+from .numerics import _Frozen, default_dps, mpmath
 
 FAMILY_NAMES = (
     "dictatorship", "t_umvirate", "or_family", "ak_family", "frankl_Gi",
@@ -24,7 +24,7 @@ FAMILY_NAMES = (
 )
 
 
-class FamilySpec:
+class FamilySpec(_Frozen):
     """Serializable description of a zoo family: a name plus parameters."""
 
     __slots__ = ("name", "params")
@@ -42,12 +42,6 @@ class FamilySpec:
         _VALIDATORS[name](dict(params))
         object.__setattr__(self, "name", name)
         object.__setattr__(self, "params", params)
-
-    def __setattr__(self, *a):
-        raise AttributeError("FamilySpec is immutable")
-
-    def __reduce__(self):
-        return (type(self), (self.name, self.params))
 
     def __eq__(self, other) -> bool:
         return (isinstance(other, FamilySpec) and self.name == other.name
@@ -525,7 +519,7 @@ def ak_max(n: int, k: int, t: int) -> tuple[int, list[int]]:
     return best, argmax
 
 
-class RootInfo:
+class RootInfo(_Frozen):
     """The bias p0 where a tightness family meets its defining equation."""
 
     __slots__ = ("value", "exact", "bracket", "equation")
@@ -536,13 +530,6 @@ class RootInfo:
         object.__setattr__(self, "exact", exact)
         object.__setattr__(self, "bracket", bracket)
         object.__setattr__(self, "equation", equation)
-
-    def __setattr__(self, *a):
-        raise AttributeError("RootInfo is immutable")
-
-    def __reduce__(self):
-        return (type(self), (self.value, self.exact, self.bracket,
-                             self.equation))
 
 
 def defining_root(spec: FamilySpec) -> RootInfo:

@@ -92,6 +92,20 @@ def test_package_imports_no_heavy_stdlib_at_module_level():
                 if hit[1] in banned]
 
 
+def test_one_class_holds_the_frozen_record_policy():
+    # every frozen record inherits numerics._Frozen, so none repeats the
+    # immutability or pickling code (and the bans above cover the base too)
+    owners = []
+    for path in sorted(Path(SRC, "ekrlab").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.ClassDef) and any(
+                    isinstance(f, ast.FunctionDef)
+                    and f.name in ("__setattr__", "__reduce__")
+                    for f in node.body):
+                owners.append((path.name, node.name))
+    assert owners == [("numerics.py", "_Frozen")]
+
+
 def test_package_never_imports_a_process_pool():
     # every command runs in one process, at any --threads
     banned = {"multiprocessing", "concurrent"}

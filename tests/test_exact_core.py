@@ -9,8 +9,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from ekrlab import (SetFamily, _kernels, influence, mu_polynomial,
-                    subcube_distance)
+from ekrlab import SetFamily, _kernels, influence, mu_polynomial
 from ekrlab.bitops import (coord_zero_mask, cube_mask, iter_bit_indices,
                            iter_members, mask_of, plus_one, reverse_bits,
                            size_class_masks)
@@ -195,25 +194,12 @@ def test_nearest_triangle_matches_member_scan(rng):
         assert nearest_triangle_uniform(sl, eg) == (tri, r)
 
 
-def test_subcube_distance_matches_member_scan(rng):
-    for fam in _families(rng) + _sparse_families(rng):
-        n, members = fam.n, list(fam)
-        p = F(rng.randint(1, 9), 10)
-        mu_f = _mu_on(members, n, p)
-        cands = [(c, mask_of(c)) for size in range(3)
-                 for c in itertools.combinations(range(1, n + 1), size)]
-        (d, _, bm), _ = _scan_nearest(cands, lambda b: mu_f + p ** bin(b).count(
-            "1") - 2 * _mu_on((m for m in members if m & b == b), n, p))
-        assert subcube_distance(fam, p, t_max=2) == (bm, d)
-
-
 def test_sparse_large_ground_queries_build_no_cube_masks():
     # past the dense limit a query scans the members; a 2**21-bit cube mask
     # per candidate would cost a pass over the whole cube each time
     fam = SetFamily.from_sets(21, [[1], [1, 2]])
     coord_zero_mask.cache_clear()
     assert nearest_umvirate(fam, 2, F(1, 3)) == (0b11, F(2**20, 3**21))
-    assert subcube_distance(fam, F(1, 3), t_max=2)[0] == 0b11
     assert coord_zero_mask.cache_info().currsize == 0
 
 

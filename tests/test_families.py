@@ -3,13 +3,12 @@ import itertools
 import pytest
 
 from ekrlab import (EdgeGround, SetFamily, UniformFamily,
-                    are_cross_intersecting, compress, degree, is_intersecting,
+                    are_cross_intersecting, compress, is_intersecting,
                     is_t_intersecting, is_triangle_intersecting,
                     matching_number)
-from ekrlab.families import fully_compressed
 from ekrlab.shadows import increasing_shadow
-from ekrlab.zoo import (dictatorship, frankl_gi, hm_matching_e, or_family,
-                        t_umvirate, tilde_f_ts, tilde_gi, triangle_umvirate)
+from ekrlab.zoo import (dictatorship, hm_matching_e, or_family, t_umvirate,
+                        tilde_f_ts, triangle_umvirate)
 
 from conftest import random_family, random_increasing_family
 
@@ -51,22 +50,6 @@ def test_dual_involution_and_identities(rng):
         assert f.dual().dual() == f
         assert f.dual() == f.bar().complement_family()
         assert f.dual() == f.complement_family().bar()
-
-
-def test_restrict_examples():
-    t = 2
-    s_t = t_umvirate(4, t)
-    b = 0b0011
-    assert s_t.restrict(b, b) == SetFamily.full(2)
-    assert s_t.restrict(b, 0b0001) == SetFamily.empty(2)
-    g3 = tilde_gi(3, 3)
-    assert g3.restrict(0b001, 0b001) == or_family(2, 2)
-
-
-def test_restrict_rejects_c_outside_b():
-    f = SetFamily.full(3)
-    with pytest.raises(ValueError):
-        f.restrict(0b001, 0b010)
 
 
 def test_t_intersecting_predicate():
@@ -143,21 +126,6 @@ def test_matching_number_is_one_iff_intersecting(rng):
         assert lhs == rhs
 
 
-def test_degree():
-    n, k, t = 6, 3, 2
-    sl = t_umvirate(n, t).uniform_slice(k)
-    dmax, vec = degree(sl)
-    import math
-    assert dmax == math.comb(n - t, k - t)
-    assert vec[0] == dmax and vec[1] == dmax
-    assert degree(SetFamily.empty(4)) == (0, (0, 0, 0, 0))
-    g3 = frankl_gi(6, 3, 3)
-    dmax, vec = degree(g3)
-    by_hand = sum(1 for m in g3.members if m & 1)
-    assert vec[0] == by_hand == 7
-    assert dmax == max(vec)
-
-
 def test_compress_examples():
     f = UniformFamily.from_sets(3, 2, [[2, 3]])
     assert compress(f, 1, 2) == UniformFamily.from_sets(3, 2, [[1, 3]])
@@ -196,15 +164,6 @@ def test_compress_preserves_two_intersecting_sweep():
     assert count > 1  # the sweep actually exercised families
 
 
-def test_fully_compressed_reaches_fixpoint():
-    fam = UniformFamily.from_sets(5, 2, [[4, 5], [3, 5]])
-    c = fully_compressed(fam)
-    assert len(c) == 2
-    for i in range(1, 5):
-        for j in range(i + 1, 6):
-            assert compress(c, i, j) == c
-
-
 def test_membership_and_iteration_order(rng):
     f = random_family(rng, 5)
     masks = list(f)
@@ -220,7 +179,6 @@ def test_edge_ground_indexing():
     expect = [(1, 2), (1, 3), (2, 3), (1, 4), (2, 4), (3, 4)]
     for idx, pair in enumerate(expect, start=1):
         assert eg.pair_index(*pair) == idx
-        assert eg.index_pair(idx) == pair
 
 
 def test_minimal_members(rng):
@@ -233,10 +191,3 @@ def test_minimal_members(rng):
             for i in range(5):
                 if (mm >> i) & 1:
                     assert (mm & ~(1 << i)) not in f
-
-
-def test_restrict_keeps_relative_coordinate_order():
-    # members through C={2}: keep coordinates {1,3,4} relabeled to [3]
-    fam = SetFamily.from_sets(4, [[2], [2, 3], [1, 2, 4]])
-    out = fam.restrict(0b0010, 0b0010)
-    assert set(out.member_sets()) == {(), (2,), (1, 3)}

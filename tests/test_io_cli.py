@@ -168,6 +168,15 @@ def test_cli_kk_and_katona(capsys):
     assert code == 0
 
 
+def test_cli_threads_default_is_not_the_host_cpu_count(capsys, monkeypatch):
+    # the header echoes --threads, so a host-dependent default would make
+    # the same command print different bytes on different machines
+    monkeypatch.setattr(os, "cpu_count", lambda: 7)
+    code, out = run_cli(capsys, "kk", "--m", "10", "--k", "3")
+    assert code == 0
+    assert json.loads(out)["header"]["inputs"]["threads"] == "1"
+
+
 def test_cli_tightness_and_scan(capsys):
     code, out = run_cli(capsys, "tightness",
                         "--spec", '{"name":"tilde_Gi","params":{"n":6,"i":4}}',

@@ -5,7 +5,7 @@ import pytest
 from ekrlab import (MeasurePolynomial, SetFamily, cross_measure_bound,
                     edge_boundary, influence, iso_slack, log_measure_profile,
                     measure_transfer_check, mu, mu_polynomial,
-                    subcube_distance, total_influence)
+                    total_influence)
 from ekrlab.measures import point_measures, russo_identity
 from ekrlab.search import enumerate_monotone
 from ekrlab.zoo import c_ts, dictatorship, or_family, t_umvirate, tilde_gi
@@ -214,38 +214,6 @@ def test_cross_measure_bound_random_pairs(rng):
     assert found > 10
 
 
-def test_subcube_distance():
-    b, dist = subcube_distance(t_umvirate(4, 2), F(1, 3))
-    assert b == 0b0011 and dist == 0
-
-    g3 = tilde_gi(3, 3)
-    p = F(1, 4)
-    b, dist = subcube_distance(g3, p)
-    # independent oracle: all 8 candidate subcubes by direct enumeration
-    best = None
-    for bm in range(8):
-        sb = SetFamily.from_predicate(3, lambda m, bm=bm: m & bm == bm)
-        d = mu(g3 ^ sb, p)
-        if best is None or d < best[1]:
-            best = (bm, d)
-    assert (b, dist) == best
-    # the three 2-element B tie at 3/32 (closer than any dictatorship's 3/16);
-    # ties break to the lexicographically least B = {1,2}
-    assert b == 0b011 and dist == F(3, 32)
-    assert mu(g3 ^ dictatorship(3, 1), p) == F(3, 16)
-
-    b, dist = subcube_distance(SetFamily.empty(3), F(1, 4))
-    assert b == 0b111 and dist == F(1, 64)
-
-
-def test_subcube_distance_t_max_matches_full(rng):
-    for _ in range(10):
-        fam = random_family(rng, 4)
-        full = subcube_distance(fam, F(1, 3))
-        capped = subcube_distance(fam, F(1, 3), t_max=4)
-        assert full == capped
-
-
 def test_measure_identities(rng):
     for _ in range(60):
         n = rng.randint(1, 6)
@@ -277,14 +245,6 @@ def test_edge_boundary_edge_list_matches_brute(rng):
                     brute.add((x, y))
         assert set(rep.edges) == brute
         assert rep.count == len(brute)
-
-
-def test_subcube_distance_large_ground_guard():
-    fam = SetFamily.from_sets(21, [[1], [1, 2]])
-    with pytest.raises(ValueError):
-        subcube_distance(fam, F(1, 3))
-    b, dist = subcube_distance(fam, F(1, 3), t_max=1)
-    assert bin(b).count("1") <= 1
 
 
 def test_iso_domain_restriction_is_real():

@@ -8,9 +8,10 @@ from fractions import Fraction
 
 import pytest
 
-from ekrlab.families import EdgeGround, GroundSet
+from ekrlab.families import EdgeGround, SetFamily, UniformFamily
 from ekrlab.measures import (EdgeBoundaryReport, InfluenceVector,
-                             IsoSlackReport, LogMeasureProfile)
+                             IsoSlackReport, LogMeasureProfile,
+                             MeasurePolynomial)
 from ekrlab.numerics import Checked
 from ekrlab.report import HypothesisFlag, VerdictReport
 from ekrlab.search import SearchCertificate, SearchProblem
@@ -21,11 +22,16 @@ from ekrlab.zoo import FamilySpec, RootInfo
 F = Fraction
 
 CHECKED = Checked(F(1, 4), F(1, 3), F(1, 12), True, False, True, 30)
+PAIRS = UniformFamily(4, 2, (0b0011, 0b0101, 0b1001))
+CUBE = SetFamily(3, 0b10010110)
+assert 0b011 not in CUBE  # fills the private byte cache
 
 #: one instance of every record class, frozen ones first
 FROZEN = [
-    GroundSet(5),
     EdgeGround(4),
+    CUBE,
+    PAIRS,
+    MeasurePolynomial((0, 2, -1)),
     InfluenceVector(2, ((0, 1, 0), (0, 1, 0)), (0, 2, 0)),
     EdgeBoundaryReport(2, ((0, 1), (0, 2)), CHECKED, True, True),
     IsoSlackReport("ok", F(1, 3), F(1, 9), F(0), True, True, True),
@@ -44,14 +50,18 @@ MUTABLE = [
     VerdictReport("Biased1", [HypothesisFlag("h", "fails")], {"umvirate": [1]},
                   False, {"slack": "1/2"}, ["a note"]),
     SearchCertificate(3, None, 17, {"nodes": 17}, False, True, True),
+    pytest.param(SearchCertificate(3, PAIRS, 17, {"nodes": 17}, True, True,
+                                   True), id="SearchCertificate-witness"),
     ScanReport("WilsonSharp", {"n": 9}, 12, [{"size": 4}], True, ["note"]),
 ]
 
 
 def _state(x):
-    """A record as its class and field values, nested records included."""
+    """A record as its class and public field values, nested records
+    included (a slot starting with "_" is a cache, not state)."""
     if hasattr(type(x), "__slots__") and type(x).__module__.startswith("ekrlab"):
-        return (type(x), tuple(_state(getattr(x, s)) for s in x.__slots__))
+        return (type(x), tuple(_state(getattr(x, s)) for s in x.__slots__
+                               if not s.startswith("_")))
     if isinstance(x, (list, tuple)):
         return type(x)(map(_state, x))
     return x
@@ -90,8 +100,8 @@ def test_default_containers_are_fresh(make, fields):
 
 
 @pytest.mark.parametrize("make, message", [
-    (lambda: GroundSet(-1), r"ground size must be in \[0, 30\], got -1"),
-    (lambda: GroundSet(31), r"ground size must be in \[0, 30\], got 31"),
+    (lambda: SetFamily(-1, 0), r"ground size must be in \[0, 30\], got -1"),
+    (lambda: SetFamily(31, 0), r"ground size must be in \[0, 30\], got 31"),
     (lambda: EdgeGround(1), "edge ground needs at least 2 vertices"),
     (lambda: EdgeGround(9), r"C\(9,2\) exceeds the dense family cap"),
     (lambda: SearchProblem(5, 2, "disjoint"), "unknown predicate 'disjoint'"),

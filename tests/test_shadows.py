@@ -4,10 +4,9 @@ from fractions import Fraction
 
 import pytest
 
-from ekrlab import (SetFamily, UniformFamily, colex_segment, hilton_check,
+from ekrlab import (SetFamily, UniformFamily, colex_segment,
                     increasing_shadow, katona_check, kk_min_shadow,
-                    lex_segment, lift, lift_ratio_table, lift_size,
-                    lower_shadow, upper_shadow)
+                    lex_segment, lift, lift_size, lower_shadow, upper_shadow)
 from ekrlab.shadows import (cascade_decomposition, colex_rank, colex_unrank,
                             lex_rank, lex_unrank)
 from ekrlab.zoo import c_ts, dictatorship, or_family, t_umvirate
@@ -195,10 +194,6 @@ def test_lift():
     assert lifted.is_t_intersecting(2)
     assert len(lifted) == lift_size(s2, 7, 4)
 
-    rows = lift_ratio_table(dictatorship(1, 1), F(1, 2), [10, 20, 40])
-    for big_n, k, ratio in rows:
-        assert k == big_n // 2
-        assert ratio == F(k, big_n)  # exactly 1/2 at even N
     # a budget guard instead of a giant materialization
     with pytest.raises(ValueError):
         lift(dictatorship(1, 1), 40, 20, max_members=1000)
@@ -208,49 +203,6 @@ def test_lift_counts_match_brute(rng):
     fam = random_increasing_family(rng, 4)
     for big_n, k in ((6, 3), (7, 2), (8, 4)):
         assert len(lift(fam, big_n, k)) == lift_size(fam, big_n, k)
-
-
-def test_hilton_check():
-    a = dictatorship(5, 1).uniform_slice(2)
-    rep = hilton_check(a, a)
-    assert rep.conclusion_holds
-
-    # A = OR_[1] slice of [5]^(2): any cross-intersecting B has at most 4 sets
-    r = 1
-    rep = hilton_check(a, a, r=r)
-    assert rep.conclusion_holds
-    # brute-force the size bound over every cross-intersecting B
-    universe = list(itertools.combinations(range(1, 6), 2))
-    amasks = set(a.members)
-    best = 0
-    for bits in range(1 << len(universe)):
-        members = [c for i, c in enumerate(universe) if (bits >> i) & 1]
-        bfam = UniformFamily.from_sets(5, 2, members)
-        if all(x & y for x in amasks for y in bfam.members):
-            best = max(best, len(bfam))
-    assert best == math.comb(5 - r, 2 - r) == 4
-
-    with pytest.raises(ValueError):
-        hilton_check(UniformFamily.from_sets(4, 2, [[1, 2]]),
-                     UniformFamily.from_sets(4, 2, [[3, 4]]))
-
-
-def test_hilton_random_pairs(rng):
-    n = 6
-    checked = 0
-    for _ in range(40):
-        a_members = [c for c in itertools.combinations(range(1, n + 1), 3)
-                     if 1 in c and rng.random() < 0.7]
-        b_members = [c for c in itertools.combinations(range(1, n + 1), 2)
-                     if 1 in c and rng.random() < 0.7]
-        if not a_members or not b_members:
-            continue
-        a = UniformFamily.from_sets(n, 3, a_members)
-        b = UniformFamily.from_sets(n, 2, b_members)
-        rep = hilton_check(a, b, r=1)
-        assert rep.conclusion_holds
-        checked += 1
-    assert checked > 10
 
 
 def test_increasing_shadow_s_larger_than_ground():
@@ -269,15 +221,3 @@ def test_kk_min_shadow_multifold_bruteforce():
         best[m] = min(best.get(m, 10**9), size)
     for m, val in best.items():
         assert kk_min_shadow(m, 3, s=2) == val
-
-
-def test_lift_ratio_converges():
-    from ekrlab.zoo import tilde_gi
-    from ekrlab import mu
-
-    g3 = tilde_gi(3, 3)
-    target = mu(g3, F(1, 3))
-    rows = lift_ratio_table(g3, F(1, 3), [12, 24, 48, 96])
-    errors = [abs(r - target) for _, _, r in rows]
-    assert errors == sorted(errors, reverse=True)
-    assert errors[-1] < F(1, 300)
