@@ -9,6 +9,13 @@ shift images are all included.  Both walks jump over sets outside the ready
 mask and count them as forced exclusions in bulk; every counter matches a
 walk that visits one set per node.
 
+A set is woken only when its last shift image (highest index) is
+included.  Shift images come earlier in the order, and the walks decide
+the sets in order, so when set c joins, every set before it is decided and
+none after it is included: a set whose last image is c can become ready
+only then.  A backtrack from c clears the sets whose last image is c; a set
+whose last image lies above c lost its bit when that image was dropped.
+
 In match mode (matching number at most s) both walks also keep a blocked
 mask: a set is blocked when the included sets disjoint from it already hold
 s pairwise disjoint ones, so the include test is one bit.  An include adds
@@ -20,9 +27,10 @@ bound behind its size floor.
 from __future__ import annotations
 
 from array import array
+from itertools import combinations
 
-from .bitops import (coord_zero_mask, iter_bit_indices, iter_members, plus_one,
-                     popcount, reverse_bits, size_class_masks)
+from .bitops import (coord_zero_mask, iter_members, plus_one, popcount,
+                     reverse_bits, size_class_masks)
 
 #: reported as `kernel_backend` in every CLI header
 BACKEND = "pure"
@@ -30,7 +38,15 @@ BACKEND = "pure"
 
 def monotone_masks(n: int, t: int = 0) -> array:
     """All t-intersecting increasing families on [n], each as a 2**n-bit
-    mask, ascending (t = 0: every increasing family).
+    mask, ascending (t = 0: every increasing family): the array of
+    `iter_monotone_masks`."""
+    return array("Q", iter_monotone_masks(n, t))
+
+
+def iter_monotone_masks(n: int, t: int = 0):
+    """Yield the masks of `monotone_masks` one at a time, ascending.  Only
+    the families on [n-1] are held; the last level is never built whole,
+    so a caller that stops early pays for what it took.
 
     Built by splitting on the last element: an increasing family on [n] is a
     pair (f0, f1) of increasing families on [n-1] with f0 a subfamily of f1,
@@ -54,14 +70,14 @@ def monotone_masks(n: int, t: int = 0) -> array:
         raise ValueError("monotone enumeration supported for 0 <= n <= 6")
     if n == 0:
         # {empty set} meets itself in no element
-        return array("Q", [0] if t else [0, 1])
+        yield from [0] if t else [0, 1]
+        return
     fams = [0, 1]
     for level in range(1, n):
         shift = 1 << (level - 1)
         fams = [f0 | (f1 << shift) for i, f1 in enumerate(fams)
                 for f0 in fams[:i + 1] if f0 & ~f1 == 0]
     half = 1 << (n - 1)
-    out = array("Q")
     for i, f1 in enumerate(fams):
         near = reverse_bits(f1, half) if t else 0
         for _ in range(t - 1):
@@ -71,8 +87,7 @@ def monotone_masks(n: int, t: int = 0) -> array:
         else:
             keep = ~f1 | near
             high = f1 << half
-            out.extend(f0 | high for f0 in fams[:i + 1] if not f0 & keep)
-    return out
+            yield from (f0 | high for f0 in fams[:i + 1] if not f0 & keep)
 
 
 def weight_pivot_counts(fam: int, n: int) -> tuple[list[int], list[list[int]]]:
@@ -110,34 +125,48 @@ def _walk_tables(masks, preds_masks, mode: str, param: int, shifted: bool,
 
     rel[i]: in t mode, the earlier sets meeting set i in fewer than `param`
     elements, so set i may join iff `not included & rel[i]`; in match mode,
-    every set disjoint from set i.  succ[c]: (j, 1 << j, preds_masks[j]) for
-    each set j that has set c among its shift images, and succ_mask[c] those
-    sets as one mask.  Also returns the ready mask: bit j set iff every
-    shift image of set j is in `included` (every set, outside shifted mode).
+    every set disjoint from set i.  Both come bit-parallel from the mask of
+    the sets holding each element: the sets meeting set i in at least t
+    elements are the union, over t-subsets T of set i, of the sets holding
+    all of T, and the sets disjoint from set i hold none of its elements.
+
+    succ[c]: (1 << j, preds_masks[j]) for each set j whose last shift image
+    (highest index) is set c, as including c is the one step that can make
+    j ready (see the module notes), and succ_mask[c] those sets as one
+    mask.  Also returns the ready mask: bit j set iff every shift image of
+    set j is in `included` (every set, outside shifted mode).
     """
     n_sets = len(masks)
+    full = (1 << n_sets) - 1
+    holders = [sum(1 << j for j, m in enumerate(masks) if m >> e & 1)
+               for e in range(max(masks, default=0).bit_length())]
     rel = []
     for i, m in enumerate(masks):
-        r = 0
+        elems = [e for e in range(len(holders)) if m >> e & 1]
         if mode == "t":
-            for j in range(i):
-                if popcount(m & masks[j]) < param:
-                    r |= 1 << j
+            meet = 0
+            for subset in combinations(elems, max(param, 0)):
+                common = full
+                for e in subset:
+                    common &= holders[e]
+                meet |= common
+            rel.append(((1 << i) - 1) & ~meet)
         elif mode == "match":
-            for j, mj in enumerate(masks):
-                if not m & mj:
-                    r |= 1 << j
+            free = full
+            for e in elems:
+                free &= ~holders[e]
+            rel.append(free)
         else:
             raise ValueError(f"unknown predicate mode {mode!r}")
-        rel.append(r)
-    succ: list[list[tuple[int, int, int]]] = [[] for _ in range(n_sets)]
+    succ: list[list[tuple[int, int]]] = [[] for _ in range(n_sets)]
     succ_mask = [0] * n_sets
     if not shifted:
-        return rel, succ, succ_mask, (1 << n_sets) - 1
+        return rel, succ, succ_mask, full
     ready = 0
     for j, pm in enumerate(preds_masks):
-        for c in iter_bit_indices(pm):
-            succ[c].append((j, 1 << j, pm))
+        if pm:
+            c = pm.bit_length() - 1
+            succ[c].append((1 << j, pm))
             succ_mask[c] |= 1 << j
         if not pm & ~included:
             ready |= 1 << j
@@ -211,7 +240,10 @@ def search_uniform(masks, preds_masks, mode: str, param: int, shifted: bool,
     node and one forced exclusion.  A jump stops at the first set the bound
     prunes, at the node budget and at the next multiple of checkpoint_every,
     so stats, the budget stop, the checkpoint calls, the returned path and
-    the witness match a walk that decides one set per node.
+    the witness match a walk that decides one set per node.  An include
+    wakes only the sets whose last shift image it is, and a backtrack
+    clears only those (see the module notes), so the ready mask stays
+    exact at a cost of about one check per include.
 
     Returns (best_size, witness_index_tuple, stats_dict, complete, path)
     where path is the decision vector at exit (for checkpointing).
@@ -227,6 +259,7 @@ def search_uniform(masks, preds_masks, mode: str, param: int, shifted: bool,
 
     resume_path = resume_path or []
     chosen = [i for i, d in enumerate(resume_path) if d]
+    size = len(chosen)
     included = sum(1 << i for i in chosen)
     rel, succ, succ_mask, ready = _walk_tables(masks, preds_masks, mode, param,
                                                shifted, included)
@@ -241,25 +274,30 @@ def search_uniform(masks, preds_masks, mode: str, param: int, shifted: bool,
         prefix |= 1 << c
     every = checkpoint_every if checkpoint_cb is not None else 0
     i = len(resume_path)
+    line = n_sets - best  # the bound prunes a node at i iff size + line <= i
 
     while True:
         if i == n_sets:
             nodes += 1
-            if len(chosen) > best:
-                best = len(chosen)
+            if size > best:
+                best = size
+                line = n_sets - best
                 witness = tuple(chosen)
-        elif len(chosen) + (n_sets - i) <= best:
+        elif size + line <= i:
             bound_prunes += 1
         else:
             r = ready >> i
-            stop = i + (r & -r).bit_length() - 1 if r else n_sets
-            if stop > i:
+            if r & 1:
+                stop = i
+            else:
                 # sets i..stop-1 are shift-forced exclusions
-                stop = min(stop, n_sets - best + len(chosen))
-                if node_budget is not None:
-                    stop = min(stop, i + node_budget - nodes)
-                if every:
-                    stop = min(stop, i + every - nodes % every)
+                stop = i + (r & -r).bit_length() - 1 if r else n_sets
+                if stop > size + line:
+                    stop = size + line
+                if node_budget is not None and stop > i + node_budget - nodes:
+                    stop = i + node_budget - nodes
+                if every and stop > i + every - nodes % every:
+                    stop = i + every - nodes % every
             if stop > i:
                 nodes += stop - i
                 forced_exclusions += stop - i
@@ -271,11 +309,12 @@ def search_uniform(masks, preds_masks, mode: str, param: int, shifted: bool,
                     break
                 if not (included & rel[i] if t_mode else blocked >> i & 1):
                     chosen.append(i)
+                    size += 1
                     saved.append(blocked)
                     if not t_mode:
                         blocked = _block(blocked, i, included, param, rel)
                     included |= 1 << i
-                    for j, bit, pm in succ[i]:
+                    for bit, pm in succ[i]:
                         if not pm & ~included:
                             ready |= bit
                 else:
@@ -285,10 +324,11 @@ def search_uniform(masks, preds_masks, mode: str, param: int, shifted: bool,
                 checkpoint_cb(_path(i, chosen), best, list(witness), nodes)
             continue
         # backtrack: flip the deepest include decision to exclude
-        if not chosen:
+        if not size:
             i = 0
             break
         c = chosen.pop()
+        size -= 1
         included ^= 1 << c
         blocked = saved.pop()
         ready &= ~succ_mask[c]
@@ -350,7 +390,7 @@ def iter_predicate_families(masks, preds_masks, mode: str, param: int,
                     if not t_mode:
                         blocked = _block(blocked, i, included, param, rel)
                     included |= 1 << i
-                    for j, bit, pm in succ[i]:
+                    for bit, pm in succ[i]:
                         if not pm & ~included:
                             ready |= bit
                 i += 1

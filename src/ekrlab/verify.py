@@ -774,8 +774,8 @@ def conjecture_scan(conj_id: str, ranges: dict,
     range (not that the conjecture is proved).  Candidates are re-verified
     exactly before emission.  Budget exhaustion yields complete=False.
     Every scan runs in one process.  TIntersectingSharp walks only the
-    t-intersecting increasing families (`_kernels.monotone_masks`), and its
-    budget counts them, so a budget that covers them all completes.
+    t-intersecting increasing families (`_kernels.iter_monotone_masks`),
+    and its budget counts them, so a budget that covers them all completes.
     EMCStability walks only the subtrees that can reach its size threshold,
     and its budget counts the nodes of that walk.  A budget below 1 is a
     ValueError.
@@ -839,18 +839,18 @@ def _scan_t_intersecting_sharp(ranges: dict, budget) -> ScanReport:
     suffice).  For each family and bias the conjectured implication is
     violated iff the condition holds at some eps strictly below the point
     where the conclusion starts to hold.  The scan runs on the 2**n-bit
-    masks and on integers.  `_kernels.monotone_masks` enumerates only the
+    masks and on integers.  `_kernels.iter_monotone_masks` yields only the
     t-intersecting families, in ascending order, and the scan stops
-    incomplete when a family comes up with `budget` of them examined.  Each
-    family's weight vector w is counted once; at p = a/b its measure is
-    dot(w, pw) / b**n, so mu_p > thr is one integer comparison, and a
-    SetFamily is built only for the families that pass it.  Only those
-    reach `_condition_beats_mu`, which takes the minimum of the convex
-    condition curve.  Where eps_r/t is an exact power of p it first tries
-    to prove in integers that the minimum sits at eps_r, which decides
-    "no violation" without mpmath.  Otherwise it takes the minimum in
-    closed form at the working precision and reports a violation when it
-    clears that function's float margin.  The biases "ps" are exact
+    incomplete when a family comes up with `budget` of them examined, so
+    the budget also bounds the enumeration.  Each family's weight vector w
+    is counted once; at p = a/b its measure is dot(w, pw) / b**n, so
+    mu_p > thr is one integer comparison, and a SetFamily is built only
+    for the families that pass it.  Only those reach `_condition_beats_mu`,
+    which takes the minimum of the convex condition curve.  Where eps_r/t
+    is an exact power of p it first tries to prove in integers that the
+    minimum sits at eps_r, which decides "no violation" without mpmath.
+    Otherwise it takes the minimum in closed form at the working precision
+    and reports a violation when it clears that function's float margin.  The biases "ps" are exact
     "num/den" strings.
     """
     t, n, ps = _range_values("TIntersectingSharp", ranges, "t", "n", "ps")
@@ -874,7 +874,7 @@ def _scan_t_intersecting_sharp(ranges: dict, budget) -> ScanReport:
     examined = 0
     candidates = []
     complete = True
-    for bits in _kernels.monotone_masks(n, t):
+    for bits in _kernels.iter_monotone_masks(n, t):
         if budget is not None and examined >= budget:
             complete = False
             notes.append("budget exhausted; scan incomplete")

@@ -1,9 +1,12 @@
 """The search and predicate-family kernels, with and without a size floor,
-against a node-at-a-time reference walker, plus the large-ground counting
+against a node-at-a-time reference walker; their shared tables against
+their definitions; pinned search counters; and the large-ground counting
 path."""
 
 import itertools
 import random
+
+import pytest
 
 from ekrlab import _kernels
 from ekrlab.search import lex_universe, shift_predecessor_masks
@@ -37,8 +40,9 @@ def _ref_include_ok(mode, param, masks, chosen, m):
 
 def _ref_search(masks, preds, mode, param, shifted, node_budget=None,
                 resume_path=None, resume_best=-1, resume_witness=(),
-                checkpoint_cb=None, checkpoint_every=0):
-    """One decision per node; same contract as `_kernels.search_uniform`."""
+                checkpoint_cb=None, checkpoint_every=0, leaves=None):
+    """One decision per node; same contract as `_kernels.search_uniform`.
+    The node count at each leaf goes to the list `leaves`, if given."""
     n_sets = len(masks)
     best, witness = resume_best, tuple(resume_witness)
     stats = dict.fromkeys(("nodes", "bound_prunes", "forced_exclusions",
@@ -51,6 +55,8 @@ def _ref_search(masks, preds, mode, param, shifted, node_budget=None,
         if i == n_sets or len(chosen) + n_sets - i <= best:
             if i == n_sets:
                 stats["nodes"] += 1
+                if leaves is not None:
+                    leaves.append(stats["nodes"])
                 if len(chosen) > best:
                     best, witness = len(chosen), tuple(chosen)
             else:
@@ -117,14 +123,17 @@ def _kernel_families(masks, preds, mode, param, shifted, node_budget=None,
     return out, None
 
 
+MODES = (("t", 1), ("t", 2), ("match", 1), ("match", 2), ("match", 3))
+
+
 def _instances(max_n=8):
-    """Every [n]^(k) with n <= max_n, t and match modes, plain and shifted."""
+    """Every [n]^(k) with n <= max_n, t and match modes, plain and shifted;
+    t = 3 (no t-subsets at all when k < 3) only up to n = 7."""
     for n in range(1, max_n + 1):
         for k in range(n + 1):
             universe = lex_universe(n, k)
             preds = shift_predecessor_masks(n, k, universe)
-            for mode, param in (("t", 1), ("t", 2), ("match", 1), ("match", 2),
-                                ("match", 3)):
+            for mode, param in MODES + ((("t", 3),) if n <= 7 else ()):
                 for shifted in (False, True):
                     yield universe, preds, mode, param, shifted
 
@@ -144,26 +153,50 @@ def test_search_matches_reference_walker():
             assert _kernels.search_uniform(*inst) == ref
 
 
+def _check_checkpoints(inst, every, budget=333):
+    """The kernel's checkpoint calls and result, and those of a run resumed
+    from its middle checkpoint, equal the reference walker's."""
+    got, want = [], []
+    a = _kernels.search_uniform(*inst, node_budget=budget,
+                                checkpoint_cb=lambda *c: got.append(c),
+                                checkpoint_every=every)
+    b = _ref_search(*inst, node_budget=budget,
+                    checkpoint_cb=lambda *c: want.append(c),
+                    checkpoint_every=every)
+    assert a == b and got == want, (inst[2:], len(inst[0]), every)
+    if len(want) < 2:
+        return
+    path, best, witness, _ = want[len(want) // 2]
+    kw = dict(node_budget=budget, resume_path=path, resume_best=best,
+              resume_witness=witness, checkpoint_every=every)
+    got, want = [], []
+    a = _kernels.search_uniform(*inst, checkpoint_cb=lambda *c: got.append(c),
+                                **kw)
+    b = _ref_search(*inst, checkpoint_cb=lambda *c: want.append(c), **kw)
+    assert a == b and got == want, (inst[2:], len(inst[0]), every, "resume")
+
+
 def test_search_checkpoints_and_resume_match_reference_walker():
     for inst in _instances(7):
-        got, want = [], []
-        a = _kernels.search_uniform(*inst, node_budget=333,
-                                 checkpoint_cb=lambda *c: got.append(c),
-                                 checkpoint_every=13)
-        b = _ref_search(*inst, node_budget=333,
-                        checkpoint_cb=lambda *c: want.append(c),
-                        checkpoint_every=13)
-        assert a == b and got == want, (inst[2:], len(inst[0]))
-        if len(want) < 2:
-            continue
-        path, best, witness, _ = want[len(want) // 2]
-        kw = dict(node_budget=333, resume_path=path, resume_best=best,
-                  resume_witness=witness, checkpoint_every=13)
-        got, want = [], []
-        a = _kernels.search_uniform(*inst, checkpoint_cb=lambda *c: got.append(c),
-                                 **kw)
-        b = _ref_search(*inst, checkpoint_cb=lambda *c: want.append(c), **kw)
-        assert a == b and got == want, (inst[2:], len(inst[0]), "resume")
+        for every in (1, 2, 13):
+            _check_checkpoints(inst, every)
+
+
+def test_checkpoint_after_a_leaf_on_a_multiple():
+    # a leaf counts a node but calls no checkpoint, so a leaf can land on a
+    # multiple of checkpoint_every; the forced-exclusion jumps after it must
+    # still stop at the next multiple
+    for n, k, mode, param in ((9, 3, "match", 2), (8, 4, "t", 1)):
+        universe = lex_universe(n, k)
+        inst = (universe, shift_predecessor_masks(n, k, universe), mode,
+                param, True)
+        leaves = []
+        _ref_search(*inst, node_budget=3000, leaves=leaves)
+        hits = 0
+        for every in (3, 5, 17):
+            hits += any(nodes % every == 0 for nodes in leaves)
+            _check_checkpoints(inst, every, budget=3000)
+        assert hits
 
 
 def test_predicate_families_match_reference_walker():
@@ -195,6 +228,56 @@ def test_floored_families_match_reference_walker():
             else:
                 assert got[:len(want)] == want, where
                 assert not set(got[len(want):]) & set(ref), where
+
+
+def test_walk_tables_match_their_definitions():
+    # rel against the popcount definition, and each set with shift images in
+    # exactly one succ list: the one of its last image
+    for n in range(1, 9):
+        for k in range(n + 1):
+            universe = lex_universe(n, k)
+            preds = shift_predecessor_masks(n, k, universe)
+            for mode, param in MODES + (("t", 3),):
+                rel, succ, succ_mask, ready = _kernels._walk_tables(
+                    universe, preds, mode, param, True, 0)
+                for i, m in enumerate(universe):
+                    if mode == "t":
+                        want = [j for j in range(i) if
+                                bin(m & universe[j]).count("1") < param]
+                    else:
+                        want = [j for j, mj in enumerate(universe)
+                                if not m & mj]
+                    assert rel[i] == sum(1 << j for j in want), (n, k, mode,
+                                                                 param, i)
+            lists = [(bit.bit_length() - 1, c, pm)
+                     for c, pairs in enumerate(succ) for bit, pm in pairs]
+            assert sorted(lists) == [(j, pm.bit_length() - 1, pm)
+                                     for j, pm in enumerate(preds) if pm]
+            assert succ_mask == [sum(bit for bit, _ in pairs)
+                                 for pairs in succ]
+            assert ready == sum(1 << j for j, pm in enumerate(preds) if not pm)
+
+
+#: (n, k, t) -> (optimum, counters) of the shifted t-intersecting search,
+#: recorded with the walk that woke a set at every shift image
+T_COUNTERS = {
+    (9, 4, 1): (56, (1_338_643, 37_073, 1_291_028, 10_541)),
+    (8, 4, 2): (17, (5_442, 141, 5_280, 18)),
+    (10, 4, 2): (28, (64_542, 450, 63_983, 108)),
+}
+
+
+@pytest.mark.parametrize("n, k, t", sorted(T_COUNTERS))
+def test_shifted_t_intersecting_counters_pinned(n, k, t):
+    # EKR's C(8,3) = 56, Wilson's C(8,2) = 28, and on [8]^(4) at t = 2,
+    # below Wilson's range, the Ahlswede-Khachatrian family of the sets
+    # meeting [4] in at least 3 elements: 17
+    universe = lex_universe(n, k)
+    preds = shift_predecessor_masks(n, k, universe)
+    best, _, stats, complete, path = _kernels.search_uniform(
+        universe, preds, "t", t, True)
+    assert complete and path == []
+    assert (best, tuple(stats.values())) == T_COUNTERS[n, k, t]
 
 
 def test_shifted_matching_counters_pinned():

@@ -1,9 +1,9 @@
 """The TIntersectingSharp scan on masks and integers: the enumeration of
-the t-intersecting increasing families, the condition verdict against a
-ternary search (the exact-power test where eps_r/t = p^m, on both sides of
-its bound, and the closed-form minimum), the working precision, and pinned
-reports; and pinned EMCStability reports, with the size-floored walk and
-with a budget."""
+the t-intersecting increasing families, which a budget cuts short, the
+condition verdict against a ternary search (the exact-power test where
+eps_r/t = p^m, on both sides of its bound, and the closed-form minimum),
+the working precision, and pinned reports; and pinned EMCStability
+reports, with the size-floored walk and with a budget."""
 
 import bisect
 import hashlib
@@ -64,6 +64,25 @@ def test_t_intersecting_count_n6(masks_n6):
     assert [len(masks_n6[t]) for t in (1, 2, 3)] == [1_422_564, 60_080, 1_271]
     for masks in masks_n6.values():
         assert all(a < b for a, b in itertools.pairwise(masks))
+
+
+def test_budget_bounds_the_enumeration(monkeypatch, masks_n6):
+    # a budgeted scan on [6] takes at most budget + 1 families from the
+    # enumeration, rather than enumerating all 1,422,564 first
+    taken = []
+
+    def counting(n, t=0):
+        for bits in real(n, t):
+            taken.append(bits)
+            yield bits
+
+    real = _kernels.iter_monotone_masks
+    monkeypatch.setattr(_kernels, "iter_monotone_masks", counting)
+    d = conjecture_scan("TIntersectingSharp", {"t": 1, "n": 6, "ps": ["1/4"]},
+                        budget=5).to_dict()
+    assert d["families_examined"] == 5 and not d["complete"]
+    assert len(taken) <= 6
+    assert taken == list(masks_n6[1][:len(taken)])
 
 
 # -- the condition curve in closed form ----------------------------------------
