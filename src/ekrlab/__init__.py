@@ -21,10 +21,9 @@ from .report import VerdictReport
 from .search import (SearchCertificate, SearchProblem, enumerate_monotone,
                      enumerate_monotone_masks, extremal_under_measure_cap,
                      iter_uniform_families, max_uniform, monotone_count_oracle)
-from .shadows import (ColexSegment, LexSegment, colex_segment,
-                      increasing_shadow, katona_check, kk_min_shadow,
-                      lex_segment, lift, lift_size, lower_shadow,
-                      upper_shadow)
+from .shadows import (ColexSegment, LexSegment, increasing_shadow,
+                      katona_check, kk_min_shadow, lift, lift_size,
+                      lower_shadow, upper_shadow)
 from .verify import (DerivedConstants, TheoremCase, bootstrap_diagnostics,
                      check_theorem, conjecture_scan, nearest_or,
                      nearest_or_uniform, nearest_triangle, nearest_umvirate,

@@ -38,7 +38,7 @@ class EdgeGround(_Frozen):
             raise ValueError("edge ground needs at least 2 vertices")
         if v * (v - 1) // 2 > MAX_DENSE_N:
             raise ValueError(f"C({v},2) exceeds the dense family cap")
-        object.__setattr__(self, "v", v)
+        super().__init__(v)
 
     @property
     def n(self) -> int:
@@ -73,10 +73,7 @@ class SetFamily(_Frozen):
             raise ValueError("family bits exceed the 2**n cube positions")
         if edges is not None and edges.n != n:
             raise ValueError("edge ground does not match ground size")
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "bits", bits)
-        object.__setattr__(self, "edges", edges)
-        object.__setattr__(self, "_buf", None)
+        super().__init__(n, bits, edges)
 
     # -- construction ------------------------------------------------------
 
@@ -267,9 +264,7 @@ class UniformFamily(_Frozen):
         for m in ms:
             if m < 0 or m.bit_length() > n or popcount(m) != k:
                 raise ValueError(f"mask {m:#x} is not a {k}-subset of [{n}]")
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "k", k)
-        object.__setattr__(self, "members", ms)
+        super().__init__(n, k, ms)
 
     @classmethod
     def from_sets(cls, n: int, k: int, sets) -> "UniformFamily":

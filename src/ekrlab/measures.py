@@ -19,8 +19,8 @@ from . import _kernels
 from .bitops import (coord_zero_mask, cube_mask, elements_of, iter_members,
                      popcount)
 from .families import SetFamily, are_cross_intersecting
-from .numerics import (Checked, _Frozen, check_le, default_dps, log_base,
-                       mpmath, to_mpf)
+from .numerics import (_Frozen, check_le, default_dps, log_base, mpmath,
+                       to_mpf)
 from .report import VerdictReport
 
 #: ground size above which influence counting switches to member scans
@@ -32,16 +32,16 @@ _CUBE_DENSE_N = 18
 
 
 class MeasurePolynomial(_Frozen):
-    """Polynomial in p, p -> mu_p(F), as monomial coefficients: integers
-    when built from a weight vector (other rationals stay `Fraction`s)."""
+    """Polynomial in p, p -> mu_p(F), as integer monomial coefficients
+    (trailing zeros dropped)."""
 
     __slots__ = ("coeffs",)
 
     def __init__(self, coeffs):
-        cs = [c if isinstance(c, int) else Fraction(c) for c in coeffs]
+        cs = list(coeffs)
         while cs and cs[-1] == 0:
             cs.pop()
-        object.__setattr__(self, "coeffs", tuple(cs))
+        super().__init__(tuple(cs))
 
     @classmethod
     def zero(cls) -> "MeasurePolynomial":
@@ -162,12 +162,6 @@ class InfluenceVector(_Frozen):
 
     __slots__ = ("n", "pivots", "total_weights")
 
-    def __init__(self, n: int, pivots: tuple[tuple[int, ...], ...],
-                 total_weights: tuple[int, ...]):
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "pivots", pivots)
-        object.__setattr__(self, "total_weights", total_weights)
-
     @property
     def per_coordinate(self) -> tuple[MeasurePolynomial, ...]:
         return tuple(MeasurePolynomial.from_weights(self.n, w)
@@ -246,16 +240,10 @@ def total_influence(fam: SetFamily, p) -> Fraction:
 
 
 class EdgeBoundaryReport(_Frozen):
-    __slots__ = ("count", "edges", "harper", "is_subcube", "equality")
+    """`harper` checks the Harper inequality |bd A| >= |A| log2(2^n / |A|)
+    (None for an empty family)."""
 
-    def __init__(self, count: int, edges: tuple[tuple[int, int], ...] | None,
-                 harper: Checked | None, is_subcube: bool,
-                 equality: bool | None):
-        object.__setattr__(self, "count", count)
-        object.__setattr__(self, "edges", edges)
-        object.__setattr__(self, "harper", harper)  # |bd A| >= |A| log2(2^n / |A|)
-        object.__setattr__(self, "is_subcube", is_subcube)
-        object.__setattr__(self, "equality", equality)
+    __slots__ = ("count", "edges", "harper", "is_subcube", "equality")
 
     def __int__(self):
         return self.count
@@ -347,18 +335,6 @@ class IsoSlackReport(_Frozen):
     __slots__ = ("status", "p", "mu_value", "slack", "equal",
                  "is_increasing_subcube", "structure_consistent")
 
-    def __init__(self, status: str, p: Fraction, mu_value: Fraction,
-                 slack: object | None, equal: bool | None,
-                 is_increasing_subcube: bool,
-                 structure_consistent: bool | None):
-        object.__setattr__(self, "status", status)
-        object.__setattr__(self, "p", p)
-        object.__setattr__(self, "mu_value", mu_value)
-        object.__setattr__(self, "slack", slack)
-        object.__setattr__(self, "equal", equal)
-        object.__setattr__(self, "is_increasing_subcube", is_increasing_subcube)
-        object.__setattr__(self, "structure_consistent", structure_consistent)
-
     @property
     def holds(self) -> bool:
         return self.status != "ok" or bool(self.slack >= -_tau())
@@ -400,17 +376,10 @@ def iso_slack(fam: SetFamily, p) -> IsoSlackReport:
 
 
 class LogMeasureProfile(_Frozen):
+    """log_p(mu_p) along a grid: `points` holds the pairs (p, log_p mu_p)."""
+
     __slots__ = ("points", "non_increasing", "strictly_decreasing_somewhere",
                  "is_increasing_subcube")
-
-    def __init__(self, points: tuple[tuple[Fraction, object], ...],
-                 non_increasing: bool, strictly_decreasing_somewhere: bool,
-                 is_increasing_subcube: bool):
-        object.__setattr__(self, "points", points)  # (p, log_p mu_p)
-        object.__setattr__(self, "non_increasing", non_increasing)
-        object.__setattr__(self, "strictly_decreasing_somewhere",
-                           strictly_decreasing_somewhere)
-        object.__setattr__(self, "is_increasing_subcube", is_increasing_subcube)
 
 
 def log_measure_profile(fam: SetFamily, grid) -> LogMeasureProfile:

@@ -52,19 +52,41 @@ ValueLike = "int | Fraction | mpmath.mpf | Callable[[], ValueLike]"
 
 
 class _Frozen:
-    """Base of the immutable records: assignment raises, and a record
-    pickles and copies through its constructor, whose arguments are its
-    public slots in order (a slot starting with "_" is a private cache).
-    Constructors set their slots with `object.__setattr__`."""
+    """Base of the immutable records.
+
+    A record's public slots are its fields and the slots starting with "_"
+    are private caches.  `_Frozen.__init__` takes one value per field, in
+    slot order, and sets every cache to None; a record that validates or
+    converts its input does so in its own `__init__` and ends in
+    `super().__init__(...)`.  Assignment raises, and a record pickles and
+    copies through its constructor called on its fields, so a copy starts
+    with empty caches."""
 
     __slots__ = ()
+
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        slots = [s for c in reversed(cls.__mro__)
+                 for s in vars(c).get("__slots__", ())]
+        cls._fields = tuple(s for s in slots if not s.startswith("_"))
+        cls._caches = tuple(s for s in slots if s.startswith("_"))
+        # a slot's own descriptor sets it faster than object.__setattr__
+        cls._setters = tuple(getattr(cls, s).__set__ for s in cls._fields)
+
+    def __init__(self, *values):
+        if len(values) != len(self._setters):
+            raise TypeError(f"{type(self).__name__} takes {len(self._fields)} "
+                            f"values {self._fields}, got {len(values)}")
+        for setter, value in zip(self._setters, values):
+            setter(self, value)
+        for name in self._caches:
+            object.__setattr__(self, name, None)
 
     def __setattr__(self, *a):
         raise AttributeError(f"{type(self).__name__} is immutable")
 
     def __reduce__(self):
-        return (type(self), tuple(getattr(self, s) for s in self.__slots__
-                                  if not s.startswith("_")))
+        return (type(self), tuple(getattr(self, s) for s in self._fields))
 
 
 _active = {"dps": None, "tol": None}
@@ -130,30 +152,19 @@ class Checked(_Frozen):
 
     __slots__ = ("lhs", "rhs", "slack", "holds", "equal", "exact", "dps")
 
-    def __init__(self, lhs: object, rhs: object, slack: object, holds: bool,
-                 equal: bool, exact: bool, dps: int):
-        object.__setattr__(self, "lhs", lhs)
-        object.__setattr__(self, "rhs", rhs)
-        object.__setattr__(self, "slack", slack)
-        object.__setattr__(self, "holds", holds)
-        object.__setattr__(self, "equal", equal)
-        object.__setattr__(self, "exact", exact)
-        object.__setattr__(self, "dps", dps)
-
     def __bool__(self) -> bool:
         return self.holds
 
 
-def check_le(lhs: ValueLike, rhs: ValueLike, tol: Fraction | None = None,
-             dps: int | None = None) -> Checked:
+def check_le(lhs: ValueLike, rhs: ValueLike) -> Checked:
     """Check lhs <= rhs, retrying at doubled precision near the boundary.
 
     Either side may be a plain value or a zero-argument callable; callables
     are re-invoked after each precision raise, so mpf-producing closures
     genuinely gain accuracy on retry.
     """
-    tol = default_tol() if tol is None else Fraction(tol)
-    dps = default_dps() if dps is None else dps
+    tol = default_tol()
+    dps = default_dps()
     a = _eval(lhs, dps)
     b = _eval(rhs, dps)
     if isinstance(a, (int, Fraction)) and isinstance(b, (int, Fraction)):
@@ -175,10 +186,9 @@ def check_le(lhs: ValueLike, rhs: ValueLike, tol: Fraction | None = None,
                        False, dps)
 
 
-def check_eq(lhs: ValueLike, rhs: ValueLike, tol: Fraction | None = None,
-             dps: int | None = None) -> Checked:
+def check_eq(lhs: ValueLike, rhs: ValueLike) -> Checked:
     """Check |lhs - rhs| <= tau (exact equality when both sides rational)."""
-    c = check_le(lhs, rhs, tol=tol, dps=dps)
+    c = check_le(lhs, rhs)
     return Checked(c.lhs, c.rhs, c.slack, c.equal, c.equal, c.exact, c.dps)
 
 
@@ -198,8 +208,8 @@ def parse_rational(s: str) -> Fraction:
         raise ValueError(f"zero denominator: {s!r}") from None
 
 
-def fmt_real(x, digits: int = 18) -> str:
-    """Serialize a real with `digits` significant digits."""
+def fmt_real(x) -> str:
+    """Serialize a real with 18 significant digits."""
     if isinstance(x, (int, Fraction)):
         return fmt_rational(Fraction(x))
-    return mpmath.nstr(x, digits, strip_zeros=False)
+    return mpmath.nstr(x, 18, strip_zeros=False)

@@ -96,5 +96,5 @@ class VerdictReport:
             "notes": list(self.notes),
         }
 
-    def to_json(self, indent: int | None = None) -> str:
-        return json.dumps(self.to_dict(), indent=indent, sort_keys=True)
+    def to_json(self) -> str:
+        return json.dumps(self.to_dict(), sort_keys=True)

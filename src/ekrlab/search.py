@@ -95,12 +95,7 @@ class SearchProblem(_Frozen):
                              f"matching), got t={t}")
         if budget is not None and budget < 1:
             raise ValueError(f"need budget >= 1, got budget={budget}")
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "k", k)
-        object.__setattr__(self, "predicate", predicate)
-        object.__setattr__(self, "t", t)
-        object.__setattr__(self, "budget", budget)
-        object.__setattr__(self, "shifted", shifted)
+        super().__init__(n, k, predicate, t, budget, shifted)
 
 
 class SearchCertificate:
@@ -280,28 +275,21 @@ def max_uniform(problem: SearchProblem, checkpoint_path=None,
 
 
 def iter_uniform_families(n: int, k: int, predicate: str, t: int = 1,
-                          shifted: bool = True, budget: int | None = None):
+                          shifted: bool = True, budget: int | None = None,
+                          min_size: int = 0):
     """Yield every family of [n]^(k) satisfying the predicate, as
-    UniformFamily (compression-closed ones only, in shifted mode)."""
-    universe, families = _index_families(n, k, predicate, t, shifted, budget)
-    for idx in families:
-        yield UniformFamily(n, k, (universe[i] for i in idx))
-
-
-def _index_families(n: int, k: int, predicate: str, t: int, shifted: bool,
-                    budget: int | None, min_size: int = 0):
-    """(universe, iterator of index tuples into it) for the families
-    `iter_uniform_families` yields, so a caller can skip a family by its
-    size before building it; with `min_size`, only the families of at
-    least that many sets, found by a walk that skips the subtrees holding
-    none (its nodes, which the budget counts, are fewer)."""
+    UniformFamily (compression-closed ones only, in shifted mode); with
+    `min_size`, only the families of at least that many sets, found by a
+    walk that skips the subtrees holding none (its nodes, which the budget
+    counts, are fewer)."""
     universe = lex_universe(n, k)
     preds = (shift_predecessor_masks(n, k, universe)
              if shifted else [0] * len(universe))
     mode, param = _predicate_mode(predicate, t)
-    return universe, _kernels.iter_predicate_families(
-        universe, preds, mode, param, shifted, node_budget=budget,
-        min_size=min_size)
+    for idx in _kernels.iter_predicate_families(
+            universe, preds, mode, param, shifted, node_budget=budget,
+            min_size=min_size):
+        yield UniformFamily(n, k, (universe[i] for i in idx))
 
 
 def extremal_under_measure_cap(n: int, p0, t: int, p,

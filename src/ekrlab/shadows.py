@@ -132,9 +132,7 @@ class LexSegment(_Frozen):
 
     def __init__(self, n: int, k: int, m: int):
         _check_segment(n, k, m)
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "k", k)
-        object.__setattr__(self, "m", m)
+        super().__init__(n, k, m)
 
     def __contains__(self, subset) -> bool:
         mask = subset if isinstance(subset, int) else mask_of(subset)
@@ -155,9 +153,7 @@ class ColexSegment(_Frozen):
 
     def __init__(self, n: int, k: int, m: int):
         _check_segment(n, k, m)
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "k", k)
-        object.__setattr__(self, "m", m)
+        super().__init__(n, k, m)
 
     def __contains__(self, subset) -> bool:
         mask = subset if isinstance(subset, int) else mask_of(subset)
@@ -169,14 +165,6 @@ class ColexSegment(_Frozen):
     def family(self) -> UniformFamily:
         return UniformFamily(self.n, self.k,
                              (colex_unrank(r, self.k) for r in range(self.m)))
-
-
-def lex_segment(n: int, k: int, m: int) -> LexSegment:
-    return LexSegment(n, k, m)
-
-
-def colex_segment(n: int, k: int, m: int) -> ColexSegment:
-    return ColexSegment(n, k, m)
 
 
 # -- Kruskal-Katona ----------------------------------------------------------

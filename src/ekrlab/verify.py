@@ -36,7 +36,7 @@ from .measures import cube_measure, dot, mu, nearest_cube, power_table
 from .numerics import (_Frozen, check_eq, check_le, default_dps, log_base,
                        mpmath, parse_rational, to_mpf)
 from .report import HOLDS, UNRESOLVED, VerdictReport, fmt
-from .search import _index_families, iter_uniform_families
+from .search import iter_uniform_families
 from .zoo import (FamilySpec, closed_form_mu, comb0, construct,
                   defining_root)
 
@@ -44,11 +44,6 @@ class DerivedConstants(_Frozen):
     """The transfer exponents and prefactors shared by the biased theorems."""
 
     __slots__ = ("p0", "p", "t")
-
-    def __init__(self, p0: Fraction | None, p: Fraction, t: int = 1):
-        object.__setattr__(self, "p0", p0)
-        object.__setattr__(self, "p", p)
-        object.__setattr__(self, "t", t)
 
     @property
     def c_tilde(self):
@@ -94,8 +89,7 @@ class TheoremCase(_Frozen):
     def __init__(self, theorem_id: str, params: dict):
         if theorem_id not in THEOREM_IDS:
             raise ValueError(f"unknown theorem {theorem_id!r}")
-        object.__setattr__(self, "theorem_id", theorem_id)
-        object.__setattr__(self, "params", params)
+        super().__init__(theorem_id, params)
 
     def get(self, key, default=None):
         return self.params.get(key, default)
@@ -381,7 +375,7 @@ def _check_dual_biased(case: TheoremCase, fam: SetFamily) -> VerdictReport:
     _require(s >= 1 and eps > 0, "need s >= 1 and eps > 0")
     _require(fam.is_increasing(), "family must be increasing")
     rep = VerdictReport("DualBiased")
-    dc = DerivedConstants(p0, p)
+    dc = DerivedConstants(p0, p, 1)
     rep.add_hypothesis("mu_{p0}(F) <= 1 - (1-p0)^s",
                        check_le(mu(fam, p0), 1 - (1 - p0) ** s))
     return _biased_verdict(
@@ -729,9 +723,7 @@ def _canonical_or_residual(fam: SetFamily, s: int, p: Fraction) -> Fraction:
 
 
 def mu_at_real(fam: SetFamily, x):
-    """mu at a possibly-irrational bias, via the weight vector."""
-    if isinstance(x, Fraction):
-        return to_mpf(mu(fam, x))
+    """mu at an irrational bias, via the weight vector."""
     w = fam.weight_vector()
     xm = to_mpf(x)
     return sum(w[j] * xm**j * (1 - xm) ** (fam.n - j) for j in range(fam.n + 1))
@@ -1009,16 +1001,15 @@ def _scan_emc_stability(ranges: dict, budget) -> ScanReport:
     candidates = []
     examined = 0
     complete = True
-    universe, families = _index_families(n, k, "matching_at_most", s, True,
-                                         budget, min_size=thr)
     try:
-        for idx in families:
-            fam = UniformFamily(n, k, (universe[i] for i in idx))
+        for fam in iter_uniform_families(n, k, "matching_at_most", s,
+                                         shifted=True, budget=budget,
+                                         min_size=thr):
             if matching_number(fam) != s:
                 continue
             examined += 1
             _, outside = nearest_or_uniform(fam, s)
-            if outside > bound and matching_number(fam) == s:
+            if outside > bound:
                 candidates.append({
                     "family": [list(x) for x in fam.member_sets()],
                     "outside": outside, "bound": bound,

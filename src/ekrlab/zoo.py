@@ -40,8 +40,7 @@ class FamilySpec(_Frozen):
                 raise ValueError(f"parameter {key!r} must be an integer, "
                                  f"got {val!r}")
         _VALIDATORS[name](dict(params))
-        object.__setattr__(self, "name", name)
-        object.__setattr__(self, "params", params)
+        super().__init__(name, params)
 
     def __eq__(self, other) -> bool:
         return (isinstance(other, FamilySpec) and self.name == other.name
@@ -520,16 +519,10 @@ def ak_max(n: int, k: int, t: int) -> tuple[int, list[int]]:
 
 
 class RootInfo(_Frozen):
-    """The bias p0 where a tightness family meets its defining equation."""
+    """The bias p0 where a tightness family meets its defining equation;
+    `value` is a Fraction when exact, else an mpf."""
 
     __slots__ = ("value", "exact", "bracket", "equation")
-
-    def __init__(self, value: object, exact: bool,
-                 bracket: tuple[Fraction, Fraction], equation: str):
-        object.__setattr__(self, "value", value)  # Fraction when exact, else mpf
-        object.__setattr__(self, "exact", exact)
-        object.__setattr__(self, "bracket", bracket)
-        object.__setattr__(self, "equation", equation)
 
 
 def defining_root(spec: FamilySpec) -> RootInfo:

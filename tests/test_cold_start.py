@@ -94,16 +94,31 @@ def test_package_imports_no_heavy_stdlib_at_module_level():
 
 def test_one_class_holds_the_frozen_record_policy():
     # every frozen record inherits numerics._Frozen, so none repeats the
-    # immutability or pickling code (and the bans above cover the base too)
-    owners = []
+    # immutability, pickling or slot-setting code (and the bans above cover
+    # the base too); the one other slot write is SetFamily's cache fill
+    owners, writers = [], set()
+
+    def visit(node, where):
+        if isinstance(node, (ast.ClassDef, ast.FunctionDef)):
+            where += (node.name,)
+        if (isinstance(node, ast.Attribute) and node.attr == "__setattr__"
+                and isinstance(node.value, ast.Name)
+                and node.value.id == "object"):
+            writers.add(where)
+        for child in ast.iter_child_nodes(node):
+            visit(child, where)
+
     for path in sorted(Path(SRC, "ekrlab").glob("*.py")):
-        for node in ast.walk(ast.parse(path.read_text())):
+        tree = ast.parse(path.read_text())
+        for node in ast.walk(tree):
             if isinstance(node, ast.ClassDef) and any(
                     isinstance(f, ast.FunctionDef)
                     and f.name in ("__setattr__", "__reduce__")
                     for f in node.body):
                 owners.append((path.name, node.name))
+        visit(tree, ())
     assert owners == [("numerics.py", "_Frozen")]
+    assert writers == {("_Frozen", "__init__"), ("SetFamily", "_buffer")}
 
 
 def test_package_never_imports_a_process_pool():

@@ -75,6 +75,27 @@ def test_pickle_and_copy_round_trip(rec):
         assert _state(twin) == _state(rec)
 
 
+def test_copies_start_with_an_empty_cache():
+    assert CUBE._buf is not None
+    for twin in (pickle.loads(pickle.dumps(CUBE)), copy.copy(CUBE),
+                 copy.deepcopy(CUBE)):
+        assert twin._buf is None
+
+
+@pytest.mark.parametrize("cls", [
+    Checked, InfluenceVector, EdgeBoundaryReport, IsoSlackReport,
+    LogMeasureProfile, RootInfo, DerivedConstants,
+], ids=lambda c: c.__name__)
+def test_plain_records_take_one_value_per_field(cls):
+    # these records have no constructor of their own
+    assert "__init__" not in vars(cls)
+    fields = len(cls.__slots__)
+    for count in (fields - 1, fields + 1):
+        with pytest.raises(TypeError, match=rf"^{cls.__name__} takes "
+                           rf"{fields} values .*, got {count}$"):
+            cls(*range(count))
+
+
 @pytest.mark.parametrize("rec", FROZEN, ids=lambda r: type(r).__name__)
 def test_frozen_records_reject_assignment(rec):
     name = type(rec).__slots__[0]

@@ -4,9 +4,9 @@ from fractions import Fraction
 
 import pytest
 
-from ekrlab import (SetFamily, UniformFamily, colex_segment,
-                    increasing_shadow, katona_check, kk_min_shadow,
-                    lex_segment, lift, lift_size, lower_shadow, upper_shadow)
+from ekrlab import (ColexSegment, LexSegment, SetFamily, UniformFamily,
+                    increasing_shadow, katona_check, kk_min_shadow, lift,
+                    lift_size, lower_shadow, upper_shadow)
 from ekrlab.shadows import (cascade_decomposition, colex_rank, colex_unrank,
                             lex_rank, lex_unrank)
 from ekrlab.zoo import c_ts, dictatorship, or_family, t_umvirate
@@ -25,7 +25,7 @@ def test_lower_shadow_examples():
     assert _sets(lower_shadow(fam)) == {(1, 2), (1, 3), (2, 3)}
     full = UniformFamily.full(5, 3)
     assert lower_shadow(full) == UniformFamily.full(5, 2)
-    seg = colex_segment(4, 2, 3).family()
+    seg = ColexSegment(4, 2, 3).family()
     assert _sets(seg) == {(1, 2), (1, 3), (2, 3)}
     assert _sets(lower_shadow(seg)) == {(1,), (2,), (3,)}
 
@@ -99,19 +99,19 @@ def test_shadow_adjointness(rng):
 
 
 def test_lex_colex_segments():
-    assert _sets(lex_segment(4, 2, 3).family()) == {(1, 2), (1, 3), (1, 4)}
-    assert _sets(colex_segment(4, 2, 3).family()) == {(1, 2), (1, 3), (2, 3)}
+    assert _sets(LexSegment(4, 2, 3).family()) == {(1, 2), (1, 3), (1, 4)}
+    assert _sets(ColexSegment(4, 2, 3).family()) == {(1, 2), (1, 3), (2, 3)}
     # a lex segment of size C(n-1,k-1) is the dictatorship slice
-    seg = lex_segment(5, 3, math.comb(4, 2)).family()
+    seg = LexSegment(5, 3, math.comb(4, 2)).family()
     assert seg == dictatorship(5, 1).uniform_slice(3).to_set_family().uniform_slice(3)
     # ... and of size C(n-t,k-t) the [t]-umvirate slice
     n, k, t = 6, 3, 2
-    seg = lex_segment(n, k, math.comb(n - t, k - t)).family()
+    seg = LexSegment(n, k, math.comb(n - t, k - t)).family()
     assert _sets(seg) == _sets(t_umvirate(n, t).uniform_slice(k))
     # C_{t,s} slices are initial lex segments
     n, t, s, keep = 6, 1, 2, 3
     sl = c_ts(n, t, s).uniform_slice(keep)
-    assert _sets(sl) == _sets(lex_segment(n, keep, len(sl)).family())
+    assert _sets(sl) == _sets(LexSegment(n, keep, len(sl)).family())
 
 
 def test_rank_unrank_roundtrip():
@@ -121,9 +121,9 @@ def test_rank_unrank_roundtrip():
         assert lex_rank(n, k, m) == r
         m = colex_unrank(r, k)
         assert colex_rank(m) == r
-    seg = lex_segment(5, 2, 4)
+    seg = LexSegment(5, 2, 4)
     assert [1, 2] in seg and [1, 5] in seg and [2, 3] not in seg
-    cseg = colex_segment(5, 2, 4)
+    cseg = ColexSegment(5, 2, 4)
     assert [1, 4] in cseg and [2, 4] not in cseg
 
 
@@ -132,7 +132,7 @@ def test_kk_min_shadow():
     for a in range(3, 8):
         assert kk_min_shadow(math.comb(a, 3), 3) == math.comb(a, 2)
     # m = 5, k = 3: compare against the colex segment and brute force
-    seg = colex_segment(6, 3, 5).family()
+    seg = ColexSegment(6, 3, 5).family()
     assert kk_min_shadow(5, 3) == len(lower_shadow(seg))
     universe = list(itertools.combinations(range(1, 7), 3))
     brute = min(len(lower_shadow(UniformFamily.from_sets(6, 3, c)))
@@ -145,7 +145,7 @@ def test_kk_min_shadow():
 def test_colex_segment_attains_kk_minimum():
     for n, k in ((5, 2), (5, 3)):
         for m in range(math.comb(n, k) + 1):
-            seg = colex_segment(n, k, m).family()
+            seg = ColexSegment(n, k, m).family()
             if m:
                 assert len(lower_shadow(seg)) == kk_min_shadow(m, k)
 
