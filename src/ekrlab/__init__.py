@@ -25,9 +25,7 @@ from .shadows import (ColexSegment, LexSegment, increasing_shadow,
                       katona_check, kk_min_shadow, lift, lift_size,
                       lower_shadow, upper_shadow)
 from .verify import (DerivedConstants, TheoremCase, bootstrap_diagnostics,
-                     check_theorem, conjecture_scan, nearest_or,
-                     nearest_or_uniform, nearest_triangle, nearest_umvirate,
-                     nearest_umvirate_uniform, tightness_report)
+                     check_theorem, conjecture_scan, tightness_report)
 from .zoo import FamilySpec, ak_max, closed_form_mu, closed_form_size, construct, defining_root
 
 __version__ = "0.1.0"

@@ -16,18 +16,14 @@ import csv
 import io as _io
 import json
 import os
-import random
 import sys
-from fractions import Fraction
 
 from . import _kernels, numerics
 from .families import EdgeGround, SetFamily
 from .io import family_to_dict, load_family
-from .measures import (check_p_open, influence, iso_table, mu, mu_polynomial,
-                       russo_identity)
-from .numerics import fmt_rational, fmt_real, mpmath, parse_rational
-from .search import (MONOTONE_COUNTS, SearchProblem, enumerate_monotone_masks,
-                     max_uniform)
+from .measures import influence, iso_sweep, mu, mu_polynomial, russo_sweep
+from .numerics import fmt_rational, parse_rational
+from .search import MONOTONE_COUNTS, SearchProblem, max_uniform
 from .shadows import (increasing_shadow, kk_min_shadow, cascade_decomposition,
                       katona_check, lower_shadow, upper_shadow)
 from .verify import (TheoremCase, THEOREM_IDS, check_theorem, conjecture_scan,
@@ -59,54 +55,12 @@ def _emit(payload: dict) -> None:
     print(json.dumps(payload, sort_keys=True, indent=2))
 
 
-# -- sweep drivers ---------------------------------------------------------------
+# -- subcommand handlers -----------------------------------------------------------
 
 
+#: the CSV header of `iso-sweep --csv`, one column per field of a sweep row
 ISO_COLUMNS = ("family_id", "p_num", "p_den", "mu", "total_influence",
                "iso_slack", "log_p_mu")
-
-
-def iso_sweep(n: int, ps: list[Fraction]) -> list[tuple]:
-    """Slack rows for every increasing family on [n], canonical order.
-
-    Families with the same count profile share their rows, so each profile's
-    rows are formatted once.  A bias outside 0 < p < 1 is a ValueError."""
-    for p in ps:
-        check_p_open(p)
-    profile_of, profiles = iso_table(n, enumerate_monotone_masks(n), ps)
-    formatted = [
-        [(p.numerator, p.denominator, fmt_rational(m), fmt_rational(ip))
-         + (("vacuous", "") if slack is None else
-            (fmt_real(slack), fmt_real(log_mu)))
-         for p, (m, ip, slack, log_mu) in zip(ps, values)]
-        for values in profiles]
-    return [(fid,) + row for fid, k in enumerate(profile_of)
-            for row in formatted[k]]
-
-
-def russo_sweep(n: int | None, random_count: int, seed: int,
-                max_n: int) -> list[tuple]:
-    """Exact polynomial Russo checks over all monotone families on [n]
-    and/or random monotone families on grounds up to max_n."""
-    fids, fams = [], []
-    if n is not None:
-        for fid, bits in enumerate(enumerate_monotone_masks(n)):
-            fids.append(fid)
-            fams.append(SetFamily(n, bits))
-    if random_count:
-        rng = random.Random(seed)
-        for i in range(random_count):
-            rn = rng.randint(1, max_n)
-            bits = 0
-            for _ in range(rng.randint(0, 2 * rn)):
-                bits |= 1 << rng.randrange(1 << rn)
-            fids.append(-(i + 1))
-            fams.append(SetFamily(rn, bits).up_closure())
-    return [(fid, fam.n, russo_identity(fam))
-            for fid, fam in zip(fids, fams)]
-
-
-# -- subcommand handlers -----------------------------------------------------------
 
 
 def _cmd_measure(args):
@@ -154,12 +108,7 @@ def _cmd_construct(args):
 def _cmd_iso_sweep(args):
     if not args.all_monotone:
         raise ValueError("iso-sweep currently drives --all-monotone grounds")
-    ps = [parse_rational(x) for x in args.p]
-    rows = iso_sweep(args.n, ps)
-    tol = numerics.to_mpf(numerics.default_tol())
-    negative = {s for s in {r[5] for r in rows} - {"vacuous"}
-                if mpmath.mpf(s) < -tol}
-    failed = sum(r[5] in negative for r in rows)
+    rows, failed = iso_sweep(args.n, [parse_rational(x) for x in args.p])
     if args.csv:
         return (1 if failed else 0), (ISO_COLUMNS, rows)
     out = {"header": _header(args, "iso-sweep"),

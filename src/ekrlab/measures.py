@@ -13,14 +13,15 @@ expressions go through the high-precision real layer in `numerics`.
 from __future__ import annotations
 
 import math
+import random
 from fractions import Fraction
 
 from . import _kernels
 from .bitops import (coord_zero_mask, cube_mask, elements_of, iter_members,
                      popcount)
 from .families import SetFamily, are_cross_intersecting
-from .numerics import (_Frozen, check_le, default_dps, log_base, mpmath,
-                       to_mpf)
+from .numerics import (_Frozen, check_le, default_dps, default_tol,
+                       fmt_rational, fmt_real, log_base, mpmath, to_mpf)
 from .report import VerdictReport
 
 #: ground size above which influence counting switches to member scans
@@ -289,32 +290,39 @@ def russo_identity(fam: SetFamily) -> bool:
 
 
 def iso_table(n: int, masks, ps) -> tuple[list[int], list[list[tuple]]]:
-    """(profile_of, profiles) for families given as 2**n-bit masks on [n].
+    """(profile_of, profiles) for increasing families on [n], given as
+    2**n-bit masks.
 
-    Both sides of the isoperimetric inequality depend on a family only
-    through its weight counts w and summed pivot counts, and few such
-    profiles exist (26 among the 168 families on [4]), so each is evaluated
-    once: profiles[k] holds one row per bias in ps, (mu_p, I_p, slack,
-    log_p mu) with slack = p*I_p - mu*log_p(mu) in mpmath at the working
-    precision, or both None when mu is 0 or 1; profile_of[i] is the index
-    of mask i's profile, in order of first appearance.  ln p is taken once
-    per bias."""
+    Both sides of the isoperimetric inequality depend on an increasing
+    family only through its weight counts w: mu_p is their measure and, by
+    Russo-Margulis, I_p = d(mu_p)/dp = sum_j w[j] p**(j-1) (1-p)**(n-j-1)
+    (j - np).  Few such profiles exist (26 among the 168 families on [4]),
+    so each is evaluated once: profiles[k] holds one row per bias in ps,
+    (mu_p, I_p, slack, log_p mu) with slack = p*I_p - mu*log_p(mu) in mpmath
+    at the working precision, or both None when mu is 0 or 1; profile_of[i]
+    is the index of mask i's profile, in order of first appearance.  ln p is
+    taken once per bias."""
     ps = [Fraction(p) for p in ps]
     index: dict[tuple, int] = {}
     profile_of = []
     for bits in masks:
-        w, piv = _kernels.weight_pivot_counts(bits, n)
-        key = (tuple(w), tuple(map(sum, zip(*piv))))
+        key = tuple(_kernels.weight_counts(bits, n))
         profile_of.append(index.setdefault(key, len(index)))
-    tables = [power_table(n, p) for p in ps]
+    # at p = a/b, I_p = sum_j w[j] pw[j] (jb - na) b / (a (b-a) b**n)
+    tables = []
+    for p in ps:
+        a, b = p.numerator, p.denominator
+        pw, den = power_table(n, p)
+        slope = [x * (j * b - n * a) * b for j, x in enumerate(pw)]
+        tables.append((pw, den, slope, a * (b - a) * den))
     profiles = []
     with mpmath.workdps(default_dps()):
         reals = [(to_mpf(p), mpmath.log(to_mpf(p))) for p in ps]
-        for w, tot in index:
+        for w in index:
             rows = []
-            for (pw, den), (p_real, log_p) in zip(tables, reals):
+            for (pw, den, slope, ip_den), (p_real, log_p) in zip(tables, reals):
                 m = Fraction(dot(w, pw), den)
-                ip = Fraction(dot(tot, pw), den)
+                ip = Fraction(dot(w, slope), ip_den)
                 if m == 0 or m == 1:
                     rows.append((m, ip, None, None))
                     continue
@@ -323,6 +331,53 @@ def iso_table(n: int, masks, ps) -> tuple[list[int], list[list[tuple]]]:
                 rows.append((m, ip, slack, log_mu))
             profiles.append(rows)
     return profile_of, profiles
+
+
+def iso_sweep(n: int, ps: list[Fraction]) -> tuple[list[tuple], int]:
+    """(rows, violations): slack rows for every increasing family on [n],
+    canonical order, and the number of rows whose slack is below -tau.
+
+    Families with the same weight counts share their rows, so each
+    profile's rows are formatted and decided once.  A bias outside
+    0 < p < 1 is a ValueError."""
+    for p in ps:
+        check_p_open(p)
+    profile_of, profiles = iso_table(n, _kernels.monotone_masks(n), ps)
+    tau = _tau()
+    bad = [sum(slack is not None and slack < -tau for _, _, slack, _ in values)
+           for values in profiles]
+    formatted = [
+        [(p.numerator, p.denominator, fmt_rational(m), fmt_rational(ip))
+         + (("vacuous", "") if slack is None else
+            (fmt_real(slack), fmt_real(log_mu)))
+         for p, (m, ip, slack, log_mu) in zip(ps, values)]
+        for values in profiles]
+    rows = [(fid,) + row for fid, k in enumerate(profile_of)
+            for row in formatted[k]]
+    return rows, sum(bad[k] for k in profile_of)
+
+
+def russo_sweep(n: int | None, random_count: int, seed: int,
+                max_n: int) -> list[tuple]:
+    """(family id, n, identity holds) for the exact polynomial Russo check
+    over all increasing families on [n] (ids from 0) and/or `random_count`
+    random increasing families on grounds up to max_n (ids from -1 down)."""
+    fids, fams = [], []
+    if n is not None:
+        for fid, bits in enumerate(_kernels.monotone_masks(n)):
+            fids.append(fid)
+            fams.append(SetFamily(n, bits))
+    if random_count:
+        rng = random.Random(seed)
+        for i in range(random_count):
+            rn = rng.randint(1, max_n)
+            bits = 0
+            for _ in range(rng.randint(0, 2 * rn)):
+                bits |= 1 << rng.randrange(1 << rn)
+            fids.append(-(i + 1))
+            fams.append(SetFamily(rn, bits).up_closure())
+    return [(fid, fam.n, russo_identity(fam))
+            for fid, fam in zip(fids, fams)]
 
 
 class IsoSlackReport(_Frozen):
@@ -341,8 +396,6 @@ class IsoSlackReport(_Frozen):
 
 
 def _tau():
-    from .numerics import default_tol
-
     return to_mpf(default_tol())
 
 

@@ -28,7 +28,7 @@ import math
 from fractions import Fraction
 
 from . import _kernels
-from .bitops import elements_of, mask_of, subset_masks
+from .bitops import mask_of, subset_masks
 from .families import (EdgeGround, SetFamily, UniformFamily,
                        is_t_intersecting, is_triangle_intersecting,
                        matching_number)
@@ -108,45 +108,10 @@ class TheoremCase(_Frozen):
 
 
 def _triangles(eg: EdgeGround):
-    """(vertices, edge mask) for every triangle on [v], lexicographically."""
+    """(vertices, edge mask) for every triangle on [v], lexicographically:
+    the candidates of `nearest_cube` for the nearest triangle, as
+    `subset_masks(n, t)` are for the nearest t-umvirate or s-OR family."""
     return zip(itertools.combinations(range(1, eg.v + 1), 3), eg.triangle_masks())
-
-
-def nearest_umvirate(fam: SetFamily, t: int, p) -> tuple[int, Fraction]:
-    """The t-set B minimizing mu_p(F - S_B); ties to lexicographically
-    least B.  Exhaustive over all C(n,t) choices."""
-    _, bm, residual = nearest_cube(fam, subset_masks(fam.n, t), p)
-    return bm, residual
-
-
-def nearest_or(fam: SetFamily, s: int, p) -> tuple[int, Fraction]:
-    """The s-set B minimizing mu_p(F - OR_B) (members disjoint from B)."""
-    _, bm, residual = nearest_cube(fam, subset_masks(fam.n, s), p, misses=True)
-    return bm, residual
-
-
-def nearest_umvirate_uniform(fam: UniformFamily, t: int) -> tuple[int, int]:
-    _, bm, outside = nearest_cube(fam, subset_masks(fam.n, t))
-    return bm, outside
-
-
-def nearest_or_uniform(fam: UniformFamily, s: int) -> tuple[int, int]:
-    _, bm, outside = nearest_cube(fam, subset_masks(fam.n, s), misses=True)
-    return bm, outside
-
-
-def nearest_triangle(fam: SetFamily, p) -> tuple[tuple[int, int, int], Fraction]:
-    """The triangle T minimizing mu_p(F - S_T) over an edge ground."""
-    if fam.edges is None:
-        raise ValueError("family has no edge ground")
-    tri, _, residual = nearest_cube(fam, _triangles(fam.edges), p)
-    return tri, residual
-
-
-def nearest_triangle_uniform(fam: UniformFamily, eg: EdgeGround
-                             ) -> tuple[tuple[int, int, int], int]:
-    tri, _, outside = nearest_cube(fam, _triangles(eg))
-    return tri, outside
 
 
 # -- theorem checks -------------------------------------------------------------
@@ -278,16 +243,13 @@ def _biased_verdict(rep: VerdictReport, case: TheoremCase, fam: SetFamily,
     mu_p = mu(fam, p)
     constants_ok = _constants_flag(rep, case, mu_p, constants_rhs, labels[0])
     rep.add_hypothesis(labels[1], check_le(condition, mu_p))
-    if structure == "triangle":
-        tri, residual = nearest_triangle(fam, p)
-        witness = list(tri)
-    else:
-        bmask, residual = (nearest_or if orform else nearest_umvirate)(fam, t, p)
-        witness = list(elements_of(bmask))
+    candidates = (_triangles(fam.edges) if structure == "triangle"
+                  else subset_masks(fam.n, t))
+    witness, _, residual = nearest_cube(fam, candidates, p, misses=orform)
     region = region_scale is not None and _bootstrap_region_flag(
         rep, residual, p, t, region_scale, constants_ok)
     bound = ((1 - p) ** t if orform else (1 - p) * p ** (t - 1)) * eps
-    _conclusion(rep, residual, bound, {structure: witness},
+    _conclusion(rep, residual, bound, {structure: list(witness)},
                 proved=constants_ok or region)
     return rep
 
@@ -430,10 +392,10 @@ def _check_wilson_uniform(case: TheoremCase, fam: UniformFamily) -> VerdictRepor
     rep.add_flag("|A| > C(n-t,k-t) - C(n-t-d,k-t) + (2^t-1)C(n-t-d,k-t-d+1)",
                  "holds" if size > d_threshold else "fails",
                  lhs=str(size), rhs=str(d_threshold))
-    bmask, outside = nearest_umvirate_uniform(fam, t)
+    b, _, outside = nearest_cube(fam, subset_masks(n, t))
     _conclusion(rep, Fraction(outside),
                 Fraction((2**t - 1) * comb0(n - t - d, k - t - d + 1)),
-                {"umvirate": list(elements_of(bmask))}, proved=proved)
+                {"umvirate": list(b)}, proved=proved)
     return rep
 
 
@@ -469,7 +431,7 @@ def _check_triangle_uniform(case: TheoremCase, fam: UniformFamily) -> VerdictRep
     rep.add_flag("|A| > C(M-3,k-3) - C(M-d-3,k-3) + 7 C(M-d-3,k-d-2)",
                  "holds" if size > d_threshold else "fails",
                  lhs=str(size), rhs=str(d_threshold))
-    tri, outside = nearest_triangle_uniform(fam, eg)
+    tri, _, outside = nearest_cube(fam, _triangles(eg))
     _conclusion(rep, Fraction(outside),
                 Fraction(7 * comb0(big_m - d - 3, k - d - 2)),
                 {"triangle": list(tri)}, proved=proved)
@@ -491,9 +453,9 @@ def _check_matching_uniform(case: TheoremCase, fam: UniformFamily) -> VerdictRep
                         lambda delta: (comb0(n, k) - comb0(n - s, k)
                                        - delta * comb0(n - s, k - 1)),
                         strict=False)
-    bmask, outside = nearest_or_uniform(fam, s)
+    b, _, outside = nearest_cube(fam, subset_masks(n, s), misses=True)
     _conclusion(rep, Fraction(outside), eps * comb0(n - s, k),
-                {"or_set": list(elements_of(bmask))}, proved=proved)
+                {"or_set": list(b)}, proved=proved)
     if case.get("c") is not None and case.get("delta") is not None:
         p1 = Fraction(k, n)
         eps_remark = mpmath.power(to_mpf(Fraction(case.get("c"))
@@ -515,9 +477,9 @@ def _check_frankl_gi(case: TheoremCase, fam: SetFamily) -> VerdictReport:
     strict = mu_p > gi_mu
     rep.add_flag("mu_p(F) > mu_p(tilde_G_i)", "holds" if strict else "fails",
                  lhs=fmt(mu_p), rhs=fmt(gi_mu))
-    bmask, residual = nearest_umvirate(fam, 1, p)
+    b, _, residual = nearest_cube(fam, subset_masks(fam.n, 1), p)
     bound = (1 - p) * p ** (i - 1)
-    rep.witness = {"dictatorship": list(elements_of(bmask))}
+    rep.witness = {"dictatorship": list(b)}
     rep.add_slack("conclusion_residual", residual)
     rep.add_slack("conclusion_bound", bound)
     if rep.hypotheses_met:
@@ -685,12 +647,13 @@ def tightness_report(spec: FamilySpec, p) -> VerdictReport:
     cond = equality(cond_name, condition_rhs, mu_p)
     if name == "tilde_D_sdl":
         residual, bound = _canonical_or_residual(fam, s, p), (1 - p) ** s * eps
-        nearest_name, nearest = "nearest_or_residual", nearest_or(fam, s, p)[1]
+        nearest_name = "nearest_or_residual"
+        nearest = nearest_cube(fam, subset_masks(fam.n, s), p, misses=True)[2]
     else:
         residual = _canonical_residual(fam, t, p)
         bound = (1 - p) * p ** (t - 1) * eps
         nearest_name = "nearest_umvirate_residual"
-        nearest = nearest_umvirate(fam, t, p)[1]
+        nearest = nearest_cube(fam, subset_masks(fam.n, t), p)[2]
     concl = residual == bound
     rep.add_flag(concl_name, "holds" if concl else "fails",
                  lhs=residual, rhs=bound)
@@ -811,7 +774,7 @@ def _bias_list(conj_id: str, ps) -> list[Fraction]:
 
 def _examine_t_intersecting(fam: SetFamily, t: int, p: Fraction,
                             mu_p: Fraction):
-    _, residual = nearest_umvirate(fam, t, p)
+    residual = nearest_cube(fam, subset_masks(fam.n, t), p)[2]
     if residual == 0:
         return None
     eps_r = residual / ((1 - p) * p ** (t - 1))
@@ -973,7 +936,7 @@ def _scan_wilson_sharp(ranges: dict, budget) -> ScanReport:
                     + t * comb0(n - t - d, k - t - d + 1))
                 if size <= thr:
                     continue
-                _, outside = nearest_umvirate_uniform(fam, t)
+                outside = nearest_cube(fam, subset_masks(n, t))[2]
                 bound = t * comb0(n - t - d, k - t - d + 1)
                 if outside > bound and is_t_intersecting(fam, t):
                     candidates.append({
@@ -1008,7 +971,7 @@ def _scan_emc_stability(ranges: dict, budget) -> ScanReport:
             if matching_number(fam) != s:
                 continue
             examined += 1
-            _, outside = nearest_or_uniform(fam, s)
+            outside = nearest_cube(fam, subset_masks(n, s), misses=True)[2]
             if outside > bound:
                 candidates.append({
                     "family": [list(x) for x in fam.member_sets()],

@@ -17,7 +17,7 @@ from ekrlab import (FamilySpec, SearchProblem, SetFamily, UniformFamily,
                     enumerate_monotone_masks, is_t_intersecting,
                     katona_check, kk_min_shadow, lower_shadow, max_uniform,
                     monotone_count_oracle, mu, tightness_report)
-from ekrlab.cli import iso_sweep, russo_sweep
+from ekrlab.measures import iso_sweep, russo_sweep
 from ekrlab.search import MONOTONE_COUNTS, iter_uniform_families
 from ekrlab.zoo import closed_form_mu, tilde_d_sdl, tilde_h_tsr
 
@@ -78,7 +78,8 @@ def test_criterion_4_iso_sweep():
             gen = fam.increasing_subcube_generator()
             if gen is not None and fam.bits not in (0,) and len(fam) < 1 << n:
                 subcube_ids.add(fid)
-        rows = iso_sweep(n, ps)
+        rows, violations = iso_sweep(n, ps)
+        ok &= violations == 0
         equal_ids = {p: set() for p in ps}
         for fid, num, den, _mu, _ip, slack, _log in rows:
             if slack == "vacuous":

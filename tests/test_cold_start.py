@@ -54,6 +54,36 @@ def test_import_loads_every_traced_layer():
     assert set(layers) <= _loaded_after()
 
 
+#: installs perfbench/tracing.py's Tracer, runs `cli.main` on the JSON argv
+#: in sys.argv[2], uninstalls, and prints the code, the span labels and the
+#: calls per layer as the last stdout line
+TRACE_PROBE = """
+import json, sys
+sys.path.insert(0, sys.argv[1])
+from tracing import Tracer
+from ekrlab import cli
+tracer = Tracer()
+tracer.install()
+code = cli.main(json.loads(sys.argv[2]))
+tracer.uninstall()
+_, calls = tracer.layer_totals()
+print(json.dumps({"code": code, "labels": tracer.labels, "calls": calls,
+                  "restored": not hasattr(cli.main, "__wrapped__")}))
+"""
+
+
+def test_tracer_binds_every_name_it_looks_up():
+    # the tracer finds its entry points by name when it installs; a run
+    # through it must reach the sweep in measures and the count kernel
+    proc = _run("-c", TRACE_PROBE, str(ROOT / "perfbench"), json.dumps(
+        ["iso-sweep", "--n", "3", "--all-monotone", "--p", "1/3"]))
+    result = json.loads(proc.stdout.splitlines()[-1])
+    assert result["code"] == 0 and result["restored"]
+    assert "measures:iso_sweep" in result["labels"]
+    assert result["calls"]["measures"] > 0
+    assert result["calls"]["kernels.count"] == 20
+
+
 def test_import_defers_real_layer_and_pool():
     loaded = _loaded_after()
     assert "mpmath.ctx_mp" not in loaded
@@ -90,6 +120,25 @@ def test_package_imports_no_heavy_stdlib_at_module_level():
     banned = {"dataclasses", "inspect", "typing"}
     assert not [hit for hit in _package_imports(at_any_depth=False)
                 if hit[1] in banned]
+
+
+def test_cli_is_a_thin_shell():
+    # cli.py parses, dispatches and prints: the sweep maths, random draws
+    # and exact or real arithmetic live in the library layers
+    banned = {"mpmath", "random", "fractions", "Fraction", "iso_table",
+              "russo_identity"}
+    tree = ast.parse(Path(SRC, "ekrlab", "cli.py").read_text())
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names |= {a.name.split(".")[0] for a in node.names}
+        elif isinstance(node, ast.ImportFrom):
+            names |= {a.name for a in node.names}
+            if node.module and not node.level:
+                names.add(node.module.split(".")[0])
+        elif isinstance(node, ast.Name):
+            names.add(node.id)
+    assert not names & banned
 
 
 def test_one_class_holds_the_frozen_record_policy():

@@ -12,16 +12,14 @@ import pytest
 from ekrlab import SetFamily, _kernels, influence, mu_polynomial
 from ekrlab.bitops import (coord_zero_mask, cube_mask, iter_bit_indices,
                            iter_members, mask_of, plus_one, reverse_bits,
-                           size_class_masks)
-from ekrlab.cli import iso_sweep, main
+                           size_class_masks, subset_masks)
+from ekrlab.cli import main
 from ekrlab.families import EdgeGround
-from ekrlab.measures import iso_table
+from ekrlab.measures import iso_sweep, iso_table, nearest_cube
 from ekrlab.numerics import mpmath
 from ekrlab.search import enumerate_monotone_masks
 from ekrlab.verify import (_canonical_or_residual, _canonical_residual,
-                           nearest_or, nearest_or_uniform, nearest_triangle,
-                           nearest_triangle_uniform, nearest_umvirate,
-                           nearest_umvirate_uniform)
+                           _triangles)
 from ekrlab.zoo import or_family, t_umvirate
 
 from conftest import random_increasing_family
@@ -148,14 +146,15 @@ def test_nearest_matches_member_scan(rng):
         n, members = fam.n, list(fam)
         p = F(rng.randint(1, 9), 10)
         for t in range(1, min(n, 3 if n <= 7 else 2) + 1):
-            (r, _, bm), ties = _scan_nearest(_subsets(n, t), lambda b: _mu_on(
+            (r, key, bm), ties = _scan_nearest(_subsets(n, t), lambda b: _mu_on(
                 (m for m in members if m & b != b), n, p))
             ties_seen += ties > 1
-            assert nearest_umvirate(fam, t, p) == (bm, r)
-            (r, _, bm), ties = _scan_nearest(_subsets(n, t), lambda b: _mu_on(
+            assert nearest_cube(fam, subset_masks(n, t), p) == (key, bm, r)
+            (r, key, bm), ties = _scan_nearest(_subsets(n, t), lambda b: _mu_on(
                 (m for m in members if not m & b), n, p))
             ties_seen += ties > 1
-            assert nearest_or(fam, t, p) == (bm, r)
+            assert nearest_cube(fam, subset_masks(n, t), p,
+                                misses=True) == (key, bm, r)
             b = mask_of(range(1, t + 1))
             assert _canonical_residual(fam, t, p) == _mu_on(
                 (m for m in members if m & b != b), n, p)
@@ -169,12 +168,13 @@ def test_nearest_uniform_matches_member_scan(rng):
         for k in range(fam.n + 1):
             sl = fam.uniform_slice(k)
             for t in range(1, min(fam.n, 3) + 1):
-                (r, _, bm), _ = _scan_nearest(_subsets(fam.n, t), lambda b: sum(
+                (r, key, bm), _ = _scan_nearest(_subsets(fam.n, t), lambda b: sum(
                     1 for m in sl.members if m & b != b))
-                assert nearest_umvirate_uniform(sl, t) == (bm, r)
-                (r, _, bm), _ = _scan_nearest(_subsets(fam.n, t), lambda b: sum(
+                assert nearest_cube(sl, subset_masks(fam.n, t)) == (key, bm, r)
+                (r, key, bm), _ = _scan_nearest(_subsets(fam.n, t), lambda b: sum(
                     1 for m in sl.members if not m & b))
-                assert nearest_or_uniform(sl, t) == (bm, r)
+                assert nearest_cube(sl, subset_masks(fam.n, t),
+                                    misses=True) == (key, bm, r)
 
 
 def test_nearest_triangle_matches_member_scan(rng):
@@ -185,13 +185,13 @@ def test_nearest_triangle_matches_member_scan(rng):
         fam = SetFamily(6, random_increasing_family(rng, 6).bits, eg)
         members = list(fam)
         p = F(rng.randint(1, 9), 10)
-        (r, tri, _), _ = _scan_nearest(tris, lambda tm: _mu_on(
+        (r, tri, tm), _ = _scan_nearest(tris, lambda tm: _mu_on(
             (m for m in members if m & tm != tm), 6, p))
-        assert nearest_triangle(fam, p) == (tri, r)
+        assert nearest_cube(fam, _triangles(fam.edges), p) == (tri, tm, r)
         sl = fam.uniform_slice(3)
-        (r, tri, _), _ = _scan_nearest(tris, lambda tm: sum(
+        (r, tri, tm), _ = _scan_nearest(tris, lambda tm: sum(
             1 for m in sl.members if m & tm != tm))
-        assert nearest_triangle_uniform(sl, eg) == (tri, r)
+        assert nearest_cube(sl, _triangles(eg)) == (tri, tm, r)
 
 
 def test_sparse_large_ground_queries_build_no_cube_masks():
@@ -199,16 +199,19 @@ def test_sparse_large_ground_queries_build_no_cube_masks():
     # per candidate would cost a pass over the whole cube each time
     fam = SetFamily.from_sets(21, [[1], [1, 2]])
     coord_zero_mask.cache_clear()
-    assert nearest_umvirate(fam, 2, F(1, 3)) == (0b11, F(2**20, 3**21))
+    assert nearest_cube(fam, subset_masks(21, 2), F(1, 3)) == (
+        (1, 2), 0b11, F(2**20, 3**21))
     assert coord_zero_mask.cache_info().currsize == 0
 
 
 def test_nearest_rejects_oversized_structures():
     fam = t_umvirate(3, 1)
     with pytest.raises(ValueError):
-        nearest_umvirate(fam, 4, F(1, 3))
+        nearest_cube(fam, subset_masks(3, 4), F(1, 3))
     with pytest.raises(ValueError):
-        nearest_or_uniform(fam.uniform_slice(2), 4)
+        nearest_cube(fam.uniform_slice(2), subset_masks(3, 4), misses=True)
+    with pytest.raises(ValueError):
+        nearest_cube(SetFamily.empty(1), _triangles(EdgeGround(2)))
 
 
 # -- pinned sweep outputs (recorded before the integer core) -------------------------
@@ -237,7 +240,7 @@ def test_iso_sweep_csv_pinned(capsys, args, digest, lines):
 
 
 def test_iso_sweep_evaluates_each_count_profile_once(monkeypatch):
-    # 26 (w, tot) profiles among the 168 families on [4]: ln p once per
+    # 26 weight-count profiles among the 168 families on [4]: ln p once per
     # bias, then at most one ln mu per profile and bias; twelve biases, as
     # many as the benchmark's n = 4 sweep draws
     ps = [F(a, b) for a, b in ((1, 8), (1, 5), (2, 7), (1, 3), (3, 8), (4, 9),
@@ -250,11 +253,39 @@ def test_iso_sweep_evaluates_each_count_profile_once(monkeypatch):
         return log(x)
 
     monkeypatch.setattr(mpmath, "log", counted_log)
-    rows = iso_sweep(4, ps)
-    assert len(rows) == 168 * 12
+    rows, violations = iso_sweep(4, ps)
+    assert len(rows) == 168 * 12 and violations == 0
     assert 0 < len(calls) <= 12 + 26 * 12
-    profile_of, profiles = iso_table(4, enumerate_monotone_masks(4), [])
-    assert len(profile_of) == 168 and len(profiles) == 26
+    for n, families, count in ((4, 168, 26), (5, 7581, 96)):
+        masks = enumerate_monotone_masks(n)
+        profile_of, profiles = iso_table(n, masks, [])
+        assert len(profile_of) == families and len(profiles) == count
+        assert len({tuple(_kernels.weight_counts(m, n)) for m in masks}) == count
+
+
+def test_iso_table_influence_from_weights_matches_pivots():
+    # Russo-Margulis: for an increasing family I_p = d(mu_p)/dp is a
+    # function of the weight counts; the pivot counts are the oracle
+    ps = [F(1, 3), F(1, 2), F(2, 3), F(13, 97)]
+    masks = enumerate_monotone_masks(5)
+    profile_of, profiles = iso_table(5, masks, ps)
+    for bits, k in zip(masks, profile_of):
+        vec = influence(SetFamily(5, bits))
+        assert [row[1] for row in profiles[k]] == [vec.total_at(p) for p in ps]
+
+
+def test_iso_sweep_violation_decided_on_the_working_precision(capsys):
+    # at tau = 0 the exact tie of family 1 (mu = p^5, slack 0) counts as a
+    # violation on its rounding noise, as it did when the verdict was read
+    # back from the printed slack strings
+    code, out = _cli(capsys, "--tau", "0", "iso-sweep", "--n", "5",
+                     "--all-monotone", "--p", "1/3")
+    result = json.loads(out)
+    assert code == 1 and result["violations"] == 1
+    bad = [r for r in result["rows"] if r["iso_slack"] != "vacuous"
+           and mpmath.mpf(r["iso_slack"]) < 0]
+    assert [(r["family_id"], r["iso_slack"]) for r in bad] == [
+        (1, "-3.08148791101957736e-33")]
 
 
 def test_russo_sweep_pinned_and_thread_independent(capsys):

@@ -9,10 +9,11 @@ from ekrlab import (DerivedConstants, EdgeGround, FamilySpec, SetFamily,
                     TheoremCase, UniformFamily, bootstrap_diagnostics,
                     check_theorem, conjecture_scan, construct,
                     enumerate_monotone, is_t_intersecting,
-                    iter_uniform_families, mu, nearest_or, nearest_or_uniform,
-                    nearest_triangle, nearest_umvirate,
-                    nearest_umvirate_uniform, tightness_report)
+                    iter_uniform_families, mu, tightness_report)
 from ekrlab import numerics
+from ekrlab.bitops import subset_masks
+from ekrlab.measures import nearest_cube
+from ekrlab.verify import _triangles
 from ekrlab.zoo import (dictatorship, or_family, t_umvirate, tilde_d_sdl,
                         tilde_f_ts, tilde_gi, tilde_h_tsr, triangle_umvirate)
 
@@ -21,25 +22,26 @@ F = Fraction
 
 def test_nearest_umvirate_examples():
     g3 = tilde_gi(4, 3)
-    b, resid = nearest_umvirate(g3, 1, F(1, 4))
+    _, b, resid = nearest_cube(g3, subset_masks(4, 1), F(1, 4))
     assert b == 0b0001 and resid == F(3, 4) * F(1, 16)
 
-    b, resid = nearest_umvirate(t_umvirate(5, 2), 2, F(1, 3))
+    _, b, resid = nearest_cube(t_umvirate(5, 2), subset_masks(5, 2), F(1, 3))
     assert b == 0b00011 and resid == 0
 
     d = tilde_d_sdl(6, 2, 2, 2)
-    b, resid = nearest_or(d, 2, F(1, 5))
+    _, b, resid = nearest_cube(d, subset_masks(6, 2), F(1, 5), misses=True)
     assert b == 0b000011 and resid == F(16, 25) * F(1, 25)
 
 
 def test_nearest_uniform_and_triangle():
     sl = or_family(6, 2).uniform_slice(2)
-    b, outside = nearest_or_uniform(sl, 2)
+    _, b, outside = nearest_cube(sl, subset_masks(6, 2), misses=True)
     assert b == 0b000011 and outside == 0
     usl = t_umvirate(6, 2).uniform_slice(3)
-    b, outside = nearest_umvirate_uniform(usl, 2)
+    _, b, outside = nearest_cube(usl, subset_masks(6, 2))
     assert b == 0b000011 and outside == 0
-    tri, resid = nearest_triangle(triangle_umvirate(4), F(1, 3))
+    tri_fam = triangle_umvirate(4)
+    tri, _, resid = nearest_cube(tri_fam, _triangles(tri_fam.edges), F(1, 3))
     assert tri == (1, 2, 3) and resid == 0
 
 
@@ -359,10 +361,10 @@ def test_tightness_residuals_exact_when_rational():
 def test_nearest_umvirate_zero_iff_contained():
     for t in (1, 2):
         fam = t_umvirate(5, t)
-        _, resid = nearest_umvirate(fam, t, F(1, 3))
+        resid = nearest_cube(fam, subset_masks(5, t), F(1, 3))[2]
         assert resid == 0
     g = tilde_gi(4, 3)
-    _, resid = nearest_umvirate(g, 1, F(1, 3))
+    resid = nearest_cube(g, subset_masks(4, 1), F(1, 3))[2]
     assert resid > 0  # not contained in any dictatorship
 
 
