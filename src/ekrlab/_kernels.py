@@ -91,20 +91,20 @@ def iter_monotone_masks(n: int, t: int = 0):
 
 
 def weight_pivot_counts(fam: int, n: int) -> tuple[list[int], list[list[int]]]:
-    """Per-size counts of a family and of each coordinate's pivotal set.
+    """Per-size counts of a family and of its pivotal edges.
 
-    Returns (w, piv) where w[j] counts members of size j and piv[i][j] counts
-    cube points x of size j whose membership flips when coordinate i flips.
+    Returns (w, low) where w[j] counts members of size j and low[i][j]
+    counts the size-j points x without coordinate i whose membership
+    differs from that of x + i: the lower ends of the pivotal edges in
+    direction i, so each such edge is counted once (low[i][n] is 0).
     """
     classes = size_class_masks(n)
-    w = [popcount(fam & c) for c in classes]
-    piv = []
+    w = [(fam & c).bit_count() for c in classes]
+    low = []
     for i in range(n):
-        d = 1 << i
-        p0 = (fam ^ (fam >> d)) & coord_zero_mask(n, i)
-        pmask = p0 | (p0 << d)
-        piv.append([popcount(pmask & c) for c in classes])
-    return w, piv
+        p0 = (fam ^ (fam >> (1 << i))) & coord_zero_mask(n, i)
+        low.append([(p0 & c).bit_count() for c in classes])
+    return w, low
 
 
 def weight_counts(fam: int, n: int) -> list[int]:

@@ -186,17 +186,13 @@ class SetFamily(_Frozen):
         return self.bar().complement_family()
 
     def up_closure(self) -> "SetFamily":
-        """Minimal increasing family containing this one."""
-        bits = self.bits
-        n = self.n
-        changed = True
-        while changed:
-            changed = False
-            for i in range(n):
-                grown = bits | ((bits & coord_zero_mask(n, i)) << (1 << i))
-                if grown != bits:
-                    bits = grown
-                    changed = True
+        """Minimal increasing family containing this one, in one pass over
+        the coordinates.  Closing under a later coordinate j keeps the
+        closure under i: when x + j is added and lacks i, x + i is already
+        a member, so x + i + j is added with it."""
+        bits, n = self.bits, self.n
+        for i in range(n):
+            bits |= (bits & coord_zero_mask(n, i)) << (1 << i)
         return self._replace(bits)
 
     # -- structure predicates ----------------------------------------------

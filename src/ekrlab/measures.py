@@ -207,33 +207,34 @@ def mu_polynomial(fam: SetFamily) -> MeasurePolynomial:
 
 
 def _counts(fam: SetFamily) -> tuple[list[int], list[list[int]]]:
-    """(w, piv): per-size member counts, and piv[i][j] = number of size-j
-    cube points pivotal for coordinate i."""
+    """(w, low): per-size member counts, and low[i][j] = number of pivotal
+    edges in direction i whose lower end has size j (see
+    `_kernels.weight_pivot_counts`).  Above _SCAN_THRESHOLD each pivotal
+    edge is found from its one member end and recorded at its lower end."""
     n = fam.n
     if n <= _SCAN_THRESHOLD:
         return _kernels.weight_pivot_counts(fam.bits, n)
-    piv = [[0] * (n + 1) for _ in range(n)]
+    low = [[0] * (n + 1) for _ in range(n)]
     for m in fam:
         for i in range(n):
             if (m ^ (1 << i)) not in fam:
-                lo = m & ~(1 << i)
-                piv[i][popcount(lo)] += 1
-                piv[i][popcount(lo) + 1] += 1
-    return fam.weight_vector(), piv
+                low[i][popcount(m & ~(1 << i))] += 1
+    return fam.weight_vector(), low
 
 
 def influence(fam: SetFamily, p=None) -> InfluenceVector:
     """Influences; evaluate with .at(p) / .total_at(p).
 
     Inf_i is the mu_p-measure of the points whose membership flips when
-    coordinate i flips; the total influence is the measure of the pivot
-    counts summed over coordinates.
+    coordinate i flips: a pivotal edge in direction i with lower end of
+    size j puts one such point in size j and one in size j + 1.  The total
+    influence is the measure of the pivot counts summed over coordinates.
     """
     if p is not None:
         check_p_open(Fraction(p))
-    _, piv = _counts(fam)
-    return InfluenceVector(fam.n, tuple(map(tuple, piv)),
-                           tuple(map(sum, zip(*piv))))
+    _, low = _counts(fam)
+    piv = tuple(tuple(map(sum, zip([0] + row, row))) for row in low)
+    return InfluenceVector(fam.n, piv, tuple(map(sum, zip(*piv))))
 
 
 def total_influence(fam: SetFamily, p) -> Fraction:
@@ -279,14 +280,23 @@ def edge_boundary(fam: SetFamily, include_edges: bool = True) -> EdgeBoundaryRep
 def russo_identity(fam: SetFamily) -> bool:
     """Exact polynomial identity d(mu_p)/dp == total influence.
 
+    In the basis p**j (1-p)**(n-j), the total influence has coefficients
+    L[j] + L[j-1], where L[j] counts the pivotal edges whose lower end has
+    size j, summed over directions; d(mu_p)/dp has D[j] + D[j-1], where
+    D[j] = (j+1) w[j+1] - (n-j) w[j] and D[n] = 0 (and L[n] = 0).  The map
+    x -> (x[j] + x[j-1])_j is injective, so the identity holds iff L == D:
+    n + 1 integer comparisons, with no polynomial expanded.
+
     Asserted only for increasing families (it can fail otherwise), so
     non-increasing input is rejected.
     """
     if not fam.is_increasing():
         raise ValueError("the derivative identity is asserted for increasing families only")
-    w, piv = _counts(fam)
-    return (MeasurePolynomial.from_weights(fam.n, w).derivative()
-            == MeasurePolynomial.from_weights(fam.n, map(sum, zip(*piv))))
+    n = fam.n
+    w, low = _counts(fam)
+    lower = list(map(sum, zip(*low))) or [0]  # n = 0: no directions
+    return lower == [(j + 1) * w[j + 1] - (n - j) * w[j]
+                     for j in range(n)] + [0]
 
 
 def iso_table(n: int, masks, ps) -> tuple[list[int], list[list[tuple]]]:
@@ -326,8 +336,9 @@ def iso_table(n: int, masks, ps) -> tuple[list[int], list[list[tuple]]]:
                 if m == 0 or m == 1:
                     rows.append((m, ip, None, None))
                     continue
-                log_mu = mpmath.log(to_mpf(m)) / log_p
-                slack = p_real * to_mpf(ip) - to_mpf(m) * log_mu
+                m_real = to_mpf(m)
+                log_mu = mpmath.log(m_real) / log_p
+                slack = p_real * to_mpf(ip) - m_real * log_mu
                 rows.append((m, ip, slack, log_mu))
             profiles.append(rows)
     return profile_of, profiles

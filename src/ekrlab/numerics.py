@@ -22,10 +22,14 @@ from fractions import Fraction
 
 def _lazy_import(name: str):
     """`name` imported on first attribute access (the standard library's
-    `importlib.util.LazyLoader` recipe); an already imported module as is."""
+    `importlib.util.LazyLoader` recipe); an already imported module as is.
+    A module that cannot be found is a ModuleNotFoundError, as for a plain
+    import."""
     if name in sys.modules:
         return sys.modules[name]
     spec = importlib.util.find_spec(name)
+    if spec is None:
+        raise ModuleNotFoundError(f"No module named {name!r}", name=name)
     loader = importlib.util.LazyLoader(spec.loader)
     spec.loader = loader
     module = importlib.util.module_from_spec(spec)

@@ -920,6 +920,15 @@ def _scan_wilson_sharp(ranges: dict, budget) -> ScanReport:
     notes = ["range: compression-closed (shifted) t-intersecting families",
              "size threshold taken strictly (>): the threshold is attained "
              "by the sharpness families themselves"]
+    # (d, size threshold, outside bound) for each d; the nearest
+    # t-umvirate does not depend on d, so it is found once per family
+    limits = []
+    for d in range(1, d_max + 1):
+        bound = t * comb0(n - t - d, k - t - d + 1)
+        thr = max((t + 2) * comb0(n - t - 2, k - t - 1)
+                  - (t + 1) * comb0(n - t - 2, k - t - 2),
+                  comb0(n - t, k - t) - comb0(n - t - d, k - t) + bound)
+        limits.append((d, thr, bound))
     candidates = []
     examined = 0
     complete = True
@@ -928,21 +937,16 @@ def _scan_wilson_sharp(ranges: dict, budget) -> ScanReport:
                                          shifted=True, budget=budget):
             examined += 1
             size = len(fam)
-            for d in range(1, d_max + 1):
-                thr = max(
-                    (t + 2) * comb0(n - t - 2, k - t - 1)
-                    - (t + 1) * comb0(n - t - 2, k - t - 2),
-                    comb0(n - t, k - t) - comb0(n - t - d, k - t)
-                    + t * comb0(n - t - d, k - t - d + 1))
-                if size <= thr:
-                    continue
-                outside = nearest_cube(fam, subset_masks(n, t))[2]
-                bound = t * comb0(n - t - d, k - t - d + 1)
-                if outside > bound and is_t_intersecting(fam, t):
-                    candidates.append({
-                        "family": [list(s) for s in fam.member_sets()],
-                        "d": d, "outside": outside, "bound": bound,
-                    })
+            live = [(d, bound) for d, thr, bound in limits if size > thr]
+            if not live:
+                continue
+            outside = nearest_cube(fam, subset_masks(n, t))[2]
+            hits = [(d, bound) for d, bound in live if outside > bound]
+            if hits and is_t_intersecting(fam, t):
+                candidates.extend({
+                    "family": [list(s) for s in fam.member_sets()],
+                    "d": d, "outside": outside, "bound": bound,
+                } for d, bound in hits)
     except _kernels.BudgetExceeded:
         complete = False
         notes.append("budget exhausted; scan incomplete")

@@ -185,6 +185,18 @@ def test_mpmath_imported_first_is_reused():
     assert proc.returncode == 0, proc.stderr
 
 
+def test_import_without_mpmath_names_the_missing_module():
+    # -S leaves site-packages, and with it mpmath, off the path
+    proc = subprocess.run(
+        [sys.executable, "-S", "-c",
+         "try:\n    import ekrlab\n"
+         "except ModuleNotFoundError as exc:\n    print(exc.name, exc)"],
+        cwd=ROOT, env={"PYTHONPATH": SRC}, capture_output=True, text=True,
+        timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "mpmath No module named 'mpmath'\n"
+
+
 @pytest.mark.parametrize("argv", [
     ("--threads", "1", "search", "--predicate", "intersecting",
      "--n", "6", "--k", "3"),
@@ -200,6 +212,9 @@ def test_mpmath_imported_first_is_reused():
     # every survivor of the threshold has eps_r = p^4, decided without reals
     ("--threads", "1", "conjecture-scan", "--conjecture", "TIntersectingSharp",
      "--ranges", '{"t":1,"n":5,"ps":["1/4","2/7"]}'),
+    # the Russo check compares integer coefficient vectors
+    ("russo-sweep", "--n", "3", "--random", "20", "--seed", "1",
+     "--max-n", "6"),
 ])
 def test_commands_without_reals_leave_mpmath_unloaded(argv):
     assert "mpmath.ctx_mp" not in _loaded_after(*argv)

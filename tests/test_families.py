@@ -6,6 +6,7 @@ from ekrlab import (EdgeGround, SetFamily, UniformFamily,
                     are_cross_intersecting, compress, is_intersecting,
                     is_t_intersecting, is_triangle_intersecting,
                     matching_number)
+from ekrlab.bitops import coord_zero_mask
 from ekrlab.shadows import increasing_shadow
 from ekrlab.zoo import (dictatorship, hm_matching_e, or_family, t_umvirate,
                         tilde_f_ts, triangle_umvirate)
@@ -35,6 +36,35 @@ def test_up_closure_properties(rng):
             assert fu.issubset(g.up_closure())
         # minimality: dropping any added member breaks increasingness
         assert fu == SetFamily(n, fu.bits)
+
+
+def _fixpoint_closure(fam: SetFamily) -> int:
+    """Up-closure by repeating passes over the coordinates until none adds
+    a member."""
+    n, bits = fam.n, fam.bits
+    changed = True
+    while changed:
+        changed = False
+        for i in range(n):
+            grown = bits | ((bits & coord_zero_mask(n, i)) << (1 << i))
+            if grown != bits:
+                bits, changed = grown, True
+    return bits
+
+
+def test_up_closure_one_pass_matches_fixpoint(rng):
+    for bits in range(1 << 8):
+        fam = SetFamily(3, bits)
+        assert fam.up_closure().bits == _fixpoint_closure(fam)
+    # dense random families and sparse ones (a few random members, whose
+    # closures grow the most)
+    for _ in range(100):
+        n = rng.randint(0, 10)
+        sparse = 0
+        for _ in range(rng.randint(0, 2 * n)):
+            sparse |= 1 << rng.randrange(1 << n)
+        for fam in (random_family(rng, n), SetFamily(n, sparse)):
+            assert fam.up_closure().bits == _fixpoint_closure(fam)
 
 
 def test_dual_examples():

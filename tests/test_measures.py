@@ -1,11 +1,14 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ekrlab import (MeasurePolynomial, SetFamily, cross_measure_bound,
                     edge_boundary, influence, iso_slack, log_measure_profile,
                     measure_transfer_check, mu, mu_polynomial,
                     total_influence)
+from ekrlab.bitops import popcount
 from ekrlab.measures import point_measures, russo_identity
 from ekrlab.search import enumerate_monotone
 from ekrlab.zoo import c_ts, dictatorship, or_family, t_umvirate, tilde_gi
@@ -101,6 +104,107 @@ def test_russo_identity_examples():
     assert russo_identity(g3)
     with pytest.raises(ValueError):
         russo_identity(SetFamily.from_sets(2, [[1]]))  # not increasing
+
+
+def _pivots_by_member_scan(fam: SetFamily) -> list[list[int]]:
+    """piv[i][j]: the size-j points whose membership flips with coordinate
+    i, found from the member end of each pivotal edge and counted at both
+    ends."""
+    n = fam.n
+    piv = [[0] * (n + 1) for _ in range(n)]
+    for m in fam:
+        for i in range(n):
+            if (m ^ (1 << i)) not in fam:
+                piv[i][popcount(m)] += 1
+                piv[i][popcount(m ^ (1 << i))] += 1
+    return piv
+
+
+def _russo_by_monomials(fam: SetFamily) -> bool:
+    """d(mu_p)/dp == total influence, both expanded into monomials."""
+    total = map(sum, zip(*_pivots_by_member_scan(fam)))
+    return (MeasurePolynomial.from_weights(fam.n, fam.weight_vector())
+            .derivative() == MeasurePolynomial.from_weights(fam.n, total))
+
+
+def _russo_on_any_family(fam: SetFamily) -> bool:
+    """russo_identity with the increasing-input guard lifted, so that the
+    coefficient comparison also meets families where the identity fails."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(SetFamily, "is_increasing", lambda self: True)
+        return russo_identity(fam)
+
+
+@st.composite
+def _families(draw):
+    """A family on [n], n <= 12: dense (every subset drawn) or a few drawn
+    members, and up-closed half of the time."""
+    n = draw(st.integers(0, 12))
+    if draw(st.booleans()):
+        bits = draw(st.integers(0, (1 << (1 << n)) - 1))
+    else:
+        bits = 0
+        for x in draw(st.lists(st.integers(0, (1 << n) - 1),
+                               max_size=2 * n + 1)):
+            bits |= 1 << x
+    fam = SetFamily(n, bits)
+    return fam.up_closure() if draw(st.booleans()) else fam
+
+
+@settings(max_examples=150, deadline=None, database=None, derandomize=True)
+@given(_families())
+def test_russo_identity_matches_monomial_comparison(fam):
+    expect = _russo_by_monomials(fam)
+    if fam.is_increasing():
+        assert expect and russo_identity(fam)
+    assert _russo_on_any_family(fam) == expect
+
+
+def test_russo_comparison_fails_off_increasing_families():
+    # the lifted check is no constant: a family that is not increasing
+    # breaks the identity on both sides
+    for fam in (SetFamily.from_sets(2, [[1]]), SetFamily.from_masks(3, [0])):
+        assert not _russo_by_monomials(fam)
+        assert not _russo_on_any_family(fam)
+
+
+@settings(max_examples=6, deadline=None, database=None, derandomize=True)
+@given(st.integers(23, 24), st.data())
+def test_russo_identity_member_scan_branch(n, data):
+    # sparse increasing families above the scan threshold: each generator
+    # misses at most 3 elements, so its up-set has at most 8 members
+    gens = data.draw(st.lists(
+        st.lists(st.integers(0, n - 1), max_size=3, unique=True),
+        min_size=1, max_size=4))
+    fam = SetFamily.from_masks(
+        n, [((1 << n) - 1) & ~sum(1 << i for i in gen) for gen in gens]
+    ).up_closure()
+    assert _russo_by_monomials(fam) and russo_identity(fam)
+    assert [list(row) for row in influence(fam).pivots] \
+        == _pivots_by_member_scan(fam)
+
+
+def _pivots_by_points(fam: SetFamily) -> list[list[int]]:
+    """piv[i][j] from every cube point x of size j: whether x and x ^ i
+    differ in membership."""
+    n = fam.n
+    piv = [[0] * (n + 1) for _ in range(n)]
+    for x in range(1 << n):
+        for i in range(n):
+            if (x in fam) != ((x ^ (1 << i)) in fam):
+                piv[i][popcount(x)] += 1
+    return piv
+
+
+def test_influence_pivots_match_point_count(rng):
+    fams = [SetFamily(n, bits)
+            for n in range(4) for bits in range(1 << (1 << n))]
+    for _ in range(40):
+        n = rng.randint(4, 6)
+        fams += [random_family(rng, n), random_increasing_family(rng, n)]
+    for fam in fams:
+        pivots = influence(fam).pivots
+        assert [list(row) for row in pivots] == _pivots_by_points(fam)
 
 
 def test_russo_identity_all_monotone_n4():

@@ -10,12 +10,13 @@ from ekrlab import (DerivedConstants, EdgeGround, FamilySpec, SetFamily,
                     check_theorem, conjecture_scan, construct,
                     enumerate_monotone, is_t_intersecting,
                     iter_uniform_families, mu, tightness_report)
-from ekrlab import numerics
+from ekrlab import numerics, verify
 from ekrlab.bitops import subset_masks
 from ekrlab.measures import nearest_cube
 from ekrlab.verify import _triangles
-from ekrlab.zoo import (dictatorship, or_family, t_umvirate, tilde_d_sdl,
-                        tilde_f_ts, tilde_gi, tilde_h_tsr, triangle_umvirate)
+from ekrlab.zoo import (comb0, dictatorship, or_family, t_umvirate,
+                        tilde_d_sdl, tilde_f_ts, tilde_gi, tilde_h_tsr,
+                        triangle_umvirate)
 
 F = Fraction
 
@@ -309,6 +310,44 @@ def test_conjecture_scans_clean():
 
     rep = conjecture_scan("EMCStability", {"n": 9, "k": 2, "s": 2, "d": 1})
     assert rep.complete and rep.candidates == []
+
+
+def test_wilson_sharp_finds_the_nearest_umvirate_once_per_family(monkeypatch):
+    # the nearest t-umvirate does not depend on d: at most one query per
+    # examined family (24 on [9], where a query per d made 48)
+    calls = []
+
+    def counting(fam, candidates, *args, **kwargs):
+        calls.append(len(fam))
+        return nearest_cube(fam, candidates, *args, **kwargs)
+
+    monkeypatch.setattr(verify, "nearest_cube", counting)
+    rep = conjecture_scan("WilsonSharp", {"n": 9, "k": 3, "t": 1, "d_max": 3})
+    assert rep.complete and rep.candidates == []
+    assert len(calls) == 24 and rep.families_examined == 240
+
+
+def test_wilson_sharp_candidates_per_d(monkeypatch):
+    # a residual above every bound makes each family a candidate for every
+    # d whose size threshold it exceeds, in order of d: the per-d loop
+    # with a query per d, kept here as the oracle
+    n, k, t, d_max = 7, 3, 1, 3
+    monkeypatch.setattr(verify, "nearest_cube",
+                        lambda fam, candidates: (None, None, 10**6))
+    expect = []
+    for fam in iter_uniform_families(n, k, "t-intersecting", t, shifted=True):
+        for d in range(1, d_max + 1):
+            thr = max((t + 2) * comb0(n - t - 2, k - t - 1)
+                      - (t + 1) * comb0(n - t - 2, k - t - 2),
+                      comb0(n - t, k - t) - comb0(n - t - d, k - t)
+                      + t * comb0(n - t - d, k - t - d + 1))
+            if len(fam) > thr:
+                expect.append({"family": [list(s) for s in fam.member_sets()],
+                               "d": d, "outside": 10**6,
+                               "bound": t * comb0(n - t - d, k - t - d + 1)})
+    rep = conjecture_scan("WilsonSharp",
+                          {"n": n, "k": k, "t": t, "d_max": d_max})
+    assert len(expect) == 4 and rep.candidates == expect
 
 
 def test_conjecture_scan_budget():
