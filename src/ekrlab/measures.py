@@ -21,7 +21,8 @@ from .bitops import (coord_zero_mask, cube_mask, elements_of, iter_members,
                      popcount)
 from .families import SetFamily, are_cross_intersecting
 from .numerics import (_Frozen, check_le, default_dps, default_tol,
-                       fmt_rational, fmt_real, log_base, mpmath, to_mpf)
+                       fmt_rational, fmt_real, log, log_base, power, to_mpf,
+                       workdps)
 from .report import VerdictReport
 
 #: ground size above which influence counting switches to member scans
@@ -271,7 +272,7 @@ def edge_boundary(fam: SetFamily, include_edges: bool = True) -> EdgeBoundaryRep
     if size == 0:
         return EdgeBoundaryReport(count, tuple(edges) if include_edges else None,
                                   None, False, None)
-    harper = check_le(lambda: size * (mpmath.log(1 << n, 2) - mpmath.log(size, 2)),
+    harper = check_le(lambda: size * (log(1 << n, 2) - log(size, 2)),
                       count)
     return EdgeBoundaryReport(count, tuple(edges) if include_edges else None,
                               harper, subcube, harper.equal)
@@ -308,7 +309,7 @@ def iso_table(n: int, masks, ps) -> tuple[list[int], list[list[tuple]]]:
     Russo-Margulis, I_p = d(mu_p)/dp = sum_j w[j] p**(j-1) (1-p)**(n-j-1)
     (j - np).  Few such profiles exist (26 among the 168 families on [4]),
     so each is evaluated once: profiles[k] holds one row per bias in ps,
-    (mu_p, I_p, slack, log_p mu) with slack = p*I_p - mu*log_p(mu) in mpmath
+    (mu_p, I_p, slack, log_p mu) with slack = p*I_p - mu*log_p(mu) in reals
     at the working precision, or both None when mu is 0 or 1; profile_of[i]
     is the index of mask i's profile, in order of first appearance.  ln p is
     taken once per bias."""
@@ -326,8 +327,8 @@ def iso_table(n: int, masks, ps) -> tuple[list[int], list[list[tuple]]]:
         slope = [x * (j * b - n * a) * b for j, x in enumerate(pw)]
         tables.append((pw, den, slope, a * (b - a) * den))
     profiles = []
-    with mpmath.workdps(default_dps()):
-        reals = [(to_mpf(p), mpmath.log(to_mpf(p))) for p in ps]
+    with workdps(default_dps()):
+        reals = [(to_mpf(p), log(to_mpf(p))) for p in ps]
         for w in index:
             rows = []
             for (pw, den, slope, ip_den), (p_real, log_p) in zip(tables, reals):
@@ -337,7 +338,7 @@ def iso_table(n: int, masks, ps) -> tuple[list[int], list[list[tuple]]]:
                     rows.append((m, ip, None, None))
                     continue
                 m_real = to_mpf(m)
-                log_mu = mpmath.log(m_real) / log_p
+                log_mu = log(m_real) / log_p
                 slack = p_real * to_mpf(ip) - m_real * log_mu
                 rows.append((m, ip, slack, log_mu))
             profiles.append(rows)
@@ -373,6 +374,11 @@ def russo_sweep(n: int | None, random_count: int, seed: int,
     """(family id, n, identity holds) for the exact polynomial Russo check
     over all increasing families on [n] (ids from 0) and/or `random_count`
     random increasing families on grounds up to max_n (ids from -1 down)."""
+    if random_count < 0:
+        raise ValueError(f"need a random family count >= 0, got {random_count}")
+    if max_n < 1:
+        raise ValueError(f"need max_n >= 1 (a random ground has 1 to max_n "
+                         f"elements), got max_n={max_n}")
     fids, fams = [], []
     if n is not None:
         for fid, bits in enumerate(_kernels.monotone_masks(n)):
@@ -432,7 +438,7 @@ def iso_slack(fam: SetFamily, p) -> IsoSlackReport:
 
     def slack_fn():
         mm = to_mpf(m)
-        return to_mpf(p) * to_mpf(ip) - mm * mpmath.log(mm) / mpmath.log(to_mpf(p))
+        return to_mpf(p) * to_mpf(ip) - mm * log(mm) / log(to_mpf(p))
 
     chk = check_le(0, slack_fn)
     consistent = (chk.equal == is_sub) if increasing else None
@@ -472,7 +478,7 @@ def log_measure_profile(fam: SetFamily, grid) -> LogMeasureProfile:
 
 
 def _as_exponent(t):
-    """Normalize an exponent: exact Fraction when rational, else mpf."""
+    """Normalize an exponent: exact Fraction when rational, else a real."""
     if isinstance(t, (int, Fraction)):
         return Fraction(t)
     return to_mpf(t)
@@ -480,10 +486,10 @@ def _as_exponent(t):
 
 def _rational_power(base: Fraction, expo) -> object:
     """base**expo as a Fraction when the exponent is a nonnegative integer,
-    otherwise a closure producing an mpf."""
+    otherwise a closure producing a real."""
     if isinstance(expo, Fraction) and expo.denominator == 1 and expo >= 0:
         return base ** int(expo)
-    return lambda: mpmath.power(to_mpf(base), to_mpf(expo))
+    return lambda: power(to_mpf(base), to_mpf(expo))
 
 
 def measure_transfer_check(fam: SetFamily, p0, p, mode: str = "umvirate",
@@ -572,7 +578,7 @@ def cross_measure_bound(f: SetFamily, g: SetFamily, p) -> VerdictReport:
         return rep
 
     def rhs():
-        return mpmath.power(to_mpf(1 - muf), log_base(p, 1 - p))
+        return power(to_mpf(1 - muf), log_base(p, 1 - p))
 
     chk = check_le(mug, rhs)
     rep.add_hypothesis("mu_p(G) <= (1-mu_p(F))^log_{1-p}(p)", chk)

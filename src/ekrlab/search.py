@@ -150,11 +150,17 @@ def shift_predecessor_masks(n: int, k: int, universe: list[int]) -> list[int]:
     return preds
 
 
-def _predicate_mode(predicate: str, t: int) -> tuple[str, int]:
+def _predicate_mode(predicate: str, t: int, k: int) -> tuple[str, int]:
     """The kernel mode and its parameter: 1 for intersecting, t for
     t-intersecting, and s = t for matching (adding a set must not create
-    s+1 pairwise disjoint members)."""
-    return PREDICATES[predicate], 1 if predicate == "intersecting" else t
+    s+1 pairwise disjoint members).  A k-set meets itself in k elements, so
+    no k-set belongs to a t-intersecting family when k < t: a ValueError
+    (the kernel tests a set against the sets before it, not itself)."""
+    param = 1 if predicate == "intersecting" else t
+    if predicate != "matching_at_most" and k < param:
+        raise ValueError(f"{predicate} needs k >= t (a k-set meets itself in "
+                         f"k elements), got k={k}, t={param}")
+    return PREDICATES[predicate], param
 
 
 def _reverify(witness: UniformFamily, predicate: str, t: int) -> bool:
@@ -227,7 +233,7 @@ def max_uniform(problem: SearchProblem, checkpoint_path=None,
     universe = lex_universe(n, k)
     preds = (shift_predecessor_masks(n, k, universe)
              if problem.shifted else [0] * len(universe))
-    mode, param = _predicate_mode(problem.predicate, problem.t)
+    mode, param = _predicate_mode(problem.predicate, problem.t, k)
 
     cb = None
     resume_path = None
@@ -285,7 +291,7 @@ def iter_uniform_families(n: int, k: int, predicate: str, t: int = 1,
     universe = lex_universe(n, k)
     preds = (shift_predecessor_masks(n, k, universe)
              if shifted else [0] * len(universe))
-    mode, param = _predicate_mode(predicate, t)
+    mode, param = _predicate_mode(predicate, t, k)
     for idx in _kernels.iter_predicate_families(
             universe, preds, mode, param, shifted, node_budget=budget,
             min_size=min_size):

@@ -33,8 +33,8 @@ from .families import (EdgeGround, SetFamily, UniformFamily,
                        is_t_intersecting, is_triangle_intersecting,
                        matching_number)
 from .measures import cube_measure, dot, mu, nearest_cube, power_table
-from .numerics import (_Frozen, check_eq, check_le, default_dps, log_base,
-                       mpmath, parse_rational, to_mpf)
+from .numerics import (_Frozen, check_eq, check_le, default_dps, log,
+                       log_base, nstr, parse_rational, power, to_mpf, workdps)
 from .report import HOLDS, UNRESOLVED, VerdictReport, fmt
 from .search import iter_uniform_families
 from .zoo import (FamilySpec, closed_form_mu, comb0, construct,
@@ -49,7 +49,7 @@ class DerivedConstants(_Frozen):
     def c_tilde(self):
         """((1-p0)/p0) ** log_{1-p0}(1-p)"""
         q0 = Fraction(1 - self.p0)
-        return mpmath.power(to_mpf(q0 / self.p0), log_base(1 - self.p, q0))
+        return power(to_mpf(q0 / self.p0), log_base(1 - self.p, q0))
 
     @property
     def u(self):
@@ -63,18 +63,17 @@ class DerivedConstants(_Frozen):
 
     def region_scale(self):
         """p * u**(1/(1-u)), the scale of the bootstrap contraction region"""
-        return to_mpf(self.p) * mpmath.power(self.u, 1 / (1 - self.u))
+        return to_mpf(self.p) * power(self.u, 1 / (1 - self.u))
 
     @property
     def c_prime(self):
         """(2**t - 1) ** (-log_p(1-p))"""
-        return mpmath.power(2**self.t - 1, -self.v)
+        return power(2**self.t - 1, -self.v)
 
     def intersecting_region_scale(self):
         """p * (c' v)**(1/(1-v)), the region scale of the t-intersecting
         bootstrap (p <= 1/(t+1), no critical bias p0)"""
-        return to_mpf(self.p) * mpmath.power(self.c_prime * self.v,
-                                             1 / (1 - self.v))
+        return to_mpf(self.p) * power(self.c_prime * self.v, 1 / (1 - self.v))
 
 
 class TheoremCase(_Frozen):
@@ -129,12 +128,12 @@ def _linear(p, t: int, eps):
 
 def _ctilde_cap(p, t: int, c_tilde, u, x):
     """p^t (1 - ctilde x^u), for a real x."""
-    return to_mpf(p) ** t * (1 - c_tilde * mpmath.power(x, u))
+    return to_mpf(p) ** t * (1 - c_tilde * power(x, u))
 
 
 def _log_cap(p, t: int, x):
     """p^t (1 - x^{log_p(1-p)}), for a real x."""
-    return to_mpf(p) ** t * (1 - mpmath.power(x, log_base(1 - p, p)))
+    return to_mpf(p) ** t * (1 - power(x, log_base(1 - p, p)))
 
 
 def _or_lift(p, s: int, x):
@@ -360,11 +359,11 @@ def _check_matching_biased(case: TheoremCase, fam: SetFamily) -> VerdictReport:
     def condition_rhs():
         # the OR lift of p(1 - ctilde eps^u) + (1-p) eps, regrouped: _or_lift
         # gives the same value but rounds differently
-        c_tilde = mpmath.power(2 * s, log_base(1 - p, base))
+        c_tilde = power(2 * s, log_base(1 - p, base))
         expo = log_base(Fraction(1, 2 * s + 1), p) * log_base(1 - p, base)
         return (to_mpf(1 - (1 - p) ** s)
                 - to_mpf((1 - p) ** (s - 1) * p) * c_tilde
-                * mpmath.power(to_mpf(eps), expo)
+                * power(to_mpf(eps), expo)
                 + to_mpf((1 - p) ** s * eps))
 
     return _biased_verdict(
@@ -458,9 +457,9 @@ def _check_matching_uniform(case: TheoremCase, fam: UniformFamily) -> VerdictRep
                 {"or_set": list(b)}, proved=proved)
     if case.get("c") is not None and case.get("delta") is not None:
         p1 = Fraction(k, n)
-        eps_remark = mpmath.power(to_mpf(Fraction(case.get("c"))
-                                         * Fraction(case.get("delta"))),
-                                  log_base(p1, 1 - s * p1))
+        eps_remark = power(to_mpf(Fraction(case.get("c"))
+                                  * Fraction(case.get("delta"))),
+                           log_base(p1, 1 - s * p1))
         rep.add_slack("remark_epsilon(c delta)^{log_{1-s p1} p1}", eps_remark)
         rep.notes.append("remark epsilon(delta) relation reported, not asserted")
     return rep
@@ -534,7 +533,7 @@ def bootstrap_diagnostics(fam: SetFamily, p0, p, t: int,
         rep.add_hypothesis(
             "(a) mu_{p0}(F - S_[t]) >= (1-p0)p0^{t-1} delta^{log_p p0}",
             check_le(lambda: to_mpf((1 - p0) * p0 ** (t - 1))
-                     * mpmath.power(to_mpf(delta), log_base(p0, p)),
+                     * power(to_mpf(delta), log_base(p0, p)),
                      outside_p0))
         cap_ok = check_le(mu(fam, p0), p0**t)
         rep.add_hypothesis("(b-pre) mu_{p0}(F) <= p0^t", cap_ok)
@@ -612,7 +611,7 @@ def tightness_report(spec: FamilySpec, p) -> VerdictReport:
         else:
             equality("mu_{p0}(F) == p0^t",
                      lambda: mu_at_real(fam, p0),
-                     lambda: mpmath.power(to_mpf(p0), t))
+                     lambda: power(to_mpf(p0), t))
 
             def condition_rhs():
                 return (_ctilde_cap(p, t, *_root_constants(p0, p), to_mpf(eps))
@@ -633,7 +632,7 @@ def tightness_report(spec: FamilySpec, p) -> VerdictReport:
         else:
             equality("mu_{p0}(F) == 1 - (1-p0)^s",
                      lambda: mu_at_real(fam, p0),
-                     lambda: 1 - mpmath.power(1 - to_mpf(p0), s))
+                     lambda: 1 - power(1 - to_mpf(p0), s))
 
             def condition_rhs():
                 return _or_lift(p, s, _ctilde_cap(p, 1, *_root_constants(p0, p),
@@ -669,10 +668,9 @@ def _root_constants(p0, p) -> tuple:
     """(ctilde, u) at a defining root p0 given as a real, from the reals
     (DerivedConstants takes a rational p0 and rounds differently)."""
     q0 = 1 - to_mpf(p0)
-    ct = mpmath.power(q0 / to_mpf(p0),
-                      mpmath.log(1 - to_mpf(p)) / mpmath.log(q0))
-    u = (mpmath.log(to_mpf(p0)) / mpmath.log(to_mpf(p))
-         * mpmath.log(1 - to_mpf(p)) / mpmath.log(q0))
+    ct = power(q0 / to_mpf(p0), log(1 - to_mpf(p)) / log(q0))
+    u = (log(to_mpf(p0)) / log(to_mpf(p))
+         * log(1 - to_mpf(p)) / log(q0))
     return ct, u
 
 
@@ -803,7 +801,7 @@ def _scan_t_intersecting_sharp(ranges: dict, budget) -> ScanReport:
     for the families that pass it.  Only those reach `_condition_beats_mu`,
     which takes the minimum of the convex condition curve.  Where eps_r/t
     is an exact power of p it first tries to prove in integers that the
-    minimum sits at eps_r, which decides "no violation" without mpmath.
+    minimum sits at eps_r, which decides "no violation" without reals.
     Otherwise it takes the minimum in closed form at the working precision
     and reports a violation when it clears that function's float margin.  The biases "ps" are exact
     "num/den" strings.
@@ -864,7 +862,7 @@ def _minimum_at_eps_r(p: Fraction, t: int, eps_r: Fraction) -> bool:
     iff v >= q = t (p/(1-p))^(m-1), a rational.  v = log1p(-p)/log(p) is
     taken in doubles: for 1e-300 < p < 1/2 its relative error is below
     1e-15, so v >= q (1 + 1e-9) in doubles proves v > q.  The test is exact
-    in integers up to that one comparison and never touches mpmath.
+    in integers up to that one comparison and never touches the real layer.
     """
     x = eps_r / t
     a, b = p.numerator, p.denominator
@@ -891,23 +889,23 @@ def _condition_beats_mu(mu_p: Fraction, p: Fraction, t: int,
     more than a fixed float margin of 1e-11 and it lies below eps_r by a
     relative 1e-9.  First, when eps_r/t is an exact power of p,
     `_minimum_at_eps_r` may prove in integers and doubles that eps* is
-    clamped to eps_r, and the answer is None without mpmath (the closed
+    clamped to eps_r, and the answer is None without reals (the closed
     form below gives eps = eps_r to its working precision there, which
-    fails the 1e-9 test).  Otherwise everything runs in mpmath at `dps`
+    fails the 1e-9 test).  Otherwise everything runs in reals at `dps`
     digits, and no exact recheck follows.
     """
     if _minimum_at_eps_r(p, t, eps_r):
         return None
-    with mpmath.workdps(dps):
+    with workdps(dps):
         v = log_base(1 - p, p)
         pt, c = to_mpf(p) ** t, to_mpf((1 - p) * p ** (t - 1))
         hi = to_mpf(eps_r)
-        eps = t * mpmath.power(c * t / (pt * v), 1 / (v - 1))
-        eps = min(max(eps, hi * mpmath.mpf("1e-9")), hi)
+        eps = t * power(c * t / (pt * v), 1 / (v - 1))
+        eps = min(max(eps, hi * to_mpf("1e-9")), hi)
         margin = to_mpf(mu_p) - _log_cap(p, t, eps / t) - c * eps
-        if (margin > mpmath.mpf("1e-11")
-                and eps < hi * (1 - mpmath.mpf("1e-9"))):
-            return mpmath.nstr(eps, 18)
+        if (margin > to_mpf("1e-11")
+                and eps < hi * (1 - to_mpf("1e-9"))):
+            return nstr(eps, 18)
     return None
 
 

@@ -15,7 +15,7 @@ from fractions import Fraction
 
 from .bitops import elements_of, mask_of, popcount
 from .families import EdgeGround, SetFamily, UniformFamily
-from .numerics import _Frozen, default_dps, mpmath
+from .numerics import _Frozen, default_dps, log, nstr, to_mpf, workdps
 
 FAMILY_NAMES = (
     "dictatorship", "t_umvirate", "or_family", "ak_family", "frankl_Gi",
@@ -520,7 +520,7 @@ def ak_max(n: int, k: int, t: int) -> tuple[int, list[int]]:
 
 class RootInfo(_Frozen):
     """The bias p0 where a tightness family meets its defining equation;
-    `value` is a Fraction when exact, else an mpf."""
+    `value` is a Fraction when exact, else a real."""
 
     __slots__ = ("value", "exact", "bracket", "equation")
 
@@ -543,13 +543,13 @@ def defining_root(spec: FamilySpec) -> RootInfo:
         return RootInfo(Fraction(1, 2), True, (Fraction(1, 2), Fraction(1, 2)), eq)
 
     def g(x):
-        return (a - 1) * mpmath.log(1 - x) - (b - 1) * mpmath.log(x)
+        return (a - 1) * log(1 - x) - (b - 1) * log(x)
 
-    with mpmath.workdps(default_dps()):
-        lo, hi = mpmath.mpf("1e-9"), 1 - mpmath.mpf("1e-9")
+    with workdps(default_dps()) as prec:
+        lo, hi = to_mpf("1e-9"), 1 - to_mpf("1e-9")
         if not (g(lo) > 0 > g(hi)):
             raise ArithmeticError("sign check failed; no bracketed root")
-        for _ in range(mpmath.mp.prec + 20):
+        for _ in range(prec + 20):
             mid = (lo + hi) / 2
             if g(mid) > 0:
                 lo = mid
@@ -557,5 +557,4 @@ def defining_root(spec: FamilySpec) -> RootInfo:
                 hi = mid
         val = (lo + hi) / 2
         return RootInfo(val, False,
-                        (Fraction(str(mpmath.nstr(lo, 25))),
-                         Fraction(str(mpmath.nstr(hi, 25)))), eq)
+                        (Fraction(nstr(lo, 25)), Fraction(nstr(hi, 25))), eq)

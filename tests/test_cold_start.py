@@ -1,12 +1,13 @@
 """Start-up contract: what `import ekrlab.cli` loads, what a command leaves
-unloaded (the real layer until it is needed, `multiprocessing` always), and
-that `--threads` changes no byte of a cold-started command, since every
-command runs in one process.  Each check runs in a fresh interpreter,
-because this one imported mpmath long ago."""
+unloaded (the real layer until it is needed, the mpmath package and
+`multiprocessing` always), and that `--threads` changes no byte of a
+cold-started command, since every command runs in one process.  Each check
+runs in a fresh interpreter, because this one imported mpmath long ago."""
 
 import ast
 import json
 import os
+import pickle
 import runpy
 import subprocess
 import sys
@@ -15,6 +16,7 @@ from pathlib import Path
 import pytest
 
 import ekrlab
+from ekrlab import numerics
 
 ROOT = Path(__file__).resolve().parents[1]
 SRC = str(Path(ekrlab.__file__).resolve().parents[1])
@@ -87,6 +89,7 @@ def test_tracer_binds_every_name_it_looks_up():
 def test_import_defers_real_layer_and_pool():
     loaded = _loaded_after()
     assert "mpmath.ctx_mp" not in loaded
+    assert numerics._LIBMP not in loaded
     assert "multiprocessing" not in loaded
 
 
@@ -178,11 +181,28 @@ def test_package_never_imports_a_process_pool():
 
 
 def test_mpmath_imported_first_is_reused():
-    # a second, lazy copy would make mpf values of two distinct types
-    proc = _run("-c", "import mpmath; from ekrlab import numerics; "
-                      "assert numerics.mpmath is mpmath; "
-                      "assert numerics.to_mpf(1) == mpmath.mpf(1)")
+    # no second copy of libmp once mpmath is loaded, and the reals of each
+    # convert to the other's
+    proc = _run("-c", "import sys, mpmath; from ekrlab import numerics; "
+                      "x = numerics.to_mpf(1) / 3; "
+                      "assert numerics._libmp() is mpmath.libmp; "
+                      f"assert {numerics._LIBMP!r} not in sys.modules; "
+                      "assert mpmath.mpf(x) == x == mpmath.mpf(1) / 3; "
+                      "assert numerics.to_mpf(mpmath.mpf(1) / 3) == x; "
+                      "assert mpmath.log(x) == numerics.log(x)")
     assert proc.returncode == 0, proc.stderr
+
+
+def test_unpickled_real_loads_the_real_layer():
+    # a real unpickled before any real-layer call still computes
+    slack = numerics.check_le(lambda: numerics.log(3), 2).slack
+    expect = numerics.fmt_real(slack * 3)
+    proc = _run("-c", "import pickle, sys; from ekrlab import numerics; "
+                      "x = pickle.loads(bytes.fromhex(sys.argv[1])); "
+                      "print(numerics.fmt_real(x * 3))",
+                pickle.dumps(slack).hex())
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == expect + "\n"
 
 
 def test_import_without_mpmath_names_the_missing_module():
@@ -217,15 +237,31 @@ def test_import_without_mpmath_names_the_missing_module():
      "--max-n", "6"),
 ])
 def test_commands_without_reals_leave_mpmath_unloaded(argv):
-    assert "mpmath.ctx_mp" not in _loaded_after(*argv)
+    loaded = _loaded_after(*argv)
+    assert "mpmath.ctx_mp" not in loaded
+    assert numerics._LIBMP not in loaded
+
+
+#: commands that compare reals: a root, a log-slack sweep, a theorem check
+REAL_COMMANDS = [
+    ("--threads", "1", "tightness", "--spec",
+     '{"name":"tilde_H_tsr","params":{"n":6,"t":1,"s":2,"r":3}}',
+     "--p", "1/4"),
+    ("--threads", "1", "iso-sweep", "--n", "3", "--all-monotone",
+     "--p", "1/3"),
+    ("--threads", "1", "verify", "--theorem", "MainBiased", "--spec",
+     '{"name":"t_umvirate","params":{"n":6,"t":2}}', "--p0", "1/2",
+     "--p", "1/5", "--t", "2", "--eps", "1/10"),
+]
 
 
 def test_real_layer_loads_on_first_use():
-    loaded = _loaded_after("--threads", "1", "tightness", "--spec",
-                           '{"name":"tilde_H_tsr","params":'
-                           '{"n":6,"t":1,"s":2,"r":3}}',
-                           "--p", "1/4")
-    assert "mpmath.ctx_mp" in loaded
+    # libmp alone, under its private name: not the mpmath package
+    for argv in REAL_COMMANDS:
+        loaded = _loaded_after(*argv)
+        assert numerics._LIBMP in loaded
+        assert "mpmath" not in loaded
+        assert "mpmath.ctx_mp" not in loaded
 
 
 #: the commands that ran a process pool at --threads > 1 in earlier versions

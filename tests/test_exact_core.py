@@ -9,14 +9,14 @@ from fractions import Fraction as F
 
 import pytest
 
-from ekrlab import SetFamily, _kernels, influence, mu_polynomial
+from ekrlab import SetFamily, _kernels, influence, measures, mu_polynomial
 from ekrlab.bitops import (coord_zero_mask, cube_mask, iter_bit_indices,
                            iter_members, mask_of, plus_one, reverse_bits,
                            size_class_masks, subset_masks)
 from ekrlab.cli import main
 from ekrlab.families import EdgeGround
 from ekrlab.measures import iso_sweep, iso_table, nearest_cube
-from ekrlab.numerics import mpmath
+from ekrlab.numerics import to_mpf
 from ekrlab.search import enumerate_monotone_masks
 from ekrlab.verify import (_canonical_or_residual, _canonical_residual,
                            _triangles)
@@ -246,13 +246,13 @@ def test_iso_sweep_evaluates_each_count_profile_once(monkeypatch):
     ps = [F(a, b) for a, b in ((1, 8), (1, 5), (2, 7), (1, 3), (3, 8), (4, 9),
                                (1, 2), (5, 9), (3, 5), (2, 3), (7, 9), (7, 8))]
     calls = []
-    log = mpmath.log
+    log = measures.log
 
     def counted_log(x):
         calls.append(x)
         return log(x)
 
-    monkeypatch.setattr(mpmath, "log", counted_log)
+    monkeypatch.setattr(measures, "log", counted_log)
     rows, violations = iso_sweep(4, ps)
     assert len(rows) == 168 * 12 and violations == 0
     assert 0 < len(calls) <= 12 + 26 * 12
@@ -283,7 +283,7 @@ def test_iso_sweep_violation_decided_on_the_working_precision(capsys):
     result = json.loads(out)
     assert code == 1 and result["violations"] == 1
     bad = [r for r in result["rows"] if r["iso_slack"] != "vacuous"
-           and mpmath.mpf(r["iso_slack"]) < 0]
+           and to_mpf(r["iso_slack"]) < 0]
     assert [(r["family_id"], r["iso_slack"]) for r in bad] == [
         (1, "-3.08148791101957736e-33")]
 

@@ -138,6 +138,27 @@ def test_cli_russo_sweep(capsys):
     assert payload["checked"] == 20 + 50
 
 
+@pytest.mark.parametrize("argv, name", [
+    (("--random", "-5"), "random family count"),
+    (("--random", "5", "--max-n", "0"), "max_n"),
+])
+def test_cli_russo_sweep_bad_counts_exit_two(capsys, argv, name):
+    # once a negative count checked nothing and exited 0, and a zero ground
+    # bound leaked random.randrange's message
+    err = _usage_error(capsys, "russo-sweep", "--n", "2", *argv)
+    assert name in err and "randrange" not in err
+
+
+@pytest.mark.parametrize("argv", [
+    ("--predicate", "intersecting", "--n", "5", "--k", "0"),
+    ("--predicate", "t-intersecting", "--n", "5", "--k", "1", "--t", "2"),
+])
+def test_cli_search_k_below_t_exit_two(capsys, argv):
+    # no k-set is t-intersecting with itself when k < t; the search once
+    # returned a single set and failed its own re-verification
+    assert "k >= t" in _usage_error(capsys, "search", *argv)
+
+
 def test_cli_construct_and_shadow(capsys, tmp_path):
     spec = '{"name":"t_umvirate","params":{"n":4,"t":2}}'
     code, out = run_cli(capsys, "construct", "--spec", spec)

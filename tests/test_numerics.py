@@ -1,10 +1,16 @@
+import copy
+import operator
+import pickle
 from fractions import Fraction
 
 import mpmath
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
-from ekrlab.numerics import (check_eq, check_le, default_dps, fmt_rational,
-                             fmt_real, log_base, parse_rational, to_mpf)
+from ekrlab.numerics import (Checked, check_eq, check_le, default_dps,
+                             fmt_rational, fmt_real, log, log_base, nstr,
+                             parse_rational, power, to_mpf, workdps)
 
 F = Fraction
 
@@ -50,7 +56,7 @@ def test_check_le_retries_near_boundary():
 
 
 def test_log_base():
-    with mpmath.workdps(30):
+    with workdps(30):
         assert abs(log_base(F(1, 9), F(1, 3)) - 2) < mpmath.mpf("1e-25")
         assert abs(log_base(8, 2) - 3) < mpmath.mpf("1e-25")
 
@@ -59,3 +65,147 @@ def test_check_le_callable_fraction_shortcut():
     # closures producing rationals still land on the exact path
     c = check_le(lambda: F(1, 4), lambda: F(1, 2))
     assert c.exact and c.holds and c.slack == F(1, 4)
+
+
+# -- the real type against mpmath ------------------------------------------------
+
+PROPERTY = settings(max_examples=300, deadline=None, database=None,
+                    derandomize=True)
+
+DPS = st.integers(15, 130)
+INTS = st.integers(-10**40, 10**40)
+FRACTIONS = st.fractions(min_value=-10**9, max_value=10**9,
+                         max_denominator=10**15)
+DECIMALS = st.builds("{}e{}".format, st.integers(-10**25, 10**25),
+                     st.integers(-60, 60))
+#: what `to_mpf` takes, besides reals
+SOURCES = st.one_of(INTS, FRACTIONS, DECIMALS)
+
+
+def _theirs(value):
+    """mpmath's real for a `to_mpf` source, as ekrlab once built it."""
+    if isinstance(value, Fraction):
+        return mpmath.mpf(value.numerator) / value.denominator
+    return mpmath.mpf(value)
+
+
+def _same(ours, theirs):
+    # the libmp tuple and every printed form ekrlab writes
+    assert type(ours).__name__ == "_Real"
+    assert ours._mpf_ == theirs._mpf_
+    for digits in (18, 25):
+        assert nstr(ours, digits) == mpmath.nstr(theirs, digits)
+        assert (nstr(ours, digits, strip_zeros=False)
+                == mpmath.nstr(theirs, digits, strip_zeros=False))
+
+
+@PROPERTY
+@given(DPS, SOURCES)
+def test_construction_matches_mpmath(dps, value):
+    with workdps(dps), mpmath.workdps(dps):
+        _same(to_mpf(value), _theirs(value))
+    # a real of higher precision rounds to the working precision
+    with workdps(2 * dps):
+        wide = to_mpf(value)
+    with workdps(dps), mpmath.workdps(dps):
+        _same(to_mpf(wide), mpmath.mpf(mpmath.mpf(wide._mpf_)))
+
+
+BINARY = {"+": operator.add, "-": operator.sub, "*": operator.mul,
+          "/": operator.truediv}
+
+#: the second operand's kinds: a real is drawn as a `to_mpf` source
+OPERANDS = {"real": SOURCES, "int": INTS, "fraction": FRACTIONS,
+            "float": st.floats(allow_nan=False, allow_infinity=False)}
+
+
+@PROPERTY
+@given(DPS, SOURCES, st.sampled_from(sorted(BINARY)),
+       st.sampled_from(sorted(OPERANDS)), st.data())
+def test_arithmetic_matches_mpmath(dps, source, op, kind, data):
+    fn = BINARY[op]
+    other = data.draw(OPERANDS[kind])
+    with workdps(dps), mpmath.workdps(dps):
+        x = to_mpf(source)
+        mx = mpmath.mpf(x._mpf_)
+        y = to_mpf(other) if kind == "real" else other
+        my = mpmath.mpf(y._mpf_) if kind == "real" else other
+        assume(op != "/" or y != 0)
+        _same(fn(x, y), fn(mx, my))
+        if kind != "fraction" or op in "+*":
+            # int, float and real on the left; a Fraction only for + and *
+            assume(op != "/" or x != 0)
+            _same(fn(y, x), fn(my, mx))
+        _same(-x, -mx)
+        _same(abs(x), abs(mx))
+
+
+@PROPERTY
+@given(DPS, st.fractions(min_value=Fraction(1, 10**6), max_value=10**3,
+                         max_denominator=10**6),
+       st.one_of(st.integers(-40, 40),
+                 st.fractions(min_value=-8, max_value=8, max_denominator=10**4),
+                 st.builds("{}e-3".format, st.integers(-8000, 8000))))
+def test_powers_and_logs_match_mpmath(dps, base, expo):
+    with workdps(dps), mpmath.workdps(dps):
+        x = to_mpf(base)
+        mx = mpmath.mpf(x._mpf_)
+        y = to_mpf(expo) if isinstance(expo, str) else expo
+        my = mpmath.mpf(y._mpf_) if isinstance(expo, str) else expo
+        _same(x ** y, mx ** my)
+        _same(power(x, y), mpmath.power(mx, my))
+        _same(power(base, y), mpmath.power(base, my))
+        if isinstance(expo, int) and expo > 0:
+            _same(power(expo, x), mpmath.power(expo, mx))
+            _same(expo ** x, expo ** mx)
+        _same(log(x), mpmath.log(mx))
+        _same(log(base), mpmath.log(base))
+        for b in (2, Fraction(1, 3), to_mpf(Fraction(7, 5))):
+            mb = mpmath.mpf(b._mpf_) if hasattr(b, "_mpf_") else b
+            _same(log(x, b), mpmath.log(mx, mb))
+
+
+@PROPERTY
+@given(DPS, SOURCES, st.one_of(SOURCES, st.floats(allow_nan=False)))
+def test_comparisons_match_mpmath(dps, source, other):
+    with workdps(dps), mpmath.workdps(dps):
+        x = to_mpf(source)
+        mx = mpmath.mpf(x._mpf_)
+        if isinstance(other, (str, Fraction)):
+            other = to_mpf(other)
+        mo = mpmath.mpf(other._mpf_) if hasattr(other, "_mpf_") else other
+        for fn in (operator.lt, operator.le, operator.gt, operator.ge,
+                   operator.eq, operator.ne):
+            assert fn(x, other) == fn(mx, mo)
+            assert fn(other, x) == fn(mo, mx)
+        assert bool(x) == bool(mx)
+
+
+@pytest.mark.parametrize("fn", [
+    operator.sub, operator.truediv, operator.lt, operator.le, operator.gt,
+    operator.ge])
+def test_fraction_on_the_left_or_in_an_ordering_is_a_type_error(fn):
+    # as for mpmath's reals: Fraction - real, Fraction / real and orderings
+    # against a Fraction have no meaning; + and * convert the Fraction
+    q = Fraction(1, 3)
+    for real in (to_mpf(2), mpmath.mpf(2)):
+        with pytest.raises(TypeError):
+            fn(q, real)
+        if fn not in (operator.sub, operator.truediv):
+            with pytest.raises(TypeError):
+                fn(real, q)
+    assert (q + to_mpf(2))._mpf_ == (q + mpmath.mpf(2))._mpf_
+    assert (q * to_mpf(2))._mpf_ == (q * mpmath.mpf(2))._mpf_
+
+
+def test_checked_with_reals_pickles_and_copies():
+    with workdps(40):
+        c = check_le(lambda: log(to_mpf(3)), 2)
+    assert not c.exact and type(c.slack).__name__ == "_Real"
+    for twin in (pickle.loads(pickle.dumps(c)), copy.copy(c),
+                 copy.deepcopy(c)):
+        assert type(twin) is Checked
+        fields = [getattr(twin, f) for f in Checked._fields]
+        assert fields == [getattr(c, f) for f in Checked._fields]
+        assert twin.slack._mpf_ == c.slack._mpf_
+        assert fmt_real(twin.slack) == fmt_real(c.slack)

@@ -16,7 +16,8 @@ import pytest
 
 from ekrlab import (SetFamily, _kernels, conjecture_scan,
                     enumerate_monotone_masks, is_t_intersecting, verify)
-from ekrlab.numerics import default_dps, log_base, mpmath, to_mpf
+from ekrlab.numerics import (default_dps, log_base, nstr, power, to_mpf,
+                             workdps)
 
 
 # -- t-intersection in the enumeration -----------------------------------------
@@ -96,9 +97,9 @@ def _ternary(p, t, eps_r, steps=200):
     pt, c = to_mpf(p) ** t, to_mpf((1 - p) * p ** (t - 1))
 
     def g(eps):
-        return pt * (1 - mpmath.power(eps / t, v)) + c * eps
+        return pt * (1 - power(eps / t, v)) + c * eps
 
-    lo, hi = to_mpf(eps_r) * mpmath.mpf("1e-9"), to_mpf(eps_r)
+    lo, hi = to_mpf(eps_r) * to_mpf("1e-9"), to_mpf(eps_r)
     for _ in range(steps):
         m1, m2 = lo + (hi - lo) / 3, hi - (hi - lo) / 3
         if g(m1) < g(m2):
@@ -110,8 +111,8 @@ def _ternary(p, t, eps_r, steps=200):
 
 
 def _as_fraction(x) -> F:
-    man, exp = mpmath.mpf(x).man_exp
-    return F(man) * F(2) ** exp
+    sign, man, exp, _ = to_mpf(x)._mpf_
+    return F(-man if sign else man) * F(2) ** exp
 
 
 EPS_RS = (F(1, 1000), F(1, 10), F(1, 2), F(3, 1), F(40, 1))
@@ -127,10 +128,10 @@ def test_closed_form_decides_as_the_ternary_search(p, t):
     # its verdicts on both sides of v = q as well as the closed form's
     dps = default_dps()
     reported = 0
-    with mpmath.workdps(dps):
+    with workdps(dps):
         for eps_r in EPS_RS + tuple(t * p**m for m in POWERS):
             eps_t, g_t = _ternary(p, t, eps_r)
-            beats = eps_t < to_mpf(eps_r) * (1 - mpmath.mpf("1e-9"))
+            beats = eps_t < to_mpf(eps_r) * (1 - to_mpf("1e-9"))
             for lift in (0, F(1, 10**6)):
                 mu_p = _as_fraction(g_t) + lift
                 got = verify._condition_beats_mu(mu_p, p, t, eps_r, dps)
@@ -138,10 +139,10 @@ def test_closed_form_decides_as_the_ternary_search(p, t):
                 if got is not None:
                     # the search pins eps down to about the square root of
                     # the working precision, where g is flat
-                    assert abs(mpmath.mpf(got) - eps_t) <= 1e-13 * eps_r
+                    assert abs(to_mpf(got) - eps_t) <= to_mpf("1e-13") * eps_r
                     reported += 1
     assert reported > 0  # the reporting path ran
-    # both sides of v = q ran: m <= 2 falls back to mpmath, m = 4 does not
+    # both sides of v = q ran: m <= 2 falls back to the reals, m = 4 does not
     decided = {m for m in POWERS
                if verify._minimum_at_eps_r(p, t, t * p**m)}
     assert 4 in decided and not decided & {1, 2}
@@ -152,9 +153,9 @@ def test_condition_runs_at_the_given_precision(t):
     # a search at 80 digits fixes the minimizer to far more than the 18
     # reported digits; the session precision stays at its default
     p, eps_r = F(1, 7), F(1, 2)
-    with mpmath.workdps(80):
+    with workdps(80):
         eps_ref, g_ref = _ternary(p, t, eps_r, steps=300)
-        expect = mpmath.nstr(eps_ref, 18)
+        expect = nstr(eps_ref, 18)
     mu_p = _as_fraction(g_ref) + F(1, 10**6)
     assert verify._condition_beats_mu(mu_p, p, t, eps_r, 50) == expect
     assert verify._condition_beats_mu(mu_p, p, t, eps_r, 15) != expect

@@ -187,6 +187,18 @@ def test_iter_uniform_families_counts():
     assert sizes[-1] == 4
 
 
+@pytest.mark.parametrize("shifted", [False, True])
+def test_iter_uniform_families_rejects_k_below_t(shifted):
+    # a k-set meets itself in k < t elements: no set may be chosen, and the
+    # walk, which tests a set against earlier sets only, would choose each
+    with pytest.raises(ValueError, match="k >= t"):
+        next(iter_uniform_families(4, 1, "t-intersecting", t=2, shifted=shifted))
+    with pytest.raises(ValueError, match="k >= t"):
+        next(iter_uniform_families(4, 0, "intersecting", shifted=shifted))
+    with pytest.raises(ValueError, match="k >= t"):
+        max_uniform(SearchProblem(n=4, k=1, predicate="t-intersecting", t=2))
+
+
 def test_shift_predecessors_are_lex_earlier():
     universe = lex_universe(6, 3)
     preds = shift_predecessor_masks(6, 3, universe)

@@ -8,6 +8,7 @@ from ekrlab import (FamilySpec, SetFamily, UniformFamily, ak_max,
                     closed_form_mu, closed_form_size, construct,
                     defining_root, is_intersecting, is_t_intersecting,
                     matching_number, mu)
+from ekrlab.numerics import workdps
 from ekrlab.zoo import hm_matching_e, hm_matching_layout, relabel
 
 from conftest import random_rational
@@ -153,7 +154,8 @@ def test_tilde_h_root_measure():
             assert root.value == F(1, 2)
             assert mu(fam, root.value) == root.value ** t
         else:
-            with mpmath.workdps(40):
+            # the sum runs in ekrlab's reals, at ekrlab's working precision
+            with workdps(40):
                 w = fam.weight_vector()
                 x = root.value
                 val = sum(w[j] * x**j * (1 - x) ** (fam.n - j)
