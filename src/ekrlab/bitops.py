@@ -105,6 +105,18 @@ def _coord_shifts(n: int) -> tuple:
     return tuple((1 << i, coord_zero_mask(n, i)) for i in range(n))
 
 
+def swap_coordinates(bits: int, n: int, i: int, j: int) -> int:
+    """Exchange coordinates i and j (0-indexed) in every member of a
+    2**n-bit family, by one delta swap: a member with i and without j,
+    at position x, trades places with x - 2**i + 2**j."""
+    if i > j:
+        i, j = j, i
+    shift = (1 << j) - (1 << i)
+    low = coord_zero_mask(n, j) & ~coord_zero_mask(n, i)
+    moved = (bits ^ (bits >> shift)) & low
+    return bits ^ moved ^ (moved << shift)
+
+
 def plus_one(bits: int, n: int) -> int:
     """The sets that are a member of a 2**n-bit family plus one element."""
     shadow = 0

@@ -12,7 +12,6 @@ tau, delta.
 from __future__ import annotations
 
 import argparse
-import csv
 import io as _io
 import json
 import os
@@ -208,6 +207,8 @@ def _cmd_kk(args):
 
 
 def _print_csv(columns, rows):
+    import csv  # only the CSV sweeps need it
+
     buf = _io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(columns)
@@ -348,14 +349,15 @@ def main(argv=None) -> int:
     try:
         _set_global_flags(args)
         code, payload = args.handler(args)
-    except (ValueError, KeyError, json.JSONDecodeError) as exc:
+        if getattr(args, "out", None) and "family" in payload:
+            from pathlib import Path
+
+            Path(args.out).write_text(
+                json.dumps(payload["family"], sort_keys=True) + "\n")
+    except (OSError, ValueError, KeyError, json.JSONDecodeError) as exc:
+        # a file that cannot be read or written is a usage error too
         print(json.dumps({"error": str(exc)}), file=sys.stderr)
         return 2
-    if getattr(args, "out", None) and "family" in payload:
-        from pathlib import Path
-
-        Path(args.out).write_text(
-            json.dumps(payload["family"], sort_keys=True) + "\n")
     try:
         if isinstance(payload, dict):
             _emit(payload)

@@ -24,6 +24,21 @@ def _check_ground(n: int) -> None:
         raise ValueError(f"ground size must be in [0, {MAX_DENSE_N}], got {n}")
 
 
+def _member_bits(n: int, masks) -> int:
+    """The 2**n-bit family integer with bit m set for each mask m, filled
+    in a byte buffer that reaches the largest mask, rather than OR-ed into
+    a growing integer."""
+    masks = list(masks)
+    limit = 1 << n
+    if masks and not (0 <= min(masks) and max(masks) < limit):
+        bad = next(m for m in masks if not 0 <= m < limit)
+        raise ValueError(f"subset mask {bad} out of range for n={n}")
+    buf = bytearray((max(masks, default=0) >> 3) + 1)
+    for m in masks:
+        buf[m >> 3] |= 1 << (m & 7)
+    return int.from_bytes(buf, "little")
+
+
 class EdgeGround(_Frozen):
     """Ground set of unordered vertex pairs of [v], indexed 1..C(v,2) in
     colex order on pairs: (1,2),(1,3),(2,3),(1,4),(2,4),(3,4),...
@@ -87,25 +102,29 @@ class SetFamily(_Frozen):
 
     @classmethod
     def from_masks(cls, n: int, masks, edges=None) -> "SetFamily":
-        bits = 0
-        for m in masks:
-            if not 0 <= m < (1 << n):
-                raise ValueError(f"subset mask {m} out of range for n={n}")
-            bits |= 1 << m
-        return cls(n, bits, edges)
+        _check_ground(n)
+        return cls(n, _member_bits(n, masks), edges)
 
     @classmethod
     def from_sets(cls, n: int, sets, edges=None) -> "SetFamily":
         return cls.from_masks(n, (mask_of(s) for s in sets), edges)
 
     @classmethod
-    def from_predicate(cls, n: int, pred, edges=None) -> "SetFamily":
-        """Family of all masks m in [0, 2**n) with pred(m) true."""
-        bits = 0
-        for m in range(1 << n):
-            if pred(m):
-                bits |= 1 << m
-        return cls(n, bits, edges)
+    def from_predicate(cls, n: int, pred, edges=None,
+                       width: int | None = None) -> "SetFamily":
+        """Family of all masks m in [0, 2**n) with pred(m) true.
+
+        A predicate that reads only the low `width` coordinates (a junta)
+        runs once on each of their 2**width patterns, and that block of
+        bits repeats across the cube; the block is at least 2**3 bits, so
+        it is whole bytes."""
+        _check_ground(n)
+        w = n if width is None else min(n, max(width, 3))
+        block = _member_bits(w, filter(pred, range(1 << w)))
+        if w == n:
+            return cls(n, block, edges)
+        image = block.to_bytes(1 << (w - 3), "little") * (1 << (n - w))
+        return cls(n, int.from_bytes(image, "little"), edges)
 
     def _replace(self, bits: int) -> "SetFamily":
         return SetFamily(self.n, bits, self.edges)

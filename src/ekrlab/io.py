@@ -11,7 +11,7 @@ import json
 from pathlib import Path
 
 from .bitops import mask_of
-from .families import SetFamily, UniformFamily
+from .families import MAX_DENSE_N, SetFamily, UniformFamily
 
 
 def family_to_dict(fam, compact: bool = False) -> dict:
@@ -43,15 +43,28 @@ def _masks_from_dict(d: dict) -> tuple[int, list[int]]:
         return n, [int(h, 16) for h in hexes]
     sets = d["sets"]
     if not (isinstance(sets, (list, tuple))
-            and all(isinstance(s, (list, tuple)) and all(map(_is_int, s))
-                    for s in sets)):
+            and all(isinstance(s, (list, tuple)) for s in sets)
+            and all(issubclass(kind, int) and not issubclass(kind, bool)
+                    for kind in {type(e) for s in sets for e in s})):
         raise ValueError('family JSON field "sets" must be a list of lists '
                          'of integers')
-    masks = []
-    for s in sets:
-        if list(s) != sorted(set(s)):
-            raise ValueError(f"set {list(s)} is not strictly increasing")
-        masks.append(mask_of(s))
+    # each mask is a sum of entries of a table of powers of two; the sum is
+    # the mask when the set is strictly increasing: sorted, and with no
+    # repeat (a repeat carries, so the sum has fewer bits than the set has
+    # elements).  Otherwise, or when an element misses the table, the
+    # set-by-set loop below runs and names the first fault in file order.
+    power = {e: 1 << (e - 1) for e in range(1, min(n, MAX_DENSE_N) + 1)}
+    try:
+        masks = [sum(map(power.__getitem__, s)) for s in sets]
+    except KeyError:
+        masks = None
+    if (masks is None or sets != list(map(sorted, sets))
+            or list(map(int.bit_count, masks)) != list(map(len, sets))):
+        masks = []
+        for s in sets:
+            if list(s) != sorted(set(s)):
+                raise ValueError(f"set {list(s)} is not strictly increasing")
+            masks.append(mask_of(s))
     return n, masks
 
 
@@ -75,10 +88,12 @@ def load_family(source, uniform: bool = False):
     """Read a family from a path, JSON object text, or dict."""
     if isinstance(source, dict):
         d = source
+    elif str(source).lstrip().startswith("{"):
+        # before the file probe, which raises on text longer than a file
+        # name may be
+        d = json.loads(str(source))
     elif Path(str(source)).exists():
         d = json.loads(Path(source).read_text())
-    elif str(source).lstrip().startswith("{"):
-        d = json.loads(str(source))
     else:
         raise ValueError(f"family file not found: {source}")
     return uniform_family_from_dict(d) if uniform else set_family_from_dict(d)

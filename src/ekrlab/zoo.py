@@ -13,14 +13,21 @@ import itertools
 import math
 from fractions import Fraction
 
-from .bitops import elements_of, mask_of, popcount
-from .families import EdgeGround, SetFamily, UniformFamily
+from .bitops import elements_of, mask_of, popcount, swap_coordinates
+from .families import EdgeGround, SetFamily, UniformFamily, _check_ground
 from .numerics import _Frozen, default_dps, log, nstr, to_mpf, workdps
 
 FAMILY_NAMES = (
     "dictatorship", "t_umvirate", "or_family", "ak_family", "frankl_Gi",
     "tilde_Gi", "F_ts", "tilde_F_ts", "tilde_H_tsr", "tilde_D_sdl",
     "C_ts_lex", "hm_matching_E", "conj_H", "triangle_umvirate",
+)
+
+#: the families built over the whole cube on [n], so n is capped at
+#: MAX_DENSE_N (the triangle umvirate's ground is checked by EdgeGround)
+DENSE_NAMES = (
+    "dictatorship", "t_umvirate", "or_family", "tilde_Gi", "tilde_F_ts",
+    "tilde_H_tsr", "tilde_D_sdl", "C_ts_lex",
 )
 
 
@@ -40,6 +47,8 @@ class FamilySpec(_Frozen):
                 raise ValueError(f"parameter {key!r} must be an integer, "
                                  f"got {val!r}")
         _VALIDATORS[name](dict(params))
+        if name in DENSE_NAMES:
+            _check_ground(params["n"])
         super().__init__(name, params)
 
     def __eq__(self, other) -> bool:
@@ -173,19 +182,21 @@ _VALIDATORS = {
 def dictatorship(n: int, j: int = 1) -> SetFamily:
     """All subsets containing the fixed element j."""
     b = 1 << (j - 1)
-    return SetFamily.from_predicate(n, lambda m: bool(m & b))
+    return SetFamily.from_predicate(n, lambda m: bool(m & b), width=j)
 
 
 def t_umvirate(n: int, b) -> SetFamily:
     """S_B: all subsets containing B (int t means B = [t])."""
     bm = mask_of(range(1, b + 1)) if isinstance(b, int) else mask_of(b)
-    return SetFamily.from_predicate(n, lambda m: m & bm == bm)
+    return SetFamily.from_predicate(n, lambda m: m & bm == bm,
+                                   width=bm.bit_length())
 
 
 def or_family(n: int, b) -> SetFamily:
     """OR_B: all subsets meeting B (int s means B = [s]); the dual of S_B."""
     bm = mask_of(range(1, b + 1)) if isinstance(b, int) else mask_of(b)
-    return SetFamily.from_predicate(n, lambda m: bool(m & bm))
+    return SetFamily.from_predicate(n, lambda m: bool(m & bm),
+                                   width=bm.bit_length())
 
 
 def _window(lo: int, hi: int) -> int:
@@ -226,7 +237,7 @@ def frankl_gi(n: int, k: int, i: int) -> UniformFamily:
 
 def tilde_gi(n: int, i: int) -> SetFamily:
     """Full-cube version of the same predicate."""
-    return SetFamily.from_predicate(n, _gi_predicate(i))
+    return SetFamily.from_predicate(n, _gi_predicate(i), width=i)
 
 
 def _f_ts_predicate(t: int, s: int):
@@ -247,7 +258,7 @@ def f_ts(n: int, k: int, t: int, s: int) -> UniformFamily:
 
 
 def tilde_f_ts(n: int, t: int, s: int) -> SetFamily:
-    return SetFamily.from_predicate(n, _f_ts_predicate(t, s))
+    return SetFamily.from_predicate(n, _f_ts_predicate(t, s), width=t + s)
 
 
 def tilde_h_tsr(n: int, t: int, s: int, r: int) -> SetFamily:
@@ -264,7 +275,7 @@ def tilde_h_tsr(n: int, t: int, s: int, r: int) -> SetFamily:
             return bool(m & rwin)
         return m & headm1 == headm1 and not m & bt and m & swin == swin
 
-    return SetFamily.from_predicate(n, pred)
+    return SetFamily.from_predicate(n, pred, width=t + max(r, s))
 
 
 def tilde_d_sdl(n: int, s: int, d: int, el: int) -> SetFamily:
@@ -283,7 +294,7 @@ def tilde_d_sdl(n: int, s: int, d: int, el: int) -> SetFamily:
             return bool(m & dwin)
         return not m & smask and m & lwin == lwin
 
-    return SetFamily.from_predicate(n, pred)
+    return SetFamily.from_predicate(n, pred, width=s + max(d, el))
 
 
 def c_ts(n: int, t: int, s: int) -> SetFamily:
@@ -291,7 +302,8 @@ def c_ts(n: int, t: int, s: int) -> SetFamily:
     lex segments."""
     head = _window(1, t)
     win = _window(t + 1, t + s)
-    return SetFamily.from_predicate(n, lambda m: m & head == head and bool(m & win))
+    return SetFamily.from_predicate(
+        n, lambda m: m & head == head and bool(m & win), width=t + s)
 
 
 def hm_matching_layout(n: int, k: int, s: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
@@ -350,7 +362,8 @@ def triangle_umvirate(v: int) -> SetFamily:
     """All graphs on [v] containing the fixed triangle on vertices {1,2,3}."""
     eg = EdgeGround(v)
     tri = eg.edge_mask([(1, 2), (1, 3), (2, 3)])
-    return SetFamily.from_predicate(eg.n, lambda m: m & tri == tri, edges=eg)
+    return SetFamily.from_predicate(eg.n, lambda m: m & tri == tri, edges=eg,
+                                   width=tri.bit_length())
 
 
 # -- spec dispatch -------------------------------------------------------------
@@ -397,7 +410,8 @@ def construct(spec: FamilySpec, perm=None):
 
 
 def relabel(fam, perm):
-    """Apply a ground permutation: element e goes to perm[e-1]."""
+    """Apply a ground permutation: element e goes to perm[e-1].  A dense
+    family moves by coordinate swaps on its bits, at most n-1 of them."""
     n = fam.n
     if sorted(perm) != list(range(1, n + 1)):
         raise ValueError("perm must be a permutation of 1..n")
@@ -410,7 +424,17 @@ def relabel(fam, perm):
 
     if isinstance(fam, UniformFamily):
         return UniformFamily(n, fam.k, (remap(m) for m in fam.members))
-    return SetFamily.from_masks(n, (remap(m) for m in fam), edges=fam.edges)
+    bits = fam.bits
+    at = list(range(n))  # at[q]: the coordinate now at position q
+    where = list(range(n))  # where[c]: the position of coordinate c
+    for c in range(n):
+        q, target = where[c], perm[c] - 1
+        if q != target:
+            bits = swap_coordinates(bits, n, q, target)
+            other = at[target]
+            at[q], at[target] = other, c
+            where[other], where[c] = q, target
+    return SetFamily(n, bits, fam.edges)
 
 
 def closed_form_mu(spec: FamilySpec, p) -> Fraction:

@@ -255,6 +255,11 @@ REAL_COMMANDS = [
 ]
 
 
+#: the libmp modules the real layer loads: the float and log modules and
+#: the two they import, not the complex, interval or special-function ones
+LIBMP_MODULES = {"backend", "libintmath", "libmpf", "libelefun"}
+
+
 def test_real_layer_loads_on_first_use():
     # libmp alone, under its private name: not the mpmath package
     for argv in REAL_COMMANDS:
@@ -262,6 +267,64 @@ def test_real_layer_loads_on_first_use():
         assert numerics._LIBMP in loaded
         assert "mpmath" not in loaded
         assert "mpmath.ctx_mp" not in loaded
+        prefix = numerics._LIBMP + "."
+        assert {m[len(prefix):] for m in loaded
+                if m.startswith(prefix)} == LIBMP_MODULES
+
+
+#: computes reals on the private libmp load, then imports mpmath and prints
+#: whether mpmath gives the same values, with the modules loaded before it
+PRIVATE_LOAD_PROBE = """
+import json, sys
+from fractions import Fraction
+from ekrlab import numerics as nm
+cases = [("log", lambda: nm.log(3)), ("log_base", lambda: nm.log(5, Fraction(1, 3))),
+         ("power", lambda: nm.power(Fraction(2, 7), nm.log(2))),
+         ("div", lambda: 1 / nm.to_mpf(Fraction(3, 11))),
+         ("str", lambda: nm.to_mpf("1e-9") * 7 - Fraction(1, 3)),
+         ("pow_int", lambda: nm.to_mpf(Fraction(5, 3)) ** 7)]
+ours = {}
+for dps in (15, 30, 61):
+    with nm.workdps(dps):
+        for name, f in cases:
+            x = f()
+            ours[f"{name}@{dps}"] = (x._mpf_, nm.nstr(x, 18), nm.nstr(x, dps))
+libmp = sorted(m for m in sys.modules if "libmp" in m or "mpmath" in m)
+import mpmath
+theirs = {}
+for dps in (15, 30, 61):
+    with mpmath.workdps(dps):
+        mp_cases = [("log", mpmath.log(3)),
+                    ("log_base", mpmath.log(5, Fraction(1, 3))),
+                    ("power", mpmath.power(Fraction(2, 7), mpmath.log(2))),
+                    ("div", 1 / (mpmath.mpf(3) / 11)),
+                    ("str", mpmath.mpf("1e-9") * 7 - Fraction(1, 3)),
+                    ("pow_int", (mpmath.mpf(5) / 3) ** 7)]
+        for name, x in mp_cases:
+            theirs[f"{name}@{dps}"] = (x._mpf_, mpmath.nstr(x, 18),
+                                       mpmath.nstr(x, dps))
+print(json.dumps({"modules": libmp, "same": ours == theirs,
+                  "count": len(ours)}))
+"""
+
+
+def test_private_libmp_load_computes_as_mpmath():
+    # the in-process tests reuse the mpmath.libmp that mpmath imported;
+    # this one computes on the private two-module load first
+    proc = _run("-c", PRIVATE_LOAD_PROBE)
+    result = json.loads(proc.stdout.splitlines()[-1])
+    prefix = numerics._LIBMP + "."
+    assert result["modules"] == sorted(
+        [numerics._LIBMP] + [prefix + m for m in LIBMP_MODULES])
+    assert result["count"] == 18 and result["same"]
+
+
+def test_csv_loads_only_for_csv_output():
+    assert "csv" not in _loaded_after("kk", "--m", "10", "--k", "3")
+    assert "csv" not in _loaded_after("iso-sweep", "--n", "2",
+                                      "--all-monotone", "--p", "1/3")
+    assert "csv" in _loaded_after("iso-sweep", "--n", "2", "--all-monotone",
+                                  "--p", "1/3", "--csv")
 
 
 #: the commands that ran a process pool at --threads > 1 in earlier versions

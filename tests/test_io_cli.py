@@ -1,3 +1,4 @@
+import itertools
 import json
 import os
 import subprocess
@@ -492,3 +493,112 @@ def test_cli_scan_reads_exact_biases(capsys):
                         '{"t":1,"n":3,"ps":["1/4"," 2/7"]}')
     assert code == 0
     assert json.loads(out)["report"]["families_examined"] == 12
+
+
+#: malformed family JSON and the message it gets, the first fault in file
+#: order; the bulk reader must name the same one as a set-by-set walk
+MALFORMED = [
+    ('{"n":3,"sets":[[2,1]]}', False, "set [2, 1] is not strictly increasing"),
+    ('{"n":3,"sets":[[1,1]]}', False, "set [1, 1] is not strictly increasing"),
+    ('{"n":3,"sets":[[1,2,2]]}', False,
+     "set [1, 2, 2] is not strictly increasing"),
+    ('{"n":3,"sets":[[1,3,2]]}', False,
+     "set [1, 3, 2] is not strictly increasing"),
+    ('{"n":3,"sets":[[0,1]]}', False, "elements are 1-indexed, got 0"),
+    ('{"n":3,"sets":[[-1]]}', False, "elements are 1-indexed, got -1"),
+    ('{"n":3,"sets":[[4]]}', False, "subset mask 8 out of range for n=3"),
+    ('{"n":3,"sets":[[1],[4],[3,2]]}', False,
+     "set [3, 2] is not strictly increasing"),
+    ('{"n":3,"sets":[[1],[0],[2,1]]}', False, "elements are 1-indexed, got 0"),
+    ('{"n":3,"sets":[[1],[2,1],[0]]}', False,
+     "set [2, 1] is not strictly increasing"),
+    ('{"n":3,"sets":[[1,true]]}', False,
+     'family JSON field "sets" must be a list of lists of integers'),
+    ('{"n":3,"sets":[[1.0]]}', False,
+     'family JSON field "sets" must be a list of lists of integers'),
+    ('{"n":3,"sets":[[1],{"a":1}]}', False,
+     'family JSON field "sets" must be a list of lists of integers'),
+    ('{"n":3,"sets":[[1],[null]]}', False,
+     'family JSON field "sets" must be a list of lists of integers'),
+    ('{"n":true,"sets":[]}', False, 'family JSON field "n" must be an integer'),
+    ('{"n":31,"sets":[[1]]}', False, "ground size must be in [0, 30], got 31"),
+    ('{"n":-1,"sets":[]}', False, "ground size must be in [0, 30], got -1"),
+    ('{"n":30,"sets":[[31]]}', False,
+     "subset mask 1073741824 out of range for n=30"),
+    ('{"n":3,"masks_hex":["0x10"]}', False,
+     "subset mask 16 out of range for n=3"),
+    ('{"n":3,"masks_hex":["-0x1"]}', False,
+     "subset mask -1 out of range for n=3"),
+    ('{"n":3,"sets":[[1],[1,2]]}', True, "not k-uniform: member sizes [1, 2]"),
+    ('{"n":3,"sets":[[1],[2,1]]}', True,
+     "set [2, 1] is not strictly increasing"),
+    ('{"n":3,"sets":[[1,2,3,4]]}', True, "uniformity k=4 out of range for n=3"),
+]
+
+
+@pytest.mark.parametrize("text, uniform, message", MALFORMED)
+def test_malformed_family_file_message(tmp_path, text, uniform, message):
+    path = tmp_path / "family.json"
+    path.write_text(text)
+    for source in (str(path), text, json.loads(text)):
+        with pytest.raises(ValueError) as info:
+            load_family(source, uniform=uniform)
+        assert str(info.value) == message
+
+
+def test_family_sets_read_in_bulk_match_set_by_set(rng):
+    # lists of lists take the bulk path, tuples the set-by-set one
+    for n in (0, 1, 5, 9):
+        members = [m for m in range(1 << n) if rng.random() < 0.4]
+        sets = [[e + 1 for e in range(n) if m >> e & 1] for m in members]
+        expect = set_family_from_dict({"n": n, "masks_hex": list(map(hex, members))})
+        assert set_family_from_dict({"n": n, "sets": sets}) == expect
+        assert set_family_from_dict({"n": n, "sets": tuple(map(tuple, sets))}) == expect
+        assert list(expect) == members
+
+
+def test_inline_family_longer_than_a_file_name(capsys):
+    # all 560 3-sets of [16]: 6,914 bytes of JSON, read before any file probe
+    text = json.dumps({"n": 16, "sets": [list(c) for c in
+                                         itertools.combinations(range(1, 17), 3)]})
+    assert len(text) > 4096
+    code, out = run_cli(capsys, "shadow", "--family", text, "--s", "1")
+    assert code == 0
+    assert len(json.loads(out)["family"]["sets"]) == 120
+    assert len(load_family(text)) == 560
+
+
+def test_cli_long_text_that_is_not_json_exit_two(capsys):
+    err = _usage_error(capsys, "measure", "--family", "x" * 300, "--p", "1/2")
+    assert "too long" in err
+
+
+def test_cli_file_errors_exit_two(capsys, tmp_path):
+    missing = tmp_path / "no-such-dir"
+    err = _usage_error(capsys, "construct", "--spec",
+                       '{"name":"t_umvirate","params":{"n":3,"t":2}}',
+                       "--out", str(missing / "x.json"))
+    assert str(missing / "x.json") in err
+    err = _usage_error(capsys, "measure", "--family", str(tmp_path),
+                       "--p", "1/2")
+    assert str(tmp_path) in err
+    err = _usage_error(capsys, "search", "--predicate", "intersecting",
+                       "--n", "5", "--k", "2", "--checkpoint",
+                       str(missing / "cp.json"), "--budget", "3")
+    assert str(missing) in err
+
+
+def test_cli_file_errors_print_no_traceback(tmp_path):
+    env = dict(os.environ, PYTHONPATH=str(Path(ekrlab.__file__).parents[1]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "ekrlab.cli", "measure", "--family",
+         str(tmp_path), "--p", "1/2"],
+        env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 2 and proc.stdout == ""
+    assert "Is a directory" in json.loads(proc.stderr)["error"]
+
+
+def test_cli_dense_spec_past_the_cap_exit_two(capsys):
+    err = _usage_error(capsys, "construct", "--spec",
+                       '{"name":"t_umvirate","params":{"n":31,"t":2}}')
+    assert err == "ground size must be in [0, 30], got 31"

@@ -1,15 +1,21 @@
+import itertools
 import math
 from fractions import Fraction
 
 import mpmath
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ekrlab import (FamilySpec, SetFamily, UniformFamily, ak_max,
                     closed_form_mu, closed_form_size, construct,
                     defining_root, is_intersecting, is_t_intersecting,
                     matching_number, mu)
+from ekrlab.bitops import elements_of
+from ekrlab.families import MAX_DENSE_N
 from ekrlab.numerics import workdps
-from ekrlab.zoo import hm_matching_e, hm_matching_layout, relabel
+from ekrlab.zoo import (DENSE_NAMES, hm_matching_e, hm_matching_layout,
+                        or_family, relabel, t_umvirate, triangle_umvirate)
 
 from conftest import random_rational
 
@@ -204,3 +210,94 @@ def test_relabel_is_isomorphic(rng):
 def test_spec_roundtrip():
     sp = spec("tilde_H_tsr", n=7, t=2, s=2, r=3)
     assert FamilySpec.from_dict(sp.to_dict()) == sp
+
+
+#: the parameters besides n of each family built over the whole cube
+DENSE_KEYS = {
+    "dictatorship": ("j",), "t_umvirate": ("t",), "or_family": ("s",),
+    "tilde_Gi": ("i",), "tilde_F_ts": ("t", "s"),
+    "tilde_H_tsr": ("t", "s", "r"), "tilde_D_sdl": ("s", "d", "l"),
+    "C_ts_lex": ("t", "s"),
+}
+
+
+def _dense_specs(max_n: int) -> list:
+    """Every valid spec of a whole-cube family on [n], n <= max_n."""
+    specs = []
+    for name, keys in DENSE_KEYS.items():
+        for n in range(max_n + 1):
+            for vals in itertools.product(range(n + 2), repeat=len(keys)):
+                try:
+                    specs.append(FamilySpec(name, {"n": n, **dict(zip(keys, vals))}))
+                except ValueError:
+                    pass
+    return specs
+
+
+def test_junta_builds_match_the_plain_loop(monkeypatch):
+    # each builder's width covers every coordinate its predicate reads
+    assert set(DENSE_KEYS) == set(DENSE_NAMES)
+    specs = _dense_specs(8)
+    assert len(specs) == 969
+    cases = [(sp.name, sp.params, lambda sp=sp: construct(sp)) for sp in specs]
+    for n in range(1, 9):
+        for size in range(1, n + 1):
+            for b in itertools.combinations(range(1, n + 1), size):
+                cases.append(("t_umvirate", b, lambda n=n, b=b: t_umvirate(n, b)))
+                cases.append(("or_family", b, lambda n=n, b=b: or_family(n, b)))
+    cases += [("triangle_umvirate", v, lambda v=v: triangle_umvirate(v))
+              for v in (3, 4)]
+    junta = [build() for _, _, build in cases]
+    # then every build calls its predicate on all 2**n masks
+    build_plain = SetFamily.from_predicate.__func__
+    monkeypatch.setattr(SetFamily, "from_predicate", classmethod(
+        lambda cls, n, pred, edges=None, width=None:
+        build_plain(cls, n, pred, edges)))
+    for (name, params, build), fam in zip(cases, junta):
+        plain = build()
+        assert fam == plain, (name, params)
+        assert getattr(fam.edges, "v", None) == getattr(plain.edges, "v", None)
+
+
+def test_from_predicate_width_below_three_and_past_n():
+    pred = lambda m: bool(m & 1)  # noqa: E731
+    for n in range(6):
+        plain = SetFamily.from_predicate(n, pred)
+        for width in (0, 1, 2, 3, n, n + 4):
+            assert SetFamily.from_predicate(n, pred, width=width) == plain
+
+
+def test_dense_spec_ground_capped_before_any_build():
+    for name, keys in DENSE_KEYS.items():
+        params = {"n": MAX_DENSE_N + 1, **{k: 3 for k in keys}}
+        with pytest.raises(ValueError, match="ground size must be in"):
+            FamilySpec(name, params)
+    # the uniform families have no dense representation, so no cap
+    assert len(construct(spec("ak_family", n=40, k=1, t=1, r=0))) == 1
+    with pytest.raises(ValueError, match="ground size"):
+        SetFamily.from_predicate(MAX_DENSE_N + 1, lambda m: True, width=3)
+
+
+def _remapped(fam, perm):
+    """The relabeled family, one member at a time."""
+    moved = [sum(1 << (perm[e - 1] - 1) for e in elements_of(m)) for m in fam]
+    return SetFamily.from_masks(fam.n, moved, fam.edges)
+
+
+@settings(max_examples=300, deadline=None, database=None, derandomize=True)
+@given(st.integers(0, 10).flatmap(lambda n: st.tuples(
+    st.integers(0, (1 << (1 << n)) - 1),
+    st.permutations(range(1, n + 1)))))
+def test_relabel_by_swaps_matches_member_remap(case):
+    bits, perm = case
+    fam = SetFamily(len(perm), bits)
+    assert relabel(fam, list(perm)) == _remapped(fam, perm)
+
+
+def test_relabel_keeps_the_edge_ground(rng):
+    fam = triangle_umvirate(4)
+    perm = list(range(1, 7))
+    rng.shuffle(perm)
+    moved = relabel(fam, perm)
+    assert moved.edges is fam.edges
+    assert moved == _remapped(fam, perm)
