@@ -48,22 +48,16 @@ def _masks_from_dict(d: dict) -> tuple[int, list[int]]:
                     for kind in {type(e) for s in sets for e in s})):
         raise ValueError('family JSON field "sets" must be a list of lists '
                          'of integers')
-    # each mask is a sum of entries of a table of powers of two; the sum is
-    # the mask when the set is strictly increasing: sorted, and with no
-    # repeat (a repeat carries, so the sum has fewer bits than the set has
-    # elements).  Otherwise, or when an element misses the table, the
-    # set-by-set loop below runs and names the first fault in file order.
+    # a mask is a sum over a table of powers of two; an element off the
+    # table goes to mask_of, which names it
     power = {e: 1 << (e - 1) for e in range(1, min(n, MAX_DENSE_N) + 1)}
-    try:
-        masks = [sum(map(power.__getitem__, s)) for s in sets]
-    except KeyError:
-        masks = None
-    if (masks is None or sets != list(map(sorted, sets))
-            or list(map(int.bit_count, masks)) != list(map(len, sets))):
-        masks = []
-        for s in sets:
-            if list(s) != sorted(set(s)):
-                raise ValueError(f"set {list(s)} is not strictly increasing")
+    masks = []
+    for s in sets:
+        if list(s) != sorted(set(s)):
+            raise ValueError(f"set {list(s)} is not strictly increasing")
+        try:
+            masks.append(sum(map(power.__getitem__, s)))
+        except KeyError:
             masks.append(mask_of(s))
     return n, masks
 

@@ -12,12 +12,10 @@ float library: each operation makes the libmp call that `mpmath.mpf` makes,
 at the same precision (one module-level value, 53 bits unless `workdps`
 says otherwise) and rounding (to nearest), so every digit matches mpmath's.
 Most commands never reach the real layer, so libmp loads on first use, and
-only its float and log modules: `mpmath/__init__.py` does not run, whose
-contexts and function modules would cost several times the rest of a short
-command, and neither does `libmp/__init__.py`, which would load libmp's
-complex, interval and special-function modules.  The value sits in a slot
-named `_mpf_`, as in mpmath, so mpmath accepts these reals and this module
-accepts mpmath's.
+without running `mpmath/__init__.py`, whose contexts and function modules
+would cost several times the rest of a short command.  The value sits in a
+slot named `_mpf_`, as in mpmath, so mpmath accepts these reals and this
+module accepts mpmath's.
 """
 
 from __future__ import annotations
@@ -46,12 +44,8 @@ _new = object.__new__
 
 
 def _libmp():
-    """mpmath's libmp: the one mpmath imported, if it is loaded, else its
-    float and log modules (`libmpf` and `libelefun`, with the `backend`
-    and `libintmath` they import) loaded from mpmath's directory under a
-    private package name.  The package's `__init__.py` does not run: it
-    would load the complex, interval and special-function modules too.
-    Either way the result holds libmp's `mpf_*` functions by name."""
+    """mpmath's libmp: the one mpmath imported, if it is loaded, else a
+    copy loaded from mpmath's directory under a private name."""
     global _lib
     if _lib is None:
         if "mpmath" in sys.modules:
@@ -61,18 +55,14 @@ def _libmp():
             spec = importlib.util.spec_from_file_location(
                 _LIBMP, os.path.join(path, "__init__.py"),
                 submodule_search_locations=[path])
-            package = importlib.util.module_from_spec(spec)
-            sys.modules[_LIBMP] = package  # relative imports look here
+            module = importlib.util.module_from_spec(spec)
+            sys.modules[_LIBMP] = module  # its relative imports look here
             try:
-                for name in ("libmpf", "libelefun"):
-                    module = importlib.import_module(f"{_LIBMP}.{name}")
-                    vars(package).update((key, value) for key, value
-                                         in vars(module).items()
-                                         if not key.startswith("_"))
+                spec.loader.exec_module(module)
             except BaseException:
                 del sys.modules[_LIBMP]
                 raise
-            _lib = package
+            _lib = module
     return _lib
 
 

@@ -14,20 +14,13 @@ import math
 from fractions import Fraction
 
 from .bitops import elements_of, mask_of, popcount, swap_coordinates
-from .families import EdgeGround, SetFamily, UniformFamily, _check_ground
+from .families import EdgeGround, SetFamily, UniformFamily
 from .numerics import _Frozen, default_dps, log, nstr, to_mpf, workdps
 
 FAMILY_NAMES = (
     "dictatorship", "t_umvirate", "or_family", "ak_family", "frankl_Gi",
     "tilde_Gi", "F_ts", "tilde_F_ts", "tilde_H_tsr", "tilde_D_sdl",
     "C_ts_lex", "hm_matching_E", "conj_H", "triangle_umvirate",
-)
-
-#: the families built over the whole cube on [n], so n is capped at
-#: MAX_DENSE_N (the triangle umvirate's ground is checked by EdgeGround)
-DENSE_NAMES = (
-    "dictatorship", "t_umvirate", "or_family", "tilde_Gi", "tilde_F_ts",
-    "tilde_H_tsr", "tilde_D_sdl", "C_ts_lex",
 )
 
 
@@ -47,8 +40,6 @@ class FamilySpec(_Frozen):
                 raise ValueError(f"parameter {key!r} must be an integer, "
                                  f"got {val!r}")
         _VALIDATORS[name](dict(params))
-        if name in DENSE_NAMES:
-            _check_ground(params["n"])
         super().__init__(name, params)
 
     def __eq__(self, other) -> bool:

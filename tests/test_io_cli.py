@@ -495,8 +495,8 @@ def test_cli_scan_reads_exact_biases(capsys):
     assert json.loads(out)["report"]["families_examined"] == 12
 
 
-#: malformed family JSON and the message it gets, the first fault in file
-#: order; the bulk reader must name the same one as a set-by-set walk
+#: malformed family JSON and the message it gets: the first fault in file
+#: order
 MALFORMED = [
     ('{"n":3,"sets":[[2,1]]}', False, "set [2, 1] is not strictly increasing"),
     ('{"n":3,"sets":[[1,1]]}', False, "set [1, 1] is not strictly increasing"),
@@ -546,8 +546,7 @@ def test_malformed_family_file_message(tmp_path, text, uniform, message):
         assert str(info.value) == message
 
 
-def test_family_sets_read_in_bulk_match_set_by_set(rng):
-    # lists of lists take the bulk path, tuples the set-by-set one
+def test_family_sets_and_masks_hex_agree(rng):
     for n in (0, 1, 5, 9):
         members = [m for m in range(1 << n) if rng.random() < 0.4]
         sets = [[e + 1 for e in range(n) if m >> e & 1] for m in members]

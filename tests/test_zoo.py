@@ -11,10 +11,11 @@ from ekrlab import (FamilySpec, SetFamily, UniformFamily, ak_max,
                     closed_form_mu, closed_form_size, construct,
                     defining_root, is_intersecting, is_t_intersecting,
                     matching_number, mu)
+from ekrlab import families
 from ekrlab.bitops import elements_of
 from ekrlab.families import MAX_DENSE_N
 from ekrlab.numerics import workdps
-from ekrlab.zoo import (DENSE_NAMES, hm_matching_e, hm_matching_layout,
+from ekrlab.zoo import (hm_matching_e, hm_matching_layout,
                         or_family, relabel, t_umvirate, triangle_umvirate)
 
 from conftest import random_rational
@@ -236,7 +237,6 @@ def _dense_specs(max_n: int) -> list:
 
 def test_junta_builds_match_the_plain_loop(monkeypatch):
     # each builder's width covers every coordinate its predicate reads
-    assert set(DENSE_KEYS) == set(DENSE_NAMES)
     specs = _dense_specs(8)
     assert len(specs) == 969
     cases = [(sp.name, sp.params, lambda sp=sp: construct(sp)) for sp in specs]
@@ -267,15 +267,32 @@ def test_from_predicate_width_below_three_and_past_n():
             assert SetFamily.from_predicate(n, pred, width=width) == plain
 
 
-def test_dense_spec_ground_capped_before_any_build():
+def test_dense_spec_ground_capped_before_any_build(monkeypatch):
+    def no_build(*args):
+        raise AssertionError("built a family past the dense cap")
+
+    monkeypatch.setattr(families, "_member_bits", no_build)
     for name, keys in DENSE_KEYS.items():
-        params = {"n": MAX_DENSE_N + 1, **{k: 3 for k in keys}}
+        sp = FamilySpec(name, {"n": MAX_DENSE_N + 1, **{k: 3 for k in keys}})
         with pytest.raises(ValueError, match="ground size must be in"):
-            FamilySpec(name, params)
+            construct(sp)
+    monkeypatch.undo()
     # the uniform families have no dense representation, so no cap
     assert len(construct(spec("ak_family", n=40, k=1, t=1, r=0))) == 1
     with pytest.raises(ValueError, match="ground size"):
         SetFamily.from_predicate(MAX_DENSE_N + 1, lambda m: True, width=3)
+
+
+def test_closed_forms_past_the_dense_cap():
+    # the closed forms build no family, so a whole-cube spec may have n > 30
+    sp = spec("t_umvirate", n=40, t=2)
+    assert closed_form_size(sp, 5) == math.comb(38, 3)
+    assert closed_form_mu(sp, F(1, 3)) == F(1, 9)
+    assert closed_form_mu(spec("tilde_F_ts", n=40, t=1, s=2), F(1, 2)) == \
+        closed_form_mu(spec("tilde_F_ts", n=6, t=1, s=2), F(1, 2))
+    root = defining_root(spec("tilde_H_tsr", n=40, t=2, s=2, r=3))
+    assert root.value == defining_root(spec("tilde_H_tsr", n=7, t=2, s=2,
+                                            r=3)).value
 
 
 def _remapped(fam, perm):
