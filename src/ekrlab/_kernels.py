@@ -35,6 +35,10 @@ from .bitops import (coord_zero_mask, iter_members, plus_one, popcount,
 #: reported as `kernel_backend` in every CLI header
 BACKEND = "pure"
 
+#: largest ground size whose size counts go through 2**n-bit class masks;
+#: above it `weight_counts` walks the members
+DENSE_COUNT_N = 18
+
 
 def monotone_masks(n: int, t: int = 0) -> array:
     """All t-intersecting increasing families on [n], each as a 2**n-bit
@@ -108,7 +112,7 @@ def weight_pivot_counts(fam: int, n: int) -> tuple[list[int], list[list[int]]]:
 
 
 def weight_counts(fam: int, n: int) -> list[int]:
-    if n <= 18:
+    if n <= DENSE_COUNT_N:
         classes = size_class_masks(n)
         return [popcount(fam & c) for c in classes]
     # large ground sets: walk the members instead of materializing 2**n-bit

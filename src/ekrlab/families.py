@@ -355,15 +355,6 @@ def is_intersecting(fam) -> bool:
     return is_t_intersecting(fam, 1)
 
 
-def are_cross_intersecting(f, g) -> bool:
-    """Every member of f meets every member of g."""
-    fa = _member_masks(f.minimal_members()
-                       if isinstance(f, SetFamily) and f.is_increasing() else f)
-    ga = _member_masks(g.minimal_members()
-                       if isinstance(g, SetFamily) and g.is_increasing() else g)
-    return all(a & b for a in fa for b in ga)
-
-
 def matching_number(fam) -> int:
     """Largest number of pairwise disjoint members, by branch and bound.
 
@@ -393,23 +384,6 @@ def matching_number(fam) -> int:
 
     rec(0, 0, 0)
     return best + bonus
-
-
-def compress(fam: UniformFamily, i: int, j: int) -> UniformFamily:
-    """The (i,j)-shift: replace j by i in each member containing j but not i,
-    unless the shifted set is already present.  Preserves cardinality."""
-    if i == j:
-        raise ValueError("shift coordinates must differ")
-    bi, bj = 1 << (i - 1), 1 << (j - 1)
-    members = set(fam.members)
-    out = set()
-    for m in sorted(members):
-        if m & bj and not m & bi:
-            shifted = (m & ~bj) | bi
-            out.add(shifted if shifted not in members else m)
-        else:
-            out.add(m)
-    return UniformFamily(fam.n, fam.k, out)
 
 
 # -- triangle machinery ------------------------------------------------------

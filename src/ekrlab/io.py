@@ -2,7 +2,7 @@
 
 JSON forms: {"n": int, "sets": [[1-indexed, strictly increasing], ...]} or
 the compact {"n": int, "masks_hex": ["0x..", ...]}.  Readers accept either;
-writers emit the sets form unless asked for the compact one.
+`family_to_dict` emits the sets form unless asked for the compact one.
 """
 
 from __future__ import annotations
@@ -24,11 +24,18 @@ def _is_int(x) -> bool:
     return isinstance(x, int) and not isinstance(x, bool)
 
 
-def _masks_from_dict(d: dict) -> tuple[int, list[int]]:
-    """(n, member masks) of family JSON; a ValueError naming the field
-    when the JSON has the wrong shape."""
+def _masks_from_dict(d: dict) -> tuple[int, list[int], str | None]:
+    """(n, member masks, past_n) of family JSON; a ValueError naming the
+    field when the JSON has the wrong shape.
+
+    A member past n is found by comparing its elements, or its mask's bit
+    length, with n, so its mask is never printed, nor built from elements
+    (a set's mask is then a stand-in of the same size).  past_n names the
+    first such member, or is None; the caller raises it once the checks
+    that come first have passed."""
     if not isinstance(d, dict):
-        raise ValueError("family JSON must be an object")
+        raise ValueError('family JSON must be an object with "n" and "sets" '
+                         '(or "masks_hex")')
     if ("sets" in d) == ("masks_hex" in d):
         raise ValueError('family JSON needs exactly one of "sets" / "masks_hex"')
     n = d.get("n")
@@ -40,7 +47,11 @@ def _masks_from_dict(d: dict) -> tuple[int, list[int]]:
                 and all(isinstance(h, str) for h in hexes)):
             raise ValueError('family JSON field "masks_hex" must be a list '
                              'of hex strings')
-        return n, [int(h, 16) for h in hexes]
+        masks = [int(h, 16) for h in hexes]
+        past_n = next((f"masks_hex entry {i} out of range for n={n}"
+                       for i, m in enumerate(masks) if m.bit_length() > n),
+                      None)
+        return n, masks, past_n
     sets = d["sets"]
     if not (isinstance(sets, (list, tuple))
             and all(isinstance(s, (list, tuple)) for s in sets)
@@ -49,32 +60,41 @@ def _masks_from_dict(d: dict) -> tuple[int, list[int]]:
         raise ValueError('family JSON field "sets" must be a list of lists '
                          'of integers')
     # a mask is a sum over a table of powers of two; an element off the
-    # table goes to mask_of, which names it
+    # table goes to mask_of, which names an element below 1
     power = {e: 1 << (e - 1) for e in range(1, min(n, MAX_DENSE_N) + 1)}
     masks = []
+    past_n = None
     for s in sets:
         if list(s) != sorted(set(s)):
             raise ValueError(f"set {list(s)} is not strictly increasing")
         try:
             masks.append(sum(map(power.__getitem__, s)))
         except KeyError:
-            masks.append(mask_of(s))
-    return n, masks
+            if s[0] >= 1 and s[-1] > n:
+                past_n = past_n or f"element {s[-1]} out of range for n={n}"
+                masks.append((1 << len(s)) - 1)
+            else:
+                masks.append(mask_of(s))
+    return n, masks, past_n
 
 
 def set_family_from_dict(d: dict, edges=None) -> SetFamily:
-    n, masks = _masks_from_dict(d)
+    n, masks, past_n = _masks_from_dict(d)
+    if past_n is not None:
+        raise ValueError(past_n)
     return SetFamily.from_masks(n, masks, edges=edges)
 
 
 def uniform_family_from_dict(d: dict) -> UniformFamily:
-    n, masks = _masks_from_dict(d)
+    n, masks, past_n = _masks_from_dict(d)
     sizes = {m.bit_count() for m in masks}
     if len(sizes) > 1:
         raise ValueError(f"not k-uniform: member sizes {sorted(sizes)}")
     k = sizes.pop() if sizes else d.get("k", 0)
     if not _is_int(k):
         raise ValueError('family JSON field "k" must be an integer')
+    if past_n is not None and k <= n:  # UniformFamily names a k past n
+        raise ValueError(past_n)
     return UniformFamily(n, k, masks)
 
 
@@ -89,12 +109,10 @@ def load_family(source, uniform: bool = False):
     elif Path(str(source)).exists():
         d = json.loads(Path(source).read_text())
     else:
-        raise ValueError(f"family file not found: {source}")
+        # JSON text that is not an object (a list of sets, say) is a
+        # malformed family, not a missing file
+        try:
+            d = json.loads(str(source))
+        except ValueError:
+            raise ValueError(f"family file not found: {source}") from None
     return uniform_family_from_dict(d) if uniform else set_family_from_dict(d)
-
-
-def dump_family(fam, path=None, compact: bool = False) -> str:
-    text = json.dumps(family_to_dict(fam, compact), sort_keys=True)
-    if path is not None:
-        Path(path).write_text(text + "\n")
-    return text

@@ -19,7 +19,7 @@ from fractions import Fraction
 from . import _kernels
 from .bitops import (coord_zero_mask, cube_mask, elements_of, iter_members,
                      popcount)
-from .families import SetFamily, are_cross_intersecting
+from .families import SetFamily
 from .numerics import (_Frozen, check_le, default_dps, default_tol,
                        fmt_rational, fmt_real, log, log_base, power, to_mpf,
                        workdps)
@@ -27,11 +27,6 @@ from .report import VerdictReport
 
 #: ground size above which influence counting switches to member scans
 _SCAN_THRESHOLD = 22
-
-#: largest ground size whose cube queries use 2**n-bit masks (the count
-#: kernel still counts through class masks there)
-_CUBE_DENSE_N = 18
-
 
 class MeasurePolynomial(_Frozen):
     """Polynomial in p, p -> mu_p(F), as integer monomial coefficients
@@ -109,12 +104,12 @@ def dot(weights, pw: list[int]) -> int:
 def _cube_counter(fam, pw: list[int]):
     """num(contains, misses): the sum of pw[|S|] over the members S that
     contain every coordinate of `contains` and none of `misses`.  For a
-    SetFamily with n <= _CUBE_DENSE_N that is per-size counts of
+    SetFamily with n <= _kernels.DENSE_COUNT_N that is per-size counts of
     fam.bits & cube_mask; otherwise (larger grounds, a UniformFamily) one
     pass over (member, weight) pairs, so a query costs |F| steps rather
     than 2**n bits."""
     n = fam.n
-    if isinstance(fam, SetFamily) and n <= _CUBE_DENSE_N:
+    if isinstance(fam, SetFamily) and n <= _kernels.DENSE_COUNT_N:
         def num(contains=0, misses=0):
             inside = fam.bits & cube_mask(n, contains, misses)
             return dot(_kernels.weight_counts(inside, n), pw)
@@ -188,12 +183,6 @@ def check_p_open(p: Fraction):
         raise ValueError(f"p must lie strictly between 0 and 1, got {p}")
 
 
-def point_measures(n: int, p: Fraction) -> list[Fraction]:
-    """mu_p of a single subset, by size: [p**j (1-p)**(n-j) for j in 0..n]."""
-    pw, den = power_table(n, Fraction(p))
-    return [Fraction(x, den) for x in pw]
-
-
 def mu(fam: SetFamily, p) -> Fraction:
     """Exact mu_p of the family."""
     p = Fraction(p)
@@ -236,10 +225,6 @@ def influence(fam: SetFamily, p=None) -> InfluenceVector:
     _, low = _counts(fam)
     piv = tuple(tuple(map(sum, zip([0] + row, row))) for row in low)
     return InfluenceVector(fam.n, piv, tuple(map(sum, zip(*piv))))
-
-
-def total_influence(fam: SetFamily, p) -> Fraction:
-    return influence(fam).total_at(p)
 
 
 class EdgeBoundaryReport(_Frozen):
@@ -345,6 +330,10 @@ def iso_table(n: int, masks, ps) -> tuple[list[int], list[list[tuple]]]:
     return profile_of, profiles
 
 
+def _tau():
+    return to_mpf(default_tol())
+
+
 def iso_sweep(n: int, ps: list[Fraction]) -> tuple[list[tuple], int]:
     """(rows, violations): slack rows for every increasing family on [n],
     canonical order, and the number of rows whose slack is below -tau.
@@ -395,54 +384,6 @@ def russo_sweep(n: int | None, random_count: int, seed: int,
             fams.append(SetFamily(rn, bits).up_closure())
     return [(fid, fam.n, russo_identity(fam))
             for fid, fam in zip(fids, fams)]
-
-
-class IsoSlackReport(_Frozen):
-    """p*I_p - mu log_p(mu) for the skewed isoperimetric inequality.
-
-    status: "ok", "vacuous" (mu in {0,1}), or "skipped" (outside the
-    inequality's domain: non-increasing family with p > 1/2).
-    """
-
-    __slots__ = ("status", "p", "mu_value", "slack", "equal",
-                 "is_increasing_subcube", "structure_consistent")
-
-    @property
-    def holds(self) -> bool:
-        return self.status != "ok" or bool(self.slack >= -_tau())
-
-
-def _tau():
-    return to_mpf(default_tol())
-
-
-def iso_slack(fam: SetFamily, p) -> IsoSlackReport:
-    """Slack in p*I_p[A] >= mu_p(A) log_p(mu_p(A)).
-
-    Valid for increasing A at any 0<p<1 and for arbitrary A at 0<p<=1/2;
-    outside that domain the check is skipped.  Equality characterizes
-    increasing subcubes (for increasing A); the structural cross-check is
-    reported alongside.
-    """
-    p = Fraction(p)
-    check_p_open(p)
-    increasing = fam.is_increasing()
-    if not increasing and p > Fraction(1, 2):
-        return IsoSlackReport("skipped", p, mu(fam, p), None, None, False, None)
-    m = mu(fam, p)
-    gen = fam.increasing_subcube_generator()
-    is_sub = gen is not None and increasing
-    if m == 0 or m == 1:
-        return IsoSlackReport("vacuous", p, m, None, None, is_sub, None)
-    ip = total_influence(fam, p)
-
-    def slack_fn():
-        mm = to_mpf(m)
-        return to_mpf(p) * to_mpf(ip) - mm * log(mm) / log(to_mpf(p))
-
-    chk = check_le(0, slack_fn)
-    consistent = (chk.equal == is_sub) if increasing else None
-    return IsoSlackReport("ok", p, m, chk.rhs, chk.equal, is_sub, consistent)
 
 
 class LogMeasureProfile(_Frozen):
@@ -558,31 +499,3 @@ def measure_transfer_check(fam: SetFamily, p0, p, mode: str = "umvirate",
             rep.notes.append("equality: family is an OR-family" if ok
                              else "equality without OR structure (check!)")
     return rep
-
-
-def cross_measure_bound(f: SetFamily, g: SetFamily, p) -> VerdictReport:
-    """mu_p(G) <= (1 - mu_p(F)) ** log_{1-p}(p) for increasing
-    cross-intersecting families at 0 < p <= 1/2."""
-    p = Fraction(p)
-    if not 0 < p <= Fraction(1, 2):
-        raise ValueError("need 0 < p <= 1/2")
-    if not (f.is_increasing() and g.is_increasing()):
-        raise ValueError("both families must be increasing")
-    if not are_cross_intersecting(f, g):
-        raise ValueError("families are not cross-intersecting")
-    rep = VerdictReport("cross-measure-bound")
-    muf, mug = mu(f, p), mu(g, p)
-    if muf == 1:
-        rep.add_flag("rhs defined", "vacuous", note="mu_p(F) = 1 forces G empty")
-        rep.conclusion_holds = mug == 0
-        return rep
-
-    def rhs():
-        return power(to_mpf(1 - muf), log_base(p, 1 - p))
-
-    chk = check_le(mug, rhs)
-    rep.add_hypothesis("mu_p(G) <= (1-mu_p(F))^log_{1-p}(p)", chk)
-    rep.conclusion_holds = chk.holds
-    rep.add_slack("slack", chk.slack)
-    return rep
-

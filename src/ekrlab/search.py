@@ -1,5 +1,6 @@
 """Exhaustive and compression-pruned searches for extremal families, plus
-the monotone-family enumerator that drives sweep verifications.
+the Dedekind counts and an independent count oracle for the monotone
+enumerator in `ekrlab._kernels`.
 
 The branch-and-bound decides sets in lex order (include branch first,
 strict-improvement incumbent), so results and witnesses are deterministic.
@@ -16,30 +17,17 @@ the node-at-a-time walk.
 from __future__ import annotations
 
 import json
-from fractions import Fraction
 from pathlib import Path
 
 from . import _kernels
 from .bitops import elements_of, subset_masks
-from .families import SetFamily, UniformFamily, is_t_intersecting, matching_number
-from .measures import mu, nearest_cube
+from .families import UniformFamily, is_t_intersecting, matching_number
 from .numerics import _Frozen
 
-# -- monotone enumeration ------------------------------------------------------
+# -- monotone counts -----------------------------------------------------------
 
 #: increasing-family counts (Dedekind numbers) for the supported range
 MONOTONE_COUNTS = (2, 3, 6, 20, 168, 7581, 7828354)
-
-
-def enumerate_monotone_masks(n: int):
-    """All increasing families on [n] as 2**n-bit masks, ascending order."""
-    return _kernels.monotone_masks(n)
-
-
-def enumerate_monotone(n: int):
-    """All increasing families on [n] as SetFamily objects (ascending)."""
-    for bits in enumerate_monotone_masks(n):
-        yield SetFamily(n, int(bits))
 
 
 def monotone_count_oracle(n: int) -> int:
@@ -65,7 +53,7 @@ def monotone_count_oracle(n: int) -> int:
                         break
             count += ok
         return count
-    prev = [int(v) for v in enumerate_monotone_masks(n - 1)]
+    prev = [int(v) for v in _kernels.monotone_masks(n - 1)]
     return sum(1 for f1 in prev for f0 in prev if f0 & ~f1 == 0)
 
 
@@ -102,11 +90,11 @@ class SearchCertificate:
     __slots__ = ("optimum", "witness", "nodes", "stats", "complete",
                  "shifted", "reverified")
 
-    def __init__(self, optimum: object, witness: object, nodes: int,
+    def __init__(self, optimum: int, witness: object, nodes: int,
                  stats: dict | None = None, complete: bool = True,
                  shifted: bool = False, reverified: bool = False):
         self.optimum = optimum
-        self.witness = witness           # UniformFamily or SetFamily
+        self.witness = witness           # a UniformFamily
         self.nodes = nodes
         self.stats = {} if stats is None else stats
         self.complete = complete
@@ -117,8 +105,7 @@ class SearchCertificate:
         wit = self.witness
         members = [list(t) for t in wit.member_sets()] if wit is not None else None
         return {
-            "optimum": (str(self.optimum)
-                        if isinstance(self.optimum, Fraction) else self.optimum),
+            "optimum": self.optimum,
             "witness": members,
             "nodes": self.nodes,
             "stats": dict(sorted(self.stats.items())),
@@ -296,48 +283,3 @@ def iter_uniform_families(n: int, k: int, predicate: str, t: int = 1,
             universe, preds, mode, param, shifted, node_budget=budget,
             min_size=min_size):
         yield UniformFamily(n, k, (universe[i] for i in idx))
-
-
-def extremal_under_measure_cap(n: int, p0, t: int, p,
-                               exclude_umvirate_distance=None,
-                               budget: int | None = None) -> SearchCertificate:
-    """Maximize mu_p over increasing families with mu_{p0} <= p0**t.
-
-    Full monotone enumeration (n <= 5).  When exclude_umvirate_distance is
-    given, families whose distance to the nearest t-umvirate (min over B of
-    mu_p of the symmetric difference with S_B) is <= the threshold are
-    excluded, exposing the second layer of extremal structure.
-    """
-    if n > 5:
-        raise ValueError("full monotone enumeration is capped at n = 5")
-    p0, p = Fraction(p0), Fraction(p)
-    cap = p0**t
-
-    def umvirate_distance(fam: SetFamily) -> Fraction:
-        # min over t-element B of mu_p(F symmetric-difference S_B), which
-        # is 2 mu_p(F - S_B) + p**t - mu_p(F): least at the nearest umvirate
-        residual = nearest_cube(fam, subset_masks(n, t), p)[2]
-        return 2 * residual + p**t - mu(fam, p)
-
-    best: Fraction | None = None
-    best_fam: SetFamily | None = None
-    examined = 0
-    for fam in enumerate_monotone(n):
-        examined += 1
-        if budget is not None and examined > budget:
-            return SearchCertificate(best, best_fam, examined, {}, False)
-        if mu(fam, p0) > cap:
-            continue
-        if exclude_umvirate_distance is not None:
-            if umvirate_distance(fam) <= Fraction(exclude_umvirate_distance):
-                continue
-        val = mu(fam, p)
-        if best is None or val > best:
-            best, best_fam = val, fam
-    cert = SearchCertificate(best, best_fam, examined,
-                             {"families_examined": examined}, True)
-    if best_fam is not None:
-        cert.reverified = (best_fam.is_increasing()
-                           and mu(best_fam, p0) <= cap
-                           and mu(best_fam, p) == best)
-    return cert

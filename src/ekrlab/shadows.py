@@ -1,9 +1,8 @@
-"""Shadows, lex/colex segments, the Kruskal-Katona minimum, Katona's
-shadow/intersection checks, and the finite lift of a family.
+"""Shadows, the Kruskal-Katona minimum, and Katona's shadow/intersection
+checks.
 
-Lex order on k-sets compares sorted element tuples (the set containing the
-smallest symmetric-difference element comes first); colex order compares
-from the largest element down.  Initial colex segments minimize the shadow.
+Initial segments of the colex order on k-sets (which compares from the
+largest element down) minimize the shadow.
 """
 
 from __future__ import annotations
@@ -12,10 +11,10 @@ import itertools
 import math
 from fractions import Fraction
 
-from .bitops import coord_zero_mask, elements_of, mask_of, popcount
+from .bitops import coord_zero_mask, elements_of, mask_of
 from .families import SetFamily, UniformFamily, is_t_intersecting
 from .measures import mu
-from .numerics import _Frozen, check_le
+from .numerics import check_le
 from .report import VerdictReport
 
 
@@ -65,106 +64,6 @@ def increasing_shadow(fam: SetFamily, s: int) -> SetFamily:
             step |= (bits & ones) >> (1 << i)
         bits = step
     return SetFamily(n, bits)
-
-
-# -- lex / colex segments ----------------------------------------------------
-
-
-def colex_rank(mask: int) -> int:
-    """Rank of a k-set in colex order (0-based)."""
-    r = 0
-    for i, e in enumerate(elements_of(mask), start=1):
-        r += math.comb(e - 1, i)
-    return r
-
-
-def colex_unrank(r: int, k: int) -> int:
-    """The k-set with colex rank r (ground-free; elements 1-indexed)."""
-    mask = 0
-    for i in range(k, 0, -1):
-        a = i - 1
-        while math.comb(a + 1, i) <= r:
-            a += 1
-        r -= math.comb(a, i)
-        mask |= 1 << a  # element a+1
-    return mask
-
-
-def lex_rank(n: int, k: int, mask: int) -> int:
-    """Rank of a k-subset of [n] in lex order (0-based)."""
-    elems = elements_of(mask)
-    if len(elems) != k or (elems and elems[-1] > n):
-        raise ValueError("not a k-subset of [n]")
-    r = 0
-    prev = 0
-    for i, e in enumerate(elems):
-        for skipped in range(prev + 1, e):
-            r += math.comb(n - skipped, k - i - 1)
-        prev = e
-    return r
-
-
-def lex_unrank(n: int, k: int, r: int) -> int:
-    mask = 0
-    prev = 0
-    for i in range(k):
-        e = prev + 1
-        while True:
-            block = math.comb(n - e, k - i - 1)
-            if r < block:
-                break
-            r -= block
-            e += 1
-        mask |= 1 << (e - 1)
-        prev = e
-    return mask
-
-
-def _check_segment(n: int, k: int, m: int) -> None:
-    if not 0 <= m <= math.comb(n, k):
-        raise ValueError("segment size out of range")
-
-
-class LexSegment(_Frozen):
-    """Initial segment of the lex order on [n]^(k), given by its size."""
-
-    __slots__ = ("n", "k", "m")
-
-    def __init__(self, n: int, k: int, m: int):
-        _check_segment(n, k, m)
-        super().__init__(n, k, m)
-
-    def __contains__(self, subset) -> bool:
-        mask = subset if isinstance(subset, int) else mask_of(subset)
-        return lex_rank(self.n, self.k, mask) < self.m
-
-    def __len__(self) -> int:
-        return self.m
-
-    def family(self) -> UniformFamily:
-        return UniformFamily(self.n, self.k,
-                             (lex_unrank(self.n, self.k, r) for r in range(self.m)))
-
-
-class ColexSegment(_Frozen):
-    """Initial segment of the colex order on [n]^(k); shadow-minimal."""
-
-    __slots__ = ("n", "k", "m")
-
-    def __init__(self, n: int, k: int, m: int):
-        _check_segment(n, k, m)
-        super().__init__(n, k, m)
-
-    def __contains__(self, subset) -> bool:
-        mask = subset if isinstance(subset, int) else mask_of(subset)
-        return colex_rank(mask) < self.m
-
-    def __len__(self) -> int:
-        return self.m
-
-    def family(self) -> UniformFamily:
-        return UniformFamily(self.n, self.k,
-                             (colex_unrank(r, self.k) for r in range(self.m)))
 
 
 # -- Kruskal-Katona ----------------------------------------------------------
@@ -248,36 +147,3 @@ def katona_check(fam, t: int, p=None) -> VerdictReport:
         rep.add_slack("slack", chk.slack)
         return rep
     raise TypeError("expected a UniformFamily or SetFamily")
-
-
-# -- the finite lift ---------------------------------------------------------
-
-
-def lift_size(fam: SetFamily, big_n: int, k: int) -> int:
-    """|{A in [N]^(k) : A cap [n] in F}| by size classes, without
-    materializing."""
-    if big_n < fam.n:
-        raise ValueError("N must be at least n")
-    w = fam.weight_vector()
-    return sum(w[j] * math.comb(big_n - fam.n, k - j)
-               for j in range(min(fam.n, k) + 1))
-
-
-def lift(fam: SetFamily, big_n: int, k: int,
-         max_members: int = 2_000_000) -> UniformFamily:
-    """Materialize the lift {A in [N]^(k) : A cap [n] in F}."""
-    if not 0 <= k <= big_n:
-        raise ValueError("need 0 <= k <= N")
-    total = lift_size(fam, big_n, k)
-    if total > max_members:
-        raise ValueError(f"lift has {total} members; raise max_members to materialize")
-    fresh = range(fam.n + 1, big_n + 1)
-    out = []
-    for m in fam:
-        need = k - popcount(m)
-        if need < 0:
-            continue
-        for extra in itertools.combinations(fresh, need):
-            out.append(m | mask_of(extra))
-    return UniformFamily(big_n, k, out)
-

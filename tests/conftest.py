@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from ekrlab import SetFamily
+from ekrlab import SetFamily, _kernels
 
 
 def random_rational(rng: random.Random, open_unit: bool = True) -> Fraction:
@@ -16,6 +16,12 @@ def random_rational(rng: random.Random, open_unit: bool = True) -> Fraction:
 def random_family(rng: random.Random, n: int) -> SetFamily:
     bits = rng.getrandbits(1 << n)
     return SetFamily(n, bits)
+
+
+def monotone_families(n: int):
+    """Every increasing family on [n] as a SetFamily, in ascending mask
+    order."""
+    return (SetFamily(n, bits) for bits in _kernels.monotone_masks(n))
 
 
 def random_increasing_family(rng: random.Random, n: int) -> SetFamily:

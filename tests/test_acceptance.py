@@ -13,13 +13,14 @@ from fractions import Fraction
 import mpmath
 
 from ekrlab import (FamilySpec, SearchProblem, SetFamily, UniformFamily,
-                    conjecture_scan, construct, enumerate_monotone,
-                    enumerate_monotone_masks, is_t_intersecting,
+                    _kernels, conjecture_scan, construct, is_t_intersecting,
                     katona_check, kk_min_shadow, lower_shadow, max_uniform,
                     monotone_count_oracle, mu, tightness_report)
 from ekrlab.measures import iso_sweep, russo_sweep
 from ekrlab.search import MONOTONE_COUNTS, iter_uniform_families
 from ekrlab.zoo import closed_form_mu, tilde_d_sdl, tilde_h_tsr
+
+from conftest import monotone_families
 
 F = Fraction
 TOL = mpmath.mpf("1e-12")
@@ -70,7 +71,7 @@ def test_criterion_4_iso_sweep():
     ps = [F(1, 8), F(1, 4), F(1, 2), F(3, 4)]
     ok = True
     for n in (3, 4, 5):
-        masks = enumerate_monotone_masks(n)
+        masks = _kernels.monotone_masks(n)
         ok &= len(masks) == monotone_count_oracle(n) == MONOTONE_COUNTS[n]
         subcube_ids = set()
         for fid, bits in enumerate(masks):
@@ -161,7 +162,7 @@ def test_criterion_7_katona():
             ok &= bool(katona_check(fam, 2).conclusion_holds)
     # biased variant over every increasing t-intersecting family on n <= 4
     for n in (2, 3, 4):
-        for fam in enumerate_monotone(n):
+        for fam in monotone_families(n):
             if fam.bits == 0:
                 continue
             for t in range(1, n + 1):

@@ -17,7 +17,6 @@ from ekrlab.cli import main
 from ekrlab.families import EdgeGround
 from ekrlab.measures import iso_sweep, iso_table, nearest_cube
 from ekrlab.numerics import to_mpf
-from ekrlab.search import enumerate_monotone_masks
 from ekrlab.verify import (_canonical_or_residual, _canonical_residual,
                            _triangles)
 from ekrlab.zoo import or_family, t_umvirate
@@ -257,7 +256,7 @@ def test_iso_sweep_evaluates_each_count_profile_once(monkeypatch):
     assert len(rows) == 168 * 12 and violations == 0
     assert 0 < len(calls) <= 12 + 26 * 12
     for n, families, count in ((4, 168, 26), (5, 7581, 96)):
-        masks = enumerate_monotone_masks(n)
+        masks = _kernels.monotone_masks(n)
         profile_of, profiles = iso_table(n, masks, [])
         assert len(profile_of) == families and len(profiles) == count
         assert len({tuple(_kernels.weight_counts(m, n)) for m in masks}) == count
@@ -267,7 +266,7 @@ def test_iso_table_influence_from_weights_matches_pivots():
     # Russo-Margulis: for an increasing family I_p = d(mu_p)/dp is a
     # function of the weight counts; the pivot counts are the oracle
     ps = [F(1, 3), F(1, 2), F(2, 3), F(13, 97)]
-    masks = enumerate_monotone_masks(5)
+    masks = _kernels.monotone_masks(5)
     profile_of, profiles = iso_table(5, masks, ps)
     for bits, k in zip(masks, profile_of):
         vec = influence(SetFamily(5, bits))

@@ -1,15 +1,11 @@
-import itertools
-
 import pytest
 
-from ekrlab import (EdgeGround, SetFamily, UniformFamily,
-                    are_cross_intersecting, compress, is_intersecting,
+from ekrlab import (EdgeGround, SetFamily, UniformFamily, is_intersecting,
                     is_t_intersecting, is_triangle_intersecting,
                     matching_number)
 from ekrlab.bitops import coord_zero_mask
-from ekrlab.shadows import increasing_shadow
-from ekrlab.zoo import (dictatorship, hm_matching_e, or_family, t_umvirate,
-                        tilde_f_ts, triangle_umvirate)
+from ekrlab.zoo import (hm_matching_e, or_family, t_umvirate, tilde_f_ts,
+                        triangle_umvirate)
 
 from conftest import random_family, random_increasing_family
 
@@ -95,16 +91,6 @@ def test_t_intersecting_predicate():
         assert is_t_intersecting(f, tp)
 
 
-def test_cross_intersecting():
-    d1 = dictatorship(3, 1)
-    assert are_cross_intersecting(d1, d1)
-    assert not are_cross_intersecting(SetFamily.from_sets(2, [[1]]),
-                                      SetFamily.from_sets(2, [[2]]))
-    s2 = t_umvirate(5, 2)
-    shadow = increasing_shadow(s2, 1)
-    assert are_cross_intersecting(s2, shadow)
-
-
 def test_triangle_intersecting():
     tu = triangle_umvirate(4)
     assert is_triangle_intersecting(tu)
@@ -154,44 +140,6 @@ def test_matching_number_is_one_iff_intersecting(rng):
         lhs = matching_number(f) == 1
         rhs = len(f) > 0 and is_intersecting(f) and 0 not in f
         assert lhs == rhs
-
-
-def test_compress_examples():
-    f = UniformFamily.from_sets(3, 2, [[2, 3]])
-    assert compress(f, 1, 2) == UniformFamily.from_sets(3, 2, [[1, 3]])
-    g = UniformFamily.from_sets(3, 2, [[1, 3], [2, 3]])
-    assert compress(g, 1, 2) == g  # target present, blocked
-    with pytest.raises(ValueError):
-        compress(f, 2, 2)
-
-
-def test_compress_preserves_cardinality_idempotent(rng):
-    universe = list(itertools.combinations(range(1, 6), 3))
-    for _ in range(80):
-        members = [s for s in universe if rng.random() < 0.5]
-        fam = UniformFamily.from_sets(5, 3, members)
-        i, j = rng.sample(range(1, 6), 2)
-        c = compress(fam, i, j)
-        assert len(c) == len(fam)
-        assert compress(c, i, j) == c
-
-
-def test_compress_preserves_two_intersecting_sweep():
-    # all 2-intersecting subfamilies of [5]^(3)
-    universe = [UniformFamily.from_sets(5, 3, [c]) for c in
-                itertools.combinations(range(1, 6), 3)]
-    masks = [next(iter(u.members)) for u in universe]
-    count = 0
-    for bits in range(1 << len(masks)):
-        members = [m for i, m in enumerate(masks) if (bits >> i) & 1]
-        fam = UniformFamily(5, 3, members)
-        if not is_t_intersecting(fam, 2):
-            continue
-        count += 1
-        for i in range(1, 5):
-            for j in range(i + 1, 6):
-                assert is_t_intersecting(compress(fam, i, j), 2)
-    assert count > 1  # the sweep actually exercised families
 
 
 def test_membership_and_iteration_order(rng):

@@ -10,7 +10,7 @@ import pytest
 import ekrlab
 from ekrlab import UniformFamily, load_family
 from ekrlab.cli import main
-from ekrlab.io import (dump_family, family_to_dict, set_family_from_dict,
+from ekrlab.io import (family_to_dict, set_family_from_dict,
                        uniform_family_from_dict)
 from ekrlab.zoo import tilde_gi
 
@@ -22,7 +22,7 @@ def test_family_json_roundtrip(tmp_path):
     d = family_to_dict(fam, compact=True)
     assert set_family_from_dict(d) == fam
     path = tmp_path / "fam.json"
-    dump_family(fam, path)
+    path.write_text(json.dumps(family_to_dict(fam)))
     assert load_family(path) == fam
 
 
@@ -336,10 +336,9 @@ def test_cli_verify_constants_refined_with_precision(capsys):
 
 def test_cli_triangle_biased_from_file(capsys, tmp_path):
     from ekrlab.zoo import triangle_umvirate
-    from ekrlab.io import dump_family
 
     path = tmp_path / "tri.json"
-    dump_family(triangle_umvirate(4), path)
+    path.write_text(json.dumps(family_to_dict(triangle_umvirate(4))))
     code, out = run_cli(capsys, "verify", "--theorem", "TriangleBiased",
                         "--family", str(path), "--v", "4",
                         "--p", "1/4", "--eps", "1/20")
@@ -435,6 +434,8 @@ def test_cli_resume_other_problem_exit_two(capsys, tmp_path):
     ('{"n":3,"masks_hex":"0x5"}', '"masks_hex"'),
     ('{"n":[3],"sets":[[1]]}', '"n"'),
     ('{"sets":[[1]]}', '"n"'),
+    ('[[1,2]]', 'object with "n" and "sets"'),
+    ('{"n":3,"sets":[[1000000000000]]}', "element 1000000000000 out of range"),
 ])
 def test_cli_family_json_shape_exit_two(capsys, fam, field):
     err = _usage_error(capsys, "measure", "--family", fam, "--p", "1/2")
@@ -506,7 +507,10 @@ MALFORMED = [
      "set [1, 3, 2] is not strictly increasing"),
     ('{"n":3,"sets":[[0,1]]}', False, "elements are 1-indexed, got 0"),
     ('{"n":3,"sets":[[-1]]}', False, "elements are 1-indexed, got -1"),
-    ('{"n":3,"sets":[[4]]}', False, "subset mask 8 out of range for n=3"),
+    ('{"n":3,"sets":[[4]]}', False, "element 4 out of range for n=3"),
+    ('{"n":3,"sets":[[100000]]}', False, "element 100000 out of range for n=3"),
+    ('{"n":3,"sets":[[1],[1000000000000]]}', False,
+     "element 1000000000000 out of range for n=3"),
     ('{"n":3,"sets":[[1],[4],[3,2]]}', False,
      "set [3, 2] is not strictly increasing"),
     ('{"n":3,"sets":[[1],[0],[2,1]]}', False, "elements are 1-indexed, got 0"),
@@ -523,10 +527,14 @@ MALFORMED = [
     ('{"n":true,"sets":[]}', False, 'family JSON field "n" must be an integer'),
     ('{"n":31,"sets":[[1]]}', False, "ground size must be in [0, 30], got 31"),
     ('{"n":-1,"sets":[]}', False, "ground size must be in [0, 30], got -1"),
-    ('{"n":30,"sets":[[31]]}', False,
-     "subset mask 1073741824 out of range for n=30"),
+    ('{"n":30,"sets":[[31]]}', False, "element 31 out of range for n=30"),
     ('{"n":3,"masks_hex":["0x10"]}', False,
-     "subset mask 16 out of range for n=3"),
+     "masks_hex entry 0 out of range for n=3"),
+    pytest.param('{"n":3,"masks_hex":["0x1","0x' + "f" * 5000 + '"]}', False,
+                 "masks_hex entry 1 out of range for n=3",
+                 id="masks_hex-5000-digit-mask"),
+    ('[[1,2]]', False,
+     'family JSON must be an object with "n" and "sets" (or "masks_hex")'),
     ('{"n":3,"masks_hex":["-0x1"]}', False,
      "subset mask -1 out of range for n=3"),
     ('{"n":3,"sets":[[1],[1,2]]}', True, "not k-uniform: member sizes [1, 2]"),

@@ -4,16 +4,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ekrlab import (MeasurePolynomial, SetFamily, cross_measure_bound,
-                    edge_boundary, influence, iso_slack, log_measure_profile,
-                    measure_transfer_check, mu, mu_polynomial,
-                    total_influence)
+from ekrlab import (MeasurePolynomial, SetFamily, edge_boundary, influence,
+                    log_measure_profile, measure_transfer_check, mu,
+                    mu_polynomial)
 from ekrlab.bitops import popcount
-from ekrlab.measures import point_measures, russo_identity
-from ekrlab.search import enumerate_monotone
+from ekrlab.measures import power_table, russo_identity
 from ekrlab.zoo import c_ts, dictatorship, or_family, t_umvirate, tilde_gi
 
-from conftest import random_family, random_increasing_family, random_rational
+from conftest import (monotone_families, random_family,
+                      random_increasing_family, random_rational)
 
 F = Fraction
 
@@ -44,8 +43,8 @@ def test_mu_polynomial_matches_mu(rng):
 
 
 def test_point_measures():
-    pm = point_measures(3, F(1, 4))
-    assert pm == [F(27, 64), F(9, 64), F(3, 64), F(1, 64)]
+    pw, den = power_table(3, F(1, 4))
+    assert [F(x, den) for x in pw] == [F(27, 64), F(9, 64), F(3, 64), F(1, 64)]
 
 
 def test_edge_boundary_subcube_equality():
@@ -77,7 +76,7 @@ def test_influence_examples():
         # t * p^(t-1) as a polynomial
         expect = MeasurePolynomial([0] * (t - 1) + [t])
         assert vec.total == expect
-    assert total_influence(tilde_gi(3, 3), F(1, 2)) == F(3, 2)
+    assert influence(tilde_gi(3, 3)).total_at(F(1, 2)) == F(3, 2)
     vec = influence(SetFamily.full(4))
     assert vec.total == MeasurePolynomial.zero()
     assert influence(SetFamily.empty(4)).total == MeasurePolynomial.zero()
@@ -89,9 +88,10 @@ def test_influence_matches_pivotal_enumeration(rng):
         fam = random_increasing_family(rng, n)
         p = random_rational(rng)
         vec = influence(fam)
+        pw, den = power_table(n, p)
         for i in range(n):
             pivotal = sum(
-                point_measures(n, p)[bin(x).count("1")]
+                F(pw[bin(x).count("1")], den)
                 for x in range(1 << n)
                 if ((x in fam) != ((x ^ (1 << i)) in fam)))
             assert vec.per_coordinate[i](p) == pivotal
@@ -208,27 +208,8 @@ def test_influence_pivots_match_point_count(rng):
 
 
 def test_russo_identity_all_monotone_n4():
-    for fam in enumerate_monotone(4):
+    for fam in monotone_families(4):
         assert russo_identity(fam)
-
-
-def test_iso_slack_examples():
-    rep = iso_slack(t_umvirate(4, 2), F(1, 3))
-    assert rep.status == "ok" and rep.equal and rep.is_increasing_subcube
-    assert rep.structure_consistent
-
-    rep = iso_slack(tilde_gi(3, 3), F(1, 2))
-    assert rep.status == "ok" and not rep.equal
-    assert abs(rep.slack - 0.25) < 1e-20
-
-    anti = SetFamily.from_predicate(3, lambda m: not m & 1)
-    rep = iso_slack(anti, F(2, 3))
-    assert rep.status == "skipped"
-    # ... but arbitrary families are fine at p <= 1/2
-    assert iso_slack(anti, F(1, 2)).status == "ok"
-
-    assert iso_slack(SetFamily.full(3), F(1, 2)).status == "vacuous"
-    assert iso_slack(SetFamily.empty(3), F(1, 2)).status == "vacuous"
 
 
 def test_log_measure_profile():
@@ -254,7 +235,7 @@ def test_log_measure_profile():
 def test_measure_transfer_umvirate_mode():
     # all increasing families on [4] with mu_{1/2} <= 1/2 transfer to 1/4
     checked = 0
-    for fam in enumerate_monotone(4):
+    for fam in monotone_families(4):
         if mu(fam, F(1, 2)) > F(1, 2):
             continue
         rep = measure_transfer_check(fam, F(1, 2), F(1, 4), "umvirate", t=1)
@@ -289,35 +270,6 @@ def test_measure_transfer_or_and_lex_modes():
     assert any("hypothesis not met" in n for n in rep.notes)
 
 
-def test_cross_measure_bound():
-    d = dictatorship(3, 1)
-    rep = cross_measure_bound(d, d, F(1, 3))
-    assert rep.conclusion_holds
-
-    s2 = t_umvirate(5, 2)
-    rep = cross_measure_bound(s2, s2, F(1, 3))
-    assert rep.conclusion_holds
-
-    # full x full fails cross-intersection (the empty set misses everything)
-    with pytest.raises(ValueError):
-        cross_measure_bound(SetFamily.full(3), SetFamily.full(3), F(1, 3))
-
-
-def test_cross_measure_bound_random_pairs(rng):
-    found = 0
-    for _ in range(60):
-        f = random_increasing_family(rng, 5)
-        if f.bits == 0 or mu(f, F(1, 3)) == 1:
-            continue
-        g = (f.dual() & random_increasing_family(rng, 5)).up_closure() & f.dual()
-        if g.bits == 0 or not g.is_increasing():
-            continue
-        rep = cross_measure_bound(f, g, F(1, 3))
-        assert rep.conclusion_holds
-        found += 1
-    assert found > 10
-
-
 def test_measure_identities(rng):
     for _ in range(60):
         n = rng.randint(1, 6)
@@ -349,31 +301,6 @@ def test_edge_boundary_edge_list_matches_brute(rng):
                     brute.add((x, y))
         assert set(rep.edges) == brute
         assert rep.count == len(brute)
-
-
-def test_iso_domain_restriction_is_real():
-    # the skipped domain genuinely fails: for the family of sets avoiding 1,
-    # at p = 2/3 the raw slack is negative, so skipping is not conservatism
-    from ekrlab.numerics import to_mpf
-    import mpmath
-
-    anti = SetFamily.from_predicate(3, lambda m: not m & 1)
-    p = F(2, 3)
-    with mpmath.workdps(30):
-        lhs = to_mpf(p * total_influence(anti, p))
-        m = to_mpf(mu(anti, p))
-        rhs = m * mpmath.log(m) / mpmath.log(to_mpf(p))
-        assert lhs < rhs
-    assert iso_slack(anti, p).status == "skipped"
-
-
-def test_iso_holds_for_arbitrary_families_up_to_half(rng):
-    for bits in range(1 << 8):
-        fam = SetFamily(3, bits)
-        for p in (F(1, 4), F(1, 2)):
-            rep = iso_slack(fam, p)
-            assert rep.status in ("ok", "vacuous")
-            assert rep.status != "ok" or rep.holds
 
 
 def test_mu_polynomial_boundary_values(rng):

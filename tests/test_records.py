@@ -10,12 +10,10 @@ import pytest
 
 from ekrlab.families import EdgeGround, SetFamily, UniformFamily
 from ekrlab.measures import (EdgeBoundaryReport, InfluenceVector,
-                             IsoSlackReport, LogMeasureProfile,
-                             MeasurePolynomial)
+                             LogMeasureProfile, MeasurePolynomial)
 from ekrlab.numerics import Checked
 from ekrlab.report import HypothesisFlag, VerdictReport
 from ekrlab.search import SearchCertificate, SearchProblem
-from ekrlab.shadows import ColexSegment, LexSegment
 from ekrlab.verify import DerivedConstants, ScanReport, TheoremCase
 from ekrlab.zoo import FamilySpec, RootInfo
 
@@ -34,12 +32,9 @@ FROZEN = [
     MeasurePolynomial((0, 2, -1)),
     InfluenceVector(2, ((0, 1, 0), (0, 1, 0)), (0, 2, 0)),
     EdgeBoundaryReport(2, ((0, 1), (0, 2)), CHECKED, True, True),
-    IsoSlackReport("ok", F(1, 3), F(1, 9), F(0), True, True, True),
     LogMeasureProfile(((F(1, 4), F(2)), (F(1, 2), F(2))), True, False, True),
     CHECKED,
     SearchProblem(6, 3, "t-intersecting", 2, 100, True),
-    LexSegment(5, 2, 4),
-    ColexSegment(5, 2, 4),
     DerivedConstants(F(1, 2), F(1, 4), 2),
     TheoremCase("Biased1", {"p": F(1, 4), "eps": F(1, 16)}),
     FamilySpec("dictatorship", {"n": 3}),
@@ -83,8 +78,8 @@ def test_copies_start_with_an_empty_cache():
 
 
 @pytest.mark.parametrize("cls", [
-    Checked, InfluenceVector, EdgeBoundaryReport, IsoSlackReport,
-    LogMeasureProfile, RootInfo, DerivedConstants,
+    Checked, InfluenceVector, EdgeBoundaryReport, LogMeasureProfile,
+    RootInfo, DerivedConstants,
 ], ids=lambda c: c.__name__)
 def test_plain_records_take_one_value_per_field(cls):
     # these records have no constructor of their own
@@ -133,8 +128,6 @@ def test_default_containers_are_fresh(make, fields):
     (lambda: FamilySpec("dictatorship", [3]), r"params must be an object, got \[3\]"),
     (lambda: FamilySpec("dictatorship", {"n": "3"}),
      "parameter 'n' must be an integer"),
-    (lambda: LexSegment(4, 2, 7), "segment size out of range"),
-    (lambda: ColexSegment(4, 2, -1), "segment size out of range"),
     (lambda: TheoremCase("Nope", {}), "unknown theorem 'Nope'"),
 ])
 def test_constructors_validate(make, message):

@@ -14,8 +14,8 @@ from fractions import Fraction as F
 
 import pytest
 
-from ekrlab import (SetFamily, _kernels, conjecture_scan,
-                    enumerate_monotone_masks, is_t_intersecting, verify)
+from ekrlab import (SetFamily, _kernels, conjecture_scan, is_t_intersecting,
+                    verify)
 from ekrlab.numerics import (default_dps, log_base, nstr, power, to_mpf,
                              workdps)
 
@@ -28,7 +28,7 @@ def test_mask_test_matches_is_t_intersecting(t):
     # the enumeration's mask test keeps exactly the t-intersecting families,
     # in the order of the full enumeration
     for n in range(6):
-        expect = [bits for bits in enumerate_monotone_masks(n)
+        expect = [bits for bits in _kernels.monotone_masks(n)
                   if is_t_intersecting(SetFamily(n, bits), t)]
         assert list(_kernels.monotone_masks(n, t)) == expect
 

@@ -6,28 +6,28 @@ from pathlib import Path
 
 import pytest
 
-from ekrlab import (SearchProblem, enumerate_monotone,
-                    enumerate_monotone_masks, extremal_under_measure_cap,
-                    is_t_intersecting, iter_uniform_families, matching_number,
-                    max_uniform, monotone_count_oracle)
+from ekrlab import (SearchProblem, _kernels, is_t_intersecting,
+                    iter_uniform_families, matching_number, max_uniform,
+                    monotone_count_oracle)
 from ekrlab.search import MONOTONE_COUNTS, lex_universe, shift_predecessor_masks
-from ekrlab.zoo import closed_form_mu, FamilySpec
+
+from conftest import monotone_families
 
 F = Fraction
 
 
 def test_monotone_counts_match_oracle():
     for n in range(6):
-        fams = enumerate_monotone_masks(n)
+        fams = _kernels.monotone_masks(n)
         assert len(fams) == monotone_count_oracle(n) == MONOTONE_COUNTS[n]
         assert list(fams) == sorted(set(fams))
-    for fam in enumerate_monotone(4):
+    for fam in monotone_families(4):
         assert fam.is_increasing()
 
 
 def test_monotone_rejects_large_n():
     with pytest.raises(ValueError):
-        enumerate_monotone_masks(7)
+        _kernels.monotone_masks(7)
 
 
 def test_ekr_instances():
@@ -210,32 +210,9 @@ def test_shift_predecessors_are_lex_earlier():
             b ^= low
 
 
-def test_extremal_under_measure_cap():
-    cert = extremal_under_measure_cap(4, F(1, 2), 1, F(1, 4))
-    assert cert.optimum == F(1, 4)
-    assert cert.witness.increasing_subcube_generator() is not None
-
-    cert = extremal_under_measure_cap(4, F(1, 2), 1, F(1, 4),
-                                      exclude_umvirate_distance=0)
-    assert cert.optimum == F(5, 32) < F(1, 4)
-    assert cert.optimum == closed_form_mu(FamilySpec("tilde_Gi",
-                                                     {"n": 4, "i": 3}), F(1, 4))
-    assert cert.witness.increasing_subcube_generator() is None
-
-    cert = extremal_under_measure_cap(5, F(1, 3), 2, F(1, 6))
-    assert cert.optimum == F(1, 36)
-    gen = cert.witness.increasing_subcube_generator()
-    assert gen is not None and bin(gen).count("1") == 2
-
-
-def test_measure_cap_budget():
-    cert = extremal_under_measure_cap(4, F(1, 2), 1, F(1, 4), budget=10)
-    assert not cert.complete
-
-
 def test_monotone_count_n6():
     # the practical ceiling; count frozen against the classical value
-    masks = enumerate_monotone_masks(6)
+    masks = _kernels.monotone_masks(6)
     assert len(masks) == MONOTONE_COUNTS[6] == 7828354
     assert all(a < b for a, b in itertools.pairwise(masks))
 

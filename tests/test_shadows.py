@@ -4,11 +4,10 @@ from fractions import Fraction
 
 import pytest
 
-from ekrlab import (ColexSegment, LexSegment, SetFamily, UniformFamily,
-                    increasing_shadow, katona_check, kk_min_shadow, lift,
-                    lift_size, lower_shadow, upper_shadow)
-from ekrlab.shadows import (cascade_decomposition, colex_rank, colex_unrank,
-                            lex_rank, lex_unrank)
+from ekrlab import (SetFamily, UniformFamily, increasing_shadow,
+                    katona_check, kk_min_shadow, lower_shadow, upper_shadow)
+from ekrlab.bitops import mask_of
+from ekrlab.shadows import cascade_decomposition
 from ekrlab.zoo import c_ts, dictatorship, or_family, t_umvirate
 
 from conftest import random_increasing_family
@@ -20,12 +19,34 @@ def _sets(fam):
     return set(fam.member_sets())
 
 
+def _lex_segment(n, k, m):
+    """The first m k-subsets of [n] in lex order."""
+    return UniformFamily.from_sets(
+        n, k, list(itertools.combinations(range(1, n + 1), k))[:m])
+
+
+def _colex_segment(n, k, m):
+    """The first m k-subsets of [n] in colex order: tuples compared from
+    the largest element down."""
+    return UniformFamily.from_sets(
+        n, k, sorted(itertools.combinations(range(1, n + 1), k),
+                     key=lambda c: c[::-1])[:m])
+
+
+def _lift(g, big_n, k):
+    """The k-subsets of [big_n] whose trace on [g.n] is a member of g."""
+    trace = (1 << g.n) - 1
+    return UniformFamily.from_sets(
+        big_n, k, [c for c in itertools.combinations(range(1, big_n + 1), k)
+                   if (mask_of(c) & trace) in g])
+
+
 def test_lower_shadow_examples():
     fam = UniformFamily.from_sets(4, 3, [[1, 2, 3]])
     assert _sets(lower_shadow(fam)) == {(1, 2), (1, 3), (2, 3)}
     full = UniformFamily.full(5, 3)
     assert lower_shadow(full) == UniformFamily.full(5, 2)
-    seg = ColexSegment(4, 2, 3).family()
+    seg = _colex_segment(4, 2, 3)
     assert _sets(seg) == {(1, 2), (1, 3), (2, 3)}
     assert _sets(lower_shadow(seg)) == {(1,), (2,), (3,)}
 
@@ -75,8 +96,8 @@ def test_upper_shadow_of_lift_slices(rng):
     for _ in range(10):
         g = random_increasing_family(rng, 3)
         for big_n, k, k0 in ((6, 3, 5), (7, 4, 6), (6, 4, 5)):
-            lo = lift(g, big_n, k)
-            hi = lift(g, big_n, k0)
+            lo = _lift(g, big_n, k)
+            hi = _lift(g, big_n, k0)
             if len(lo) == 0:
                 assert len(hi) == 0
                 continue
@@ -99,32 +120,19 @@ def test_shadow_adjointness(rng):
 
 
 def test_lex_colex_segments():
-    assert _sets(LexSegment(4, 2, 3).family()) == {(1, 2), (1, 3), (1, 4)}
-    assert _sets(ColexSegment(4, 2, 3).family()) == {(1, 2), (1, 3), (2, 3)}
+    assert _sets(_lex_segment(4, 2, 3)) == {(1, 2), (1, 3), (1, 4)}
+    assert _sets(_colex_segment(4, 2, 3)) == {(1, 2), (1, 3), (2, 3)}
     # a lex segment of size C(n-1,k-1) is the dictatorship slice
-    seg = LexSegment(5, 3, math.comb(4, 2)).family()
+    seg = _lex_segment(5, 3, math.comb(4, 2))
     assert seg == dictatorship(5, 1).uniform_slice(3).to_set_family().uniform_slice(3)
     # ... and of size C(n-t,k-t) the [t]-umvirate slice
     n, k, t = 6, 3, 2
-    seg = LexSegment(n, k, math.comb(n - t, k - t)).family()
+    seg = _lex_segment(n, k, math.comb(n - t, k - t))
     assert _sets(seg) == _sets(t_umvirate(n, t).uniform_slice(k))
     # C_{t,s} slices are initial lex segments
     n, t, s, keep = 6, 1, 2, 3
     sl = c_ts(n, t, s).uniform_slice(keep)
-    assert _sets(sl) == _sets(LexSegment(n, keep, len(sl)).family())
-
-
-def test_rank_unrank_roundtrip():
-    n, k = 6, 3
-    for r in range(math.comb(n, k)):
-        m = lex_unrank(n, k, r)
-        assert lex_rank(n, k, m) == r
-        m = colex_unrank(r, k)
-        assert colex_rank(m) == r
-    seg = LexSegment(5, 2, 4)
-    assert [1, 2] in seg and [1, 5] in seg and [2, 3] not in seg
-    cseg = ColexSegment(5, 2, 4)
-    assert [1, 4] in cseg and [2, 4] not in cseg
+    assert _sets(sl) == _sets(_lex_segment(n, keep, len(sl)))
 
 
 def test_kk_min_shadow():
@@ -132,7 +140,7 @@ def test_kk_min_shadow():
     for a in range(3, 8):
         assert kk_min_shadow(math.comb(a, 3), 3) == math.comb(a, 2)
     # m = 5, k = 3: compare against the colex segment and brute force
-    seg = ColexSegment(6, 3, 5).family()
+    seg = _colex_segment(6, 3, 5)
     assert kk_min_shadow(5, 3) == len(lower_shadow(seg))
     universe = list(itertools.combinations(range(1, 7), 3))
     brute = min(len(lower_shadow(UniformFamily.from_sets(6, 3, c)))
@@ -145,7 +153,7 @@ def test_kk_min_shadow():
 def test_colex_segment_attains_kk_minimum():
     for n, k in ((5, 2), (5, 3)):
         for m in range(math.comb(n, k) + 1):
-            seg = ColexSegment(n, k, m).family()
+            seg = _colex_segment(n, k, m)
             if m:
                 assert len(lower_shadow(seg)) == kk_min_shadow(m, k)
 
@@ -181,28 +189,6 @@ def test_katona_biased():
             assert rep.conclusion_holds
     g = c_ts(4, 2, 2).up_closure()
     assert katona_check(g, 2, F(1, 3)).conclusion_holds
-
-
-def test_lift():
-    d = dictatorship(1, 1)
-    lifted = lift(d, 4, 2)
-    assert _sets(lifted) == {(1, 2), (1, 3), (1, 4)}
-    assert lift_size(d, 4, 2) == 3
-
-    s2 = t_umvirate(3, 2)
-    lifted = lift(s2, 7, 4)
-    assert lifted.is_t_intersecting(2)
-    assert len(lifted) == lift_size(s2, 7, 4)
-
-    # a budget guard instead of a giant materialization
-    with pytest.raises(ValueError):
-        lift(dictatorship(1, 1), 40, 20, max_members=1000)
-
-
-def test_lift_counts_match_brute(rng):
-    fam = random_increasing_family(rng, 4)
-    for big_n, k in ((6, 3), (7, 2), (8, 4)):
-        assert len(lift(fam, big_n, k)) == lift_size(fam, big_n, k)
 
 
 def test_increasing_shadow_s_larger_than_ground():

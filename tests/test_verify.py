@@ -8,15 +8,17 @@ import pytest
 from ekrlab import (DerivedConstants, EdgeGround, FamilySpec, SetFamily,
                     TheoremCase, UniformFamily, bootstrap_diagnostics,
                     check_theorem, conjecture_scan, construct,
-                    enumerate_monotone, is_t_intersecting,
-                    iter_uniform_families, mu, tightness_report)
-from ekrlab import numerics, verify
+                    is_t_intersecting, iter_uniform_families, mu,
+                    tightness_report)
+from ekrlab import _kernels, numerics, verify
 from ekrlab.bitops import subset_masks
 from ekrlab.measures import nearest_cube
 from ekrlab.verify import _triangles
 from ekrlab.zoo import (comb0, dictatorship, or_family, t_umvirate,
                         tilde_d_sdl, tilde_f_ts, tilde_gi, tilde_h_tsr,
                         triangle_umvirate)
+
+from conftest import monotone_families
 
 F = Fraction
 
@@ -273,7 +275,7 @@ def test_master_regression_biased1_corpus():
     # conclusion (the theorems are proved; a failure is an implementation bug)
     p = F(1, 4)
     checked = 0
-    for fam in enumerate_monotone(4):
+    for fam in monotone_families(4):
         if mu(fam, F(1, 2)) > F(1, 2):
             continue
         for eps in (F(1, 16), F(1, 8), F(1, 4)):
@@ -288,7 +290,7 @@ def test_master_regression_biased1_corpus():
 def test_master_regression_t_intersecting_corpus():
     p = F(1, 5)
     checked = 0
-    for fam in enumerate_monotone(4):
+    for fam in monotone_families(4):
         if not is_t_intersecting(fam, 2):
             continue
         for eps in (F(1, 25), F(1, 10), F(1, 5)):
@@ -412,7 +414,7 @@ def test_master_regression_frankl_corpus():
     # family strictly beats tilde_G_i in measure, some dictatorship must be
     # within (1-p)p^(i-1); any False here is an implementation bug
     checked = 0
-    for fam in enumerate_monotone(4):
+    for fam in monotone_families(4):
         if fam.bits == 0 or not is_t_intersecting(fam, 1):
             continue
         for i in (3, 4):
@@ -431,7 +433,7 @@ def test_master_regression_main_biased_corpus():
     # holds -- and must never be False anywhere
     p0, p = F(1, 2), F(1, 4)
     proved_hits = 0
-    for fam in enumerate_monotone(4):
+    for fam in monotone_families(4):
         for t in (1, 2):
             if mu(fam, p0) > p0**t:
                 continue
@@ -449,12 +451,8 @@ def test_master_regression_main_biased_corpus():
 def test_master_regression_sampled_n5():
     # sampled stress of the verifier at the n=5 scale: never a False verdict,
     # and inside the constructive region with the condition met, always True
-    import random
-
-    from ekrlab import enumerate_monotone_masks
-
     rng = random.Random(2026)
-    masks = list(enumerate_monotone_masks(5))
+    masks = list(_kernels.monotone_masks(5))
     sample = rng.sample(masks, 400)
     p = F(1, 4)
     proved = 0
@@ -476,7 +474,7 @@ def test_master_regression_sampled_n5():
 
 def test_dual_and_matching_corpus_never_false():
     p0, p = F(1, 2), F(1, 4)
-    for fam in enumerate_monotone(4):
+    for fam in monotone_families(4):
         for s in (1, 2):
             if mu(fam, p0) > 1 - (1 - p0) ** s:
                 continue
@@ -557,7 +555,7 @@ def _pinned_corpus(step: int):
     bootstrap variants and the four tightness families; cases include
     parameters the checks reject."""
     rng = random.Random(20261018)
-    biased = list(enumerate_monotone(4)) + [
+    biased = list(monotone_families(4)) + [
         tilde_gi(4, 3), tilde_gi(5, 4), t_umvirate(5, 2), tilde_f_ts(5, 1, 2),
         tilde_f_ts(6, 2, 2), tilde_h_tsr(6, 1, 2, 3), tilde_d_sdl(6, 2, 2, 2),
         or_family(5, 2), dictatorship(5)]
