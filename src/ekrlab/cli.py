@@ -11,14 +11,14 @@ tau, delta.
 
 from __future__ import annotations
 
-import argparse
 import io as _io
 import json
 import os
 import sys
+from types import SimpleNamespace
 
 from . import _kernels, numerics
-from .families import EdgeGround, SetFamily
+from .families import EdgeGround, SetFamily, UniformFamily
 from .io import family_to_dict, load_family
 from .measures import influence, iso_sweep, mu, mu_polynomial, russo_sweep
 from .numerics import fmt_rational, parse_rational
@@ -31,9 +31,11 @@ from .zoo import FamilySpec, construct
 
 
 def _load_args_family(args, uniform=False):
-    if getattr(args, "spec", None):
+    if args.spec and args.family:
+        raise ValueError("give --family or --spec, not both")
+    if args.spec:
         return construct(FamilySpec.from_dict(json.loads(args.spec)))
-    if getattr(args, "family", None):
+    if args.family:
         return load_family(args.family, uniform=uniform)
     raise ValueError("provide --family FILE/JSON or --spec ZOO-JSON")
 
@@ -90,6 +92,10 @@ def _cmd_shadow(args):
         out_fam = increasing_shadow(fam, args.s)
     else:
         fam = _load_args_family(args, uniform=True)
+        if not isinstance(fam, UniformFamily):
+            raise ValueError(f"shadow --variant {args.variant} needs a "
+                             "k-uniform family; this spec builds a family "
+                             "on the whole cube (use --variant increasing)")
         out_fam = (lower_shadow(fam, args.s) if args.variant == "lower"
                    else upper_shadow(fam, args.s))
     return 0, {"header": _header(args, "shadow"),
@@ -216,116 +222,172 @@ def _print_csv(columns, rows):
     sys.stdout.write(buf.getvalue())
 
 
-# -- parser ------------------------------------------------------------------------
+# -- the command table -------------------------------------------------------------
+#
+# One table drives both parsers.  An option is (flag, the keyword arguments
+# of argparse's `add_argument`); `_parse` reads a well-formed argv from it
+# directly, and `build_parser` hands it to argparse, which prints `--help`
+# and usage errors.
+
+_INT = {"type": int}
+_REQUIRED = {"required": True}
+_SWITCH = {"action": "store_true"}
+_FAMILY_OPTIONS = (("--family", {}), ("--spec", {}))
+
+GLOBAL_OPTIONS = (
+    ("--tau", {"help": 'comparison tolerance, "num/den"'}),
+    ("--precision", {"type": int,
+                     "help": "working precision in decimal digits "
+                             "(default 30; env EKRLAB_PRECISION)"}),
+    ("--threads", {"type": int, "default": 1,
+                   "help": "accepted; every command runs in one process"}),
+)
+
+#: subcommand -> (handler, help, options), in the order `--help` lists them
+COMMANDS = {
+    "measure": (_cmd_measure, "exact mu_p of a family", (
+        *_FAMILY_OPTIONS, ("--p", _REQUIRED), ("--polynomial", _SWITCH))),
+    "influence": (_cmd_influence, "exact influences at p", (
+        *_FAMILY_OPTIONS, ("--p", _REQUIRED))),
+    "shadow": (_cmd_shadow, "lower/upper/increasing shadows", (
+        *_FAMILY_OPTIONS, ("--s", {"type": int, "default": 1}),
+        ("--variant", {"choices": ("lower", "upper", "increasing"),
+                       "default": "lower"}))),
+    "construct": (_cmd_construct, "build a zoo family", (
+        ("--spec", _REQUIRED), ("--perm", {}), ("--out", {}))),
+    "iso-sweep": (_cmd_iso_sweep,
+                  "isoperimetric slack over all monotone families", (
+        ("--n", {"type": int, "required": True}),
+        ("--all-monotone", _SWITCH),
+        ("--p", {"action": "append", "required": True,
+                 "help": "repeatable; one row per family per p"}),
+        ("--csv", _SWITCH))),
+    "russo-sweep": (_cmd_russo_sweep,
+                    "exact derivative-vs-influence identity sweeps", (
+        ("--n", _INT), ("--random", {"type": int, "default": 0}),
+        ("--seed", {"type": int, "default": 0}),
+        ("--max-n", {"type": int, "default": 12}))),
+    "verify": (_cmd_verify, "check a stability theorem on a family", (
+        ("--theorem", _REQUIRED), *_FAMILY_OPTIONS,
+        *((flag, {}) for flag in ("--p", "--p0", "--eps", "--delta0",
+                                   "--delta")),
+        ("--C", {"dest": "big_c"}), ("--c", {"dest": "small_c"}),
+        *((flag, _INT) for flag in ("--t", "--s", "--d", "--i", "--v")))),
+    "tightness": (_cmd_tightness, "equality chain for a tightness family", (
+        ("--spec", _REQUIRED), ("--p", _REQUIRED))),
+    "search": (_cmd_search, "exact extremal search on [n]^(k)", (
+        ("--predicate", {"choices": ("intersecting", "t-intersecting",
+                                     "matching"), "required": True}),
+        ("--t", _INT), ("--s", _INT),
+        ("--n", {"type": int, "required": True}),
+        ("--k", {"type": int, "required": True}),
+        ("--plain", {"action": "store_true",
+                     "help": "disable the compression-closed restriction"}),
+        ("--budget", _INT), ("--checkpoint", {}), ("--resume", _SWITCH))),
+    "conjecture-scan": (_cmd_conjecture_scan,
+                        "scan a desk-scale range for conjecture "
+                        "counterexamples", (
+        ("--conjecture", _REQUIRED),
+        ("--ranges", {"required": True, "help": "JSON dict of ranges"}),
+        ("--budget", _INT))),
+    "katona": (_cmd_katona, "shadow/intersection inequality checks", (
+        *_FAMILY_OPTIONS, ("--t", {"type": int, "required": True}),
+        ("--p", {"help": "rational p switches to the biased variant"}))),
+    "kk": (_cmd_kk, "Kruskal-Katona minimum shadow size", (
+        ("--m", {"type": int, "required": True}),
+        ("--k", {"type": int, "required": True}),
+        ("--s", {"type": int, "default": 1}))),
+}
 
 
-def build_parser() -> argparse.ArgumentParser:
+def _read_options(argv: list, i: int, options, values: dict) -> int | None:
+    """Put every default of `options` into `values`, then read their
+    `--flag value` and `--flag=value` pairs from argv[i:] up to the first
+    word that is not a flag, and return that word's index.  None for what
+    argparse would reject or treat some other way: an unknown flag, `-h`,
+    `--`, a missing value or one that starts with "-", a repeated flag that
+    does not append, a bad int or choice, a missing required flag."""
+    table = {}
+    for flag, kw in options:
+        dest = kw.get("dest") or flag[2:].replace("-", "_")
+        table[flag] = dest, kw
+        values[dest] = kw.get("default",
+                              False if kw.get("action") == "store_true"
+                              else None)
+    seen = set()
+    while i < len(argv) and argv[i].startswith("-"):
+        flag, eq, value = argv[i].partition("=")
+        if flag not in table:
+            return None
+        dest, kw = table[flag]
+        action = kw.get("action")
+        if flag in seen and action != "append":
+            return None
+        seen.add(flag)
+        i += 1
+        if action == "store_true":
+            if eq:
+                return None
+            values[dest] = True
+            continue
+        if not eq:
+            if i == len(argv):
+                return None
+            value = argv[i]
+            i += 1
+        if value.startswith("-"):
+            return None
+        if "type" in kw:
+            try:
+                value = kw["type"](value)
+            except ValueError:
+                return None
+        if "choices" in kw and value not in kw["choices"]:
+            return None
+        if action == "append":
+            values[dest] = (values[dest] or []) + [value]
+        else:
+            values[dest] = value
+    if any(kw.get("required") and flag not in seen for flag, kw in options):
+        return None
+    return i
+
+
+def _parse(argv) -> SimpleNamespace | None:
+    """The namespace `build_parser().parse_args(argv)` makes of a
+    well-formed argv, read straight from the command table without loading
+    argparse; None for any argv that holds something else (see
+    `_read_options`, plus an unknown subcommand or a stray word), which
+    `main` then hands to argparse to print help or the usage error."""
+    values: dict = {}
+    i = _read_options(argv, 0, GLOBAL_OPTIONS, values)
+    if i is None or i == len(argv) or argv[i] not in COMMANDS:
+        return None
+    handler, _, options = COMMANDS[argv[i]]
+    values["subcommand"] = argv[i]
+    if _read_options(argv, i + 1, options, values) != len(argv):
+        return None
+    values["handler"] = handler
+    return SimpleNamespace(**values)
+
+
+def build_parser():
+    """The `argparse.ArgumentParser` of the command table.  `main` builds it
+    only for an argv that `_parse` declines, so argparse (with the gettext
+    and locale modules it loads) stays off a well-formed command's path."""
+    import argparse
+
     ap = argparse.ArgumentParser(
         prog="ekrlab", allow_abbrev=False,
         description="Exact biased-measure extremal set theory workbench")
-    ap.add_argument("--tau", help='comparison tolerance, "num/den"')
-    ap.add_argument("--precision", type=int,
-                    help="working precision in decimal digits "
-                         "(default 30; env EKRLAB_PRECISION)")
-    ap.add_argument("--threads", type=int, default=1,
-                    help="accepted; every command runs in one process")
+    for flag, kw in GLOBAL_OPTIONS:
+        ap.add_argument(flag, **kw)
     sub = ap.add_subparsers(dest="subcommand", required=True)
-
-    def add(name, handler, **kw):
-        p = sub.add_parser(name, allow_abbrev=False, **kw)
+    for name, (handler, text, options) in COMMANDS.items():
+        p = sub.add_parser(name, allow_abbrev=False, help=text)
         p.set_defaults(handler=handler)
-        return p
-
-    p = add("measure", _cmd_measure, help="exact mu_p of a family")
-    p.add_argument("--family")
-    p.add_argument("--spec")
-    p.add_argument("--p", required=True)
-    p.add_argument("--polynomial", action="store_true")
-
-    p = add("influence", _cmd_influence, help="exact influences at p")
-    p.add_argument("--family")
-    p.add_argument("--spec")
-    p.add_argument("--p", required=True)
-
-    p = add("shadow", _cmd_shadow, help="lower/upper/increasing shadows")
-    p.add_argument("--family")
-    p.add_argument("--spec")
-    p.add_argument("--s", type=int, default=1)
-    p.add_argument("--variant", choices=("lower", "upper", "increasing"),
-                   default="lower")
-
-    p = add("construct", _cmd_construct, help="build a zoo family")
-    p.add_argument("--spec", required=True)
-    p.add_argument("--perm")
-    p.add_argument("--out")
-
-    p = add("iso-sweep", _cmd_iso_sweep,
-            help="isoperimetric slack over all monotone families")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--all-monotone", action="store_true")
-    p.add_argument("--p", action="append", required=True,
-                   help="repeatable; one row per family per p")
-    p.add_argument("--csv", action="store_true")
-
-    p = add("russo-sweep", _cmd_russo_sweep,
-            help="exact derivative-vs-influence identity sweeps")
-    p.add_argument("--n", type=int)
-    p.add_argument("--random", type=int, default=0)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--max-n", type=int, default=12)
-
-    p = add("verify", _cmd_verify, help="check a stability theorem on a family")
-    p.add_argument("--theorem", required=True)
-    p.add_argument("--family")
-    p.add_argument("--spec")
-    p.add_argument("--p")
-    p.add_argument("--p0")
-    p.add_argument("--eps")
-    p.add_argument("--delta0")
-    p.add_argument("--delta")
-    p.add_argument("--C", dest="big_c")
-    p.add_argument("--c", dest="small_c")
-    p.add_argument("--t", type=int)
-    p.add_argument("--s", type=int)
-    p.add_argument("--d", type=int)
-    p.add_argument("--i", type=int)
-    p.add_argument("--v", type=int)
-
-    p = add("tightness", _cmd_tightness, help="equality chain for a tightness family")
-    p.add_argument("--spec", required=True)
-    p.add_argument("--p", required=True)
-
-    p = add("search", _cmd_search, help="exact extremal search on [n]^(k)")
-    p.add_argument("--predicate",
-                   choices=("intersecting", "t-intersecting", "matching"),
-                   required=True)
-    p.add_argument("--t", type=int)
-    p.add_argument("--s", type=int)
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--k", type=int, required=True)
-    p.add_argument("--plain", action="store_true",
-                   help="disable the compression-closed restriction")
-    p.add_argument("--budget", type=int)
-    p.add_argument("--checkpoint")
-    p.add_argument("--resume", action="store_true")
-
-    p = add("conjecture-scan", _cmd_conjecture_scan,
-            help="scan a desk-scale range for conjecture counterexamples")
-    p.add_argument("--conjecture", required=True)
-    p.add_argument("--ranges", required=True, help="JSON dict of ranges")
-    p.add_argument("--budget", type=int)
-
-    p = add("katona", _cmd_katona, help="shadow/intersection inequality checks")
-    p.add_argument("--family")
-    p.add_argument("--spec")
-    p.add_argument("--t", type=int, required=True)
-    p.add_argument("--p", help="rational p switches to the biased variant")
-
-    p = add("kk", _cmd_kk, help="Kruskal-Katona minimum shadow size")
-    p.add_argument("--m", type=int, required=True)
-    p.add_argument("--k", type=int, required=True)
-    p.add_argument("--s", type=int, default=1)
-
+        for flag, kw in options:
+            p.add_argument(flag, **kw)
     return ap
 
 
@@ -345,7 +407,8 @@ def _set_global_flags(args) -> None:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    args = _parse(argv) or build_parser().parse_args(argv)
     try:
         _set_global_flags(args)
         code, payload = args.handler(args)

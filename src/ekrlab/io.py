@@ -11,7 +11,7 @@ import json
 from pathlib import Path
 
 from .bitops import mask_of
-from .families import MAX_DENSE_N, SetFamily, UniformFamily
+from .families import MAX_DENSE_N, SetFamily, UniformFamily, _check_ground
 
 
 def family_to_dict(fam, compact: bool = False) -> dict:
@@ -24,9 +24,11 @@ def _is_int(x) -> bool:
     return isinstance(x, int) and not isinstance(x, bool)
 
 
-def _masks_from_dict(d: dict) -> tuple[int, list[int], str | None]:
+def _masks_from_dict(d: dict, dense: bool = False
+                     ) -> tuple[int, list[int], str | None]:
     """(n, member masks, past_n) of family JSON; a ValueError naming the
-    field when the JSON has the wrong shape.
+    field when the JSON has the wrong shape, or, for a `dense` family, a
+    ground past the dense cap, checked before any mask is built.
 
     A member past n is found by comparing its elements, or its mask's bit
     length, with n, so its mask is never printed, nor built from elements
@@ -41,6 +43,8 @@ def _masks_from_dict(d: dict) -> tuple[int, list[int], str | None]:
     n = d.get("n")
     if not _is_int(n):
         raise ValueError('family JSON field "n" must be an integer')
+    if dense:
+        _check_ground(n)
     if "masks_hex" in d:
         hexes = d["masks_hex"]
         if not (isinstance(hexes, (list, tuple))
@@ -79,7 +83,7 @@ def _masks_from_dict(d: dict) -> tuple[int, list[int], str | None]:
 
 
 def set_family_from_dict(d: dict, edges=None) -> SetFamily:
-    n, masks, past_n = _masks_from_dict(d)
+    n, masks, past_n = _masks_from_dict(d, dense=True)
     if past_n is not None:
         raise ValueError(past_n)
     return SetFamily.from_masks(n, masks, edges=edges)

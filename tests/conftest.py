@@ -1,5 +1,8 @@
+import importlib.util
 import random
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -34,3 +37,15 @@ def random_increasing_family(rng: random.Random, n: int) -> SetFamily:
 @pytest.fixture
 def rng():
     return random.Random(20260809)
+
+
+def perfbench_workloads():
+    """perfbench/workloads.py as a module: the commands of the benchmark."""
+    if "workloads" not in sys.modules:
+        path = Path(__file__).resolve().parents[1] / "perfbench"
+        spec = importlib.util.spec_from_file_location(
+            "workloads", path / "workloads.py")
+        # registered before it runs: its dataclass looks itself up there
+        sys.modules["workloads"] = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(sys.modules["workloads"])
+    return sys.modules["workloads"]

@@ -16,6 +16,7 @@ from pathlib import Path
 import pytest
 
 import ekrlab
+from conftest import perfbench_workloads
 from ekrlab import numerics
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -240,6 +241,15 @@ def test_commands_without_reals_leave_mpmath_unloaded(argv):
     loaded = _loaded_after(*argv)
     assert "mpmath.ctx_mp" not in loaded
     assert numerics._LIBMP not in loaded
+
+
+@pytest.mark.parametrize("name", ["sweep", "search", "scan", "verify"])
+def test_well_formed_command_leaves_argparse_unloaded(name, tmp_path):
+    # argparse, and the gettext and locale modules it loads, only print
+    # help and usage errors
+    commands, _ = perfbench_workloads().build(name, 0, tmp_path, small=True)
+    loaded = _loaded_after(*commands[0].argv())
+    assert not {"argparse", "gettext", "locale"} & loaded
 
 
 #: commands that compare reals: a root, a log-slack sweep, a theorem check

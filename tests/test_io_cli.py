@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -554,6 +555,18 @@ def test_malformed_family_file_message(tmp_path, text, uniform, message):
         assert str(info.value) == message
 
 
+def test_dense_ground_checked_before_any_mask():
+    # the mask of element 10^8 alone would take 12.5 MB
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match="got 100000000$"):
+            load_family('{"n":100000000,"sets":[[100000000]]}')
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+
+
 def test_family_sets_and_masks_hex_agree(rng):
     for n in (0, 1, 5, 9):
         members = [m for m in range(1 << n) if rng.random() < 0.4]
@@ -609,3 +622,32 @@ def test_cli_dense_spec_past_the_cap_exit_two(capsys):
     err = _usage_error(capsys, "construct", "--spec",
                        '{"name":"t_umvirate","params":{"n":31,"t":2}}')
     assert err == "ground size must be in [0, 30], got 31"
+
+
+WHOLE_CUBE_SPEC = '{"name":"t_umvirate","params":{"n":4,"t":2}}'
+
+
+@pytest.mark.parametrize("variant", ["lower", "upper"])
+def test_cli_shadow_of_whole_cube_spec_exit_two(capsys, variant):
+    # once an AttributeError traceback and exit 1
+    err = _usage_error(capsys, "shadow", "--variant", variant,
+                       "--spec", WHOLE_CUBE_SPEC, "--s", "0")
+    assert f"--variant {variant} needs a k-uniform family" in err
+    code, out = run_cli(capsys, "shadow", "--variant", "increasing",
+                        "--spec", WHOLE_CUBE_SPEC, "--s", "0")
+    assert code == 0 and len(json.loads(out)["family"]["sets"]) == 4
+
+
+@pytest.mark.parametrize("argv", [
+    ("measure", "--p", "1/2"),
+    ("influence", "--p", "1/2"),
+    ("shadow", "--variant", "increasing"),
+    ("verify", "--theorem", "MainBiased", "--p0", "1/2", "--p", "1/4",
+     "--t", "2", "--eps", "1/10"),
+    ("katona", "--t", "2"),
+])
+def test_cli_family_and_spec_together_exit_two(capsys, argv):
+    # once the spec won and --family was dropped without a word
+    err = _usage_error(capsys, *argv, "--spec", WHOLE_CUBE_SPEC,
+                       "--family", '{"n":3,"sets":[[1]]}')
+    assert err == "give --family or --spec, not both"
