@@ -18,23 +18,36 @@ import sys
 from types import SimpleNamespace
 
 from . import _kernels, numerics
-from .families import EdgeGround, SetFamily, UniformFamily
+from .families import EdgeGround, SetFamily
 from .io import family_to_dict, load_family
 from .measures import influence, iso_sweep, mu, mu_polynomial, russo_sweep
 from .numerics import fmt_rational, parse_rational
 from .search import MONOTONE_COUNTS, SearchProblem, max_uniform
 from .shadows import (increasing_shadow, kk_min_shadow, cascade_decomposition,
                       katona_check, lower_shadow, upper_shadow)
-from .verify import (TheoremCase, THEOREM_IDS, check_theorem, conjecture_scan,
-                     tightness_report)
-from .zoo import FamilySpec, construct
+from .verify import (THEOREMS, TheoremCase, check_theorem, conjecture_scan,
+                     theorem_id, tightness_report)
+from .zoo import FAMILIES, FamilySpec, construct
+
+#: the two kinds of family a command reads, indexed by "is k-uniform"
+_KINDS = ("a family on the whole cube", "a k-uniform family")
 
 
-def _load_args_family(args, uniform=False):
+def _load_args_family(args, uniform=False, label=None):
+    """The family of --family or --spec, of the kind the command reads: a
+    k-uniform family when `uniform`, else one on the whole cube.  A spec of
+    the other kind is a usage error that names the command as `label`
+    (default: the subcommand)."""
     if args.spec and args.family:
         raise ValueError("give --family or --spec, not both")
     if args.spec:
-        return construct(FamilySpec.from_dict(json.loads(args.spec)))
+        spec = FamilySpec.from_dict(json.loads(args.spec))
+        builds = FAMILIES[spec.name].uniform
+        if builds != uniform:
+            raise ValueError(f"{label or args.subcommand} needs "
+                             f"{_KINDS[uniform]}; this spec builds "
+                             f"{_KINDS[builds]}")
+        return construct(spec)
     if args.family:
         return load_family(args.family, uniform=uniform)
     raise ValueError("provide --family FILE/JSON or --spec ZOO-JSON")
@@ -87,17 +100,11 @@ def _cmd_influence(args):
 
 
 def _cmd_shadow(args):
-    if args.variant == "increasing":
-        fam = _load_args_family(args)
-        out_fam = increasing_shadow(fam, args.s)
-    else:
-        fam = _load_args_family(args, uniform=True)
-        if not isinstance(fam, UniformFamily):
-            raise ValueError(f"shadow --variant {args.variant} needs a "
-                             "k-uniform family; this spec builds a family "
-                             "on the whole cube (use --variant increasing)")
-        out_fam = (lower_shadow(fam, args.s) if args.variant == "lower"
-                   else upper_shadow(fam, args.s))
+    shadow = {"lower": lower_shadow, "upper": upper_shadow,
+              "increasing": increasing_shadow}[args.variant]
+    fam = _load_args_family(args, args.variant != "increasing",
+                            f"shadow --variant {args.variant}")
+    out_fam = shadow(fam, args.s)
     return 0, {"header": _header(args, "shadow"),
                "family": family_to_dict(out_fam)}
 
@@ -133,9 +140,9 @@ def _cmd_russo_sweep(args):
 
 
 def _cmd_verify(args):
-    theorem = _canonical_theorem(args.theorem)
-    uniform = theorem in ("WilsonUniform", "TriangleUniform", "MatchingUniform")
-    fam = _load_args_family(args, uniform=uniform)
+    theorem = theorem_id(args.theorem)
+    fam = _load_args_family(args, THEOREMS[theorem][1],
+                            f"verify --theorem {theorem}")
     if theorem == "TriangleBiased" and getattr(fam, "edges", None) is None:
         if args.v is None:
             raise ValueError("TriangleBiased needs --v (vertex count) when the "
@@ -154,15 +161,6 @@ def _cmd_verify(args):
     rep = check_theorem(TheoremCase(theorem, params), fam)
     out = {"header": _header(args, "verify"), "report": rep.to_dict()}
     return (0 if rep.conclusion_holds is not False else 1), out
-
-
-def _canonical_theorem(name: str) -> str:
-    lookup = {t.lower(): t for t in THEOREM_IDS}
-    key = name.lower().replace("-", "").replace("_", "")
-    for low, canon in lookup.items():
-        if low.replace("_", "") == key:
-            return canon
-    raise ValueError(f"unknown theorem {name!r}; known: {THEOREM_IDS}")
 
 
 def _cmd_tightness(args):
@@ -198,7 +196,8 @@ def _cmd_conjecture_scan(args):
 
 def _cmd_katona(args):
     uniform = args.p is None
-    fam = _load_args_family(args, uniform=uniform)
+    fam = _load_args_family(args, uniform, "katona without --p" if uniform
+                            else "katona --p")
     rep = katona_check(fam, args.t,
                        parse_rational(args.p) if args.p else None)
     out = {"header": _header(args, "katona"), "report": rep.to_dict()}

@@ -277,8 +277,7 @@ def check_theorem(case: TheoremCase, fam) -> VerdictReport:
     report with conclusion_holds = None; the witness and both sides of every
     inequality are always reported.
     """
-    handler = _HANDLERS[case.theorem_id]
-    return handler(case, fam)
+    return THEOREMS[case.theorem_id][0](case, fam)
 
 
 def _check_main_biased(case: TheoremCase, fam: SetFamily) -> VerdictReport:
@@ -486,20 +485,32 @@ def _check_frankl_gi(case: TheoremCase, fam: SetFamily) -> VerdictReport:
     return rep
 
 
-_HANDLERS = {
-    "MainBiased": _check_main_biased,
-    "Biased1": _check_biased1,
-    "TIntersectingBiased": _check_t_intersecting_biased,
-    "DualBiased": _check_dual_biased,
-    "MatchingBiased": _check_matching_biased,
-    "WilsonUniform": _check_wilson_uniform,
-    "TriangleBiased": _check_triangle_biased,
-    "TriangleUniform": _check_triangle_uniform,
-    "MatchingUniform": _check_matching_uniform,
-    "FranklG_i": _check_frankl_gi,
+#: theorem -> (its check, whether it reads a k-uniform family rather than
+#: one on the whole cube), in the order the "known:" messages list them
+THEOREMS = {
+    "MainBiased": (_check_main_biased, False),
+    "Biased1": (_check_biased1, False),
+    "TIntersectingBiased": (_check_t_intersecting_biased, False),
+    "DualBiased": (_check_dual_biased, False),
+    "MatchingBiased": (_check_matching_biased, False),
+    "WilsonUniform": (_check_wilson_uniform, True),
+    "TriangleBiased": (_check_triangle_biased, False),
+    "TriangleUniform": (_check_triangle_uniform, True),
+    "MatchingUniform": (_check_matching_uniform, True),
+    "FranklG_i": (_check_frankl_gi, False),
 }
 
-THEOREM_IDS = tuple(_HANDLERS)
+THEOREM_IDS = tuple(THEOREMS)
+
+
+def theorem_id(name: str) -> str:
+    """The theorem `name` spells, in any case and with or without "-" and
+    "_" (so "biased1", "wilson-uniform" and "franklg_i" all resolve)."""
+    key = name.lower().replace("-", "").replace("_", "")
+    for tid in THEOREMS:
+        if tid.lower().replace("_", "") == key:
+            return tid
+    raise ValueError(f"unknown theorem {name!r}; known: {THEOREM_IDS}")
 
 
 # -- bootstrap diagnostics ------------------------------------------------------
@@ -717,8 +728,6 @@ class ScanReport:
         }
 
 
-CONJECTURES = ("TIntersectingSharp", "WilsonSharp", "EMCStability")
-
 def conjecture_scan(conj_id: str, ranges: dict,
                     budget: int | None = None) -> ScanReport:
     """Scan a declared desk-scale range for counterexamples to a conjecture.
@@ -735,13 +744,10 @@ def conjecture_scan(conj_id: str, ranges: dict,
     """
     if budget is not None and budget < 1:
         raise ValueError(f"need budget >= 1, got budget={budget}")
-    if conj_id == "TIntersectingSharp":
-        return _scan_t_intersecting_sharp(ranges, budget)
-    if conj_id == "WilsonSharp":
-        return _scan_wilson_sharp(ranges, budget)
-    if conj_id == "EMCStability":
-        return _scan_emc_stability(ranges, budget)
-    raise ValueError(f"unknown conjecture {conj_id!r}; known: {CONJECTURES}")
+    if conj_id not in _SCANS:
+        raise ValueError(f"unknown conjecture {conj_id!r}; "
+                         f"known: {CONJECTURES}")
+    return _SCANS[conj_id](ranges, budget)
 
 
 def _range_values(conj_id: str, ranges, *keys) -> list:
@@ -983,3 +989,11 @@ def _scan_emc_stability(ranges: dict, budget) -> ScanReport:
         complete = False
         notes.append("budget exhausted; scan incomplete")
     return ScanReport("EMCStability", ranges, examined, candidates, complete, notes)
+
+
+#: conjecture -> its scanner, in the order the "known:" message lists them
+_SCANS = {"TIntersectingSharp": _scan_t_intersecting_sharp,
+          "WilsonSharp": _scan_wilson_sharp,
+          "EMCStability": _scan_emc_stability}
+
+CONJECTURES = tuple(_SCANS)

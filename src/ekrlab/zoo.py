@@ -17,13 +17,6 @@ from .bitops import elements_of, mask_of, popcount, swap_coordinates
 from .families import EdgeGround, SetFamily, UniformFamily
 from .numerics import _Frozen, default_dps, log, nstr, to_mpf, workdps
 
-FAMILY_NAMES = (
-    "dictatorship", "t_umvirate", "or_family", "ak_family", "frankl_Gi",
-    "tilde_Gi", "F_ts", "tilde_F_ts", "tilde_H_tsr", "tilde_D_sdl",
-    "C_ts_lex", "hm_matching_E", "conj_H", "triangle_umvirate",
-)
-
-
 class FamilySpec(_Frozen):
     """Serializable description of a zoo family: a name plus parameters."""
 
@@ -39,7 +32,17 @@ class FamilySpec(_Frozen):
             if not isinstance(val, int) or isinstance(val, bool):
                 raise ValueError(f"parameter {key!r} must be an integer, "
                                  f"got {val!r}")
-        _VALIDATORS[name](dict(params))
+        entry = FAMILIES[name]
+        missing = [k for k in entry.params
+                   if k not in params and k not in _OPTIONAL]
+        if missing:
+            raise ValueError(f"missing parameters: {missing}")
+        extra = set(params) - set(entry.params)
+        if extra:
+            raise ValueError(f"unexpected parameters: {sorted(extra)}")
+        for ok, msg in entry.check(*entry.values(params)):
+            if not ok:
+                raise ValueError(msg)
         super().__init__(name, params)
 
     def __eq__(self, other) -> bool:
@@ -58,113 +61,6 @@ class FamilySpec(_Frozen):
             # checked here too, since the constructor reads None as no params
             raise ValueError(f"params must be an object, got {params!r}")
         return cls(d["name"], dict(params))
-
-
-def _need(params: dict, *keys):
-    missing = [k for k in keys if k not in params]
-    if missing:
-        raise ValueError(f"missing parameters: {missing}")
-    extra = set(params) - set(keys)
-    if extra:
-        raise ValueError(f"unexpected parameters: {sorted(extra)}")
-    return [params[k] for k in keys]
-
-
-def _check(cond: bool, msg: str):
-    if not cond:
-        raise ValueError(msg)
-
-
-def _v_dictatorship(p):
-    vals = _need(p, "n", *(["j"] if "j" in p else []))
-    n = vals[0]
-    j = vals[1] if len(vals) > 1 else 1
-    _check(1 <= j <= n, f"need 1 <= j <= n, got j={j}, n={n}")
-
-
-def _v_t_umvirate(p):
-    n, t = _need(p, "n", "t")
-    _check(1 <= t <= n, f"need 1 <= t <= n, got t={t}, n={n}")
-
-
-def _v_or_family(p):
-    n, s = _need(p, "n", "s")
-    _check(1 <= s <= n, f"need 1 <= s <= n, got s={s}, n={n}")
-
-
-def _v_ak(p):
-    n, k, t, r = _need(p, "n", "k", "t", "r")
-    _check(t >= 1 and r >= 0, f"need t >= 1, r >= 0, got t={t}, r={r}")
-    _check(t + 2 * r <= n, f"need t+2r <= n, got t+2r={t + 2 * r}, n={n}")
-    _check(t + r <= k <= n, f"need t+r <= k <= n, got k={k}")
-
-
-def _v_frankl_gi(p):
-    n, k, i = _need(p, "n", "k", "i")
-    _check(2 <= k <= n - 1, f"need 2 <= k <= n-1, got k={k}, n={n}")
-    _check(3 <= i <= k + 1, f"need 3 <= i <= k+1, got i={i}")
-
-
-def _v_tilde_gi(p):
-    n, i = _need(p, "n", "i")
-    _check(3 <= i <= n, f"need 3 <= i <= n, got i={i}, n={n}")
-
-
-def _v_f_ts(p):
-    n, k, t, s = _need(p, "n", "k", "t", "s")
-    _check(t >= 1 and s >= 1, f"need t,s >= 1, got t={t}, s={s}")
-    _check(t + s <= n, f"need t+s <= n, got t+s={t + s}, n={n}")
-    _check(t <= k <= n, f"need t <= k <= n, got k={k}")
-
-
-def _v_tilde_f_ts(p):
-    n, t, s = _need(p, "n", "t", "s")
-    _check(t >= 1 and s >= 1, f"need t,s >= 1, got t={t}, s={s}")
-    _check(t + s <= n, f"need t+s <= n, got t+s={t + s}, n={n}")
-
-
-def _v_tilde_h(p):
-    n, t, s, r = _need(p, "n", "t", "s", "r")
-    _check(t >= 1 and s >= 1 and r >= 1, f"need t,s,r >= 1, got {t},{s},{r}")
-    _check(t + max(s, r) <= n, f"need t+max(s,r) <= n, got n={n}")
-
-
-def _v_tilde_d(p):
-    n, s, d, el = _need(p, "n", "s", "d", "l")
-    _check(s >= 1 and d >= 1 and el >= 1, f"need s,d,l >= 1, got {s},{d},{el}")
-    _check(s + max(d, el) <= n, f"need s+max(d,l) <= n, got n={n}")
-
-
-def _v_c_ts(p):
-    n, t, s = _need(p, "n", "t", "s")
-    _check(t >= 1 and s >= 1 and t + s <= n, f"invalid (n,t,s)=({n},{t},{s})")
-
-
-def _v_hm_e(p):
-    n, k, s = _need(p, "n", "k", "s")
-    _check(k >= 1 and s >= 1, f"need k,s >= 1, got k={k}, s={s}")
-    _check(n >= s + (s - 1) * (k - 1) + k,
-           f"need n >= s+(s-1)(k-1)+k = {s + (s - 1) * (k - 1) + k}, got n={n}")
-
-
-def _v_conj_h(p):
-    n, k, s, d = _need(p, "n", "k", "s", "d")
-    _check(s >= 1 and d >= 1, f"need s,d >= 1, got s={s}, d={d}")
-    _check(s + d <= n and d <= k <= n, f"invalid (n,k,s,d)=({n},{k},{s},{d})")
-
-
-def _v_triangle(p):
-    (v,) = _need(p, "v")
-    _check(v >= 3, f"need v >= 3 vertices, got {v}")
-
-
-_VALIDATORS = {
-    "dictatorship": _v_dictatorship, "t_umvirate": _v_t_umvirate,
-    "or_family": _v_or_family, "ak_family": _v_ak, "frankl_Gi": _v_frankl_gi,
-    "tilde_Gi": _v_tilde_gi, "F_ts": _v_f_ts, "tilde_F_ts": _v_tilde_f_ts,
-    "tilde_H_tsr": _v_tilde_h, "tilde_D_sdl": _v_tilde_d, "C_ts_lex": _v_c_ts,
-    "hm_matching_E": _v_hm_e, "conj_H": _v_conj_h, "triangle_umvirate": _v_triangle,
-}
 
 
 # -- direct constructors -------------------------------------------------------
@@ -195,16 +91,16 @@ def _window(lo: int, hi: int) -> int:
     return mask_of(range(lo, hi + 1)) if hi >= lo else 0
 
 
+def _slice(n: int, k: int, pred) -> UniformFamily:
+    """The k-sets of [n] that satisfy pred."""
+    return UniformFamily(n, k, (m for m in map(
+        mask_of, itertools.combinations(range(1, n + 1), k)) if pred(m)))
+
+
 def ak_family(n: int, k: int, t: int, r: int) -> UniformFamily:
     """k-sets meeting [t+2r] in at least t+r elements."""
     w = _window(1, t + 2 * r)
-    return UniformFamily(n, k, (m for m in _ksets(n, k)
-                                if popcount(m & w) >= t + r))
-
-
-def _ksets(n: int, k: int):
-    for combo in itertools.combinations(range(1, n + 1), k):
-        yield mask_of(combo)
+    return _slice(n, k, lambda m: popcount(m & w) >= t + r)
 
 
 def _gi_predicate(i: int):
@@ -222,8 +118,7 @@ def _gi_predicate(i: int):
 def frankl_gi(n: int, k: int, i: int) -> UniformFamily:
     """k-sets containing 1 and meeting {2..i}, or avoiding 1 and containing
     {2..i}."""
-    pred = _gi_predicate(i)
-    return UniformFamily(n, k, (m for m in _ksets(n, k) if pred(m)))
+    return _slice(n, k, _gi_predicate(i))
 
 
 def tilde_gi(n: int, i: int) -> SetFamily:
@@ -244,8 +139,7 @@ def _f_ts_predicate(t: int, s: int):
 
 
 def f_ts(n: int, k: int, t: int, s: int) -> UniformFamily:
-    return UniformFamily(n, k, (m for m in _ksets(n, k)
-                                if _f_ts_predicate(t, s)(m)))
+    return _slice(n, k, _f_ts_predicate(t, s))
 
 
 def tilde_f_ts(n: int, t: int, s: int) -> SetFamily:
@@ -269,9 +163,7 @@ def tilde_h_tsr(n: int, t: int, s: int, r: int) -> SetFamily:
     return SetFamily.from_predicate(n, pred, width=t + max(r, s))
 
 
-def tilde_d_sdl(n: int, s: int, d: int, el: int) -> SetFamily:
-    """Sets meeting [s-1]; or meeting [s] exactly in {s} and meeting
-    {s+1..s+d}; or avoiding [s] and containing {s+1..s+l}."""
+def _d_predicate(s: int, d: int, el: int):
     sm1 = _window(1, s - 1)
     smask = _window(1, s)
     bs = 1 << (s - 1)
@@ -285,7 +177,14 @@ def tilde_d_sdl(n: int, s: int, d: int, el: int) -> SetFamily:
             return bool(m & dwin)
         return not m & smask and m & lwin == lwin
 
-    return SetFamily.from_predicate(n, pred, width=s + max(d, el))
+    return pred
+
+
+def tilde_d_sdl(n: int, s: int, d: int, el: int) -> SetFamily:
+    """Sets meeting [s-1]; or meeting [s] exactly in {s} and meeting
+    {s+1..s+d}; or avoiding [s] and containing {s+1..s+l}."""
+    return SetFamily.from_predicate(n, _d_predicate(s, d, el),
+                                   width=s + max(d, el))
 
 
 def c_ts(n: int, t: int, s: int) -> SetFamily:
@@ -324,29 +223,15 @@ def hm_matching_e(n: int, k: int, s: int) -> UniformFamily:
     for i in range(s - 1, -1, -1):
         acc |= ts[i]
         tails[i] = acc
-
-    members = set(ts)
-    for m in _ksets(n, k):
-        if any(m & (1 << (xs[i] - 1)) and m & tails[i] for i in range(s)):
-            members.add(m)
-    return UniformFamily(n, k, members)
+    blocks = frozenset(ts)
+    return _slice(n, k, lambda m: m in blocks or any(
+        m & (1 << (xs[i] - 1)) and m & tails[i] for i in range(s)))
 
 
 def conj_h(n: int, k: int, s: int, d: int) -> UniformFamily:
-    """The conjectured matching-stability extremal family, k-uniform."""
-    sm1 = _window(1, s - 1)
-    smask = _window(1, s)
-    bs = 1 << (s - 1)
-    dwin = _window(s + 1, s + d)
-
-    def pred(m: int) -> bool:
-        if m & sm1:
-            return True
-        if m & smask == bs:
-            return bool(m & dwin)
-        return not m & smask and m & dwin == dwin
-
-    return UniformFamily(n, k, (m for m in _ksets(n, k) if pred(m)))
+    """The conjectured matching-stability extremal family, k-uniform: the
+    k-slice of tilde_D_sdl with l = d."""
+    return _slice(n, k, _d_predicate(s, d, d))
 
 
 def triangle_umvirate(v: int) -> SetFamily:
@@ -357,47 +242,174 @@ def triangle_umvirate(v: int) -> SetFamily:
                                    width=tri.bit_length())
 
 
+# -- the family table ----------------------------------------------------------
+
+
+def comb0(a: int, b: int) -> int:
+    """Binomial with the zero convention outside 0 <= b <= a."""
+    if b < 0 or a < 0 or b > a:
+        return 0
+    return math.comb(a, b)
+
+
+def _ak_size(k, n, _, t, r):
+    w = t + 2 * r
+    return sum(comb0(w, i) * comb0(n - w, k - i)
+               for i in range(t + r, min(w, k) + 1))
+
+
+def _gi_size(k, n, i):
+    c = comb0
+    return (c(n - 1, k - 1) - c(n - i, k - 1)) + c(n - i, k - i + 1)
+
+
+def _f_ts_size(k, n, t, s):
+    c = comb0
+    return ((c(n - t, k - t) - c(n - t - s, k - t))
+            + t * c(n - t - s, k - t - s + 1))
+
+
+def _d_size(k, n, s, d, el):
+    c = comb0
+    return ((c(n, k) - c(n - s + 1, k))
+            + (c(n - s, k - 1) - c(n - s - d, k - 1))
+            + c(n - s - el, k - el))
+
+
+def _hm_size(k, n, own_k, s):
+    # counted from the defining predicate; no compact closed form kept
+    if own_k != k:
+        raise ValueError("hm_matching_E is counted at its own k only")
+    return len(hm_matching_e(n, k, s))
+
+
+def _ts_checks(n, t, s):
+    return ((t >= 1 and s >= 1, f"need t,s >= 1, got t={t}, s={s}"),
+            (t + s <= n, f"need t+s <= n, got t+s={t + s}, n={n}"))
+
+
+class _Family(_Frozen):
+    """One zoo family.  `params` are its parameters in the order `build`
+    takes them; `check(*values)` gives the (condition, message) pairs a
+    valid spec meets, in order; `mu(p, 1-p, *values)` is its closed-form
+    measure (None: no closed form); `size(k, *values)` is the size of its
+    k-slice.  A family with a "k" parameter is k-uniform; the others live
+    on the whole cube."""
+
+    __slots__ = ("params", "check", "build", "mu", "size")
+
+    @property
+    def uniform(self) -> bool:
+        return "k" in self.params
+
+    def values(self, params: dict) -> list:
+        return [params[k] if k in params else _OPTIONAL[k]
+                for k in self.params]
+
+
+#: the parameters a spec may leave out, with the value they then take
+_OPTIONAL = {"j": 1}
+
+FAMILIES = {
+    "dictatorship": _Family(
+        ("n", "j"),
+        lambda n, j: ((1 <= j <= n, f"need 1 <= j <= n, got j={j}, n={n}"),),
+        dictatorship, lambda p, q, n, j: p,
+        lambda k, n, j: comb0(n - 1, k - 1)),
+    "t_umvirate": _Family(
+        ("n", "t"),
+        lambda n, t: ((1 <= t <= n, f"need 1 <= t <= n, got t={t}, n={n}"),),
+        t_umvirate, lambda p, q, n, t: p ** t,
+        lambda k, n, t: comb0(n - t, k - t)),
+    "or_family": _Family(
+        ("n", "s"),
+        lambda n, s: ((1 <= s <= n, f"need 1 <= s <= n, got s={s}, n={n}"),),
+        or_family, lambda p, q, n, s: 1 - q ** s,
+        lambda k, n, s: comb0(n, k) - comb0(n - s, k)),
+    "ak_family": _Family(
+        ("n", "k", "t", "r"),
+        lambda n, k, t, r: (
+            (t >= 1 and r >= 0, f"need t >= 1, r >= 0, got t={t}, r={r}"),
+            (t + 2 * r <= n, f"need t+2r <= n, got t+2r={t + 2 * r}, n={n}"),
+            (t + r <= k <= n, f"need t+r <= k <= n, got k={k}")),
+        ak_family, None, _ak_size),
+    "frankl_Gi": _Family(
+        ("n", "k", "i"),
+        lambda n, k, i: (
+            (2 <= k <= n - 1, f"need 2 <= k <= n-1, got k={k}, n={n}"),
+            (3 <= i <= k + 1, f"need 3 <= i <= k+1, got i={i}")),
+        frankl_gi, None, lambda k, n, _, i: _gi_size(k, n, i)),
+    "tilde_Gi": _Family(
+        ("n", "i"),
+        lambda n, i: ((3 <= i <= n, f"need 3 <= i <= n, got i={i}, n={n}"),),
+        tilde_gi,
+        lambda p, q, n, i: p * (1 - q ** (i - 1)) + q * p ** (i - 1),
+        _gi_size),
+    "F_ts": _Family(
+        ("n", "k", "t", "s"),
+        lambda n, k, t, s: (*_ts_checks(n, t, s),
+                            (t <= k <= n, f"need t <= k <= n, got k={k}")),
+        f_ts, None, lambda k, n, _, t, s: _f_ts_size(k, n, t, s)),
+    "tilde_F_ts": _Family(
+        ("n", "t", "s"), _ts_checks, tilde_f_ts,
+        lambda p, q, n, t, s: p**t * (1 - q**s) + t * p ** (t - 1) * q * p**s,
+        _f_ts_size),
+    "tilde_H_tsr": _Family(
+        ("n", "t", "s", "r"),
+        lambda n, t, s, r: (
+            (t >= 1 and s >= 1 and r >= 1, f"need t,s,r >= 1, got {t},{s},{r}"),
+            (t + max(s, r) <= n, f"need t+max(s,r) <= n, got n={n}")),
+        tilde_h_tsr,
+        lambda p, q, n, t, s, r: p**t * (1 - q**r) + q * p ** (t + s - 1),
+        lambda k, n, t, s, r: ((comb0(n - t, k - t) - comb0(n - t - r, k - t))
+                               + comb0(n - t - s, k - t - s + 1))),
+    "tilde_D_sdl": _Family(
+        ("n", "s", "d", "l"),
+        lambda n, s, d, el: (
+            (s >= 1 and d >= 1 and el >= 1, f"need s,d,l >= 1, got {s},{d},{el}"),
+            (s + max(d, el) <= n, f"need s+max(d,l) <= n, got n={n}")),
+        tilde_d_sdl,
+        lambda p, q, n, s, d, el: (1 - q ** (s - 1) + q ** (s - 1)
+                                   * (p * (1 - q**d) + q * p**el)),
+        _d_size),
+    "C_ts_lex": _Family(
+        ("n", "t", "s"),
+        lambda n, t, s: ((t >= 1 and s >= 1 and t + s <= n,
+                          f"invalid (n,t,s)=({n},{t},{s})"),),
+        c_ts, lambda p, q, n, t, s: p**t * (1 - q**s),
+        lambda k, n, t, s: comb0(n - t, k - t) - comb0(n - t - s, k - t)),
+    "hm_matching_E": _Family(
+        ("n", "k", "s"),
+        lambda n, k, s: (
+            (k >= 1 and s >= 1, f"need k,s >= 1, got k={k}, s={s}"),
+            (n >= s + (s - 1) * (k - 1) + k,
+             f"need n >= s+(s-1)(k-1)+k = {s + (s - 1) * (k - 1) + k}, "
+             f"got n={n}")),
+        hm_matching_e, None, _hm_size),
+    "conj_H": _Family(
+        ("n", "k", "s", "d"),
+        lambda n, k, s, d: (
+            (s >= 1 and d >= 1, f"need s,d >= 1, got s={s}, d={d}"),
+            (s + d <= n and d <= k <= n, f"invalid (n,k,s,d)=({n},{k},{s},{d})")),
+        conj_h, None, lambda k, n, _, s, d: _d_size(k, n, s, d, d)),
+    "triangle_umvirate": _Family(
+        ("v",), lambda v: ((v >= 3, f"need v >= 3 vertices, got {v}"),),
+        triangle_umvirate, lambda p, q, v: p**3,
+        lambda k, v: comb0(v * (v - 1) // 2 - 3, k - 3)),
+}
+
+FAMILY_NAMES = tuple(FAMILIES)
+
+
 # -- spec dispatch -------------------------------------------------------------
 
 
 def construct(spec: FamilySpec, perm=None):
     """Realize a FamilySpec; optional perm (1-indexed permutation of the
     ground) produces the isomorphic relabeled copy."""
-    p = dict(spec.params)
-    name = spec.name
-    if name == "dictatorship":
-        fam = dictatorship(p["n"], p.get("j", 1))
-    elif name == "t_umvirate":
-        fam = t_umvirate(p["n"], p["t"])
-    elif name == "or_family":
-        fam = or_family(p["n"], p["s"])
-    elif name == "ak_family":
-        fam = ak_family(p["n"], p["k"], p["t"], p["r"])
-    elif name == "frankl_Gi":
-        fam = frankl_gi(p["n"], p["k"], p["i"])
-    elif name == "tilde_Gi":
-        fam = tilde_gi(p["n"], p["i"])
-    elif name == "F_ts":
-        fam = f_ts(p["n"], p["k"], p["t"], p["s"])
-    elif name == "tilde_F_ts":
-        fam = tilde_f_ts(p["n"], p["t"], p["s"])
-    elif name == "tilde_H_tsr":
-        fam = tilde_h_tsr(p["n"], p["t"], p["s"], p["r"])
-    elif name == "tilde_D_sdl":
-        fam = tilde_d_sdl(p["n"], p["s"], p["d"], p["l"])
-    elif name == "C_ts_lex":
-        fam = c_ts(p["n"], p["t"], p["s"])
-    elif name == "hm_matching_E":
-        fam = hm_matching_e(p["n"], p["k"], p["s"])
-    elif name == "conj_H":
-        fam = conj_h(p["n"], p["k"], p["s"], p["d"])
-    elif name == "triangle_umvirate":
-        fam = triangle_umvirate(p["v"])
-    else:  # pragma: no cover
-        raise ValueError(name)
-    if perm is not None:
-        fam = relabel(fam, perm)
-    return fam
+    entry = FAMILIES[spec.name]
+    fam = entry.build(*entry.values(spec.params))
+    return fam if perm is None else relabel(fam, perm)
 
 
 def relabel(fam, perm):
@@ -431,90 +443,16 @@ def relabel(fam, perm):
 def closed_form_mu(spec: FamilySpec, p) -> Fraction:
     """The family's closed-form measure, evaluated exactly at rational p."""
     p = Fraction(p)
-    q = 1 - p
-    pr = dict(spec.params)
-    name = spec.name
-    if name == "dictatorship":
-        return p
-    if name == "t_umvirate":
-        return p ** pr["t"]
-    if name == "or_family":
-        return 1 - q ** pr["s"]
-    if name == "tilde_Gi":
-        i = pr["i"]
-        return p * (1 - q ** (i - 1)) + q * p ** (i - 1)
-    if name == "tilde_F_ts":
-        t, s = pr["t"], pr["s"]
-        return p**t * (1 - q**s) + t * p ** (t - 1) * q * p**s
-    if name == "tilde_H_tsr":
-        t, s, r = pr["t"], pr["s"], pr["r"]
-        return p**t * (1 - q**r) + q * p ** (t + s - 1)
-    if name == "tilde_D_sdl":
-        s, d, el = pr["s"], pr["d"], pr["l"]
-        return 1 - q ** (s - 1) + q ** (s - 1) * (p * (1 - q**d) + q * p**el)
-    if name == "C_ts_lex":
-        t, s = pr["t"], pr["s"]
-        return p**t * (1 - q**s)
-    if name == "triangle_umvirate":
-        return p**3
-    raise ValueError(f"no closed-form measure for {spec.name!r}")
-
-
-def comb0(a: int, b: int) -> int:
-    """Binomial with the zero convention outside 0 <= b <= a."""
-    if b < 0 or a < 0 or b > a:
-        return 0
-    return math.comb(a, b)
+    entry = FAMILIES[spec.name]
+    if entry.mu is None:
+        raise ValueError(f"no closed-form measure for {spec.name!r}")
+    return entry.mu(p, 1 - p, *entry.values(spec.params))
 
 
 def closed_form_size(spec: FamilySpec, k: int) -> int:
     """Exact size of the k-uniform slice of the family."""
-    pr = dict(spec.params)
-    name = spec.name
-    c = comb0
-    n = pr.get("n")
-    if name == "dictatorship":
-        return c(n - 1, k - 1)
-    if name == "t_umvirate":
-        return c(n - pr["t"], k - pr["t"])
-    if name == "or_family":
-        return c(n, k) - c(n - pr["s"], k)
-    if name == "ak_family":
-        t, r = pr["t"], pr["r"]
-        w = t + 2 * r
-        return sum(c(w, i) * c(n - w, k - i) for i in range(t + r, min(w, k) + 1))
-    if name in ("frankl_Gi", "tilde_Gi"):
-        i = pr["i"]
-        return (c(n - 1, k - 1) - c(n - i, k - 1)) + c(n - i, k - i + 1)
-    if name in ("F_ts", "tilde_F_ts"):
-        t, s = pr["t"], pr["s"]
-        return (c(n - t, k - t) - c(n - t - s, k - t)) + t * c(n - t - s, k - t - s + 1)
-    if name == "tilde_H_tsr":
-        t, s, r = pr["t"], pr["s"], pr["r"]
-        return (c(n - t, k - t) - c(n - t - r, k - t)) + c(n - t - s, k - t - s + 1)
-    if name == "tilde_D_sdl":
-        s, d, el = pr["s"], pr["d"], pr["l"]
-        return ((c(n, k) - c(n - s + 1, k))
-                + (c(n - s, k - 1) - c(n - s - d, k - 1))
-                + c(n - s - el, k - el))
-    if name == "C_ts_lex":
-        t, s = pr["t"], pr["s"]
-        return c(n - t, k - t) - c(n - t - s, k - t)
-    if name == "conj_H":
-        s, d = pr["s"], pr["d"]
-        return ((c(n, k) - c(n - s + 1, k))
-                + (c(n - s, k - 1) - c(n - s - d, k - 1))
-                + c(n - s - d, k - d))
-    if name == "triangle_umvirate":
-        m = pr["v"] * (pr["v"] - 1) // 2
-        return c(m - 3, k - 3)
-    if name == "hm_matching_E":
-        # counted from the defining predicate; no compact closed form kept
-        fam = hm_matching_e(n, pr["k"], pr["s"])
-        if pr["k"] != k:
-            raise ValueError("hm_matching_E is counted at its own k only")
-        return len(fam)
-    raise ValueError(f"no slice-count formula for {spec.name!r}")
+    entry = FAMILIES[spec.name]
+    return entry.size(k, *entry.values(spec.params))
 
 
 def ak_max(n: int, k: int, t: int) -> tuple[int, list[int]]:

@@ -651,3 +651,75 @@ def test_cli_family_and_spec_together_exit_two(capsys, argv):
     err = _usage_error(capsys, *argv, "--spec", WHOLE_CUBE_SPEC,
                        "--family", '{"n":3,"sets":[[1]]}')
     assert err == "give --family or --spec, not both"
+
+
+UNIFORM_SPEC = '{"name":"ak_family","params":{"n":6,"k":3,"t":1,"r":0}}'
+_V = ("verify", "--theorem")
+
+#: (the command as a family-kind error names it, whether it reads a
+#: k-uniform family, its argv without the family)
+FAMILY_COMMANDS = [
+    ("measure", False, ("measure", "--p", "1/3")),
+    ("influence", False, ("influence", "--p", "1/3")),
+    *((f"shadow --variant {v}", v != "increasing",
+       ("shadow", "--variant", v)) for v in ("lower", "upper", "increasing")),
+    *((f"verify --theorem {argv[2]}", argv[2].endswith("Uniform"), argv)
+      for argv in [
+          (*_V, "MainBiased", "--p0", "1/2", "--p", "1/4", "--t", "1",
+           "--eps", "1/10"),
+          (*_V, "Biased1", "--p", "1/4", "--eps", "1/16"),
+          (*_V, "TIntersectingBiased", "--t", "1", "--p", "1/5",
+           "--eps", "1/25"),
+          (*_V, "DualBiased", "--p0", "1/2", "--p", "1/4", "--s", "1",
+           "--eps", "1/10"),
+          (*_V, "MatchingBiased", "--s", "1", "--p", "1/10", "--eps", "1/36"),
+          (*_V, "WilsonUniform", "--t", "1", "--d", "1"),
+          (*_V, "TriangleBiased", "--p", "1/4", "--eps", "1/8", "--v", "4"),
+          (*_V, "TriangleUniform", "--d", "1", "--v", "4"),
+          (*_V, "MatchingUniform", "--s", "1", "--eps", "1/10"),
+          (*_V, "FranklG_i", "--p", "1/4", "--i", "3")]),
+    ("katona without --p", True, ("katona", "--t", "1")),
+    ("katona --p", False, ("katona", "--t", "1", "--p", "1/3")),
+]
+
+_KINDS = ("a family on the whole cube", "a k-uniform family")
+
+
+def test_family_commands_cover_every_theorem():
+    from ekrlab.verify import THEOREM_IDS
+
+    assert [argv[2] for _, _, argv in FAMILY_COMMANDS
+            if argv[0] == "verify"] == list(THEOREM_IDS)
+
+
+@pytest.mark.parametrize("spec_uniform", [True, False])
+@pytest.mark.parametrize("label, uniform, argv", FAMILY_COMMANDS)
+def test_cli_spec_of_either_kind(capsys, label, uniform, argv, spec_uniform):
+    # 12 of these cells once printed an AttributeError traceback and exit 1,
+    # and katona named the variant it fell into ("biased variant needs a
+    # rational p"); a spec of the wrong kind is now refused before it is
+    # built
+    spec = UNIFORM_SPEC if spec_uniform else WHOLE_CUBE_SPEC
+    code = main([*argv, "--spec", spec])
+    captured = capsys.readouterr()
+    assert code in (0, 1, 2)
+    if spec_uniform != uniform:
+        assert code == 2 and captured.out == ""
+        assert json.loads(captured.err)["error"] == (
+            f"{label} needs {_KINDS[uniform]}; "
+            f"this spec builds {_KINDS[spec_uniform]}")
+    elif code == 2:
+        assert "needs a" not in captured.err
+
+
+def test_cli_spec_of_the_wrong_kind_prints_no_traceback():
+    env = dict(os.environ, PYTHONPATH=str(Path(ekrlab.__file__).parents[1]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "ekrlab.cli", "verify", "--theorem",
+         "MatchingUniform", "--s", "1", "--eps", "1/10", "--spec",
+         '{"name":"triangle_umvirate","params":{"v":4}}'],
+        env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 2 and proc.stdout == ""
+    assert json.loads(proc.stderr)["error"] == (
+        "verify --theorem MatchingUniform needs a k-uniform family; this "
+        "spec builds a family on the whole cube")

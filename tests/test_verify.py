@@ -1,6 +1,7 @@
 import hashlib
 import itertools
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -659,3 +660,43 @@ def test_reports_pinned(monkeypatch):
     got = {group: hashlib.sha256("\n".join(lines).encode()).hexdigest()
            for group, lines in _pinned_outcomes(19).items()}
     assert got == PINNED_DIGESTS
+
+
+def test_catalogue_order():
+    # the "known: ..." messages print these tuples, so their order is pinned
+    assert verify.THEOREM_IDS == tuple(verify.THEOREMS) == (
+        "MainBiased", "Biased1", "TIntersectingBiased", "DualBiased",
+        "MatchingBiased", "WilsonUniform", "TriangleBiased",
+        "TriangleUniform", "MatchingUniform", "FranklG_i")
+    assert verify.CONJECTURES == (
+        "TIntersectingSharp", "WilsonSharp", "EMCStability")
+    assert [t for t, (_, uniform) in verify.THEOREMS.items() if uniform] == [
+        "WilsonUniform", "TriangleUniform", "MatchingUniform"]
+
+
+def _spellings(tid: str) -> set:
+    """The theorem id in each case, with its words split by "_" or "-"."""
+    words = re.findall(r"[A-Z][a-z0-9]*|_[a-z]", tid)
+    forms = set()
+    for joined in {tid, "".join(words).replace("_", ""), "_".join(words),
+                   "-".join(words), tid.replace("_", "-")}:
+        forms |= {joined, joined.lower(), joined.upper()}
+    return forms
+
+
+def test_theorem_spellings_resolve():
+    assert verify.theorem_id("biased1") == "Biased1"
+    assert verify.theorem_id("wilson-uniform") == "WilsonUniform"
+    assert verify.theorem_id("franklg_i") == "FranklG_i"
+    assert verify.theorem_id("t_intersecting_biased") == "TIntersectingBiased"
+    for tid in verify.THEOREM_IDS:
+        for spelling in _spellings(tid):
+            assert verify.theorem_id(spelling) == tid, spelling
+    with pytest.raises(ValueError) as info:
+        verify.theorem_id("Biased2")
+    assert str(info.value) == ("unknown theorem 'Biased2'; known: "
+                               f"{verify.THEOREM_IDS}")
+    with pytest.raises(ValueError) as info:
+        verify.conjecture_scan("Nope", {})
+    assert str(info.value) == ("unknown conjecture 'Nope'; known: "
+                               f"{verify.CONJECTURES}")

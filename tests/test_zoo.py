@@ -1,5 +1,7 @@
+import hashlib
 import itertools
 import math
+import random
 from fractions import Fraction
 
 import mpmath
@@ -15,8 +17,9 @@ from ekrlab import families
 from ekrlab.bitops import elements_of
 from ekrlab.families import MAX_DENSE_N
 from ekrlab.numerics import workdps
-from ekrlab.zoo import (hm_matching_e, hm_matching_layout,
-                        or_family, relabel, t_umvirate, triangle_umvirate)
+from ekrlab.zoo import (FAMILIES, FAMILY_NAMES, hm_matching_e,
+                        hm_matching_layout, or_family, relabel, t_umvirate,
+                        triangle_umvirate)
 
 from conftest import random_rational
 
@@ -183,15 +186,168 @@ def test_defining_root_values():
         defining_root(spec("tilde_Gi", n=5, i=3))
 
 
+KNOWN = ("dictatorship", "t_umvirate", "or_family", "ak_family", "frankl_Gi",
+         "tilde_Gi", "F_ts", "tilde_F_ts", "tilde_H_tsr", "tilde_D_sdl",
+         "C_ts_lex", "hm_matching_E", "conj_H", "triangle_umvirate")
+
+#: (name, params, the exact message FamilySpec raises), every check of
+#: every family once
+VALIDATION_ERRORS = [
+    ("unknown_family", {}, f"unknown family 'unknown_family'; known: {KNOWN}"),
+    ("t_umvirate", [1], "params must be an object, got [1]"),
+    ("t_umvirate", {"n": 4, "t": True},
+     "parameter 't' must be an integer, got True"),
+    ("t_umvirate", {"n": "4", "t": 1},
+     "parameter 'n' must be an integer, got '4'"),
+    ("ak_family", {"n": 5, "k": 3}, "missing parameters: ['t', 'r']"),
+    ("ak_family", {"n": 5, "k": 3, "t": 1, "r": 0, "x": 1, "a": 2},
+     "unexpected parameters: ['a', 'x']"),
+    ("dictatorship", {"j": 1}, "missing parameters: ['n']"),
+    ("dictatorship", {"n": 3, "t": 1}, "unexpected parameters: ['t']"),
+    ("dictatorship", {"n": 3, "j": 4}, "need 1 <= j <= n, got j=4, n=3"),
+    ("dictatorship", {"n": 0}, "need 1 <= j <= n, got j=1, n=0"),
+    ("t_umvirate", {"n": 3, "t": 0}, "need 1 <= t <= n, got t=0, n=3"),
+    ("or_family", {"n": 2, "s": 3}, "need 1 <= s <= n, got s=3, n=2"),
+    ("ak_family", {"n": 5, "k": 3, "t": 0, "r": 0},
+     "need t >= 1, r >= 0, got t=0, r=0"),
+    ("ak_family", {"n": 5, "k": 3, "t": 2, "r": 2},
+     "need t+2r <= n, got t+2r=6, n=5"),
+    ("ak_family", {"n": 5, "k": 2, "t": 2, "r": 1},
+     "need t+r <= k <= n, got k=2"),
+    ("frankl_Gi", {"n": 4, "k": 4, "i": 3}, "need 2 <= k <= n-1, got k=4, n=4"),
+    ("frankl_Gi", {"n": 5, "k": 2, "i": 4}, "need 3 <= i <= k+1, got i=4"),
+    ("tilde_Gi", {"n": 5, "i": 2}, "need 3 <= i <= n, got i=2, n=5"),
+    ("F_ts", {"n": 5, "k": 3, "t": 0, "s": 1}, "need t,s >= 1, got t=0, s=1"),
+    ("F_ts", {"n": 3, "k": 3, "t": 2, "s": 2}, "need t+s <= n, got t+s=4, n=3"),
+    ("F_ts", {"n": 5, "k": 1, "t": 2, "s": 2}, "need t <= k <= n, got k=1"),
+    ("tilde_F_ts", {"n": 5, "t": 1, "s": 0}, "need t,s >= 1, got t=1, s=0"),
+    ("tilde_F_ts", {"n": 3, "t": 2, "s": 2}, "need t+s <= n, got t+s=4, n=3"),
+    ("tilde_H_tsr", {"n": 5, "t": 1, "s": 0, "r": 1},
+     "need t,s,r >= 1, got 1,0,1"),
+    ("tilde_H_tsr", {"n": 4, "t": 2, "s": 3, "r": 1},
+     "need t+max(s,r) <= n, got n=4"),
+    ("tilde_D_sdl", {"n": 5, "s": 1, "d": 1, "l": 0},
+     "need s,d,l >= 1, got 1,1,0"),
+    ("tilde_D_sdl", {"n": 4, "s": 2, "d": 1, "l": 3},
+     "need s+max(d,l) <= n, got n=4"),
+    ("C_ts_lex", {"n": 3, "t": 2, "s": 2}, "invalid (n,t,s)=(3,2,2)"),
+    ("hm_matching_E", {"n": 5, "k": 0, "s": 1}, "need k,s >= 1, got k=0, s=1"),
+    ("hm_matching_E", {"n": 4, "k": 2, "s": 2},
+     "need n >= s+(s-1)(k-1)+k = 5, got n=4"),
+    ("conj_H", {"n": 5, "k": 2, "s": 0, "d": 1}, "need s,d >= 1, got s=0, d=1"),
+    ("conj_H", {"n": 4, "k": 2, "s": 2, "d": 3}, "invalid (n,k,s,d)=(4,2,2,3)"),
+    ("triangle_umvirate", {"v": 2}, "need v >= 3 vertices, got 2"),
+]
+
+
 def test_validation_errors():
-    with pytest.raises(ValueError):
-        FamilySpec("ak_family", {"n": 5, "k": 3, "t": 2, "r": 2})  # t+2r > n
-    with pytest.raises(ValueError):
-        FamilySpec("tilde_Gi", {"n": 5, "i": 2})
-    with pytest.raises(ValueError):
-        FamilySpec("unknown_family", {})
-    with pytest.raises(ValueError):
-        FamilySpec("hm_matching_E", {"n": 4, "k": 2, "s": 2})
+    assert {name for name, _, _ in VALIDATION_ERRORS} > set(KNOWN)
+    for name, params, message in VALIDATION_ERRORS:
+        with pytest.raises(ValueError) as info:
+            FamilySpec(name, params)
+        assert str(info.value) == message
+
+
+def test_family_table_order_and_kinds():
+    # the "known: ..." message prints FAMILY_NAMES, so its order is pinned
+    assert FAMILY_NAMES == tuple(FAMILIES) == KNOWN
+    for name, entry in FAMILIES.items():
+        # the smallest valid spec builds the kind its parameters imply
+        values = sorted(itertools.product(range(8), repeat=len(entry.params)),
+                        key=sum)
+        sp = next(filter(None, (_valid_spec(name, dict(zip(entry.params, v)))
+                                for v in values)))
+        fam = construct(sp)
+        assert entry.uniform == ("k" in entry.params)
+        assert isinstance(fam, UniformFamily if entry.uniform else SetFamily)
+        # every whole-cube family has a closed-form measure, no k-uniform one
+        assert (entry.mu is None) == entry.uniform
+
+
+def _valid_spec(name, params):
+    try:
+        return FamilySpec(name, params)
+    except ValueError:
+        return None
+
+
+#: each family's parameters, as the corpus below draws them
+CORPUS_KEYS = {
+    "dictatorship": ("n", "j"), "t_umvirate": ("n", "t"),
+    "or_family": ("n", "s"), "ak_family": ("n", "k", "t", "r"),
+    "frankl_Gi": ("n", "k", "i"), "tilde_Gi": ("n", "i"),
+    "F_ts": ("n", "k", "t", "s"), "tilde_F_ts": ("n", "t", "s"),
+    "tilde_H_tsr": ("n", "t", "s", "r"), "tilde_D_sdl": ("n", "s", "d", "l"),
+    "C_ts_lex": ("n", "t", "s"), "hm_matching_E": ("n", "k", "s"),
+    "conj_H": ("n", "k", "s", "d"), "triangle_umvirate": ("v",),
+    "unknown_family": ("n",),
+}
+
+
+def _zoo_corpus(count: int) -> list:
+    """`count` seeded spec dicts: mostly in-range parameters of every family
+    (and of an unknown name), some with a key dropped, an extra key, a
+    value that is not an integer, params that are not an object or no
+    name at all."""
+    rng = random.Random(20261019)
+    names = list(CORPUS_KEYS)
+    out = []
+    for _ in range(count):
+        name = rng.choice(names)
+        keys = CORPUS_KEYS[name]
+        params = {key: rng.randint(2, 5) if key == "v" else
+                  rng.randint(0, 9) if key == "n" else rng.randint(0, 4)
+                  for key in keys}
+        fault = rng.random()
+        if fault < 0.08:
+            del params[rng.choice(keys)]
+        elif fault < 0.12:
+            params[rng.choice(("x", "j", "k"))] = rng.randint(0, 3)
+        elif fault < 0.15:
+            params[rng.choice(keys)] = rng.choice((True, "3", 2.0, None))
+        elif fault < 0.16:
+            params = [len(params)]
+        elif fault < 0.2:
+            params[rng.choice(keys)] = -1
+        d = {"name": name, "params": params}
+        if rng.random() < 0.01:
+            del d["name"]
+        out.append(d)
+    return out
+
+
+def _zoo_outcome(d: dict) -> str:
+    """The spec's error, or its family (kind, ground, members), closed-form
+    measure at 1/3 and slice sizes for k = 0..7, each value or error."""
+    try:
+        sp = FamilySpec.from_dict(d)
+    except ValueError as exc:
+        return f"spec: {exc}"
+    fam = construct(sp)
+    built = (type(fam).__name__, fam.n, getattr(fam, "k", None),
+             getattr(getattr(fam, "edges", None), "v", None), list(fam))
+    values = []
+    for value in [lambda: closed_form_mu(sp, F(1, 3))] + [
+            lambda k=k: closed_form_size(sp, k) for k in range(8)]:
+        try:
+            values.append(str(value()))
+        except ValueError as exc:
+            values.append(f"error: {exc}")
+    return repr((built, values))
+
+
+#: sha256 of the corpus outcomes, recorded before the zoo became one table
+ZOO_DIGEST = \
+    "38e77ccd3280b4b1b2a6cdcf34d78b0da1c63385e303d3f03516ef0a05761bbf"
+
+
+def test_zoo_outcomes_pinned():
+    corpus = _zoo_corpus(6000)
+    lines = [_zoo_outcome(d) for d in corpus]
+    built = {d["name"] for d, line in zip(corpus, lines)
+             if not line.startswith("spec:")}
+    assert built == set(KNOWN)  # every family builds somewhere
+    assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == ZOO_DIGEST
 
 
 def test_relabel_is_isomorphic(rng):
