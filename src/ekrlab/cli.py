@@ -18,7 +18,7 @@ import sys
 from types import SimpleNamespace
 
 from . import _kernels, numerics
-from .families import EdgeGround, SetFamily
+from .families import KINDS, EdgeGround, SetFamily
 from .io import family_to_dict, load_family
 from .measures import influence, iso_sweep, mu, mu_polynomial, russo_sweep
 from .numerics import fmt_rational, parse_rational
@@ -28,9 +28,6 @@ from .shadows import (increasing_shadow, kk_min_shadow, cascade_decomposition,
 from .verify import (THEOREMS, TheoremCase, check_theorem, conjecture_scan,
                      theorem_id, tightness_report)
 from .zoo import FAMILIES, FamilySpec, construct
-
-#: the two kinds of family a command reads, indexed by "is k-uniform"
-_KINDS = ("a family on the whole cube", "a k-uniform family")
 
 
 def _load_args_family(args, uniform=False, label=None):
@@ -45,8 +42,8 @@ def _load_args_family(args, uniform=False, label=None):
         builds = FAMILIES[spec.name].uniform
         if builds != uniform:
             raise ValueError(f"{label or args.subcommand} needs "
-                             f"{_KINDS[uniform]}; this spec builds "
-                             f"{_KINDS[builds]}")
+                             f"{KINDS[uniform]}; this spec builds "
+                             f"{KINDS[builds]}")
         return construct(spec)
     if args.family:
         return load_family(args.family, uniform=uniform)
@@ -55,7 +52,7 @@ def _load_args_family(args, uniform=False, label=None):
 
 def _header(args, command: str) -> dict:
     inputs = {k: v for k, v in sorted(vars(args).items())
-              if k not in ("handler", "func") and v is not None}
+              if k != "handler" and v is not None}
     return {
         "command": command,
         "inputs": {k: str(v) for k, v in inputs.items()},

@@ -18,6 +18,9 @@ from .numerics import _Frozen
 
 MAX_DENSE_N = 30
 
+#: the two kinds of family, indexed by "is k-uniform"
+KINDS = ("a family on the whole cube", "a k-uniform family")
+
 
 def _check_ground(n: int) -> None:
     if not 0 <= n <= MAX_DENSE_N:

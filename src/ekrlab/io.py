@@ -11,7 +11,8 @@ import json
 from pathlib import Path
 
 from .bitops import mask_of
-from .families import MAX_DENSE_N, SetFamily, UniformFamily, _check_ground
+from .families import (KINDS, MAX_DENSE_N, SetFamily, UniformFamily,
+                       _check_ground)
 
 
 def family_to_dict(fam, compact: bool = False) -> dict:
@@ -86,6 +87,9 @@ def set_family_from_dict(d: dict, edges=None) -> SetFamily:
     n, masks, past_n = _masks_from_dict(d, dense=True)
     if past_n is not None:
         raise ValueError(past_n)
+    if "k" in d:
+        raise ValueError(f'family JSON field "k" marks {KINDS[1]}, '
+                         f'not {KINDS[0]}')
     return SetFamily.from_masks(n, masks, edges=edges)
 
 
@@ -94,9 +98,12 @@ def uniform_family_from_dict(d: dict) -> UniformFamily:
     sizes = {m.bit_count() for m in masks}
     if len(sizes) > 1:
         raise ValueError(f"not k-uniform: member sizes {sorted(sizes)}")
-    k = sizes.pop() if sizes else d.get("k", 0)
+    k = d.get("k", next(iter(sizes), 0))
     if not _is_int(k):
         raise ValueError('family JSON field "k" must be an integer')
+    if sizes - {k}:
+        raise ValueError(f'family JSON field "k" is {k}, but its members '
+                         f'have {sizes.pop()} elements')
     if past_n is not None and k <= n:  # UniformFamily names a k past n
         raise ValueError(past_n)
     return UniformFamily(n, k, masks)

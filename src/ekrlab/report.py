@@ -16,7 +16,6 @@ from .numerics import Checked, fmt_rational, fmt_real
 HOLDS = "holds"
 FAILS = "fails"
 UNRESOLVED = "unresolved"
-VACUOUS = "vacuous"
 
 
 def fmt(x) -> str:
@@ -35,7 +34,7 @@ class HypothesisFlag:
     def __init__(self, name: str, status: str, lhs: str = "", rhs: str = "",
                  note: str = ""):
         self.name = name
-        self.status = status  # holds / fails / unresolved / vacuous
+        self.status = status  # holds / fails / unresolved
         self.lhs = lhs
         self.rhs = rhs
         self.note = note

@@ -29,7 +29,7 @@ from fractions import Fraction
 
 from . import _kernels
 from .bitops import mask_of, subset_masks
-from .families import (EdgeGround, SetFamily, UniformFamily,
+from .families import (KINDS, EdgeGround, SetFamily, UniformFamily,
                        is_t_intersecting, is_triangle_intersecting,
                        matching_number)
 from .measures import cube_measure, dot, mu, nearest_cube, power_table
@@ -37,8 +37,8 @@ from .numerics import (_Frozen, check_eq, check_le, default_dps, log,
                        log_base, nstr, parse_rational, power, to_mpf, workdps)
 from .report import HOLDS, UNRESOLVED, VerdictReport, fmt
 from .search import iter_uniform_families
-from .zoo import (FamilySpec, closed_form_mu, comb0, construct,
-                  defining_root)
+from .zoo import (FAMILIES, ROOT_EXPONENTS, FamilySpec, closed_form_mu,
+                  comb0, construct, defining_root)
 
 class DerivedConstants(_Frozen):
     """The transfer exponents and prefactors shared by the biased theorems."""
@@ -273,11 +273,15 @@ def _size_flag(rep: VerdictReport, case: TheoremCase, key: str, label: str,
 def check_theorem(case: TheoremCase, fam) -> VerdictReport:
     """Evaluate one stability theorem against a concrete family.
 
-    Family-type mismatches raise; failed (resolved) hypotheses produce a
+    Family-type mismatches raise ValueError, first a family of the other
+    kind than `THEOREMS` gives; failed (resolved) hypotheses produce a
     report with conclusion_holds = None; the witness and both sides of every
     inequality are always reported.
     """
-    return THEOREMS[case.theorem_id][0](case, fam)
+    check, uniform = THEOREMS[case.theorem_id]
+    _require(isinstance(fam, UniformFamily) == uniform, f"{case.theorem_id} "
+             f"needs {KINDS[uniform]}, not {KINDS[not uniform]}")
+    return check(case, fam)
 
 
 def _check_main_biased(case: TheoremCase, fam: SetFamily) -> VerdictReport:
@@ -375,7 +379,6 @@ def _check_matching_biased(case: TheoremCase, fam: SetFamily) -> VerdictReport:
 def _check_wilson_uniform(case: TheoremCase, fam: UniformFamily) -> VerdictReport:
     t, d = case.need("t"), case.need("d")
     _require(t >= 1 and d >= 1, "need t >= 1 and d >= 1")
-    _require(isinstance(fam, UniformFamily), "need a k-uniform family")
     _require(is_t_intersecting(fam, t), f"family must be {t}-intersecting")
     n, k = fam.n, fam.k
     rep = VerdictReport("WilsonUniform")
@@ -572,15 +575,41 @@ def bootstrap_diagnostics(fam: SetFamily, p0, p, t: int,
 # -- tightness reports ----------------------------------------------------------
 
 
+_AT_UMVIRATE = "conclusion equality at S_[t]: residual == (1-p)p^(t-1) eps"
+
+#: family -> its tightness chain: `chain(p, *parameters)` gives (t, r, eps
+#: at p, the s of the OR-lift over [s] or None), then the labels of the
+#: condition and conclusion equalities and a note for when another
+#: umvirate is strictly closer than S_[t] (None: not looked for)
+TIGHTNESS = {
+    "tilde_Gi": (lambda p, n, i: (1, i - 1, p ** (i - 1), None),
+                 "condition equality at eps = p^(i-1)",
+                 "conclusion equality at the dictatorship on 1: "
+                 "residual == (1-p) eps", None),
+    "tilde_F_ts": (lambda p, n, t, s: (t, s, t * p ** s, None),
+                   "condition equality (t-replaced constant) at eps = t p^s",
+                   _AT_UMVIRATE, "a different umvirate is strictly closer "
+                   "than S_[t] (degenerate small-s case)"),
+    "tilde_H_tsr": (lambda p, n, t, s, r: (t, r, p ** s, None),
+                    "condition equality at eps = p^s", _AT_UMVIRATE, None),
+    "tilde_D_sdl": (lambda p, n, s, d, el: (1, d, p ** el, s),
+                    "condition equality at eps = p^l",
+                    "conclusion equality at OR_[s]: residual == (1-p)^s eps",
+                    None),
+}
+
+
 def tightness_report(spec: FamilySpec, p) -> VerdictReport:
-    """Recompute both sides of the relevant condition/conclusion pair at the
-    family's prescribed epsilon (and defining root p0 where one exists) and
-    report the equality residuals."""
+    """Both sides of each equality of the family's `TIGHTNESS` chain at p
+    (and of mu_{p0}(F) at its defining root p0, where it has one), with
+    residuals.  Without a root or at p0 = 1/2, the condition is rational:
+    p^t(1 - (1-p)^r) + (1-p) p^{t-1} eps, OR-lifted over [s]."""
+    if spec.name not in TIGHTNESS:
+        raise ValueError(f"no tightness claim handled for {spec.name!r}")
+    chain, cond_name, concl_name, closer_note = TIGHTNESS[spec.name]
     p = Fraction(p)
     fam = construct(spec)
-    name = spec.name
-    pr = dict(spec.params)
-    rep = VerdictReport(f"tightness/{name}")
+    rep = VerdictReport(f"tightness/{spec.name}")
     mu_p = mu(fam, p)
     cf = closed_form_mu(spec, p)
     rep.add_flag("mu matches closed form", "holds" if mu_p == cf else "fails",
@@ -593,84 +622,42 @@ def tightness_report(spec: FamilySpec, p) -> VerdictReport:
         rep.add_slack(name_ + "_residual", chk.slack)
         return chk.equal
 
-    concl_name = "conclusion equality at S_[t]: residual == (1-p)p^(t-1) eps"
-    if name == "tilde_Gi":
-        t, eps = 1, p ** (pr["i"] - 1)
-        # eps^{log_p(1-p)} collapses to the rational (1-p)^(i-1) here
-        condition_rhs = p * (1 - (1 - p) ** (pr["i"] - 1)) + (1 - p) * eps
-        cond_name = "condition equality at eps = p^(i-1)"
-        concl_name = ("conclusion equality at the dictatorship on 1: "
-                      "residual == (1-p) eps")
-    elif name == "tilde_F_ts":
-        t = pr["t"]
-        eps = t * p ** pr["s"]
-        # (eps/t)^{log_p(1-p)} collapses to the rational (1-p)^s here
-        condition_rhs = (p ** t * (1 - (1 - p) ** pr["s"])
-                         + (1 - p) * p ** (t - 1) * eps)
-        cond_name = "condition equality (t-replaced constant) at eps = t p^s"
-    elif name == "tilde_H_tsr":
-        t = pr["t"]
-        root = defining_root(spec)
+    t, r, eps, s = chain(p, *FAMILIES[spec.name].values(spec.params))
+    if s is None:  # the chain at the umvirate S_[t]
+        lift, residual, near = 1, _canonical_residual(fam, t, p), "umvirate"
+        at_p0, p0_name = (lambda x: x ** t), "p0^t"
+    else:  # its OR-lift over [s], at OR_[s]
+        lift, residual, near = ((1 - p) ** (s - 1),
+                                _canonical_or_residual(fam, s, p), "or")
+        at_p0, p0_name = (lambda x: 1 - (1 - x) ** s), "1 - (1-p0)^s"
+    root = defining_root(spec) if spec.name in ROOT_EXPONENTS else None
+    if root is not None:
         p0 = root.value
-        eps = p ** pr["s"]
         _require(to_mpf(p) < to_mpf(p0), "tightness needs p < p0")
         if root.exact:
-            equality("mu_{p0}(F) == p0^t", mu(fam, p0), p0**t)
-            # p0 = 1/2 (r = s): ctilde = 1 and eps^u = (1-p)^r, all rational
-            condition_rhs = (p ** t * (1 - (1 - p) ** pr["r"])
-                             + (1 - p) * p ** (t - 1) * eps)
+            equality("mu_{p0}(F) == " + p0_name, mu(fam, p0), at_p0(p0))
         else:
-            equality("mu_{p0}(F) == p0^t",
-                     lambda: mu_at_real(fam, p0),
-                     lambda: power(to_mpf(p0), t))
-
-            def condition_rhs():
-                return (_ctilde_cap(p, t, *_root_constants(p0, p), to_mpf(eps))
-                        + _linear(p, t, eps))
-        cond_name = "condition equality at eps = p^s"
-    elif name == "tilde_D_sdl":
-        s = pr["s"]
-        root = defining_root(spec)
-        p0 = root.value
-        eps = p ** pr["l"]
-        _require(to_mpf(p) < to_mpf(p0), "tightness needs p < p0")
-        if root.exact:
-            equality("mu_{p0}(F) == 1 - (1-p0)^s", mu(fam, p0),
-                     1 - (1 - p0) ** s)
-            # p0 = 1/2 (d = l): ctilde = 1 and eps^u = (1-p)^d, all rational
-            inner = p * (1 - (1 - p) ** pr["d"]) + (1 - p) * eps
-            condition_rhs = 1 - (1 - p) ** (s - 1) + (1 - p) ** (s - 1) * inner
-        else:
-            equality("mu_{p0}(F) == 1 - (1-p0)^s",
-                     lambda: mu_at_real(fam, p0),
-                     lambda: 1 - power(1 - to_mpf(p0), s))
-
-            def condition_rhs():
-                return _or_lift(p, s, _ctilde_cap(p, 1, *_root_constants(p0, p),
-                                                  to_mpf(eps))
-                                + _linear(p, 1, eps))
-        cond_name = "condition equality at eps = p^l"
-        concl_name = "conclusion equality at OR_[s]: residual == (1-p)^s eps"
+            equality("mu_{p0}(F) == " + p0_name, lambda: mu_at_real(fam, p0),
+                     lambda: at_p0(to_mpf(p0)))
+    if root is None or root.exact:
+        condition = 1 - lift + lift * (p ** t * (1 - (1 - p) ** r)
+                                       + (1 - p) * p ** (t - 1) * eps)
     else:
-        raise ValueError(f"no tightness claim handled for {name!r}")
+        def condition():
+            inner = (_ctilde_cap(p, t, *_root_constants(p0, p), to_mpf(eps))
+                     + _linear(p, t, eps))
+            return inner if s is None else _or_lift(p, s, inner)
 
-    cond = equality(cond_name, condition_rhs, mu_p)
-    if name == "tilde_D_sdl":
-        residual, bound = _canonical_or_residual(fam, s, p), (1 - p) ** s * eps
-        nearest_name = "nearest_or_residual"
-        nearest = nearest_cube(fam, subset_masks(fam.n, s), p, misses=True)[2]
-    else:
-        residual = _canonical_residual(fam, t, p)
-        bound = (1 - p) * p ** (t - 1) * eps
-        nearest_name = "nearest_umvirate_residual"
-        nearest = nearest_cube(fam, subset_masks(fam.n, t), p)[2]
+    cond = equality(cond_name, condition, mu_p)
+    nearest = nearest_cube(fam, subset_masks(fam.n, s or t), p,
+                           misses=s is not None)[2]
+    bound = lift * (1 - p) * p ** (t - 1) * eps
     concl = residual == bound
     rep.add_flag(concl_name, "holds" if concl else "fails",
                  lhs=residual, rhs=bound)
-    rep.add_slack(nearest_name, nearest)
-    if name == "tilde_F_ts" and nearest < residual:
-        rep.notes.append("a different umvirate is strictly closer than "
-                         "S_[t] (degenerate small-s case)")
+    rep.add_slack(f"nearest_{near}_residual", nearest)
+    if closer_note and nearest < residual:
+        rep.notes.append(closer_note)
     rep.conclusion_holds = cond and concl and rep.hypotheses_met
     return rep
 

@@ -478,18 +478,17 @@ class RootInfo(_Frozen):
     __slots__ = ("value", "exact", "bracket", "equation")
 
 
+#: family -> the parameters (a, b) of its defining equation, below
+ROOT_EXPONENTS = {"tilde_H_tsr": ("r", "s"), "tilde_D_sdl": ("d", "l")}
+
+
 def defining_root(spec: FamilySpec) -> RootInfo:
-    """Unique p0 in (0,1) with (1-p0)**(r-1) == p0**(s-1) (and the d/l
-    analogue); bisected to working precision, uniqueness by a sign check."""
-    pr = dict(spec.params)
-    if spec.name == "tilde_H_tsr":
-        a, b = pr["r"], pr["s"]
-        eq = f"(1-p)^{a - 1} = p^{b - 1}"
-    elif spec.name == "tilde_D_sdl":
-        a, b = pr["d"], pr["l"]
-        eq = f"(1-p)^{a - 1} = p^{b - 1}"
-    else:
-        raise ValueError("defining root exists for tilde_H_tsr / tilde_D_sdl only")
+    """Unique p0 in (0,1) with (1-p0)**(a-1) == p0**(b-1); bisected to
+    working precision, uniqueness by a sign check."""
+    if spec.name not in ROOT_EXPONENTS:
+        raise ValueError(f"defining root exists for {' / '.join(ROOT_EXPONENTS)} only")
+    a, b = (spec.params[key] for key in ROOT_EXPONENTS[spec.name])
+    eq = f"(1-p)^{a - 1} = p^{b - 1}"
     if a < 2 or b < 2:
         raise ValueError("defining equation needs both exponents >= 2")
     if a == b:

@@ -39,13 +39,22 @@ def rng():
     return random.Random(20260809)
 
 
+def _perfbench_module(name: str):
+    """perfbench/<name>.py as a module, read and never written."""
+    if name not in sys.modules:
+        path = Path(__file__).resolve().parents[1] / "perfbench"
+        spec = importlib.util.spec_from_file_location(name, path / f"{name}.py")
+        # registered before it runs: a dataclass looks itself up there
+        sys.modules[name] = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(sys.modules[name])
+    return sys.modules[name]
+
+
 def perfbench_workloads():
     """perfbench/workloads.py as a module: the commands of the benchmark."""
-    if "workloads" not in sys.modules:
-        path = Path(__file__).resolve().parents[1] / "perfbench"
-        spec = importlib.util.spec_from_file_location(
-            "workloads", path / "workloads.py")
-        # registered before it runs: its dataclass looks itself up there
-        sys.modules["workloads"] = importlib.util.module_from_spec(spec)
-        spec.loader.exec_module(sys.modules["workloads"])
-    return sys.modules["workloads"]
+    return _perfbench_module("workloads")
+
+
+def perfbench_gate():
+    """perfbench/gate.py as a module: the benchmark's output digest."""
+    return _perfbench_module("gate")

@@ -15,6 +15,8 @@ from ekrlab.io import (family_to_dict, set_family_from_dict,
                        uniform_family_from_dict)
 from ekrlab.zoo import tilde_gi
 
+from conftest import perfbench_gate, perfbench_workloads
+
 
 def test_family_json_roundtrip(tmp_path):
     fam = tilde_gi(4, 3)
@@ -212,6 +214,30 @@ def test_cli_tightness_and_scan(capsys):
     assert code == 0
     payload = json.loads(out)
     assert payload["report"]["candidates"] == []
+
+
+def test_benchmark_tightness_commands_match_the_reference(
+        capsys, tmp_path, monkeypatch):
+    # the `tightness` commands of the `verify` workload, one pair per input
+    # variant, replayed in process: a byte that drifts from the benchmark's
+    # recorded output shows here before a benchmark run does
+    monkeypatch.delenv("EKRLAB_PRECISION", raising=False)
+    workloads, gate = perfbench_workloads(), perfbench_gate()
+    root = Path(__file__).resolve().parents[1]
+    reference = json.loads(
+        (root / "perfbench" / "reference.json").read_text())["verify"]
+    replayed = 0
+    for seed in range(workloads.VARIANTS):
+        commands, variant = workloads.build("verify", seed, tmp_path / str(seed))
+        for command in commands:
+            if command.args[0] == "tightness":
+                code = main(command.argv())
+                expect = reference[variant][command.key()]
+                assert code == expect["rc"], command.key()
+                assert gate.digest(capsys.readouterr().out) == \
+                    expect["digest"], command.key()
+                replayed += 1
+    assert replayed == 32
 
 
 def test_cli_usage_errors(capsys):
@@ -542,6 +568,11 @@ MALFORMED = [
     ('{"n":3,"sets":[[1],[2,1]]}', True,
      "set [2, 1] is not strictly increasing"),
     ('{"n":3,"sets":[[1,2,3,4]]}', True, "uniformity k=4 out of range for n=3"),
+    ('{"n":3,"k":2,"sets":[[1,2]]}', False,
+     'family JSON field "k" marks a k-uniform family, not a family on the '
+     'whole cube'),
+    ('{"n":4,"k":3,"sets":[[1,2],[1,3]]}', True,
+     'family JSON field "k" is 3, but its members have 2 elements'),
 ]
 
 
@@ -553,6 +584,8 @@ def test_malformed_family_file_message(tmp_path, text, uniform, message):
         with pytest.raises(ValueError) as info:
             load_family(source, uniform=uniform)
         assert str(info.value) == message
+    command = ("katona", "--t", "1") if uniform else ("measure", "--p", "1/2")
+    assert main([*command, "--family", str(path)]) == 2
 
 
 def test_dense_ground_checked_before_any_mask():

@@ -88,6 +88,39 @@ def test_main_biased_rejects_type_mismatch():
                                    "eps": F(1, 4)}), not_increasing)
 
 
+#: parameters each theorem accepts, for the family-kind check below
+_KIND_PARAMS = {
+    "MainBiased": {"p0": F(1, 2), "p": F(1, 4), "t": 1, "eps": F(1, 10)},
+    "Biased1": {"p": F(1, 4), "eps": F(1, 16)},
+    "TIntersectingBiased": {"t": 1, "p": F(1, 5), "eps": F(1, 25)},
+    "DualBiased": {"p0": F(1, 2), "p": F(1, 4), "s": 1, "eps": F(1, 10)},
+    "MatchingBiased": {"s": 1, "p": F(1, 10), "eps": F(1, 36)},
+    "WilsonUniform": {"t": 1, "d": 1},
+    "TriangleBiased": {"p": F(1, 4), "eps": F(1, 8)},
+    "TriangleUniform": {"d": 1, "v": 4},
+    "MatchingUniform": {"s": 1, "eps": F(1, 10)},
+    "FranklG_i": {"p": F(1, 4), "i": 3},
+}
+
+
+@pytest.mark.parametrize("theorem", verify.THEOREM_IDS)
+def test_check_theorem_refuses_the_other_kind(theorem):
+    # four whole-cube checks once raised AttributeError on a k-uniform
+    # family and three reported an unrelated hypothesis
+    uniform = verify.THEOREMS[theorem][1]
+    case = TheoremCase(theorem, _KIND_PARAMS[theorem])
+    fam = (triangle_umvirate(4) if theorem.startswith("Triangle")
+           else t_umvirate(6, 1))
+    right, wrong = ((fam.uniform_slice(3), fam) if uniform
+                    else (fam, fam.uniform_slice(3)))
+    check_theorem(case, right)
+    with pytest.raises(ValueError) as info:
+        check_theorem(case, wrong)
+    kinds = ("a family on the whole cube", "a k-uniform family")
+    assert str(info.value) == (f"{theorem} needs {kinds[uniform]}, "
+                               f"not {kinds[not uniform]}")
+
+
 def test_wilson_uniform_tight_family():
     fam = construct(FamilySpec("F_ts", {"n": 12, "k": 3, "t": 1, "s": 2}))
     rep = check_theorem(TheoremCase("WilsonUniform", {"t": 1, "d": 2}), fam)
@@ -254,6 +287,50 @@ def test_tightness_reports():
                                       {"n": 7, "t": 1, "s": 2, "r": 3}),
                            F(1, 4))
     assert rep.conclusion_holds
+
+
+def _curve(p, t, r, eps, s=None):
+    """p^t(1 - (1-p)^r) + (1-p)p^{t-1} eps, OR-lifted over [s] when s is
+    given: 1 - (1-p)^{s-1} + (1-p)^{s-1} times the curve."""
+    x = p ** t * (1 - (1 - p) ** r) + (1 - p) * p ** (t - 1) * eps
+    return x if s is None else 1 - (1 - p) ** (s - 1) + (1 - p) ** (s - 1) * x
+
+
+def _identity_cases():
+    """(spec, its condition at p) for every tightness family on n <= 7
+    whose chain is rational: H with r = s and D with d = l."""
+    for n in range(2, 8):
+        for i in range(3, n + 1):
+            yield (FamilySpec("tilde_Gi", {"n": n, "i": i}),
+                   lambda p, i=i: _curve(p, 1, i - 1, p ** (i - 1)))
+        # (a, b) is (t, s) of F and H, and (s, d) of D
+        for a, b in itertools.product(range(1, n), repeat=2):
+            if a + b > n:
+                continue
+            yield (FamilySpec("tilde_F_ts", {"n": n, "t": a, "s": b}),
+                   lambda p, t=a, s=b: _curve(p, t, s, t * p ** s))
+            if b >= 2:
+                yield (FamilySpec("tilde_H_tsr",
+                                  {"n": n, "t": a, "s": b, "r": b}),
+                       lambda p, t=a, s=b: _curve(p, t, s, p ** s))
+                yield (FamilySpec("tilde_D_sdl",
+                                  {"n": n, "s": a, "d": b, "l": b}),
+                       lambda p, s=a, d=b: _curve(p, 1, d, p ** d, s))
+
+
+def test_tightness_condition_is_the_one_identity():
+    # the printed condition side of every rational chain is the curve, and
+    # every chain closes
+    cases = list(_identity_cases())
+    assert {sp.name for sp, _ in cases} == set(verify.TIGHTNESS)
+    for sp, curve in cases:
+        for p in (F(1, 7), F(1, 5), F(1, 4), F(1, 3), F(2, 5), F(3, 7)):
+            rep = tightness_report(sp, p).to_dict()
+            cond = [h for h in rep["hypotheses"]
+                    if h["name"].startswith("condition equality")]
+            assert len(cond) == 1, (sp, p)
+            assert cond[0]["lhs"] == numerics.fmt_rational(curve(p)), (sp, p)
+            assert rep["conclusion_holds"] is True, (sp, p)
 
 
 def test_derived_constants():

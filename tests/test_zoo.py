@@ -1,5 +1,6 @@
 import hashlib
 import itertools
+import json
 import math
 import random
 from fractions import Fraction
@@ -15,8 +16,10 @@ from ekrlab import (FamilySpec, SetFamily, UniformFamily, ak_max,
                     matching_number, mu)
 from ekrlab import families
 from ekrlab.bitops import elements_of
+from ekrlab.cli import main
 from ekrlab.families import MAX_DENSE_N
 from ekrlab.numerics import workdps
+from ekrlab.verify import TIGHTNESS
 from ekrlab.zoo import (FAMILIES, FAMILY_NAMES, hm_matching_e,
                         hm_matching_layout, or_family, relabel, t_umvirate,
                         triangle_umvirate)
@@ -253,11 +256,7 @@ def test_family_table_order_and_kinds():
     assert FAMILY_NAMES == tuple(FAMILIES) == KNOWN
     for name, entry in FAMILIES.items():
         # the smallest valid spec builds the kind its parameters imply
-        values = sorted(itertools.product(range(8), repeat=len(entry.params)),
-                        key=sum)
-        sp = next(filter(None, (_valid_spec(name, dict(zip(entry.params, v)))
-                                for v in values)))
-        fam = construct(sp)
+        fam = construct(_smallest_spec(name))
         assert entry.uniform == ("k" in entry.params)
         assert isinstance(fam, UniformFamily if entry.uniform else SetFamily)
         # every whole-cube family has a closed-form measure, no k-uniform one
@@ -269,6 +268,33 @@ def _valid_spec(name, params):
         return FamilySpec(name, params)
     except ValueError:
         return None
+
+
+def _smallest_spec(name):
+    """The valid spec of the family with the smallest parameter sum."""
+    keys = FAMILIES[name].params
+    values = sorted(itertools.product(range(8), repeat=len(keys)), key=sum)
+    return next(filter(None, (_valid_spec(name, dict(zip(keys, v)))
+                              for v in values)))
+
+
+#: the families with a tightness chain
+CHAINS = ("tilde_Gi", "tilde_F_ts", "tilde_H_tsr", "tilde_D_sdl")
+
+
+@pytest.mark.parametrize("name", KNOWN)
+def test_tightness_of_every_family(capsys, name):
+    # the five k-uniform families once printed an AttributeError traceback
+    # from `mu` and exited 1
+    assert tuple(TIGHTNESS) == CHAINS
+    code = main(["tightness", "--p", "1/3", "--spec",
+                 json.dumps(_smallest_spec(name).to_dict())])
+    err = capsys.readouterr().err
+    assert code in (0, 1, 2)
+    if name not in CHAINS:
+        assert code == 2
+        assert json.loads(err)["error"] == (
+            f"no tightness claim handled for {name!r}")
 
 
 #: each family's parameters, as the corpus below draws them
