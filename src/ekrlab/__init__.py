@@ -7,13 +7,12 @@ exhaustive searches that reproduce the exact theorems at desk scale.
 """
 
 from ._kernels import BACKEND as kernel_backend
-from .families import (EdgeGround, SetFamily, UniformFamily, is_intersecting,
-                       is_t_intersecting, is_triangle_intersecting,
-                       matching_number)
+from .families import (EdgeGround, SetFamily, UniformFamily, is_t_intersecting,
+                       is_triangle_intersecting, matching_number)
 from .io import family_to_dict, load_family
-from .measures import (InfluenceVector, MeasurePolynomial, edge_boundary,
-                       influence, log_measure_profile, measure_transfer_check,
-                       mu, mu_polynomial)
+from .measures import (InfluenceVector, edge_boundary, influence,
+                       log_measure_profile, measure_transfer_check, mu,
+                       mu_polynomial)
 from .numerics import check_eq, check_le, parse_rational
 from .report import VerdictReport
 from .search import (SearchCertificate, SearchProblem, iter_uniform_families,

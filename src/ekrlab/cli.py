@@ -79,7 +79,7 @@ def _cmd_measure(args):
     p = parse_rational(args.p)
     out = {"header": _header(args, "measure"), "mu": fmt_rational(mu(fam, p))}
     if args.polynomial:
-        out["polynomial"] = [fmt_rational(c) for c in mu_polynomial(fam).coeffs]
+        out["polynomial"] = [fmt_rational(c) for c in mu_polynomial(fam)]
     return 0, out
 
 
@@ -91,7 +91,7 @@ def _cmd_influence(args):
         "header": _header(args, "influence"),
         "influences": [fmt_rational(x) for x in vec.at(p)],
         "total": fmt_rational(vec.total_at(p)),
-        "total_polynomial": [fmt_rational(c) for c in vec.total.coeffs],
+        "total_polynomial": [fmt_rational(c) for c in vec.total],
     }
     return 0, out
 

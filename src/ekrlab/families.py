@@ -169,30 +169,6 @@ class SetFamily(_Frozen):
 
     # -- algebra -----------------------------------------------------------
 
-    def __or__(self, other: "SetFamily") -> "SetFamily":
-        self._same_ground(other)
-        return self._replace(self.bits | other.bits)
-
-    def __and__(self, other: "SetFamily") -> "SetFamily":
-        self._same_ground(other)
-        return self._replace(self.bits & other.bits)
-
-    def __sub__(self, other: "SetFamily") -> "SetFamily":
-        self._same_ground(other)
-        return self._replace(self.bits & ~other.bits)
-
-    def __xor__(self, other: "SetFamily") -> "SetFamily":
-        self._same_ground(other)
-        return self._replace(self.bits ^ other.bits)
-
-    def _same_ground(self, other: "SetFamily"):
-        if not isinstance(other, SetFamily) or other.n != self.n:
-            raise ValueError("families live on different ground sets")
-
-    def issubset(self, other: "SetFamily") -> bool:
-        self._same_ground(other)
-        return self.bits & ~other.bits == 0
-
     def complement_family(self) -> "SetFamily":
         """All subsets NOT in the family (the ^c of the family algebra)."""
         return self._replace(full_family_mask(self.n) & ~self.bits)
@@ -264,9 +240,6 @@ class SetFamily(_Frozen):
         """Members of size exactly k, as a UniformFamily."""
         return UniformFamily(self.n, k, (m for m in self if popcount(m) == k))
 
-    def is_t_intersecting(self, t: int) -> bool:
-        return is_t_intersecting(self, t)
-
 
 class UniformFamily(_Frozen):
     """A family of k-element subsets of [n] (no dense 2**n representation)."""
@@ -317,14 +290,6 @@ class UniformFamily(_Frozen):
     def __repr__(self) -> str:
         return f"UniformFamily(n={self.n}, k={self.k}, members={len(self)})"
 
-    def to_set_family(self) -> SetFamily:
-        if self.n > MAX_DENSE_N:
-            raise ValueError("ground set too large for a dense family")
-        return SetFamily.from_masks(self.n, self.members)
-
-    def is_t_intersecting(self, t: int) -> bool:
-        return is_t_intersecting(self, t)
-
 
 # -- predicates and statistics on either family kind ------------------------
 
@@ -352,10 +317,6 @@ def is_t_intersecting(fam, t: int) -> bool:
             if popcount(a & b) < t:
                 return False
     return True
-
-
-def is_intersecting(fam) -> bool:
-    return is_t_intersecting(fam, 1)
 
 
 def matching_number(fam) -> int:

@@ -1,8 +1,8 @@
 """Family serialization.
 
 JSON forms: {"n": int, "sets": [[1-indexed, strictly increasing], ...]} or
-the compact {"n": int, "masks_hex": ["0x..", ...]}.  Readers accept either;
-`family_to_dict` emits the sets form unless asked for the compact one.
+{"n": int, "masks_hex": ["0x..", ...]}.  Readers accept either;
+`family_to_dict` writes the sets form.
 """
 
 from __future__ import annotations
@@ -15,9 +15,7 @@ from .families import (KINDS, MAX_DENSE_N, SetFamily, UniformFamily,
                        _check_ground)
 
 
-def family_to_dict(fam, compact: bool = False) -> dict:
-    if compact:
-        return {"n": fam.n, "masks_hex": [hex(m) for m in fam]}
+def family_to_dict(fam) -> dict:
     return {"n": fam.n, "sets": [list(s) for s in fam.member_sets()]}
 
 

@@ -28,63 +28,19 @@ from .report import VerdictReport
 #: ground size above which influence counting switches to member scans
 _SCAN_THRESHOLD = 22
 
-class MeasurePolynomial(_Frozen):
-    """Polynomial in p, p -> mu_p(F), as integer monomial coefficients
-    (trailing zeros dropped)."""
 
-    __slots__ = ("coeffs",)
-
-    def __init__(self, coeffs):
-        cs = list(coeffs)
-        while cs and cs[-1] == 0:
-            cs.pop()
-        super().__init__(tuple(cs))
-
-    @classmethod
-    def zero(cls) -> "MeasurePolynomial":
-        return cls(())
-
-    @classmethod
-    def from_weights(cls, n: int, weights) -> "MeasurePolynomial":
-        """Expand sum_j w_j p**j (1-p)**(n-j) into integer monomial
-        coefficients."""
-        coeffs = [0] * (n + 1)
-        for j, w in enumerate(weights):
-            if not w:
-                continue
-            for m in range(j, n + 1):
-                coeffs[m] += w * (-1) ** (m - j) * math.comb(n - j, m - j)
-        return cls(coeffs)
-
-    @property
-    def degree(self) -> int:
-        return len(self.coeffs) - 1 if self.coeffs else -1
-
-    def __call__(self, p):
-        p = Fraction(p)
-        acc = Fraction(0)
-        for c in reversed(self.coeffs):
-            acc = acc * p + c
-        return acc
-
-    def derivative(self) -> "MeasurePolynomial":
-        return MeasurePolynomial(
-            (m * c for m, c in enumerate(self.coeffs) if m >= 1))
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, MeasurePolynomial) and self.coeffs == other.coeffs
-
-    def __hash__(self):
-        return hash(self.coeffs)
-
-    def __repr__(self):
-        if not self.coeffs:
-            return "MeasurePolynomial(0)"
-        terms = []
-        for m, c in enumerate(self.coeffs):
-            if c:
-                terms.append(f"{c}*p^{m}" if m else f"{c}")
-        return "MeasurePolynomial(" + " + ".join(terms) + ")"
+def polynomial(n: int, weights) -> tuple[int, ...]:
+    """sum_j w_j p**j (1-p)**(n-j) as integer monomial coefficients, the
+    coefficient of p**m at index m, trailing zeros dropped."""
+    coeffs = [0] * (n + 1)
+    for j, w in enumerate(weights):
+        if not w:
+            continue
+        for m in range(j, n + 1):
+            coeffs[m] += w * (-1) ** (m - j) * math.comb(n - j, m - j)
+    while coeffs and coeffs[-1] == 0:
+        coeffs.pop()
+    return tuple(coeffs)
 
 
 def power_table(n: int, p: Fraction) -> tuple[list[int], int]:
@@ -160,13 +116,9 @@ class InfluenceVector(_Frozen):
     __slots__ = ("n", "pivots", "total_weights")
 
     @property
-    def per_coordinate(self) -> tuple[MeasurePolynomial, ...]:
-        return tuple(MeasurePolynomial.from_weights(self.n, w)
-                     for w in self.pivots)
-
-    @property
-    def total(self) -> MeasurePolynomial:
-        return MeasurePolynomial.from_weights(self.n, self.total_weights)
+    def total(self) -> tuple[int, ...]:
+        """The total influence as a `polynomial`."""
+        return polynomial(self.n, self.total_weights)
 
     def at(self, p) -> list[Fraction]:
         pw, den = power_table(self.n, Fraction(p))
@@ -192,8 +144,9 @@ def mu(fam: SetFamily, p) -> Fraction:
     return Fraction(dot(fam.weight_vector(), pw), den)
 
 
-def mu_polynomial(fam: SetFamily) -> MeasurePolynomial:
-    return MeasurePolynomial.from_weights(fam.n, fam.weight_vector())
+def mu_polynomial(fam: SetFamily) -> tuple[int, ...]:
+    """mu_p of the family as a `polynomial` in p."""
+    return polynomial(fam.n, fam.weight_vector())
 
 
 def _counts(fam: SetFamily) -> tuple[list[int], list[list[int]]]:
@@ -232,9 +185,6 @@ class EdgeBoundaryReport(_Frozen):
     (None for an empty family)."""
 
     __slots__ = ("count", "edges", "harper", "is_subcube", "equality")
-
-    def __int__(self):
-        return self.count
 
 
 def edge_boundary(fam: SetFamily, include_edges: bool = True) -> EdgeBoundaryReport:

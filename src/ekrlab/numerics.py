@@ -376,9 +376,6 @@ class Checked(_Frozen):
 
     __slots__ = ("lhs", "rhs", "slack", "holds", "equal", "exact", "dps")
 
-    def __bool__(self) -> bool:
-        return self.holds
-
 
 def check_le(lhs: ValueLike, rhs: ValueLike) -> Checked:
     """Check lhs <= rhs, retrying at doubled precision near the boundary.

@@ -11,7 +11,7 @@ from __future__ import annotations
 import json
 from fractions import Fraction
 
-from .numerics import Checked, fmt_rational, fmt_real
+from .numerics import Checked, _Frozen, fmt_rational, fmt_real
 
 HOLDS = "holds"
 FAILS = "fails"
@@ -28,16 +28,11 @@ def fmt(x) -> str:
     return fmt_real(x)
 
 
-class HypothesisFlag:
-    __slots__ = ("name", "status", "lhs", "rhs", "note")
+class HypothesisFlag(_Frozen):
+    """One hypothesis: its name, status (holds / fails / unresolved), both
+    sides of its inequality as strings ("" when it has none) and a note."""
 
-    def __init__(self, name: str, status: str, lhs: str = "", rhs: str = "",
-                 note: str = ""):
-        self.name = name
-        self.status = status  # holds / fails / unresolved
-        self.lhs = lhs
-        self.rhs = rhs
-        self.note = note
+    __slots__ = ("name", "status", "lhs", "rhs", "note")
 
     @classmethod
     def from_checked(cls, name: str, c: Checked, note: str = "") -> "HypothesisFlag":
@@ -49,18 +44,18 @@ class HypothesisFlag:
 
 
 class VerdictReport:
+    """A check's verdict, filled in as the check runs."""
+
     __slots__ = ("check", "hypotheses", "witness", "conclusion_holds",
                  "slacks", "notes")
 
-    def __init__(self, check: str, hypotheses: list[HypothesisFlag] | None = None,
-                 witness: dict | None = None, conclusion_holds: bool | None = None,
-                 slacks: dict | None = None, notes: list[str] | None = None):
+    def __init__(self, check: str):
         self.check = check
-        self.hypotheses = [] if hypotheses is None else hypotheses
-        self.witness = witness
-        self.conclusion_holds = conclusion_holds
-        self.slacks = {} if slacks is None else slacks
-        self.notes = [] if notes is None else notes
+        self.hypotheses = []
+        self.witness = None
+        self.conclusion_holds = None
+        self.slacks = {}
+        self.notes = []
 
     def add_hypothesis(self, name: str, checked: Checked, note: str = "") -> HypothesisFlag:
         flag = HypothesisFlag.from_checked(name, checked, note)

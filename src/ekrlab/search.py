@@ -86,20 +86,11 @@ class SearchProblem(_Frozen):
         super().__init__(n, k, predicate, t, budget, shifted)
 
 
-class SearchCertificate:
+class SearchCertificate(_Frozen):
+    """A search's optimum, its witness (a UniformFamily) and statistics."""
+
     __slots__ = ("optimum", "witness", "nodes", "stats", "complete",
                  "shifted", "reverified")
-
-    def __init__(self, optimum: int, witness: object, nodes: int,
-                 stats: dict | None = None, complete: bool = True,
-                 shifted: bool = False, reverified: bool = False):
-        self.optimum = optimum
-        self.witness = witness           # a UniformFamily
-        self.nodes = nodes
-        self.stats = {} if stats is None else stats
-        self.complete = complete
-        self.shifted = shifted
-        self.reverified = reverified
 
     def to_dict(self) -> dict:
         wit = self.witness

@@ -34,6 +34,8 @@ def lower_shadow(fam: UniformFamily, s: int = 1) -> UniformFamily:
 
 def upper_shadow(fam: UniformFamily, s: int = 1) -> UniformFamily:
     """All (k+s)-sets containing some member."""
+    if s < 0:
+        raise ValueError("s must be nonnegative")
     if fam.k + s > fam.n:
         raise ValueError("k + s exceeds the ground size")
     out = set()

@@ -32,7 +32,8 @@ from .bitops import mask_of, subset_masks
 from .families import (KINDS, EdgeGround, SetFamily, UniformFamily,
                        is_t_intersecting, is_triangle_intersecting,
                        matching_number)
-from .measures import cube_measure, dot, mu, nearest_cube, power_table
+from .measures import (check_p_open, cube_measure, dot, mu, nearest_cube,
+                       power_table)
 from .numerics import (_Frozen, check_eq, check_le, default_dps, log,
                        log_base, nstr, parse_rational, power, to_mpf, workdps)
 from .report import HOLDS, UNRESOLVED, VerdictReport, fmt
@@ -603,11 +604,13 @@ def tightness_report(spec: FamilySpec, p) -> VerdictReport:
     """Both sides of each equality of the family's `TIGHTNESS` chain at p
     (and of mu_{p0}(F) at its defining root p0, where it has one), with
     residuals.  Without a root or at p0 = 1/2, the condition is rational:
-    p^t(1 - (1-p)^r) + (1-p) p^{t-1} eps, OR-lifted over [s]."""
+    p^t(1 - (1-p)^r) + (1-p) p^{t-1} eps, OR-lifted over [s].  A bias
+    outside 0 < p < 1 is a ValueError."""
     if spec.name not in TIGHTNESS:
         raise ValueError(f"no tightness claim handled for {spec.name!r}")
     chain, cond_name, concl_name, closer_note = TIGHTNESS[spec.name]
     p = Fraction(p)
+    check_p_open(p)
     fam = construct(spec)
     rep = VerdictReport(f"tightness/{spec.name}")
     mu_p = mu(fam, p)
@@ -691,18 +694,9 @@ def mu_at_real(fam: SetFamily, x):
 # -- conjecture scanners --------------------------------------------------------
 
 
-class ScanReport:
+class ScanReport(_Frozen):
     __slots__ = ("conjecture", "ranges", "families_examined", "candidates",
                  "complete", "notes")
-
-    def __init__(self, conjecture: str, ranges: dict, families_examined: int,
-                 candidates: list, complete: bool, notes: list):
-        self.conjecture = conjecture
-        self.ranges = ranges
-        self.families_examined = families_examined
-        self.candidates = candidates
-        self.complete = complete
-        self.notes = notes
 
     def to_dict(self) -> dict:
         return {

@@ -94,10 +94,10 @@ def test_polynomial_coefficients_are_int(rng):
              for _ in range(5)]
     for fam in fams:
         vec = influence(fam)
-        polys = [mu_polynomial(fam), mu_polynomial(fam).derivative(),
-                 vec.total, *vec.per_coordinate]
+        polys = [mu_polynomial(fam), vec.total,
+                 *(measures.polynomial(fam.n, w) for w in vec.pivots)]
         for poly in polys:
-            assert all(type(c) is int for c in poly.coeffs), (fam, poly)
+            assert all(type(c) is int for c in poly), (fam, poly)
 
 
 # -- the nearest-structure primitive against a member scan --------------------------

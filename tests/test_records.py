@@ -1,6 +1,6 @@
 """The record classes (reports, problems, specs and constants) as values:
 they pickle and copy to equal records, the frozen ones reject assignment,
-mutable defaults are fresh per instance, and constructors validate."""
+a new VerdictReport's containers are fresh, and constructors validate."""
 
 import copy
 import pickle
@@ -10,7 +10,7 @@ import pytest
 
 from ekrlab.families import EdgeGround, SetFamily, UniformFamily
 from ekrlab.measures import (EdgeBoundaryReport, InfluenceVector,
-                             LogMeasureProfile, MeasurePolynomial)
+                             LogMeasureProfile)
 from ekrlab.numerics import Checked
 from ekrlab.report import HypothesisFlag, VerdictReport
 from ekrlab.search import SearchCertificate, SearchProblem
@@ -29,7 +29,6 @@ FROZEN = [
     EdgeGround(4),
     CUBE,
     PAIRS,
-    MeasurePolynomial((0, 2, -1)),
     InfluenceVector(2, ((0, 1, 0), (0, 1, 0)), (0, 2, 0)),
     EdgeBoundaryReport(2, ((0, 1), (0, 2)), CHECKED, True, True),
     LogMeasureProfile(((F(1, 4), F(2)), (F(1, 2), F(2))), True, False, True),
@@ -39,16 +38,25 @@ FROZEN = [
     TheoremCase("Biased1", {"p": F(1, 4), "eps": F(1, 16)}),
     FamilySpec("dictatorship", {"n": 3}),
     RootInfo(F(1, 2), True, (F(1, 2), F(1, 2)), "(1-p)^2 = p^2"),
-]
-MUTABLE = [
     HypothesisFlag("h", "holds", "1/4", "1/3", "note"),
-    VerdictReport("Biased1", [HypothesisFlag("h", "fails")], {"umvirate": [1]},
-                  False, {"slack": "1/2"}, ["a note"]),
     SearchCertificate(3, None, 17, {"nodes": 17}, False, True, True),
     pytest.param(SearchCertificate(3, PAIRS, 17, {"nodes": 17}, True, True,
                                    True), id="SearchCertificate-witness"),
     ScanReport("WilsonSharp", {"n": 9}, 12, [{"size": 4}], True, ["note"]),
 ]
+
+
+def _verdict():
+    rep = VerdictReport("Biased1")
+    rep.add_flag("h", "fails")
+    rep.witness = {"umvirate": [1]}
+    rep.conclusion_holds = False
+    rep.add_slack("slack", F(1, 2))
+    rep.notes.append("a note")
+    return rep
+
+
+MUTABLE = [_verdict()]
 
 
 def _state(x):
@@ -79,7 +87,7 @@ def test_copies_start_with_an_empty_cache():
 
 @pytest.mark.parametrize("cls", [
     Checked, InfluenceVector, EdgeBoundaryReport, LogMeasureProfile,
-    RootInfo, DerivedConstants,
+    RootInfo, DerivedConstants, HypothesisFlag, ScanReport, SearchCertificate,
 ], ids=lambda c: c.__name__)
 def test_plain_records_take_one_value_per_field(cls):
     # these records have no constructor of their own
@@ -104,8 +112,7 @@ def test_frozen_records_reject_assignment(rec):
 
 @pytest.mark.parametrize("make, fields", [
     (lambda: VerdictReport("c"), ("hypotheses", "slacks", "notes")),
-    (lambda: SearchCertificate(1, None, 0), ("stats",)),
-], ids=["VerdictReport", "SearchCertificate"])
+], ids=["VerdictReport"])
 def test_default_containers_are_fresh(make, fields):
     # FamilySpec's default params are fresh too, but every family needs
     # parameters, so a spec built on them raises (see below)

@@ -198,7 +198,7 @@ def test_dual_and_matching_biased():
 
 
 def test_matching_biased_rejects_large_matching():
-    full = UniformFamily.full(6, 2).to_set_family()
+    full = SetFamily.from_masks(6, UniformFamily.full(6, 2).members)
     with pytest.raises(ValueError):
         check_theorem(TheoremCase("MatchingBiased",
                                   {"s": 2, "p": F(1, 6), "eps": F(1, 4)}), full)
