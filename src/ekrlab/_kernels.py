@@ -2,32 +2,51 @@
 
 Everything here works on arbitrary-size Python ints.
 
-The search and the predicate-family walk share index-mask tables (bit j
-stands for set j): a relation mask per set for the include test, the
-successors of each set under shifting, and a ready mask of the sets whose
-shift images are all included.  Both walks jump over sets outside the ready
-mask and count them as forced exclusions in bulk; every counter matches a
-walk that visits one set per node.
+The search and the predicate-family walk share two index-mask tables (bit
+j stands for set j): `rel`, the sets each set blocks, and `up`, the sets
+above each set in the shift order.  Both walks decide the sets in order
+and keep two masks, restored from a stack on each backtrack.
 
-A set is woken only when its last shift image (highest index) is
-included.  Shift images come earlier in the order, and the walks decide
-the sets in order, so when set c joins, every set before it is decided and
-none after it is included: a set whose last image is c can become ready
-only then.  A backtrack from c clears the sets whose last image is c; a set
-whose last image lies above c lost its bit when that image was dropped.
+The dead mask holds the sets that can no longer join because a shift image
+of theirs (taken any number of times) is out.  A set is out once it is
+decided and not included, so excluding set c ORs in up[c]; a set whose
+images are all in is then exactly a set not dead when the walk reaches it.
+A set skipped as dead adds nothing (up is transitive), so both walks jump
+over runs of dead sets and count them as forced exclusions in bulk; every
+counter matches a walk that visits one set per node.
 
-In match mode (matching number at most s) both walks also keep a blocked
-mask: a set is blocked when the included sets disjoint from it already hold
-s pairwise disjoint ones, so the include test is one bit.  An include adds
-to it (`_block`) and a backtrack restores it from a stack.  Blocked sets
-stay blocked below their node, which gives the predicate-family walk the
-bound behind its size floor.
+The blocked mask holds the sets the included ones rule out, so the
+include test is one bit.  In t mode including c ORs in rel[c], the later
+sets meeting c in fewer than t elements.  In match mode (matching number at
+most s) a set is blocked when the included sets disjoint from it already
+hold s pairwise disjoint ones; an include adds to it through `_block`.
+Blocked sets stay blocked below their node, which gives the
+predicate-family walk the bound behind its size floor.
+
+In t mode the search also stores subtrees.  Below a live set i, every
+later set is decided by i and the two masks alone: it is forced if dead,
+else rejected if blocked, else included, and each decision updates the
+masks from the tables.  With the incumbent fixed, the bound at i depends
+only on its slack, size + (n_sets - best) - i.  So (i, slack, the dead
+mask from bit i up, the blocked mask from bit i up) decides the whole
+subtree, and its four counters are stored under that key when it is done.
+An improvement of the incumbent drops every entry (and the subtrees open
+around it), so the witness is still the first optimum reached.  A stored
+subtree is added only if its nodes stay within the node budget and end
+before the next multiple of checkpoint_every; otherwise it is walked, so
+budget stops and checkpoints fall where the node-at-a-time walk puts them.
+The search keeps the key in one canonical form: a set above a blocked
+later set will be forced, not rejected (the blocked set is out before the
+walk reaches it), so including c also ORs the sets above rel[c] into the
+dead mask (`_lift`), and the blocked bits of dead sets are dropped from
+the key.  That moves no verdict: such a set is dead by the time the walk
+reaches it either way.  The predicate-family walk stores no subtrees and
+skips this step.
 """
 
 from __future__ import annotations
 
 from array import array
-from itertools import combinations
 
 from .bitops import (coord_zero_mask, iter_members, plus_one, popcount,
                      reverse_bits, size_class_masks)
@@ -123,58 +142,78 @@ def weight_counts(fam: int, n: int) -> list[int]:
     return w
 
 
-def _walk_tables(masks, preds_masks, mode: str, param: int, shifted: bool,
-                 included: int):
+def _walk_tables(masks, preds_masks, mode: str, param: int, shifted: bool):
     """Index-mask tables shared by both walks (bit j of a mask is set j).
 
-    rel[i]: in t mode, the earlier sets meeting set i in fewer than `param`
-    elements, so set i may join iff `not included & rel[i]`; in match mode,
+    rel[i]: in t mode, the later sets meeting set i in fewer than `param`
+    elements, so including set i blocks exactly those; in match mode,
     every set disjoint from set i.  Both come bit-parallel from the mask of
-    the sets holding each element: the sets meeting set i in at least t
-    elements are the union, over t-subsets T of set i, of the sets holding
-    all of T, and the sets disjoint from set i hold none of its elements.
+    the sets holding each element: over the elements of set i, a count
+    capped at t of how many each set holds gives the sets meeting set i in
+    at least t elements, and the sets disjoint from set i hold none of
+    its elements.
 
-    succ[c]: (1 << j, preds_masks[j]) for each set j whose last shift image
-    (highest index) is set c, as including c is the one step that can make
-    j ready (see the module notes), and succ_mask[c] those sets as one
-    mask.  Also returns the ready mask: bit j set iff every shift image of
-    set j is in `included` (every set, outside shifted mode).
+    up[c]: the sets above set c in the shift order, those with set c among
+    their shift images taken any number of times (no set outside shifted
+    mode).  Shift images come earlier in the order, so walking the sets
+    last first, each set's up mask is complete when it is passed on to its
+    images.
     """
     n_sets = len(masks)
     full = (1 << n_sets) - 1
-    holders = [sum(1 << j for j, m in enumerate(masks) if m >> e & 1)
-               for e in range(max(masks, default=0).bit_length())]
+    holders = [0] * max(masks, default=0).bit_length()
+    for j, m in enumerate(masks):
+        bit = 1 << j
+        while m:
+            low = m & -m
+            holders[low.bit_length() - 1] |= bit
+            m ^= low
     rel = []
     for i, m in enumerate(masks):
-        elems = [e for e in range(len(holders)) if m >> e & 1]
         if mode == "t":
-            meet = 0
-            for subset in combinations(elems, max(param, 0)):
-                common = full
-                for e in subset:
-                    common &= holders[e]
-                meet |= common
-            rel.append(((1 << i) - 1) & ~meet)
+            # seen[l]: the sets holding more than l of the elements of set
+            # i looked at so far (every set meets set i in at least 0)
+            seen = [0] * param
+            while m and seen:
+                low = m & -m
+                h = holders[low.bit_length() - 1]
+                for level in range(param - 1, 0, -1):
+                    seen[level] |= seen[level - 1] & h
+                seen[0] |= h
+                m ^= low
+            meet = seen[-1] if param > 0 else full
+            rel.append(-(2 << i) & full & ~meet)
         elif mode == "match":
             free = full
-            for e in elems:
-                free &= ~holders[e]
+            while m:
+                low = m & -m
+                free &= ~holders[low.bit_length() - 1]
+                m ^= low
             rel.append(free)
         else:
             raise ValueError(f"unknown predicate mode {mode!r}")
-    succ: list[list[tuple[int, int]]] = [[] for _ in range(n_sets)]
-    succ_mask = [0] * n_sets
-    if not shifted:
-        return rel, succ, succ_mask, full
-    ready = 0
-    for j, pm in enumerate(preds_masks):
-        if pm:
-            c = pm.bit_length() - 1
-            succ[c].append((1 << j, pm))
-            succ_mask[c] |= 1 << j
-        if not pm & ~included:
-            ready |= 1 << j
-    return rel, succ, succ_mask, ready
+    up = [0] * n_sets
+    if shifted:
+        for j in reversed(range(n_sets)):
+            above = up[j] | 1 << j
+            pm = preds_masks[j]
+            while pm:
+                low = pm & -pm
+                up[low.bit_length() - 1] |= above
+                pm ^= low
+    return rel, up
+
+
+def _lift(blocks: int, up) -> int:
+    """The sets above some set of `blocks` in the shift order.  A set
+    already covered adds nothing (the order is transitive), so only the
+    lowest uncovered set is looked up each time."""
+    out = 0
+    while blocks:
+        low = blocks & -blocks
+        out |= up[low.bit_length() - 1]
+        blocks &= ~(out | low)
+    return out
 
 
 def _cover(free: int, m: int, disjoint, target: int) -> int:
@@ -238,16 +277,19 @@ def search_uniform(masks, preds_masks, mode: str, param: int, shifted: bool,
     compression images (preds_masks) are already included, restricting the
     search to compression-closed families.
 
-    The walk keeps its position and the chosen sets, not a decision list.
-    From a set whose shift images are not all in (bit clear in the ready
-    mask), it jumps to the next ready set and counts every set passed as one
-    node and one forced exclusion.  A jump stops at the first set the bound
-    prunes, at the node budget and at the next multiple of checkpoint_every,
-    so stats, the budget stop, the checkpoint calls, the returned path and
-    the witness match a walk that decides one set per node.  An include
-    wakes only the sets whose last shift image it is, and a backtrack
-    clears only those (see the module notes), so the ready mask stays
-    exact at a cost of about one check per include.
+    The walk keeps its position, the chosen sets, a dead mask and a blocked
+    mask (see the module notes).  From a dead set it jumps to the next live
+    one and counts every set passed as one node and one forced exclusion.
+    A jump stops at the first set the bound prunes, at the node budget and
+    at the next multiple of checkpoint_every, so stats, the budget stop, the
+    checkpoint calls, the returned path and the witness match a walk that
+    decides one set per node.
+
+    In t mode a live node at i whose key (i, the bound's slack there and
+    the dead and blocked masks from bit i up, which decide its subtree; see
+    the module notes) is stored adds the stored counters of that subtree
+    instead of walking it, unless the node budget or the next multiple of
+    checkpoint_every falls inside.  An improved incumbent drops every entry.
 
     Returns (best_size, witness_index_tuple, stats_dict, complete, path)
     where path is the decision vector at exit (for checkpointing).
@@ -261,24 +303,45 @@ def search_uniform(masks, preds_masks, mode: str, param: int, shifted: bool,
     predicate_rejections = 0
     complete = True
 
-    resume_path = resume_path or []
-    chosen = [i for i, d in enumerate(resume_path) if d]
-    size = len(chosen)
-    included = sum(1 << i for i in chosen)
-    rel, succ, succ_mask, ready = _walk_tables(masks, preds_masks, mode, param,
-                                               shifted, included)
+    rel, up = _walk_tables(masks, preds_masks, mode, param, shifted)
     t_mode = mode == "t"
+    # lift[c]: the sets above some set that c blocks, which including c
+    # makes dead in t mode (see the module notes); found when c is first
+    # included
+    lift = [None if shifted else 0] * n_sets
+    chosen: list[int] = []
+    saved = []  # (blocked, dead) before each include in `chosen`
+    included = 0
     blocked = _no_blocked(mode, param)
-    saved = []  # the blocked mask before each include in `chosen`
-    prefix = 0
-    for c in chosen:
-        saved.append(blocked)
-        if not t_mode:
-            blocked = _block(blocked, c, prefix, param, rel)
-        prefix |= 1 << c
+    dead = 0
+    resume_path = resume_path or []
+    for c, d in enumerate(resume_path):
+        if not d:
+            dead |= up[c]
+            continue
+        saved.append((blocked, dead))
+        if t_mode:
+            blocked |= rel[c]
+            if lift[c] is None:
+                lift[c] = _lift(rel[c], up)
+            dead |= lift[c]
+        else:
+            blocked = _block(blocked, c, included, param, rel)
+        chosen.append(c)
+        included |= 1 << c
+    size = len(chosen)
     every = checkpoint_every if checkpoint_cb is not None else 0
     i = len(resume_path)
     line = n_sets - best  # the bound prunes a node at i iff size + line <= i
+    # stored subtrees: key -> the subtree's nodes, bound prunes, forced
+    # exclusions and predicate rejections.  The key packs the dead and
+    # blocked masks from bit i up, size + line (which fixes the slack at i)
+    # and i into one int; equal counters share one tuple through `counts`
+    memo: dict = {}
+    counts: dict = {}
+    half = (2 * n_sets + 2).bit_length()
+    wide = 2 * half
+    frames = []  # (size, key, counters) at each live node not in memo
 
     while True:
         if i == n_sets:
@@ -287,55 +350,87 @@ def search_uniform(masks, preds_masks, mode: str, param: int, shifted: bool,
                 best = size
                 line = n_sets - best
                 witness = tuple(chosen)
+                memo.clear()
+                frames.clear()
         elif size + line <= i:
             bound_prunes += 1
         else:
-            r = ready >> i
-            if r & 1:
-                stop = i
-            else:
+            d = dead >> i
+            hit = None
+            if d & 1:
                 # sets i..stop-1 are shift-forced exclusions
-                stop = i + (r & -r).bit_length() - 1 if r else n_sets
+                stop = i + (~d & (d + 1)).bit_length() - 1
                 if stop > size + line:
                     stop = size + line
                 if node_budget is not None and stop > i + node_budget - nodes:
                     stop = i + node_budget - nodes
                 if every and stop > i + every - nodes % every:
                     stop = i + every - nodes % every
-            if stop > i:
+                if stop <= i:  # the budget is spent: this node crosses it
+                    nodes += 1
+                    complete = False
+                    break
                 nodes += stop - i
                 forced_exclusions += stop - i
                 i = stop
             else:
-                nodes += 1
-                if node_budget is not None and nodes > node_budget:
-                    complete = False
-                    break
-                if not (included & rel[i] if t_mode else blocked >> i & 1):
-                    chosen.append(i)
-                    size += 1
-                    saved.append(blocked)
-                    if not t_mode:
-                        blocked = _block(blocked, i, included, param, rel)
-                    included |= 1 << i
-                    for bit, pm in succ[i]:
-                        if not pm & ~included:
-                            ready |= bit
-                else:
-                    predicate_rejections += 1
-                i += 1
-            if every and nodes % every == 0:
-                checkpoint_cb(_path(i, chosen), best, list(witness), nodes)
-            continue
+                if t_mode:
+                    key = ((d << n_sets | blocked >> i & ~d) << wide
+                           | (size + line) << half | i)
+                    hit = memo.get(key)
+                    if hit and (node_budget is not None
+                                and nodes + hit[0] > node_budget
+                                or every and nodes % every + hit[0] >= every):
+                        hit = None  # walk it: a stop or checkpoint is inside
+                    if hit:
+                        nodes += hit[0]
+                        bound_prunes += hit[1]
+                        forced_exclusions += hit[2]
+                        predicate_rejections += hit[3]
+                    else:
+                        frames.append((size, key, nodes, bound_prunes,
+                                       forced_exclusions,
+                                       predicate_rejections))
+                if not hit:
+                    nodes += 1
+                    if node_budget is not None and nodes > node_budget:
+                        complete = False
+                        break
+                    if not blocked >> i & 1:
+                        saved.append((blocked, dead))
+                        if t_mode:
+                            blocked |= rel[i]
+                            if lift[i] is None:
+                                lift[i] = _lift(rel[i], up)
+                            dead |= lift[i]
+                        else:
+                            blocked = _block(blocked, i, included, param, rel)
+                        chosen.append(i)
+                        size += 1
+                        included |= 1 << i
+                    else:
+                        predicate_rejections += 1
+                        dead |= up[i]
+                    i += 1
+            if not hit:
+                if every and nodes % every == 0:
+                    checkpoint_cb(_path(i, chosen), best, list(witness), nodes)
+                continue
         # backtrack: flip the deepest include decision to exclude
         if not size:
             i = 0
             break
+        # every subtree opened since this include was made is finished
+        while frames and frames[-1][0] >= size:
+            _, key, n0, b0, f0, r0 = frames.pop()
+            sub = (nodes - n0, bound_prunes - b0, forced_exclusions - f0,
+                   predicate_rejections - r0)
+            memo[key] = counts.setdefault(sub, sub)
         c = chosen.pop()
         size -= 1
         included ^= 1 << c
-        blocked = saved.pop()
-        ready &= ~succ_mask[c]
+        blocked, dead = saved.pop()
+        dead |= up[c]
         i = c + 1
 
     stats = {
@@ -355,10 +450,10 @@ def iter_predicate_families(masks, preds_masks, mode: str, param: int,
 
     Shifted mode restricts to compression-closed families.  Used by the
     conjecture scanners; exhaustive, depth-first, include branch first.
-    The same iterative walk as `search_uniform` without its bound: runs of
-    shift-forced sets are skipped through the ready mask and counted in
-    bulk, so node counts (and the `nodes` of BudgetExceeded) match a walk
-    that visits one set per node.
+    The same iterative walk as `search_uniform` without its bound or its
+    stored subtrees: runs of dead sets are skipped and counted in bulk, so
+    node counts (and the `nodes` of BudgetExceeded) match a walk that
+    visits one set per node.
 
     With a `min_size` floor the walk leaves out every subtree in which the
     chosen sets and the sets still to come that are not blocked number
@@ -367,20 +462,20 @@ def iter_predicate_families(masks, preds_masks, mode: str, param: int,
     in the same order, but nodes count only the subtrees walked.
     """
     n_sets = len(masks)
-    rel, succ, succ_mask, ready = _walk_tables(masks, preds_masks, mode, param,
-                                               shifted, 0)
+    rel, up = _walk_tables(masks, preds_masks, mode, param, shifted)
     t_mode = mode == "t"
     open_sets = (1 << n_sets) - 1
     chosen: list[int] = []
-    saved: list[int] = []  # the blocked mask before each include in `chosen`
+    saved = []  # (blocked, dead) before each include in `chosen`
     included = 0
     blocked = _no_blocked(mode, param)
+    dead = 0
     nodes = 0
     i = 0
     while True:
         # sets i..stop-1 are shift-forced exclusions, then a node at stop
-        r = ready >> i
-        stop = i + (r & -r).bit_length() - 1 if r else n_sets
+        d = dead >> i
+        stop = i + (~d & (d + 1)).bit_length() - 1
         if (not min_size or len(chosen)
                 + popcount((open_sets & ~blocked) >> stop) >= min_size):
             nodes += stop - i + 1
@@ -388,15 +483,16 @@ def iter_predicate_families(masks, preds_masks, mode: str, param: int,
                 raise BudgetExceeded(node_budget + 1)
             i = stop
             if i < n_sets:
-                if not (included & rel[i] if t_mode else blocked >> i & 1):
-                    chosen.append(i)
-                    saved.append(blocked)
-                    if not t_mode:
+                if not blocked >> i & 1:
+                    saved.append((blocked, dead))
+                    if t_mode:
+                        blocked |= rel[i]
+                    else:
                         blocked = _block(blocked, i, included, param, rel)
+                    chosen.append(i)
                     included |= 1 << i
-                    for bit, pm in succ[i]:
-                        if not pm & ~included:
-                            ready |= bit
+                else:
+                    dead |= up[i]
                 i += 1
                 continue
             yield tuple(chosen)
@@ -405,8 +501,8 @@ def iter_predicate_families(masks, preds_masks, mode: str, param: int,
             return
         c = chosen.pop()
         included ^= 1 << c
-        blocked = saved.pop()
-        ready &= ~succ_mask[c]
+        blocked, dead = saved.pop()
+        dead |= up[c]
         i = c + 1
 
 

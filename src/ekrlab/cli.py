@@ -108,7 +108,15 @@ def _cmd_shadow(args):
 
 def _cmd_construct(args):
     spec = FamilySpec.from_dict(json.loads(args.spec))
-    perm = [int(x) for x in args.perm.split(",")] if args.perm else None
+    perm = None
+    if args.perm is not None:
+        perm = []
+        for entry in args.perm.split(","):
+            try:
+                perm.append(int(entry))
+            except ValueError:
+                raise ValueError(f"--perm entry {entry!r} is not an "
+                                 "integer") from None
     fam = construct(spec, perm=perm)
     return 0, {"header": _header(args, "construct"),
                "family": family_to_dict(fam)}

@@ -9,9 +9,10 @@ when every image under an (i,j)-shift with i<j is already in.  The
 predicates used here (t-intersecting, matching bounded) are preserved by
 shifts, so the shifted optimum equals the global one; certificates are
 re-verified independently on emission.  The kernels skip runs of sets
-whose shift images are not all in through a ready mask and count them as
-forced exclusions in bulk (see `ekrlab._kernels`); the counters are those of
-the node-at-a-time walk.
+with a shift image out through a dead mask and count them as forced
+exclusions in bulk, and the t-intersecting search adds the counters of a
+stored subtree instead of walking it again (see `ekrlab._kernels`); the
+counters are those of the node-at-a-time walk.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ import json
 from pathlib import Path
 
 from . import _kernels
-from .bitops import elements_of, subset_masks
+from .bitops import subset_masks
 from .families import UniformFamily, is_t_intersecting, matching_number
 from .numerics import _Frozen
 
@@ -114,16 +115,19 @@ def lex_universe(n: int, k: int) -> list[int]:
 def shift_predecessor_masks(n: int, k: int, universe: list[int]) -> list[int]:
     """For each set, the index-mask of its immediate (i,j)-shift images
     (replace an element j by some absent i < j); all have smaller lex rank."""
-    index_of = {m: i for i, m in enumerate(universe)}
+    bit_of = {m: 1 << i for i, m in enumerate(universe)}
     preds = []
     for m in universe:
-        elems = elements_of(m)
         pm = 0
-        for b in elems:
-            for a in range(1, b):
-                if not (m >> (a - 1)) & 1:
-                    img = (m & ~(1 << (b - 1))) | (1 << (a - 1))
-                    pm |= 1 << index_of[img]
+        members = m
+        while members:
+            elem = members & -members  # an element j, as a bit
+            members ^= elem
+            below = ~m & (elem - 1)  # the absent elements i < j
+            while below:
+                low = below & -below
+                pm |= bit_of[m ^ elem | low]
+                below ^= low
         preds.append(pm)
     return preds
 

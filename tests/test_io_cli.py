@@ -134,6 +134,15 @@ def test_cli_argument_out_of_range_exit_two(capsys, argv, message):
     assert _usage_error(capsys, *argv).startswith(message)
 
 
+@pytest.mark.parametrize("perm, entry", [
+    ("1,2,3,4,x", "'x'"), ("1,2,3,4,5,", "''"), ("", "''")])
+def test_cli_construct_perm_entry_not_an_integer(capsys, perm, entry):
+    # once int()'s "invalid literal for int() with base 10: 'x'", which
+    # names neither the option nor the entry
+    err = _usage_error(capsys, "construct", "--spec", GI_SPEC, "--perm", perm)
+    assert err == f"--perm entry {entry} is not an integer"
+
+
 @pytest.mark.parametrize("argv", [
     ("search", "--predicate", "intersecting", "--n", "5", "--k", "2",
      "--budget", "-5"),
@@ -258,6 +267,28 @@ def test_benchmark_tightness_commands_match_the_reference(
                     expect["digest"], command.key()
                 replayed += 1
     assert replayed == 224
+
+
+def test_benchmark_search_commands_match_the_reference(capsys, tmp_path):
+    # the five commands of the `search` workload at both of its input sets
+    # (`small`, its warm-up, and `fixed`), replayed in process against the
+    # exit codes and digests in `perfbench/reference.json`: the optimum,
+    # witness and counters each prints are pinned byte for byte
+    workloads, gate = perfbench_workloads(), perfbench_gate()
+    root = Path(__file__).resolve().parents[1]
+    reference = json.loads(
+        (root / "perfbench" / "reference.json").read_text())["search"]
+    replayed = 0
+    for small in (True, False):
+        commands, variant = workloads.build("search", 0, tmp_path, small)
+        for command in commands:
+            code = main(command.argv())
+            expect = reference[variant][command.key()]
+            assert code == expect["rc"], command.key()
+            assert gate.digest(capsys.readouterr().out) == expect["digest"], \
+                command.key()
+            replayed += 1
+    assert replayed == 10
 
 
 def test_cli_usage_errors(capsys):

@@ -3,7 +3,9 @@ against a node-at-a-time reference walker; their shared tables against
 their definitions; pinned search counters; and the large-ground counting
 path."""
 
+import functools
 import itertools
+import operator
 import random
 
 import pytest
@@ -230,32 +232,74 @@ def test_floored_families_match_reference_walker():
                 assert not set(got[len(want):]) & set(ref), where
 
 
+def _shift_closure(preds):
+    """For each set, the sets having it among their shift images taken any
+    number of times, as index masks: the images of each set grown to a
+    fixed point, then read column by column."""
+    below = [{c for c in range(len(preds)) if pm >> c & 1} for pm in preds]
+    grown = True
+    while grown:
+        grown = False
+        for j, sets in enumerate(below):
+            more = sets.union(*(below[c] for c in sets))
+            if more != sets:
+                below[j], grown = more, True
+    return [sum(1 << j for j, sets in enumerate(below) if c in sets)
+            for c in range(len(preds))]
+
+
 def test_walk_tables_match_their_definitions():
-    # rel against the popcount definition, and each set with shift images in
-    # exactly one succ list: the one of its last image
+    # rel against the popcount definition, up against a brute-force
+    # transitive closure of the shift images (empty outside shifted mode),
+    # and _lift of each rel mask against the union of that closure over it
     for n in range(1, 9):
         for k in range(n + 1):
             universe = lex_universe(n, k)
             preds = shift_predecessor_masks(n, k, universe)
+            closure = _shift_closure(preds)
             for mode, param in MODES + (("t", 3),):
-                rel, succ, succ_mask, ready = _kernels._walk_tables(
-                    universe, preds, mode, param, True, 0)
+                rel, up = _kernels._walk_tables(universe, preds, mode, param,
+                                                True)
                 for i, m in enumerate(universe):
                     if mode == "t":
-                        want = [j for j in range(i) if
+                        want = [j for j in range(i + 1, len(universe)) if
                                 bin(m & universe[j]).count("1") < param]
                     else:
                         want = [j for j, mj in enumerate(universe)
                                 if not m & mj]
                     assert rel[i] == sum(1 << j for j in want), (n, k, mode,
                                                                  param, i)
-            lists = [(bit.bit_length() - 1, c, pm)
-                     for c, pairs in enumerate(succ) for bit, pm in pairs]
-            assert sorted(lists) == [(j, pm.bit_length() - 1, pm)
-                                     for j, pm in enumerate(preds) if pm]
-            assert succ_mask == [sum(bit for bit, _ in pairs)
-                                 for pairs in succ]
-            assert ready == sum(1 << j for j, pm in enumerate(preds) if not pm)
+                    assert _kernels._lift(rel[i], up) == functools.reduce(
+                        operator.or_, (closure[j] for j in want), 0)
+                assert up == closure, (n, k)
+                plain = _kernels._walk_tables(universe, preds, mode, param,
+                                              False)
+                assert plain == (rel, [0] * len(universe))
+
+
+@pytest.mark.parametrize("n, k, shifted, budgets", [
+    (6, 3, False, (997, 5003, 28_000)), (8, 4, True, (997, 5003))])
+def test_stored_subtrees_keep_budget_and_checkpoints_exact(n, k, shifted,
+                                                          budgets):
+    # plain EKR on [6]^(3) walks 4,519 of its live nodes and finds 2,330
+    # more already stored, which stand for 23,623 of its 28,144 nodes, and
+    # shifted EKR on [8]^(4) adds 53 stored subtrees within 5,003 nodes;
+    # budgets and checkpoint intervals that fall inside stored subtrees must
+    # stop, checkpoint and resume where the node-at-a-time walk does
+    universe = lex_universe(n, k)
+    preds = (shift_predecessor_masks(n, k, universe) if shifted
+             else [0] * len(universe))
+    inst = (universe, preds, "t", 1, shifted)
+    for budget in budgets:
+        for every in (997, 5003):
+            _check_checkpoints(inst, every, budget)
+        ref = _ref_search(*inst, node_budget=budget)
+        assert _kernels.search_uniform(*inst, node_budget=budget) == ref
+        best, witness, _, complete, path = ref
+        assert not complete
+        kw = dict(resume_path=path, resume_best=best, resume_witness=witness)
+        assert (_kernels.search_uniform(*inst, **kw)
+                == _ref_search(*inst, **kw)), budget
 
 
 #: (n, k, t) -> (optimum, counters) of the shifted t-intersecting search,
@@ -278,6 +322,30 @@ def test_shifted_t_intersecting_counters_pinned(n, k, t):
         universe, preds, "t", t, True)
     assert complete and path == []
     assert (best, tuple(stats.values())) == T_COUNTERS[n, k, t]
+
+
+#: (n, k, t, shifted) -> (optimum, counters) of the larger t-intersecting
+#: searches, recorded with the walk that stored no subtrees
+LARGE_T_COUNTERS = {
+    (8, 3, 1, False): (21, (101_176_986, 8_299_357, 0, 92_877_620)),
+    (10, 4, 1, True): (84, (21_338_825, 299_816, 20_904_905, 134_103)),
+    (10, 5, 2, True): (66, (36_945_523, 405_707, 36_529_260, 10_543)),
+}
+
+
+@pytest.mark.parametrize("n, k, t, shifted", sorted(LARGE_T_COUNTERS))
+def test_larger_t_intersecting_counters_pinned(n, k, t, shifted):
+    # EKR's C(7,2) = 21 over the whole of [8]^(3) and C(9,3) = 84 on
+    # [10]^(4); on [10]^(5) at t = 2, below Wilson's range, the
+    # Ahlswede-Khachatrian family of the sets meeting [4] in at least 3
+    # elements: 66
+    universe = lex_universe(n, k)
+    preds = (shift_predecessor_masks(n, k, universe) if shifted
+             else [0] * len(universe))
+    best, _, stats, complete, path = _kernels.search_uniform(
+        universe, preds, "t", t, shifted)
+    assert complete and path == []
+    assert (best, tuple(stats.values())) == LARGE_T_COUNTERS[n, k, t, shifted]
 
 
 def test_shifted_matching_counters_pinned():
