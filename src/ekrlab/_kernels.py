@@ -20,8 +20,9 @@ include test is one bit.  In t mode including c ORs in rel[c], the later
 sets meeting c in fewer than t elements.  In match mode (matching number at
 most s) a set is blocked when the included sets disjoint from it already
 hold s pairwise disjoint ones; an include adds to it through `_block`.
-Blocked sets stay blocked below their node, which gives the
-predicate-family walk the bound behind its size floor.
+Blocked sets stay blocked below their node, and dead sets stay dead, so
+neither can join below it: the predicate-family walk's size floor counts
+only the later sets that are neither.
 
 In t mode the search also stores subtrees.  Below a live set i, every
 later set is decided by i and the two masks alone: it is forced if dead,
@@ -31,10 +32,13 @@ only on its slack, size + (n_sets - best) - i.  So (i, slack, the dead
 mask from bit i up, the blocked mask from bit i up) decides the whole
 subtree, and its four counters are stored under that key when it is done.
 An improvement of the incumbent drops every entry (and the subtrees open
-around it), so the witness is still the first optimum reached.  A stored
-subtree is added only if its nodes stay within the node budget and end
-before the next multiple of checkpoint_every; otherwise it is walked, so
-budget stops and checkpoints fall where the node-at-a-time walk puts them.
+around it), so the witness is still the first optimum reached.  The
+entries are only a cache: a store that holds STORE_CAP of them is emptied
+before the next goes in, which bounds its memory and moves no counter.
+A stored subtree is added only if its nodes stay within the node budget
+and end before the next multiple of checkpoint_every; otherwise it is
+walked, so budget stops and checkpoints fall where the node-at-a-time
+walk puts them.
 The search keeps the key in one canonical form: a set above a blocked
 later set will be forced, not rejected (the blocked set is out before the
 walk reaches it), so including c also ORs the sets above rel[c] into the
@@ -57,6 +61,10 @@ BACKEND = "pure"
 #: largest ground size whose size counts go through 2**n-bit class masks;
 #: above it `weight_counts` walks the members
 DENSE_COUNT_N = 18
+
+#: stored t-mode subtrees `search_uniform` keeps at most; a full store is
+#: emptied before the next subtree goes in
+STORE_CAP = 1 << 20
 
 
 def monotone_masks(n: int, t: int = 0) -> array:
@@ -289,7 +297,8 @@ def search_uniform(masks, preds_masks, mode: str, param: int, shifted: bool,
     the dead and blocked masks from bit i up, which decide its subtree; see
     the module notes) is stored adds the stored counters of that subtree
     instead of walking it, unless the node budget or the next multiple of
-    checkpoint_every falls inside.  An improved incumbent drops every entry.
+    checkpoint_every falls inside.  An improved incumbent drops every entry,
+    and so does a store that is full (STORE_CAP entries).
 
     Returns (best_size, witness_index_tuple, stats_dict, complete, path)
     where path is the decision vector at exit (for checkpointing).
@@ -425,6 +434,9 @@ def search_uniform(masks, preds_masks, mode: str, param: int, shifted: bool,
             _, key, n0, b0, f0, r0 = frames.pop()
             sub = (nodes - n0, bound_prunes - b0, forced_exclusions - f0,
                    predicate_rejections - r0)
+            if len(memo) >= STORE_CAP:
+                memo.clear()
+                counts.clear()
             memo[key] = counts.setdefault(sub, sub)
         c = chosen.pop()
         size -= 1
@@ -456,10 +468,12 @@ def iter_predicate_families(masks, preds_masks, mode: str, param: int,
     visits one set per node.
 
     With a `min_size` floor the walk leaves out every subtree in which the
-    chosen sets and the sets still to come that are not blocked number
-    fewer than `min_size`.  The predicate is hereditary, so a blocked set
-    stays blocked below its node and the bound holds.  The families come
-    in the same order, but nodes count only the subtrees walked.
+    chosen sets and the sets still to come that are neither blocked nor
+    dead number fewer than `min_size`.  The predicate is hereditary, so a
+    blocked set stays blocked below its node; a dead set has a shift image
+    out, so it stays dead; neither can join there, and the bound holds.
+    The families come in the same order, but nodes count only the subtrees
+    walked.
     """
     n_sets = len(masks)
     rel, up = _walk_tables(masks, preds_masks, mode, param, shifted)
@@ -477,7 +491,8 @@ def iter_predicate_families(masks, preds_masks, mode: str, param: int,
         d = dead >> i
         stop = i + (~d & (d + 1)).bit_length() - 1
         if (not min_size or len(chosen)
-                + popcount((open_sets & ~blocked) >> stop) >= min_size):
+                + popcount((open_sets & ~blocked & ~dead) >> stop)
+                >= min_size):
             nodes += stop - i + 1
             if node_budget is not None and nodes > node_budget:
                 raise BudgetExceeded(node_budget + 1)

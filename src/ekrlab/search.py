@@ -268,8 +268,9 @@ def iter_uniform_families(n: int, k: int, predicate: str, t: int = 1,
     """Yield every family of [n]^(k) satisfying the predicate, as
     UniformFamily (compression-closed ones only, in shifted mode); with
     `min_size`, only the families of at least that many sets, found by a
-    walk that skips the subtrees holding none (its nodes, which the budget
-    counts, are fewer)."""
+    walk that skips each subtree whose chosen sets and later sets neither
+    blocked nor dead number fewer (its nodes, which the budget counts, are
+    fewer)."""
     universe = lex_universe(n, k)
     preds = (shift_predecessor_masks(n, k, universe)
              if shifted else [0] * len(universe))

@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 from fractions import Fraction
 
 from . import _kernels
@@ -782,13 +783,16 @@ def _scan_t_intersecting_sharp(ranges: dict, budget) -> ScanReport:
     masks and on integers.  `_kernels.iter_monotone_masks` yields only the
     t-intersecting families, in ascending order, and the scan stops
     incomplete when a family comes up with `budget` of them examined, so
-    the budget also bounds the enumeration.  Each family's weight vector w
-    is counted once; at p = a/b its measure is dot(w, pw) / b**n, so
-    mu_p > thr is one integer comparison, and a SetFamily is built only
-    for the families that pass it.  Only those reach `_condition_beats_mu`,
-    which takes the minimum of the convex condition curve.  Where eps_r/t
-    is an exact power of p it first tries to prove in integers that the
-    minimum sits at eps_r, which decides "no violation" without reals.
+    the budget also bounds the enumeration.  At p = a/b a family with
+    weight vector w has measure dot(w, pw) / b**n, and the numerator is
+    summed from the two halves of the mask (`_split_numerators`), each
+    counted once per distinct half: two lookups and one addition per
+    family and bias.  So mu_p > thr is one integer comparison, and a
+    SetFamily is built only for the families that pass it.  Only those
+    reach `_condition_beats_mu`, which takes the minimum of the convex
+    condition curve.  Where eps_r/t is an exact power of p it first tries
+    to prove in integers that the minimum sits at eps_r, which decides "no
+    violation" without reals.
     Otherwise it takes the minimum in closed form at the working precision
     and reports a violation when it clears that function's float margin.  The biases "ps" are exact
     "num/den" strings.
@@ -806,11 +810,13 @@ def _scan_t_intersecting_sharp(ranges: dict, budget) -> ScanReport:
              "hypothesis taken strictly (> the threshold measure): the "
              "threshold family itself achieves equality and is the sharpness "
              "example, exactly as in the proven t=1 form"]
-    biases = []
+    biases, pws = [], []
     for p in ps:
         thr = (t + 2) * p ** (t + 1) - (t + 1) * p ** (t + 2)
         pw, den = power_table(n, p)
-        biases.append((p, pw, den, thr.numerator * den, thr.denominator))
+        biases.append((p, den, thr.numerator * den, thr.denominator))
+        pws.append(pw)
+    numerators = _split_numerators(n, pws)
     examined = 0
     candidates = []
     complete = True
@@ -820,10 +826,8 @@ def _scan_t_intersecting_sharp(ranges: dict, budget) -> ScanReport:
             notes.append("budget exhausted; scan incomplete")
             break
         examined += 1
-        w = _kernels.weight_counts(bits, n)
         fam = None
-        for p, pw, den, thr_num, thr_den in biases:
-            num = dot(w, pw)
+        for (p, den, thr_num, thr_den), num in zip(biases, numerators(bits)):
             if num * thr_den <= thr_num:
                 continue
             if fam is None:
@@ -833,6 +837,39 @@ def _scan_t_intersecting_sharp(ranges: dict, budget) -> ScanReport:
                 candidates.append(cand)
     return ScanReport("TIntersectingSharp", ranges, examined, candidates,
                       complete, notes)
+
+
+def _split_numerators(n: int, pws: list[list[int]]):
+    """numerators(bits) yields dot(weight_counts(bits, n), pw) for each pw
+    in `pws` (tables of `power_table(n, .)`), for a 2**n-bit family mask
+    bits, from the two halves of bits.
+
+    The mask is lo | hi << 2**(n-1), with lo the members without element n
+    and hi the members with it, less that element: a member of size j in lo
+    weighs pw[j], and one of size j in hi weighs pw[j+1].  So the sum is
+    dot(w_{n-1}(lo), pw[:n]) + dot(w_{n-1}(hi), pw[1:]), and each term is
+    counted once per distinct half and kept.  On [0] the one point is the
+    empty set, of weight pw[0].
+    """
+    if n == 0:
+        return lambda bits: (bits * pw[0] for pw in pws)
+    half = 1 << (n - 1)
+    low = (1 << half) - 1
+    lows: dict = {}
+    highs: dict = {}
+
+    def numerators(bits):
+        lo, hi = bits & low, bits >> half
+        a = lows.get(lo)
+        if a is None:
+            w = _kernels.weight_counts(lo, n - 1)
+            a = lows[lo] = tuple(dot(w, pw[:n]) for pw in pws)
+        b = highs.get(hi)
+        if b is None:
+            w = _kernels.weight_counts(hi, n - 1)
+            b = highs[hi] = tuple(dot(w, pw[1:]) for pw in pws)
+        return map(operator.add, a, b)
+    return numerators
 
 
 #: relative guard of `_minimum_at_eps_r`, far above the error of its

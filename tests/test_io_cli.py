@@ -291,6 +291,29 @@ def test_benchmark_search_commands_match_the_reference(capsys, tmp_path):
     assert replayed == 10
 
 
+def test_benchmark_scan_commands_match_the_reference(capsys, tmp_path):
+    # the four commands of the `scan` workload in every input variant and
+    # in `small`, its warm-up, replayed in process against the exit codes
+    # and digests in `perfbench/reference.json`: each report is pinned byte
+    # for byte
+    workloads, gate = perfbench_workloads(), perfbench_gate()
+    root = Path(__file__).resolve().parents[1]
+    reference = json.loads(
+        (root / "perfbench" / "reference.json").read_text())["scan"]
+    replayed = 0
+    runs = [(seed, False) for seed in range(workloads.VARIANTS)]
+    for seed, small in runs + [(0, True)]:
+        commands, variant = workloads.build("scan", seed, tmp_path, small)
+        for command in commands:
+            code = main(command.argv())
+            expect = reference[variant][command.key()]
+            assert code == expect["rc"], command.key()
+            assert gate.digest(capsys.readouterr().out) == expect["digest"], \
+                command.key()
+            replayed += 1
+    assert replayed == 4 * (workloads.VARIANTS + 1)
+
+
 def test_cli_usage_errors(capsys):
     # floats are rejected for rationals
     code = main(["measure", "--spec",

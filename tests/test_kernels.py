@@ -1,7 +1,7 @@
-"""The search and predicate-family kernels, with and without a size floor,
-against a node-at-a-time reference walker; their shared tables against
-their definitions; pinned search counters; and the large-ground counting
-path."""
+"""The search and predicate-family kernels, with and without a size floor
+and with the subtree store capped, against a node-at-a-time reference
+walker; their shared tables against their definitions; pinned search
+counters; and the large-ground counting path."""
 
 import functools
 import itertools
@@ -300,6 +300,21 @@ def test_stored_subtrees_keep_budget_and_checkpoints_exact(n, k, shifted,
         kw = dict(resume_path=path, resume_best=best, resume_witness=witness)
         assert (_kernels.search_uniform(*inst, **kw)
                 == _ref_search(*inst, **kw)), budget
+
+
+@pytest.mark.parametrize("cap", [1, 7])
+def test_a_capped_store_keeps_the_walk_exact(monkeypatch, cap):
+    # stored subtrees are only a cache: with the store emptied whenever it
+    # holds `cap` of them, every counter, stop, checkpoint and resume still
+    # matches the node-at-a-time walk
+    monkeypatch.setattr(_kernels, "STORE_CAP", cap)
+    test_search_matches_reference_walker()
+    test_search_checkpoints_and_resume_match_reference_walker()
+    test_checkpoint_after_a_leaf_on_a_multiple()
+    test_stored_subtrees_keep_budget_and_checkpoints_exact(
+        6, 3, False, (997, 5003, 28_000))
+    test_stored_subtrees_keep_budget_and_checkpoints_exact(
+        8, 4, True, (997, 5003))
 
 
 #: (n, k, t) -> (optimum, counters) of the shifted t-intersecting search,

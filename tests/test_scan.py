@@ -1,9 +1,10 @@
 """The TIntersectingSharp scan on masks and integers: the enumeration of
 the t-intersecting increasing families, which a budget cuts short, the
-condition verdict against a ternary search (the exact-power test where
-eps_r/t = p^m, on both sides of its bound, and the closed-form minimum),
-the working precision, and pinned reports; and pinned EMCStability
-reports, with the size-floored walk and with a budget."""
+measures summed from the two halves of each mask, the condition verdict
+against a ternary search (the exact-power test where eps_r/t = p^m, on
+both sides of its bound, and the closed-form minimum), the working
+precision, and pinned reports; and pinned EMCStability reports, with the
+size-floored walk and with a budget."""
 
 import bisect
 import hashlib
@@ -16,6 +17,7 @@ import pytest
 
 from ekrlab import (SetFamily, _kernels, conjecture_scan, is_t_intersecting,
                     verify)
+from ekrlab.measures import dot, power_table
 from ekrlab.numerics import (default_dps, log_base, nstr, power, to_mpf,
                              workdps)
 
@@ -84,6 +86,25 @@ def test_budget_bounds_the_enumeration(monkeypatch, masks_n6):
     assert d["families_examined"] == 5 and not d["complete"]
     assert len(taken) <= 6
     assert taken == list(masks_n6[1][:len(taken)])
+
+
+# -- measures from the two halves of a mask ------------------------------------
+
+
+@pytest.mark.parametrize("t", [1, 2])
+def test_split_numerators_match_the_weight_vector(t):
+    # every increasing family on [n], n <= 5, at biases on both sides of
+    # 1/(t+1): the numerator summed from the two halves of the mask equals
+    # the one from the whole weight vector
+    edge = F(1, t + 1)
+    ps = [edge / 3, edge - F(1, 97), edge, edge + F(1, 89), F(5, 6)]
+    for n in range(6):
+        pws = [power_table(n, p)[0] for p in ps]
+        numerators = verify._split_numerators(n, pws)
+        for bits in _kernels.iter_monotone_masks(n):
+            w = _kernels.weight_counts(bits, n)
+            assert list(numerators(bits)) == [dot(w, pw) for pw in pws], \
+                (n, bits)
 
 
 # -- the condition curve in closed form ----------------------------------------
@@ -180,6 +201,24 @@ PINS = [
      "bcc513d9d8f064eeeaedc6a5aa99c494214c43e6b6554b7a005e41fb687728fc"),
     (3, 6, ["1/5"], 1271,
      "9476a955036ba3babc8db05a207bfe29fd7be71754c5800281bdeceab2ee9947"),
+    # the smallest grounds, [0] included, recorded with the scan that
+    # counted each family's weight vector whole
+    (1, 0, ["1/5", "2/5"], 1,
+     "255e847a641bc96e01d739245f2b0be0b12dee066a9c7cf7fd9352dfb32d5d1e"),
+    (1, 1, ["1/5", "2/5"], 2,
+     "3cfd903cfeb7733e5a3d8de84de9fe6bc040a47ae9b68554f2e6f14c1c315fc9"),
+    (1, 2, ["1/5", "2/5"], 4,
+     "6348bc6affe457561e6444b1264c9713644fe4d0bec0cd126302619fa73f12d6"),
+    (1, 3, ["1/5", "2/5"], 12,
+     "4b5a77579dcf6897fcec1795904c55dcbd73e0703035429ef0481ba00f6d4672"),
+    (2, 0, ["1/7", "3/10"], 1,
+     "30c0a8cacd0444b3fd70d5e9446dff7f727d9e074ac1c71bade9b99f853d15be"),
+    (2, 1, ["1/7", "3/10"], 1,
+     "214dfe31e41258a362723439e23ba6c86808b5cf53660bdd1f3f6289e11466d3"),
+    (2, 2, ["1/7", "3/10"], 2,
+     "587a0d02d24d8019cbb12e778d632dfcec1f7212bc7820ade974347b8e13d344"),
+    (2, 3, ["1/7", "3/10"], 5,
+     "e03ebe9d55b6a2a1e3550dc47bc69852b7d08ed7361568ee7f0e1d778b3efc70"),
 ]
 
 
@@ -195,9 +234,13 @@ def test_scan_report_pinned(t, n, ps, examined, digest):
 #: (ranges, budget, families_examined, complete, sha256 as above).  The
 #: rows without a budget were recorded with the walk over every family,
 #: before the scan took a size floor.  A budget counts the nodes of the
-#: floored walk, which takes 171, 21,447 and 45,608 nodes on the three
-#: budgeted ranges, so the budgeted rows are recorded with that walk, one
-#: on each side of those counts.
+#: floored walk, whose floor counts the later sets neither blocked nor
+#: dead; it takes 33, 633 and 4,407 nodes on the three budgeted ranges,
+#: so the budgeted rows are recorded with that walk, one on each side of
+#: those counts (the rows at a count come last).  The budgets 171, 21,447
+#: and 45,608 are the node counts of the earlier floor, which still counted
+#: dead sets as able to join; the same families now come in fewer nodes,
+#: so those budgets still complete.
 EMC_PINS = [
     ({"n": 9, "k": 2, "s": 1, "d": 1}, None, 1, True,
      "36cf3f6039f4eb99bbed7fc4fe8fc7496f8168f842b53028870afba90bef2263"),
@@ -209,7 +252,7 @@ EMC_PINS = [
      "ad5bf62982cd0d134748e27340a0f24f9eea88636f2c29a02a8cbe8630c8e5b4"),
     ({"n": 9, "k": 2, "s": 3, "d": 1}, 171, 0, True,
      "ad5bf62982cd0d134748e27340a0f24f9eea88636f2c29a02a8cbe8630c8e5b4"),
-    ({"n": 9, "k": 2, "s": 3, "d": 1}, 170, 0, False,
+    ({"n": 9, "k": 2, "s": 3, "d": 1}, 32, 0, False,
      "2ebe60f59df7c4a662022d8ce63548e5c67eb4ce800f15e80866bfc3b4a75982"),
     ({"n": 9, "k": 2, "s": 3, "d": 2}, None, 0, True,
      "8e70c5e168eb63aec06f08555ad417aec027e09ffc601ccf692f0e35593aa20e"),
@@ -219,16 +262,22 @@ EMC_PINS = [
      "df30ce4071e9a02f9b39000abf3a21ba004a28bb4bb69cea601319a48bc0beb5"),
     ({"n": 10, "k": 3, "s": 2, "d": 1}, 21_447, 1, True,
      "df30ce4071e9a02f9b39000abf3a21ba004a28bb4bb69cea601319a48bc0beb5"),
-    ({"n": 10, "k": 3, "s": 2, "d": 1}, 21_446, 1, False,
+    ({"n": 10, "k": 3, "s": 2, "d": 1}, 632, 1, False,
      "94be12500330c552b0e154519d068cade43e1fea3593db7bc5bbb84b92d949de"),
     ({"n": 10, "k": 3, "s": 2, "d": 2}, None, 53, True,
      "7b42d05f89abaa9d0ff91b37ec89cb14361493d5dab3c22bcca40eb364ab1ec5"),
     ({"n": 10, "k": 3, "s": 2, "d": 2}, 45_608, 53, True,
      "7b42d05f89abaa9d0ff91b37ec89cb14361493d5dab3c22bcca40eb364ab1ec5"),
-    ({"n": 10, "k": 3, "s": 2, "d": 2}, 45_607, 53, False,
+    ({"n": 10, "k": 3, "s": 2, "d": 2}, 4_406, 53, False,
      "1905085b3288677814bac5b566742de615d7d7c4998a7dc27e1c7a3cd0ac72b6"),
-    ({"n": 10, "k": 3, "s": 2, "d": 2}, 2_000, 28, False,
-     "f65c7f95f69f664284a0da1a98c61dd1c8d36c6a8af1541fc7bcebd72fb0c0c3"),
+    ({"n": 10, "k": 3, "s": 2, "d": 2}, 2_000, 31, False,
+     "d31559647cabe21b6b03feeccdd341d9f7052720b1be6090fe79ce535b77d2ef"),
+    ({"n": 9, "k": 2, "s": 3, "d": 1}, 33, 0, True,
+     "ad5bf62982cd0d134748e27340a0f24f9eea88636f2c29a02a8cbe8630c8e5b4"),
+    ({"n": 10, "k": 3, "s": 2, "d": 1}, 633, 1, True,
+     "df30ce4071e9a02f9b39000abf3a21ba004a28bb4bb69cea601319a48bc0beb5"),
+    ({"n": 10, "k": 3, "s": 2, "d": 2}, 4_407, 53, True,
+     "7b42d05f89abaa9d0ff91b37ec89cb14361493d5dab3c22bcca40eb364ab1ec5"),
 ]
 
 
