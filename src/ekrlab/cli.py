@@ -11,7 +11,6 @@ tau, delta.
 
 from __future__ import annotations
 
-import io as _io
 import json
 import os
 import sys
@@ -136,12 +135,11 @@ def _cmd_iso_sweep(args):
 
 
 def _cmd_russo_sweep(args):
-    rows = russo_sweep(args.n, args.random, args.seed, args.max_n)
-    bad = [r for r in rows if not r[2]]
+    checked, failing = russo_sweep(args.n, args.random, args.seed, args.max_n)
     out = {"header": _header(args, "russo-sweep"),
-           "checked": len(rows), "violations": len(bad),
-           "failing": [{"family_id": r[0], "n": r[1]} for r in bad]}
-    return (1 if bad else 0), out
+           "checked": checked, "violations": len(failing),
+           "failing": [{"family_id": fid, "n": n} for fid, n in failing]}
+    return (1 if failing else 0), out
 
 
 def _cmd_verify(args):
@@ -217,13 +215,13 @@ def _cmd_kk(args):
 
 
 def _print_csv(columns, rows):
+    """Write the header and each row of `rows` (any iterable) to stdout as
+    it comes, holding no copy of the table."""
     import csv  # only the CSV sweeps need it
 
-    buf = _io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
+    writer = csv.writer(sys.stdout, lineterminator="\n")
     writer.writerow(columns)
     writer.writerows(rows)
-    sys.stdout.write(buf.getvalue())
 
 
 # -- the command table -------------------------------------------------------------

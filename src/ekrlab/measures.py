@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import math
 import random
+from array import array
 from fractions import Fraction
 
 from . import _kernels
@@ -235,7 +236,7 @@ def russo_identity(fam: SetFamily) -> bool:
                      for j in range(n)] + [0]
 
 
-def iso_table(n: int, masks, ps) -> tuple[list[int], list[list[tuple]]]:
+def iso_table(n: int, masks, ps) -> tuple[array, list[list[tuple]]]:
     """(profile_of, profiles) for increasing families on [n], given as
     2**n-bit masks.
 
@@ -246,11 +247,11 @@ def iso_table(n: int, masks, ps) -> tuple[list[int], list[list[tuple]]]:
     so each is evaluated once: profiles[k] holds one row per bias in ps,
     (mu_p, I_p, slack, log_p mu) with slack = p*I_p - mu*log_p(mu) in reals
     at the working precision, or both None when mu is 0 or 1; profile_of[i]
-    is the index of mask i's profile, in order of first appearance.  ln p is
-    taken once per bias."""
+    is the index of mask i's profile, in order of first appearance, in an
+    array("I").  ln p is taken once per bias."""
     ps = [Fraction(p) for p in ps]
     index: dict[tuple, int] = {}
-    profile_of = []
+    profile_of = array("I")
     for bits in masks:
         key = tuple(_kernels.weight_counts(bits, n))
         profile_of.append(index.setdefault(key, len(index)))
@@ -284,9 +285,10 @@ def _tau():
     return to_mpf(default_tol())
 
 
-def iso_sweep(n: int, ps: list[Fraction]) -> tuple[list[tuple], int]:
+def iso_sweep(n: int, ps: list[Fraction]):
     """(rows, violations): slack rows for every increasing family on [n],
-    canonical order, and the number of rows whose slack is below -tau.
+    canonical order, made as they are read, and the number of rows whose
+    slack is below -tau.
 
     Families with the same weight counts share their rows, so each
     profile's rows are formatted and decided once.  A bias outside
@@ -303,37 +305,36 @@ def iso_sweep(n: int, ps: list[Fraction]) -> tuple[list[tuple], int]:
             (fmt_real(slack), fmt_real(log_mu)))
          for p, (m, ip, slack, log_mu) in zip(ps, values)]
         for values in profiles]
-    rows = [(fid,) + row for fid, k in enumerate(profile_of)
-            for row in formatted[k]]
+    rows = ((fid,) + row for fid, k in enumerate(profile_of)
+            for row in formatted[k])
     return rows, sum(bad[k] for k in profile_of)
 
 
 def russo_sweep(n: int | None, random_count: int, seed: int,
-                max_n: int) -> list[tuple]:
-    """(family id, n, identity holds) for the exact polynomial Russo check
-    over all increasing families on [n] (ids from 0) and/or `random_count`
-    random increasing families on grounds up to max_n (ids from -1 down)."""
+                max_n: int) -> tuple[int, list[tuple]]:
+    """(checked, failing) for the exact polynomial Russo check over all
+    increasing families on [n] (ids from 0) and/or `random_count` random
+    increasing families on grounds up to max_n (ids from -1 down): how many
+    were checked, each as it is made, and (family id, n) of each failure."""
     if random_count < 0:
         raise ValueError(f"need a random family count >= 0, got {random_count}")
     if max_n < 1:
         raise ValueError(f"need max_n >= 1 (a random ground has 1 to max_n "
                          f"elements), got max_n={max_n}")
-    fids, fams = [], []
-    if n is not None:
-        for fid, bits in enumerate(_kernels.monotone_masks(n)):
-            fids.append(fid)
-            fams.append(SetFamily(n, bits))
-    if random_count:
-        rng = random.Random(seed)
-        for i in range(random_count):
-            rn = rng.randint(1, max_n)
-            bits = 0
-            for _ in range(rng.randint(0, 2 * rn)):
-                bits |= 1 << rng.randrange(1 << rn)
-            fids.append(-(i + 1))
-            fams.append(SetFamily(rn, bits).up_closure())
-    return [(fid, fam.n, russo_identity(fam))
-            for fid, fam in zip(fids, fams)]
+    failing = []
+    masks = _kernels.monotone_masks(n) if n is not None else ()
+    for fid, bits in enumerate(masks):
+        if not russo_identity(SetFamily(n, bits)):
+            failing.append((fid, n))
+    rng = random.Random(seed)
+    for i in range(random_count):
+        rn = rng.randint(1, max_n)
+        bits = 0
+        for _ in range(rng.randint(0, 2 * rn)):
+            bits |= 1 << rng.randrange(1 << rn)
+        if not russo_identity(SetFamily(rn, bits).up_closure()):
+            failing.append((-(i + 1), rn))
+    return len(masks) + random_count, failing
 
 
 class LogMeasureProfile(_Frozen):

@@ -12,13 +12,15 @@ The six biased theorems share one shape: a constant-gated measure bound at
 a critical bias (p0, 1/2, 1/(t+1) or 1/(2s+1)), an epsilon-condition, the
 nearest extremal structure (t-umvirate, triangle or s-OR family) and a
 bound on its residual.  A handler checks its own requirements and
-pre-hypotheses and builds its condition; `_biased_verdict` does the rest.
-Conditions add `_linear`, (1-p) p^{t-1} eps, to three formulas that
-`bootstrap_diagnostics` and `tightness_report` use too: `_ctilde_cap`,
-p^t(1 - ctilde x^u); `_log_cap`, p^t(1 - x^{log_p(1-p)}); and `_or_lift`,
-1 - (1-p)^{s-1} + (1-p)^{s-1} X.  They run inside the closures that
-`check_le` re-invokes, so every value is recomputed at each retry's
-precision.
+pre-hypotheses; `_biased_verdict` does the rest.  All six come from one
+isoperimetric transfer, so `_condition` builds every epsilon-condition:
+mu_p(F) >= p^t(1 - ctilde x^u) + (1-p) p^{t-1} eps, lifted over [s] for
+DualBiased and MatchingBiased, with ctilde and u the `DerivedConstants` of
+the bias p0 it transfers from (p0 itself; 1/2 for Biased1, TriangleBiased
+and TIntersectingBiased; 1/(2s+1) for MatchingBiased).  Its cap,
+`_ctilde_cap`, serves the bootstrap inequalities and the TIntersectingSharp
+scan too.  Both run inside the closures that `check_le` re-invokes, so
+every value is recomputed at each retry's precision.
 """
 
 from __future__ import annotations
@@ -123,26 +125,20 @@ def _require(cond: bool, msg: str):
         raise ValueError(msg)
 
 
-def _linear(p, t: int, eps):
-    """(1-p) p^{t-1} eps, the linear term of the epsilon-conditions."""
-    return to_mpf((1 - p) * p ** (t - 1) * eps)
-
-
 def _ctilde_cap(p, t: int, c_tilde, u, x):
     """p^t (1 - ctilde x^u), for a real x."""
     return to_mpf(p) ** t * (1 - c_tilde * power(x, u))
 
 
-def _log_cap(p, t: int, x):
-    """p^t (1 - x^{log_p(1-p)}), for a real x."""
-    return to_mpf(p) ** t * (1 - power(x, log_base(1 - p, p)))
-
-
-def _or_lift(p, s: int, x):
-    """1 - (1-p)^{s-1} + (1-p)^{s-1} x: the measure of a family that holds
-    every set meeting [s-1] and whose section at the sets missing [s-1]
-    has measure x."""
-    return to_mpf(1 - (1 - p) ** (s - 1)) + to_mpf((1 - p) ** (s - 1)) * x
+def _condition(p, t: int, eps, c_tilde, u, x, s: int | None = None):
+    """p^t (1 - ctilde x^u) + (1-p) p^{t-1} eps, the epsilon-condition, and
+    with an s its lift 1 - (1-p)^{s-1} + (1-p)^{s-1} X over [s]: the measure
+    of a family that holds every set meeting [s-1] and whose section at the
+    sets missing [s-1] has measure X."""
+    value = _ctilde_cap(p, t, c_tilde, u, x) + to_mpf((1 - p) * p ** (t - 1) * eps)
+    if s is None:
+        return value
+    return to_mpf(1 - (1 - p) ** (s - 1)) + to_mpf((1 - p) ** (s - 1)) * value
 
 
 def _constants_flag(rep: VerdictReport, case: TheoremCase, mu_p: Fraction,
@@ -215,7 +211,8 @@ def _conclusion(rep: VerdictReport, residual: Fraction, bound,
 
 
 def _biased_verdict(rep: VerdictReport, case: TheoremCase, fam: SetFamily,
-                    structure: str, t: int, crit: Fraction, labels, condition,
+                    structure: str, t: int, crit: Fraction, labels,
+                    dc: DerivedConstants, divisor: int = 1,
                     region_scale=None) -> VerdictReport:
     """The rest of a biased stability check once the handler has checked
     its requirements and added its pre-hypotheses to `rep`.
@@ -227,11 +224,18 @@ def _biased_verdict(rep: VerdictReport, case: TheoremCase, fam: SetFamily,
     c(crit-p))} or for OR_B min{(s-1)p + C p^2, (1 - c(crit-p))(1-(1-p)^s)},
     and the conclusion bound on the residual, (1-p) p^{t-1} eps or for OR_B
     (1-p)^s eps.  `labels` name the constant-gated hypothesis and the
-    epsilon-condition mu_p(F) >= condition().  With a `region_scale` the
-    bootstrap region is reported too, and the verdict is proved inside it.
+    epsilon-condition, mu_p(F) >= `_condition` at x = eps/divisor with the
+    constants of `dc`, whose p0 is the bias the theorem transfers from (at
+    1/2, ctilde = 1 and u = log_p(1-p)), lifted over [s] for OR_B.  With a
+    `region_scale` the bootstrap region is reported too, and the verdict is
+    proved inside it.
     """
     p, eps = case.frac("p"), case.frac("eps")
     orform = structure == "or_set"
+
+    def condition():
+        return _condition(p, dc.t, eps, dc.c_tilde, dc.u,
+                          to_mpf(eps) / divisor, t if orform else None)
 
     def constants_rhs(big_c, small_c):
         if orform:
@@ -298,9 +302,7 @@ def _check_main_biased(case: TheoremCase, fam: SetFamily) -> VerdictReport:
         rep, case, fam, "umvirate", t, p0,
         ("mu_p(F) >= min{C p^{t+1}, p^t(1 - c(p0-p))}",
          "mu_p(F) >= p^t(1 - ctilde eps^u) + (1-p)p^{t-1} eps"),
-        lambda: (_ctilde_cap(p, t, dc.c_tilde, dc.u, to_mpf(eps))
-                 + _linear(p, t, eps)),
-        dc.region_scale)
+        dc, region_scale=dc.region_scale)
 
 
 def _check_biased1(case: TheoremCase, fam: SetFamily) -> VerdictReport:
@@ -309,14 +311,14 @@ def _check_biased1(case: TheoremCase, fam: SetFamily) -> VerdictReport:
     _require(eps > 0, "need eps > 0")
     _require(fam.is_increasing(), "family must be increasing")
     rep = VerdictReport("Biased1")
+    dc = DerivedConstants(Fraction(1, 2), p, 1)
     rep.add_hypothesis("mu_{1/2}(F) <= 1/2",
                        check_le(mu(fam, Fraction(1, 2)), Fraction(1, 2)))
     return _biased_verdict(
         rep, case, fam, "dictatorship", 1, Fraction(1, 2),
         ("mu_p(F) >= min{C p^2, p(1 - c(1/2 - p))}",
          "mu_p(F) >= p(1 - eps^{log_p(1-p)}) + (1-p) eps"),
-        lambda: _log_cap(p, 1, to_mpf(eps)) + _linear(p, 1, eps),
-        DerivedConstants(Fraction(1, 2), p, 1).region_scale)
+        dc, region_scale=dc.region_scale)
 
 
 def _check_t_intersecting_biased(case: TheoremCase, fam: SetFamily) -> VerdictReport:
@@ -326,13 +328,13 @@ def _check_t_intersecting_biased(case: TheoremCase, fam: SetFamily) -> VerdictRe
     _require(is_t_intersecting(fam, t), f"family must be {t}-intersecting")
     rep = VerdictReport("TIntersectingBiased")
     factor = case.get("factor", 2**t - 1)  # conjectured sharp form uses t
+    dc = DerivedConstants(Fraction(1, 2), p, t)
     return _biased_verdict(
         rep, case, fam, "umvirate", t, Fraction(1, t + 1),
         ("mu_p(F) >= min{C p^{t+1}, p^t(1 - c(1/(t+1) - p))}",
          f"mu_p(F) >= p^t(1 - (eps/{factor})^{{log_p(1-p)}}) + (1-p)p^{{t-1}} eps"),
-        lambda: _log_cap(p, t, to_mpf(eps) / factor) + _linear(p, t, eps),
-        DerivedConstants(None, p, t).intersecting_region_scale
-        if factor == 2**t - 1 else None)
+        dc, factor,
+        dc.intersecting_region_scale if factor == 2**t - 1 else None)
 
 
 def _check_dual_biased(case: TheoremCase, fam: SetFamily) -> VerdictReport:
@@ -348,8 +350,7 @@ def _check_dual_biased(case: TheoremCase, fam: SetFamily) -> VerdictReport:
         rep, case, fam, "or_set", s, p0,
         ("mu_p(F) >= min{(s-1)p + C p^2, (1 - c(p0-p))(1-(1-p)^s)}",
          "mu_p(F) >= 1-(1-p)^{s-1} + (1-p)^{s-1}(p(1 - ctilde eps^u) + (1-p) eps)"),
-        lambda: _or_lift(p, s, _ctilde_cap(p, 1, dc.c_tilde, dc.u, to_mpf(eps))
-                         + _linear(p, 1, eps)))
+        dc)
 
 
 def _check_matching_biased(case: TheoremCase, fam: SetFamily) -> VerdictReport:
@@ -359,23 +360,12 @@ def _check_matching_biased(case: TheoremCase, fam: SetFamily) -> VerdictReport:
     m_f = matching_number(fam)
     _require(m_f <= s, f"family must have matching number <= {s}, got {m_f}")
     rep = VerdictReport("MatchingBiased")
-    base = Fraction(2 * s, 2 * s + 1)
-
-    def condition_rhs():
-        # the OR lift of p(1 - ctilde eps^u) + (1-p) eps, regrouped: _or_lift
-        # gives the same value but rounds differently
-        c_tilde = power(2 * s, log_base(1 - p, base))
-        expo = log_base(Fraction(1, 2 * s + 1), p) * log_base(1 - p, base)
-        return (to_mpf(1 - (1 - p) ** s)
-                - to_mpf((1 - p) ** (s - 1) * p) * c_tilde
-                * power(to_mpf(eps), expo)
-                + to_mpf((1 - p) ** s * eps))
-
+    dc = DerivedConstants(Fraction(1, 2 * s + 1), p, 1)
     return _biased_verdict(
-        rep, case, fam, "or_set", s, Fraction(1, 2 * s + 1),
+        rep, case, fam, "or_set", s, dc.p0,
         ("mu_p(F) >= min{(s-1)p + C p^2, (1 - c(1/(2s+1)-p))(1-(1-p)^s)}",
          "mu_p(F) >= 1-(1-p)^s - (1-p)^{s-1} p ctilde eps^{log_p(1/(2s+1)) log_{2s/(2s+1)}(1-p)} + (1-p)^s eps"),
-        condition_rhs)
+        dc)
 
 
 def _check_wilson_uniform(case: TheoremCase, fam: UniformFamily) -> VerdictReport:
@@ -409,12 +399,12 @@ def _check_triangle_biased(case: TheoremCase, fam: SetFamily) -> VerdictReport:
     _require(fam.edges is not None, "family must live on an edge ground")
     _require(is_triangle_intersecting(fam), "family must be triangle-intersecting")
     rep = VerdictReport("TriangleBiased")
+    dc = DerivedConstants(Fraction(1, 2), p, 3)
     return _biased_verdict(
         rep, case, fam, "triangle", 3, Fraction(1, 2),
         ("mu_p(F) >= min{C p^4, p^3(1 - c(1/2 - p))}",
          "mu_p(F) >= p^3(1 - eps^{log_p(1-p)}) + p^2(1-p) eps"),
-        lambda: _log_cap(p, 3, to_mpf(eps)) + _linear(p, 3, eps),
-        DerivedConstants(Fraction(1, 2), p, 3).region_scale)
+        dc, region_scale=dc.region_scale)
 
 
 def _check_triangle_uniform(case: TheoremCase, fam: UniformFamily) -> VerdictReport:
@@ -564,10 +554,11 @@ def bootstrap_diagnostics(fam: SetFamily, p0, p, t: int,
     if variant == "intersecting":
         _require(0 < p <= Fraction(1, 2), "need 0 < p <= 1/2")
         _require(is_t_intersecting(fam, t), f"family must be {t}-intersecting")
+        dc = DerivedConstants(Fraction(1, 2), p, t)
         rep.add_hypothesis(
             "mu_p(F cap S_[t]) <= p^t(1 - (delta/(2^t-1))^{log_p(1-p)})",
-            check_le(inside_p,
-                     lambda: _log_cap(p, t, to_mpf(delta) / (2**t - 1))))
+            check_le(inside_p, lambda: _ctilde_cap(
+                p, t, dc.c_tilde, dc.u, to_mpf(delta) / (2**t - 1))))
         rep.conclusion_holds = rep.hypotheses_met
         return rep
 
@@ -648,9 +639,8 @@ def tightness_report(spec: FamilySpec, p) -> VerdictReport:
                                        + (1 - p) * p ** (t - 1) * eps)
     else:
         def condition():
-            inner = (_ctilde_cap(p, t, *_root_constants(p0, p), to_mpf(eps))
-                     + _linear(p, t, eps))
-            return inner if s is None else _or_lift(p, s, inner)
+            return _condition(p, t, eps, *_root_constants(p0, p),
+                              to_mpf(eps), s)
 
     cond = equality(cond_name, condition, mu_p)
     nearest = nearest_cube(fam, subset_masks(fam.n, s or t), p,
@@ -798,13 +788,14 @@ def _scan_t_intersecting_sharp(ranges: dict, budget) -> ScanReport:
     "num/den" strings.
     """
     t, n, ps = _range_values("TIntersectingSharp", ranges, "t", "n", "ps")
-    if t < 1:
-        raise ValueError("TIntersectingSharp range key 't' must be >= 1")
+    _require(t >= 1, "TIntersectingSharp range key 't' must be >= 1")
     ps = _bias_list("TIntersectingSharp", ps)
     for p in ps:
         if not 0 < p < Fraction(1, t + 1):
             raise ValueError("TIntersectingSharp range key 'ps': each p "
                              "must satisfy 0 < p < 1/(t+1)")
+    _require(0 <= n <= 6,
+             "TIntersectingSharp range key 'n' must satisfy 0 <= n <= 6")
     notes = ["range: all increasing t-intersecting families on [n]",
              "up-closure preserves counterexamples, so this covers all families",
              "hypothesis taken strictly (> the threshold measure): the "
@@ -926,7 +917,7 @@ def _condition_beats_mu(mu_p: Fraction, p: Fraction, t: int,
         hi = to_mpf(eps_r)
         eps = t * power(c * t / (pt * v), 1 / (v - 1))
         eps = min(max(eps, hi * to_mpf("1e-9")), hi)
-        margin = to_mpf(mu_p) - _log_cap(p, t, eps / t) - c * eps
+        margin = to_mpf(mu_p) - _ctilde_cap(p, t, 1, v, eps / t) - c * eps
         if (margin > to_mpf("1e-11")
                 and eps < hi * (1 - to_mpf("1e-9"))):
             return nstr(eps, 18)
@@ -939,6 +930,8 @@ def _scan_wilson_sharp(ranges: dict, budget) -> ScanReport:
     n, k, t, d_max = _range_values("WilsonSharp", ranges, "n", "k", "t", "d_max")
     if n < (t + 1) * (k - t + 1):
         raise ValueError("conjecture needs n >= (t+1)(k-t+1)")
+    _require(t >= 1, "WilsonSharp range key 't' must be >= 1")
+    _require(d_max >= 1, "WilsonSharp range key 'd_max' must be >= 1")
     notes = ["range: compression-closed (shifted) t-intersecting families",
              "size threshold taken strictly (>): the threshold is attained "
              "by the sharpness families themselves"]
@@ -981,6 +974,8 @@ def _scan_emc_stability(ranges: dict, budget) -> ScanReport:
     n, k, s, d = _range_values("EMCStability", ranges, "n", "k", "s", "d")
     if n < (s + 1) * k:
         raise ValueError("conjecture needs n >= (s+1)k")
+    _require(s >= 1, "EMCStability range key 's' must be >= 1")
+    _require(1 <= d <= k, "EMCStability range key 'd' must satisfy 1 <= d <= k")
     thr = max(comb0(k * (s + 1) - 1, k) + 1,
               comb0(n, k) - comb0(n - s, k)
               - comb0(n - s - d, k - 1) + comb0(n - s - d, k - d))

@@ -100,10 +100,10 @@ def test_criterion_5_russo():
     t0 = time.time()
     ok = True
     for n in range(5):
-        rows = russo_sweep(n, 0, 0, 12)
-        ok &= len(rows) == MONOTONE_COUNTS[n] and all(r[2] for r in rows)
-    rows = russo_sweep(None, 1000, 42, 12)
-    ok &= len(rows) == 1000 and all(r[2] for r in rows)
+        checked, failing = russo_sweep(n, 0, 0, 12)
+        ok &= checked == MONOTONE_COUNTS[n] and not failing
+    checked, failing = russo_sweep(None, 1000, 42, 12)
+    ok &= checked == 1000 and not failing
     report("criterion 5: exact Russo identity (all monotone n<=4 and 1000 "
            "random monotone n<=12, coefficientwise)", ok, t0)
 

@@ -253,7 +253,7 @@ def test_iso_sweep_evaluates_each_count_profile_once(monkeypatch):
 
     monkeypatch.setattr(measures, "log", counted_log)
     rows, violations = iso_sweep(4, ps)
-    assert len(rows) == 168 * 12 and violations == 0
+    assert len(list(rows)) == 168 * 12 and violations == 0
     assert 0 < len(calls) <= 12 + 26 * 12
     for n, families, count in ((4, 168, 26), (5, 7581, 96)):
         masks = _kernels.monotone_masks(n)

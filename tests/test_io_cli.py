@@ -314,6 +314,104 @@ def test_benchmark_scan_commands_match_the_reference(capsys, tmp_path):
     assert replayed == 4 * (workloads.VARIANTS + 1)
 
 
+def test_benchmark_sweep_commands_match_the_reference(capsys, tmp_path):
+    # the three commands of the `sweep` workload (one `iso-sweep --csv`, two
+    # `russo-sweep`s) in every input variant and in `small`, its warm-up,
+    # replayed in process against the exit codes and digests in
+    # `perfbench/reference.json`: the streamed CSV and the sweep counts are
+    # pinned byte for byte
+    workloads, gate = perfbench_workloads(), perfbench_gate()
+    root = Path(__file__).resolve().parents[1]
+    reference = json.loads(
+        (root / "perfbench" / "reference.json").read_text())["sweep"]
+    replayed = 0
+    runs = [(seed, False) for seed in range(workloads.VARIANTS)]
+    for seed, small in runs + [(0, True)]:
+        commands, variant = workloads.build("sweep", seed, tmp_path, small)
+        for command in commands:
+            code = main(command.argv())
+            expect = reference[variant][command.key()]
+            assert code == expect["rc"], command.key()
+            assert gate.digest(capsys.readouterr().out) == expect["digest"], \
+                command.key()
+            replayed += 1
+    assert replayed == 3 * (workloads.VARIANTS + 1) == 51
+
+
+class _CountingOut:
+    """A stdout that keeps only the number of characters written to it."""
+
+    def __init__(self):
+        self.chars = 0
+
+    def write(self, text):
+        self.chars += len(text)
+        return len(text)
+
+    def flush(self):
+        pass
+
+
+def test_iso_sweep_csv_streams(monkeypatch):
+    # 7,581 families on [5] at eight biases: the CSV is written row by row
+    # as it is made, so the sweep's traced peak is a small fraction of the
+    # text it writes (holding the rows and a copy of the text took several
+    # times its length)
+    argv = ["iso-sweep", "--n", "5", "--all-monotone", "--csv"]
+    for p in ("1/9", "1/5", "2/7", "1/3", "1/2", "3/5", "5/7", "7/8"):
+        argv += ["--p", p]
+    monkeypatch.setattr(sys, "stdout", _CountingOut())
+    assert main(argv) == 0  # loads the real layer before tracing starts
+    out = _CountingOut()
+    monkeypatch.setattr(sys, "stdout", out)
+    tracemalloc.start()
+    try:
+        assert main(argv) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert out.chars == 4_109_495  # 60,649 lines
+    assert peak < out.chars / 4
+
+
+def test_t_intersecting_sharp_reports_a_candidate(capsys, monkeypatch):
+    # no family of the test ranges violates the sharp form, so the report
+    # path of a candidate is driven by a planted one: every family that
+    # clears the measure threshold and is not an umvirate reaches the
+    # condition check, which here always reports eps = 0.00123
+    from ekrlab import verify
+
+    monkeypatch.setattr(verify, "_condition_beats_mu",
+                        lambda *args: "0.00123")
+    code, out = run_cli(capsys, "conjecture-scan", "--conjecture",
+                        "TIntersectingSharp", "--ranges",
+                        '{"t":1,"n":5,"ps":["1/4"]}')
+    rep = json.loads(out)["report"]
+    assert code == 1 and rep["complete"] is True
+    assert rep["families_examined"] == 2646 and len(rep["candidates"]) == 5
+    for cand in rep["candidates"]:
+        assert set(cand) == {"family", "p", "eps", "note"}
+        assert (cand["p"], cand["eps"], cand["note"]) == (
+            "1/4", "0.00123", "condition holds while conclusion fails")
+        fam = ekrlab.SetFamily.from_sets(5, cand["family"])
+        assert ekrlab.is_t_intersecting(fam, 1) and fam.is_increasing()
+        # no dictatorship holds it: the residual is not 0
+        assert all(any(x not in b for b in cand["family"])
+                   for x in range(1, 6))
+    assert rep["candidates"][0]["family"][-2:] == [[2, 3, 4, 5],
+                                                   [1, 2, 3, 4, 5]]
+
+
+def test_wilson_sharp_budget_stops_the_scan(capsys):
+    code, out = run_cli(capsys, "conjecture-scan", "--conjecture",
+                        "WilsonSharp", "--ranges",
+                        '{"n":7,"k":3,"t":1,"d_max":1}', "--budget", "50")
+    rep = json.loads(out)["report"]
+    assert code == 1 and rep["complete"] is False
+    assert rep["notes"][-1] == "budget exhausted; scan incomplete"
+    assert rep["families_examined"] == 1 and rep["candidates"] == []
+
+
 def test_cli_usage_errors(capsys):
     # floats are rejected for rationals
     code = main(["measure", "--spec",
@@ -571,6 +669,17 @@ def test_cli_missing_theorem_parameter_named(capsys):
     ("EMCStability", '{"n":10,"k":3,"s":2,"d":true}', "'d'"),
     ("TIntersectingSharp", '{"t":0,"n":3,"ps":["1/4"]}', "'t'"),
     ("TIntersectingSharp", '{"t":-1,"n":3,"ps":["1/4"]}', "'t'"),
+    # keys outside their domain: each of these ran on a vacuous or
+    # meaningless range, or failed with a message that named no key
+    ("WilsonSharp", '{"n":7,"k":3,"t":0,"d_max":1}', "'t'"),
+    ("WilsonSharp", '{"n":7,"k":3,"t":-1,"d_max":1}', "'t'"),
+    ("WilsonSharp", '{"n":7,"k":3,"t":1,"d_max":-2}', "'d_max'"),
+    ("EMCStability", '{"n":9,"k":2,"s":0,"d":1}', "'s'"),
+    ("EMCStability", '{"n":9,"k":2,"s":2,"d":-1}', "'d'"),
+    ("EMCStability", '{"n":9,"k":2,"s":2,"d":3}', "'d'"),
+    ("EMCStability", '{"n":9,"k":2,"s":2,"d":5}', "'d'"),
+    ("TIntersectingSharp", '{"t":1,"n":-1,"ps":["1/4"]}', "'n'"),
+    ("TIntersectingSharp", '{"t":1,"n":7,"ps":["1/4"]}', "'n'"),
 ])
 def test_cli_bad_range_key_named(capsys, conj, ranges, key):
     err = _usage_error(capsys, "conjecture-scan", "--conjecture", conj,
