@@ -2,10 +2,11 @@
 
 Everything here works on arbitrary-size Python ints.
 
-The search and the predicate-family walk share two index-mask tables (bit
-j stands for set j): `rel`, the sets each set blocks, and `up`, the sets
-above each set in the shift order.  Both walks decide the sets in order
-and keep two masks, restored from a stack on each backtrack.
+The search and the predicate-family walk share three index-mask tables
+(bit j stands for set j): `rel`, the sets each set blocks, `up`, the sets
+above each set in the shift order, and `lift`, the sets above some set
+that each set blocks.  Both walks decide the sets in order and keep two
+masks, restored from a stack on each backtrack.
 
 The dead mask holds the sets that can no longer join because a shift image
 of theirs (taken any number of times) is out.  A set is out once it is
@@ -39,13 +40,15 @@ A stored subtree is added only if its nodes stay within the node budget
 and end before the next multiple of checkpoint_every; otherwise it is
 walked, so budget stops and checkpoints fall where the node-at-a-time
 walk puts them.
-The search keeps the key in one canonical form: a set above a blocked
-later set will be forced, not rejected (the blocked set is out before the
-walk reaches it), so including c also ORs the sets above rel[c] into the
-dead mask (`_lift`), and the blocked bits of dead sets are dropped from
-the key.  That moves no verdict: such a set is dead by the time the walk
-reaches it either way.  The predicate-family walk stores no subtrees and
-skips this step.
+Both walks keep the dead mask in one canonical form: a set above a
+blocked later set will be forced, not rejected (the blocked set is out
+before the walk reaches it), so in t mode including c also ORs lift[c],
+the sets above rel[c], into the dead mask, and the search drops the
+blocked bits of dead sets from its key.  That moves no verdict, family or
+counter: such a set is dead by the time the walk reaches it either way,
+and it is blocked already.  (The included sets are closed under shifts: if
+a member meets a set in fewer than t elements, that member or one of its
+shift images meets each set above it in fewer than t elements too.)
 """
 
 from __future__ import annotations
@@ -151,7 +154,8 @@ def weight_counts(fam: int, n: int) -> list[int]:
 
 
 def _walk_tables(masks, preds_masks, mode: str, param: int, shifted: bool):
-    """Index-mask tables shared by both walks (bit j of a mask is set j).
+    """The tables (rel, up, lift) shared by both walks (bit j of a mask is
+    set j).
 
     rel[i]: in t mode, the later sets meeting set i in fewer than `param`
     elements, so including set i blocks exactly those; in match mode,
@@ -166,6 +170,9 @@ def _walk_tables(masks, preds_masks, mode: str, param: int, shifted: bool):
     mode).  Shift images come earlier in the order, so walking the sets
     last first, each set's up mask is complete when it is passed on to its
     images.
+
+    lift[c]: in shifted t mode, the sets above some set of rel[c], which
+    including set c makes dead (see the module notes); else no set.
     """
     n_sets = len(masks)
     full = (1 << n_sets) - 1
@@ -191,25 +198,25 @@ def _walk_tables(masks, preds_masks, mode: str, param: int, shifted: bool):
                 m ^= low
             meet = seen[-1] if param > 0 else full
             rel.append(-(2 << i) & full & ~meet)
-        elif mode == "match":
+        else:
             free = full
             while m:
                 low = m & -m
                 free &= ~holders[low.bit_length() - 1]
                 m ^= low
             rel.append(free)
-        else:
-            raise ValueError(f"unknown predicate mode {mode!r}")
     up = [0] * n_sets
-    if shifted:
-        for j in reversed(range(n_sets)):
-            above = up[j] | 1 << j
-            pm = preds_masks[j]
-            while pm:
-                low = pm & -pm
-                up[low.bit_length() - 1] |= above
-                pm ^= low
-    return rel, up
+    if not shifted:
+        return rel, up, up  # no set is above another, so lift is empty too
+    for j in reversed(range(n_sets)):
+        above = up[j] | 1 << j
+        pm = preds_masks[j]
+        while pm:
+            low = pm & -pm
+            up[low.bit_length() - 1] |= above
+            pm ^= low
+    lift = [_lift(r, up) for r in rel] if mode == "t" else [0] * n_sets
+    return rel, up, lift
 
 
 def _lift(blocks: int, up) -> int:
@@ -286,8 +293,9 @@ def search_uniform(masks, preds_masks, mode: str, param: int, shifted: bool,
     search to compression-closed families.
 
     The walk keeps its position, the chosen sets, a dead mask and a blocked
-    mask (see the module notes).  From a dead set it jumps to the next live
-    one and counts every set passed as one node and one forced exclusion.
+    mask, updated from the tables of `_walk_tables` (see the module notes).
+    From a dead set it jumps to the next live one and counts every set
+    passed as one node and one forced exclusion.
     A jump stops at the first set the bound prunes, at the node budget and
     at the next multiple of checkpoint_every, so stats, the budget stop, the
     checkpoint calls, the returned path and the witness match a walk that
@@ -312,12 +320,8 @@ def search_uniform(masks, preds_masks, mode: str, param: int, shifted: bool,
     predicate_rejections = 0
     complete = True
 
-    rel, up = _walk_tables(masks, preds_masks, mode, param, shifted)
+    rel, up, lift = _walk_tables(masks, preds_masks, mode, param, shifted)
     t_mode = mode == "t"
-    # lift[c]: the sets above some set that c blocks, which including c
-    # makes dead in t mode (see the module notes); found when c is first
-    # included
-    lift = [None if shifted else 0] * n_sets
     chosen: list[int] = []
     saved = []  # (blocked, dead) before each include in `chosen`
     included = 0
@@ -331,8 +335,6 @@ def search_uniform(masks, preds_masks, mode: str, param: int, shifted: bool,
         saved.append((blocked, dead))
         if t_mode:
             blocked |= rel[c]
-            if lift[c] is None:
-                lift[c] = _lift(rel[c], up)
             dead |= lift[c]
         else:
             blocked = _block(blocked, c, included, param, rel)
@@ -409,8 +411,6 @@ def search_uniform(masks, preds_masks, mode: str, param: int, shifted: bool,
                         saved.append((blocked, dead))
                         if t_mode:
                             blocked |= rel[i]
-                            if lift[i] is None:
-                                lift[i] = _lift(rel[i], up)
                             dead |= lift[i]
                         else:
                             blocked = _block(blocked, i, included, param, rel)
@@ -462,10 +462,10 @@ def iter_predicate_families(masks, preds_masks, mode: str, param: int,
 
     Shifted mode restricts to compression-closed families.  Used by the
     conjecture scanners; exhaustive, depth-first, include branch first.
-    The same iterative walk as `search_uniform` without its bound or its
-    stored subtrees: runs of dead sets are skipped and counted in bulk, so
-    node counts (and the `nodes` of BudgetExceeded) match a walk that
-    visits one set per node.
+    The same iterative walk as `search_uniform`, with the same tables and
+    the same mask updates, without its bound or its stored subtrees: runs
+    of dead sets are skipped and counted in bulk, so node counts (and the
+    `nodes` of BudgetExceeded) match a walk that visits one set per node.
 
     With a `min_size` floor the walk leaves out every subtree in which the
     chosen sets and the sets still to come that are neither blocked nor
@@ -476,7 +476,7 @@ def iter_predicate_families(masks, preds_masks, mode: str, param: int,
     walked.
     """
     n_sets = len(masks)
-    rel, up = _walk_tables(masks, preds_masks, mode, param, shifted)
+    rel, up, lift = _walk_tables(masks, preds_masks, mode, param, shifted)
     t_mode = mode == "t"
     open_sets = (1 << n_sets) - 1
     chosen: list[int] = []
@@ -502,6 +502,7 @@ def iter_predicate_families(masks, preds_masks, mode: str, param: int,
                     saved.append((blocked, dead))
                     if t_mode:
                         blocked |= rel[i]
+                        dead |= lift[i]
                     else:
                         blocked = _block(blocked, i, included, param, rel)
                     chosen.append(i)

@@ -2,9 +2,11 @@
 
 Every run prints a header echoing the full inputs plus the working precision
 and comparison tolerance, then the result, as sorted-key JSON (or CSV for
-sweeps with --csv).  Exit codes: 0 all checks passed, 1 a verification
-failed, 2 usage error; the verdict is reached before any output, so a reader
-that closes stdout early (`| head`) changes neither the code nor stderr.
+sweeps with --csv).  The handlers return only the result; `main` builds the
+header once and adds it to every JSON payload.  Exit codes: 0 all checks
+passed, 1 a verification failed, 2 usage error; the verdict is reached
+before any output, so a reader that closes stdout early (`| head`) changes
+neither the code nor stderr.
 Rationals are written "num/den" and only that form is accepted for p, eps,
 tau, delta.
 """
@@ -49,11 +51,13 @@ def _load_args_family(args, uniform=False, label=None):
     raise ValueError("provide --family FILE/JSON or --spec ZOO-JSON")
 
 
-def _header(args, command: str) -> dict:
+def _header(args) -> dict:
+    """The header of every JSON payload: the command, its full inputs, the
+    working precision, the comparison tolerance and the kernel backend."""
     inputs = {k: v for k, v in sorted(vars(args).items())
               if k != "handler" and v is not None}
     return {
-        "command": command,
+        "command": args.subcommand,
         "inputs": {k: str(v) for k, v in inputs.items()},
         "precision_dps": numerics.default_dps(),
         "tau": fmt_rational(numerics.default_tol()),
@@ -76,7 +80,7 @@ ISO_COLUMNS = ("family_id", "p_num", "p_den", "mu", "total_influence",
 def _cmd_measure(args):
     fam = _load_args_family(args)
     p = parse_rational(args.p)
-    out = {"header": _header(args, "measure"), "mu": fmt_rational(mu(fam, p))}
+    out = {"mu": fmt_rational(mu(fam, p))}
     if args.polynomial:
         out["polynomial"] = [fmt_rational(c) for c in mu_polynomial(fam)]
     return 0, out
@@ -86,13 +90,9 @@ def _cmd_influence(args):
     fam = _load_args_family(args)
     p = parse_rational(args.p)
     vec = influence(fam, p)
-    out = {
-        "header": _header(args, "influence"),
-        "influences": [fmt_rational(x) for x in vec.at(p)],
-        "total": fmt_rational(vec.total_at(p)),
-        "total_polynomial": [fmt_rational(c) for c in vec.total],
-    }
-    return 0, out
+    return 0, {"influences": [fmt_rational(x) for x in vec.at(p)],
+               "total": fmt_rational(vec.total_at(p)),
+               "total_polynomial": [fmt_rational(c) for c in vec.total]}
 
 
 def _cmd_shadow(args):
@@ -101,8 +101,7 @@ def _cmd_shadow(args):
     fam = _load_args_family(args, args.variant != "increasing",
                             f"shadow --variant {args.variant}")
     out_fam = shadow(fam, args.s)
-    return 0, {"header": _header(args, "shadow"),
-               "family": family_to_dict(out_fam)}
+    return 0, {"family": family_to_dict(out_fam)}
 
 
 def _cmd_construct(args):
@@ -117,8 +116,7 @@ def _cmd_construct(args):
                 raise ValueError(f"--perm entry {entry!r} is not an "
                                  "integer") from None
     fam = construct(spec, perm=perm)
-    return 0, {"header": _header(args, "construct"),
-               "family": family_to_dict(fam)}
+    return 0, {"family": family_to_dict(fam)}
 
 
 def _cmd_iso_sweep(args):
@@ -127,19 +125,16 @@ def _cmd_iso_sweep(args):
     rows, failed = iso_sweep(args.n, [parse_rational(x) for x in args.p])
     if args.csv:
         return (1 if failed else 0), (ISO_COLUMNS, rows)
-    out = {"header": _header(args, "iso-sweep"),
-           "rows": [dict(zip(ISO_COLUMNS, r)) for r in rows],
-           "violations": failed,
-           "count": MONOTONE_COUNTS[args.n]}
-    return (1 if failed else 0), out
+    return (1 if failed else 0), {
+        "rows": [dict(zip(ISO_COLUMNS, r)) for r in rows],
+        "violations": failed, "count": MONOTONE_COUNTS[args.n]}
 
 
 def _cmd_russo_sweep(args):
     checked, failing = russo_sweep(args.n, args.random, args.seed, args.max_n)
-    out = {"header": _header(args, "russo-sweep"),
-           "checked": checked, "violations": len(failing),
-           "failing": [{"family_id": fid, "n": n} for fid, n in failing]}
-    return (1 if failing else 0), out
+    return (1 if failing else 0), {
+        "checked": checked, "violations": len(failing),
+        "failing": [{"family_id": fid, "n": n} for fid, n in failing]}
 
 
 def _cmd_verify(args):
@@ -152,25 +147,19 @@ def _cmd_verify(args):
                              "family comes from a file")
         fam = SetFamily(fam.n, fam.bits, EdgeGround(args.v))
     params = {}
-    for key in ("p", "p0", "eps", "delta0", "delta", "C", "c"):
-        val = getattr(args, key if key not in ("C", "c") else
-                      {"C": "big_c", "c": "small_c"}[key], None)
+    for flag, kw in _THEOREM_OPTIONS:
+        val = getattr(args, kw.get("dest", flag[2:]))
         if val is not None:
-            params[key] = parse_rational(val)
-    for key in ("t", "s", "d", "i", "v"):
-        val = getattr(args, key, None)
-        if val is not None:
-            params[key] = val
+            params[flag[2:]] = val if "type" in kw else parse_rational(val)
     rep = check_theorem(TheoremCase(theorem, params), fam)
-    out = {"header": _header(args, "verify"), "report": rep.to_dict()}
-    return (0 if rep.conclusion_holds is not False else 1), out
+    return (0 if rep.conclusion_holds is not False else 1), {
+        "report": rep.to_dict()}
 
 
 def _cmd_tightness(args):
     spec = FamilySpec.from_dict(json.loads(args.spec))
     rep = tightness_report(spec, parse_rational(args.p))
-    out = {"header": _header(args, "tightness"), "report": rep.to_dict()}
-    return (0 if rep.conclusion_holds else 1), out
+    return (0 if rep.conclusion_holds else 1), {"report": rep.to_dict()}
 
 
 def _cmd_search(args):
@@ -185,16 +174,14 @@ def _cmd_search(args):
                             shifted=not args.plain)
     cert = max_uniform(problem, checkpoint_path=args.checkpoint,
                        resume=args.resume)
-    out = {"header": _header(args, "search"), "certificate": cert.to_dict()}
-    return (0 if cert.complete else 1), out
+    return (0 if cert.complete else 1), {"certificate": cert.to_dict()}
 
 
 def _cmd_conjecture_scan(args):
     ranges = json.loads(args.ranges)
     rep = conjecture_scan(args.conjecture, ranges, budget=args.budget)
-    out = {"header": _header(args, "conjecture-scan"), "report": rep.to_dict()}
     ok = rep.complete and not rep.candidates
-    return (0 if ok else 1), out
+    return (0 if ok else 1), {"report": rep.to_dict()}
 
 
 def _cmd_katona(args):
@@ -203,15 +190,13 @@ def _cmd_katona(args):
                             else "katona --p")
     rep = katona_check(fam, args.t,
                        parse_rational(args.p) if args.p else None)
-    out = {"header": _header(args, "katona"), "report": rep.to_dict()}
-    return (0 if rep.conclusion_holds else 1), out
+    return (0 if rep.conclusion_holds else 1), {"report": rep.to_dict()}
 
 
 def _cmd_kk(args):
     val = kk_min_shadow(args.m, args.k, args.s)
-    out = {"header": _header(args, "kk"), "min_shadow": val,
-           "cascade": [[a, i] for a, i in cascade_decomposition(args.m, args.k)]}
-    return 0, out
+    return 0, {"min_shadow": val, "cascade": [
+        [a, i] for a, i in cascade_decomposition(args.m, args.k)]}
 
 
 def _print_csv(columns, rows):
@@ -235,6 +220,13 @@ _INT = {"type": int}
 _REQUIRED = {"required": True}
 _SWITCH = {"action": "store_true"}
 _FAMILY_OPTIONS = (("--family", {}), ("--spec", {}))
+
+#: the theorem parameters of `verify`, in the order they are read: a value
+#: is a rational unless its option has a type
+_THEOREM_OPTIONS = (
+    *((flag, {}) for flag in ("--p", "--p0", "--eps", "--delta0", "--delta")),
+    ("--C", {"dest": "big_c"}), ("--c", {"dest": "small_c"}),
+    *((flag, _INT) for flag in ("--t", "--s", "--d", "--i", "--v")))
 
 GLOBAL_OPTIONS = (
     ("--tau", {"help": 'comparison tolerance, "num/den"'}),
@@ -270,11 +262,7 @@ COMMANDS = {
         ("--seed", {"type": int, "default": 0}),
         ("--max-n", {"type": int, "default": 12}))),
     "verify": (_cmd_verify, "check a stability theorem on a family", (
-        ("--theorem", _REQUIRED), *_FAMILY_OPTIONS,
-        *((flag, {}) for flag in ("--p", "--p0", "--eps", "--delta0",
-                                   "--delta")),
-        ("--C", {"dest": "big_c"}), ("--c", {"dest": "small_c"}),
-        *((flag, _INT) for flag in ("--t", "--s", "--d", "--i", "--v")))),
+        ("--theorem", _REQUIRED), *_FAMILY_OPTIONS, *_THEOREM_OPTIONS)),
     "tightness": (_cmd_tightness, "equality chain for a tightness family", (
         ("--spec", _REQUIRED), ("--p", _REQUIRED))),
     "search": (_cmd_search, "exact extremal search on [n]^(k)", (
@@ -414,6 +402,8 @@ def main(argv=None) -> int:
     try:
         _set_global_flags(args)
         code, payload = args.handler(args)
+        if isinstance(payload, dict):  # a CSV table has no header
+            payload["header"] = _header(args)
         if getattr(args, "out", None) and "family" in payload:
             from pathlib import Path
 

@@ -20,7 +20,7 @@ from fractions import Fraction
 from . import _kernels
 from .bitops import (coord_zero_mask, cube_mask, elements_of, iter_members,
                      popcount)
-from .families import SetFamily
+from .families import MAX_DENSE_N, SetFamily
 from .numerics import (_Frozen, check_le, default_dps, default_tol,
                        fmt_rational, fmt_real, log, log_base, power, to_mpf,
                        workdps)
@@ -318,9 +318,9 @@ def russo_sweep(n: int | None, random_count: int, seed: int,
     were checked, each as it is made, and (family id, n) of each failure."""
     if random_count < 0:
         raise ValueError(f"need a random family count >= 0, got {random_count}")
-    if max_n < 1:
-        raise ValueError(f"need max_n >= 1 (a random ground has 1 to max_n "
-                         f"elements), got max_n={max_n}")
+    if not 1 <= max_n <= MAX_DENSE_N:
+        raise ValueError(f"need 1 <= max_n <= {MAX_DENSE_N} (a random ground "
+                         f"has 1 to max_n elements), got max_n={max_n}")
     failing = []
     masks = _kernels.monotone_masks(n) if n is not None else ()
     for fid, bits in enumerate(masks):

@@ -391,19 +391,16 @@ def check_le(lhs: ValueLike, rhs: ValueLike) -> Checked:
     if isinstance(a, (int, Fraction)) and isinstance(b, (int, Fraction)):
         slack = Fraction(b) - Fraction(a)
         return Checked(a, b, slack, slack >= 0, slack == 0, True, dps)
-    for _ in range(3):
+    for attempt in range(4):
         with workdps(dps):
             slack = to_mpf(b) - to_mpf(a)
-            near = abs(slack) < 10 * to_mpf(tol)
-        if not near:
-            break
+            t = to_mpf(tol)
+            if attempt == 3 or not abs(slack) < 10 * t:
+                return Checked(a, b, slack, slack >= -t, abs(slack) <= t,
+                               False, dps)
         dps *= 2
         a = _eval(lhs, dps)
         b = _eval(rhs, dps)
-    with workdps(dps):
-        slack = to_mpf(b) - to_mpf(a)
-        t = to_mpf(tol)
-        return Checked(a, b, slack, slack >= -t, abs(slack) <= t, False, dps)
 
 
 def check_eq(lhs: ValueLike, rhs: ValueLike) -> Checked:
@@ -430,6 +427,4 @@ def parse_rational(s: str) -> Fraction:
 
 def fmt_real(x) -> str:
     """Serialize a real with 18 significant digits."""
-    if isinstance(x, (int, Fraction)):
-        return fmt_rational(Fraction(x))
     return nstr(x, 18, strip_zeros=False)

@@ -21,8 +21,6 @@ UNRESOLVED = "unresolved"
 def fmt(x) -> str:
     if isinstance(x, str):
         return x
-    if isinstance(x, bool):
-        return str(x)
     if isinstance(x, (int, Fraction)):
         return fmt_rational(Fraction(x))
     return fmt_real(x)

@@ -60,12 +60,13 @@ def monotone_count_oracle(n: int) -> int:
 
 # -- uniform search -------------------------------------------------------------
 
-#: predicate name -> kernel mode; every predicate is hereditary (closed
-#: under taking subfamilies), as branch-and-bound needs
+#: predicate name -> (kernel mode, its parameter, or None where it is the
+#: problem's t); every predicate is hereditary (closed under taking
+#: subfamilies), as branch-and-bound needs
 PREDICATES = {
-    "intersecting": "t",
-    "t-intersecting": "t",
-    "matching_at_most": "match",
+    "intersecting": ("t", 1),
+    "t-intersecting": ("t", None),
+    "matching_at_most": ("match", None),
 }
 
 
@@ -132,27 +133,31 @@ def shift_predecessor_masks(n: int, k: int, universe: list[int]) -> list[int]:
     return preds
 
 
-def _predicate_mode(predicate: str, t: int, k: int) -> tuple[str, int]:
-    """The kernel mode and its parameter: 1 for intersecting, t for
+def _walk_setup(n: int, k: int, predicate: str, t: int, shifted: bool):
+    """What both walks of [n]^(k) start from: (the k-sets in lex order,
+    their shift image masks, none outside shifted mode, the kernel mode,
+    its parameter).  The parameter is 1 for intersecting, t for
     t-intersecting, and s = t for matching (adding a set must not create
     s+1 pairwise disjoint members).  A k-set meets itself in k elements, so
     no k-set belongs to a t-intersecting family when k < t: a ValueError
     (the kernel tests a set against the sets before it, not itself)."""
-    param = 1 if predicate == "intersecting" else t
-    if predicate != "matching_at_most" and k < param:
+    universe = lex_universe(n, k)
+    preds = (shift_predecessor_masks(n, k, universe)
+             if shifted else [0] * len(universe))
+    mode, fixed = PREDICATES[predicate]
+    param = fixed or t
+    if mode == "t" and k < param:
         raise ValueError(f"{predicate} needs k >= t (a k-set meets itself in "
                          f"k elements), got k={k}, t={param}")
-    return PREDICATES[predicate], param
+    return universe, preds, mode, param
 
 
 def _reverify(witness: UniformFamily, predicate: str, t: int) -> bool:
-    if predicate == "intersecting":
-        return is_t_intersecting(witness, 1) if len(witness) else True
-    if predicate == "t-intersecting":
-        return is_t_intersecting(witness, t) if len(witness) else True
-    if predicate == "matching_at_most":
-        return matching_number(witness) <= t
-    raise ValueError(predicate)
+    mode, fixed = PREDICATES[predicate]
+    param = fixed or t
+    if mode == "match":
+        return matching_number(witness) <= param
+    return is_t_intersecting(witness, param) if len(witness) else True
 
 
 def _problem_key(problem: SearchProblem) -> dict:
@@ -212,10 +217,8 @@ def max_uniform(problem: SearchProblem, checkpoint_path=None,
     if not 0 <= problem.k <= problem.n:
         raise ValueError(f"need 0 <= k <= n, got k={problem.k}, n={problem.n}")
     n, k = problem.n, problem.k
-    universe = lex_universe(n, k)
-    preds = (shift_predecessor_masks(n, k, universe)
-             if problem.shifted else [0] * len(universe))
-    mode, param = _predicate_mode(problem.predicate, problem.t, k)
+    universe, preds, mode, param = _walk_setup(
+        n, k, problem.predicate, problem.t, problem.shifted)
 
     cb = None
     resume_path = None
@@ -271,10 +274,7 @@ def iter_uniform_families(n: int, k: int, predicate: str, t: int = 1,
     walk that skips each subtree whose chosen sets and later sets neither
     blocked nor dead number fewer (its nodes, which the budget counts, are
     fewer)."""
-    universe = lex_universe(n, k)
-    preds = (shift_predecessor_masks(n, k, universe)
-             if shifted else [0] * len(universe))
-    mode, param = _predicate_mode(predicate, t, k)
+    universe, preds, mode, param = _walk_setup(n, k, predicate, t, shifted)
     for idx in _kernels.iter_predicate_families(
             universe, preds, mode, param, shifted, node_budget=budget,
             min_size=min_size):

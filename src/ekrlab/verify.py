@@ -931,6 +931,7 @@ def _scan_wilson_sharp(ranges: dict, budget) -> ScanReport:
     if n < (t + 1) * (k - t + 1):
         raise ValueError("conjecture needs n >= (t+1)(k-t+1)")
     _require(t >= 1, "WilsonSharp range key 't' must be >= 1")
+    _require(k >= t, "WilsonSharp range key 'k' must be >= t")
     _require(d_max >= 1, "WilsonSharp range key 'd_max' must be >= 1")
     notes = ["range: compression-closed (shifted) t-intersecting families",
              "size threshold taken strictly (>): the threshold is attained "
@@ -975,6 +976,7 @@ def _scan_emc_stability(ranges: dict, budget) -> ScanReport:
     if n < (s + 1) * k:
         raise ValueError("conjecture needs n >= (s+1)k")
     _require(s >= 1, "EMCStability range key 's' must be >= 1")
+    _require(k >= 1, "EMCStability range key 'k' must be >= 1")
     _require(1 <= d <= k, "EMCStability range key 'd' must satisfy 1 <= d <= k")
     thr = max(comb0(k * (s + 1) - 1, k) + 1,
               comb0(n, k) - comb0(n - s, k)

@@ -15,7 +15,7 @@ from fractions import Fraction
 
 from .bitops import elements_of, mask_of, popcount, swap_coordinates
 from .families import EdgeGround, SetFamily, UniformFamily
-from .numerics import _Frozen, default_dps, log, nstr, to_mpf, workdps
+from .numerics import _Frozen, default_dps, log, to_mpf, workdps
 
 class FamilySpec(_Frozen):
     """Serializable description of a zoo family: a name plus parameters."""
@@ -475,7 +475,7 @@ class RootInfo(_Frozen):
     """The bias p0 where a tightness family meets its defining equation;
     `value` is a Fraction when exact, else a real."""
 
-    __slots__ = ("value", "exact", "bracket", "equation")
+    __slots__ = ("value", "exact")
 
 
 #: family -> the parameters (a, b) of its defining equation, below
@@ -488,11 +488,10 @@ def defining_root(spec: FamilySpec) -> RootInfo:
     if spec.name not in ROOT_EXPONENTS:
         raise ValueError(f"defining root exists for {' / '.join(ROOT_EXPONENTS)} only")
     a, b = (spec.params[key] for key in ROOT_EXPONENTS[spec.name])
-    eq = f"(1-p)^{a - 1} = p^{b - 1}"
     if a < 2 or b < 2:
         raise ValueError("defining equation needs both exponents >= 2")
     if a == b:
-        return RootInfo(Fraction(1, 2), True, (Fraction(1, 2), Fraction(1, 2)), eq)
+        return RootInfo(Fraction(1, 2), True)
 
     def g(x):
         return (a - 1) * log(1 - x) - (b - 1) * log(x)
@@ -507,6 +506,4 @@ def defining_root(spec: FamilySpec) -> RootInfo:
                 lo = mid
             else:
                 hi = mid
-        val = (lo + hi) / 2
-        return RootInfo(val, False,
-                        (Fraction(nstr(lo, 25)), Fraction(nstr(hi, 25))), eq)
+        return RootInfo((lo + hi) / 2, False)

@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import json
 import os
@@ -9,7 +10,7 @@ from pathlib import Path
 import pytest
 
 import ekrlab
-from ekrlab import UniformFamily, load_family
+from ekrlab import UniformFamily, load_family, measures
 from ekrlab.cli import main
 from ekrlab.io import (family_to_dict, set_family_from_dict,
                        uniform_family_from_dict)
@@ -122,6 +123,14 @@ def test_cli_iso_sweep_bias_outside_unit_interval(capsys, threads, ps):
 GI_SPEC = '{"name":"tilde_Gi","params":{"n":5,"i":3}}'
 
 
+def _spec(name, **params) -> str:
+    return json.dumps({"name": name, "params": params}, separators=(",", ":"))
+
+
+AK_8_3 = _spec("ak_family", n=8, k=3, t=1, r=0)
+UMV_4_2 = _spec("t_umvirate", n=4, t=2)
+
+
 @pytest.mark.parametrize("argv, message", [
     # 0/1 and 1/1 once exited 0 with the chain reported as holding
     *[(("tightness", "--spec", GI_SPEC, "--p", p),
@@ -129,6 +138,32 @@ GI_SPEC = '{"name":"tilde_Gi","params":{"n":5,"i":3}}'
     # once itertools' "r must be non-negative"
     (("shadow", "--variant", "upper", "--family", '{"n":4,"sets":[[1,2]]}',
       "--s", "-1"), "s must be nonnegative"),
+    # refusals that no other test reaches
+    (("shadow", "--spec", AK_8_3, "--s", "4"), "need 0 <= s <= k"),
+    (("shadow", "--spec", AK_8_3, "--variant", "upper", "--s", "6"),
+     "k + s exceeds the ground size"),
+    (("shadow", "--spec", UMV_4_2, "--variant", "increasing", "--s", "-1"),
+     "s must be nonnegative"),
+    (("kk", "--m", "-1", "--k", "3"), "need m >= 0 and k >= 1"),
+    (("kk", "--m", "5", "--k", "3", "--s", "4"), "need 0 <= s <= k, got s=4, k=3"),
+    (("katona", "--spec", AK_8_3, "--t", "0"), "t must be >= 1"),
+    (("katona", "--spec", AK_8_3, "--t", "4"), "t exceeds the uniformity"),
+    (("katona", "--spec", UMV_4_2, "--t", "1", "--p", "3/2"), "need 0 < p < 1"),
+    (("katona", "--family", '{"n":3,"sets":[[1]]}', "--t", "1", "--p", "1/3"),
+     "biased variant requires an increasing family"),
+    (("katona", "--spec", _spec("or_family", n=4, s=2), "--t", "1",
+      "--p", "1/3"), "family is not t-intersecting"),
+    (("measure", "--p", "1/2"), "provide --family FILE/JSON or --spec ZOO-JSON"),
+    (("iso-sweep", "--n", "2", "--p", "1/2"),
+     "iso-sweep currently drives --all-monotone grounds"),
+    (("search", "--predicate", "t-intersecting", "--n", "5", "--k", "3"),
+     "t-intersecting search needs --t"),
+    (("search", "--predicate", "matching", "--n", "5", "--k", "3"),
+     "matching search needs --s"),
+    (("conjecture-scan", "--conjecture", "WilsonSharp", "--ranges",
+      '{"n":5,"k":3,"t":1,"d_max":1}'), "conjecture needs n >= (t+1)(k-t+1)"),
+    (("conjecture-scan", "--conjecture", "EMCStability", "--ranges",
+      '{"n":5,"k":3,"s":1,"d":1}'), "conjecture needs n >= (s+1)k"),
 ])
 def test_cli_argument_out_of_range_exit_two(capsys, argv, message):
     assert _usage_error(capsys, *argv).startswith(message)
@@ -169,10 +204,14 @@ def test_cli_russo_sweep(capsys):
 @pytest.mark.parametrize("argv, name", [
     (("--random", "-5"), "random family count"),
     (("--random", "5", "--max-n", "0"), "max_n"),
+    (("--random", "3", "--max-n", "31"), "max_n"),
+    (("--random", "3", "--max-n", "40"), "max_n"),
 ])
 def test_cli_russo_sweep_bad_counts_exit_two(capsys, argv, name):
     # once a negative count checked nothing and exited 0, and a zero ground
-    # bound leaked random.randrange's message
+    # bound leaked random.randrange's message; a bound above the dense cap
+    # was accepted or refused by the random draws (seed 0 draws no ground
+    # above 30 at 31, one of 32 at 40), the refusal naming no option
     err = _usage_error(capsys, "russo-sweep", "--n", "2", *argv)
     assert name in err and "randrange" not in err
 
@@ -587,6 +626,80 @@ def test_cli_header_kernel_backend(capsys):
     assert json.loads(out)["header"]["kernel_backend"] == "pure"
 
 
+#: argv -> sha256 of the whole stdout, header included, one row per
+#: subcommand and one with both global flags
+STDOUT_PINS = [
+    pytest.param(argv, digest, id=name) for name, argv, digest in (
+        ("measure", ("measure", "--spec", _spec("t_umvirate", n=4, t=2),
+                     "--p", "1/3", "--polynomial"),
+         "fc35cdcc616627ac72bc39b3126f08ecc48755baca8fb3805389d15b8a3b055e"),
+        ("influence", ("influence", "--spec", _spec("or_family", n=4, s=2),
+                       "--p", "1/3"),
+         "19a1c5d21caef7d5041b5a42220953ace33c3471ada37f2af4c60fa6b30da791"),
+        ("shadow", ("shadow", "--spec", _spec("F_ts", n=6, k=3, t=2, s=1),
+                    "--variant", "lower", "--s", "2"),
+         "76b1763fac3209ecb809979cc97003180a12c62a0322a444635819d5d4c7c17a"),
+        ("construct", ("construct", "--spec", GI_SPEC, "--perm", "5,4,3,2,1"),
+         "71a7faad7f43d14056ea0610c4169b50187fc9858b8a049f2cc0fbfece7f375d"),
+        ("iso-sweep", ("iso-sweep", "--n", "2", "--all-monotone",
+                       "--p", "1/3", "--p", "1/2"),
+         "ff452a957618be6fc02d951df9859ee414cee1eafa21cf5a330064fb1ecfda2e"),
+        ("russo-sweep", ("russo-sweep", "--n", "2", "--random", "3",
+                         "--seed", "1", "--max-n", "4"),
+         "213b5aa809de7b0fa8456f69aeeb56dd51829c8a64423786c8b85916b2ad920f"),
+        ("verify", ("verify", "--theorem", "MainBiased", "--spec",
+                    _spec("t_umvirate", n=5, t=2), "--p0", "1/2",
+                    "--p", "1/4", "--t", "2", "--eps", "1/10"),
+         "75e8c278bc4938f2408a8fb1fbe6578a09d28db8492f1f4427e4acd336e33956"),
+        ("tightness", ("tightness", "--spec", GI_SPEC, "--p", "1/3"),
+         "1cd61461adb28ba62952f467ba30710e1fc5ad0db1dae6faf0c6f204f9810125"),
+        ("search", ("search", "--predicate", "t-intersecting", "--t", "2",
+                    "--n", "5", "--k", "3"),
+         "d1974154a4bebf9337d1c85647513ca395d3248592a9e7597774171ea4b42afe"),
+        ("conjecture-scan", ("conjecture-scan", "--conjecture", "WilsonSharp",
+                             "--ranges", '{"n":6,"k":3,"t":1,"d_max":2}'),
+         "b56c09681465c7fb69b638207bdf9e57565fca49f13bb55046b6b24d8f8e56fd"),
+        ("katona", ("katona", "--spec", _spec("ak_family", n=6, k=3, t=2, r=1),
+                    "--t", "2"),
+         "f8175d033273c298c56dede5e9295fb178be2357a0829dc7adb1a6d718a0ea4f"),
+        ("kk", ("kk", "--m", "7", "--k", "3", "--s", "2"),
+         "9acc1ba76ecc591055bda09d1d6ce75881ab5d284947e56fdcfff96c12f4e382"),
+        ("global-flags", ("--precision", "45", "--tau", "1/1000", "tightness",
+                          "--spec", _spec("tilde_H_tsr", n=6, t=1, s=2, r=3),
+                          "--p", "1/4"),
+         "8c6b76c5c7f7143ac49eb2876608810bff29c45e69b34c45cb2ba99bbc8d9128"),
+    )]
+
+
+@pytest.mark.parametrize("argv, digest", STDOUT_PINS)
+def test_cli_stdout_bytes_pinned(capsys, monkeypatch, argv, digest):
+    # the benchmark digests and the replays drop the header; these pin it
+    # with the rest of stdout
+    monkeypatch.delenv("EKRLAB_PRECISION", raising=False)
+    code, out = run_cli(capsys, *argv)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+def test_cli_russo_sweep_reports_failing_families(capsys, monkeypatch):
+    # plant a failure at the third enumerated family (id 2) and the second
+    # random one (id -2), and record the ground of each family checked
+    grounds = []
+
+    def planted(fam):
+        grounds.append(fam.n)
+        return len(grounds) not in (3, 8)
+
+    monkeypatch.setattr(measures, "russo_identity", planted)
+    code, out = run_cli(capsys, "russo-sweep", "--n", "2", "--random", "3",
+                        "--seed", "1", "--max-n", "4")
+    payload = json.loads(out)
+    assert code == 1 and len(grounds) == payload["checked"] == 6 + 3
+    assert payload["violations"] == 2
+    assert payload["failing"] == [{"family_id": 2, "n": 2},
+                                  {"family_id": -2, "n": grounds[7]}]
+
+
 def test_cli_spec_param_types_exit_two(capsys):
     for params, name in (('{"n":"3","t":1}', "'n'"), ('{"n":3,"t":1.0}', "'t'"),
                          ('{"n":3,"t":true}', "'t'"), ("[3, 1]", "params")):
@@ -680,6 +793,10 @@ def test_cli_missing_theorem_parameter_named(capsys):
     ("EMCStability", '{"n":9,"k":2,"s":2,"d":5}', "'d'"),
     ("TIntersectingSharp", '{"t":1,"n":-1,"ps":["1/4"]}', "'n'"),
     ("TIntersectingSharp", '{"t":1,"n":7,"ps":["1/4"]}', "'n'"),
+    # once itertools' "r must be non-negative", and a k of 0 refused under 'd'
+    ("WilsonSharp", '{"n":9,"k":-1,"t":1,"d_max":1}', "'k'"),
+    ("WilsonSharp", '{"n":-3,"k":-2,"t":1,"d_max":1}', "'k'"),
+    ("EMCStability", '{"n":9,"k":0,"s":1,"d":1}', "'k'"),
 ])
 def test_cli_bad_range_key_named(capsys, conj, ranges, key):
     err = _usage_error(capsys, "conjecture-scan", "--conjecture", conj,

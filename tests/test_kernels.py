@@ -215,10 +215,11 @@ def test_floored_families_match_reference_walker():
     # the floored walk skips subtrees, so within the same node budget it
     # reaches at least as far as the full reference walk: it yields the
     # reference's families of at least the floor, then only families the
-    # reference did not reach
-    for inst in _instances():
-        if inst[2] != "match":
-            continue
+    # reference did not reach.  In t mode the floor reads the dead mask
+    # that lift grows on each include
+    for inst in itertools.chain(
+            (inst for inst in _instances() if inst[2] == "match"),
+            (inst for inst in _instances(6) if inst[2] == "t")):
         ref, stopped = _ref_families(*inst, node_budget=20_000)
         top = max(map(len, ref))
         for floor in sorted({0, 1, top // 2, top - 1, top, top + 1}):
@@ -251,15 +252,16 @@ def _shift_closure(preds):
 def test_walk_tables_match_their_definitions():
     # rel against the popcount definition, up against a brute-force
     # transitive closure of the shift images (empty outside shifted mode),
-    # and _lift of each rel mask against the union of that closure over it
+    # _lift of each rel mask against the union of that closure over it, and
+    # lift against _lift in t mode (empty in match mode)
     for n in range(1, 9):
         for k in range(n + 1):
             universe = lex_universe(n, k)
             preds = shift_predecessor_masks(n, k, universe)
             closure = _shift_closure(preds)
             for mode, param in MODES + (("t", 3),):
-                rel, up = _kernels._walk_tables(universe, preds, mode, param,
-                                                True)
+                rel, up, lift = _kernels._walk_tables(universe, preds, mode,
+                                                      param, True)
                 for i, m in enumerate(universe):
                     if mode == "t":
                         want = [j for j in range(i + 1, len(universe)) if
@@ -271,10 +273,13 @@ def test_walk_tables_match_their_definitions():
                                                                  param, i)
                     assert _kernels._lift(rel[i], up) == functools.reduce(
                         operator.or_, (closure[j] for j in want), 0)
+                    assert lift[i] == (_kernels._lift(rel[i], up)
+                                       if mode == "t" else 0)
                 assert up == closure, (n, k)
                 plain = _kernels._walk_tables(universe, preds, mode, param,
                                               False)
-                assert plain == (rel, [0] * len(universe))
+                zeros = [0] * len(universe)
+                assert plain == (rel, zeros, zeros)
 
 
 @pytest.mark.parametrize("n, k, shifted, budgets", [

@@ -37,7 +37,7 @@ FROZEN = [
     DerivedConstants(F(1, 2), F(1, 4), 2),
     TheoremCase("Biased1", {"p": F(1, 4), "eps": F(1, 16)}),
     FamilySpec("dictatorship", {"n": 3}),
-    RootInfo(F(1, 2), True, (F(1, 2), F(1, 2)), "(1-p)^2 = p^2"),
+    RootInfo(F(1, 2), True),
     HypothesisFlag("h", "holds", "1/4", "1/3", "note"),
     SearchCertificate(3, None, 17, {"nodes": 17}, False, True, True),
     pytest.param(SearchCertificate(3, PAIRS, 17, {"nodes": 17}, True, True,
