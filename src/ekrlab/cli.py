@@ -65,16 +65,64 @@ def _header(args) -> dict:
     }
 
 
-def _emit(payload: dict) -> None:
-    print(json.dumps(payload, sort_keys=True, indent=2))
-
-
-# -- subcommand handlers -----------------------------------------------------------
-
-
 #: the CSV header of `iso-sweep --csv`, one column per field of a sweep row
 ISO_COLUMNS = ("family_id", "p_num", "p_den", "mu", "total_influence",
                "iso_slack", "log_p_mu")
+
+
+#: a family id's place in a sweep row while the row is rendered, and the
+#: rows' place in a JSON payload while it is dumped; no field holds it
+_HOLE = "\0"
+
+
+def _write_table(table, head: str, row, sep: str, tail: str) -> None:
+    """Write head, the rows of an `iso_sweep` table (profile_of, fields)
+    with `sep` between rows, then tail.  `row` renders each profile's rows
+    once, with _HOLE where the family id goes, and they are split there:
+    a family is one join of its profile's parts on its id, and 64 families
+    make one write."""
+    profile_of, fields = table
+    parts = [sep.join(map(row, rows)).split(_HOLE) for rows in fields]
+    write = sys.stdout.write
+    write(head)
+    for start in range(0, len(profile_of), 64):
+        write((sep if start else "") + sep.join(
+            [str(fid).join(parts[k])
+             for fid, k in enumerate(profile_of[start:start + 64], start)]))
+    write(tail)
+
+
+def _json_row(values) -> str:
+    """One sweep row as an object at the depth of the payload's rows."""
+    text = json.dumps(dict(zip(ISO_COLUMNS, (_HOLE,) + values)),
+                      sort_keys=True, indent=2)
+    return "    " + text.replace("\n", "\n    ").replace(
+        json.dumps(_HOLE), _HOLE)
+
+
+def _emit(payload: dict) -> None:
+    """Print the payload as sorted-key JSON.  A sweep table under "rows" is
+    written in its place; "rows" sorts after "header", so its place is the
+    last hole in the dumped text."""
+    table = payload.get("rows")
+    if not isinstance(table, tuple):
+        print(json.dumps(payload, sort_keys=True, indent=2))
+        return
+    text = json.dumps({**payload, "rows": _HOLE}, sort_keys=True, indent=2)
+    head, _, tail = text.rpartition(json.dumps(_HOLE))
+    _write_table(table, head + "[\n", _json_row, ",\n",
+                 "\n  ]" + tail + "\n")
+
+
+def _print_csv(table) -> None:
+    """Write a sweep table as CSV.  No field holds a comma, quote or
+    newline, so none is quoted."""
+    _write_table(table, ",".join(ISO_COLUMNS) + "\n",
+                 lambda values: ",".join(map(str, (_HOLE,) + values)),
+                 "\n", "\n")
+
+
+# -- subcommand handlers -----------------------------------------------------------
 
 
 def _cmd_measure(args):
@@ -122,12 +170,13 @@ def _cmd_construct(args):
 def _cmd_iso_sweep(args):
     if not args.all_monotone:
         raise ValueError("iso-sweep currently drives --all-monotone grounds")
-    rows, failed = iso_sweep(args.n, [parse_rational(x) for x in args.p])
+    profile_of, fields, failed = iso_sweep(
+        args.n, [parse_rational(x) for x in args.p])
     if args.csv:
-        return (1 if failed else 0), (ISO_COLUMNS, rows)
+        return (1 if failed else 0), (profile_of, fields)
     return (1 if failed else 0), {
-        "rows": [dict(zip(ISO_COLUMNS, r)) for r in rows],
-        "violations": failed, "count": MONOTONE_COUNTS[args.n]}
+        "rows": (profile_of, fields), "violations": failed,
+        "count": MONOTONE_COUNTS[args.n]}
 
 
 def _cmd_russo_sweep(args):
@@ -199,16 +248,6 @@ def _cmd_kk(args):
         [a, i] for a, i in cascade_decomposition(args.m, args.k)]}
 
 
-def _print_csv(columns, rows):
-    """Write the header and each row of `rows` (any iterable) to stdout as
-    it comes, holding no copy of the table."""
-    import csv  # only the CSV sweeps need it
-
-    writer = csv.writer(sys.stdout, lineterminator="\n")
-    writer.writerow(columns)
-    writer.writerows(rows)
-
-
 # -- the command table -------------------------------------------------------------
 #
 # One table drives both parsers.  An option is (flag, the keyword arguments
@@ -260,7 +299,10 @@ COMMANDS = {
                     "exact derivative-vs-influence identity sweeps", (
         ("--n", _INT), ("--random", {"type": int, "default": 0}),
         ("--seed", {"type": int, "default": 0}),
-        ("--max-n", {"type": int, "default": 12}))),
+        ("--max-n", {"type": int, "default": 12,
+                     "help": "largest random ground, 1 to 30; one family "
+                             "on a ground near 30 costs seconds and about "
+                             "a GB"}))),
     "verify": (_cmd_verify, "check a stability theorem on a family", (
         ("--theorem", _REQUIRED), *_FAMILY_OPTIONS, *_THEOREM_OPTIONS)),
     "tightness": (_cmd_tightness, "equality chain for a tightness family", (
@@ -417,7 +459,7 @@ def main(argv=None) -> int:
         if isinstance(payload, dict):
             _emit(payload)
         else:
-            _print_csv(*payload)
+            _print_csv(payload)
         sys.stdout.flush()
     except BrokenPipeError:
         # the reader left early (`| head`); the code above is the verdict,

@@ -286,8 +286,11 @@ def _tau():
 
 
 def iso_sweep(n: int, ps: list[Fraction]):
-    """(rows, violations): slack rows for every increasing family on [n],
-    canonical order, made as they are read, and the number of rows whose
+    """(profile_of, fields, violations) for every increasing family on [n],
+    canonical order: profile_of[i] indexes family i's rows in `fields`
+    (see `iso_table`); fields[k] holds profile k's rows, one per bias, as
+    (p_num, p_den, mu, I_p, slack, log_p mu) formatted for output, with
+    "vacuous" and "" when mu is 0 or 1; and the number of family rows whose
     slack is below -tau.
 
     Families with the same weight counts share their rows, so each
@@ -295,19 +298,17 @@ def iso_sweep(n: int, ps: list[Fraction]):
     0 < p < 1 is a ValueError."""
     for p in ps:
         check_p_open(p)
-    profile_of, profiles = iso_table(n, _kernels.monotone_masks(n), ps)
+    profile_of, profiles = iso_table(n, _kernels.iter_monotone_masks(n), ps)
     tau = _tau()
     bad = [sum(slack is not None and slack < -tau for _, _, slack, _ in values)
            for values in profiles]
-    formatted = [
+    fields = [
         [(p.numerator, p.denominator, fmt_rational(m), fmt_rational(ip))
          + (("vacuous", "") if slack is None else
             (fmt_real(slack), fmt_real(log_mu)))
          for p, (m, ip, slack, log_mu) in zip(ps, values)]
         for values in profiles]
-    rows = ((fid,) + row for fid, k in enumerate(profile_of)
-            for row in formatted[k])
-    return rows, sum(bad[k] for k in profile_of)
+    return profile_of, fields, sum(map(bad.__getitem__, profile_of))
 
 
 def russo_sweep(n: int | None, random_count: int, seed: int,
@@ -322,8 +323,10 @@ def russo_sweep(n: int | None, random_count: int, seed: int,
         raise ValueError(f"need 1 <= max_n <= {MAX_DENSE_N} (a random ground "
                          f"has 1 to max_n elements), got max_n={max_n}")
     failing = []
-    masks = _kernels.monotone_masks(n) if n is not None else ()
+    checked = random_count
+    masks = _kernels.iter_monotone_masks(n) if n is not None else ()
     for fid, bits in enumerate(masks):
+        checked += 1
         if not russo_identity(SetFamily(n, bits)):
             failing.append((fid, n))
     rng = random.Random(seed)
@@ -334,7 +337,7 @@ def russo_sweep(n: int | None, random_count: int, seed: int,
             bits |= 1 << rng.randrange(1 << rn)
         if not russo_identity(SetFamily(rn, bits).up_closure()):
             failing.append((-(i + 1), rn))
-    return len(masks) + random_count, failing
+    return checked, failing
 
 
 class LogMeasureProfile(_Frozen):

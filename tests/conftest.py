@@ -27,6 +27,13 @@ def monotone_families(n: int):
     return (SetFamily(n, bits) for bits in _kernels.monotone_masks(n))
 
 
+def iso_rows(profile_of, fields):
+    """The rows of an `iso_sweep` table, (family id,) + row for each family
+    and bias in order: the rows the sweep wrote one by one."""
+    return ((fid,) + row for fid, k in enumerate(profile_of)
+            for row in fields[k])
+
+
 def random_increasing_family(rng: random.Random, n: int) -> SetFamily:
     bits = 0
     for _ in range(rng.randint(0, 2 * n + 1)):

@@ -20,7 +20,7 @@ from ekrlab.measures import iso_sweep, russo_sweep
 from ekrlab.search import MONOTONE_COUNTS, iter_uniform_families
 from ekrlab.zoo import closed_form_mu, tilde_d_sdl, tilde_h_tsr
 
-from conftest import monotone_families
+from conftest import iso_rows, monotone_families
 
 F = Fraction
 TOL = mpmath.mpf("1e-12")
@@ -79,10 +79,11 @@ def test_criterion_4_iso_sweep():
             gen = fam.increasing_subcube_generator()
             if gen is not None and fam.bits not in (0,) and len(fam) < 1 << n:
                 subcube_ids.add(fid)
-        rows, violations = iso_sweep(n, ps)
+        profile_of, fields, violations = iso_sweep(n, ps)
         ok &= violations == 0
         equal_ids = {p: set() for p in ps}
-        for fid, num, den, _mu, _ip, slack, _log in rows:
+        for fid, num, den, _mu, _ip, slack, _log in iso_rows(profile_of,
+                                                             fields):
             if slack == "vacuous":
                 continue
             val = mpmath.mpf(slack)

@@ -21,7 +21,7 @@ from ekrlab.verify import (_canonical_or_residual, _canonical_residual,
                            _triangles)
 from ekrlab.zoo import or_family, t_umvirate
 
-from conftest import random_increasing_family
+from conftest import iso_rows, random_increasing_family
 
 
 # -- bit masks -----------------------------------------------------------------
@@ -238,6 +238,18 @@ def test_iso_sweep_csv_pinned(capsys, args, digest, lines):
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
+def test_iso_sweep_json_pinned(capsys, monkeypatch):
+    # recorded when the JSON form dumped one dict per row with the payload
+    monkeypatch.delenv("EKRLAB_PRECISION", raising=False)
+    code, out = _cli(capsys, "--threads", "1", "iso-sweep", "--n", "4",
+                     "--all-monotone", "--p", "1/3", "--p", "3/5",
+                     "--p", "7/101", "--p", "89/97")
+    assert code == 0
+    assert len(out.splitlines()) == 6068
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "48a76151b5a5eeb750c2df1c04d638ea360812ba14b509e0ba60e872262434f4")
+
+
 def test_iso_sweep_evaluates_each_count_profile_once(monkeypatch):
     # 26 weight-count profiles among the 168 families on [4]: ln p once per
     # bias, then at most one ln mu per profile and bias; twelve biases, as
@@ -252,8 +264,9 @@ def test_iso_sweep_evaluates_each_count_profile_once(monkeypatch):
         return log(x)
 
     monkeypatch.setattr(measures, "log", counted_log)
-    rows, violations = iso_sweep(4, ps)
-    assert len(list(rows)) == 168 * 12 and violations == 0
+    profile_of, fields, violations = iso_sweep(4, ps)
+    assert len(list(iso_rows(profile_of, fields))) == 168 * 12
+    assert violations == 0
     assert 0 < len(calls) <= 12 + 26 * 12
     for n, families, count in ((4, 168, 26), (5, 7581, 96)):
         masks = _kernels.monotone_masks(n)

@@ -1,22 +1,29 @@
+import contextlib
+import csv
 import hashlib
+import io
 import itertools
 import json
 import os
 import subprocess
 import sys
 import tracemalloc
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import ekrlab
-from ekrlab import UniformFamily, load_family, measures
-from ekrlab.cli import main
+from ekrlab import UniformFamily, load_family, measures, numerics
+from ekrlab.cli import ISO_COLUMNS, main
 from ekrlab.io import (family_to_dict, set_family_from_dict,
                        uniform_family_from_dict)
+from ekrlab.search import MONOTONE_COUNTS
 from ekrlab.zoo import tilde_gi
 
-from conftest import perfbench_gate, perfbench_workloads
+from conftest import iso_rows, perfbench_gate, perfbench_workloads
 
 
 def test_family_json_roundtrip(tmp_path):
@@ -411,6 +418,70 @@ def test_iso_sweep_csv_streams(monkeypatch):
         tracemalloc.stop()
     assert out.chars == 4_109_495  # 60,649 lines
     assert peak < out.chars / 4
+
+
+def test_iso_sweep_json_streams(monkeypatch):
+    # the JSON form writes each family's rows into the payload's text in
+    # their place, so its traced peak is a small fraction of the text too
+    # (one dict per row and the whole text took several times its length)
+    argv = ["iso-sweep", "--n", "5", "--all-monotone"]
+    for p in ("1/9", "1/5", "2/7", "1/3", "1/2", "3/5", "5/7", "7/8"):
+        argv += ["--p", p]
+    monkeypatch.setattr(sys, "stdout", _CountingOut())
+    assert main(argv) == 0  # loads the real layer before tracing starts
+    out = _CountingOut()
+    monkeypatch.setattr(sys, "stdout", out)
+    tracemalloc.start()
+    try:
+        assert main(argv) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert out.chars == 13_207_037  # 60,648 row objects
+    assert peak < out.chars / 4
+
+
+#: one to four biases a/b in (0, 1), b up to 40
+_BIASES = st.lists(st.integers(2, 40).flatmap(
+    lambda b: st.integers(1, b - 1).map(lambda a: f"{a}/{b}")),
+    min_size=1, max_size=4)
+
+
+def _stdout_of(argv) -> tuple[int, str]:
+    with contextlib.redirect_stdout(io.StringIO()) as out:
+        code = main(argv)
+    return code, out.getvalue()
+
+
+@settings(max_examples=30, deadline=None)
+@given(n=st.integers(0, 4), ps=_BIASES,
+       tau=st.sampled_from([[], ["--tau", "0"]]))
+def test_iso_sweep_output_matches_the_row_writers(n, ps, tau):
+    # both forms against the writers they replaced: `csv.writer` over each
+    # row of the returned table, and `json.dumps` of one dict per row
+    argv = [*tau, "iso-sweep", "--n", str(n), "--all-monotone"]
+    argv += [f"--p={p}" for p in ps]
+    numerics.set_defaults(tol=tau[-1] if tau else None)
+    try:
+        profile_of, fields, violations = measures.iso_sweep(
+            n, [Fraction(p) for p in ps])
+        code, text = _stdout_of(argv + ["--csv"])
+        json_code, json_text = _stdout_of(argv)
+    finally:
+        numerics.set_defaults()  # --tau stays installed after `main`
+    rows = list(iso_rows(profile_of, fields))
+    assert code == (1 if violations else 0)
+    expect = io.StringIO()
+    writer = csv.writer(expect, lineterminator="\n")
+    writer.writerow(ISO_COLUMNS)
+    writer.writerows(rows)
+    assert text == expect.getvalue()
+    assert json_code == code
+    payload = {"count": MONOTONE_COUNTS[n],
+               "header": json.loads(json_text)["header"],
+               "rows": [dict(zip(ISO_COLUMNS, r)) for r in rows],
+               "violations": violations}
+    assert json_text == json.dumps(payload, sort_keys=True, indent=2) + "\n"
 
 
 def test_t_intersecting_sharp_reports_a_candidate(capsys, monkeypatch):
