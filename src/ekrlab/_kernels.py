@@ -28,14 +28,32 @@ only the later sets that are neither.
 In t mode the search also stores subtrees.  Below a live set i, every
 later set is decided by i and the two masks alone: it is forced if dead,
 else rejected if blocked, else included, and each decision updates the
-masks from the tables.  With the incumbent fixed, the bound at i depends
-only on its slack, size + (n_sets - best) - i.  So (i, slack, the dead
-mask from bit i up, the blocked mask from bit i up) decides the whole
-subtree, and its four counters are stored under that key when it is done.
-An improvement of the incumbent drops every entry (and the subtrees open
-around it), so the witness is still the first optimum reached.  The
-entries are only a cache: a store that holds STORE_CAP of them is emptied
-before the next goes in, which bounds its memory and moves no counter.
+masks from the tables.  With line = n_sets - best the bound prunes a node
+at i iff size + line <= i.  An include moves size and i together and an
+exclusion moves i alone, so below a node at slack s = size + line - i a
+node is pruned iff the exclusions since that node (its depth) reach s: the
+walk at a slack s' <= s is the walk at s cut at depth s'.  So the store
+keys on i, the dead mask from bit i up and the blocked mask from bit i up,
+without the slack, and keeps the walk at the largest slack s seen as a
+depth table: one int of records, record e holding WIDTH-bit counts of the
+nodes at depth e or more and, in shifted mode, of the forced exclusions
+among them, plus a mark of one in record s.  No stored walk improves the
+incumbent, so its leaves all lie at depth s.  Cut at s', the nodes are
+those above depth s', and the bound prunes the exclusion children of the
+nodes at depth s' - 1 (every node has one), less the leaves among them.
+Rejections need no count: an include's other child is at its own depth,
+so the nodes at a depth above s form runs of includes, each ending in the
+one rejection or forced exclusion that leaves the depth; a run starts at
+the root or at an exclusion child, so the rejections and forced
+exclusions at depth e number the nodes at depth e - 1 (one at depth 0).
+Each open subtree builds its table relative to its root; a finished one is
+stored (unless it holds 2**WIDTH nodes or more, or a walk at a larger
+slack is stored) and added into the table of the subtree around it, as is
+a stored subtree when it is added.  An improved incumbent drops the open subtrees,
+whose walks mix two bounds, but no entry: cut at the smaller slack, a
+stored walk is the walk under the new incumbent.  The entries are only a
+cache: a store that holds about STORE_CAP bytes is emptied before the next
+goes in, which bounds its memory and moves no counter.
 A stored subtree is added only if its nodes stay within the node budget
 and end before the next multiple of checkpoint_every; otherwise it is
 walked, so budget stops and checkpoints fall where the node-at-a-time
@@ -65,9 +83,22 @@ BACKEND = "pure"
 #: above it `weight_counts` walks the members
 DENSE_COUNT_N = 18
 
-#: stored t-mode subtrees `search_uniform` keeps at most; a full store is
-#: emptied before the next subtree goes in
-STORE_CAP = 1 << 20
+#: bytes the t-mode subtree store of `search_uniform` may hold; a full
+#: store is emptied before the next subtree goes in
+STORE_CAP = 96 << 20
+
+#: bits of each count in a stored subtree's depth table; a subtree of
+#: 2**WIDTH nodes or more is walked each time, never stored
+WIDTH = 24
+
+#: bytes charged to each stored subtree beside its depth table: its key,
+#: its slot in the store and the header of the table's int
+ENTRY_BYTES = 128
+
+#: the work behind the counters of the last `search_uniform` call (none
+#: outside t mode): live nodes walked, stored subtrees added cut below the
+#: slack they were walked at, and store empties
+LAST_WORK = {"walked": 0, "cut": 0, "clears": 0}
 
 
 def monotone_masks(n: int, t: int = 0) -> array:
@@ -246,7 +277,9 @@ def _cover(free: int, m: int, disjoint, target: int) -> int:
         j = low.bit_length() - 1
         new = target & disjoint[j] & ~out
         if new:
-            out |= _cover(free & disjoint[j], m - 1, disjoint, new)
+            if m > 1:
+                new = _cover(free & disjoint[j], m - 1, disjoint, new)
+            out |= new
     return out
 
 
@@ -301,12 +334,13 @@ def search_uniform(masks, preds_masks, mode: str, param: int, shifted: bool,
     checkpoint calls, the returned path and the witness match a walk that
     decides one set per node.
 
-    In t mode a live node at i whose key (i, the bound's slack there and
-    the dead and blocked masks from bit i up, which decide its subtree; see
-    the module notes) is stored adds the stored counters of that subtree
-    instead of walking it, unless the node budget or the next multiple of
-    checkpoint_every falls inside.  An improved incumbent drops every entry,
-    and so does a store that is full (STORE_CAP entries).
+    In t mode a live node at i whose key (i and the dead and blocked masks
+    from bit i up, which decide its subtree; see the module notes) is stored
+    at a slack of at least the bound's slack s there adds the counters of
+    the stored walk cut at exclusion depth s instead of walking it, unless
+    the node budget or the next multiple of checkpoint_every falls inside.
+    A store that is full (about STORE_CAP bytes) is emptied; the work done
+    goes to LAST_WORK.
 
     Returns (best_size, witness_index_tuple, stats_dict, complete, path)
     where path is the decision vector at exit (for checkpointing).
@@ -344,15 +378,28 @@ def search_uniform(masks, preds_masks, mode: str, param: int, shifted: bool,
     every = checkpoint_every if checkpoint_cb is not None else 0
     i = len(resume_path)
     line = n_sets - best  # the bound prunes a node at i iff size + line <= i
-    # stored subtrees: key -> the subtree's nodes, bound prunes, forced
-    # exclusions and predicate rejections.  The key packs the dead and
-    # blocked masks from bit i up, size + line (which fixes the slack at i)
-    # and i into one int; equal counters share one tuple through `counts`
+    # stored subtrees: key -> the subtree's depth table (see the module
+    # notes), whose records are u bits: w-bit counts of the nodes and, in
+    # shifted mode, of the forced exclusions.  The key packs the dead and
+    # blocked masks from bit i up and i into one int
     memo: dict = {}
-    counts: dict = {}
-    half = (2 * n_sets + 2).bit_length()
-    wide = 2 * half
-    frames = []  # (size, key, counters) at each live node not in memo
+    w = WIDTH
+    u = 2 * w if shifted else w
+    count = (1 << w) - 1
+    record = (1 << u) - 1
+    low = n_sets.bit_length()
+    # the store's size in records since it was last emptied: each entry is
+    # charged its slack and `overhead` more for its key and slot
+    held = 0
+    overhead = 8 * ENTRY_BYTES // u + 1
+    cap = 8 * STORE_CAP // u
+    frames = []  # (size, key or None, slack, nodes, outer table, outer root)
+    table = 0  # the depth table of the innermost open subtree ...
+    root = 0  # ... and the depth i - size of its root
+    walked = cut = clears = 0
+    storing = t_mode and best >= 0  # no subtree is stored before a leaf
+    if storing:
+        ones, runs = _depth_tables(line + 2, u, w)
 
     while True:
         if i == n_sets:
@@ -361,13 +408,17 @@ def search_uniform(masks, preds_masks, mode: str, param: int, shifted: bool,
                 best = size
                 line = n_sets - best
                 witness = tuple(chosen)
-                memo.clear()
                 frames.clear()
+                if t_mode and not storing:
+                    storing = True
+                    ones, runs = _depth_tables(line + 2, u, w)
+            elif frames:
+                table += ones[n_sets - size - root]
         elif size + line <= i:
             bound_prunes += 1
         else:
             d = dead >> i
-            hit = None
+            walk = True
             if d & 1:
                 # sets i..stop-1 are shift-forced exclusions
                 stop = i + (~d & (d + 1)).bit_length() - 1
@@ -383,30 +434,57 @@ def search_uniform(masks, preds_masks, mode: str, param: int, shifted: bool,
                     break
                 nodes += stop - i
                 forced_exclusions += stop - i
+                if frames:
+                    e = i - size - root
+                    table += runs[e + stop - i] - runs[e]
                 i = stop
             else:
-                if t_mode:
-                    key = ((d << n_sets | blocked >> i & ~d) << wide
-                           | (size + line) << half | i)
-                    hit = memo.get(key)
-                    if hit and (node_budget is not None
-                                and nodes + hit[0] > node_budget
-                                or every and nodes % every + hit[0] >= every):
-                        hit = None  # walk it: a stop or checkpoint is inside
-                    if hit:
-                        nodes += hit[0]
-                        bound_prunes += hit[1]
-                        forced_exclusions += hit[2]
-                        predicate_rejections += hit[3]
-                    else:
-                        frames.append((size, key, nodes, bound_prunes,
-                                       forced_exclusions,
-                                       predicate_rejections))
-                if not hit:
+                if storing:
+                    key = (d << n_sets | blocked >> i & ~d) << low | i
+                    slack = size + line - i
+                    entry = memo.get(key)
+                    rest = entry >> u * slack if entry else 0
+                    if rest:
+                        # stored at this slack or a larger one: add that
+                        # walk cut at depth slack (see the module notes)
+                        if rest > record:
+                            cut += 1
+                            sub = (entry - (rest << u * slack)
+                                   - (rest & record) * ones[slack - 1])
+                            leaves = 0
+                        else:  # rest: the mark and the leaves, at depth slack
+                            sub = entry - (1 << u * slack)
+                            leaves = rest - 1
+                        total = sub & record
+                        add = total & count
+                        forced = total >> w
+                        # nodes at depth slack - 1 and leaves at depth slack
+                        x = sub >> u * (slack - 1) & count
+                        walk = (node_budget is not None
+                                and nodes + add > node_budget
+                                or every and nodes % every + add >= every)
+                        if not walk:
+                            nodes += add
+                            bound_prunes += x - 2 * leaves
+                            forced_exclusions += forced
+                            predicate_rejections += 1 + add - x - forced
+                            if frames:
+                                e = i - size - root
+                                table += sub << u * e
+                                if e:
+                                    table += total * ones[e - 1]
+                        else:
+                            key = None  # the store keeps the larger walk
+                    if walk:
+                        walked += 1
+                        frames.append((size, key, slack, nodes, table, root))
+                        root = i - size
+                if walk:
                     nodes += 1
                     if node_budget is not None and nodes > node_budget:
                         complete = False
                         break
+                    table = 1  # this node, at depth 0 of its subtree
                     if not blocked >> i & 1:
                         saved.append((blocked, dead))
                         if t_mode:
@@ -421,7 +499,7 @@ def search_uniform(masks, preds_masks, mode: str, param: int, shifted: bool,
                         predicate_rejections += 1
                         dead |= up[i]
                     i += 1
-            if not hit:
+            if walk:
                 if every and nodes % every == 0:
                     checkpoint_cb(_path(i, chosen), best, list(witness), nodes)
                 continue
@@ -431,13 +509,22 @@ def search_uniform(masks, preds_masks, mode: str, param: int, shifted: bool,
             break
         # every subtree opened since this include was made is finished
         while frames and frames[-1][0] >= size:
-            _, key, n0, b0, f0, r0 = frames.pop()
-            sub = (nodes - n0, bound_prunes - b0, forced_exclusions - f0,
-                   predicate_rejections - r0)
-            if len(memo) >= STORE_CAP:
-                memo.clear()
-                counts.clear()
-            memo[key] = counts.setdefault(sub, sub)
+            _, key, slack, n0, outer, outer_root = frames.pop()
+            if key is not None and nodes - n0 <= count:  # no field overflowed
+                if held >= cap:
+                    memo.clear()
+                    held = 0
+                    clears += 1
+                memo[key] = table + (1 << u * slack)  # the mark
+                held += slack + overhead
+            if frames:
+                e = root - outer_root
+                if e:
+                    table = (outer + (table << u * e)
+                             + (table & record) * ones[e - 1])
+                else:
+                    table += outer
+            root = outer_root
         c = chosen.pop()
         size -= 1
         included ^= 1 << c
@@ -445,6 +532,7 @@ def search_uniform(masks, preds_masks, mode: str, param: int, shifted: bool,
         dead |= up[c]
         i = c + 1
 
+    LAST_WORK.update(walked=walked, cut=cut, clears=clears)
     stats = {
         "nodes": nodes,
         "bound_prunes": bound_prunes,
@@ -452,6 +540,22 @@ def search_uniform(masks, preds_masks, mode: str, param: int, shifted: bool,
         "predicate_rejections": predicate_rejections,
     }
     return best, witness, stats, complete, _path(i, chosen)
+
+
+def _depth_tables(depths: int, u: int, w: int):
+    """Constants of the depth tables of `search_uniform` for depths below
+    `depths`, whose records are u bits wide with the forced exclusions w
+    bits up: ones[e] has a 1 at the foot of the records 0..e, and runs[q]
+    holds q - j nodes that are forced exclusions in record j for j < q, so
+    a run of forced exclusions at depths e..q-1 adds runs[q] - runs[e]."""
+    ones, runs = [], [0]
+    acc = 0
+    for e in range(depths):
+        acc |= 1 << u * e
+        ones.append(acc)
+        runs.append(runs[-1] + acc)
+    forced = 1 | 1 << w
+    return ones, [forced * r for r in runs]
 
 
 def iter_predicate_families(masks, preds_masks, mode: str, param: int,

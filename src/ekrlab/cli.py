@@ -423,9 +423,10 @@ def build_parser():
     return ap
 
 
-def _set_global_flags(args) -> None:
-    """Check and install --precision, --threads and --tau; a bad value is a
-    usage error that names its flag."""
+def _global_flags(args):
+    """--precision and --tau, checked, as the (dps, tol) of the command's
+    `numerics.settings` (None where not given); --threads is checked too.
+    A bad value is a usage error that names its flag."""
     if args.threads < 1:
         raise ValueError(f"--threads must be at least 1, got {args.threads}")
     try:
@@ -434,37 +435,45 @@ def _set_global_flags(args) -> None:
         raise ValueError(f"--tau: {exc}") from None
     if tol is not None and tol < 0:
         raise ValueError(f"--tau must be at least 0, got {args.tau}")
-    numerics.set_defaults(tol=tol, dps=None if args.precision is None else
-                          numerics.check_dps(args.precision, "--precision"))
+    return (None if args.precision is None else
+            numerics.check_dps(args.precision, "--precision")), tol
 
 
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
     args = _parse(argv) or build_parser().parse_args(argv)
     try:
-        _set_global_flags(args)
-        code, payload = args.handler(args)
-        if isinstance(payload, dict):  # a CSV table has no header
-            payload["header"] = _header(args)
-        if getattr(args, "out", None) and "family" in payload:
-            from pathlib import Path
-
-            Path(args.out).write_text(
-                json.dumps(payload["family"], sort_keys=True) + "\n")
-    except (OSError, ValueError, KeyError, json.JSONDecodeError) as exc:
-        # a file that cannot be read or written is a usage error too
+        dps, tol = _global_flags(args)
+    except ValueError as exc:
         print(json.dumps({"error": str(exc)}), file=sys.stderr)
         return 2
-    try:
-        if isinstance(payload, dict):
-            _emit(payload)
-        else:
-            _print_csv(payload)
-        sys.stdout.flush()
-    except BrokenPipeError:
-        # the reader left early (`| head`); the code above is the verdict,
-        # and stdout goes to the null device so the flush at exit is quiet
-        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+    # the flags hold for this command only: main leaves the settings it
+    # found, however it ends
+    with numerics.settings(dps, tol):
+        try:
+            code, payload = args.handler(args)
+            if isinstance(payload, dict):  # a CSV table has no header
+                payload["header"] = _header(args)
+            if getattr(args, "out", None) and "family" in payload:
+                from pathlib import Path
+
+                Path(args.out).write_text(
+                    json.dumps(payload["family"], sort_keys=True) + "\n")
+        except (OSError, ValueError, KeyError, json.JSONDecodeError) as exc:
+            # a file that cannot be read or written is a usage error too
+            print(json.dumps({"error": str(exc)}), file=sys.stderr)
+            return 2
+        try:
+            if isinstance(payload, dict):
+                _emit(payload)
+            else:
+                _print_csv(payload)
+            sys.stdout.flush()
+        except BrokenPipeError:
+            # the reader left early (`| head`); the code above is the
+            # verdict, and stdout goes to the null device so the flush at
+            # exit is quiet
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
     return code
 
 

@@ -180,7 +180,8 @@ class SetFamily(_Frozen):
         return self._replace(reverse_bits(self.bits, 1 << self.n))
 
     def dual(self) -> "SetFamily":
-        """{[n] - A : A not in family}; an involution."""
+        """{[n] - A : A not in family}; an involution.  No command calls
+        it: the tests keep it as the oracle of `zoo.or_family`."""
         return self.bar().complement_family()
 
     def up_closure(self) -> "SetFamily":
@@ -205,18 +206,6 @@ class SetFamily(_Frozen):
     def minimal_members(self) -> "SetFamily":
         """Members none of whose proper subsets are members."""
         return self._replace(minimal_bits(self.bits, self.n))
-
-    def is_subcube(self) -> bool:
-        """True iff the members are exactly a subcube {x : x_i = c_i for i in T}."""
-        if self.bits == 0:
-            return False
-        and_all = (1 << self.n) - 1
-        or_all = 0
-        for m in self:
-            and_all &= m
-            or_all |= m
-        fixed = popcount(and_all) + (self.n - popcount(or_all))
-        return len(self) == 1 << (self.n - fixed)
 
     def increasing_subcube_generator(self) -> int | None:
         """If the family is S_B for some B (an increasing subcube), return

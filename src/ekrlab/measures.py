@@ -1,4 +1,4 @@
-"""Exact p-biased measures, influences, edge boundaries, and the analytic
+"""Exact p-biased measures, influences, and the analytic
 tool checks built on them.
 
 mu_p gives each element probability p independently; for a family F the
@@ -18,13 +18,10 @@ from array import array
 from fractions import Fraction
 
 from . import _kernels
-from .bitops import (coord_zero_mask, cube_mask, elements_of, iter_members,
-                     popcount)
+from .bitops import cube_mask, popcount
 from .families import MAX_DENSE_N, SetFamily
-from .numerics import (_Frozen, check_le, default_dps, default_tol,
-                       fmt_rational, fmt_real, log, log_base, power, to_mpf,
-                       workdps)
-from .report import VerdictReport
+from .numerics import (_Frozen, default_dps, default_tol, fmt_rational,
+                       fmt_real, log, to_mpf, workdps)
 
 #: ground size above which influence counting switches to member scans
 _SCAN_THRESHOLD = 22
@@ -181,39 +178,6 @@ def influence(fam: SetFamily, p=None) -> InfluenceVector:
     return InfluenceVector(fam.n, piv, tuple(map(sum, zip(*piv))))
 
 
-class EdgeBoundaryReport(_Frozen):
-    """`harper` checks the Harper inequality |bd A| >= |A| log2(2^n / |A|)
-    (None for an empty family)."""
-
-    __slots__ = ("count", "edges", "harper", "is_subcube", "equality")
-
-
-def edge_boundary(fam: SetFamily, include_edges: bool = True) -> EdgeBoundaryReport:
-    """Exact edge boundary in the n-cube plus the isoperimetric check.
-
-    Equality in the bound holds exactly for subcubes, which is cross-checked
-    structurally.
-    """
-    n, bits = fam.n, fam.bits
-    count = 0
-    edges: list[tuple[int, int]] = []
-    for i in range(n):
-        d = 1 << i
-        p0 = (bits ^ (bits >> (1 << i))) & coord_zero_mask(n, i)
-        count += popcount(p0)
-        if include_edges:
-            edges.extend((x, x | d) for x in iter_members(p0, n))
-    size = len(fam)
-    subcube = fam.is_subcube()
-    if size == 0:
-        return EdgeBoundaryReport(count, tuple(edges) if include_edges else None,
-                                  None, False, None)
-    harper = check_le(lambda: size * (log(1 << n, 2) - log(size, 2)),
-                      count)
-    return EdgeBoundaryReport(count, tuple(edges) if include_edges else None,
-                              harper, subcube, harper.equal)
-
-
 def russo_identity(fam: SetFamily) -> bool:
     """Exact polynomial identity d(mu_p)/dp == total influence.
 
@@ -338,118 +302,3 @@ def russo_sweep(n: int | None, random_count: int, seed: int,
         if not russo_identity(SetFamily(rn, bits).up_closure()):
             failing.append((-(i + 1), rn))
     return checked, failing
-
-
-class LogMeasureProfile(_Frozen):
-    """log_p(mu_p) along a grid: `points` holds the pairs (p, log_p mu_p)."""
-
-    __slots__ = ("points", "non_increasing", "strictly_decreasing_somewhere",
-                 "is_increasing_subcube")
-
-
-def log_measure_profile(fam: SetFamily, grid) -> LogMeasureProfile:
-    """log_p(mu_p) along an ascending grid in (0,1).
-
-    For an increasing family this sequence never increases, and is strictly
-    decreasing unless the family is an increasing subcube (where it is the
-    constant codimension).
-    """
-    grid = [Fraction(g) for g in grid]
-    if any(not 0 < g < 1 for g in grid) or any(a >= b for a, b in zip(grid, grid[1:])):
-        raise ValueError("grid must be strictly increasing inside (0,1)")
-    if not fam.is_increasing():
-        raise ValueError("profile is defined for increasing families")
-    if fam.bits == 0 or fam == SetFamily.full(fam.n):
-        raise ValueError("degenerate family: measure is constant 0 or 1")
-    pts = []
-    for g in grid:
-        m = mu(fam, g)
-        pts.append((g, log_base(m, g)))
-    tau = _tau()
-    non_inc = all(b[1] <= a[1] + tau for a, b in zip(pts, pts[1:]))
-    strict = any(a[1] - b[1] > tau for a, b in zip(pts, pts[1:]))
-    return LogMeasureProfile(tuple(pts), non_inc, strict,
-                             fam.increasing_subcube_generator() is not None)
-
-
-def _as_exponent(t):
-    """Normalize an exponent: exact Fraction when rational, else a real."""
-    if isinstance(t, (int, Fraction)):
-        return Fraction(t)
-    return to_mpf(t)
-
-
-def _rational_power(base: Fraction, expo) -> object:
-    """base**expo as a Fraction when the exponent is a nonnegative integer,
-    otherwise a closure producing a real."""
-    if isinstance(expo, Fraction) and expo.denominator == 1 and expo >= 0:
-        return base ** int(expo)
-    return lambda: power(to_mpf(base), to_mpf(expo))
-
-
-def measure_transfer_check(fam: SetFamily, p0, p, mode: str = "umvirate",
-                           t=1, x=None) -> VerdictReport:
-    """Monotone measure-transfer checks between two bias parameters p < p0.
-
-    mode "umvirate":  mu_{p0} <= p0**t      implies  mu_p <= p**t
-    mode "or":        mu_{p0} <= 1-(1-p0)**t implies mu_p <= 1-(1-p)**t
-    mode "lex":       mu_{p0} <= p0**t (1-(1-p0)**x) implies the same at p
-
-    Equality in the first two characterizes t-umvirates / OR-families for
-    integer t, which is confirmed structurally when equality is seen.
-    """
-    p0, p = Fraction(p0), Fraction(p)
-    if not 0 < p < p0 < 1:
-        raise ValueError("need 0 < p < p0 < 1")
-    if not fam.is_increasing():
-        raise ValueError("measure transfer applies to increasing families")
-    t = _as_exponent(t)
-    rep = VerdictReport(f"measure-transfer/{mode}")
-    mu0 = mu(fam, p0)
-    mu1 = mu(fam, p)
-
-    def bound(q: Fraction):
-        if mode == "umvirate":
-            return _rational_power(q, t)
-        if mode == "or":
-            pw = _rational_power(1 - q, t)
-            if callable(pw):
-                return lambda: 1 - pw()
-            return 1 - pw
-        if mode == "lex":
-            if x is None:
-                raise ValueError("lex mode needs the exponent x")
-            pt = _rational_power(q, t)
-            px = _rational_power(1 - q, _as_exponent(x))
-            if callable(pt) or callable(px):
-                def rhs():
-                    a = pt() if callable(pt) else to_mpf(pt)
-                    b = px() if callable(px) else to_mpf(px)
-                    return a * (1 - b)
-                return rhs
-            return pt * (1 - px)
-        raise ValueError(f"unknown transfer mode {mode!r}")
-
-    hyp = check_le(mu0, bound(p0))
-    rep.add_hypothesis(f"mu_p0 <= bound(p0) [t={t}]", hyp)
-    if not hyp.holds:
-        rep.notes.append("hypothesis not met; nothing is implied at p")
-        return rep
-    concl = check_le(mu1, bound(p))
-    rep.add_hypothesis("conclusion: mu_p <= bound(p)", concl)
-    rep.conclusion_holds = concl.holds
-    rep.add_slack("conclusion_slack", concl.slack)
-    if concl.equal:
-        if mode == "umvirate":
-            gen = fam.increasing_subcube_generator()
-            ok = gen is not None and (not isinstance(t, Fraction) or popcount(gen) == t)
-            rep.witness = {"umvirate": list(elements_of(gen))} if gen is not None else None
-            rep.notes.append("equality: family is a t-umvirate" if ok
-                             else "equality without t-umvirate structure (check!)")
-        elif mode == "or":
-            gen = fam.dual().increasing_subcube_generator()
-            ok = gen is not None and (not isinstance(t, Fraction) or popcount(gen) == t)
-            rep.witness = {"or_set": list(elements_of(gen))} if gen is not None else None
-            rep.notes.append("equality: family is an OR-family" if ok
-                             else "equality without OR structure (check!)")
-    return rep

@@ -327,10 +327,23 @@ def default_tol() -> Fraction:
 
 
 def set_defaults(dps: int | None = None, tol=None) -> None:
-    """Session-wide overrides (the CLI wires --precision / --tau here).
+    """Process-wide overrides of the working precision and tolerance.
     Passing None resets a value to its built-in/env default."""
     _active["dps"] = check_dps(dps, "dps") if dps is not None else None
     _active["tol"] = Fraction(tol) if tol is not None else None
+
+
+@contextlib.contextmanager
+def settings(dps: int | None = None, tol=None):
+    """Run the block at precision `dps` and tolerance `tol` (None: the
+    built-in/env default), then put back the settings it found, however
+    the block ends; the CLI runs each command inside one."""
+    before = dict(_active)
+    set_defaults(dps, tol)
+    try:
+        yield
+    finally:
+        _active.update(before)
 
 
 def to_mpf(x) -> _Real:

@@ -1,6 +1,6 @@
-"""Hypothesis/condition/conclusion checkers for the stability theorems, the
-bootstrap inequalities, tightness reports for the extremal families, and
-counterexample scanners for the conjectured sharp forms.
+"""Hypothesis/condition/conclusion checkers for the stability theorems,
+tightness reports for the extremal families, and counterexample scanners
+for the conjectured sharp forms.
 
 Every check evaluates exact rational left-hand sides against (possibly
 irrational) right-hand sides through the tolerance layer.  Theorems whose
@@ -18,9 +18,9 @@ mu_p(F) >= p^t(1 - ctilde x^u) + (1-p) p^{t-1} eps, lifted over [s] for
 DualBiased and MatchingBiased, with ctilde and u the `DerivedConstants` of
 the bias p0 it transfers from (p0 itself; 1/2 for Biased1, TriangleBiased
 and TIntersectingBiased; 1/(2s+1) for MatchingBiased).  Its cap,
-`_ctilde_cap`, serves the bootstrap inequalities and the TIntersectingSharp
-scan too.  Both run inside the closures that `check_le` re-invokes, so
-every value is recomputed at each retry's precision.
+`_ctilde_cap`, serves the TIntersectingSharp scan too.  Both run inside
+the closures that `check_le` re-invokes, so every value is recomputed at
+each retry's precision.
 """
 
 from __future__ import annotations
@@ -506,63 +506,6 @@ def theorem_id(name: str) -> str:
         if tid.lower().replace("_", "") == key:
             return tid
     raise ValueError(f"unknown theorem {name!r}; known: {THEOREM_IDS}")
-
-
-# -- bootstrap diagnostics ------------------------------------------------------
-
-
-def bootstrap_diagnostics(fam: SetFamily, p0, p, t: int,
-                          variant: str = "general") -> VerdictReport:
-    """The two bootstrap inequalities, with delta extracted from the family.
-
-    delta is defined by mu_p(F - S_[t]) = (1-p) p^{t-1} delta.  The general
-    variant checks (a) the measure of the part outside S_[t] transfers up to
-    p0 with exponent log_p(p0), and (b) given mu_{p0}(F) <= p0^t, the part
-    inside S_[t] at p is capped by p^t (1 - ctilde delta^u).  The
-    "intersecting" variant (t-intersecting F, p <= 1/2) checks the sharper
-    cap p^t (1 - (delta/(2^t-1))^{log_p(1-p)}) instead.
-    """
-    p = Fraction(p)
-    _require(fam.is_increasing(), "family must be increasing")
-    _require(t >= 1, "t must be >= 1")
-    outside_p = _canonical_residual(fam, t, p)
-    inside_p = mu(fam, p) - outside_p
-    delta = outside_p / ((1 - p) * p ** (t - 1))
-    rep = VerdictReport(f"bootstrap/{variant}")
-    rep.add_slack("delta", delta)
-
-    if variant == "general":
-        p0 = Fraction(p0)
-        _require(0 < p < p0 < 1, "need 0 < p < p0 < 1")
-        dc = DerivedConstants(p0, p, t)
-        outside_p0 = _canonical_residual(fam, t, p0)
-        rep.add_hypothesis(
-            "(a) mu_{p0}(F - S_[t]) >= (1-p0)p0^{t-1} delta^{log_p p0}",
-            check_le(lambda: to_mpf((1 - p0) * p0 ** (t - 1))
-                     * power(to_mpf(delta), log_base(p0, p)),
-                     outside_p0))
-        cap_ok = check_le(mu(fam, p0), p0**t)
-        rep.add_hypothesis("(b-pre) mu_{p0}(F) <= p0^t", cap_ok)
-        if cap_ok.holds:
-            rep.add_hypothesis(
-                "(b) mu_p(F cap S_[t]) <= p^t(1 - ctilde delta^u)",
-                check_le(inside_p, lambda: _ctilde_cap(p, t, dc.c_tilde, dc.u,
-                                                       to_mpf(delta))))
-        rep.conclusion_holds = rep.hypotheses_met
-        return rep
-
-    if variant == "intersecting":
-        _require(0 < p <= Fraction(1, 2), "need 0 < p <= 1/2")
-        _require(is_t_intersecting(fam, t), f"family must be {t}-intersecting")
-        dc = DerivedConstants(Fraction(1, 2), p, t)
-        rep.add_hypothesis(
-            "mu_p(F cap S_[t]) <= p^t(1 - (delta/(2^t-1))^{log_p(1-p)})",
-            check_le(inside_p, lambda: _ctilde_cap(
-                p, t, dc.c_tilde, dc.u, to_mpf(delta) / (2**t - 1))))
-        rep.conclusion_holds = rep.hypotheses_met
-        return rep
-
-    raise ValueError(f"unknown variant {variant!r}")
 
 
 # -- tightness reports ----------------------------------------------------------

@@ -16,7 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import ekrlab
-from ekrlab import UniformFamily, load_family, measures, numerics
+from ekrlab import UniformFamily, cli, load_family, measures, numerics
 from ekrlab.cli import ISO_COLUMNS, main
 from ekrlab.io import (family_to_dict, set_family_from_dict,
                        uniform_family_from_dict)
@@ -750,6 +750,38 @@ def test_cli_stdout_bytes_pinned(capsys, monkeypatch, argv, digest):
     code, out = run_cli(capsys, *argv)
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("argv, digest", STDOUT_PINS)
+def test_cli_leaves_the_numerics_settings_as_it_found_them(capsys, argv,
+                                                           digest):
+    # --precision and --tau hold for their command only: main puts back the
+    # settings it found, the defaults or a caller's own
+    for outer in ((None, None), (30, Fraction(1, 7))):
+        with numerics.settings(*outer):
+            before = dict(numerics._active)
+            run_cli(capsys, *argv)
+            assert numerics._active == before, outer
+
+
+def test_cli_restores_the_numerics_settings_on_errors(capsys, monkeypatch):
+    # a usage error, a refused --tau and an exception out of the handler
+    # leave the settings as main found them
+    before = dict(numerics._active)
+    assert run_cli(capsys, "--tau", "1/1000", "kk", "--m", "7", "--k",
+                   "0")[0] == 2
+    assert run_cli(capsys, "--tau", "-1", "kk", "--m", "7", "--k", "3")[0] == 2
+    assert numerics._active == before
+
+    def boom(args):
+        assert numerics.default_tol() == Fraction(1, 1000)
+        raise RuntimeError("handler failed")
+
+    monkeypatch.setitem(cli.COMMANDS, "kk", (boom, *cli.COMMANDS["kk"][1:]))
+    with pytest.raises(RuntimeError):
+        main(["--precision", "40", "--tau", "1/1000", "kk", "--m", "7",
+              "--k", "3"])
+    assert numerics._active == before
 
 
 def test_cli_russo_sweep_reports_failing_families(capsys, monkeypatch):

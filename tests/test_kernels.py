@@ -9,6 +9,8 @@ import operator
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ekrlab import _kernels
 from ekrlab.search import lex_universe, shift_predecessor_masks
@@ -286,11 +288,12 @@ def test_walk_tables_match_their_definitions():
     (6, 3, False, (997, 5003, 28_000)), (8, 4, True, (997, 5003))])
 def test_stored_subtrees_keep_budget_and_checkpoints_exact(n, k, shifted,
                                                           budgets):
-    # plain EKR on [6]^(3) walks 4,519 of its live nodes and finds 2,330
-    # more already stored, which stand for 23,623 of its 28,144 nodes, and
-    # shifted EKR on [8]^(4) adds 53 stored subtrees within 5,003 nodes;
-    # budgets and checkpoint intervals that fall inside stored subtrees must
-    # stop, checkpoint and resume where the node-at-a-time walk does
+    # plain EKR on [6]^(3) walks 3,048 of its live nodes and adds 1,980
+    # stored subtrees (968 of them cut below the slack they were stored
+    # at), which stand for 25,074 of its 28,144 nodes, and shifted EKR on
+    # [8]^(4) adds 56 stored subtrees within 5,003 nodes; budgets and
+    # checkpoint intervals that fall inside stored subtrees must stop,
+    # checkpoint and resume where the node-at-a-time walk does
     universe = lex_universe(n, k)
     preds = (shift_predecessor_masks(n, k, universe) if shifted
              else [0] * len(universe))
@@ -320,6 +323,64 @@ def test_a_capped_store_keeps_the_walk_exact(monkeypatch, cap):
         6, 3, False, (997, 5003, 28_000))
     test_stored_subtrees_keep_budget_and_checkpoints_exact(
         8, 4, True, (997, 5003))
+
+
+def test_narrow_count_fields_keep_the_walk_exact(monkeypatch):
+    # a subtree of 2**WIDTH nodes or more would overflow a count of its
+    # depth table, so it is walked each time and never stored: with 3-bit
+    # counts only the smallest subtrees are stored, and every counter, stop,
+    # checkpoint and resume still matches the node-at-a-time walk
+    monkeypatch.setattr(_kernels, "WIDTH", 3)
+    test_search_matches_reference_walker()
+    test_stored_subtrees_keep_budget_and_checkpoints_exact(
+        6, 3, False, (997, 5003, 28_000))
+    test_stored_subtrees_keep_budget_and_checkpoints_exact(
+        8, 4, True, (997, 5003))
+
+
+@settings(max_examples=120, deadline=None, database=None, derandomize=True)
+@given(st.data())
+def test_search_with_any_incumbent_budget_and_checkpoints(data):
+    # an incumbent brought in by a resume moves the bound's slack at every
+    # node, so stored subtrees come back at slacks below the one they were
+    # walked at and are added cut at that depth; the counters, stops,
+    # checkpoints and paths must still be those of the node-at-a-time walk
+    n = data.draw(st.integers(1, 7), label="n")
+    k = data.draw(st.integers(0, min(n, 4)), label="k")
+    mode, param = data.draw(st.sampled_from(MODES + (("t", 3),)), label="mode")
+    shifted = data.draw(st.booleans(), label="shifted")
+    universe = lex_universe(n, k)
+    preds = (shift_predecessor_masks(n, k, universe) if shifted
+             else [0] * len(universe))
+    inst = (universe, preds, mode, param, shifted)
+    path = []
+    if data.draw(st.booleans(), label="resume mid-walk"):
+        path = _ref_search(*inst, node_budget=data.draw(
+            st.integers(1, 300), label="prefix nodes"))[4]
+    kw = dict(resume_path=path,
+              resume_best=data.draw(st.integers(-1, len(universe) + 1),
+                                    label="best"),
+              node_budget=data.draw(st.integers(1, 4000), label="budget"),
+              checkpoint_every=data.draw(st.sampled_from((0, 1, 7, 50, 333)),
+                                         label="every"))
+    got, want = [], []
+    assert (_kernels.search_uniform(*inst, **kw,
+                                    checkpoint_cb=lambda *c: got.append(c))
+            == _ref_search(*inst, **kw, checkpoint_cb=lambda *c: want.append(c)))
+    assert got == want
+
+
+def test_stored_walks_answer_smaller_slacks():
+    # shifted EKR on [9]^(4) has 1,338,643 nodes but only 2,175 keys of
+    # stored subtrees; a key that comes back at a smaller slack adds the
+    # stored walk cut at that depth, so the search walks each key about
+    # once, not once per slack
+    universe = lex_universe(9, 4)
+    _kernels.search_uniform(universe, shift_predecessor_masks(9, 4, universe),
+                            "t", 1, True)
+    work = _kernels.LAST_WORK
+    assert work["cut"] >= 1_300 and work["walked"] <= 2_300, work
+    assert not work["clears"]
 
 
 #: (n, k, t) -> (optimum, counters) of the shifted t-intersecting search,

@@ -5,13 +5,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ekrlab import (SetFamily, edge_boundary, influence, log_measure_profile,
-                    measure_transfer_check, mu, mu_polynomial)
+from ekrlab import SetFamily, influence, mu, mu_polynomial
 from ekrlab.bitops import popcount
 from ekrlab.cli import main
 from ekrlab.measures import polynomial, power_table, russo_identity
 from ekrlab.numerics import fmt_rational
-from ekrlab.zoo import c_ts, dictatorship, or_family, t_umvirate, tilde_gi
+from ekrlab.zoo import dictatorship, t_umvirate, tilde_gi
 
 from conftest import (monotone_families, random_family,
                       random_increasing_family, random_rational)
@@ -60,29 +59,6 @@ def test_mu_polynomial_matches_mu(rng):
 def test_point_measures():
     pw, den = power_table(3, F(1, 4))
     assert [F(x, den) for x in pw] == [F(27, 64), F(9, 64), F(3, 64), F(1, 64)]
-
-
-def test_edge_boundary_subcube_equality():
-    n = 4
-    for t in (1, 2, 3, 4):
-        rep = edge_boundary(t_umvirate(n, t), include_edges=False)
-        assert rep.count == t * 2 ** (n - t)
-        assert rep.is_subcube and rep.equality
-    rep = edge_boundary(dictatorship(3, 1))
-    assert rep.count == 4
-    assert len(rep.edges) == 4
-
-
-def test_edge_boundary_sweep_n3():
-    # equality in the lower bound exactly at subcubes, all 256 subsets
-    for bits in range(1 << 8):
-        fam = SetFamily(3, bits)
-        rep = edge_boundary(fam, include_edges=False)
-        if bits == 0:
-            assert rep.harper is None
-            continue
-        assert rep.harper.holds
-        assert rep.equality == rep.is_subcube
 
 
 def test_influence_examples():
@@ -246,64 +222,6 @@ def test_russo_margulis_on_the_printed_polynomials(capsys, rng):
         assert _horner(_derivative(coeffs), F(p)) == F(total["total"])
 
 
-def test_log_measure_profile():
-    prof = log_measure_profile(t_umvirate(4, 2), [F(1, 4), F(1, 2), F(3, 4)])
-    assert prof.is_increasing_subcube
-    assert prof.non_increasing and not prof.strictly_decreasing_somewhere
-    for _, val in prof.points:
-        assert abs(val - 2) < 1e-20
-
-    prof = log_measure_profile(tilde_gi(3, 3), [F(1, 4), F(1, 2)])
-    assert prof.non_increasing and prof.strictly_decreasing_somewhere
-
-    prof = log_measure_profile(or_family(4, 2),
-                               [F(1, 8), F(1, 4), F(3, 8), F(1, 2), F(5, 8)])
-    assert prof.non_increasing and prof.strictly_decreasing_somewhere
-
-    with pytest.raises(ValueError):
-        log_measure_profile(SetFamily.full(3), [F(1, 2)])
-    with pytest.raises(ValueError):
-        log_measure_profile(tilde_gi(3, 3), [F(1, 2), F(1, 4)])  # not ascending
-
-
-def test_measure_transfer_umvirate_mode():
-    # all increasing families on [4] with mu_{1/2} <= 1/2 transfer to 1/4
-    checked = 0
-    for fam in monotone_families(4):
-        if mu(fam, F(1, 2)) > F(1, 2):
-            continue
-        rep = measure_transfer_check(fam, F(1, 2), F(1, 4), "umvirate", t=1)
-        assert rep.conclusion_holds
-        checked += 1
-    assert checked > 50
-
-    rep = measure_transfer_check(t_umvirate(4, 2), F(1, 2), F(1, 3),
-                                 "umvirate", t=2)
-    assert rep.conclusion_holds
-    assert "equality: family is a t-umvirate" in rep.notes
-
-    g3 = tilde_gi(4, 3)
-    rep = measure_transfer_check(g3, F(1, 2), F(1, 4), "umvirate", t=1)
-    assert rep.conclusion_holds
-    assert mu(g3, F(1, 4)) == F(5, 32) < F(1, 4)  # strict at p
-
-
-def test_measure_transfer_or_and_lex_modes():
-    o2 = or_family(4, 2)
-    rep = measure_transfer_check(o2, F(1, 2), F(1, 4), "or", t=2)
-    assert rep.conclusion_holds
-    assert "equality: family is an OR-family" in rep.notes
-
-    c12 = c_ts(5, 1, 2)
-    rep = measure_transfer_check(c12, F(1, 2), F(1, 4), "lex", t=1, x=2)
-    assert rep.conclusion_holds
-
-    rep = measure_transfer_check(SetFamily.full(4), F(1, 2), F(1, 4),
-                                 "umvirate", t=1)
-    assert rep.conclusion_holds is None  # hypothesis not met
-    assert any("hypothesis not met" in n for n in rep.notes)
-
-
 def test_measure_identities(rng):
     for _ in range(60):
         n = rng.randint(1, 6)
@@ -321,20 +239,6 @@ def test_weight_vector_counts(rng):
     assert sum(big.weight_vector()) == len(big)
     assert big.weight_vector() == [
         sum(1 for m in big if bin(m).count("1") == j) for j in range(7)]
-
-
-def test_edge_boundary_edge_list_matches_brute(rng):
-    for _ in range(15):
-        fam = random_family(rng, 4)
-        rep = edge_boundary(fam)
-        brute = set()
-        for x in range(16):
-            for i in range(4):
-                y = x | (1 << i)
-                if y != x and ((x in fam) != (y in fam)):
-                    brute.add((x, y))
-        assert set(rep.edges) == brute
-        assert rep.count == len(brute)
 
 
 def test_mu_polynomial_boundary_values(rng):

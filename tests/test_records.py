@@ -9,8 +9,7 @@ from fractions import Fraction
 import pytest
 
 from ekrlab.families import EdgeGround, SetFamily, UniformFamily
-from ekrlab.measures import (EdgeBoundaryReport, InfluenceVector,
-                             LogMeasureProfile)
+from ekrlab.measures import InfluenceVector
 from ekrlab.numerics import Checked
 from ekrlab.report import HypothesisFlag, VerdictReport
 from ekrlab.search import SearchCertificate, SearchProblem
@@ -30,8 +29,6 @@ FROZEN = [
     CUBE,
     PAIRS,
     InfluenceVector(2, ((0, 1, 0), (0, 1, 0)), (0, 2, 0)),
-    EdgeBoundaryReport(2, ((0, 1), (0, 2)), CHECKED, True, True),
-    LogMeasureProfile(((F(1, 4), F(2)), (F(1, 2), F(2))), True, False, True),
     CHECKED,
     SearchProblem(6, 3, "t-intersecting", 2, 100, True),
     DerivedConstants(F(1, 2), F(1, 4), 2),
@@ -86,8 +83,8 @@ def test_copies_start_with_an_empty_cache():
 
 
 @pytest.mark.parametrize("cls", [
-    Checked, InfluenceVector, EdgeBoundaryReport, LogMeasureProfile,
-    RootInfo, DerivedConstants, HypothesisFlag, ScanReport, SearchCertificate,
+    Checked, InfluenceVector, RootInfo, DerivedConstants, HypothesisFlag,
+    ScanReport, SearchCertificate,
 ], ids=lambda c: c.__name__)
 def test_plain_records_take_one_value_per_field(cls):
     # these records have no constructor of their own

@@ -7,10 +7,9 @@ from fractions import Fraction
 import pytest
 
 from ekrlab import (DerivedConstants, EdgeGround, FamilySpec, SetFamily,
-                    TheoremCase, UniformFamily, bootstrap_diagnostics,
-                    check_theorem, conjecture_scan, construct,
-                    is_t_intersecting, iter_uniform_families, mu,
-                    tightness_report)
+                    TheoremCase, UniformFamily, check_theorem,
+                    conjecture_scan, construct, is_t_intersecting,
+                    iter_uniform_families, mu, tightness_report)
 from ekrlab import _kernels, numerics, verify
 from ekrlab.bitops import subset_masks
 from ekrlab.measures import nearest_cube
@@ -244,24 +243,6 @@ def test_frankl_gi_check():
     rep = check_theorem(TheoremCase("FranklG_i", {"p": F(1, 4), "i": 4}),
                         tilde_gi(6, 4))
     assert rep.conclusion_holds is None
-
-
-def test_bootstrap_general():
-    s2 = t_umvirate(5, 2)
-    rep = bootstrap_diagnostics(s2, F(1, 2), F(1, 4), 2)
-    assert rep.conclusion_holds
-    assert rep.slacks["delta"] == "0/1"
-
-    h = tilde_h_tsr(6, 1, 2, 2)
-    rep = bootstrap_diagnostics(h, F(1, 2), F(1, 4), 1)
-    assert rep.conclusion_holds
-    assert rep.slacks["delta"] != "0/1"
-
-
-def test_bootstrap_intersecting_variant():
-    f22 = tilde_f_ts(8, 2, 2)
-    rep = bootstrap_diagnostics(f22, None, F(1, 5), 2, variant="intersecting")
-    assert rep.conclusion_holds
 
 
 def test_tightness_reports():
@@ -598,10 +579,6 @@ PINNED_DIGESTS = {
         "0d87b82ebc01945dee8a3bd341e7841a58712e3317f80cb5bf6c8052c334c09e",
     "TriangleUniform":
         "92223b10303b27e3247064aaedd0e7600f30cc3ece3bb8c41edd50b8f5da9008",
-    "bootstrap/general":
-        "66e8893ee48f67c4cd95feffc09e929ed4c1fbe4458ceb7c8716b5913d9d6001",
-    "bootstrap/intersecting":
-        "b86b3fd72e8fcdd70a14a78830b8f339a97e36c509ec46a19b7863ecb480a0e7",
     "tightness/tilde_Gi":
         "ed7bd136631fe3c8b4b7bf5f69997f66acef7619f90d283a9981abba5909aa82",
     "tightness/tilde_F_ts":
@@ -627,11 +604,10 @@ def _grid(constants=(), **axes):
 
 
 def _pinned_corpus(step: int):
-    """(group, outcome thunk) for every `step`-th theorem and bootstrap case
-    and every tightness case, in a fixed order.  Groups are the theorems
-    (the biased ones split by whether C and c are supplied), the two
-    bootstrap variants and the four tightness families; cases include
-    parameters the checks reject."""
+    """(group, outcome thunk) for every `step`-th theorem case and every
+    tightness case, in a fixed order.  Groups are the theorems (the biased
+    ones split by whether C and c are supplied) and the four tightness
+    families; cases include parameters the checks reject."""
     rng = random.Random(20261018)
     biased = list(monotone_families(4)) + [
         tilde_gi(4, 3), tilde_gi(5, 4), t_umvirate(5, 2), tilde_f_ts(5, 1, 2),
@@ -694,13 +670,6 @@ def _pinned_corpus(step: int):
             group = theorem + ("+constants" if "C" in params else "")
             cases.append((group, lambda th=theorem, pr=params, f=fam:
                           check_theorem(TheoremCase(th, pr), f)))
-    for fam, (p0, p), t in itertools.product(biased, p0p, (1, 2)):
-        cases.append(("bootstrap/general", lambda f=fam, a=p0, b=p, t=t:
-                      bootstrap_diagnostics(f, a, b, t)))
-    for fam, p, t in itertools.product(biased, (F(1, 5), F(1, 3), F(1, 2)),
-                                       (1, 2)):
-        cases.append(("bootstrap/intersecting", lambda f=fam, b=p, t=t:
-                      bootstrap_diagnostics(f, None, b, t, "intersecting")))
     specs = (
         [FamilySpec("tilde_Gi", {"n": n, "i": i})
          for n in (5, 6, 7) for i in range(3, n + 1)]
