@@ -424,9 +424,9 @@ def build_parser():
 
 
 def _global_flags(args):
-    """--precision and --tau, checked, as the (dps, tol) of the command's
-    `numerics.settings` (None where not given); --threads is checked too.
-    A bad value is a usage error that names its flag."""
+    """The command's `numerics.settings`: --precision, else
+    EKRLAB_PRECISION, and --tau, each checked; --threads is checked too.
+    A bad value is a usage error that names its flag or the variable."""
     if args.threads < 1:
         raise ValueError(f"--threads must be at least 1, got {args.threads}")
     try:
@@ -435,21 +435,22 @@ def _global_flags(args):
         raise ValueError(f"--tau: {exc}") from None
     if tol is not None and tol < 0:
         raise ValueError(f"--tau must be at least 0, got {args.tau}")
-    return (None if args.precision is None else
-            numerics.check_dps(args.precision, "--precision")), tol
+    return numerics.settings(
+        None if args.precision is None else
+        numerics.check_dps(args.precision, "--precision"), tol)
 
 
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
     args = _parse(argv) or build_parser().parse_args(argv)
     try:
-        dps, tol = _global_flags(args)
+        flags = _global_flags(args)
     except ValueError as exc:
         print(json.dumps({"error": str(exc)}), file=sys.stderr)
         return 2
     # the flags hold for this command only: main leaves the settings it
     # found, however it ends
-    with numerics.settings(dps, tol):
+    with flags:
         try:
             code, payload = args.handler(args)
             if isinstance(payload, dict):  # a CSV table has no header

@@ -20,8 +20,8 @@ from fractions import Fraction
 from . import _kernels
 from .bitops import cube_mask, popcount
 from .families import MAX_DENSE_N, SetFamily
-from .numerics import (_Frozen, default_dps, default_tol, fmt_rational,
-                       fmt_real, log, to_mpf, workdps)
+from .numerics import (_Frozen, default_tol, fmt_rational, fmt_real, log,
+                       to_mpf)
 
 #: ground size above which influence counting switches to member scans
 _SCAN_THRESHOLD = 22
@@ -227,26 +227,21 @@ def iso_table(n: int, masks, ps) -> tuple[array, list[list[tuple]]]:
         slope = [x * (j * b - n * a) * b for j, x in enumerate(pw)]
         tables.append((pw, den, slope, a * (b - a) * den))
     profiles = []
-    with workdps(default_dps()):
-        reals = [(to_mpf(p), log(to_mpf(p))) for p in ps]
-        for w in index:
-            rows = []
-            for (pw, den, slope, ip_den), (p_real, log_p) in zip(tables, reals):
-                m = Fraction(dot(w, pw), den)
-                ip = Fraction(dot(w, slope), ip_den)
-                if m == 0 or m == 1:
-                    rows.append((m, ip, None, None))
-                    continue
-                m_real = to_mpf(m)
-                log_mu = log(m_real) / log_p
-                slack = p_real * to_mpf(ip) - m_real * log_mu
-                rows.append((m, ip, slack, log_mu))
-            profiles.append(rows)
+    reals = [(to_mpf(p), log(to_mpf(p))) for p in ps]
+    for w in index:
+        rows = []
+        for (pw, den, slope, ip_den), (p_real, log_p) in zip(tables, reals):
+            m = Fraction(dot(w, pw), den)
+            ip = Fraction(dot(w, slope), ip_den)
+            if m == 0 or m == 1:
+                rows.append((m, ip, None, None))
+                continue
+            m_real = to_mpf(m)
+            log_mu = log(m_real) / log_p
+            slack = p_real * to_mpf(ip) - m_real * log_mu
+            rows.append((m, ip, slack, log_mu))
+        profiles.append(rows)
     return profile_of, profiles
-
-
-def _tau():
-    return to_mpf(default_tol())
 
 
 def iso_sweep(n: int, ps: list[Fraction]):
@@ -263,7 +258,7 @@ def iso_sweep(n: int, ps: list[Fraction]):
     for p in ps:
         check_p_open(p)
     profile_of, profiles = iso_table(n, _kernels.iter_monotone_masks(n), ps)
-    tau = _tau()
+    tau = to_mpf(default_tol())
     bad = [sum(slack is not None and slack < -tau for _, _, slack, _ in values)
            for values in profiles]
     fields = [

@@ -9,13 +9,17 @@ retried, so a verdict is never an artifact of rounding.
 
 The reals are a small type built on `mpmath.libmp`, mpmath's low-level
 float library: each operation makes the libmp call that `mpmath.mpf` makes,
-at the same precision (one module-level value, 53 bits unless `workdps`
-says otherwise) and rounding (to nearest), so every digit matches mpmath's.
-Most commands never reach the real layer, so libmp loads on first use, and
-without running `mpmath/__init__.py`, whose contexts and function modules
-would cost several times the rest of a short command.  The value sits in a
-slot named `_mpf_`, as in mpmath, so mpmath accepts these reals and this
-module accepts mpmath's.
+at the same precision and rounding (to nearest), so every digit matches
+mpmath's at an equal precision.  Most commands never reach the real layer,
+so libmp loads on first use, and without running `mpmath/__init__.py`,
+whose contexts and function modules would cost several times the rest of a
+short command.  The value sits in a slot named `_mpf_`, as in mpmath, so
+mpmath accepts these reals and this module accepts mpmath's.
+
+The working precision is one setting: `settings` sets the digits a header
+reports, the bits every real is computed at and the tolerance together
+(DEFAULT_DPS and DEFAULT_TOL outside any block); only `check_le`'s retries
+raise the bits, through `workdps`.
 """
 
 from __future__ import annotations
@@ -37,8 +41,27 @@ _LIBMP = "_ekrlab_libmp"
 
 _lib = None  # libmp, once loaded
 
-#: working precision in bits (mpmath's default); `workdps` sets it
-_prec = 53
+#: decimal digits of working precision (relative error well below 1e-18)
+DEFAULT_DPS = 30
+
+#: least working precision accepted (that of a double)
+MIN_DPS = 15
+
+#: comparison tolerance tau
+DEFAULT_TOL = Fraction(1, 10**12)
+
+
+def dps_to_prec(dps: int) -> int:
+    """The bits of `dps` decimal digits, by libmp's own formula, so that a
+    command that never computes a real never loads libmp."""
+    return max(1, round((dps + 1) * 3.3219280948873626))
+
+
+#: the working precision in digits and in bits, and the tolerance tau;
+#: `settings` sets all three, `workdps` the bits alone
+_dps = DEFAULT_DPS
+_prec = dps_to_prec(DEFAULT_DPS)
+_tol = DEFAULT_TOL
 
 _new = object.__new__
 
@@ -68,12 +91,12 @@ def _libmp():
 
 @contextlib.contextmanager
 def workdps(dps: int):
-    """Work at `dps` decimal digits inside the block, as `mpmath.workdps`
-    does; the block gets the precision in bits."""
+    """Compute reals at `dps` decimal digits inside the block, as
+    `mpmath.workdps` does; `default_dps()` keeps the digits of `settings`."""
     global _prec
-    saved, _prec = _prec, _libmp().dps_to_prec(dps)
+    saved, _prec = _prec, dps_to_prec(dps)
     try:
-        yield _prec
+        yield
     finally:
         _prec = saved
 
@@ -229,15 +252,9 @@ def _convert(x) -> tuple:
     return value
 
 
-def log(x, b=None) -> _Real:
-    """ln(x), or log_b(x) = ln(x)/ln(b) with both logs taken at 20 extra
-    bits, as `mpmath.log`."""
-    lib = _libmp()
-    if b is None:
-        return _real(lib.mpf_log(_convert(x), _prec, "n"))
-    wp = _prec + 20
-    return _real(lib.mpf_div(lib.mpf_log(_convert(x), wp, "n"),
-                             lib.mpf_log(_convert(b), wp, "n"), _prec, "n"))
+def log(x) -> _Real:
+    """ln(x), as `mpmath.log`."""
+    return _real(_libmp().mpf_log(_convert(x), _prec, "n"))
 
 
 def power(x, y) -> _Real:
@@ -250,15 +267,6 @@ def nstr(x, n: int, **kwargs) -> str:
     """x to `n` significant digits, as `mpmath.nstr` (libmp's `to_str`)."""
     return _libmp().to_str(x._mpf_, n, **kwargs)
 
-
-#: decimal digits of working precision (relative error well below 1e-18)
-DEFAULT_DPS = 30
-
-#: least working precision accepted (that of a double)
-MIN_DPS = 15
-
-#: comparison tolerance tau
-DEFAULT_TOL = Fraction(1, 10**12)
 
 #: what `check_le` accepts on either side; an annotation only, so that
 #: `typing` stays off the import path
@@ -303,14 +311,9 @@ class _Frozen:
         return (type(self), tuple(getattr(self, s) for s in self._fields))
 
 
-_active = {"dps": None, "tol": None}
-
-
 def default_dps() -> int:
-    if _active["dps"] is not None:
-        return _active["dps"]
-    env = os.environ.get("EKRLAB_PRECISION")
-    return check_dps(env, "EKRLAB_PRECISION") if env else DEFAULT_DPS
+    """The working precision in decimal digits, as the header reports it."""
+    return _dps
 
 
 def check_dps(dps, name: str) -> int:
@@ -323,27 +326,32 @@ def check_dps(dps, name: str) -> int:
 
 
 def default_tol() -> Fraction:
-    return _active["tol"] if _active["tol"] is not None else DEFAULT_TOL
+    """The comparison tolerance tau."""
+    return _tol
 
 
-def set_defaults(dps: int | None = None, tol=None) -> None:
-    """Process-wide overrides of the working precision and tolerance.
-    Passing None resets a value to its built-in/env default."""
-    _active["dps"] = check_dps(dps, "dps") if dps is not None else None
-    _active["tol"] = Fraction(tol) if tol is not None else None
+def settings(dps: int | None = None, tol=None):
+    """A block run at precision `dps` and tolerance `tol`, which puts back
+    the settings it found however it ends; the CLI runs each command inside
+    one.  The values are checked here, before the block opens: a `dps` of
+    None is EKRLAB_PRECISION's, or DEFAULT_DPS without it, and a bad one is
+    a ValueError that names the variable; a `tol` of None is DEFAULT_TOL."""
+    if dps is None:
+        env = os.environ.get("EKRLAB_PRECISION")
+        dps = check_dps(env, "EKRLAB_PRECISION") if env else DEFAULT_DPS
+    return _settings(check_dps(dps, "dps"),
+                     DEFAULT_TOL if tol is None else Fraction(tol))
 
 
 @contextlib.contextmanager
-def settings(dps: int | None = None, tol=None):
-    """Run the block at precision `dps` and tolerance `tol` (None: the
-    built-in/env default), then put back the settings it found, however
-    the block ends; the CLI runs each command inside one."""
-    before = dict(_active)
-    set_defaults(dps, tol)
+def _settings(dps: int, tol: Fraction):
+    global _dps, _prec, _tol
+    saved = _dps, _prec, _tol
+    _dps, _prec, _tol = dps, dps_to_prec(dps), tol
     try:
         yield
     finally:
-        _active.update(before)
+        _dps, _prec, _tol = saved
 
 
 def to_mpf(x) -> _Real:
@@ -363,15 +371,12 @@ def to_mpf(x) -> _Real:
     return _real(lib.mpf_pos(value, _prec, "n"))
 
 
-def _eval(x, dps: int):
-    if isinstance(x, (int, Fraction)):
-        return x  # a rational operand needs no real layer
-    with workdps(dps):
-        while callable(x):
-            x = x()
-        if isinstance(x, (int, Fraction)):
-            return x
-        return to_mpf(x)  # round into the working precision
+def _eval(x):
+    """A side of `check_le`: a callable called until it gives a value, and
+    a real rounded into the working precision; a rational stays exact."""
+    while callable(x):
+        x = x()
+    return x if isinstance(x, (int, Fraction)) else to_mpf(x)
 
 
 def log_base(x, base) -> _Real:
@@ -397,23 +402,19 @@ def check_le(lhs: ValueLike, rhs: ValueLike) -> Checked:
     are re-invoked after each precision raise, so real-producing closures
     genuinely gain accuracy on retry.
     """
-    tol = default_tol()
-    dps = default_dps()
-    a = _eval(lhs, dps)
-    b = _eval(rhs, dps)
-    if isinstance(a, (int, Fraction)) and isinstance(b, (int, Fraction)):
-        slack = Fraction(b) - Fraction(a)
-        return Checked(a, b, slack, slack >= 0, slack == 0, True, dps)
+    tol, dps = _tol, _dps
     for attempt in range(4):
         with workdps(dps):
+            a, b = _eval(lhs), _eval(rhs)
+            if isinstance(a, (int, Fraction)) and isinstance(b, (int, Fraction)):
+                slack = Fraction(b) - Fraction(a)
+                return Checked(a, b, slack, slack >= 0, slack == 0, True, dps)
             slack = to_mpf(b) - to_mpf(a)
             t = to_mpf(tol)
             if attempt == 3 or not abs(slack) < 10 * t:
                 return Checked(a, b, slack, slack >= -t, abs(slack) <= t,
                                False, dps)
         dps *= 2
-        a = _eval(lhs, dps)
-        b = _eval(rhs, dps)
 
 
 def check_eq(lhs: ValueLike, rhs: ValueLike) -> Checked:

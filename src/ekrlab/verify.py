@@ -37,8 +37,8 @@ from .families import (KINDS, EdgeGround, SetFamily, UniformFamily,
                        matching_number)
 from .measures import (check_p_open, cube_measure, dot, mu, nearest_cube,
                        power_table)
-from .numerics import (_Frozen, check_eq, check_le, default_dps, log,
-                       log_base, nstr, parse_rational, power, to_mpf, workdps)
+from .numerics import (_Frozen, check_eq, check_le, log, log_base, nstr,
+                       parse_rational, power, to_mpf)
 from .report import HOLDS, UNRESOLVED, VerdictReport, fmt
 from .search import iter_uniform_families
 from .zoo import (FAMILIES, ROOT_EXPONENTS, FamilySpec, closed_form_mu,
@@ -697,7 +697,7 @@ def _examine_t_intersecting(fam: SetFamily, t: int, p: Fraction,
     if residual == 0:
         return None
     eps_r = residual / ((1 - p) * p ** (t - 1))
-    viol = _condition_beats_mu(mu_p, p, t, eps_r, default_dps())
+    viol = _condition_beats_mu(mu_p, p, t, eps_r)
     if viol is None:
         return None
     return {"family": [list(s) for s in fam.member_sets()],
@@ -837,7 +837,7 @@ def _minimum_at_eps_r(p: Fraction, t: int, eps_r: Fraction) -> bool:
 
 
 def _condition_beats_mu(mu_p: Fraction, p: Fraction, t: int,
-                        eps_r: Fraction, dps: int):
+                        eps_r: Fraction):
     """Return an eps < eps_r where the sharp condition holds, if any.
 
     g(eps) = p^t (1 - (eps/t)^v) + c eps, with c = (1-p) p^{t-1} and
@@ -849,21 +849,19 @@ def _condition_beats_mu(mu_p: Fraction, p: Fraction, t: int,
     `_minimum_at_eps_r` may prove in integers and doubles that eps* is
     clamped to eps_r, and the answer is None without reals (the closed
     form below gives eps = eps_r to its working precision there, which
-    fails the 1e-9 test).  Otherwise everything runs in reals at `dps`
-    digits, and no exact recheck follows.
+    fails the 1e-9 test).  Otherwise everything runs in reals at the
+    working precision, and no exact recheck follows.
     """
     if _minimum_at_eps_r(p, t, eps_r):
         return None
-    with workdps(dps):
-        v = log_base(1 - p, p)
-        pt, c = to_mpf(p) ** t, to_mpf((1 - p) * p ** (t - 1))
-        hi = to_mpf(eps_r)
-        eps = t * power(c * t / (pt * v), 1 / (v - 1))
-        eps = min(max(eps, hi * to_mpf("1e-9")), hi)
-        margin = to_mpf(mu_p) - _ctilde_cap(p, t, 1, v, eps / t) - c * eps
-        if (margin > to_mpf("1e-11")
-                and eps < hi * (1 - to_mpf("1e-9"))):
-            return nstr(eps, 18)
+    v = log_base(1 - p, p)
+    pt, c = to_mpf(p) ** t, to_mpf((1 - p) * p ** (t - 1))
+    hi = to_mpf(eps_r)
+    eps = t * power(c * t / (pt * v), 1 / (v - 1))
+    eps = min(max(eps, hi * to_mpf("1e-9")), hi)
+    margin = to_mpf(mu_p) - _ctilde_cap(p, t, 1, v, eps / t) - c * eps
+    if margin > to_mpf("1e-11") and eps < hi * (1 - to_mpf("1e-9")):
+        return nstr(eps, 18)
     return None
 
 

@@ -15,7 +15,7 @@ from fractions import Fraction
 
 from .bitops import elements_of, mask_of, popcount, swap_coordinates
 from .families import EdgeGround, SetFamily, UniformFamily
-from .numerics import _Frozen, default_dps, log, to_mpf, workdps
+from .numerics import _Frozen, default_dps, dps_to_prec, log, to_mpf
 
 class FamilySpec(_Frozen):
     """Serializable description of a zoo family: a name plus parameters."""
@@ -496,14 +496,13 @@ def defining_root(spec: FamilySpec) -> RootInfo:
     def g(x):
         return (a - 1) * log(1 - x) - (b - 1) * log(x)
 
-    with workdps(default_dps()) as prec:
-        lo, hi = to_mpf("1e-9"), 1 - to_mpf("1e-9")
-        if not (g(lo) > 0 > g(hi)):
-            raise ArithmeticError("sign check failed; no bracketed root")
-        for _ in range(prec + 20):
-            mid = (lo + hi) / 2
-            if g(mid) > 0:
-                lo = mid
-            else:
-                hi = mid
-        return RootInfo((lo + hi) / 2, False)
+    lo, hi = to_mpf("1e-9"), 1 - to_mpf("1e-9")
+    if not (g(lo) > 0 > g(hi)):
+        raise ArithmeticError("sign check failed; no bracketed root")
+    for _ in range(dps_to_prec(default_dps()) + 20):
+        mid = (lo + hi) / 2
+        if g(mid) > 0:
+            lo = mid
+        else:
+            hi = mid
+    return RootInfo((lo + hi) / 2, False)

@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from ekrlab import SetFamily, _kernels
+from ekrlab import SetFamily, _kernels, numerics
 
 
 def random_rational(rng: random.Random, open_unit: bool = True) -> Fraction:
@@ -39,6 +39,29 @@ def random_increasing_family(rng: random.Random, n: int) -> SetFamily:
     for _ in range(rng.randint(0, 2 * n + 1)):
         bits |= 1 << rng.randrange(1 << n)
     return SetFamily(n, bits).up_closure()
+
+
+def numerics_state() -> tuple:
+    """numerics' digits, tolerance and bits."""
+    return numerics._dps, numerics._tol, numerics._prec
+
+
+#: `numerics_state()` outside any `settings` block
+NUMERICS_DEFAULTS = (numerics.DEFAULT_DPS, numerics.DEFAULT_TOL,
+                     numerics.dps_to_prec(numerics.DEFAULT_DPS))
+
+
+@pytest.fixture(autouse=True)
+def numerics_left_at_the_defaults():
+    """Fail a test that leaves numerics' digits, tolerance or bits off the
+    defaults, so that a leaked setting fails the test that leaks it, not a
+    later one; the defaults are put back first."""
+    yield
+    left = numerics_state()
+    if left != NUMERICS_DEFAULTS:
+        numerics._dps, numerics._tol, numerics._prec = NUMERICS_DEFAULTS
+        pytest.fail(f"the test left numerics at (dps, tol, bits) = {left}, "
+                    f"not {NUMERICS_DEFAULTS}")
 
 
 @pytest.fixture

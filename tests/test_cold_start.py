@@ -33,8 +33,9 @@ print(json.dumps({"code": code, "modules": sorted(sys.modules)}))
 """
 
 
-def _run(*argv) -> subprocess.CompletedProcess:
+def _run(*argv, **extra_env) -> subprocess.CompletedProcess:
     env = {k: v for k, v in os.environ.items() if not k.startswith("EKRLAB_")}
+    env.update(extra_env)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (SRC, os.environ.get("PYTHONPATH")) if p)
     proc = subprocess.run([sys.executable, *argv], cwd=ROOT, env=env,
@@ -43,8 +44,8 @@ def _run(*argv) -> subprocess.CompletedProcess:
     return proc
 
 
-def _loaded_after(*cli_argv) -> set:
-    proc = _run("-c", PROBE, json.dumps(list(cli_argv)))
+def _loaded_after(*cli_argv, **extra_env) -> set:
+    proc = _run("-c", PROBE, json.dumps(list(cli_argv)), **extra_env)
     result = json.loads(proc.stdout.splitlines()[-1])
     assert result["code"] == 0, proc.stdout
     return set(result["modules"])
@@ -185,6 +186,7 @@ def test_mpmath_imported_first_is_reused():
     # no second copy of libmp once mpmath is loaded, and the reals of each
     # convert to the other's
     proc = _run("-c", "import sys, mpmath; from ekrlab import numerics; "
+                      "mpmath.mp.dps = numerics.DEFAULT_DPS; "
                       "x = numerics.to_mpf(1) / 3; "
                       "assert numerics._libmp() is mpmath.libmp; "
                       f"assert {numerics._LIBMP!r} not in sys.modules; "
@@ -243,6 +245,14 @@ def test_commands_without_reals_leave_mpmath_unloaded(argv):
     assert numerics._LIBMP not in loaded
 
 
+@pytest.mark.parametrize("flag, env", [
+    (("--precision", "40"), {}), ((), {"EKRLAB_PRECISION": "40"})])
+def test_a_precision_setting_loads_no_libmp(flag, env):
+    # the bits of a precision follow from its digits without libmp
+    loaded = _loaded_after(*flag, "kk", "--m", "10", "--k", "3", **env)
+    assert not [m for m in loaded if "libmp" in m or "mpmath" in m]
+
+
 @pytest.mark.parametrize("name", ["sweep", "search", "scan", "verify"])
 def test_well_formed_command_leaves_argparse_unloaded(name, tmp_path):
     # argparse, and the gettext and locale modules it loads, only print
@@ -280,7 +290,8 @@ PRIVATE_LOAD_PROBE = """
 import json, sys
 from fractions import Fraction
 from ekrlab import numerics as nm
-cases = [("log", lambda: nm.log(3)), ("log_base", lambda: nm.log(5, Fraction(1, 3))),
+cases = [("log", lambda: nm.log(3)),
+         ("log_base", lambda: nm.log_base(5, Fraction(1, 3))),
          ("power", lambda: nm.power(Fraction(2, 7), nm.log(2))),
          ("div", lambda: 1 / nm.to_mpf(Fraction(3, 11))),
          ("str", lambda: nm.to_mpf("1e-9") * 7 - Fraction(1, 3)),
@@ -297,7 +308,7 @@ theirs = {}
 for dps in (15, 30, 61):
     with mpmath.workdps(dps):
         mp_cases = [("log", mpmath.log(3)),
-                    ("log_base", mpmath.log(5, Fraction(1, 3))),
+                    ("log_base", mpmath.log(5) / mpmath.log(mpmath.mpf(1) / 3)),
                     ("power", mpmath.power(Fraction(2, 7), mpmath.log(2))),
                     ("div", 1 / (mpmath.mpf(3) / 11)),
                     ("str", mpmath.mpf("1e-9") * 7 - Fraction(1, 3)),

@@ -11,6 +11,7 @@ import tracemalloc
 from fractions import Fraction
 from pathlib import Path
 
+import mpmath
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -23,7 +24,8 @@ from ekrlab.io import (family_to_dict, set_family_from_dict,
 from ekrlab.search import MONOTONE_COUNTS
 from ekrlab.zoo import tilde_gi
 
-from conftest import iso_rows, perfbench_gate, perfbench_workloads
+from conftest import (iso_rows, numerics_state, perfbench_gate,
+                      perfbench_workloads)
 
 
 def test_family_json_roundtrip(tmp_path):
@@ -461,14 +463,11 @@ def test_iso_sweep_output_matches_the_row_writers(n, ps, tau):
     # row of the returned table, and `json.dumps` of one dict per row
     argv = [*tau, "iso-sweep", "--n", str(n), "--all-monotone"]
     argv += [f"--p={p}" for p in ps]
-    numerics.set_defaults(tol=tau[-1] if tau else None)
-    try:
+    with numerics.settings(tol=tau[-1] if tau else None):
         profile_of, fields, violations = measures.iso_sweep(
             n, [Fraction(p) for p in ps])
-        code, text = _stdout_of(argv + ["--csv"])
-        json_code, json_text = _stdout_of(argv)
-    finally:
-        numerics.set_defaults()  # --tau stays installed after `main`
+    code, text = _stdout_of(argv + ["--csv"])
+    json_code, json_text = _stdout_of(argv)
     rows = list(iso_rows(profile_of, fields))
     assert code == (1 if violations else 0)
     expect = io.StringIO()
@@ -665,6 +664,29 @@ def test_cli_precision_env(capsys, monkeypatch):
     assert json.loads(out)["header"]["precision_dps"] == 45
 
 
+@pytest.mark.parametrize("dps", [30, 60])
+def test_matching_remark_computed_at_the_command_precision(capsys, dps):
+    # (c delta)^{log_{1-s p1} p1} at p1 = k/n = 1/3, s = 1 and c delta = 1/15
+    # is computed at the precision the header reports: it once ran at 53
+    # bits and printed 0.000650679993905084464 at every --precision
+    code, out = run_cli(
+        capsys, "--precision", str(dps), "verify", "--theorem",
+        "MatchingUniform", "--spec",
+        '{"name":"conj_H","params":{"n":9,"k":3,"s":1,"d":1}}', "--s", "1",
+        "--eps", "1/2", "--c", "1/3", "--delta", "1/5")
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["header"]["precision_dps"] == dps
+    with mpmath.workdps(dps):
+        expect = mpmath.nstr(
+            mpmath.power(mpmath.mpf(1) / 15, mpmath.log(mpmath.mpf(1) / 3)
+                         / mpmath.log(mpmath.mpf(2) / 3)),
+            18, strip_zeros=False)
+    assert expect == "0.000650679993905084012"
+    slacks = payload["report"]["slacks"]
+    assert slacks["remark_epsilon(c delta)^{log_{1-s p1} p1}"] == expect
+
+
 def _usage_error(capsys, *argv) -> str:
     code = main(list(argv))
     captured = capsys.readouterr()
@@ -689,6 +711,14 @@ def test_cli_bad_global_flag_named(capsys, flags, name):
 def test_cli_bad_precision_env_named(capsys, monkeypatch, value):
     monkeypatch.setenv("EKRLAB_PRECISION", value)
     assert "EKRLAB_PRECISION" in _usage_error(capsys, *KK)
+
+
+def test_cli_precision_flag_overrides_a_bad_env(capsys, monkeypatch):
+    # with --precision given, EKRLAB_PRECISION is never read
+    monkeypatch.setenv("EKRLAB_PRECISION", "abc")
+    code, out = run_cli(capsys, "--precision", "40", *KK)
+    assert code == 0
+    assert json.loads(out)["header"]["precision_dps"] == 40
 
 
 def test_cli_header_kernel_backend(capsys):
@@ -759,19 +789,19 @@ def test_cli_leaves_the_numerics_settings_as_it_found_them(capsys, argv,
     # settings it found, the defaults or a caller's own
     for outer in ((None, None), (30, Fraction(1, 7))):
         with numerics.settings(*outer):
-            before = dict(numerics._active)
+            before = numerics_state()
             run_cli(capsys, *argv)
-            assert numerics._active == before, outer
+            assert numerics_state() == before, outer
 
 
 def test_cli_restores_the_numerics_settings_on_errors(capsys, monkeypatch):
     # a usage error, a refused --tau and an exception out of the handler
     # leave the settings as main found them
-    before = dict(numerics._active)
+    before = numerics_state()
     assert run_cli(capsys, "--tau", "1/1000", "kk", "--m", "7", "--k",
                    "0")[0] == 2
     assert run_cli(capsys, "--tau", "-1", "kk", "--m", "7", "--k", "3")[0] == 2
-    assert numerics._active == before
+    assert numerics_state() == before
 
     def boom(args):
         assert numerics.default_tol() == Fraction(1, 1000)
@@ -781,7 +811,7 @@ def test_cli_restores_the_numerics_settings_on_errors(capsys, monkeypatch):
     with pytest.raises(RuntimeError):
         main(["--precision", "40", "--tau", "1/1000", "kk", "--m", "7",
               "--k", "3"])
-    assert numerics._active == before
+    assert numerics_state() == before
 
 
 def test_cli_russo_sweep_reports_failing_families(capsys, monkeypatch):

@@ -310,12 +310,22 @@ def test_stored_subtrees_keep_budget_and_checkpoints_exact(n, k, shifted,
                 == _ref_search(*inst, **kw)), budget
 
 
-@pytest.mark.parametrize("cap", [1, 7])
+@pytest.mark.parametrize("cap", [1, 1024])
 def test_a_capped_store_keeps_the_walk_exact(monkeypatch, cap):
-    # stored subtrees are only a cache: with the store emptied whenever it
-    # holds `cap` of them, every counter, stop, checkpoint and resume still
+    # stored subtrees are only a cache: STORE_CAP is in bytes, and a store
+    # that holds about that many is emptied before the next subtree goes
+    # in.  At 1 byte it is emptied before every entry; at 1 KiB it holds a
+    # few entries (each is charged 128 bytes beside its depth table)
+    # between empties.  Every counter, stop, checkpoint and resume still
     # matches the node-at-a-time walk
     monkeypatch.setattr(_kernels, "STORE_CAP", cap)
+    if cap > 1:
+        universe = lex_universe(6, 3)
+        stats = _kernels.search_uniform(universe, [0] * len(universe), "t",
+                                        1, False)[2]
+        work = _kernels.LAST_WORK
+        # stored walks stood for some of the nodes, and the store filled
+        assert work["walked"] < stats["nodes"] and work["clears"] >= 1, work
     test_search_matches_reference_walker()
     test_search_checkpoints_and_resume_match_reference_walker()
     test_checkpoint_after_a_leaf_on_a_multiple()

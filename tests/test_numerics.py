@@ -9,8 +9,9 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from ekrlab.numerics import (Checked, check_eq, check_le, default_dps,
-                             fmt_rational, fmt_real, log, log_base, nstr,
-                             parse_rational, power, to_mpf, workdps)
+                             dps_to_prec, fmt_rational, fmt_real, log,
+                             log_base, nstr, parse_rational, power, to_mpf,
+                             workdps)
 
 F = Fraction
 
@@ -160,9 +161,6 @@ def test_powers_and_logs_match_mpmath(dps, base, expo):
             _same(expo ** x, expo ** mx)
         _same(log(x), mpmath.log(mx))
         _same(log(base), mpmath.log(base))
-        for b in (2, Fraction(1, 3), to_mpf(Fraction(7, 5))):
-            mb = mpmath.mpf(b._mpf_) if hasattr(b, "_mpf_") else b
-            _same(log(x, b), mpmath.log(mx, mb))
 
 
 @PROPERTY
@@ -188,14 +186,21 @@ def test_fraction_on_the_left_or_in_an_ordering_is_a_type_error(fn):
     # as for mpmath's reals: Fraction - real, Fraction / real and orderings
     # against a Fraction have no meaning; + and * convert the Fraction
     q = Fraction(1, 3)
-    for real in (to_mpf(2), mpmath.mpf(2)):
-        with pytest.raises(TypeError):
-            fn(q, real)
-        if fn not in (operator.sub, operator.truediv):
+    with workdps(30), mpmath.workdps(30):
+        for real in (to_mpf(2), mpmath.mpf(2)):
             with pytest.raises(TypeError):
-                fn(real, q)
-    assert (q + to_mpf(2))._mpf_ == (q + mpmath.mpf(2))._mpf_
-    assert (q * to_mpf(2))._mpf_ == (q * mpmath.mpf(2))._mpf_
+                fn(q, real)
+            if fn not in (operator.sub, operator.truediv):
+                with pytest.raises(TypeError):
+                    fn(real, q)
+        assert (q + to_mpf(2))._mpf_ == (q + mpmath.mpf(2))._mpf_
+        assert (q * to_mpf(2))._mpf_ == (q * mpmath.mpf(2))._mpf_
+
+
+def test_bits_follow_libmps_formula():
+    # the bits of a precision are known without loading libmp
+    for dps in range(15, 2001):
+        assert dps_to_prec(dps) == mpmath.libmp.dps_to_prec(dps), dps
 
 
 def test_checked_with_reals_pickles_and_copies():

@@ -18,7 +18,7 @@ import pytest
 from ekrlab import (SetFamily, _kernels, conjecture_scan, is_t_intersecting,
                     verify)
 from ekrlab.measures import dot, power_table
-from ekrlab.numerics import (default_dps, log_base, nstr, power, to_mpf,
+from ekrlab.numerics import (log_base, nstr, power, settings, to_mpf,
                              workdps)
 
 
@@ -147,21 +147,19 @@ POWERS = range(1, 7)
 def test_closed_form_decides_as_the_ternary_search(p, t):
     # at eps_r = t p^m the exact-power test runs first; the search checks
     # its verdicts on both sides of v = q as well as the closed form's
-    dps = default_dps()
     reported = 0
-    with workdps(dps):
-        for eps_r in EPS_RS + tuple(t * p**m for m in POWERS):
-            eps_t, g_t = _ternary(p, t, eps_r)
-            beats = eps_t < to_mpf(eps_r) * (1 - to_mpf("1e-9"))
-            for lift in (0, F(1, 10**6)):
-                mu_p = _as_fraction(g_t) + lift
-                got = verify._condition_beats_mu(mu_p, p, t, eps_r, dps)
-                assert (got is not None) == (beats and lift > 0)
-                if got is not None:
-                    # the search pins eps down to about the square root of
-                    # the working precision, where g is flat
-                    assert abs(to_mpf(got) - eps_t) <= to_mpf("1e-13") * eps_r
-                    reported += 1
+    for eps_r in EPS_RS + tuple(t * p**m for m in POWERS):
+        eps_t, g_t = _ternary(p, t, eps_r)
+        beats = eps_t < to_mpf(eps_r) * (1 - to_mpf("1e-9"))
+        for lift in (0, F(1, 10**6)):
+            mu_p = _as_fraction(g_t) + lift
+            got = verify._condition_beats_mu(mu_p, p, t, eps_r)
+            assert (got is not None) == (beats and lift > 0)
+            if got is not None:
+                # the search pins eps down to about the square root of
+                # the working precision, where g is flat
+                assert abs(to_mpf(got) - eps_t) <= to_mpf("1e-13") * eps_r
+                reported += 1
     assert reported > 0  # the reporting path ran
     # both sides of v = q ran: m <= 2 falls back to the reals, m = 4 does not
     decided = {m for m in POWERS
@@ -172,14 +170,16 @@ def test_closed_form_decides_as_the_ternary_search(p, t):
 @pytest.mark.parametrize("t", [1, 2])
 def test_condition_runs_at_the_given_precision(t):
     # a search at 80 digits fixes the minimizer to far more than the 18
-    # reported digits; the session precision stays at its default
+    # reported digits; the condition runs at the enclosing settings' digits
     p, eps_r = F(1, 7), F(1, 2)
     with workdps(80):
         eps_ref, g_ref = _ternary(p, t, eps_r, steps=300)
         expect = nstr(eps_ref, 18)
     mu_p = _as_fraction(g_ref) + F(1, 10**6)
-    assert verify._condition_beats_mu(mu_p, p, t, eps_r, 50) == expect
-    assert verify._condition_beats_mu(mu_p, p, t, eps_r, 15) != expect
+    with settings(50):
+        assert verify._condition_beats_mu(mu_p, p, t, eps_r) == expect
+    with settings(15):
+        assert verify._condition_beats_mu(mu_p, p, t, eps_r) != expect
 
 
 # -- pinned reports ------------------------------------------------------------
