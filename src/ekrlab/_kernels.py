@@ -20,7 +20,12 @@ The blocked mask holds the sets the included ones rule out, so the
 include test is one bit.  In t mode including c ORs in rel[c], the later
 sets meeting c in fewer than t elements.  In match mode (matching number at
 most s) a set is blocked when the included sets disjoint from it already
-hold s pairwise disjoint ones; an include adds to it through `_block`.
+hold s pairwise disjoint ones, so including c ORs in the later sets
+disjoint from c and from every member of some s - 1 pairwise disjoint
+included sets disjoint from c (`_cover`).  That mask depends on c and on
+the included sets disjoint from c alone, and few such pairs recur often,
+so `_match_step` computes each once and keeps it: a cache, emptied when
+it holds about STORE_CAP bytes, which moves no counter.
 Blocked sets stay blocked below their node, and dead sets stay dead, so
 neither can join below it: the predicate-family walk's size floor counts
 only the later sets that are neither.
@@ -83,22 +88,25 @@ BACKEND = "pure"
 #: above it `weight_counts` walks the members
 DENSE_COUNT_N = 18
 
-#: bytes the t-mode subtree store of `search_uniform` may hold; a full
-#: store is emptied before the next subtree goes in
+#: bytes the t-mode subtree store of `search_uniform`, or the match-mode
+#: cover cache of either walk, may hold; a full one is emptied before the
+#: next entry goes in
 STORE_CAP = 96 << 20
 
 #: bits of each count in a stored subtree's depth table; a subtree of
 #: 2**WIDTH nodes or more is walked each time, never stored
 WIDTH = 24
 
-#: bytes charged to each stored subtree beside its depth table: its key,
-#: its slot in the store and the header of the table's int
+#: bytes charged to each stored subtree beside its depth table (its key,
+#: its slot in the store and the header of the table's int) and to each
+#: cached cover
 ENTRY_BYTES = 128
 
-#: the work behind the counters of the last `search_uniform` call (none
-#: outside t mode): live nodes walked, stored subtrees added cut below the
-#: slack they were walked at, and store empties
-LAST_WORK = {"walked": 0, "cut": 0, "clears": 0}
+#: the work behind the counters of the last `search_uniform` call: in t
+#: mode, live nodes walked, stored subtrees added cut below the slack they
+#: were walked at, and store empties; in match mode, covers computed (the
+#: cache misses) and cover cache empties
+LAST_WORK = {"walked": 0, "cut": 0, "clears": 0, "covers": 0}
 
 
 def monotone_masks(n: int, t: int = 0) -> array:
@@ -289,18 +297,42 @@ def _no_blocked(mode: str, param: int) -> int:
     return -1 if mode == "match" and param < 1 else 0
 
 
-def _block(blocked: int, c: int, included: int, s: int, disjoint) -> int:
-    """The blocked mask after set c joins the sets in `included`.
+def _match_step(rel, s: int):
+    """The include step of match mode, cached: (add, work).
 
-    A set x is blocked when the included sets disjoint from it hold s
-    pairwise disjoint ones, so that x would complete an (s+1)-matching.
-    Including c blocks the x disjoint from c that are also disjoint from
-    every member of an (s-1)-matching among the included sets disjoint
-    from c.  Only sets after c are updated: the walks never ask about an
-    earlier one below this include.
+    add(c, included) is the mask that including set c ORs into the blocked
+    mask when the sets in `included` (all before c) are in: the sets after
+    c disjoint from c and from every member of an (s-1)-matching among the
+    included sets disjoint from c (some may be blocked already).  `_cover`
+    on a target gives that target's part of its cover of any larger one
+    (its early stop and its trim drop only covered sets), so the mask
+    depends on c and included & rel[c] alone, and one dict per set c keeps
+    it under the latter.  A cache that holds about STORE_CAP bytes, at
+    ENTRY_BYTES an entry, is emptied before the next entry goes in; work
+    counts the covers computed and the empties.
     """
-    target = disjoint[c] & ~blocked & -(2 << c)
-    return blocked | _cover(included & disjoint[c], s - 1, disjoint, target)
+    cached = [{} for _ in rel]
+    cap = STORE_CAP // ENTRY_BYTES
+    work = {"covers": 0, "clears": 0}
+    held = 0
+
+    def add(c: int, included: int) -> int:
+        nonlocal held
+        key = included & rel[c]
+        out = cached[c].get(key)
+        if out is None:
+            out = _cover(key, s - 1, rel, rel[c] & -(2 << c))
+            if held >= cap:
+                for entries in cached:
+                    entries.clear()
+                held = 0
+                work["clears"] += 1
+            cached[c][key] = out
+            held += 1
+            work["covers"] += 1
+        return out
+
+    return add, work
 
 
 def _path(i: int, chosen: list[int]) -> list[int]:
@@ -339,8 +371,9 @@ def search_uniform(masks, preds_masks, mode: str, param: int, shifted: bool,
     at a slack of at least the bound's slack s there adds the counters of
     the stored walk cut at exclusion depth s instead of walking it, unless
     the node budget or the next multiple of checkpoint_every falls inside.
-    A store that is full (about STORE_CAP bytes) is emptied; the work done
-    goes to LAST_WORK.
+    In match mode each include takes its blocked sets from the cover cache
+    of `_match_step`.  A store or cache that is full (about STORE_CAP
+    bytes) is emptied; the work done goes to LAST_WORK.
 
     Returns (best_size, witness_index_tuple, stats_dict, complete, path)
     where path is the decision vector at exit (for checkpointing).
@@ -356,6 +389,7 @@ def search_uniform(masks, preds_masks, mode: str, param: int, shifted: bool,
 
     rel, up, lift = _walk_tables(masks, preds_masks, mode, param, shifted)
     t_mode = mode == "t"
+    cover, cover_work = _match_step(rel, param)
     chosen: list[int] = []
     saved = []  # (blocked, dead) before each include in `chosen`
     included = 0
@@ -371,7 +405,7 @@ def search_uniform(masks, preds_masks, mode: str, param: int, shifted: bool,
             blocked |= rel[c]
             dead |= lift[c]
         else:
-            blocked = _block(blocked, c, included, param, rel)
+            blocked |= cover(c, included)
         chosen.append(c)
         included |= 1 << c
     size = len(chosen)
@@ -491,7 +525,7 @@ def search_uniform(masks, preds_masks, mode: str, param: int, shifted: bool,
                             blocked |= rel[i]
                             dead |= lift[i]
                         else:
-                            blocked = _block(blocked, i, included, param, rel)
+                            blocked |= cover(i, included)
                         chosen.append(i)
                         size += 1
                         included |= 1 << i
@@ -532,7 +566,9 @@ def search_uniform(masks, preds_masks, mode: str, param: int, shifted: bool,
         dead |= up[c]
         i = c + 1
 
-    LAST_WORK.update(walked=walked, cut=cut, clears=clears)
+    LAST_WORK.update(walked=walked, cut=cut,
+                     clears=clears + cover_work["clears"],
+                     covers=cover_work["covers"])
     stats = {
         "nodes": nodes,
         "bound_prunes": bound_prunes,
@@ -582,6 +618,7 @@ def iter_predicate_families(masks, preds_masks, mode: str, param: int,
     n_sets = len(masks)
     rel, up, lift = _walk_tables(masks, preds_masks, mode, param, shifted)
     t_mode = mode == "t"
+    cover = _match_step(rel, param)[0]
     open_sets = (1 << n_sets) - 1
     chosen: list[int] = []
     saved = []  # (blocked, dead) before each include in `chosen`
@@ -608,7 +645,7 @@ def iter_predicate_families(masks, preds_masks, mode: str, param: int,
                         blocked |= rel[i]
                         dead |= lift[i]
                     else:
-                        blocked = _block(blocked, i, included, param, rel)
+                        blocked |= cover(i, included)
                     chosen.append(i)
                     included |= 1 << i
                 else:

@@ -21,7 +21,7 @@ import json
 from pathlib import Path
 
 from . import _kernels
-from .bitops import subset_masks
+from .bitops import elements_of, subset_masks
 from .families import UniformFamily, is_t_intersecting, matching_number
 from .numerics import _Frozen
 
@@ -166,9 +166,12 @@ def _problem_key(problem: SearchProblem) -> dict:
             "t": problem.t, "shifted": problem.shifted}
 
 
-def _read_checkpoint(cp: Path, problem: SearchProblem, universe) -> dict:
+def _read_checkpoint(cp: Path, problem: SearchProblem, universe,
+                     preds) -> dict:
     """The state saved at `cp`; ValueError unless it is a well-formed
-    checkpoint of this problem whose prefix and incumbent pass the predicate."""
+    checkpoint of this problem whose prefix and incumbent pass the predicate
+    and whose prefix includes no set without its shift images (`preds`, no
+    set outside shifted mode): such a prefix is no node of the walk."""
     try:
         state = json.loads(cp.read_text())
     except json.JSONDecodeError as exc:
@@ -194,6 +197,16 @@ def _read_checkpoint(cp: Path, problem: SearchProblem, universe) -> dict:
                       problem.predicate, problem.t)
             for idx in (witness, [i for i, d in enumerate(path) if d])):
         raise ValueError(f"checkpoint {cp} is malformed")
+    included = sum(1 << i for i, d in enumerate(path) if d)
+    for i, d in enumerate(path):
+        out = preds[i] & ~included if d else 0
+        if out:
+            image = universe[(out & -out).bit_length() - 1]
+            raise ValueError(
+                f"checkpoint {cp} includes the set "
+                f"{list(elements_of(universe[i]))} but not its shift image "
+                f"{list(elements_of(image))}, so its path is not a node of "
+                f"the shifted search")
     return state
 
 
@@ -227,7 +240,7 @@ def max_uniform(problem: SearchProblem, checkpoint_path=None,
     if checkpoint_path is not None:
         cp = Path(checkpoint_path)
         if resume and cp.exists():
-            state = _read_checkpoint(cp, problem, universe)
+            state = _read_checkpoint(cp, problem, universe, preds)
             resume_path = state["path"]
             resume_best = state["best"]
             resume_witness = tuple(state["witness"])

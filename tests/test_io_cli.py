@@ -871,6 +871,27 @@ def test_cli_resume_other_problem_exit_two(capsys, tmp_path):
     assert "not valid JSON" in err
 
 
+def test_cli_resume_refuses_a_prefix_that_is_not_shift_closed(capsys,
+                                                              tmp_path):
+    # the prefix excludes [1, 2, 3] and then includes [1, 2, 4], one of
+    # whose shift images is [1, 2, 3]: no node of the shifted walk.
+    # Resumed, it once printed a complete optimum of 1, where [6]^(3) at
+    # s = 1 has 10
+    cp = tmp_path / "cp.json"
+    cp.write_text(json.dumps({
+        "problem": {"n": 6, "k": 3, "predicate": "matching_at_most",
+                    "t": 1, "shifted": True},
+        "path": [0, 1], "best": -1, "witness": [], "nodes": 2}))
+    argv = ("search", "--predicate", "matching", "--n", "6", "--k", "3",
+            "--s", "1", "--checkpoint", str(cp))
+    err = _usage_error(capsys, *argv, "--resume")
+    assert "includes the set [1, 2, 4]" in err
+    assert "shift image [1, 2, 3]" in err
+    cp.unlink()
+    assert main(list(argv)) == 0
+    assert json.loads(capsys.readouterr().out)["certificate"]["optimum"] == 10
+
+
 @pytest.mark.parametrize("fam, field", [
     ('{"n":3,"sets":5}', '"sets"'),
     ('{"n":3,"sets":[[1],2]}', '"sets"'),

@@ -316,8 +316,9 @@ def test_a_capped_store_keeps_the_walk_exact(monkeypatch, cap):
     # that holds about that many is emptied before the next subtree goes
     # in.  At 1 byte it is emptied before every entry; at 1 KiB it holds a
     # few entries (each is charged 128 bytes beside its depth table)
-    # between empties.  Every counter, stop, checkpoint and resume still
-    # matches the node-at-a-time walk
+    # between empties.  The match-mode cover cache is charged 128 bytes an
+    # entry under the same cap.  Every counter, stop, checkpoint, resume
+    # and family still matches the node-at-a-time walk
     monkeypatch.setattr(_kernels, "STORE_CAP", cap)
     if cap > 1:
         universe = lex_universe(6, 3)
@@ -326,9 +327,16 @@ def test_a_capped_store_keeps_the_walk_exact(monkeypatch, cap):
         work = _kernels.LAST_WORK
         # stored walks stood for some of the nodes, and the store filled
         assert work["walked"] < stats["nodes"] and work["clears"] >= 1, work
+        # the match-mode cover cache (8 entries at 1 KiB) filled too: plain
+        # [7]^(2) at s = 2 computes 389 covers uncapped
+        universe = lex_universe(7, 2)
+        _kernels.search_uniform(universe, [0] * len(universe), "match", 2,
+                                False)
+        assert work["covers"] >= 389 and work["clears"] >= 1, work
     test_search_matches_reference_walker()
     test_search_checkpoints_and_resume_match_reference_walker()
     test_checkpoint_after_a_leaf_on_a_multiple()
+    test_predicate_families_match_reference_walker()
     test_stored_subtrees_keep_budget_and_checkpoints_exact(
         6, 3, False, (997, 5003, 28_000))
     test_stored_subtrees_keep_budget_and_checkpoints_exact(
@@ -437,6 +445,51 @@ def test_larger_t_intersecting_counters_pinned(n, k, t, shifted):
         universe, preds, "t", t, shifted)
     assert complete and path == []
     assert (best, tuple(stats.values())) == LARGE_T_COUNTERS[n, k, t, shifted]
+
+
+#: (n, k, s, shifted) -> (optimum, counters) of the larger matching
+#: searches, recorded with the walk that computed every cover afresh
+MATCH_COUNTERS = {
+    (7, 2, 2, False): (11, (22_511, 7_444, 0, 15_048)),
+    (8, 2, 3, False): (21, (140_129, 77_586, 0, 62_520)),
+    (10, 3, 2, True): (64, (1_181_704, 46_221, 1_130_413, 5_069)),
+}
+
+
+@pytest.mark.parametrize("n, k, s, shifted", sorted(MATCH_COUNTERS))
+def test_larger_matching_counters_pinned(n, k, s, shifted):
+    # Erdos' matching conjecture, the larger of C(k(s+1)-1, k) (a clique)
+    # and C(n, k) - C(n-s, k) (the sets meeting [s]): 11 on [7]^(2) at
+    # s = 2, 21 on [8]^(2) at s = 3, and 64 on [10]^(3) at s = 2
+    universe = lex_universe(n, k)
+    preds = (shift_predecessor_masks(n, k, universe) if shifted
+             else [0] * len(universe))
+    best, _, stats, complete, path = _kernels.search_uniform(
+        universe, preds, "match", s, shifted)
+    assert complete and path == []
+    assert (best, tuple(stats.values())) == MATCH_COUNTERS[n, k, s, shifted]
+
+
+@settings(max_examples=200, deadline=None, database=None, derandomize=True)
+@given(st.data())
+def test_a_cover_is_its_target_within_the_cover_of_an_include(data):
+    # the match-mode cover cache rests on this: with the target cut down to
+    # any subset of the sets after c disjoint from c, _cover's early stop
+    # and trim drop only covered sets, so it covers exactly the target sets
+    # that the cover of an include of c does
+    n = data.draw(st.integers(1, 8), label="n")
+    k = data.draw(st.integers(0, n), label="k")
+    universe = lex_universe(n, k)
+    rel = _kernels._walk_tables(universe, [0] * len(universe), "match", 1,
+                                False)[0]
+    c = data.draw(st.integers(0, len(universe) - 1), label="c")
+    m = data.draw(st.integers(0, 3), label="m")
+    rng = data.draw(st.randoms(use_true_random=False), label="masks")
+    whole = rel[c] & -(2 << c)
+    free = rng.getrandbits(len(universe))
+    target = whole & rng.getrandbits(len(universe))
+    assert (_kernels._cover(free, m, rel, target)
+            == target & _kernels._cover(free, m, rel, whole))
 
 
 def test_shifted_matching_counters_pinned():
