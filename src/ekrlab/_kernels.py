@@ -24,8 +24,10 @@ hold s pairwise disjoint ones, so including c ORs in the later sets
 disjoint from c and from every member of some s - 1 pairwise disjoint
 included sets disjoint from c (`_cover`).  That mask depends on c and on
 the included sets disjoint from c alone, and few such pairs recur often,
-so `_match_step` computes each once and keeps it: a cache, emptied when
-it holds about STORE_CAP bytes, which moves no counter.
+so match mode computes each once and keeps it: a cache, emptied when it
+holds about STORE_CAP bytes, which moves no counter.  `_include_step`
+picks the rule once; every include then ORs its mask into the blocked
+mask and lift[c] (below) into the dead mask.
 Blocked sets stay blocked below their node, and dead sets stay dead, so
 neither can join below it: the predicate-family walk's size floor counts
 only the later sets that are neither.
@@ -65,13 +67,14 @@ walked, so budget stops and checkpoints fall where the node-at-a-time
 walk puts them.
 Both walks keep the dead mask in one canonical form: a set above a
 blocked later set will be forced, not rejected (the blocked set is out
-before the walk reaches it), so in t mode including c also ORs lift[c],
-the sets above rel[c], into the dead mask, and the search drops the
-blocked bits of dead sets from its key.  That moves no verdict, family or
-counter: such a set is dead by the time the walk reaches it either way,
-and it is blocked already.  (The included sets are closed under shifts: if
-a member meets a set in fewer than t elements, that member or one of its
-shift images meets each set above it in fewer than t elements too.)
+before the walk reaches it), so including c also ORs lift[c] into the
+dead mask (in shifted t mode the sets above rel[c], else no set), and the
+search drops the blocked bits of dead sets from its key.  That moves no
+verdict, family or counter: such a set is dead by the time the walk
+reaches it either way, and it is blocked already.  (The included sets are
+closed under shifts: if a member meets a set in fewer than t elements,
+that member or one of its shift images meets each set above it in fewer
+than t elements too.)
 """
 
 from __future__ import annotations
@@ -291,29 +294,30 @@ def _cover(free: int, m: int, disjoint, target: int) -> int:
     return out
 
 
-def _no_blocked(mode: str, param: int) -> int:
-    """The blocked mask of the empty family: no set, except that in match
-    mode with s < 1 every set is (the empty matching is already there)."""
-    return -1 if mode == "match" and param < 1 else 0
-
-
-def _match_step(rel, s: int):
-    """The include step of match mode, cached: (add, work).
+def _include_step(rel, mode: str, s: int):
+    """The include step of both walks: (add, blocked, work).
 
     add(c, included) is the mask that including set c ORs into the blocked
-    mask when the sets in `included` (all before c) are in: the sets after
-    c disjoint from c and from every member of an (s-1)-matching among the
-    included sets disjoint from c (some may be blocked already).  `_cover`
-    on a target gives that target's part of its cover of any larger one
-    (its early stop and its trim drop only covered sets), so the mask
-    depends on c and included & rel[c] alone, and one dict per set c keeps
-    it under the latter.  A cache that holds about STORE_CAP bytes, at
-    ENTRY_BYTES an entry, is emptied before the next entry goes in; work
-    counts the covers computed and the empties.
+    mask when the sets in `included` (all before c) are in.  In t mode that
+    is rel[c].  In match mode it is the sets after c disjoint from c and
+    from every member of an (s-1)-matching among the included sets disjoint
+    from c (some may be blocked already).  `_cover` on a target gives that
+    target's part of its cover of any larger one (its early stop and its
+    trim drop only covered sets), so the mask depends on c and
+    included & rel[c] alone, and one dict per set c keeps it under the
+    latter.  A cache that holds about STORE_CAP bytes, at ENTRY_BYTES an
+    entry, is emptied before the next entry goes in; work counts the covers
+    computed and the empties.
+
+    blocked is the blocked mask of the empty family: no set, except that in
+    match mode with s < 1 every set is (the empty matching is already
+    there).
     """
+    work = {"covers": 0, "clears": 0}
+    if mode == "t":
+        return (lambda c, included: rel[c]), 0, work
     cached = [{} for _ in rel]
     cap = STORE_CAP // ENTRY_BYTES
-    work = {"covers": 0, "clears": 0}
     held = 0
 
     def add(c: int, included: int) -> int:
@@ -332,7 +336,7 @@ def _match_step(rel, s: int):
             work["covers"] += 1
         return out
 
-    return add, work
+    return add, -1 if s < 1 else 0, work
 
 
 def _path(i: int, chosen: list[int]) -> list[int]:
@@ -371,9 +375,9 @@ def search_uniform(masks, preds_masks, mode: str, param: int, shifted: bool,
     at a slack of at least the bound's slack s there adds the counters of
     the stored walk cut at exclusion depth s instead of walking it, unless
     the node budget or the next multiple of checkpoint_every falls inside.
-    In match mode each include takes its blocked sets from the cover cache
-    of `_match_step`.  A store or cache that is full (about STORE_CAP
-    bytes) is emptied; the work done goes to LAST_WORK.
+    Each include takes its blocked sets from `_include_step` (in match
+    mode, from its cover cache).  A store or cache that is full (about
+    STORE_CAP bytes) is emptied; the work done goes to LAST_WORK.
 
     Returns (best_size, witness_index_tuple, stats_dict, complete, path)
     where path is the decision vector at exit (for checkpointing).
@@ -388,12 +392,10 @@ def search_uniform(masks, preds_masks, mode: str, param: int, shifted: bool,
     complete = True
 
     rel, up, lift = _walk_tables(masks, preds_masks, mode, param, shifted)
-    t_mode = mode == "t"
-    cover, cover_work = _match_step(rel, param)
+    add, blocked, step_work = _include_step(rel, mode, param)
     chosen: list[int] = []
     saved = []  # (blocked, dead) before each include in `chosen`
     included = 0
-    blocked = _no_blocked(mode, param)
     dead = 0
     resume_path = resume_path or []
     for c, d in enumerate(resume_path):
@@ -401,11 +403,8 @@ def search_uniform(masks, preds_masks, mode: str, param: int, shifted: bool,
             dead |= up[c]
             continue
         saved.append((blocked, dead))
-        if t_mode:
-            blocked |= rel[c]
-            dead |= lift[c]
-        else:
-            blocked |= cover(c, included)
+        blocked |= add(c, included)
+        dead |= lift[c]
         chosen.append(c)
         included |= 1 << c
     size = len(chosen)
@@ -431,7 +430,8 @@ def search_uniform(masks, preds_masks, mode: str, param: int, shifted: bool,
     table = 0  # the depth table of the innermost open subtree ...
     root = 0  # ... and the depth i - size of its root
     walked = cut = clears = 0
-    storing = t_mode and best >= 0  # no subtree is stored before a leaf
+    can_store = mode == "t"  # only there do the masks alone decide a subtree
+    storing = can_store and best >= 0  # no subtree is stored before a leaf
     if storing:
         ones, runs = _depth_tables(line + 2, u, w)
 
@@ -443,7 +443,7 @@ def search_uniform(masks, preds_masks, mode: str, param: int, shifted: bool,
                 line = n_sets - best
                 witness = tuple(chosen)
                 frames.clear()
-                if t_mode and not storing:
+                if can_store and not storing:
                     storing = True
                     ones, runs = _depth_tables(line + 2, u, w)
             elif frames:
@@ -490,18 +490,18 @@ def search_uniform(masks, preds_masks, mode: str, param: int, shifted: bool,
                             sub = entry - (1 << u * slack)
                             leaves = rest - 1
                         total = sub & record
-                        add = total & count
+                        stored = total & count
                         forced = total >> w
                         # nodes at depth slack - 1 and leaves at depth slack
                         x = sub >> u * (slack - 1) & count
                         walk = (node_budget is not None
-                                and nodes + add > node_budget
-                                or every and nodes % every + add >= every)
+                                and nodes + stored > node_budget
+                                or every and nodes % every + stored >= every)
                         if not walk:
-                            nodes += add
+                            nodes += stored
                             bound_prunes += x - 2 * leaves
                             forced_exclusions += forced
-                            predicate_rejections += 1 + add - x - forced
+                            predicate_rejections += 1 + stored - x - forced
                             if frames:
                                 e = i - size - root
                                 table += sub << u * e
@@ -521,11 +521,8 @@ def search_uniform(masks, preds_masks, mode: str, param: int, shifted: bool,
                     table = 1  # this node, at depth 0 of its subtree
                     if not blocked >> i & 1:
                         saved.append((blocked, dead))
-                        if t_mode:
-                            blocked |= rel[i]
-                            dead |= lift[i]
-                        else:
-                            blocked |= cover(i, included)
+                        blocked |= add(i, included)
+                        dead |= lift[i]
                         chosen.append(i)
                         size += 1
                         included |= 1 << i
@@ -567,8 +564,8 @@ def search_uniform(masks, preds_masks, mode: str, param: int, shifted: bool,
         i = c + 1
 
     LAST_WORK.update(walked=walked, cut=cut,
-                     clears=clears + cover_work["clears"],
-                     covers=cover_work["covers"])
+                     clears=clears + step_work["clears"],
+                     covers=step_work["covers"])
     stats = {
         "nodes": nodes,
         "bound_prunes": bound_prunes,
@@ -617,13 +614,11 @@ def iter_predicate_families(masks, preds_masks, mode: str, param: int,
     """
     n_sets = len(masks)
     rel, up, lift = _walk_tables(masks, preds_masks, mode, param, shifted)
-    t_mode = mode == "t"
-    cover = _match_step(rel, param)[0]
+    add, blocked = _include_step(rel, mode, param)[:2]
     open_sets = (1 << n_sets) - 1
     chosen: list[int] = []
     saved = []  # (blocked, dead) before each include in `chosen`
     included = 0
-    blocked = _no_blocked(mode, param)
     dead = 0
     nodes = 0
     i = 0
@@ -641,11 +636,8 @@ def iter_predicate_families(masks, preds_masks, mode: str, param: int,
             if i < n_sets:
                 if not blocked >> i & 1:
                     saved.append((blocked, dead))
-                    if t_mode:
-                        blocked |= rel[i]
-                        dead |= lift[i]
-                    else:
-                        blocked |= cover(i, included)
+                    blocked |= add(i, included)
+                    dead |= lift[i]
                     chosen.append(i)
                     included |= 1 << i
                 else:

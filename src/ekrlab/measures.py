@@ -76,14 +76,6 @@ def _cube_counter(fam, pw: list[int]):
     return num
 
 
-def cube_measure(fam: SetFamily, p, contains: int = 0, misses: int = 0
-                 ) -> Fraction:
-    """mu_p of the members containing every coordinate of the mask
-    `contains` and none of the mask `misses`."""
-    pw, den = power_table(fam.n, Fraction(p))
-    return Fraction(_cube_counter(fam, pw)(contains, misses), den)
-
-
 def nearest_cube(fam, candidates, p=None, misses: bool = False):
     """(key, mask, residual) of the first (key, mask) candidate B with the
     least residual: the members not containing B (F minus S_B) or, with

@@ -8,7 +8,6 @@ the check from its inputs.
 
 from __future__ import annotations
 
-import json
 from fractions import Fraction
 
 from .numerics import Checked, _Frozen, fmt_rational, fmt_real
@@ -87,6 +86,3 @@ class VerdictReport:
             "slacks": dict(sorted(self.slacks.items())),
             "notes": list(self.notes),
         }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), sort_keys=True)

@@ -225,10 +225,14 @@ def max_uniform(problem: SearchProblem, checkpoint_path=None,
     the search continues from a checkpoint of the same problem (a
     checkpoint of another problem, or a malformed one, raises ValueError);
     node counts then include the nodes before the resume, the other
-    counters cover this run.
+    counters cover this run.  Resume without a checkpoint path raises
+    ValueError: there is nothing to resume from.
     """
     if not 0 <= problem.k <= problem.n:
         raise ValueError(f"need 0 <= k <= n, got k={problem.k}, n={problem.n}")
+    if resume and checkpoint_path is None:
+        raise ValueError("resume needs a checkpoint path (--checkpoint) "
+                         "to resume from")
     n, k = problem.n, problem.k
     universe, preds, mode, param = _walk_setup(
         n, k, problem.predicate, problem.t, problem.shifted)

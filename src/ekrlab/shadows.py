@@ -73,15 +73,25 @@ def increasing_shadow(fam: SetFamily, s: int) -> SetFamily:
 
 def cascade_decomposition(m: int, k: int) -> list[tuple[int, int]]:
     """Greedy binomial cascade m = C(a_k,k) + C(a_{k-1},k-1) + ...;
-    returns [(a_k, k), ...] with a_k > a_{k-1} > ..."""
+    returns [(a_k, k), ...] with a_k > a_{k-1} > ...
+
+    Each a_i is the largest a with C(a, i) <= m, found by doubling the
+    step past i - 1 (C(i-1, i) = 0) and then halving it, so a query costs
+    about 2 log2(a_i) binomials rather than a_i."""
     if m < 0 or k < 1:
         raise ValueError("need m >= 0 and k >= 1")
     out = []
     i = k
     while m > 0 and i >= 1:
-        a = i - 1
-        while math.comb(a + 1, i) <= m:
-            a += 1
+        # C(a, i) <= m < C(a + step, i) once the doubling stops
+        a, step = i - 1, 1
+        while math.comb(a + step, i) <= m:
+            a += step
+            step *= 2
+        while step > 1:
+            step //= 2
+            if math.comb(a + step, i) <= m:
+                a += step
         out.append((a, i))
         m -= math.comb(a, i)
         i -= 1

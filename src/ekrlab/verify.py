@@ -31,12 +31,11 @@ import operator
 from fractions import Fraction
 
 from . import _kernels
-from .bitops import mask_of, subset_masks
+from .bitops import subset_masks
 from .families import (KINDS, EdgeGround, SetFamily, UniformFamily,
                        is_t_intersecting, is_triangle_intersecting,
                        matching_number)
-from .measures import (check_p_open, cube_measure, dot, mu, nearest_cube,
-                       power_table)
+from .measures import check_p_open, dot, mu, nearest_cube, power_table
 from .numerics import (_Frozen, check_eq, check_le, log, log_base, nstr,
                        parse_rational, power, to_mpf)
 from .report import HOLDS, UNRESOLVED, VerdictReport, fmt
@@ -562,11 +561,10 @@ def tightness_report(spec: FamilySpec, p) -> VerdictReport:
 
     t, r, eps, s = chain(p, *FAMILIES[spec.name].values(spec.params))
     if s is None:  # the chain at the umvirate S_[t]
-        lift, residual, near = 1, _canonical_residual(fam, t, p), "umvirate"
+        lift, near = 1, "umvirate"
         at_p0, p0_name = (lambda x: x ** t), "p0^t"
     else:  # its OR-lift over [s], at OR_[s]
-        lift, residual, near = ((1 - p) ** (s - 1),
-                                _canonical_or_residual(fam, s, p), "or")
+        lift, near = (1 - p) ** (s - 1), "or"
         at_p0, p0_name = (lambda x: 1 - (1 - x) ** s), "1 - (1-p0)^s"
     root = defining_root(spec) if spec.name in ROOT_EXPONENTS else None
     if root is not None:
@@ -586,8 +584,13 @@ def tightness_report(spec: FamilySpec, p) -> VerdictReport:
                               to_mpf(eps), s)
 
     cond = equality(cond_name, condition, mu_p)
-    nearest = nearest_cube(fam, subset_masks(fam.n, s or t), p,
-                           misses=s is not None)[2]
+
+    def residual_at(candidates):
+        return nearest_cube(fam, candidates, p, misses=s is not None)[2]
+
+    # the first candidate is [t] or [s]: the residual at S_[t] or OR_[s]
+    residual = residual_at(itertools.islice(subset_masks(fam.n, s or t), 1))
+    nearest = residual_at(subset_masks(fam.n, s or t))
     bound = lift * (1 - p) * p ** (t - 1) * eps
     concl = residual == bound
     rep.add_flag(concl_name, "holds" if concl else "fails",
@@ -607,15 +610,6 @@ def _root_constants(p0, p) -> tuple:
     u = (log(to_mpf(p0)) / log(to_mpf(p))
          * log(1 - to_mpf(p)) / log(q0))
     return ct, u
-
-
-def _canonical_residual(fam: SetFamily, t: int, p: Fraction) -> Fraction:
-    """mu_p of the part outside the canonical umvirate S_[t]."""
-    return mu(fam, p) - cube_measure(fam, p, contains=mask_of(range(1, t + 1)))
-
-
-def _canonical_or_residual(fam: SetFamily, s: int, p: Fraction) -> Fraction:
-    return cube_measure(fam, p, misses=mask_of(range(1, s + 1)))
 
 
 def mu_at_real(fam: SetFamily, x):

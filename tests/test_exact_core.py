@@ -17,8 +17,7 @@ from ekrlab.cli import main
 from ekrlab.families import EdgeGround
 from ekrlab.measures import iso_sweep, iso_table, nearest_cube
 from ekrlab.numerics import to_mpf
-from ekrlab.verify import (_canonical_or_residual, _canonical_residual,
-                           _triangles)
+from ekrlab.verify import _triangles
 from ekrlab.zoo import or_family, t_umvirate
 
 from conftest import iso_rows, random_increasing_family
@@ -154,10 +153,12 @@ def test_nearest_matches_member_scan(rng):
             ties_seen += ties > 1
             assert nearest_cube(fam, subset_masks(n, t), p,
                                 misses=True) == (key, bm, r)
+            # the one candidate [t]: the residual at S_[t] and at OR_[t]
             b = mask_of(range(1, t + 1))
-            assert _canonical_residual(fam, t, p) == _mu_on(
+            first = [(tuple(range(1, t + 1)), b)]
+            assert nearest_cube(fam, first, p)[2] == _mu_on(
                 (m for m in members if m & b != b), n, p)
-            assert _canonical_or_residual(fam, t, p) == _mu_on(
+            assert nearest_cube(fam, first, p, misses=True)[2] == _mu_on(
                 (m for m in members if not m & b), n, p)
     assert ties_seen > 10
 

@@ -871,6 +871,13 @@ def test_cli_resume_other_problem_exit_two(capsys, tmp_path):
     assert "not valid JSON" in err
 
 
+def test_cli_resume_without_checkpoint_exit_two(capsys):
+    # it once ran from scratch, exited 0 and echoed "resume": "True"
+    err = _usage_error(capsys, "search", "--predicate", "intersecting",
+                       "--n", "5", "--k", "2", "--resume")
+    assert "--checkpoint" in err
+
+
 def test_cli_resume_refuses_a_prefix_that_is_not_shift_closed(capsys,
                                                               tmp_path):
     # the prefix excludes [1, 2, 3] and then includes [1, 2, 4], one of

@@ -1,7 +1,8 @@
 """The search and predicate-family kernels, with and without a size floor
 and with the subtree store capped, against a node-at-a-time reference
 walker; their shared tables against their definitions; pinned search
-counters; and the large-ground counting path."""
+counters; the t = 1 and s = 1 rules against each other; and the
+large-ground counting path."""
 
 import functools
 import itertools
@@ -401,6 +402,23 @@ def test_stored_walks_answer_smaller_slacks():
     assert not work["clears"]
 
 
+def test_a_resume_replays_the_walks_own_masks():
+    # the replay of a resumed prefix ORs in lift like the walk, so the dead
+    # mask, and with it each stored subtree's key, is the one the walk
+    # keeps.  Resumed at each checkpoint, shifted EKR on [9]^(4) walks at
+    # most 2,406 live nodes; a replay without lift walked up to 3,081
+    universe = lex_universe(9, 4)
+    inst = universe, shift_predecessor_masks(9, 4, universe), "t", 1, True
+    saved = []
+    _kernels.search_uniform(*inst, checkpoint_every=100_000,
+                            checkpoint_cb=lambda *c: saved.append(c))
+    assert len(saved) == 13
+    for path, best, witness, _ in saved:
+        _kernels.search_uniform(*inst, resume_path=path, resume_best=best,
+                                resume_witness=witness)
+        assert _kernels.LAST_WORK["walked"] <= 2_450, len(path)
+
+
 #: (n, k, t) -> (optimum, counters) of the shifted t-intersecting search,
 #: recorded with the walk that woke a set at every shift image
 T_COUNTERS = {
@@ -490,6 +508,29 @@ def test_a_cover_is_its_target_within_the_cover_of_an_include(data):
     target = whole & rng.getrandbits(len(universe))
     assert (_kernels._cover(free, m, rel, target)
             == target & _kernels._cover(free, m, rel, whole))
+
+
+def test_intersecting_and_one_matching_are_one_walk():
+    # at t = 1, rel[c] holds the later sets disjoint from c; at s = 1 the
+    # include rule covers with no matching, which is the same sets.  So the
+    # two rules walk the same tree, and the shifted t mode's lift (which
+    # only t mode reads) moves no counter
+    for n in range(1, 8):
+        for k in range(1, n + 1):
+            universe = lex_universe(n, k)
+            preds = shift_predecessor_masks(n, k, universe)
+            for shifted in (False, True):
+                inst = universe, preds
+                where = (n, k, shifted)
+                assert (_kernels.search_uniform(*inst, "t", 1, shifted)
+                        == _kernels.search_uniform(*inst, "match", 1,
+                                                   shifted)), where
+                if n > (5 if shifted else 4):
+                    continue
+                for budget in (*BUDGETS, None):
+                    assert (_kernel_families(*inst, "t", 1, shifted, budget)
+                            == _kernel_families(*inst, "match", 1, shifted,
+                                                budget)), (where, budget)
 
 
 def test_shifted_matching_counters_pinned():

@@ -103,6 +103,13 @@ def test_checkpoint_resume(tmp_path):
     assert resumed.witness == direct.witness
 
 
+def test_resume_without_a_checkpoint_path_is_refused():
+    # a resume with no file to resume from once ran from scratch
+    prob = SearchProblem(n=5, k=2, predicate="intersecting")
+    with pytest.raises(ValueError, match="--checkpoint"):
+        max_uniform(prob, resume=True)
+
+
 def test_checkpoint_write_failure_keeps_previous(tmp_path, monkeypatch):
     cp = tmp_path / "ckpt.json"
     max_uniform(SearchProblem(n=6, k=2, predicate="intersecting", budget=40),

@@ -1,9 +1,17 @@
 import itertools
+import json
 import math
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import ekrlab
 from ekrlab import (SetFamily, UniformFamily, increasing_shadow,
                     is_t_intersecting, katona_check, kk_min_shadow,
                     lower_shadow, upper_shadow)
@@ -149,6 +157,39 @@ def test_kk_min_shadow():
     assert kk_min_shadow(5, 3) == brute
     assert kk_min_shadow(0, 3) == 0
     assert cascade_decomposition(5, 3) == [(4, 3), (2, 2)]
+
+
+def _linear_cascade(m, k):
+    """The cascade found one step of a_i at a time: the oracle."""
+    out = []
+    for i in range(k, 0, -1):
+        if not m:
+            break
+        a = i - 1
+        while math.comb(a + 1, i) <= m:
+            a += 1
+        out.append((a, i))
+        m -= math.comb(a, i)
+    return out
+
+
+@settings(max_examples=300, deadline=None, database=None, derandomize=True)
+@given(m=st.integers(0, 10**6), k=st.integers(1, 8))
+def test_cascade_matches_the_linear_scan(m, k):
+    assert cascade_decomposition(m, k) == _linear_cascade(m, k)
+
+
+def test_kk_cascade_of_a_large_m_is_fast():
+    # a one-step-at-a-time cascade took tens of seconds here; the timeout
+    # fails the test instead of hanging it
+    env = dict(os.environ, PYTHONPATH=str(Path(ekrlab.__file__).parents[1]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "ekrlab.cli", "kk", "--m", str(10**21),
+         "--k", "3"], env=env, capture_output=True, text=True, timeout=10)
+    assert proc.returncode == 0, proc.stderr
+    out = json.loads(proc.stdout)
+    assert out["cascade"] == [[18171206, 3], [17507854, 2], [13866449, 1]]
+    assert out["min_shadow"] == 165096372169470
 
 
 def test_colex_segment_attains_kk_minimum():

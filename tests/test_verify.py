@@ -1,5 +1,6 @@
 import hashlib
 import itertools
+import json
 import random
 import re
 from fractions import Fraction
@@ -442,7 +443,6 @@ def test_verdict_report_serialization():
                         g3)
     data = rep.to_dict()
     assert data["slacks"]["conclusion_residual"] == "3/64"
-    assert rep.to_json()
 
 
 def test_tightness_residuals_exact_when_rational():
@@ -691,7 +691,7 @@ def _pinned_outcomes(step: int) -> dict:
     out = {}
     for group, run in _pinned_corpus(step):
         try:
-            line = run().to_json()
+            line = json.dumps(run().to_dict(), sort_keys=True)
         except (ValueError, ArithmeticError) as exc:
             line = f"{type(exc).__name__}: {exc}"
         out.setdefault(group, []).append(line)
