@@ -19,11 +19,11 @@ import sys
 from types import SimpleNamespace
 
 from . import _kernels, numerics
-from .families import KINDS, EdgeGround, SetFamily
+from .families import KINDS
 from .io import family_to_dict, load_family
 from .measures import influence, iso_sweep, mu, mu_polynomial, russo_sweep
 from .numerics import fmt_rational, parse_rational
-from .search import MONOTONE_COUNTS, SearchProblem, max_uniform
+from .search import MONOTONE_COUNTS, PREDICATES, SearchProblem, max_uniform
 from .shadows import (increasing_shadow, kk_min_shadow, cascade_decomposition,
                       katona_check, lower_shadow, upper_shadow)
 from .verify import (THEOREMS, TheoremCase, check_theorem, conjecture_scan,
@@ -190,11 +190,9 @@ def _cmd_verify(args):
     theorem = theorem_id(args.theorem)
     fam = _load_args_family(args, THEOREMS[theorem][1],
                             f"verify --theorem {theorem}")
-    if theorem == "TriangleBiased" and getattr(fam, "edges", None) is None:
-        if args.v is None:
-            raise ValueError("TriangleBiased needs --v (vertex count) when the "
-                             "family comes from a file")
-        fam = SetFamily(fam.n, fam.bits, EdgeGround(args.v))
+    if theorem == "TriangleBiased" and fam.edges is None and args.v is None:
+        raise ValueError("TriangleBiased needs --v (vertex count) when the "
+                         "family comes from a file")
     params = {}
     for flag, kw in _THEOREM_OPTIONS:
         val = getattr(args, kw.get("dest", flag[2:]))
@@ -212,15 +210,22 @@ def _cmd_tightness(args):
 
 
 def _cmd_search(args):
-    predicate, t, flag = {
-        "intersecting": ("intersecting", 1, None),
-        "t-intersecting": ("t-intersecting", args.t, "--t"),
-        "matching": ("matching_at_most", args.s, "--s")}[args.predicate]
-    if t is None:
-        raise ValueError(f"{args.predicate} search needs {flag}")
+    predicate = {"matching": "matching_at_most"}.get(args.predicate,
+                                                     args.predicate)
+    reads = PREDICATES[predicate][1]
+    given = {key for key in ("t", "s") if getattr(args, key) is not None}
+    if reads and reads not in given:
+        raise ValueError(f"{args.predicate} search needs --{reads}")
+    if given - {reads}:
+        raise ValueError(f"{args.predicate} search reads no --"
+                         + " or --".join(sorted(given - {reads})))
     problem = SearchProblem(n=args.n, k=args.k, predicate=predicate,
-                            t=t, budget=args.budget,
-                            shifted=not args.plain)
+                            t=getattr(args, reads) if reads else 1,
+                            budget=args.budget, shifted=not args.plain)
+    if args.resume and args.checkpoint and not os.path.exists(args.checkpoint):
+        print(json.dumps({"note": f"checkpoint {args.checkpoint} does not "
+                          "exist; nothing was resumed, the search runs from "
+                          "the start"}), file=sys.stderr)
     cert = max_uniform(problem, checkpoint_path=args.checkpoint,
                        resume=args.resume)
     return (0 if cert.complete else 1), {"certificate": cert.to_dict()}

@@ -60,13 +60,13 @@ def monotone_count_oracle(n: int) -> int:
 
 # -- uniform search -------------------------------------------------------------
 
-#: predicate name -> (kernel mode, its parameter, or None where it is the
-#: problem's t); every predicate is hereditary (closed under taking
-#: subfamilies), as branch-and-bound needs
+#: predicate name -> (kernel mode, the `search` option that sets its
+#: parameter t, or None where t is 1); every predicate is hereditary
+#: (closed under taking subfamilies), as branch-and-bound needs
 PREDICATES = {
-    "intersecting": ("t", 1),
-    "t-intersecting": ("t", None),
-    "matching_at_most": ("match", None),
+    "intersecting": ("t", None),
+    "t-intersecting": ("t", "t"),
+    "matching_at_most": ("match", "s"),
 }
 
 
@@ -144,8 +144,8 @@ def _walk_setup(n: int, k: int, predicate: str, t: int, shifted: bool):
     universe = lex_universe(n, k)
     preds = (shift_predecessor_masks(n, k, universe)
              if shifted else [0] * len(universe))
-    mode, fixed = PREDICATES[predicate]
-    param = fixed or t
+    mode, option = PREDICATES[predicate]
+    param = t if option else 1
     if mode == "t" and k < param:
         raise ValueError(f"{predicate} needs k >= t (a k-set meets itself in "
                          f"k elements), got k={k}, t={param}")
@@ -153,8 +153,8 @@ def _walk_setup(n: int, k: int, predicate: str, t: int, shifted: bool):
 
 
 def _reverify(witness: UniformFamily, predicate: str, t: int) -> bool:
-    mode, fixed = PREDICATES[predicate]
-    param = fixed or t
+    mode, option = PREDICATES[predicate]
+    param = t if option else 1
     if mode == "match":
         return matching_number(witness) <= param
     return is_t_intersecting(witness, param) if len(witness) else True

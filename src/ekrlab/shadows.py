@@ -102,15 +102,14 @@ def cascade_decomposition(m: int, k: int) -> list[tuple[int, int]]:
 
 def kk_min_shadow(m: int, k: int, s: int = 1) -> int:
     """Minimum possible size of the s-fold lower shadow over all families of
-    m distinct k-sets (ground set unbounded); attained by colex segments."""
+    m distinct k-sets (ground set unbounded); attained by colex segments.
+    With m = sum C(a_i, i) it is sum C(a_i, i - s), C(a, b) = 0 for b < 0."""
     if k < 1:
         raise ValueError(f"need k >= 1, got k={k}")
     if s < 0 or s > k:
         raise ValueError(f"need 0 <= s <= k, got s={s}, k={k}")
-    for step in range(s):
-        kk = k - step
-        m = sum(math.comb(a, i - 1) for a, i in cascade_decomposition(m, kk))
-    return m
+    return sum(math.comb(a, i - s) for a, i in cascade_decomposition(m, k)
+               if i >= s)
 
 
 # -- Katona shadow/intersection checks ---------------------------------------

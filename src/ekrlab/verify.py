@@ -8,6 +8,10 @@ statements involve nonconstructive constants evaluate those hypotheses only
 when the caller supplies constants; otherwise the flag reads "unresolved"
 and the epsilon-condition / conclusion pair is still reported.
 
+A check's keyword-only signature, e.g. `(rep, fam, *, p0, p, t, eps,
+C=None, c=None)`, lists the parameters its theorem reads; `check_theorem`
+binds a `TheoremCase` to it and creates the report the check fills.
+
 The six biased theorems share one shape: a constant-gated measure bound at
 a critical bias (p0, 1/2, 1/(t+1) or 1/(2s+1)), an epsilon-condition, the
 nearest extremal structure (t-umvirate, triangle or s-OR family) and a
@@ -80,11 +84,9 @@ class DerivedConstants(_Frozen):
 
 
 class TheoremCase(_Frozen):
-    """A theorem id plus its parameters (p0, p, t/s, eps, d, i, delta...).
-
-    Optional user-supplied constants (keys "C", "c", "delta0", "delta") make
-    the nonconstructive hypotheses checkable; they are never guessed.
-    """
+    """A theorem id plus its parameters, which `check_theorem` binds to the
+    theorem's check.  The optional constants C, c, delta0 and delta make the
+    nonconstructive hypotheses checkable; they are never guessed."""
 
     __slots__ = ("theorem_id", "params")
 
@@ -92,18 +94,6 @@ class TheoremCase(_Frozen):
         if theorem_id not in THEOREM_IDS:
             raise ValueError(f"unknown theorem {theorem_id!r}")
         super().__init__(theorem_id, params)
-
-    def get(self, key, default=None):
-        return self.params.get(key, default)
-
-    def need(self, key):
-        """A required parameter; a ValueError naming it when it is missing."""
-        if key not in self.params:
-            raise ValueError(f"{self.theorem_id} needs parameter {key!r}")
-        return self.params[key]
-
-    def frac(self, key) -> Fraction:
-        return Fraction(self.need(key))
 
 
 # -- nearest extremal structures ----------------------------------------------
@@ -140,18 +130,17 @@ def _condition(p, t: int, eps, c_tilde, u, x, s: int | None = None):
     return to_mpf(1 - (1 - p) ** (s - 1)) + to_mpf((1 - p) ** (s - 1)) * value
 
 
-def _constants_flag(rep: VerdictReport, case: TheoremCase, mu_p: Fraction,
+def _constants_flag(rep: VerdictReport, big_c, small_c, mu_p: Fraction,
                     rhs_fn, description: str) -> bool:
     """Constant-gated hypothesis: evaluated only with user constants.
 
     Returns True when user constants were supplied and their hypothesis
     holds (so the theorem applies in full strength).
     """
-    if case.get("C") is None or case.get("c") is None:
+    if big_c is None or small_c is None:
         rep.add_flag(description, UNRESOLVED,
                      note="unresolved (constant unknown); supply C and c to check")
         return False
-    big_c, small_c = Fraction(case.get("C")), Fraction(case.get("c"))
     # converted inside the closure, so that a precision retry refines them
     chk = check_le(lambda: rhs_fn(to_mpf(big_c), to_mpf(small_c)), mu_p)
     rep.add_hypothesis(description, chk)
@@ -209,13 +198,14 @@ def _conclusion(rep: VerdictReport, residual: Fraction, bound,
                          "theorem asserts nothing for this family")
 
 
-def _biased_verdict(rep: VerdictReport, case: TheoremCase, fam: SetFamily,
-                    structure: str, t: int, crit: Fraction, labels,
-                    dc: DerivedConstants, divisor: int = 1,
-                    region_scale=None) -> VerdictReport:
-    """The rest of a biased stability check once the handler has checked
-    its requirements and added its pre-hypotheses to `rep`.
+def _biased_verdict(rep: VerdictReport, fam: SetFamily, eps: Fraction,
+                    constants: tuple, structure: str, t: int, crit: Fraction,
+                    labels, dc: DerivedConstants, divisor: int = 1,
+                    region_scale=None) -> None:
+    """The rest of a biased stability check at p = dc.p once the handler has
+    checked its requirements and added its pre-hypotheses to `rep`.
 
+    `constants` are the user's (C, c), each None when not supplied.
     `structure` is the nearest extremal structure and the witness key:
     "umvirate" or "dictatorship" (S_B with |B| = t), "triangle" (S_T, with
     t = 3) or "or_set" (OR_B with |B| = t = s).  With the critical bias
@@ -229,7 +219,7 @@ def _biased_verdict(rep: VerdictReport, case: TheoremCase, fam: SetFamily,
     `region_scale` the bootstrap region is reported too, and the verdict is
     proved inside it.
     """
-    p, eps = case.frac("p"), case.frac("eps")
+    p = dc.p
     orform = structure == "or_set"
 
     def condition():
@@ -245,7 +235,8 @@ def _biased_verdict(rep: VerdictReport, case: TheoremCase, fam: SetFamily,
                    to_mpf(p) ** t * (1 - small_c * to_mpf(crit - p)))
 
     mu_p = mu(fam, p)
-    constants_ok = _constants_flag(rep, case, mu_p, constants_rhs, labels[0])
+    constants_ok = _constants_flag(rep, *constants, mu_p, constants_rhs,
+                                   labels[0])
     rep.add_hypothesis(labels[1], check_le(condition, mu_p))
     candidates = (_triangles(fam.edges) if structure == "triangle"
                   else subset_masks(fam.n, t))
@@ -255,129 +246,137 @@ def _biased_verdict(rep: VerdictReport, case: TheoremCase, fam: SetFamily,
     bound = ((1 - p) ** t if orform else (1 - p) * p ** (t - 1)) * eps
     _conclusion(rep, residual, bound, {structure: list(witness)},
                 proved=constants_ok or region)
-    return rep
 
 
-def _size_flag(rep: VerdictReport, case: TheoremCase, key: str, label: str,
-               size: int, threshold, strict: bool = True,
+def _size_flag(rep: VerdictReport, key: str, value, label: str, size: int,
+               threshold, strict: bool = True,
                note: str | None = None) -> bool:
     """The constant-gated size hypothesis of a uniform theorem: |A| against
-    threshold(value of `key`), > or, unless `strict`, >=, evaluated only
-    when the caller supplies `key`.  Returns whether it was supplied, which
-    is when a failed conclusion is asserted."""
-    if case.get(key) is None:
+    threshold(value), > or, unless `strict`, >=, evaluated only when the
+    caller supplies the parameter `key` (value not None).  Returns whether
+    it was supplied, which is when a failed conclusion is asserted."""
+    if value is None:
         rep.add_flag(label, UNRESOLVED, note=note or
                      f"unresolved ({key} unknown); supply {key} to check")
         return False
-    thr = threshold(Fraction(case.get(key)))
+    thr = threshold(value)
     rep.add_flag(label, "holds" if (size > thr if strict else size >= thr)
                  else "fails", lhs=str(size), rhs=fmt(thr))
     return True
 
 
+#: the parameters a check reads as exact rationals; the others are integers
+_RATIONALS = frozenset(("p0", "p", "eps", "C", "c", "delta0", "delta"))
+
+
 def check_theorem(case: TheoremCase, fam) -> VerdictReport:
     """Evaluate one stability theorem against a concrete family.
 
-    Family-type mismatches raise ValueError, first a family of the other
-    kind than `THEOREMS` gives; failed (resolved) hypotheses produce a
-    report with conclusion_holds = None; the witness and both sides of every
+    A ValueError comes first for a family of the other kind than `THEOREMS`
+    gives, then for the first missing parameter in the check's signature
+    order, then for any parameter the check does not read.  `_RATIONALS`
+    reach it as Fractions.  Failed (resolved) hypotheses produce a report
+    with conclusion_holds = None; the witness and both sides of every
     inequality are always reported.
     """
-    check, uniform = THEOREMS[case.theorem_id]
-    _require(isinstance(fam, UniformFamily) == uniform, f"{case.theorem_id} "
-             f"needs {KINDS[uniform]}, not {KINDS[not uniform]}")
-    return check(case, fam)
+    tid = case.theorem_id
+    check, uniform = THEOREMS[tid]
+    _require(isinstance(fam, UniformFamily) == uniform,
+             f"{tid} needs {KINDS[uniform]}, not {KINDS[not uniform]}")
+    code = check.__code__  # (rep, fam, *, the parameters)
+    names = code.co_varnames[code.co_argcount:][:code.co_kwonlyargcount]
+    for key in names:
+        _require(key in case.params or key in (check.__kwdefaults__ or ()),
+                 f"{tid} needs parameter {key!r}")
+    unread = [repr(key) for key in case.params if key not in names]
+    _require(not unread, f"{tid} does not read {', '.join(unread)}; "
+             f"it reads {', '.join(names)}")
+    rep = VerdictReport(tid)
+    check(rep, fam, **{key: Fraction(val) if key in _RATIONALS
+                       and val is not None else val
+                       for key, val in case.params.items()})
+    return rep
 
 
-def _check_main_biased(case: TheoremCase, fam: SetFamily) -> VerdictReport:
-    p0, p, t, eps = case.frac("p0"), case.frac("p"), case.need("t"), case.frac("eps")
+def _check_main_biased(rep, fam, *, p0, p, t, eps, C=None, c=None):
     _require(0 < p < p0 < 1, "need 0 < p < p0 < 1")
     _require(t >= 1 and eps > 0, "need t >= 1 and eps > 0")
     _require(fam.is_increasing(), "family must be increasing")
-    rep = VerdictReport("MainBiased")
     dc = DerivedConstants(p0, p, t)
     rep.add_hypothesis("mu_{p0}(F) <= p0^t", check_le(mu(fam, p0), p0**t))
-    return _biased_verdict(
-        rep, case, fam, "umvirate", t, p0,
+    _biased_verdict(
+        rep, fam, eps, (C, c), "umvirate", t, p0,
         ("mu_p(F) >= min{C p^{t+1}, p^t(1 - c(p0-p))}",
          "mu_p(F) >= p^t(1 - ctilde eps^u) + (1-p)p^{t-1} eps"),
         dc, region_scale=dc.region_scale)
 
 
-def _check_biased1(case: TheoremCase, fam: SetFamily) -> VerdictReport:
-    p, eps = case.frac("p"), case.frac("eps")
+def _check_biased1(rep, fam, *, p, eps, C=None, c=None):
     _require(0 < p < Fraction(1, 2), "need 0 < p < 1/2")
     _require(eps > 0, "need eps > 0")
     _require(fam.is_increasing(), "family must be increasing")
-    rep = VerdictReport("Biased1")
     dc = DerivedConstants(Fraction(1, 2), p, 1)
     rep.add_hypothesis("mu_{1/2}(F) <= 1/2",
                        check_le(mu(fam, Fraction(1, 2)), Fraction(1, 2)))
-    return _biased_verdict(
-        rep, case, fam, "dictatorship", 1, Fraction(1, 2),
+    _biased_verdict(
+        rep, fam, eps, (C, c), "dictatorship", 1, Fraction(1, 2),
         ("mu_p(F) >= min{C p^2, p(1 - c(1/2 - p))}",
          "mu_p(F) >= p(1 - eps^{log_p(1-p)}) + (1-p) eps"),
         dc, region_scale=dc.region_scale)
 
 
-def _check_t_intersecting_biased(case: TheoremCase, fam: SetFamily) -> VerdictReport:
-    t, p, eps = case.need("t"), case.frac("p"), case.frac("eps")
+def _check_t_intersecting_biased(rep, fam, *, t, p, eps, factor=None,
+                                 C=None, c=None):
     _require(t >= 1 and eps > 0, "need t >= 1 and eps > 0")
     _require(0 < p < Fraction(1, t + 1), "need 0 < p < 1/(t+1)")
     _require(is_t_intersecting(fam, t), f"family must be {t}-intersecting")
-    rep = VerdictReport("TIntersectingBiased")
-    factor = case.get("factor", 2**t - 1)  # conjectured sharp form uses t
+    if factor is None:
+        factor = 2**t - 1  # the conjectured sharp form uses t
     dc = DerivedConstants(Fraction(1, 2), p, t)
-    return _biased_verdict(
-        rep, case, fam, "umvirate", t, Fraction(1, t + 1),
+    _biased_verdict(
+        rep, fam, eps, (C, c), "umvirate", t, Fraction(1, t + 1),
         ("mu_p(F) >= min{C p^{t+1}, p^t(1 - c(1/(t+1) - p))}",
          f"mu_p(F) >= p^t(1 - (eps/{factor})^{{log_p(1-p)}}) + (1-p)p^{{t-1}} eps"),
         dc, factor,
         dc.intersecting_region_scale if factor == 2**t - 1 else None)
 
 
-def _check_dual_biased(case: TheoremCase, fam: SetFamily) -> VerdictReport:
-    p0, p, s, eps = case.frac("p0"), case.frac("p"), case.need("s"), case.frac("eps")
+def _check_dual_biased(rep, fam, *, p0, p, s, eps, C=None, c=None):
     _require(0 < p < p0 < 1, "need 0 < p < p0 < 1")
     _require(s >= 1 and eps > 0, "need s >= 1 and eps > 0")
     _require(fam.is_increasing(), "family must be increasing")
-    rep = VerdictReport("DualBiased")
     dc = DerivedConstants(p0, p, 1)
     rep.add_hypothesis("mu_{p0}(F) <= 1 - (1-p0)^s",
                        check_le(mu(fam, p0), 1 - (1 - p0) ** s))
-    return _biased_verdict(
-        rep, case, fam, "or_set", s, p0,
+    _biased_verdict(
+        rep, fam, eps, (C, c), "or_set", s, p0,
         ("mu_p(F) >= min{(s-1)p + C p^2, (1 - c(p0-p))(1-(1-p)^s)}",
          "mu_p(F) >= 1-(1-p)^{s-1} + (1-p)^{s-1}(p(1 - ctilde eps^u) + (1-p) eps)"),
         dc)
 
 
-def _check_matching_biased(case: TheoremCase, fam: SetFamily) -> VerdictReport:
-    s, p, eps = case.need("s"), case.frac("p"), case.frac("eps")
+def _check_matching_biased(rep, fam, *, s, p, eps, C=None, c=None):
     _require(s >= 1 and eps > 0, "need s >= 1 and eps > 0")
     _require(0 < p < Fraction(1, 2 * s + 1), "need 0 < p < 1/(2s+1)")
     m_f = matching_number(fam)
     _require(m_f <= s, f"family must have matching number <= {s}, got {m_f}")
-    rep = VerdictReport("MatchingBiased")
     dc = DerivedConstants(Fraction(1, 2 * s + 1), p, 1)
-    return _biased_verdict(
-        rep, case, fam, "or_set", s, dc.p0,
+    _biased_verdict(
+        rep, fam, eps, (C, c), "or_set", s, dc.p0,
         ("mu_p(F) >= min{(s-1)p + C p^2, (1 - c(1/(2s+1)-p))(1-(1-p)^s)}",
          "mu_p(F) >= 1-(1-p)^s - (1-p)^{s-1} p ctilde eps^{log_p(1/(2s+1)) log_{2s/(2s+1)}(1-p)} + (1-p)^s eps"),
         dc)
 
 
-def _check_wilson_uniform(case: TheoremCase, fam: UniformFamily) -> VerdictReport:
-    t, d = case.need("t"), case.need("d")
+def _check_wilson_uniform(rep, fam, *, t, d, delta0=None):
     _require(t >= 1 and d >= 1, "need t >= 1 and d >= 1")
     _require(is_t_intersecting(fam, t), f"family must be {t}-intersecting")
     n, k = fam.n, fam.k
-    rep = VerdictReport("WilsonUniform")
     rep.add_flag("k/n below 1/(t+1)", "holds" if k * (t + 1) < n else "fails",
                  lhs=f"{k}/{n}", rhs=f"1/{t + 1}",
                  note="the theorem needs k/n <= 1/(t+1) - eta")
     size = len(fam)
-    proved = _size_flag(rep, case, "delta0", "|A| > (1-delta0) C(n-t,k-t)",
+    proved = _size_flag(rep, "delta0", delta0, "|A| > (1-delta0) C(n-t,k-t)",
                         size, lambda delta0: (1 - delta0) * comb0(n - t, k - t))
     d_threshold = (comb0(n - t, k - t) - comb0(n - t - d, k - t)
                    + (2**t - 1) * comb0(n - t - d, k - t - d + 1))
@@ -388,34 +387,33 @@ def _check_wilson_uniform(case: TheoremCase, fam: UniformFamily) -> VerdictRepor
     _conclusion(rep, Fraction(outside),
                 Fraction((2**t - 1) * comb0(n - t - d, k - t - d + 1)),
                 {"umvirate": list(b)}, proved=proved)
-    return rep
 
 
-def _check_triangle_biased(case: TheoremCase, fam: SetFamily) -> VerdictReport:
-    p, eps = case.frac("p"), case.frac("eps")
+def _check_triangle_biased(rep, fam, *, p, eps, v=None, C=None, c=None):
     _require(0 < p < Fraction(1, 2), "need 0 < p < 1/2")
     _require(eps > 0, "need eps > 0")
+    if fam.edges is None and v is not None:  # a family read from a file
+        fam = SetFamily(fam.n, fam.bits, EdgeGround(v))
     _require(fam.edges is not None, "family must live on an edge ground")
+    _require(v in (None, fam.edges.v), f"v = {v} disagrees with the family's "
+             f"edge ground, on {fam.edges.v} vertices")
     _require(is_triangle_intersecting(fam), "family must be triangle-intersecting")
-    rep = VerdictReport("TriangleBiased")
     dc = DerivedConstants(Fraction(1, 2), p, 3)
-    return _biased_verdict(
-        rep, case, fam, "triangle", 3, Fraction(1, 2),
+    _biased_verdict(
+        rep, fam, eps, (C, c), "triangle", 3, Fraction(1, 2),
         ("mu_p(F) >= min{C p^4, p^3(1 - c(1/2 - p))}",
          "mu_p(F) >= p^3(1 - eps^{log_p(1-p)}) + p^2(1-p) eps"),
         dc, region_scale=dc.region_scale)
 
 
-def _check_triangle_uniform(case: TheoremCase, fam: UniformFamily) -> VerdictReport:
-    d, v = case.need("d"), case.need("v")
+def _check_triangle_uniform(rep, fam, *, d, v, delta0=None):
     eg = EdgeGround(v)
     _require(fam.n == eg.n, "family ground must be the edge set of [v]")
     _require(is_triangle_intersecting(fam, eg),
              "family must be triangle-intersecting")
     big_m, k = eg.n, fam.k
-    rep = VerdictReport("TriangleUniform")
     size = len(fam)
-    proved = _size_flag(rep, case, "delta0", "|A| > (1-delta0) C(M-3,k-3)",
+    proved = _size_flag(rep, "delta0", delta0, "|A| > (1-delta0) C(M-3,k-3)",
                         size, lambda delta0: (1 - delta0) * comb0(big_m - 3, k - 3),
                         note="unresolved (delta0 unknown)")
     d_threshold = (comb0(big_m - 3, k - 3) - comb0(big_m - d - 3, k - 3)
@@ -427,20 +425,17 @@ def _check_triangle_uniform(case: TheoremCase, fam: UniformFamily) -> VerdictRep
     _conclusion(rep, Fraction(outside),
                 Fraction(7 * comb0(big_m - d - 3, k - d - 2)),
                 {"triangle": list(tri)}, proved=proved)
-    return rep
 
 
-def _check_matching_uniform(case: TheoremCase, fam: UniformFamily) -> VerdictReport:
-    s, eps = case.need("s"), case.frac("eps")
+def _check_matching_uniform(rep, fam, *, s, eps, delta=None, c=None):
     _require(s >= 1 and eps > 0, "need s >= 1 and eps > 0")
     m_f = matching_number(fam)
     _require(m_f <= s, f"family must have matching number <= {s}, got {m_f}")
     n, k = fam.n, fam.k
-    rep = VerdictReport("MatchingUniform")
     rep.add_flag("k/n below 1/(2s+1)", "holds" if k * (2 * s + 1) < n else "fails",
                  lhs=f"{k}/{n}", rhs=f"1/{2 * s + 1}",
                  note="the theorem needs k/n <= 1/(2s+1) - eta")
-    proved = _size_flag(rep, case, "delta",
+    proved = _size_flag(rep, "delta", delta,
                         "|A| >= C(n,k) - C(n-s,k) - delta C(n-s,k-1)", len(fam),
                         lambda delta: (comb0(n, k) - comb0(n - s, k)
                                        - delta * comb0(n - s, k - 1)),
@@ -448,22 +443,17 @@ def _check_matching_uniform(case: TheoremCase, fam: UniformFamily) -> VerdictRep
     b, _, outside = nearest_cube(fam, subset_masks(n, s), misses=True)
     _conclusion(rep, Fraction(outside), eps * comb0(n - s, k),
                 {"or_set": list(b)}, proved=proved)
-    if case.get("c") is not None and case.get("delta") is not None:
+    if c is not None and delta is not None:
         p1 = Fraction(k, n)
-        eps_remark = power(to_mpf(Fraction(case.get("c"))
-                                  * Fraction(case.get("delta"))),
-                           log_base(p1, 1 - s * p1))
+        eps_remark = power(to_mpf(c * delta), log_base(p1, 1 - s * p1))
         rep.add_slack("remark_epsilon(c delta)^{log_{1-s p1} p1}", eps_remark)
         rep.notes.append("remark epsilon(delta) relation reported, not asserted")
-    return rep
 
 
-def _check_frankl_gi(case: TheoremCase, fam: SetFamily) -> VerdictReport:
-    p, i = case.frac("p"), case.need("i")
+def _check_frankl_gi(rep, fam, *, p, i):
     _require(0 < p < Fraction(1, 2), "need 0 < p < 1/2")
     _require(3 <= i <= fam.n, "need 3 <= i <= n")
     _require(is_t_intersecting(fam, 1), "family must be intersecting")
-    rep = VerdictReport("FranklG_i")
     mu_p = mu(fam, p)
     gi_mu = closed_form_mu(FamilySpec("tilde_Gi", {"n": fam.n, "i": i}), p)
     strict = mu_p > gi_mu
@@ -476,7 +466,6 @@ def _check_frankl_gi(case: TheoremCase, fam: SetFamily) -> VerdictReport:
     rep.add_slack("conclusion_bound", bound)
     if rep.hypotheses_met:
         rep.conclusion_holds = residual < bound  # strict, exact rationals
-    return rep
 
 
 #: theorem -> (its check, whether it reads a k-uniform family rather than
@@ -660,9 +649,9 @@ def conjecture_scan(conj_id: str, ranges: dict,
 
 
 def _range_values(conj_id: str, ranges, *keys) -> list:
-    """The values of the required range keys, in order; a ValueError naming
-    the conjecture and the first key that is missing or, other than the
-    bias list "ps", not an integer."""
+    """The values of the range keys, in order; a ValueError naming the
+    conjecture and the first key that is missing or, other than the bias
+    list "ps", not an integer, then one naming any key not in `keys`."""
     if not isinstance(ranges, dict):
         raise ValueError(f"{conj_id} ranges must be a JSON object")
     for key in keys:
@@ -671,6 +660,9 @@ def _range_values(conj_id: str, ranges, *keys) -> list:
         val = ranges[key]
         if key != "ps" and (not isinstance(val, int) or isinstance(val, bool)):
             raise ValueError(f"{conj_id} range key {key!r} must be an integer")
+    unread = [repr(key) for key in ranges if key not in keys]
+    _require(not unread, f"{conj_id} does not read range key "
+             f"{', '.join(unread)}; it reads {', '.join(keys)}")
     return [ranges[key] for key in keys]
 
 

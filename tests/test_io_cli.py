@@ -653,9 +653,10 @@ def test_cli_triangle_biased_from_file(capsys, tmp_path):
     assert code == 0
     assert json.loads(out)["report"]["conclusion_holds"] is True
     # without --v the edge structure is unknown
-    code = main(["verify", "--theorem", "TriangleBiased", "--family",
-                 str(path), "--p", "1/4", "--eps", "1/20"])
-    assert code == 2
+    err = _usage_error(capsys, "verify", "--theorem", "TriangleBiased",
+                       "--family", str(path), "--p", "1/4", "--eps", "1/20")
+    assert err == ("TriangleBiased needs --v (vertex count) when the family "
+                   "comes from a file")
 
 
 def test_cli_precision_env(capsys, monkeypatch):
@@ -932,6 +933,77 @@ def test_cli_missing_theorem_parameter_named(capsys):
                        '{"name":"tilde_Gi","params":{"n":3,"i":3}}',
                        "--p", "1/4")
     assert "Biased1" in err and "'eps'" in err
+    err = _usage_error(capsys, "verify", "--theorem", "MainBiased", "--spec",
+                       '{"name":"t_umvirate","params":{"n":4,"t":2}}',
+                       "--p", "1/4", "--t", "2", "--eps", "1/10")
+    assert err == "MainBiased needs parameter 'p0'"
+    err = _usage_error(capsys, "verify", "--theorem", "TriangleUniform",
+                       "--spec", UNIFORM_SPEC, "--d", "1")
+    assert err == "TriangleUniform needs parameter 'v'"
+
+
+def test_cli_unread_theorem_flag_exit_two(capsys):
+    # this ran Biased1, exited 0 and echoed p0, t and d in its header
+    err = _usage_error(capsys, "verify", "--theorem", "Biased1", "--spec",
+                       '{"name":"dictatorship","params":{"n":4}}',
+                       "--p", "1/4", "--eps", "1/16", "--p0", "1/3",
+                       "--t", "5", "--d", "2")
+    assert err == ("Biased1 does not read 'p0', 't', 'd'; it reads p, eps, "
+                   "C, c")
+
+
+def test_cli_triangle_biased_v_must_match_the_spec(capsys):
+    spec = '{"name":"triangle_umvirate","params":{"v":4}}'
+    argv = ("verify", "--theorem", "TriangleBiased", "--spec", spec,
+            "--p", "1/4", "--eps", "1/20")
+    code, out = run_cli(capsys, *argv, "--v", "4")
+    assert code == 0
+    assert _usage_error(capsys, *argv, "--v", "5") == (
+        "v = 5 disagrees with the family's edge ground, on 4 vertices")
+
+
+#: each search predicate, the flag it reads (None: neither), k and the
+#: optimum on [5]^(k) with that flag at 2
+SEARCH_FLAGS = [("intersecting", None, "2", 4),
+                ("t-intersecting", "--t", "3", 4),
+                ("matching", "--s", "2", 10)]
+
+
+@pytest.mark.parametrize("predicate, reads, k, optimum", SEARCH_FLAGS)
+def test_cli_search_refuses_a_flag_it_does_not_read(capsys, predicate, reads,
+                                                    k, optimum):
+    argv = ("search", "--predicate", predicate, "--n", "5", "--k", k)
+    given = (reads, "2") if reads else ()
+    code, out = run_cli(capsys, *argv, *given)
+    assert code == 0
+    assert json.loads(out)["certificate"]["optimum"] == optimum
+    for flag in ("--t", "--s"):
+        if flag != reads:
+            err = _usage_error(capsys, *argv, *given, flag, "2")
+            assert err == f"{predicate} search reads no {flag}"
+    if reads:
+        assert _usage_error(capsys, *argv) == f"{predicate} search needs {reads}"
+
+
+def test_cli_resume_from_a_missing_checkpoint_notes_it(capsys, tmp_path):
+    cp = tmp_path / "missing.json"
+    argv = ("search", "--predicate", "intersecting", "--n", "5", "--k", "2",
+            "--checkpoint", str(cp))
+    main([*argv])
+    fresh = capsys.readouterr()
+    assert not cp.exists()  # a complete run writes no checkpoint
+    code = main([*argv, "--resume"])
+    resumed = capsys.readouterr()
+    assert code == 0
+    # the same run, with only the header's echo of --resume added
+    want = json.loads(fresh.out)
+    want["header"]["inputs"]["resume"] = "True"
+    assert json.loads(resumed.out) == want
+    assert fresh.err == ""
+    assert resumed.err.count("\n") == 1
+    assert json.loads(resumed.err) == {"note": (
+        f"checkpoint {cp} does not exist; nothing was resumed, the search "
+        "runs from the start")}
 
 
 @pytest.mark.parametrize("conj, ranges, key", [
@@ -958,6 +1030,11 @@ def test_cli_missing_theorem_parameter_named(capsys):
     ("WilsonSharp", '{"n":9,"k":-1,"t":1,"d_max":1}', "'k'"),
     ("WilsonSharp", '{"n":-3,"k":-2,"t":1,"d_max":1}', "'k'"),
     ("EMCStability", '{"n":9,"k":0,"s":1,"d":1}', "'k'"),
+    # a key the conjecture does not read once ran and was echoed in "ranges"
+    ("TIntersectingSharp", '{"t":1,"n":3,"ps":["1/4"],"k":2}', "'k'"),
+    ("WilsonSharp", '{"n":6,"k":3,"t":1,"d_max":2,"d":5,"ps":["1/2"]}',
+     "'d', 'ps'"),
+    ("EMCStability", '{"n":9,"k":2,"s":2,"d":1,"t":1}', "'t'"),
 ])
 def test_cli_bad_range_key_named(capsys, conj, ranges, key):
     err = _usage_error(capsys, "conjecture-scan", "--conjecture", conj,

@@ -192,6 +192,34 @@ def test_kk_cascade_of_a_large_m_is_fast():
     assert out["min_shadow"] == 165096372169470
 
 
+def _iterated_kk_min_shadow(m, k, s):
+    """The s-fold minimum shadow one shadow at a time, each from a fresh
+    cascade: the oracle."""
+    for step in range(s):
+        m = sum(math.comb(a, i - 1)
+                for a, i in cascade_decomposition(m, k - step))
+    return m
+
+
+@settings(max_examples=300, deadline=None, database=None, derandomize=True)
+@given(m=st.integers(0, 10**6), k=st.integers(1, 9), data=st.data())
+def test_kk_one_cascade_matches_the_iterated_shadow(m, k, data):
+    s = data.draw(st.integers(0, k))
+    assert kk_min_shadow(m, k, s) == _iterated_kk_min_shadow(m, k, s)
+
+
+def test_kk_of_a_large_s_is_fast():
+    # one shadow at a time, s = 10^7 did not finish; the timeout fails the
+    # test instead of hanging it
+    env = dict(os.environ, PYTHONPATH=str(Path(ekrlab.__file__).parents[1]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "ekrlab.cli", "kk", "--m", "1",
+         "--k", str(10**7), "--s", str(10**7)], env=env, capture_output=True,
+        text=True, timeout=10)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout)["min_shadow"] == 1
+
+
 def test_colex_segment_attains_kk_minimum():
     for n, k in ((5, 2), (5, 3)):
         for m in range(math.comb(n, k) + 1):

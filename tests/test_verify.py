@@ -163,6 +163,71 @@ def test_t_intersecting_biased():
     assert rep.conclusion_holds in (True, None)
 
 
+@pytest.mark.parametrize("theorem, params, fam, missing", [
+    ("MainBiased", {"p": F(1, 4), "t": 1, "eps": F(1, 16)}, tilde_gi(4, 3),
+     "p0"),
+    # the first missing parameter in the order the check reads them
+    ("MainBiased", {"t": 1}, tilde_gi(4, 3), "p0"),
+    ("DualBiased", {"p0": F(1, 2), "p": F(1, 4), "eps": F(1, 10)},
+     tilde_gi(4, 3), "s"),
+    ("TriangleUniform", {"d": 1}, triangle_umvirate(4).uniform_slice(3), "v"),
+    ("WilsonUniform", {"t": 1}, t_umvirate(6, 1).uniform_slice(3), "d"),
+])
+def test_missing_parameter_named(theorem, params, fam, missing):
+    with pytest.raises(ValueError) as info:
+        check_theorem(TheoremCase(theorem, params), fam)
+    assert str(info.value) == f"{theorem} needs parameter {missing!r}"
+
+
+def test_unread_parameter_refused():
+    # Biased1 once ran and ignored t; the check reads p, eps, C and c
+    case = TheoremCase("Biased1", {"p": F(1, 4), "eps": F(1, 16), "t": 1})
+    with pytest.raises(ValueError) as info:
+        check_theorem(case, tilde_gi(4, 3))
+    assert str(info.value) == ("Biased1 does not read 't'; it reads p, eps, "
+                               "C, c")
+    # MatchingUniform reads c (in its remark) but not C
+    with pytest.raises(ValueError, match="'C'"):
+        check_theorem(TheoremCase("MatchingUniform",
+                                  {"s": 2, "eps": F(1, 10), "C": F(1)}),
+                      or_family(11, 2).uniform_slice(2))
+
+
+def test_check_parameters_are_the_cli_theorem_flags():
+    from ekrlab import cli
+
+    flags = {flag[2:] for flag, _ in cli._THEOREM_OPTIONS}
+    read = set()
+    for check, _ in verify.THEOREMS.values():
+        code = check.__code__
+        assert code.co_varnames[:code.co_argcount] == ("rep", "fam")
+        names = code.co_varnames[2:2 + code.co_kwonlyargcount]
+        assert set(check.__kwdefaults__ or ()) <= set(names)
+        read |= set(names)
+    # factor is the library-only knob of TIntersectingBiased
+    assert read - {"factor"} == flags
+    assert verify._RATIONALS <= flags
+
+
+def test_triangle_biased_reads_a_plain_family_over_v():
+    tu = triangle_umvirate(4)
+    params = {"p": F(1, 4), "eps": F(1, 20)}
+    want = check_theorem(TheoremCase("TriangleBiased", params), tu).to_dict()
+    plain = SetFamily(tu.n, tu.bits)
+    for fam in (plain, tu):
+        rep = check_theorem(TheoremCase("TriangleBiased", {**params, "v": 4}),
+                            fam)
+        assert rep.to_dict() == want
+    with pytest.raises(ValueError) as info:
+        check_theorem(TheoremCase("TriangleBiased", params), plain)
+    assert str(info.value) == "family must live on an edge ground"
+    # a v other than the family's own edge ground is refused, not ignored
+    with pytest.raises(ValueError) as info:
+        check_theorem(TheoremCase("TriangleBiased", {**params, "v": 5}), tu)
+    assert str(info.value) == ("v = 5 disagrees with the family's edge "
+                               "ground, on 4 vertices")
+
+
 @pytest.mark.parametrize("theorem, params, fam", [
     ("MainBiased", {"p0": F(1, 2), "p": F(1, 4), "t": 1, "eps": F(1, 16)},
      tilde_gi(4, 3)),
