@@ -153,6 +153,8 @@ def _cmd_shadow(args):
 
 
 def _cmd_construct(args):
+    if args.out is not None and (not args.out or os.path.isdir(args.out)):
+        raise ValueError(f"--out must name a file, got {args.out!r}")
     spec = FamilySpec.from_dict(json.loads(args.spec))
     perm = None
     if args.perm is not None:

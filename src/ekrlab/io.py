@@ -50,7 +50,13 @@ def _masks_from_dict(d: dict, dense: bool = False
                 and all(isinstance(h, str) for h in hexes)):
             raise ValueError('family JSON field "masks_hex" must be a list '
                              'of hex strings')
-        masks = [int(h, 16) for h in hexes]
+        masks = []
+        for i, h in enumerate(hexes):
+            try:
+                masks.append(int(h, 16))
+            except ValueError:
+                raise ValueError(f'family JSON field "masks_hex" entry {i} '
+                                 'is not a hex string') from None
         past_n = next((f"masks_hex entry {i} out of range for n={n}"
                        for i, m in enumerate(masks) if m.bit_length() > n),
                       None)

@@ -16,6 +16,11 @@ whose contexts and function modules would cost several times the rest of a
 short command.  The value sits in a slot named `_mpf_`, as in mpmath, so
 mpmath accepts these reals and this module accepts mpmath's.
 
+A rational becomes a real only through `to_mpf`, so it rounds one way.
+Past that door a real meets only reals and ints: a Fraction or a float
+beside an operator or an ordering, or as an argument of `log`, `power` or
+`to_mpf`, is a TypeError.
+
 The working precision is one setting: `settings` sets the digits a header
 reports, the bits every real is computed at and the tolerance together
 (DEFAULT_DPS and DEFAULT_TOL outside any block); only `check_le`'s retries
@@ -107,30 +112,20 @@ def _real(value: tuple) -> "_Real":
     return x
 
 
-def _compared(x):
-    """The libmp value of a real, an int or a float, exactly; otherwise
-    NotImplemented.  mpmath orders its reals against these alone, so an
-    ordering against a Fraction raises TypeError."""
+def _operand(x, fn: str = ""):
+    """The libmp value of a real (anything with `_mpf_`, so mpmath's reals
+    too) or an int, exactly.  Anything else, a Fraction or a float included,
+    is NotImplemented, so that an operator or an ordering raises TypeError;
+    given the name `fn` of a function, it is a TypeError that names it."""
     value = getattr(x, "_mpf_", None)
     if value is not None:
         return value
     if isinstance(x, int):
         return _lib.from_int(x)
-    if isinstance(x, float):
-        return _lib.from_float(x)
+    if fn:
+        raise TypeError(f"{fn}() does not take a {type(x).__name__}; to_mpf "
+                        "makes a real of an int, a Fraction or a decimal string")
     return NotImplemented
-
-
-def _operand(x):
-    """The libmp value of an operation's right side, as mpmath converts it:
-    a Fraction rounded toward zero at the working precision, the rest as
-    `_compared`."""
-    value = getattr(x, "_mpf_", None)
-    if value is not None:
-        return value
-    if isinstance(x, Fraction):
-        return _lib.from_rational(x.numerator, x.denominator, _prec)
-    return _compared(x)
 
 
 class _Real:
@@ -138,11 +133,10 @@ class _Real:
     exponent, bit count) in `_mpf_`.  Each operation rounds to nearest at
     the working precision, through the libmp call `mpmath.mpf` makes for
     it: `*` and `**` by an int use `mpf_mul_int` and `mpf_pow_int`, and an
-    int divided by a real `mpf_rdiv_int`.  As for mpmath's reals, a
-    Fraction is accepted on the right of an operation and on either side of
-    `+`, `*` and `==`, while `Fraction - real`, `Fraction / real` and an
-    ordering against a Fraction raise TypeError (`Fraction ** real` goes
-    through a float, as Fraction makes it)."""
+    int divided by a real `mpf_rdiv_int`.  A real meets only reals and
+    ints, on either side of an operator or an ordering (an int raised to a
+    real is `power`'s); a Fraction or a float there is a TypeError, so a
+    rational becomes a real only through `to_mpf`, rounded one way."""
 
     __slots__ = ("_mpf_",)
 
@@ -161,7 +155,7 @@ class _Real:
         return _real(_lib.mpf_sub(self._mpf_, t, _prec, "n"))
 
     def __rsub__(self, other):
-        t = _compared(other)
+        t = _operand(other)
         if t is NotImplemented:
             return t
         return _real(_lib.mpf_sub(t, self._mpf_, _prec, "n"))
@@ -185,10 +179,7 @@ class _Real:
     def __rtruediv__(self, other):
         if isinstance(other, int):
             return _real(_lib.mpf_rdiv_int(other, self._mpf_, _prec, "n"))
-        t = _compared(other)
-        if t is NotImplemented:
-            return t
-        return _real(_lib.mpf_div(t, self._mpf_, _prec, "n"))
+        return NotImplemented
 
     def __pow__(self, other):
         if isinstance(other, int):
@@ -197,12 +188,6 @@ class _Real:
         if t is NotImplemented:
             return t
         return _real(_lib.mpf_pow(self._mpf_, t, _prec, "n"))
-
-    def __rpow__(self, other):
-        t = _compared(other)
-        if t is NotImplemented:
-            return t
-        return _real(_lib.mpf_pow(t, self._mpf_, _prec, "n"))
 
     def __neg__(self):
         return _real(_lib.mpf_neg(self._mpf_, _prec, "n"))
@@ -215,19 +200,19 @@ class _Real:
         return t if t is NotImplemented else _lib.mpf_eq(self._mpf_, t)
 
     def __lt__(self, other):
-        t = _compared(other)
+        t = _operand(other)
         return t if t is NotImplemented else _lib.mpf_lt(self._mpf_, t)
 
     def __le__(self, other):
-        t = _compared(other)
+        t = _operand(other)
         return t if t is NotImplemented else _lib.mpf_le(self._mpf_, t)
 
     def __gt__(self, other):
-        t = _compared(other)
+        t = _operand(other)
         return t if t is NotImplemented else _lib.mpf_gt(self._mpf_, t)
 
     def __ge__(self, other):
-        t = _compared(other)
+        t = _operand(other)
         return t if t is NotImplemented else _lib.mpf_ge(self._mpf_, t)
 
     def __bool__(self):
@@ -244,23 +229,18 @@ class _Real:
         self._mpf_ = value
 
 
-def _convert(x) -> tuple:
-    """The libmp value of a function argument, as mpmath converts it."""
-    value = _operand(x)
-    if value is NotImplemented:
-        raise TypeError(f"cannot convert {type(x).__name__} to a real")
-    return value
-
-
 def log(x) -> _Real:
-    """ln(x), as `mpmath.log`."""
-    return _real(_libmp().mpf_log(_convert(x), _prec, "n"))
+    """ln(x) of a real or an int, as `mpmath.log`; anything else is a
+    TypeError (`to_mpf` makes a real of a rational)."""
+    return _real(_libmp().mpf_log(_operand(x, "log"), _prec, "n"))
 
 
 def power(x, y) -> _Real:
-    """x**y for reals, ints or Fractions, as `mpmath.power`."""
+    """x**y for reals or ints, as `mpmath.power`; anything else is a
+    TypeError (`to_mpf` makes a real of a rational)."""
     lib = _libmp()
-    return _real(lib.mpf_pow(_convert(x), _convert(y), _prec, "n"))
+    return _real(lib.mpf_pow(_operand(x, "power"), _operand(y, "power"),
+                             _prec, "n"))
 
 
 def nstr(x, n: int, **kwargs) -> str:
@@ -357,17 +337,17 @@ def _settings(dps: int, tol: Fraction):
 def to_mpf(x) -> _Real:
     """An int, Fraction, decimal string ("1e-9") or real as a real rounded
     to the working precision, as `mpmath.mpf` rounds it (a Fraction as its
-    numerator's real divided by its denominator)."""
+    numerator's real divided by its denominator).  It is the one way a
+    rational becomes a real: anything else, a float included, is a
+    TypeError."""
     lib = _libmp()
     if isinstance(x, Fraction):
         num = lib.mpf_pos(lib.from_int(x.numerator), _prec, "n")
         return _real(lib.mpf_div(num, lib.from_int(x.denominator), _prec, "n"))
-    if isinstance(x, int):
-        value = lib.from_int(x)
-    elif isinstance(x, str):
+    if isinstance(x, str):
         value = lib.from_str(x, _prec, "n")
     else:
-        value = x._mpf_
+        value = _operand(x, "to_mpf")
     return _real(lib.mpf_pos(value, _prec, "n"))
 
 

@@ -60,8 +60,7 @@ class VerdictReport:
         return flag
 
     def add_flag(self, name: str, status: str, lhs="", rhs="", note: str = "") -> HypothesisFlag:
-        flag = HypothesisFlag(name, status, fmt(lhs) if lhs != "" else "",
-                              fmt(rhs) if rhs != "" else "", note)
+        flag = HypothesisFlag(name, status, fmt(lhs), fmt(rhs), note)
         self.hypotheses.append(flag)
         return flag
 

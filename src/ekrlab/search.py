@@ -226,7 +226,8 @@ def max_uniform(problem: SearchProblem, checkpoint_path=None,
     checkpoint of another problem, or a malformed one, raises ValueError);
     node counts then include the nodes before the resume, the other
     counters cover this run.  Resume without a checkpoint path raises
-    ValueError: there is nothing to resume from.
+    ValueError: there is nothing to resume from; so does a checkpoint path
+    that is empty or a directory.
     """
     if not 0 <= problem.k <= problem.n:
         raise ValueError(f"need 0 <= k <= n, got k={problem.k}, n={problem.n}")
@@ -243,6 +244,11 @@ def max_uniform(problem: SearchProblem, checkpoint_path=None,
     prior_nodes = 0
     if checkpoint_path is not None:
         cp = Path(checkpoint_path)
+        # an empty path is the working directory: refused before the walk,
+        # not at its first checkpoint
+        if cp.is_dir():
+            raise ValueError("the checkpoint path (--checkpoint) must name "
+                             f"a file, got {str(checkpoint_path)!r}")
         if resume and cp.exists():
             state = _read_checkpoint(cp, problem, universe, preds)
             resume_path = state["path"]

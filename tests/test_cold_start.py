@@ -292,9 +292,9 @@ from fractions import Fraction
 from ekrlab import numerics as nm
 cases = [("log", lambda: nm.log(3)),
          ("log_base", lambda: nm.log_base(5, Fraction(1, 3))),
-         ("power", lambda: nm.power(Fraction(2, 7), nm.log(2))),
+         ("power", lambda: nm.power(nm.to_mpf(Fraction(2, 7)), nm.log(2))),
          ("div", lambda: 1 / nm.to_mpf(Fraction(3, 11))),
-         ("str", lambda: nm.to_mpf("1e-9") * 7 - Fraction(1, 3)),
+         ("str", lambda: nm.to_mpf("1e-9") * 7 - nm.to_mpf(Fraction(1, 3))),
          ("pow_int", lambda: nm.to_mpf(Fraction(5, 3)) ** 7)]
 ours = {}
 for dps in (15, 30, 61):
@@ -309,9 +309,9 @@ for dps in (15, 30, 61):
     with mpmath.workdps(dps):
         mp_cases = [("log", mpmath.log(3)),
                     ("log_base", mpmath.log(5) / mpmath.log(mpmath.mpf(1) / 3)),
-                    ("power", mpmath.power(Fraction(2, 7), mpmath.log(2))),
+                    ("power", mpmath.power(mpmath.mpf(2) / 7, mpmath.log(2))),
                     ("div", 1 / (mpmath.mpf(3) / 11)),
-                    ("str", mpmath.mpf("1e-9") * 7 - Fraction(1, 3)),
+                    ("str", mpmath.mpf("1e-9") * 7 - mpmath.mpf(1) / 3),
                     ("pow_int", (mpmath.mpf(5) / 3) ** 7)]
         for name, x in mp_cases:
             theirs[f"{name}@{dps}"] = (x._mpf_, mpmath.nstr(x, 18),

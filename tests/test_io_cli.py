@@ -290,12 +290,13 @@ def test_cli_tightness_and_scan(capsys):
 
 def test_benchmark_tightness_commands_match_the_reference(
         capsys, tmp_path, monkeypatch):
-    # the fourteen short commands of the `verify` workload (`measure`,
+    # the eighteen commands of the `verify` workload (the four `verify
+    # --theorem` checks, which use the real layer most, and `measure`,
     # `influence`, `tightness`, `katona`, `kk`, `construct` and `shadow`) in
     # every input variant, replayed in process in the variant's directory,
     # where its family files are: a byte that drifts from the benchmark's
-    # recorded output shows here before a benchmark run does.  The four
-    # `verify` commands take seconds each and stay with the benchmark.
+    # recorded output shows here before a benchmark run does.  In process
+    # the 64 theorem checks take a fraction of a second together.
     monkeypatch.delenv("EKRLAB_PRECISION", raising=False)
     workloads, gate = perfbench_workloads(), perfbench_gate()
     root = Path(__file__).resolve().parents[1]
@@ -307,14 +308,13 @@ def test_benchmark_tightness_commands_match_the_reference(
         commands, variant = workloads.build("verify", seed, workdir)
         monkeypatch.chdir(workdir)
         for command in commands:
-            if command.args[0] != "verify":
-                code = main(command.argv())
-                expect = reference[variant][command.key()]
-                assert code == expect["rc"], command.key()
-                assert gate.digest(capsys.readouterr().out) == \
-                    expect["digest"], command.key()
-                replayed += 1
-    assert replayed == 224
+            code = main(command.argv())
+            expect = reference[variant][command.key()]
+            assert code == expect["rc"], command.key()
+            assert gate.digest(capsys.readouterr().out) == \
+                expect["digest"], command.key()
+            replayed += 1
+    assert replayed == 288
 
 
 def test_benchmark_search_commands_match_the_reference(capsys, tmp_path):
@@ -1102,6 +1102,8 @@ MALFORMED = [
      'family JSON must be an object with "n" and "sets" (or "masks_hex")'),
     ('{"n":3,"masks_hex":["-0x1"]}', False,
      "subset mask -1 out of range for n=3"),
+    ('{"n":3,"masks_hex":["0x1","zz"]}', False,
+     'family JSON field "masks_hex" entry 1 is not a hex string'),
     ('{"n":3,"sets":[[1],[1,2]]}', True, "not k-uniform: member sizes [1, 2]"),
     ('{"n":3,"sets":[[1],[2,1]]}', True,
      "set [2, 1] is not strictly increasing"),
@@ -1162,6 +1164,36 @@ def test_inline_family_longer_than_a_file_name(capsys):
 def test_cli_long_text_that_is_not_json_exit_two(capsys):
     err = _usage_error(capsys, "measure", "--family", "x" * 300, "--p", "1/2")
     assert "too long" in err
+
+
+#: a checkpoint path that names no file: the working directory, once
+#: read or written only after the walk, and a directory
+@pytest.mark.parametrize("path, resume", [
+    ("", ()), ("", ("--resume",)), ("cpdir", ()), ("cpdir", ("--resume",))],
+    ids=["empty", "empty-resume", "directory", "directory-resume"])
+def test_cli_checkpoint_must_name_a_file(capsys, tmp_path, monkeypatch, path,
+                                         resume):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "cpdir").mkdir()
+    err = _usage_error(capsys, "search", "--predicate", "intersecting",
+                       "--n", "7", "--k", "3", "--budget", "500",
+                       "--checkpoint", path, *resume)
+    assert err == ("the checkpoint path (--checkpoint) must name a file, "
+                   f"got {path!r}")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["cpdir"]
+    assert not any((tmp_path / "cpdir").iterdir())
+
+
+def test_cli_construct_out_must_name_a_file(capsys, tmp_path, monkeypatch):
+    # an empty --out once exited 0 and wrote nothing
+    monkeypatch.chdir(tmp_path)
+    spec = '{"name":"t_umvirate","params":{"n":3,"t":2}}'
+    assert (_usage_error(capsys, "construct", "--spec", spec, "--out", "")
+            == "--out must name a file, got ''")
+    assert (_usage_error(capsys, "construct", "--spec", spec, "--out",
+                         str(tmp_path)) == f"--out must name a file, got "
+            f"{str(tmp_path)!r}")
+    assert not any(tmp_path.iterdir())
 
 
 def test_cli_file_errors_exit_two(capsys, tmp_path):

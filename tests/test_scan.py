@@ -158,7 +158,7 @@ def test_closed_form_decides_as_the_ternary_search(p, t):
             if got is not None:
                 # the search pins eps down to about the square root of
                 # the working precision, where g is flat
-                assert abs(to_mpf(got) - eps_t) <= to_mpf("1e-13") * eps_r
+                assert abs(to_mpf(got) - eps_t) <= to_mpf("1e-13") * to_mpf(eps_r)
                 reported += 1
     assert reported > 0  # the reporting path ran
     # both sides of v = q ran: m <= 2 falls back to the reals, m = 4 does not

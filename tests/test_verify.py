@@ -391,7 +391,7 @@ def test_derived_constants():
             assert dc.u > prev  # u -> 1 as p -> p0
         prev = dc.u
     dc = DerivedConstants(F(1, 2), F(499, 1000), 1)
-    assert dc.u > 0.99
+    assert dc.u > numerics.to_mpf(F(99, 100))
     assert DerivedConstants(None, F(1, 4), 2).c_prime > 0
 
 
