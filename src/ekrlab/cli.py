@@ -6,7 +6,8 @@ sweeps with --csv).  The handlers return only the result; `main` builds the
 header once and adds it to every JSON payload.  Exit codes: 0 all checks
 passed, 1 a verification failed, 2 usage error; the verdict is reached
 before any output, so a reader that closes stdout early (`| head`) changes
-neither the code nor stderr.
+neither the code nor stderr.  `main` is the in-process entry point and
+`run` the process one, which ends at `os._exit` once the output is flushed.
 Rationals are written "num/den" and only that form is accepted for p, eps,
 tau, delta.
 """
@@ -459,6 +460,10 @@ def main(argv=None) -> int:
     # found, however it ends
     with flags:
         try:
+            if sys.stdout is None:
+                # fd 1 was closed at start-up (`>&-`): no file to write to
+                raise OSError("stdout is closed; the output has nowhere to "
+                              "go")
             code, payload = args.handler(args)
             if isinstance(payload, dict):  # a CSV table has no header
                 payload["header"] = _header(args)
@@ -485,5 +490,20 @@ def main(argv=None) -> int:
     return code
 
 
+def run() -> None:
+    """The process entry point (`python -m ekrlab.cli`, the `ekrlab`
+    script): `main`, then stdout and stderr flushed and the process ended
+    at `os._exit` with `main`'s code, skipping the interpreter's teardown.
+    No `atexit` handler or finalizer runs: the package registers none, and
+    every file a command writes is closed before `main` returns.  An
+    exception leaving `main` (argparse's SystemExit included) exits the
+    normal way."""
+    code = main()
+    for stream in (sys.stdout, sys.stderr):
+        if stream is not None:
+            stream.flush()
+    os._exit(code)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    run()

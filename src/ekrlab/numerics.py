@@ -18,8 +18,8 @@ mpmath accepts these reals and this module accepts mpmath's.
 
 A rational becomes a real only through `to_mpf`, so it rounds one way.
 Past that door a real meets only reals and ints: a Fraction or a float
-beside an operator or an ordering, or as an argument of `log`, `power` or
-`to_mpf`, is a TypeError.
+beside an operator, an ordering or `==`, or as an argument of `log`,
+`power` or `to_mpf`, is a TypeError.
 
 The working precision is one setting: `settings` sets the digits a header
 reports, the bits every real is computed at and the tolerance together
@@ -135,8 +135,9 @@ class _Real:
     it: `*` and `**` by an int use `mpf_mul_int` and `mpf_pow_int`, and an
     int divided by a real `mpf_rdiv_int`.  A real meets only reals and
     ints, on either side of an operator or an ordering (an int raised to a
-    real is `power`'s); a Fraction or a float there is a TypeError, so a
-    rational becomes a real only through `to_mpf`, rounded one way."""
+    real is `power`'s); a Fraction or a float there, or beside `==` and
+    `!=`, is a TypeError, so a rational becomes a real only through
+    `to_mpf`, rounded one way.  Any other type is unequal to a real."""
 
     __slots__ = ("_mpf_",)
 
@@ -197,7 +198,15 @@ class _Real:
 
     def __eq__(self, other):
         t = _operand(other)
-        return t if t is NotImplemented else _lib.mpf_eq(self._mpf_, t)
+        if t is not NotImplemented:
+            return _lib.mpf_eq(self._mpf_, t)
+        if isinstance(other, (Fraction, float)):
+            # an ordering refuses these, so == and != must not quietly
+            # answer False and True
+            raise TypeError(f"a real is not compared with a "
+                            f"{type(other).__name__}; to_mpf makes a real "
+                            "of a rational")
+        return t
 
     def __lt__(self, other):
         t = _operand(other)

@@ -33,13 +33,21 @@ print(json.dumps({"code": code, "modules": sorted(sys.modules)}))
 """
 
 
-def _run(*argv, **extra_env) -> subprocess.CompletedProcess:
-    env = {k: v for k, v in os.environ.items() if not k.startswith("EKRLAB_")}
+def _env(**extra_env) -> dict:
+    # stdout block-buffered, as a user's is, so that output a run leaves in
+    # the buffer when it exits would show as missing
+    env = {k: v for k, v in os.environ.items()
+           if not k.startswith("EKRLAB_") and k != "PYTHONUNBUFFERED"}
     env.update(extra_env)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (SRC, os.environ.get("PYTHONPATH")) if p)
-    proc = subprocess.run([sys.executable, *argv], cwd=ROOT, env=env,
-                          capture_output=True, text=True, timeout=120)
+    return env
+
+
+def _run(*argv, **extra_env) -> subprocess.CompletedProcess:
+    proc = subprocess.run([sys.executable, *argv], cwd=ROOT,
+                          env=_env(**extra_env), capture_output=True,
+                          text=True, timeout=120)
     assert "Traceback" not in proc.stderr, proc.stderr
     return proc
 
@@ -180,6 +188,20 @@ def test_package_never_imports_a_process_pool():
     banned = {"multiprocessing", "concurrent"}
     assert not [hit for hit in _package_imports(at_any_depth=True)
                 if hit[1] in banned]
+
+
+def test_package_leaves_nothing_for_the_exit_to_run():
+    # `cli.run` ends the process at os._exit, which runs no atexit handler
+    # or finalizer: no logging flush, thread join, weakref callback or
+    # temporary-file clean-up would happen
+    banned = {"atexit", "logging", "threading", "weakref", "tempfile"}
+    assert not [hit for hit in _package_imports(at_any_depth=True)
+                if hit[1] in banned]
+    assert not [(path.name, node.lineno)
+                for path in sorted(Path(SRC, "ekrlab").glob("*.py"))
+                for node in ast.walk(ast.parse(path.read_text()))
+                if isinstance(node, ast.FunctionDef)
+                and node.name == "__del__"]
 
 
 def test_mpmath_imported_first_is_reused():
@@ -380,3 +402,71 @@ def test_iso_sweep_keeps_the_precision_at_any_threads():
     assert len(out["1"].splitlines()) == 1 + 20
     assert out["1"] == out["2"]
     assert out["1"] != _run("-m", "ekrlab.cli", *argv).stdout
+
+
+#: `cli.main` ended by sys.exit: the process exit with the interpreter's
+#: teardown, which `python -m ekrlab.cli` (`cli.run`) skips
+TEARDOWN = ("-c", "import sys; from ekrlab.cli import main; "
+                  "sys.exit(main(sys.argv[1:]))")
+
+#: (exit code, argv): each code, a usage error found by the command and one
+#: found by argparse, and a 124 KB output
+EXIT_COMMANDS = [
+    (0, ("--threads", "1", "kk", "--m", "10", "--k", "3")),
+    # family 1's exact tie counts as a violation at tau = 0
+    (1, ("--tau", "0", "iso-sweep", "--n", "5", "--all-monotone",
+         "--p", "1/3", "--csv")),
+    (2, ("kk", "--m", "5", "--k", "0")),
+    (2, ("kk", "--k", "0")),
+    (0, ("construct", "--spec",
+         '{"name":"tilde_F_ts","params":{"n":12,"t":2,"s":2}}')),
+]
+
+
+@pytest.mark.parametrize("code, argv", EXIT_COMMANDS)
+def test_run_ends_as_the_teardown_exit_does(code, argv, tmp_path):
+    # stdout bytes, stderr and exit code are those of the normal exit,
+    # with stdout a pipe and a file
+    for to_file in (False, True):
+        seen = []
+        for i, entry in enumerate((("-m", "ekrlab.cli"), TEARDOWN)):
+            path = tmp_path / f"{i}.out"
+            with open(path, "wb") as out:
+                proc = subprocess.run(
+                    [sys.executable, *entry, *argv], cwd=ROOT, env=_env(),
+                    stdout=out if to_file else subprocess.PIPE,
+                    stderr=subprocess.PIPE, timeout=120)
+            stdout = path.read_bytes() if to_file else proc.stdout
+            seen.append((proc.returncode, stdout, proc.stderr))
+        assert seen[0][0] == code
+        assert seen[0] == seen[1]
+    assert b"Traceback" not in seen[0][2]
+    assert bool(seen[0][1]) == (code != 2)
+
+
+@pytest.mark.parametrize("code, argv", [EXIT_COMMANDS[1], EXIT_COMMANDS[-1]])
+def test_a_reader_that_leaves_early_changes_no_code(code, argv):
+    # as `| head -c 20`: each output is more than a pipe holds, so the
+    # command is still writing when the reader goes
+    proc = subprocess.Popen([sys.executable, "-m", "ekrlab.cli", *argv],
+                            cwd=ROOT, env=_env(), stdout=subprocess.PIPE,
+                            stderr=subprocess.PIPE)
+    assert len(proc.stdout.read(20)) == 20
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=120) == code
+    assert err == b""
+
+
+def test_closed_stdout_is_a_usage_error():
+    # with fd 1 closed at start-up sys.stdout is None: a file that cannot
+    # be written, so one error line and exit 2, not a traceback
+    for entry in (("-m", "ekrlab.cli"), TEARDOWN):
+        proc = subprocess.run(
+            ["sh", "-c", 'exec "$@" >&-', "sh", sys.executable, *entry,
+             "kk", "--m", "5", "--k", "3"],
+            cwd=ROOT, env=_env(), stderr=subprocess.PIPE, text=True,
+            timeout=120)
+        assert proc.returncode == 2, proc.stderr
+        assert "error" in json.loads(proc.stderr)

@@ -177,7 +177,8 @@ def test_comparisons_match_mpmath(dps, source, other):
 
 @pytest.mark.parametrize("fn", [
     operator.add, operator.sub, operator.mul, operator.truediv, operator.pow,
-    operator.lt, operator.le, operator.gt, operator.ge])
+    operator.lt, operator.le, operator.gt, operator.ge, operator.eq,
+    operator.ne])
 def test_fraction_on_the_left_or_in_an_ordering_is_a_type_error(fn):
     # a real meets only reals and ints: a Fraction or a float on either side
     # of an operator or an ordering is a TypeError, so a rational becomes a
@@ -198,6 +199,11 @@ def test_fraction_on_the_left_or_in_an_ordering_is_a_type_error(fn):
                     fn(other, real)
             else:
                 fn(other, real)
+        if fn in (operator.eq, operator.ne):
+            # any other type is simply unequal, on either side
+            for other in ("", None):
+                assert fn(real, other) is fn(other, real) is (
+                    fn is operator.ne)
 
 
 def test_a_rational_becomes_a_real_only_through_to_mpf():
